@@ -384,8 +384,8 @@ class ActionSpec:
             total = total + ring.from_poly(p.partial(i)) * img_f
         return total
 
-    def _endo_image(self, gen_idx: int, name: str):
-        m = self.endo_maps[gen_idx]
+    def _endo_image(self, maps: Sequence[dict], gen_idx: int, name: str):
+        m = maps[gen_idx]
         if name in m:
             return m[name]
         partner = self._inverse_partner(name)
@@ -402,20 +402,19 @@ class ActionSpec:
         raise KeyError(f"no endomorphism image declared for generator {name!r}")
 
     # --------------------------------------------------------- application
-    def apply_generator(self, gen_idx: int, elem):
-        """Apply one monoid generator to a ring element."""
-        images = {name: self._endo_image(gen_idx, name) for name in self._gen_names()}
+    def _apply_with(self, maps: Sequence[dict], gen_idx: int, elem):
+        images = {name: self._endo_image(maps, gen_idx, name) for name in self._gen_names()}
         return self._ring_hom(elem, images)
 
+    def apply_generator(self, gen_idx: int, elem):
+        """Apply one monoid generator to a ring element."""
+        return self._apply_with(self.endo_maps, gen_idx, elem)
+
     def apply_generator_inverse(self, gen_idx: int, elem):
+        """Apply the declared inverse of one monoid generator."""
         if self.inv_maps is None:
             raise ValueError("action has no declared inverses")
-        saved = self.endo_maps
-        try:
-            self.endo_maps = self.inv_maps
-            return self.apply_generator(gen_idx, elem)
-        finally:
-            self.endo_maps = saved
+        return self._apply_with(self.inv_maps, gen_idx, elem)
 
     def apply_word(self, word, elem):
         if not self.has_monoid():
@@ -889,8 +888,8 @@ class ProductRingSpec:
         self.count = count
         self.perms = [tuple(p) for p in perms]
         for p in self.perms:
-            if sorted(p) != list(range(count)) and not all(0 <= i < count for i in p):
-                raise ValueError("permutation data out of range")
+            if sorted(p) != list(range(count)):
+                raise ValueError(f"{p} is not a permutation of range({count})")
         self.factor_maps = factor_maps
 
     def apply_generator(self, g_idx: int, elem: tuple) -> tuple:

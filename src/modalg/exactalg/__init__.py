@@ -4,7 +4,7 @@ polynomials, fraction fields, products of fields, and small matrices."""
 from .algext import AlgebraicField
 from .fields import GF, QQ, PrimeField, RationalField, binom, scalar_field
 from .frac import Frac, FracField
-from .linalg import Matrix, kernel_basis, restriction_kernel, rref, solve_linear
+from .linalg import Echelon, Matrix, kernel_basis, restriction_kernel, rref, solve_linear
 from .poly import MPoly, PolyRing, grlex_key, poly_gcd
 from .product import ProductField
 
@@ -18,6 +18,7 @@ __all__ = [
     "scalar_field",
     "Frac",
     "FracField",
+    "Echelon",
     "Matrix",
     "kernel_basis",
     "restriction_kernel",

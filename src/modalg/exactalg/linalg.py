@@ -4,6 +4,19 @@ Row reduction assumes the entry domain is a field (every nonzero pivot is
 invertible).  Matrix inversion also works over commutative rings via the
 adjugate, provided the determinant is a unit; an explicit inverse certifies
 invertibility.
+
+rref touches only nonzero entries: the pivot row is scaled on its nonzero
+columns, and each elimination updates only those columns of the target row
+(a - f*0 = a exactly).  Its field operations therefore scale with pivots
+times the nonzeros of each pivot row, not with the full matrix; a zero-test
+scan of each column remains.
+
+Echelon is an incremental row echelon over a field for repeated span
+membership: rows are sparse dicts {column: entry}, each reduced against the
+rows before it and scaled to a unit pivot.  add(vec) reports whether vec was
+independent (and keeps it if so); contains(vec) tests membership without
+changing the span.  A column may be any hashable key, so vectors indexed by
+coordinate labels need no common dense column order.
 """
 
 from __future__ import annotations
@@ -133,24 +146,80 @@ def rref(rows: list[list], field) -> tuple[list[list], list[int]]:
     m = [list(r) for r in rows]
     nr = len(m)
     nc = len(m[0]) if m else 0
+    is_zero, mul, sub = field.is_zero, field.mul, field.sub
     pivots: list[int] = []
     r = 0
     for c in range(nc):
-        pr = next((i for i in range(r, nr) if not field.is_zero(m[i][c])), None)
+        pr = next((i for i in range(r, nr) if not is_zero(m[i][c])), None)
         if pr is None:
             continue
         m[r], m[pr] = m[pr], m[r]
-        inv = field.inv(m[r][c])
-        m[r] = [field.mul(inv, e) for e in m[r]]
+        prow = m[r]
+        inv = field.inv(prow[c])
+        # rows at and below r vanish left of c, so the pivot row does too
+        nz = [j for j in range(c, nc) if not is_zero(prow[j])]
+        for j in nz:
+            prow[j] = mul(inv, prow[j])
         for i in range(nr):
-            if i != r and not field.is_zero(m[i][c]):
-                f = m[i][c]
-                m[i] = [field.sub(a, field.mul(f, b)) for a, b in zip(m[i], m[r])]
+            row = m[i]
+            if i != r and not is_zero(row[c]):
+                f = row[c]
+                for j in nz:
+                    row[j] = sub(row[j], mul(f, prow[j]))
         pivots.append(c)
         r += 1
         if r == nr:
             break
     return m, pivots
+
+
+class Echelon:
+    """Incremental row echelon over a field for span membership.
+
+    Rows are sparse dicts {column: entry} with a unit pivot; every row is
+    zero at the pivots of the rows added before it, so one pass in insertion
+    order reduces a vector to zero exactly when it lies in the span.
+    Vectors are given as dense sequences (columns 0, 1, ...) or as dicts
+    from column keys to entries."""
+
+    def __init__(self, field):
+        self.field = field
+        self.rows: list[tuple[object, dict]] = []  # (pivot column, row)
+
+    def _reduce(self, vec) -> dict:
+        field = self.field
+        is_zero, mul, sub = field.is_zero, field.mul, field.sub
+        items = vec.items() if isinstance(vec, dict) else enumerate(vec)
+        v = {j: x for j, x in items if not is_zero(x)}
+        for p, row in self.rows:
+            f = v.pop(p, None)
+            if f is None:
+                continue
+            # the pivot entry is one, so v[p] - f*1 = 0 exactly
+            for j, b in row.items():
+                if j == p:
+                    continue
+                a = v.get(j)
+                x = field.neg(mul(f, b)) if a is None else sub(a, mul(f, b))
+                if is_zero(x):
+                    v.pop(j, None)
+                else:
+                    v[j] = x
+        return v
+
+    def contains(self, vec) -> bool:
+        """Is vec in the span of the rows added so far?"""
+        return not self._reduce(vec)
+
+    def add(self, vec) -> bool:
+        """Add vec to the span; True iff it was independent of the rows."""
+        v = self._reduce(vec)
+        if not v:
+            return False
+        p = next(iter(v))
+        inv = self.field.inv(v[p])
+        self.rows.append((p, {j: self.field.mul(inv, x) for j, x in v.items()}))
+        return True
 
 
 def kernel_basis(rows: list[list], field, ncols: int | None = None) -> list[list]:

@@ -20,7 +20,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from .actions import ActionSpec, HomElement, Report
-from .exactalg import AlgebraicField, FracField, Matrix, kernel_basis, rref, solve_linear
+from .exactalg import AlgebraicField, Echelon, FracField, Matrix, kernel_basis
 from .lieritt import DiffPoly, multi_indices
 from .series import TruncSeries, formal_inverse
 from .taylor import ExpansionAlgebra
@@ -287,6 +287,7 @@ def hull_generators(ext: ExtensionDesc, t_horizon: int, w_horizon: int,
     accepted: list[HomElement] = [hom for _, hom in
                                   [(lbl, j.w_slice((0,) * theta_u.n)) for lbl, j in rho0_gens]]
     accepted += [table[(i, (0,) * theta_u.n)] for i in range(len(rho_gens))]
+    span = _monomial_span(accepted, L, span_degree)
     new_gens = []
     failures = []
     stabilized_at = 0
@@ -295,8 +296,9 @@ def hull_generators(ext: ExtensionDesc, t_horizon: int, w_horizon: int,
         for i in range(len(rho_gens)):
             for k in multi_indices(theta_u.n, order, order):
                 v = table[(i, tuple(k))]
-                if not _in_span(v, accepted, L, span_degree):
+                if not span.contains(_hom_coordinates(v)):
                     accepted.append(v)
+                    span = _monomial_span(accepted, L, span_degree)
                     new_gens.append(((i, tuple(k)), v))
                     added_this_order = True
         if added_this_order:
@@ -322,19 +324,13 @@ def _hom_coordinates(v: HomElement) -> dict:
     return out
 
 
-def _in_span(v: HomElement, gens: list[HomElement], L, span_degree: int) -> bool:
-    """Is v an L-linear combination of monomials of bounded degree in gens?"""
-    monomials = _hom_monomials(gens, span_degree)
-    keys = sorted({k for m in monomials for k in _hom_coordinates(m)}
-                  | set(_hom_coordinates(v)), key=str)
-    rows = []
-    rhs = []
-    vc = _hom_coordinates(v)
-    cols = [_hom_coordinates(m) for m in monomials]
-    for key in keys:
-        rows.append([c.get(key, L.zero()) for c in cols])
-        rhs.append(vc.get(key, L.zero()))
-    return solve_linear(rows, rhs, L) is not None
+def _monomial_span(gens: list[HomElement], L, span_degree: int) -> Echelon:
+    """Echelon of the L-span of the monomials of bounded degree in gens, over
+    the coordinates of _hom_coordinates."""
+    span = Echelon(L)
+    for m in _hom_monomials(gens, span_degree):
+        span.add(_hom_coordinates(m))
+    return span
 
 
 def _hom_monomials(gens: list[HomElement], degree: int) -> list[HomElement]:
@@ -408,54 +404,49 @@ def find_relations(hull: HullData, diff_order: int, degree: int,
         return v
 
     all_monos: list[tuple] = []
+    column: dict[tuple, int] = {}  # monomial -> its index in all_monos
+    values: list[HomElement] = []
+    coords: list[dict] = []
     relations: list[dict] = []  # monomial multiset -> coefficient in L
     for d in range(0, degree + 1):
-        all_monos = all_monos + monomials_by_degree[d]
-        values = [value(m) for m in all_monos]
-        keys = sorted({k for v in values for k in _hom_coordinates(v)}, key=str)
-        coords = [_hom_coordinates(v) for v in values]
+        for m in monomials_by_degree[d]:
+            column[m] = len(all_monos)
+            all_monos.append(m)
+            values.append(value(m))
+            coords.append(_hom_coordinates(values[-1]))
+        keys = sorted({k for c in coords for k in c}, key=str)
         rows = [[c.get(key, L.zero()) for c in coords] for key in keys]
         kernel = kernel_basis(rows, L, ncols=len(all_monos))
         if not kernel:
             continue
         # span of consequences: earlier relations multiplied by monomials
-        shifted = []
+        span = Echelon(L)
         for rel in relations:
             rel_deg = max(len(m) for m in rel)
             for shift_deg in range(0, d - rel_deg + 1):
                 for shift in monomials_by_degree[shift_deg]:
-                    vec = [L.zero()] * len(all_monos)
-                    ok = True
+                    vec = {}
                     for m, c in rel.items():
-                        prod = tuple(sorted(m + shift))
-                        if prod in all_monos:
-                            vec[all_monos.index(prod)] = L.add(
-                                vec[all_monos.index(prod)], c)
-                        else:
-                            ok = False
+                        col = column.get(tuple(sorted(m + shift)))
+                        if col is None:
                             break
-                    if ok:
-                        shifted.append(vec)
-        base_rows, _ = rref(shifted, L) if shifted else ([], [])
-        base_rows = [r for r in base_rows if any(not L.is_zero(x) for x in r)]
+                        vec[col] = c
+                    else:
+                        span.add(vec)
         for vec in kernel:
-            stacked = base_rows + [vec]
-            reduced, pivots = rref(stacked, L)
-            if len(pivots) > len(base_rows):
-                rel = {m: c for m, c in zip(all_monos, vec) if not L.is_zero(c)}
-                relations.append(rel)
-                base_rows = [r for r in reduced if any(not L.is_zero(x) for x in r)]
+            if span.add(vec):
+                relations.append({m: c for m, c in zip(all_monos, vec) if not L.is_zero(c)})
     out = []
     for rel in relations:
         out.append(_relation_to_diffpoly(rel, hull, nstreams, nvars))
     # verify: every relation vanishes on the generators
-    for rel, poly in zip(relations, out):
+    for rel in relations:
         v = None
         for m, c in rel.items():
-            term = value(m).scale(c)
+            term = values[column[m]].scale(c)
             v = term if v is None else v + term
-        assert v is not None and all(s.is_zero() for s in v.data.values()), \
-            "relation does not vanish on the hull generators"
+        if v is None or not all(s.is_zero() for s in v.data.values()):
+            raise ArithmeticError("relation does not vanish on the hull generators")
     return out
 
 

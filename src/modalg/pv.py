@@ -27,6 +27,7 @@ from .exactalg import (
     PolyRing,
     kernel_basis,
     restriction_kernel,
+    rref,
     solve_linear,
 )
 from .hull import HullData
@@ -1218,26 +1219,31 @@ def _nil_inverse(RA: PolyRing, P: NilAlgebra, img: MPoly) -> MPoly:
 def _split_tensor(img: JointElement, deformed: list, P: NilAlgebra, L):
     """Write a joint element as sum_i deformed[i] * c_i with w-free c_i in the
     parameter algebra.  The deformed columns are parameter-free, so the same
-    coefficient matrix over L serves every parameter monomial; returns the
-    list of c_i or None when the element does not split."""
+    coefficient matrix over L serves every parameter monomial: it is reduced
+    once, augmented with one right-hand column per monomial.  Returns the
+    list of c_i, or None when some monomial's column is inconsistent (the
+    element does not split)."""
     keys = sorted({k for d in deformed for k in d.coordinates()}
                   | set(img.coordinates()), key=str)
-    dmat = []
     dcoords = [d.coordinates() for d in deformed]
-    for key in keys:
-        dmat.append([P.unit_part(dc.get(key, P.zero())) for dc in dcoords])
     ic = img.coordinates()
+    monos = P.monomials()
+    aug = []
+    for key in keys:
+        coeff = ic.get(key, P.zero())
+        aug.append([P.unit_part(dc.get(key, P.zero())) for dc in dcoords]
+                   + [coeff.get(mono, P.base.zero()) for mono in monos])
+    ncols = len(deformed)
+    m, pivots = rref(aug, L)
+    if pivots and pivots[-1] >= ncols:
+        return None  # a pivot in a right-hand column: that monomial is inconsistent
     out = [P.zero() for _ in deformed]
-    for mono in P.monomials():
-        rhs = [ic.get(key, P.zero()).get(mono, P.base.zero()) for key in keys]
-        sol = solve_linear(dmat, rhs, L)
-        if sol is None:
-            return None
-        for i, x in enumerate(sol):
+    for t, mono in enumerate(monos):
+        for r, pc in enumerate(pivots):
+            x = m[r][ncols + t]
             if not L.is_zero(x):
-                out[i] = P.add(out[i], P.element({mono: x}))
+                out[pc] = P.add(out[pc], P.element({mono: x}))
     return out
-
 
 
 def _match_parameters(Minduced: Matrix, gal: GaloisFamily, P: NilAlgebra, data: PVData):
@@ -1248,17 +1254,6 @@ def _match_parameters(Minduced: Matrix, gal: GaloisFamily, P: NilAlgebra, data: 
     n = Minduced.nrows
     src_params = P.gens
     tgt_params = gal.algebra.gens
-    # degree-1 coefficient matrices: for each source parameter, the matrix of
-    # coefficients it carries in Minduced, and likewise on the target side
-    rows = []
-    rhs_cols = []
-    for i in range(n):
-        for j in range(n):
-            v = Minduced.entry(i, j).const_coeff()
-            gv = gal.M.entry(i, j)
-            for sp in range(len(src_params)):
-                mono = tuple(1 if t == sp else 0 for t in range(len(src_params)))
-                pass
     # build the linear map on parameters: columns indexed by target params,
     # equations indexed by (entry, source param)
     mat = []

@@ -229,6 +229,20 @@ def test_constants_endomorphism_fixed_field():
     assert len(basis) == 1 and basis[0] == L.one()
 
 
+def test_apply_generator_inverse_q_difference():
+    L = FracField(QQ, ["y"])
+    y = L.var("y")
+    q = L.const(Fraction(3))
+    endo = [{"y": y * q}]
+    act = ActionSpec(L, "end", monoid=MonoidDesc("endo"), endo_maps=endo,
+                     inv_maps=[{"y": y / q}])
+    maps_before = act.endo_maps
+    assert act.apply_generator(0, y) == y * q
+    assert act.apply_generator_inverse(0, y) == y / q
+    assert act.apply_generator_inverse(0, act.apply_generator(0, y)) == y
+    assert act.endo_maps is maps_before and act.endo_maps == endo
+
+
 # ----------------------------------------------------- translation / convolution
 
 
@@ -314,6 +328,18 @@ def test_product_simplicity_identity_fails():
     rep = check_product_simplicity(spec)
     assert not rep.ok
     assert any("orbits [[0], [1]]" in f for f in rep.failures)
+
+
+@pytest.mark.parametrize("perm,count", [((0, 1), 3), ((0, 0, 1), 3), ((0, 1, 3), 3)])
+def test_product_spec_rejects_non_permutations(perm, count):
+    with pytest.raises(ValueError, match="not a permutation"):
+        ProductRingSpec(QQ, count, perms=[perm])
+
+
+def test_product_spec_accepts_permutation():
+    spec = ProductRingSpec(QQ, 3, perms=[(1, 2, 0)])
+    one, two, three = (Fraction(i) for i in (1, 2, 3))
+    assert spec.apply_generator(0, (one, two, three)) == (two, three, one)
 
 
 def test_product_simplicity_shift_by_two():

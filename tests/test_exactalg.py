@@ -1,6 +1,7 @@
 """Base arithmetic tests: scalar fields, binomials, polynomials, fractions,
-matrices.  Expected values for the derived cases are computed by independent
-oracles (direct expansion, Lucas digits, cross-multiplication, adjugate)."""
+matrices, row reduction.  Expected values for the derived cases are computed
+by independent oracles (direct expansion, Lucas digits, cross-multiplication,
+adjugate, a dense elimination loop)."""
 
 from __future__ import annotations
 
@@ -8,10 +9,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from modalg.exactalg import (
     GF,
     QQ,
+    Echelon,
     Frac,
     FracField,
     Matrix,
@@ -22,6 +26,7 @@ from modalg.exactalg import (
     kernel_basis,
     poly_gcd,
     restriction_kernel,
+    rref,
     solve_linear,
 )
 
@@ -272,3 +277,130 @@ def test_restriction_kernel_over_function_field():
     assert len(ker) == 1
     x0, x1, x2 = ker[0]
     assert F.add(F.add(F.mul(F.one(), F.const(x0)), F.mul(y, F.const(x1))), F.mul(y - F.one(), F.const(x2))).is_zero()
+
+
+# ------------------------------------------------- sparse rref and Echelon
+
+
+def dense_rref(rows, field):
+    """Reference: the dense loop that scales and eliminates whole rows."""
+    m = [list(r) for r in rows]
+    nr = len(m)
+    nc = len(m[0]) if m else 0
+    pivots = []
+    r = 0
+    for c in range(nc):
+        pr = next((i for i in range(r, nr) if not field.is_zero(m[i][c])), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        inv = field.inv(m[r][c])
+        m[r] = [field.mul(inv, e) for e in m[r]]
+        for i in range(nr):
+            if i != r and not field.is_zero(m[i][c]):
+                f = m[i][c]
+                m[i] = [field.sub(a, field.mul(f, b)) for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == nr:
+            break
+    return m, pivots
+
+
+QY = FracField(QQ, ["y"])
+SMALL = st.integers(-3, 3)
+
+
+def qq_entry():
+    return st.builds(Fraction, SMALL, st.integers(1, 3))
+
+
+def gf_entry():
+    return st.integers(0, 6)
+
+
+def qy_entry():
+    y = QY.var("y")
+
+    def build(a, b, c):
+        num = QY.const(Fraction(a)) + QY.const(Fraction(b)) * y
+        return num / (y + QY.const(Fraction(c))) if c else num
+
+    return st.builds(build, SMALL, SMALL, st.integers(0, 2))
+
+
+# field, entry strategy, largest shape; rational functions swell fast under
+# elimination, so the QQ(y) matrices stay small
+FIELDS = {
+    "QQ": (QQ, qq_entry, 6, 6),
+    "GF7": (GF(7), gf_entry, 6, 6),
+    "QQ(y)": (QY, qy_entry, 3, 4),
+}
+
+
+@st.composite
+def matrices(draw, min_rows=1, extra_rows=0):
+    """(field, rows): a random matrix, sparse or dense, over QQ, GF(7) or
+    QQ(y), with up to extra_rows rows beyond the field's largest shape."""
+    field, entry, max_rows, max_cols = FIELDS[draw(st.sampled_from(sorted(FIELDS)))]
+    nr = draw(st.integers(min_rows, max_rows + extra_rows))
+    nc = draw(st.integers(1, max_cols))
+    density = draw(st.sampled_from([0.15, 0.5, 1.0]))
+    rows = []
+    for _ in range(nr):
+        row = []
+        for _ in range(nc):
+            nonzero = draw(st.floats(0, 1)) < density
+            row.append(draw(entry()) if nonzero else field.zero())
+        rows.append(row)
+    return field, rows
+
+
+def _same_rows(field, a, b):
+    return len(a) == len(b) and all(
+        len(r) == len(s) and all(field.eq(x, z) for x, z in zip(r, s)) for r, s in zip(a, b)
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(matrices())
+def test_sparse_rref_matches_dense_reference(data):
+    field, rows = data
+    got_rows, got_pivots = rref(rows, field)
+    want_rows, want_pivots = dense_rref(rows, field)
+    assert got_pivots == want_pivots
+    assert _same_rows(field, got_rows, want_rows)
+
+
+@settings(max_examples=60, deadline=None)
+@given(matrices(min_rows=2, extra_rows=1))
+def test_echelon_add_and_contains_match_rref_rank(data):
+    field, rows = data
+    # the last row is a further vector, tested for membership only
+    rows, vec = rows[:-1], rows[-1]
+    ech = Echelon(field)
+    independent = 0
+    for i, row in enumerate(rows):
+        rank_before = len(rref(rows[:i], field)[1]) if i else 0
+        rank_after = len(rref(rows[:i + 1], field)[1])
+        assert ech.contains(row) == (rank_after == rank_before)
+        added = ech.add(row)
+        assert added == (rank_after > rank_before)
+        independent += added
+    assert independent == len(ech.rows) == len(rref(rows, field)[1])
+    assert all(ech.contains(row) for row in rows)
+    in_span = len(rref(rows + [vec], field)[1]) == len(rref(rows, field)[1])
+    assert ech.contains(vec) == in_span
+    # the same vector as a dict keyed by column
+    assert ech.contains({j: x for j, x in enumerate(vec)}) == in_span
+
+
+def test_echelon_with_labelled_columns():
+    ech = Echelon(QQ)
+    assert ech.add({"a": Fraction(1), "b": Fraction(2)})
+    assert ech.add({"b": Fraction(1), "c": Fraction(1)})
+    assert ech.contains({"a": Fraction(1), "b": Fraction(3), "c": Fraction(1)})
+    assert not ech.contains({"c": Fraction(1)})
+    assert not ech.add({"a": Fraction(2), "b": Fraction(5), "c": Fraction(1)})
+    assert ech.contains({}) and ech.contains([Fraction(0), Fraction(0)])
+    assert len(ech.rows) == 2
