@@ -27,10 +27,10 @@ from __future__ import annotations
 import itertools
 from typing import Callable, Iterable, Sequence
 
-from .exactalg import Frac, FracField, PolyRing, ProductField, restriction_kernel
+from .exactalg import Frac, FracField, PolyRing, ProductField, evaluate, restriction_kernel
 from .exactalg.algext import AlgebraicField
 from .lieritt import multi_indices
-from .series import TruncSeries
+from .series import SeriesRing, TruncSeries
 
 
 # ------------------------------------------------------------------ monoid
@@ -449,72 +449,29 @@ class ActionSpec:
 
     def _ring_hom(self, elem, images: dict):
         ring = self.ring
-        if isinstance(ring, FracField):
-            num = self._poly_at(elem.num, images, ring)
-            den = self._poly_at(elem.den, images, ring)
-            return num / den
         if isinstance(ring, AlgebraicField):
-            out = ring.zero()
-            zpow = ring.one()
-            for c in ring.decompose(elem):
-                cnum = _frac_hom(c, images, ring)
-                out = ring.add(out, ring.mul(cnum, zpow))
-                zpow = ring.mul(zpow, images[ring.gen_name])
-            return out
-        out = ring.zero()
-        for exp, c in elem.sorted_terms():
-            t = ring.const(c)
-            for i, e in enumerate(exp):
-                for _ in range(e):
-                    t = t * images[ring.vars[i]]
-            out = out + t
-        return out
-
-    @staticmethod
-    def _poly_at(p, images: dict, field: FracField):
-        out = field.zero()
-        for exp, c in p.sorted_terms():
-            t = field.const(c)
-            for i, e in enumerate(exp):
-                for _ in range(e):
-                    t = t * images[p.ring.vars[i]]
-            out = out + t
-        return out
+            return evaluate([((d,), c) for d, c in enumerate(ring.decompose(elem))],
+                            [images[ring.gen_name]], ring, lambda c: _frac_hom(c, images, ring))
+        gens = [images[v] for v in ring.vars]
+        if isinstance(ring, FracField):
+            num, den = (evaluate(p.sorted_terms(), gens, ring, ring.const)
+                        for p in (elem.num, elem.den))
+            return num / den
+        return evaluate(elem.sorted_terms(), gens, ring, ring.const)
 
     def _series_hom(self, elem, images: dict[str, TruncSeries], horizon: int) -> TruncSeries:
         ring = self.ring
-        if isinstance(ring, FracField):
-            num = self._poly_series(elem.num, images, horizon)
-            den = self._poly_series(elem.den, images, horizon)
-            return num * den.recip()
+        S = SeriesRing(ring, self.wvars, horizon)
         if isinstance(ring, AlgebraicField):
-            out = TruncSeries.zero(ring, self.wvars, horizon)
-            zimg = images[ring.gen_name]
-            zpow = TruncSeries.one(ring, self.wvars, horizon)
-            for c in ring.decompose(elem):
-                cser = _frac_series(c, images, ring, self.wvars, horizon)
-                out = out + cser * zpow
-                zpow = zpow * zimg
-            return out
-        return self._poly_series(elem, images, horizon)
-
-    def _poly_series(self, p, images: dict[str, TruncSeries], horizon: int) -> TruncSeries:
-        ring = self.ring
-        out = TruncSeries.zero(ring, self.wvars, horizon)
-        pow_cache: dict[tuple[str, int], TruncSeries] = {}
-
-        def power(name: str, e: int) -> TruncSeries:
-            if (name, e) not in pow_cache:
-                pow_cache[(name, e)] = images[name] ** e
-            return pow_cache[(name, e)]
-
-        for exp, c in p.sorted_terms():
-            t = TruncSeries.const(ring, self.wvars, horizon, ring.const(c))
-            for i, e in enumerate(exp):
-                if e:
-                    t = t * power(p.ring.vars[i], e)
-            out = out + t
-        return out
+            return evaluate([((d,), c) for d, c in enumerate(ring.decompose(elem))],
+                            [images[ring.gen_name]], S,
+                            lambda c: _frac_series(c, images, ring, self.wvars, horizon))
+        gens = [images[v] for v in ring.vars]
+        if isinstance(ring, FracField):
+            num, den = (evaluate(p.sorted_terms(), gens, S, lambda c: S.const(ring.const(c)))
+                        for p in (elem.num, elem.den))
+            return num * den.recip()
+        return evaluate(elem.sorted_terms(), gens, S, lambda c: S.const(ring.const(c)))
 
     # ----------------------------------------------------------- expansion
     def tvars(self) -> tuple[str, ...]:
@@ -581,33 +538,20 @@ class ActionSpec:
 
 def _frac_hom(c: Frac, images: dict, alg: AlgebraicField):
     """Apply base-variable images to a base-field fraction, inside alg."""
-    def poly_at(p):
-        out = alg.zero()
-        for exp, cc in p.sorted_terms():
-            t = alg.from_base(alg.base.const(cc))
-            for i, e in enumerate(exp):
-                for _ in range(e):
-                    t = alg.mul(t, images[p.ring.vars[i]])
-            out = alg.add(out, t)
-        return out
-
-    return alg.div(poly_at(c.num), poly_at(c.den))
+    gens = [images[v] for v in c.field.vars]
+    num, den = (evaluate(p.sorted_terms(), gens, alg, lambda cc: _lift_scalar(alg, cc))
+                for p in (c.num, c.den))
+    return alg.div(num, den)
 
 
 def _frac_series(c: Frac, images: dict[str, TruncSeries], alg: AlgebraicField,
                  wvars, horizon: int) -> TruncSeries:
     """Series image of a base-field fraction under base-variable images."""
-    def poly_series(p):
-        out = TruncSeries.zero(alg, wvars, horizon)
-        for exp, cc in p.sorted_terms():
-            t = TruncSeries.const(alg, wvars, horizon, alg.from_base(alg.base.const(cc)))
-            for i, e in enumerate(exp):
-                for _ in range(e):
-                    t = t * images[p.ring.vars[i]]
-            out = out + t
-        return out
-
-    return poly_series(c.num) * poly_series(c.den).recip()
+    S = SeriesRing(alg, wvars, horizon)
+    gens = [images[v] for v in c.field.vars]
+    num, den = (evaluate(p.sorted_terms(), gens, S, lambda cc: S.const(_lift_scalar(alg, cc)))
+                for p in (c.num, c.den))
+    return num * den.recip()
 
 
 def convolution(f: HomElement, g: HomElement) -> HomElement:
@@ -863,10 +807,7 @@ def _monomial_basis(ring, degree: int) -> list:
     seen = []
     out = []
     for exp in multi_indices(n, degree):
-        m = ring.one()
-        for g, e in zip(gens, exp):
-            for _ in range(e):
-                m = ring.mul(m, g)
+        m = evaluate([(exp, ring.one())], gens, ring, lambda c: c)
         key = ring.to_str(m)
         if key not in seen:
             seen.append(key)

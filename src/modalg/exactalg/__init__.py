@@ -5,7 +5,7 @@ from .algext import AlgebraicField
 from .fields import GF, QQ, PrimeField, RationalField, binom, scalar_field
 from .frac import Frac, FracField
 from .linalg import Echelon, Matrix, kernel_basis, restriction_kernel, rref, solve_linear
-from .poly import MPoly, PolyRing, grlex_key, poly_gcd
+from .poly import MPoly, PolyRing, evaluate, grlex_key, poly_gcd
 from .product import ProductField
 
 __all__ = [
@@ -25,6 +25,7 @@ __all__ = [
     "rref",
     "solve_linear",
     "MPoly",
+    "evaluate",
     "PolyRing",
     "grlex_key",
     "poly_gcd",

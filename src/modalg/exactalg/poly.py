@@ -28,6 +28,35 @@ def grlex_key(exp: tuple[int, ...]):
     return (sum(exp), exp)
 
 
+def evaluate(terms, images, target, lift):
+    """The ring map x_i -> images[i], c -> lift(c) applied to sum c * x^exp.
+
+    terms is an iterable of (exponent tuple, coefficient) pairs, summed in
+    the order given; images is indexed like the exponent tuples.  The target
+    context needs only zero(), add(a, b) and mul(a, b), and lift(c) must
+    return a target element.  Each image's powers are computed once, up to
+    the largest exponent that occurs, and each term is lift(c) times its
+    cached powers."""
+    terms = list(terms)
+    top = [0] * len(images)
+    for exp, _ in terms:
+        top = [max(a, b) for a, b in zip(top, exp)]
+    powers = []
+    for img, n in zip(images, top):
+        row = [None, img]
+        for _ in range(n - 1):
+            row.append(target.mul(row[-1], img))
+        powers.append(row)
+    out = target.zero()
+    for exp, c in terms:
+        t = lift(c)
+        for row, e in zip(powers, exp):
+            if e:
+                t = target.mul(t, row[e])
+        out = target.add(out, t)
+    return out
+
+
 class PolyRing:
     """Context for MPoly values: scalar field, named variables, inverse pairs."""
 
@@ -333,16 +362,8 @@ class MPoly:
     def subs(self, images: dict[str, "MPoly"]) -> "MPoly":
         """Substitute ring elements for variables (same ring)."""
         ring = self.ring
-        gens = {v: ring.var(v) for v in ring.vars}
-        gens.update(images)
-        out = ring.zero()
-        for exp, c in self.sorted_terms():
-            t = ring.const(c)
-            for i, e in enumerate(exp):
-                if e:
-                    t = t * gens[ring.vars[i]] ** e
-            out = out + t
-        return out
+        gens = [images[v] if v in images else ring.var(v) for v in ring.vars]
+        return evaluate(self.sorted_terms(), gens, ring, ring.const)
 
     def __str__(self):
         if not self.terms:
@@ -469,5 +490,9 @@ def _gcd_rec(a: MPoly, b: MPoly) -> MPoly:
             pb = ring.one()
             break
         _, r = _content_and_primitive(r, i)
+        # the content of constant coefficients is 1, so over QQ r keeps the
+        # scalars it picked up; a leading coefficient of 1 stops them swelling
+        _, lc = r.leading()
+        r = r.scale(ring.field.inv(lc))
         pa, pb = pb, r
     return cont * pb

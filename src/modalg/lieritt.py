@@ -13,7 +13,7 @@ import itertools
 import math
 from typing import Iterable, Sequence
 
-from .exactalg import kernel_basis, solve_linear
+from .exactalg import evaluate, kernel_basis, solve_linear
 from .series import TruncSeries, identity_tuple
 
 
@@ -573,6 +573,10 @@ def _deriv_product(ctx: DiffPoly, factors: list, l: tuple[int, ...]) -> DiffPoly
 
 def _splits(l: tuple[int, ...], parts: int):
     """All ways to write l as an ordered sum of `parts` multi-indices."""
+    if parts == 0:
+        if not any(l):
+            yield ()
+        return
     if parts == 1:
         yield (l,)
         return
@@ -650,17 +654,10 @@ class SolutionFamily:
             if not algebra.is_nilpotent(v):
                 raise ValueError(f"value for {name} is not nilpotent")
 
-        def convert(c: dict):
-            out = algebra.zero()
-            for mono, coeff in c.items():
-                t = algebra.scalar(coeff)
-                for name, e in zip(self.algebra.gens, mono):
-                    for _ in range(e):
-                        t = algebra.mul(t, values[name])
-                out = algebra.add(out, t)
-            return out
-
-        comps = [c.map_coeffs(convert, algebra) for c in self.components]
+        images = [values[name] for name in self.algebra.gens]
+        comps = [c.map_coeffs(lambda p: evaluate(p.items(), images, algebra, algebra.scalar),
+                              algebra)
+                 for c in self.components]
         return InfTransform(algebra, comps)
 
     def shape(self) -> str:

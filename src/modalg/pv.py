@@ -25,6 +25,7 @@ from .exactalg import (
     Matrix,
     MPoly,
     PolyRing,
+    evaluate,
     kernel_basis,
     restriction_kernel,
     rref,
@@ -66,20 +67,16 @@ class PVData:
         for i, j in self.R.inverse_pairs:
             inv_of[self.R.vars[i]] = self.R.vars[j]
             inv_of[self.R.vars[j]] = self.R.vars[i]
-        out = self.L.zero()
-        for exp, c in p.sorted_terms():
-            t = self.L.const(c)
-            for i, e in enumerate(exp):
-                name = self.R.vars[i]
-                if name in self.L.vars:
-                    t = t * self.L.var(name) ** e
-                else:
-                    base = inv_of.get(name)
-                    if base is None or base not in self.L.vars:
-                        raise ValueError(f"generator {name} has no location in L")
-                    t = t * self.L.var(base) ** (-e)
-            out = out + t
-        return out
+        images = []
+        for name in self.R.vars:
+            if name in self.L.vars:
+                images.append(self.L.var(name))
+            else:
+                base = inv_of.get(name)
+                if base is None or base not in self.L.vars:
+                    raise ValueError(f"generator {name} has no location in L")
+                images.append(self.L.var(base).inverse())
+        return evaluate(p.sorted_terms(), images, self.L, self.L.const)
 
     def l_to_r(self, f: Frac) -> MPoly:
         """Rewrite an L-element with monomial denominator as a Laurent
@@ -213,18 +210,9 @@ class TensorRing:
         self.nslots = 2
         self._action = self._doubled_action(self.ring, 2)
 
-    def _slot_var(self, ring, name: str, slot: int):
-        return ring.var(f"{name}_{slot}")
-
     def _embed_poly(self, ring, p: MPoly, slot: int) -> MPoly:
-        R = self.data.R
-        out = ring.zero()
-        for exp, c in p.sorted_terms():
-            t = ring.const(c)
-            for i, e in enumerate(exp):
-                t = t * self._slot_var(ring, R.vars[i], slot) ** e
-            out = out + t
-        return out
+        images = [ring.var(f"{v}_{slot}") for v in self.data.R.vars]
+        return evaluate(p.sorted_terms(), images, ring, ring.const)
 
     def embed(self, p: MPoly, slot: int) -> MPoly:
         return self._embed_poly(self.ring, p, slot)
@@ -501,20 +489,9 @@ class _TripleRing:
     def embed_pair(self, g: MPoly, slot_a: int, slot_b: int) -> MPoly:
         """Image of a two-slot element under slots (1,2) -> (slot_a, slot_b)."""
         R = self.base.data.R
-        images = {}
-        for v in R.vars:
-            images[f"{v}_1"] = self.ring.var(f"{v}_{slot_a}")
-            images[f"{v}_2"] = self.ring.var(f"{v}_{slot_b}")
-        out = self.ring.zero()
-        for exp, c in g.sorted_terms():
-            t = self.ring.const(c)
-            for i, e in enumerate(exp):
-                name = self.base.ring.vars[i]
-                base_name, slot = name.rsplit("_", 1)
-                tgt = slot_a if slot == "1" else slot_b
-                t = t * self.ring.var(f"{base_name}_{tgt}") ** e
-            out = out + t
-        return out
+        images = ([self.ring.var(f"{v}_{slot_a}") for v in R.vars]
+                  + [self.ring.var(f"{v}_{slot_b}") for v in R.vars])
+        return evaluate(g.sorted_terms(), images, self.ring, self.ring.const)
 
 
 def _comultiplication(tensor: TensorRing, gens, names, g: MPoly, degree: int,
@@ -777,17 +754,6 @@ class _GaloisSystem:
             images[g] = XM.entry(i, j) if which == "X" else MinvXinv.entry(i, j)
         return images, XA, XM, MinvXinv, XinvA
 
-    def _apply_sigma(self, RA: PolyRing, A: NilAlgebra, images: dict, p: MPoly) -> MPoly:
-        out = RA.zero()
-        for exp, c in p.sorted_terms():
-            t = RA.const(A.scalar(_lift_k_to_base(A.base, c)))
-            for i, e in enumerate(exp):
-                name = self.data.R.vars[i]
-                for _ in range(e):
-                    t = t * images[name]
-            out = out + t
-        return out
-
     def _theta_on_RA(self, A: NilAlgebra, RA: PolyRing) -> ActionSpec | None:
         act = self.data.action
         if not act.has_theta():
@@ -821,10 +787,8 @@ class _GaloisSystem:
         # transformed entry, for X and for its inverse
         for i in range(self.n):
             for j in range(self.n):
-                eqs.append(self._apply_sigma(RA, A, images, data.X.entry(i, j))
-                           - XM.entry(i, j))
-                eqs.append(self._apply_sigma(RA, A, images, data.Xinv.entry(i, j))
-                           - MinvXinv.entry(i, j))
+                eqs.append(_apply_sigma(RA, images, XA.entry(i, j)) - XM.entry(i, j))
+                eqs.append(_apply_sigma(RA, images, XinvA.entry(i, j)) - MinvXinv.entry(i, j))
         # ring relations: inverse pairs multiply to one
         for i, j in data.R.inverse_pairs:
             vi, vj = data.R.vars[i], data.R.vars[j]
@@ -839,27 +803,18 @@ class _GaloisSystem:
                     lhs = theta_RA.theta_series(images[name], sum(payload)).coeff(payload)
                 else:
                     endo_images = self._endo_on_RA(A, RA, payload)
-                    lhs = self._apply_sigma_with(RA, endo_images, images[name])
+                    lhs = _apply_sigma(RA, endo_images, images[name])
                     dg = data.l_to_r(data.action.apply_generator(payload, data.r_to_L(g)))
-                rhs = self._apply_sigma(RA, A, images, dg)
+                rhs = _apply_sigma(RA, images, self._lift_poly(RA, A, dg))
                 eqs.append(lhs - rhs)
-        out = []
-        for e in eqs:
-            for exp in sorted(e.terms):
-                out.append(((str(exp)), e.terms[exp]))
-        return out
+        # label each coefficient by its equation and monomial, so that the
+        # coefficients of different equations never merge
+        return [((q, exp), e.terms[exp]) for q, e in enumerate(eqs) for exp in sorted(e.terms)]
 
-    @staticmethod
-    def _apply_sigma_with(RA: PolyRing, gen_images: dict, p: MPoly) -> MPoly:
-        out = RA.zero()
-        for exp, c in p.sorted_terms():
-            t = RA.const(c)
-            for i, e in enumerate(exp):
-                name = RA.vars[i]
-                for _ in range(e):
-                    t = t * gen_images[name]
-            out = out + t
-        return out
+
+def _apply_sigma(RA: PolyRing, images: dict, p: MPoly) -> MPoly:
+    """sigma(p) for p in RA: each generator goes to its image."""
+    return evaluate(p.sorted_terms(), [images[v] for v in RA.vars], RA, RA.const)
 
 
 def galois_points(data: PVData, algebra: NilAlgebra, formal: bool = True,
@@ -895,24 +850,21 @@ def galois_points(data: PVData, algebra: NilAlgebra, formal: bool = True,
     probe = probe_alg.gen("_p")
     zero_vals = [probe_alg.zero()] * nunknowns
     base_res = sys.residues(probe_alg, m_matrix(probe_alg, zero_vals))
-    coords = sorted({lbl for lbl, _ in base_res})
     if any(not probe_alg.is_zero(v) for _, v in base_res):
         return GaloisFamily(data, algebra, [], m_matrix(algebra, [algebra.zero()] * nunknowns),
                             {}, Report(False, 1, ["identity is not a point"], {}))
 
-    rows_map: dict = {}
+    # one column per unknown: the linear part of each residue when only that
+    # unknown is perturbed; the identity's residues all vanish, so only the
+    # perturbed residues can name the equations
+    linear = []
     for u in range(nunknowns):
         vals = list(zero_vals)
         vals[u] = probe
         res = sys.residues(probe_alg, m_matrix(probe_alg, vals))
-        agg: dict = {}
-        for lbl, v in res:
-            lin = v.get((1,), base.zero())
-            cur = agg.get(lbl, base.zero())
-            agg[lbl] = base.add(cur, lin) if lbl in agg else lin
-        for lbl in coords:
-            rows_map.setdefault(lbl, [base.zero()] * nunknowns)[u] = agg.get(lbl, base.zero())
-    matrix = [rows_map.get(lbl, [base.zero()] * nunknowns) for lbl in coords]
+        linear.append({lbl: v.get((1,), base.zero()) for lbl, v in res})
+    coords = sorted(set().union(*linear))
+    matrix = [[col.get(lbl, base.zero()) for col in linear] for lbl in coords]
     kernel = kernel_basis(matrix, base, ncols=nunknowns)
     params = [f"c{j}" for j in range(len(kernel))]
     P = NilAlgebra(base, params, param_order)
@@ -933,7 +885,7 @@ def galois_points(data: PVData, algebra: NilAlgebra, formal: bool = True,
             break
         progressed = False
         for mono in sorted(monos, key=lambda e: (sum(e), e)):
-            res_map = {lbl: v for lbl, v in _aggregate(res, P)}
+            res_map = dict(res)
             rhs = [base.neg(res_map.get(lbl, P.zero()).get(mono, base.zero()))
                    for lbl in coords]
             if all(base.is_zero(b) for b in rhs):
@@ -954,18 +906,10 @@ def galois_points(data: PVData, algebra: NilAlgebra, formal: bool = True,
         failures.append("solved family leaves a nonzero residue")
 
     M = m_matrix(P, values)
-    RA = sys._ra(P)
     images, _, _, _, _ = sys._sigma_images(P, M)
     report = Report(not failures, len(coords), failures,
                     {"horizon": horizon, "parameters": len(params)})
     return GaloisFamily(data, P, params, M, images, report)
-
-
-def _aggregate(res: list, P: NilAlgebra):
-    agg: dict = {}
-    for lbl, v in res:
-        agg[lbl] = P.add(agg.get(lbl, P.zero()), v)
-    return agg.items()
 
 
 def lie_dim(data: PVData, horizon: int = 3) -> int:
@@ -1044,27 +988,15 @@ def find_rational_point(data: PVData, height: int = 3):
                 point[inv_partner[v]] = k.inv(k.from_int(c))
         if not ok:
             continue
-        B_rows = []
-        for row in data.X.rows:
-            B_rows.append([_eval_poly_at(p, point, k) for p in row])
-        B = Matrix(k, B_rows)
+        values = [point[v] for v in R.vars]
+        B = Matrix(k, [[evaluate(p.terms.items(), values, k, lambda c: c) for p in row]
+                       for row in data.X.rows])
         try:
             B.inverse()
         except ValueError:
             continue
         return point, B
     return None, None
-
-
-def _eval_poly_at(p: MPoly, point: dict, k):
-    out = k.zero()
-    for exp, c in p.terms.items():
-        t = c
-        for i, e in enumerate(exp):
-            for _ in range(e):
-                t = k.mul(t, point[p.ring.vars[i]])
-        out = k.add(out, t)
-    return out
 
 
 def compare(data: PVData, hull: HullData, relations, degree: int = 3) -> CompareReport:
@@ -1146,9 +1078,7 @@ def compare(data: PVData, hull: HullData, relations, degree: int = 3) -> Compare
     XA = data.X.map(lambda p: RA.poly({
         exp: P.scalar(_lift_k_to_base(P.base, c)) for exp, c in p.terms.items()
     }), RA)
-    sigmaX = data.X.map(lambda p: _GaloisSystem._apply_sigma_with(RA, gen_images, RA.poly({
-        exp: P.scalar(_lift_k_to_base(P.base, c)) for exp, c in p.terms.items()
-    })), RA)
+    sigmaX = XA.map(lambda p: _apply_sigma(RA, gen_images, p), RA)
     Minduced = XA.inverse() * sigmaX
     const_entries = []
     for row in Minduced.rows:
@@ -1267,8 +1197,8 @@ def _match_parameters(Minduced: Matrix, gal: GaloisFamily, P: NilAlgebra, data: 
                     t_mono = tuple(1 if t == tp else 0 for t in range(len(tgt_params)))
                     row.append(gal.M.entry(i, j).get(t_mono, base.zero()))
                 mat.append(row)
-                rhs.append(_lift_to_L(base, data,
-                                      Minduced.entry(i, j).const_coeff().get(s_mono, P.base.zero())))
+                c = Minduced.entry(i, j).const_coeff().get(s_mono, P.base.zero())
+                rhs.append(_project_to_P(base, P, data, c))
         # one solve per source parameter would interleave; solve jointly below
     # solve for the full linear substitution T with params_target = T params_src
     nsrc, ntgt = len(src_params), len(tgt_params)
@@ -1303,7 +1233,8 @@ def _match_parameters(Minduced: Matrix, gal: GaloisFamily, P: NilAlgebra, data: 
         subs_vals.append(v)
     for i in range(n):
         for j in range(n):
-            got = _substitute_params(gal.M.entry(i, j), gal.algebra, P, subs_vals, data)
+            got = evaluate(gal.M.entry(i, j).items(), subs_vals, P,
+                           lambda c: P.scalar(_project_to_P(base, P, data, c)))
             want = _coerce_entry(Minduced.entry(i, j).const_coeff(), P, base, data)
             if not P.eq(got, want):
                 return None
@@ -1320,14 +1251,6 @@ def _match_parameters(Minduced: Matrix, gal: GaloisFamily, P: NilAlgebra, data: 
             "description": "; ".join(f"{k} -> {v}" for k, v in sorted(desc.items()))}
 
 
-def _lift_to_L(base, data: PVData, c):
-    """Coefficients of the hull-side algebra live over L already when the
-    base is L; scalars lift through the constants field."""
-    if hasattr(base, "const") and not hasattr(c, "num"):
-        return base.const(c)
-    return c
-
-
 def _project_to_P(base, P: NilAlgebra, data: PVData, c):
     if hasattr(P.base, "const") and not hasattr(c, "num"):
         return P.base.const(c)
@@ -1338,18 +1261,6 @@ def _coerce_entry(v, P: NilAlgebra, base, data: PVData):
     out = P.zero()
     for mono, c in v.items():
         out = P.add(out, P.element({mono: _project_to_P(base, P, data, c)}))
-    return out
-
-
-def _substitute_params(v, A_from: NilAlgebra, P: NilAlgebra, values: list, data: PVData):
-    """Evaluate an element of the galois parameter algebra at P-elements."""
-    out = P.zero()
-    for mono, c in v.items():
-        t = P.scalar(_project_to_P(A_from.base, P, data, c))
-        for idx, e in enumerate(mono):
-            for _ in range(e):
-                t = P.mul(t, values[idx])
-        out = P.add(out, t)
     return out
 
 
@@ -1385,21 +1296,15 @@ def _induced_matrix(data: PVData, hull: HullData, P: NilAlgebra, transform, degr
     wh = alg.w_horizon
     alg_P = alg.with_ring(P)
     ident = [TruncSeries.variable(P, transform.vars, wh, v) for v in transform.vars]
-    deviation = [c - ident[j] for j, c in enumerate(transform.comps)]
+    deviation = [alg_P.from_w_series(c - ident[j]) for j, c in enumerate(transform.comps)]
     basis = [data.r_to_L(m) for m in _laurent_monomials(data.R, degree)]
     deformed = [alg_P._deform_hom(alg.expand_plain(b), P.scalar) for b in basis]
 
     RA = PolyRing(P, data.R.vars, data.R.inverse_pairs)
     gen_images = {}
     for i, name in enumerate(data.L.vars):
-        img = alg_P.zero()
-        for k in multi_indices(n, wh):
-            v = hull.derivative_table[(i, tuple(k))]
-            power = TruncSeries.one(P, transform.vars, wh)
-            for j, e in enumerate(k):
-                for _ in range(e):
-                    power = power * deviation[j]
-            img = img + alg_P._deform_hom(v, P.scalar) * alg_P.from_w_series(power)
+        img = evaluate(((k, hull.derivative_table[(i, k)]) for k in multi_indices(n, wh)),
+                       deviation, alg_P, lambda v: alg_P._deform_hom(v, P.scalar))
         coeffs = _split_tensor(img, deformed, P, L)
         if coeffs is None:
             return None
@@ -1415,9 +1320,7 @@ def _induced_matrix(data: PVData, hull: HullData, P: NilAlgebra, transform, degr
     XA = data.X.map(lambda p: RA.poly({
         exp: P.scalar(_lift_k_to_base(P.base, c)) for exp, c in p.terms.items()
     }), RA)
-    sigmaX = data.X.map(lambda p: _GaloisSystem._apply_sigma_with(RA, gen_images, RA.poly({
-        exp: P.scalar(_lift_k_to_base(P.base, c)) for exp, c in p.terms.items()
-    })), RA)
+    sigmaX = XA.map(lambda p: _apply_sigma(RA, gen_images, p), RA)
     M = XA.inverse() * sigmaX
     out = []
     for row in M.rows:

@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from typing import Iterable, Sequence
 
-from .exactalg import Matrix
+from .exactalg import Matrix, evaluate
 
 
 def _ring_is_nilpotent(ring, c) -> bool:
@@ -215,23 +215,8 @@ class TruncSeries:
                 c0 = p.constant_term()
                 if not _ring_is_nilpotent(p.ring, c0):
                     raise ValueError("substitution needs zero or nilpotent constant term")
-        R = tgt.ring
-        out = TruncSeries.zero(R, tgt.vars, tgt.horizon, tgt.caps)
-        pow_cache: dict[tuple[int, int], TruncSeries] = {}
-
-        def power(i: int, n: int) -> TruncSeries:
-            key = (i, n)
-            if key not in pow_cache:
-                pow_cache[key] = phis[i] ** n
-            return pow_cache[key]
-
-        for e, c in self.sorted_terms():
-            t = TruncSeries.const(R, tgt.vars, tgt.horizon, c, tgt.caps)
-            for i, n in enumerate(e):
-                if n:
-                    t = t * power(i, n)
-            out = out + t
-        return out
+        S = SeriesRing(tgt.ring, tgt.vars, tgt.horizon, tgt.caps)
+        return evaluate(self.sorted_terms(), phis, S, S.const)
 
     def recip(self) -> "TruncSeries":
         """Multiplicative inverse; needs a unit constant term."""
@@ -322,6 +307,30 @@ class TruncSeries:
 
     def __repr__(self):
         return f"TruncSeries({self})"
+
+
+class SeriesRing:
+    """Ring context for the series of one shape (coefficient ring, variables,
+    horizon, caps), as exactalg.evaluate needs it."""
+
+    def __init__(self, ring, variables: Sequence[str], horizon: int,
+                 caps: Sequence[int] | None = None):
+        self.ring = ring
+        self.vars = tuple(variables)
+        self.horizon = horizon
+        self.caps = caps
+
+    def zero(self) -> TruncSeries:
+        return TruncSeries.zero(self.ring, self.vars, self.horizon, self.caps)
+
+    def const(self, c) -> TruncSeries:
+        return TruncSeries.const(self.ring, self.vars, self.horizon, c, self.caps)
+
+    def add(self, a: TruncSeries, b: TruncSeries) -> TruncSeries:
+        return a + b
+
+    def mul(self, a: TruncSeries, b: TruncSeries) -> TruncSeries:
+        return a * b
 
 
 def series_mul(f: TruncSeries, g: TruncSeries) -> TruncSeries:

@@ -21,28 +21,19 @@ from __future__ import annotations
 from typing import Callable, Sequence
 
 from .actions import ActionSpec, HomElement, Report
+from .exactalg import evaluate
 from .series import TruncSeries
 
 
 def ring_hom(elem, images: dict, target, lift: Callable):
     """Apply the ring map sending each generator to images[name] and each
     scalar c to lift(c); elem comes from a FracField or PolyRing context."""
+    def at(p):
+        return evaluate(p.sorted_terms(), [images[v] for v in p.ring.vars], target, lift)
+
     if hasattr(elem, "num"):  # fraction
-        num = _poly_hom(elem.num, images, target, lift)
-        den = _poly_hom(elem.den, images, target, lift)
-        return target.mul(num, target.inv(den))
-    return _poly_hom(elem, images, target, lift)
-
-
-def _poly_hom(p, images: dict, target, lift: Callable):
-    out = target.zero()
-    for exp, c in p.sorted_terms():
-        t = lift(c)
-        for i, e in enumerate(exp):
-            for _ in range(e):
-                t = target.mul(t, images[p.ring.vars[i]])
-        out = target.add(out, t)
-    return out
+        return target.mul(at(elem.num), target.inv(at(elem.den)))
+    return at(elem)
 
 
 class TaylorMap:
@@ -100,7 +91,7 @@ def check_expansion_universal(action: ActionSpec, Lambda: Callable, target,
         mapped = HomElement(
             target, expanded.monoid, expanded.tvars, expanded.horizon, expanded.word_bound,
             {w: series.map_coeffs(
-                lambda c: ring_hom(_as_ring_elem(ring, c), gen_images, target, target_lift),
+                lambda c: ring_hom(c, gen_images, target, target_lift),
                 target,
             ) for w, series in expanded.data.items()},
         )
@@ -109,10 +100,6 @@ def check_expansion_universal(action: ActionSpec, Lambda: Callable, target,
         elif not target.eq(lam_s, got.ev_unit()):
             failures.append(f"unit evaluation disagrees on {s}")
     return Report(not failures, checked, failures, {"horizon": horizon, "samples": len(samples)})
-
-
-def _as_ring_elem(ring, c):
-    return c
 
 
 # ------------------------------------------------------- bivariate algebra
@@ -168,6 +155,12 @@ class ExpansionAlgebra:
 
     def one(self) -> "JointElement":
         return self.const(self.ring.one())
+
+    def add(self, a: "JointElement", b: "JointElement") -> "JointElement":
+        return a + b
+
+    def mul(self, a: "JointElement", b: "JointElement") -> "JointElement":
+        return a * b
 
     def from_hom(self, f: HomElement, lift: Callable | None = None) -> "JointElement":
         """Embed a t-only realization (no w-dependence)."""

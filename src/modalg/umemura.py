@@ -13,10 +13,10 @@ generators through the twisted-expansion formula.
 
 from __future__ import annotations
 
-import itertools
 import math
 from typing import Sequence
 
+from .exactalg import evaluate
 from .hull import HullData
 from .lieritt import (
     DiffPoly,
@@ -24,6 +24,8 @@ from .lieritt import (
     LieRittIdeal,
     NilAlgebra,
     SolutionFamily,
+    _merge_keys,
+    _splits,
     multi_indices,
     solve_zero_set,
 )
@@ -52,7 +54,7 @@ class YPoly:
         out: dict = {}
         for k1, v1 in self.terms.items():
             for k2, v2 in other.terms.items():
-                key = _merge(k1, k2)
+                key = _merge_keys(k1, k2)
                 prod = v1 * v2
                 out[key] = out[key] + prod if key in out else prod
         return YPoly(self.alg, out)
@@ -93,27 +95,6 @@ class YPoly:
                 key2 = tuple(sorted(counts.items()))
                 out[key2] = out[key2] + c if key2 in out else c
         return YPoly(self.alg, out)
-
-
-def _merge(k1, k2):
-    counts: dict = {}
-    for sym, e in itertools.chain(k1, k2):
-        counts[sym] = counts.get(sym, 0) + e
-    return tuple(sorted(counts.items()))
-
-
-def _splits(l: tuple[int, ...], parts: int):
-    if parts == 0:
-        if not any(l):
-            yield ()
-        return
-    if parts == 1:
-        yield (l,)
-        return
-    for first in itertools.product(*(range(a + 1) for a in l)):
-        rest = tuple(a - b for a, b in zip(l, first))
-        for tail in _splits(rest, parts - 1):
-            yield (first,) + tail
 
 
 def build_ideal(hull: HullData, relations: Sequence[DiffPoly]) -> LieRittIdeal:
@@ -326,25 +307,15 @@ def solve_points(hull: HullData, relations: Sequence[DiffPoly],
     n = alg.theta_u.n
     wh = alg.w_horizon
 
-    # powers of the deviation of the solved transformation
+    # the deviation of the solved transformation from the identity
     ident = [TruncSeries.variable(P, family.vars, wh, v) for v in family.vars]
-    deviation = [c - ident[j] for j, c in enumerate(family.components)]
-
-    def deviation_power(k: tuple[int, ...]) -> TruncSeries:
-        out = TruncSeries.one(P, family.vars, wh)
-        for j, e in enumerate(k):
-            for _ in range(e):
-                out = out * deviation[j]
-        return out
+    deviation = [alg_P.from_w_series(c - ident[j]) for j, c in enumerate(family.components)]
 
     images = {}
     congruent = True
     for i, (label, _, joint) in enumerate(hull.rho_gens):
-        img = alg_P.zero()
-        for k in multi_indices(n, wh):
-            v = hull.derivative_table[(i, tuple(k))]
-            part = alg_P._deform_hom(v, P.scalar) * alg_P.from_w_series(deviation_power(tuple(k)))
-            img = img + part
+        img = evaluate(((k, hull.derivative_table[(i, k)]) for k in multi_indices(n, wh)),
+                       deviation, alg_P, lambda v: alg_P._deform_hom(v, P.scalar))
         images[label] = img
         # congruence: killing the parameters recovers the undeformed image
         reduced = JointElement(
@@ -395,30 +366,19 @@ def group_compatibility_check(hull: HullData, report: UmemuraReport) -> bool:
     alg_P2 = alg.with_ring(P2)
     ident = [TruncSeries.variable(P2, family.vars, wh, v) for v in family.vars]
 
+    def deviation(transform: InfTransform) -> list[JointElement]:
+        return [alg_P2.from_w_series(c - ident[j]) for j, c in enumerate(transform.comps)]
+
     def reconstruct(transform: InfTransform, i: int) -> JointElement:
-        deviation = [c - ident[j] for j, c in enumerate(transform.comps)]
-        img = alg_P2.zero()
-        for k in multi_indices(n, wh):
-            v = hull.derivative_table[(i, tuple(k))]
-            power = TruncSeries.one(P2, family.vars, wh)
-            for j, e in enumerate(k):
-                for _ in range(e):
-                    power = power * deviation[j]
-            img = img + alg_P2._deform_hom(v, P2.scalar) * alg_P2.from_w_series(power)
-        return img
+        return evaluate(((k, hull.derivative_table[(i, k)]) for k in multi_indices(n, wh)),
+                        deviation(transform), alg_P2, lambda v: alg_P2._deform_hom(v, P2.scalar))
 
     for i in range(hull.n_gens()):
         # phi_f applied to the image of phi_g: derivatives of phi_f's image,
         # paired with powers of phi_g's deviation
         img_f = reconstruct(f, i)
-        dev_g = [c - ident[j] for j, c in enumerate(g.comps)]
-        acc = alg_P2.zero()
-        for k in multi_indices(n, wh):
-            power = TruncSeries.one(P2, family.vars, wh)
-            for j, e in enumerate(k):
-                for _ in range(e):
-                    power = power * dev_g[j]
-            acc = acc + img_f.theta_w(tuple(k)) * alg_P2.from_w_series(power)
+        acc = evaluate(((k, img_f.theta_w(k)) for k in multi_indices(n, wh)),
+                       deviation(g), alg_P2, lambda a: a)
         if acc != reconstruct(composed, i):
             return False
     return True

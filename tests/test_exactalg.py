@@ -156,6 +156,28 @@ def test_poly_gcd_univariate_and_multivariate():
     # (z+1)^2 = z^2 + 1 over GF(2)
 
 
+def _to_sympy(p, y):
+    import sympy
+
+    return sympy.Poly({e: sympy.Rational(c.numerator, c.denominator)
+                       for e, c in p.terms.items()} or {(0,): 0}, y, domain="QQ")
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.lists(st.builds(Fraction, st.integers(-4, 4), st.integers(1, 4)),
+                         min_size=1, max_size=4), min_size=3, max_size=3))
+def test_poly_gcd_matches_sympy(coeff_lists):
+    # a, b share the factor g, so the gcd is seldom 1
+    sympy = pytest.importorskip("sympy")
+    ring = qq_ring("y")
+    g, a, b = (ring.poly({(i,): c for i, c in enumerate(cs)}) for cs in coeff_lists)
+    a, b = a * g, b * g
+    y = sympy.Symbol("y")
+    want = _to_sympy(a, y).gcd(_to_sympy(b, y))  # monic over QQ, or 0
+    got = poly_gcd(a, b)
+    assert _to_sympy(got, y) == want
+
+
 # -------------------------------------------------------------- fractions
 
 
@@ -404,3 +426,23 @@ def test_echelon_with_labelled_columns():
     assert not ech.add({"a": Fraction(2), "b": Fraction(5), "c": Fraction(1)})
     assert ech.contains({}) and ech.contains([Fraction(0), Fraction(0)])
     assert len(ech.rows) == 2
+
+
+def test_dense_rational_function_rref_matches_dense_reference():
+    # dense 4x6 over QQ(y) with every entry (a + b*y)/(y + c): the size at
+    # which unnormalized gcd remainders used to swell past any time budget
+    rng = random.Random(20241018)
+    y = QY.var("y")
+
+    pairs = [(a, b) for a in range(-3, 4) for b in range(-3, 4) if (a, b) != (0, 0)]
+
+    def entry():
+        a, b = rng.choice(pairs)
+        num = QY.const(Fraction(a)) + QY.const(Fraction(b)) * y
+        return num / (y + QY.from_int(rng.randint(1, 3)))
+
+    rows = [[entry() for _ in range(6)] for _ in range(4)]
+    got_rows, got_pivots = rref(rows, QY)
+    want_rows, want_pivots = dense_rref(rows, QY)
+    assert got_pivots == want_pivots == [0, 1, 2, 3]
+    assert _same_rows(QY, got_rows, want_rows)

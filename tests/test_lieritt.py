@@ -15,6 +15,7 @@ from modalg.lieritt import (
     InfTransform,
     LieRittIdeal,
     NilAlgebra,
+    _splits,
     group_law_coeffs,
     multi_indices,
     solve_zero_set,
@@ -366,3 +367,10 @@ def test_group_law_matches_compose_samples():
                                 t = A.mul(t, subs[ring.vars[vi]])
                         val = A.add(val, t)
                     assert A.eq(val, composed.comps[i].coeff(l))
+
+
+def test_splits_into_zero_parts():
+    # only the zero multi-index is a sum of no parts
+    assert list(_splits((0, 0), 0)) == [()]
+    assert list(_splits((1, 0), 0)) == []
+    assert sorted(_splits((2,), 2)) == [((0,), (2,)), ((1,), (1,)), ((2,), (0,))]

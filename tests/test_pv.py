@@ -1,5 +1,7 @@
-"""Picard-Vessiot comparison internals: splitting a joint element over the
-deformed R-monomial basis, checked against a per-monomial reference solve."""
+"""Picard-Vessiot comparison: splitting a joint element over the deformed
+R-monomial basis, checked against a per-monomial reference solve, and the
+formal groups of the additive and exponential examples against the theory
+(G_a-hat and G_m-hat, Lie dimension 1)."""
 
 from __future__ import annotations
 
@@ -7,6 +9,7 @@ from modalg import pv
 from modalg.actions import ActionSpec
 from modalg.exactalg import QQ, FracField, Matrix, PolyRing, solve_linear
 from modalg.hull import ExtensionDesc, find_relations, hull_generators
+from modalg.lieritt import NilAlgebra
 from modalg.series import TruncSeries, truncated_exp
 
 
@@ -56,7 +59,9 @@ def test_split_tensor_matches_per_monomial_solve(monkeypatch):
     data, ext = exponential_pv()
     hull = hull_generators(ext, t_horizon=3, w_horizon=3)
     rels = find_relations(hull, diff_order=3, degree=2)
-    assert pv.compare(data, hull, rels, degree=3).ok
+    d = pv.compare(data, hull, rels, degree=3).as_dict()
+    assert d["ok"] and d["lie_dim"] == 1 and d["group_homomorphism"] is True
+    assert d["formal_group"]["tag"] in ("Gm_hat", "Gm_hat_conjugate")
     assert calls
     for img, deformed, P, L, got in calls:
         want = split_by_monomial(img, deformed, P, L)
@@ -73,3 +78,39 @@ def test_split_tensor_matches_per_monomial_solve(monkeypatch):
         assert (got is None) == (want is None)
         if got is not None:
             assert all(P.eq(a, b) for a, b in zip(got, want))
+
+
+def additive_pv():
+    """R = Q[y], X = [[1, y], [0, 1]] for theta(y) = y + w."""
+    L = FracField(QQ, ["y"])
+    y = L.var("y")
+    img = TruncSeries(L, ("w",), 8, {(0,): y, (1,): L.one()})
+    action = ActionSpec(L, "iterder", n=1, theta_images={"y": img})
+    R = PolyRing(QQ, ["y"])
+    X = Matrix(R, [[R.one(), R.var("y")], [R.zero(), R.one()]])
+    data = pv.PVData(L, action, R, X, {"y": ("X", 0, 1)}, name="additive")
+    return data, ExtensionDesc(L, [y], action, name="additive")
+
+
+def test_galois_points_additive_is_one_dimensional():
+    # the formal points of the unipotent group are M = [[1, a], [0, 1]]: one
+    # parameter, and the linear system must not be empty
+    data, _ = additive_pv()
+    A = NilAlgebra(data.L, ("eps",), 2)
+    fam = pv.galois_points(data, A, param_order=2)
+    assert fam.report.ok and fam.report.checked > 0
+    assert len(fam.params) == 1
+    assert pv.lie_dim(data) == 1
+
+
+def test_compare_additive_is_additive_group():
+    data, ext = additive_pv()
+    hull = hull_generators(ext, t_horizon=3, w_horizon=3)
+    rels = find_relations(hull, diff_order=3, degree=2)
+    d = pv.compare(data, hull, rels, degree=3).as_dict()
+    assert d["ok"]
+    assert d["lie_dim"] == 1
+    assert d["formal_group"]["tag"] == "Ga_hat"
+    assert d["group_homomorphism"] is True
+    assert d["induced_matrix"] == "[1, a0; 0, 1]"
+
