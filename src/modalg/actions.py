@@ -25,7 +25,7 @@ the word, with the horizon shrinking accordingly.
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 from .exactalg import Frac, FracField, PolyRing, ProductField, evaluate, restriction_kernel
 from .exactalg.algext import AlgebraicField

@@ -1,13 +1,33 @@
 """Fraction fields of polynomial rings (rational function fields).
 
-A Frac is a normalized pair num/den of MPoly over the same pure polynomial
-ring (no inverse pairs):
+A Frac is a pair num/den of MPoly over the same pure polynomial ring (no
+inverse pairs) that keeps two invariants:
 
-  * num and den have no common polynomial factor (divided out by poly_gcd);
-  * the leading coefficient of den under graded lex order is 1.
+  * num and den have no common polynomial factor;
+  * the leading coefficient of den under graded lex order is 1 (zero is
+    stored as 0/1).
 
-With both rules applied, two fractions are equal as field elements exactly
-when their stored representations coincide, so equality is a dict check.
+With both in place, two fractions are equal as field elements exactly when
+their stored representations coincide, so equality is a dict check.
+
+Only Frac(field, num, den) (and FracField.frac) normalizes arbitrary input,
+with one full gcd.  Arithmetic starts from operands that already keep the
+invariants and takes only the gcds that can be nontrivial, after Henrici
+(1956; Knuth, TAOCP vol. 2, 4.5.1):
+
+  * a/b * c/d divides out gcd(a, d) and gcd(c, b), each skipped when one
+    of its arguments is constant; both quotients of b and d stay monic
+    because poly_gcd returns monic gcds;
+  * a/b + c/d is (a + c)/1 or (a*d + c)/d when a denominator is 1.
+    Otherwise let g = gcd(b, d): when g is 1, (a*d + c*b)/(b*d) is already
+    reduced; else, with t = a*(d/g) + c*(b/g), every common factor of t and
+    (b/g)*d divides g, so the sum is (t/g2) / ((b/g)*(d/g2)) for
+    g2 = gcd(t, g);
+  * negation, inverse (rescaled by the numerator's leading coefficient) and
+    from_poly take no gcd.
+
+The results are built by Frac._reduced, which trusts its input and
+normalizes nothing.
 """
 
 from __future__ import annotations
@@ -15,6 +35,18 @@ from __future__ import annotations
 from typing import Iterable
 
 from .poly import MPoly, PolyRing, poly_gcd
+
+
+def _cancel(p: MPoly, q: MPoly) -> tuple[MPoly, MPoly]:
+    """Nonzero p and q divided by their gcd, which poly_gcd makes monic;
+    p and q themselves when that gcd is 1, with no gcd taken when p or q
+    is constant."""
+    if p.is_const() or q.is_const():
+        return p, q
+    g = poly_gcd(p, q)
+    if g.is_const():
+        return p, q
+    return p.exact_div(g), q.exact_div(g)
 
 
 class FracField:
@@ -33,7 +65,9 @@ class FracField:
         return Frac(self, num, den)
 
     def from_poly(self, p: MPoly) -> "Frac":
-        return Frac(self, p, self.poly_ring.one())
+        if p.ring is not self.poly_ring and p.ring != self.poly_ring:
+            raise ValueError("polynomial ring mismatch")
+        return Frac._reduced(self, p, self.poly_ring.one())
 
     def var(self, name: str) -> "Frac":
         return self.from_poly(self.poly_ring.var(name))
@@ -125,10 +159,7 @@ class Frac:
             self.num = field.poly_ring.zero()
             self.den = field.poly_ring.one()
             return
-        g = poly_gcd(num, den)
-        if not (g.is_const() and field.scalars.eq(g.const_coeff(), field.scalars.one())):
-            num = num.exact_div(g)
-            den = den.exact_div(g)
+        num, den = _cancel(num, den)
         _, lc = den.leading()
         if not field.scalars.eq(lc, field.scalars.one()):
             c = field.scalars.inv(lc)
@@ -137,35 +168,63 @@ class Frac:
         self.num = num
         self.den = den
 
+    @classmethod
+    def _reduced(cls, field: FracField, num: MPoly, den: MPoly) -> "Frac":
+        """A fraction from a pair that already keeps both invariants."""
+        f = object.__new__(cls)
+        f.field = field
+        f.num = num
+        f.den = den
+        return f
+
     def _check(self, other: "Frac"):
-        if self.field != other.field:
+        if self.field is not other.field and self.field != other.field:
             raise ValueError("fraction field mismatch")
 
+    # A monic denominator is constant exactly when it is 1.
     def __add__(self, other):
         self._check(other)
-        return Frac(self.field, self.num * other.den + other.num * self.den, self.den * other.den)
+        a, b, c, d = self.num, self.den, other.num, other.den
+        if b.is_const():
+            if d.is_const():
+                return Frac._reduced(self.field, a + c, b)
+            return Frac._reduced(self.field, a * d + c, d)
+        if d.is_const():
+            return Frac._reduced(self.field, a + c * b, b)
+        g = poly_gcd(b, d)
+        if g.is_const():
+            return Frac._reduced(self.field, a * d + c * b, b * d)
+        b, d = b.exact_div(g), d.exact_div(g)
+        t = a * d + c * b
+        if t.is_zero():
+            return self.field.zero()
+        t, g = _cancel(t, g)
+        return Frac._reduced(self.field, t, b * d * g)
 
     def __sub__(self, other):
-        self._check(other)
-        return Frac(self.field, self.num * other.den - other.num * self.den, self.den * other.den)
+        return self + (-other)
 
     def __neg__(self):
-        return Frac(self.field, -self.num, self.den)
+        return Frac._reduced(self.field, -self.num, self.den)
 
     def __mul__(self, other):
         self._check(other)
-        return Frac(self.field, self.num * other.num, self.den * other.den)
+        a, b, c, d = self.num, self.den, other.num, other.den
+        if a.is_zero() or c.is_zero():
+            return self.field.zero()
+        a, d = _cancel(a, d)
+        c, b = _cancel(c, b)
+        return Frac._reduced(self.field, a * c, b * d)
 
     def __truediv__(self, other):
-        self._check(other)
-        if other.num.is_zero():
-            raise ZeroDivisionError("division by zero fraction")
-        return Frac(self.field, self.num * other.den, self.den * other.num)
+        return self * other.inverse()
 
     def inverse(self) -> "Frac":
         if self.num.is_zero():
             raise ZeroDivisionError("inverse of zero fraction")
-        return Frac(self.field, self.den, self.num)
+        _, lc = self.num.leading()
+        c = self.field.scalars.inv(lc)
+        return Frac._reduced(self.field, self.den.scale(c), self.num.scale(c))
 
     def __pow__(self, n: int):
         if n < 0:
@@ -186,7 +245,7 @@ class Frac:
         return self.den.is_const()
 
     def __eq__(self, other):
-        if not isinstance(other, Frac) or self.field != other.field:
+        if not isinstance(other, Frac) or (self.field is not other.field and self.field != other.field):
             return NotImplemented
         return self.num == other.num and self.den == other.den
 

@@ -20,8 +20,6 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .fields import QQ, scalar_field
-
 
 def grlex_key(exp: tuple[int, ...]):
     """Sort key for graded lexicographic order (ascending)."""
@@ -222,7 +220,7 @@ class MPoly:
 
     # -- arithmetic -------------------------------------------------------
     def _check(self, other: "MPoly"):
-        if self.ring != other.ring:
+        if self.ring is not other.ring and self.ring != other.ring:
             raise ValueError("polynomial ring mismatch")
 
     def __add__(self, other):
@@ -285,7 +283,7 @@ class MPoly:
         return MPoly(self.ring, {e: f.mul(cc, c) for e, cc in self.terms.items()})
 
     def __eq__(self, other):
-        if not isinstance(other, MPoly) or self.ring != other.ring:
+        if not isinstance(other, MPoly) or (self.ring is not other.ring and self.ring != other.ring):
             return NotImplemented
         if self.terms.keys() != other.terms.keys():
             return False
@@ -461,6 +459,8 @@ def _content_and_primitive(p: MPoly, i: int) -> tuple[MPoly, MPoly]:
     content = None
     for d in sorted(coeffs):
         content = coeffs[d] if content is None else _gcd_rec(content, coeffs[d])
+    if content.is_const():
+        return p.ring.one(), p
     prim = {d: c.exact_div(content) for d, c in coeffs.items()}
     return content, _from_coeffs(p.ring, i, prim)
 
@@ -471,12 +471,9 @@ def _gcd_rec(a: MPoly, b: MPoly) -> MPoly:
         return b
     if b.is_zero():
         return a
-    i = next(
-        (k for k in range(ring.nvars()) if a.degree_in(k) > 0 or b.degree_in(k) > 0),
-        None,
-    )
-    if i is None:
+    if a.is_const() or b.is_const():
         return ring.one()
+    i = next(k for k in range(ring.nvars()) if a.degree_in(k) > 0 or b.degree_in(k) > 0)
     if a.degree_in(i) < b.degree_in(i):
         a, b = b, a
     ca, pa = _content_and_primitive(a, i)

@@ -16,10 +16,10 @@ the hull.
 from __future__ import annotations
 
 import itertools
-from typing import Sequence
 
-from .actions import ActionSpec, MonoidDesc, Report, constants
+from .actions import ActionSpec, Report, constants
 from .exactalg import (
+    Echelon,
     Frac,
     FracField,
     Matrix,
@@ -163,7 +163,10 @@ def verify(data: PVData, degree: int, horizon: int | None = None) -> Report:
     hbasis = tensor.constant_basis(degree, horizon)
     checked += 1
     if not tensor.left_span_covers(hbasis, degree):
-        failures.append("constants do not generate the doubled ring at this degree")
+        failures.append(
+            f"constants of degree <= {degree} do not generate the doubled ring at degree "
+            f"{degree}; raise degree (a generating constant may have a higher degree)"
+        )
 
     # (iv) monoid generators act injectively at the degree bound
     if act.has_monoid():
@@ -257,23 +260,28 @@ class TensorRing:
         return constants(self.ring, self._action, degree, horizon)
 
     def left_span_covers(self, hbasis: list[MPoly], degree: int) -> bool:
-        """Does R (left slot) times the constants span the doubled ring?"""
-        R = self.data.R
-        left = [self.embed(m, 1) for m in _laurent_monomials(R, degree)]
-        products = []
-        for lm in left:
-            for h in hbasis + [self.ring.one()]:
-                products.append(lm * h)
-        targets = _laurent_monomials(self.ring, degree)
-        labels, rows = self.ring.scalar_coordinates(products + targets)
-        k = self.data.k
-        nprod = len(products)
-        for t_idx in range(len(targets)):
-            rhs = rows[nprod + t_idx]
-            cols = [[rows[j][i] for j in range(nprod)] for i in range(len(labels))]
-            if solve_linear(cols, rhs, k) is None:
-                return False
-        return True
+        """Does R (left slot) times the algebra the constants generate span
+        the doubled ring, on monomials of degree <= degree?
+
+        R_{<=degree} is multiplied by the products of at most degree
+        constants: a target such as yi_2^d needs d of them, as in
+        yi_2^d = yi_1^d * (y_1*yi_2)^d."""
+        one = self.ring.one()
+        # a basis of the products of at most `degree` constants, one factor
+        # more per round; only the products new in a round can give new ones
+        consts = Echelon(self.data.k)
+        consts.add(one.terms)
+        basis = layer = [one]
+        for _ in range(degree):
+            layer = [p * h for p in layer for h in hbasis]
+            layer = [q for q in layer if consts.add(q.terms)]
+            basis = basis + layer
+        span = Echelon(self.data.k)
+        for m in _laurent_monomials(self.data.R, degree):
+            lm = self.embed(m, 1)
+            for q in basis:
+                span.add((lm * q).terms)
+        return all(span.contains(t.terms) for t in _laurent_monomials(self.ring, degree))
 
 
 class HopfPresentation:
@@ -1093,7 +1101,7 @@ def compare(data: PVData, hull: HullData, relations, degree: int = 3) -> Compare
 
     # parameter map: match the induced matrix against the solved family by
     # equating the coefficients of each parameter monomial
-    pmap = _match_parameters(Minduced, gal, P, data)
+    pmap = _match_parameters(Minduced, gal, P)
     if pmap is None:
         return CompareReport(False, {"error": "no parameter bijection matches the "
                                               "solved formal family"})
@@ -1176,7 +1184,7 @@ def _split_tensor(img: JointElement, deformed: list, P: NilAlgebra, L):
     return out
 
 
-def _match_parameters(Minduced: Matrix, gal: GaloisFamily, P: NilAlgebra, data: PVData):
+def _match_parameters(Minduced: Matrix, gal: GaloisFamily, P: NilAlgebra):
     """Linear identification of the hull-side parameters with the formal
     point parameters: equate the parameter-degree-1 coefficients of the two
     matrices and verify the substitution reproduces the induced matrix."""
@@ -1198,7 +1206,7 @@ def _match_parameters(Minduced: Matrix, gal: GaloisFamily, P: NilAlgebra, data: 
                     row.append(gal.M.entry(i, j).get(t_mono, base.zero()))
                 mat.append(row)
                 c = Minduced.entry(i, j).const_coeff().get(s_mono, P.base.zero())
-                rhs.append(_project_to_P(base, P, data, c))
+                rhs.append(_project_to_P(P, c))
         # one solve per source parameter would interleave; solve jointly below
     # solve for the full linear substitution T with params_target = T params_src
     nsrc, ntgt = len(src_params), len(tgt_params)
@@ -1229,13 +1237,13 @@ def _match_parameters(Minduced: Matrix, gal: GaloisFamily, P: NilAlgebra, data: 
             c = T[sp][tp]
             if not base.is_zero(c):
                 mono = tuple(1 if t == sp else 0 for t in range(nsrc))
-                v = P.add(v, P.element({mono: _project_to_P(base, P, data, c)}))
+                v = P.add(v, P.element({mono: _project_to_P(P, c)}))
         subs_vals.append(v)
     for i in range(n):
         for j in range(n):
             got = evaluate(gal.M.entry(i, j).items(), subs_vals, P,
-                           lambda c: P.scalar(_project_to_P(base, P, data, c)))
-            want = _coerce_entry(Minduced.entry(i, j).const_coeff(), P, base, data)
+                           lambda c: P.scalar(_project_to_P(P, c)))
+            want = _coerce_entry(Minduced.entry(i, j).const_coeff(), P)
             if not P.eq(got, want):
                 return None
     desc = {}
@@ -1251,16 +1259,16 @@ def _match_parameters(Minduced: Matrix, gal: GaloisFamily, P: NilAlgebra, data: 
             "description": "; ".join(f"{k} -> {v}" for k, v in sorted(desc.items()))}
 
 
-def _project_to_P(base, P: NilAlgebra, data: PVData, c):
+def _project_to_P(P: NilAlgebra, c):
     if hasattr(P.base, "const") and not hasattr(c, "num"):
         return P.base.const(c)
     return c
 
 
-def _coerce_entry(v, P: NilAlgebra, base, data: PVData):
+def _coerce_entry(v, P: NilAlgebra):
     out = P.zero()
     for mono, c in v.items():
-        out = P.add(out, P.element({mono: _project_to_P(base, P, data, c)}))
+        out = P.add(out, P.element({mono: _project_to_P(P, c)}))
     return out
 
 

@@ -5,6 +5,7 @@ adjugate, a dense elimination loop)."""
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -156,11 +157,11 @@ def test_poly_gcd_univariate_and_multivariate():
     # (z+1)^2 = z^2 + 1 over GF(2)
 
 
-def _to_sympy(p, y):
+def _to_sympy(p, *gens):
     import sympy
 
     return sympy.Poly({e: sympy.Rational(c.numerator, c.denominator)
-                       for e, c in p.terms.items()} or {(0,): 0}, y, domain="QQ")
+                       for e, c in p.terms.items()} or {(0,) * len(gens): 0}, *gens, domain="QQ")
 
 
 @settings(max_examples=60, deadline=None)
@@ -176,6 +177,39 @@ def test_poly_gcd_matches_sympy(coeff_lists):
     want = _to_sympy(a, y).gcd(_to_sympy(b, y))  # monic over QQ, or 0
     got = poly_gcd(a, b)
     assert _to_sympy(got, y) == want
+
+
+EXPS_XY = [(i, j) for i in range(3) for j in range(3) if i + j <= 2]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.lists(st.integers(-3, 3), min_size=len(EXPS_XY), max_size=len(EXPS_XY)),
+                min_size=3, max_size=3))
+def test_poly_gcd_two_variables_matches_sympy(coeff_lists):
+    # a, b share the factor g; poly_gcd is monic under graded lex order and
+    # sympy's under lex, so both are compared after sympy's own monic()
+    sympy = pytest.importorskip("sympy")
+    ring = qq_ring("x", "y")
+    g, a, b = (ring.poly({e: Fraction(c) for e, c in zip(EXPS_XY, cs)}) for cs in coeff_lists)
+    a, b = a * g, b * g
+    x, y = sympy.symbols("x y")
+    want = _to_sympy(a, x, y).gcd(_to_sympy(b, x, y))
+    got = _to_sympy(poly_gcd(a, b), x, y)
+    if want.is_zero:
+        assert got.is_zero
+    else:
+        assert got.monic() == want.monic()
+
+
+def test_poly_gcd_with_a_constant_is_one():
+    for ring in (qq_ring("y"), qq_ring("x", "y"), PolyRing(GF(7), ["y"])):
+        x = ring.gens()[0]
+        p = x * x * ring.from_int(3) + x
+        for c in (ring.from_int(5), ring.one()):
+            assert poly_gcd(p, c) == ring.one()
+            assert poly_gcd(c, p) == ring.one()
+            assert poly_gcd(c, c) == ring.one()
+            assert poly_gcd(ring.zero(), c) == ring.one()
 
 
 # -------------------------------------------------------------- fractions
@@ -223,6 +257,69 @@ def test_frac_random_field_axioms():
         if not a.is_zero():
             assert a * a.inverse() == F.one()
         assert a + b == b + a
+
+
+FRAC_FIELDS = {
+    "QQ(y)": FracField(QQ, ["y"]),
+    "GF7(y)": FracField(GF(7), ["y"]),
+    "QQ(x,y)": FracField(QQ, ["x", "y"]),
+}
+
+
+@st.composite
+def frac_pairs(draw):
+    """(L, a, b): two fractions built by the normalizing constructor from
+    polynomials of total degree <= 2, often with a factor in common."""
+    L = FRAC_FIELDS[draw(st.sampled_from(sorted(FRAC_FIELDS)))]
+    R = L.poly_ring
+    gens = R.gens()
+    exps = [e for e in itertools.product(range(3), repeat=R.nvars()) if sum(e) <= 2]
+    shared = [R.one(), gens[-1], gens[-1] + R.one(), gens[-1] - R.from_int(2)]
+    if len(gens) > 1:
+        shared.append(gens[0] - gens[1])
+    factor = draw(st.sampled_from(shared))
+
+    def part(nonzero):
+        cs = draw(st.lists(st.integers(-2, 2), min_size=len(exps), max_size=len(exps)))
+        p = R.poly({e: R.field.from_int(c) for e, c in zip(exps, cs)})
+        if nonzero and p.is_zero():
+            p = R.one()
+        return p * factor if draw(st.booleans()) else p
+
+    a = Frac(L, part(False), part(True))
+    b = Frac(L, part(False), part(True))
+    return L, a, b
+
+
+def _same_pair(got, want):
+    return got.num.terms == want.num.terms and got.den.terms == want.den.terms
+
+
+@settings(max_examples=100, deadline=None)
+@given(frac_pairs())
+def test_frac_arithmetic_matches_normalizing_constructor(data):
+    # oracle: the normalizing constructor on the cross-multiplied pair
+    L, a, b = data
+    p, q, r, s = a.num, a.den, b.num, b.den
+    assert _same_pair(a + b, Frac(L, p * s + r * q, q * s))
+    assert _same_pair(a - b, Frac(L, p * s - r * q, q * s))
+    assert _same_pair(a * b, Frac(L, p * r, q * s))
+    assert _same_pair(-a, Frac(L, -p, q))
+    assert _same_pair(L.from_poly(p), Frac(L, p, L.poly_ring.one()))
+    if b.is_zero():
+        with pytest.raises(ZeroDivisionError):
+            a / b
+        with pytest.raises(ZeroDivisionError):
+            b.inverse()
+    else:
+        assert _same_pair(a / b, Frac(L, p * s, q * r))
+        assert _same_pair(b.inverse(), Frac(L, s, r))
+
+
+def test_frac_from_poly_rejects_another_ring():
+    F = FracField(QQ, ["y"])
+    with pytest.raises(ValueError):
+        F.from_poly(qq_ring("x").var("x"))
 
 
 # ---------------------------------------------------------------- product

@@ -1,0 +1,73 @@
+"""Source hygiene: no module of the library imports a name it never uses.
+
+Package __init__.py files are exempt, since their imports are re-exports.
+Names are read with ast only; a name counts as used when it appears
+anywhere in the module, including inside string annotations."""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "modalg"
+
+
+def _imported(tree: ast.Module) -> dict[str, int]:
+    """Bound name -> line of every import in the module."""
+    out = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                out[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                out[alias.asname or alias.name] = node.lineno
+    return out
+
+
+def _annotations(tree: ast.Module):
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            for a in args.posonlyargs + args.args + args.kwonlyargs + [args.vararg, args.kwarg]:
+                if a is not None and a.annotation is not None:
+                    yield a.annotation
+            if node.returns is not None:
+                yield node.returns
+        elif isinstance(node, ast.AnnAssign):
+            yield node.annotation
+
+
+def _used(tree: ast.Module) -> set[str]:
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    for ann in _annotations(tree):
+        for n in ast.walk(ann):
+            if isinstance(n, ast.Constant) and isinstance(n.value, str):
+                inner = ast.parse(n.value, mode="eval")
+                used |= {m.id for m in ast.walk(inner) if isinstance(m, ast.Name)}
+    return used
+
+
+def unused_imports(source: str) -> list[tuple[str, int]]:
+    tree = ast.parse(source)
+    used = _used(tree)
+    return sorted((name, line) for name, line in _imported(tree).items() if name not in used)
+
+
+def test_scanner_finds_unused_and_keeps_used_names():
+    source = (
+        "from typing import Iterable, Sequence\n"
+        "import os.path\n"
+        "from .poly import MPoly, poly_gcd\n"
+        "def f(xs: 'Sequence[MPoly]') -> int:\n"
+        "    return len(os.path.sep) + len(xs)\n"
+    )
+    assert unused_imports(source) == [("Iterable", 1), ("poly_gcd", 3)]
+
+
+def test_library_modules_import_only_names_they_use():
+    modules = sorted(p for p in SRC.rglob("*.py") if p.name != "__init__.py")
+    assert modules
+    bad = [f"{p.relative_to(SRC)}:{line} {name}"
+           for p in modules for name, line in unused_imports(p.read_text())]
+    assert not bad, "unused imports: " + ", ".join(bad)

@@ -1,9 +1,12 @@
 """Picard-Vessiot comparison: splitting a joint element over the deformed
-R-monomial basis, checked against a per-monomial reference solve, and the
+R-monomial basis, checked against a per-monomial reference solve, the
 formal groups of the additive and exponential examples against the theory
-(G_a-hat and G_m-hat, Lie dimension 1)."""
+(G_a-hat and G_m-hat, Lie dimension 1), and the Picard-Vessiot axioms of
+both examples."""
 
 from __future__ import annotations
+
+import pytest
 
 from modalg import pv
 from modalg.actions import ActionSpec
@@ -114,3 +117,30 @@ def test_compare_additive_is_additive_group():
     assert d["group_homomorphism"] is True
     assert d["induced_matrix"] == "[1, a0; 0, 1]"
 
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3])
+def test_verify_additive_holds(degree):
+    # the constant y_1 - y_2 has degree 1 and y_2 = y_1 - (y_1 - y_2)
+    data, _ = additive_pv()
+    report = pv.verify(data, degree)
+    assert report.ok, report.failures
+
+
+@pytest.mark.parametrize("degree", [2, 3])
+def test_verify_exponential_holds(degree):
+    # the constants are the powers of y_1*yi_2, of degree 2; yi_2^d needs d
+    # of them: yi_2^d = yi_1^d * (y_1*yi_2)^d
+    data, _ = exponential_pv()
+    report = pv.verify(data, degree)
+    assert report.ok, report.failures
+
+
+def test_verify_exponential_below_constant_degree_names_the_bound():
+    # no nonscalar constant has degree <= 1, so the doubled ring is not
+    # generated at that bound; the failure says which bound to raise
+    data, _ = exponential_pv()
+    report = pv.verify(data, 1)
+    assert not report.ok
+    assert len(report.failures) == 1
+    assert "degree <= 1" in report.failures[0] and "raise degree" in report.failures[0]
