@@ -144,3 +144,46 @@ def test_verify_exponential_below_constant_degree_names_the_bound():
     assert not report.ok
     assert len(report.failures) == 1
     assert "degree <= 1" in report.failures[0] and "raise degree" in report.failures[0]
+
+
+def test_hopf_algebra_additive_is_primitive():
+    # the constants of R (x) R are k[y_1 - y_2]: one primitive generator h,
+    # counit 0, antipode -h, and a polynomial algebra (no relations)
+    data, _ = additive_pv()
+    for degree in (1, 2, 3):
+        hopf = pv.hopf_algebra(data, degree)
+        assert hopf.report.ok, hopf.report.failures
+        assert hopf.names == ["h"] and hopf.is_primitive("h")
+        d = hopf.as_dict()
+        assert d["generators"] == {"h": "y_1 - y_2"}
+        assert d["counit"] == {"h": "0"}
+        assert d["antipode"] == {"h": "-1*h"}
+        assert d["comultiplication"] == {"h": "1*1(x)h + 1*h(x)1"}
+        assert d["relations"] == []
+
+
+@pytest.mark.parametrize("degree", [2, 3])
+def test_hopf_algebra_exponential_is_grouplike(degree):
+    # the constants are k[h1, h2] with h1 = y_1/y_2 and h2 = y_2/y_1:
+    # grouplike generators, counit 1, antipode swapping them
+    data, _ = exponential_pv()
+    hopf = pv.hopf_algebra(data, degree)
+    assert hopf.report.ok, hopf.report.failures
+    assert hopf.names == ["h1", "h2"]
+    assert hopf.is_grouplike("h1") and hopf.is_grouplike("h2")
+    assert not hopf.is_primitive("h1")
+    d = hopf.as_dict()
+    assert d["generators"] == {"h1": "y_1*yi_2", "h2": "yi_1*y_2"}
+    assert d["counit"] == {"h1": "1", "h2": "1"}
+    assert d["antipode"] == {"h1": "1*h2", "h2": "1*h1"}
+
+
+@pytest.mark.parametrize("degree", [2, 3])
+@pytest.mark.parametrize("make", [additive_pv, exponential_pv])
+def test_mu_bijective(make, degree):
+    # R (x) constants -> R (x) R is an isomorphism for a Picard-Vessiot ring
+    data, _ = make()
+    hopf = pv.hopf_algebra(data, degree)
+    report = pv.check_mu_bijectivity(data, hopf, degree)
+    assert report.ok, report.failures
+    assert report.checked > 0
