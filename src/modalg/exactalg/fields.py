@@ -65,9 +65,6 @@ class RationalField:
     def to_str(self, a) -> str:
         return str(a)
 
-    def sort_key(self, a):
-        return (a.numerator, a.denominator)
-
     def __repr__(self):
         return "QQ"
 
@@ -128,9 +125,6 @@ class PrimeField:
 
     def to_str(self, a) -> str:
         return str(a % self.p)
-
-    def sort_key(self, a):
-        return (a % self.p, 1)
 
     def __repr__(self):
         return f"GF({self.p})"

@@ -117,9 +117,6 @@ class FracField:
     def to_str(self, a) -> str:
         return str(a)
 
-    def sort_key(self, a):
-        return (str(a),)
-
     def scalar_coordinates(self, elems: list) -> tuple[list, list[list]]:
         """Expand field elements into coordinates over the scalar field.
 

@@ -20,6 +20,8 @@ from __future__ import annotations
 
 from typing import Iterable
 
+from . import terms as _terms
+
 
 def grlex_key(exp: tuple[int, ...]):
     """Sort key for graded lexicographic order (ascending)."""
@@ -67,6 +69,8 @@ class PolyRing:
         for i, j in self.inverse_pairs:
             if not (0 <= i < len(self.vars) and 0 <= j < len(self.vars)) or i == j:
                 raise ValueError(f"bad inverse pair ({i}, {j})")
+        # the product key of two exponent tuples
+        self._combine = self._reduced_sum if self.inverse_pairs else _terms.add_keys
 
     @property
     def char(self) -> int:
@@ -86,23 +90,14 @@ class PolyRing:
                 e[j] -= m
         return tuple(e)
 
+    def _reduced_sum(self, e1: tuple[int, ...], e2: tuple[int, ...]) -> tuple[int, ...]:
+        return self._reduce_exp(_terms.add_keys(e1, e2))
+
     def poly(self, terms: dict) -> "MPoly":
         """Build a polynomial from raw terms, canonicalizing."""
-        out: dict = {}
         f = self.field
-        for exp, c in terms.items():
-            if f.is_zero(c):
-                continue
-            exp = self._reduce_exp(tuple(exp))
-            if exp in out:
-                s = f.add(out[exp], c)
-                if f.is_zero(s):
-                    del out[exp]
-                else:
-                    out[exp] = s
-            else:
-                out[exp] = c
-        return MPoly(self, out)
+        items = ((self._reduce_exp(tuple(exp)), c) for exp, c in terms.items() if not f.is_zero(c))
+        return MPoly(self, _terms.accumulate({}, items, f))
 
     def zero(self) -> "MPoly":
         return MPoly(self, {})
@@ -225,18 +220,7 @@ class MPoly:
 
     def __add__(self, other):
         self._check(other)
-        out = dict(self.terms)
-        f = self.ring.field
-        for exp, c in other.terms.items():
-            if exp in out:
-                s = f.add(out[exp], c)
-                if f.is_zero(s):
-                    del out[exp]
-                else:
-                    out[exp] = s
-            else:
-                out[exp] = c
-        return MPoly(self.ring, out)
+        return MPoly(self.ring, _terms.add(self.terms, other.terms, self.ring.field))
 
     def __neg__(self):
         f = self.ring.field
@@ -247,22 +231,8 @@ class MPoly:
 
     def __mul__(self, other):
         self._check(other)
-        f = self.ring.field
-        out: dict = {}
-        reduce_exp = self.ring._reduce_exp
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = reduce_exp(tuple(a + b for a, b in zip(e1, e2)))
-                c = f.mul(c1, c2)
-                if e in out:
-                    s = f.add(out[e], c)
-                    if f.is_zero(s):
-                        del out[e]
-                    else:
-                        out[e] = s
-                elif not f.is_zero(c):
-                    out[e] = c
-        return MPoly(self.ring, out)
+        ring = self.ring
+        return MPoly(ring, _terms.mul(self.terms, other.terms, ring.field, ring._combine))
 
     def __pow__(self, n: int):
         if n < 0:
@@ -364,31 +334,9 @@ class MPoly:
         return evaluate(self.sorted_terms(), gens, ring, ring.const)
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        f = self.ring.field
-        parts = []
-        for exp, c in self.sorted_terms():
-            mono = "*".join(
-                f"{self.ring.vars[i]}^{e}" if e > 1 else self.ring.vars[i]
-                for i, e in enumerate(exp)
-                if e
-            )
-            cs = f.to_str(c)
-            if mono:
-                if cs == "1":
-                    s = mono
-                elif cs == "-1":
-                    s = f"-{mono}"
-                else:
-                    s = f"{cs}*{mono}"
-            else:
-                s = cs
-            parts.append(s)
-        out = parts[0]
-        for p in parts[1:]:
-            out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-        return out
+        names = self.ring.vars
+        return _terms.format_terms(self.sorted_terms(), self.ring.field,
+                                   lambda exp: _terms.power_str(names, exp))
 
     def __repr__(self):
         return f"MPoly({self})"

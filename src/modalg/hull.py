@@ -341,24 +341,28 @@ def _hom_monomials(gens: list[HomElement], degree: int) -> list[HomElement]:
         ref.ring, ref.monoid, ref.tvars, ref.horizon, ref.word_bound,
         {w: TruncSeries.one(ref.ring, ref.tvars, ref.horizon) for w in ref.data},
     )
+    return distinct_products(
+        gens, one, degree,
+        lambda m: tuple(sorted((k, str(c)) for k, c in _hom_coordinates(m).items())))
+
+
+def distinct_products(gens: list, one, degree: int, key) -> list:
+    """The distinct values among the products of at most degree factors from
+    gens (key(value) tells values apart), each at its first occurrence in the
+    order of the words: by length, then lexicographically.  Multiplication
+    is commutative, so that first word is sorted: one product is formed per
+    sorted index tuple, from the product of its prefix."""
     out = [one]
-    frontier = [one]
+    seen = {key(one)}
+    layer = [(0, one)]  # (index of the last factor, product)
     for _ in range(degree):
-        nxt = []
-        for f in frontier:
-            for g in gens:
-                nxt.append(f * g)
-        frontier = nxt
-        out.extend(frontier)
-    # dedupe by coordinates
-    seen = set()
-    uniq = []
-    for m in out:
-        key = tuple(sorted((k, str(c)) for k, c in _hom_coordinates(m).items()))
-        if key not in seen:
-            seen.add(key)
-            uniq.append(m)
-    return uniq
+        layer = [(i, p * gens[i]) for start, p in layer for i in range(start, len(gens))]
+        for _, p in layer:
+            kp = key(p)
+            if kp not in seen:
+                seen.add(kp)
+                out.append(p)
+    return out
 
 
 # -------------------------------------------------------------- relations

@@ -14,6 +14,7 @@ import math
 from typing import Iterable, Sequence
 
 from .exactalg import evaluate, kernel_basis, solve_linear
+from .exactalg import terms as _terms
 from .series import TruncSeries, identity_tuple
 
 
@@ -34,6 +35,7 @@ class NilAlgebra:
         self.base = base
         self.gens = tuple(gens)
         self.order = order
+        self._combine = _terms.degree_bound(order - 1)
 
     @property
     def char(self) -> int:
@@ -49,20 +51,9 @@ class NilAlgebra:
         return out
 
     def element(self, terms: dict) -> dict:
-        out = {}
-        for exp, c in terms.items():
-            exp = tuple(exp)
-            if sum(exp) >= self.order or self.base.is_zero(c):
-                continue
-            if exp in out:
-                s = self.base.add(out[exp], c)
-                if self.base.is_zero(s):
-                    del out[exp]
-                else:
-                    out[exp] = s
-            else:
-                out[exp] = c
-        return out
+        base, order = self.base, self.order
+        items = ((tuple(e), c) for e, c in terms.items() if sum(e) < order and not base.is_zero(c))
+        return _terms.accumulate({}, items, base)
 
     def zero(self):
         return {}
@@ -82,17 +73,7 @@ class NilAlgebra:
         return {tuple(e): self.base.one()}
 
     def add(self, a, b):
-        out = dict(a)
-        for exp, c in b.items():
-            if exp in out:
-                s = self.base.add(out[exp], c)
-                if self.base.is_zero(s):
-                    del out[exp]
-                else:
-                    out[exp] = s
-            else:
-                out[exp] = c
-        return out
+        return _terms.add(a, b, self.base)
 
     def sub(self, a, b):
         return self.add(a, self.neg(b))
@@ -101,22 +82,7 @@ class NilAlgebra:
         return {exp: self.base.neg(c) for exp, c in a.items()}
 
     def mul(self, a, b):
-        out: dict = {}
-        for e1, c1 in a.items():
-            for e2, c2 in b.items():
-                e = tuple(x + y for x, y in zip(e1, e2))
-                if sum(e) >= self.order:
-                    continue
-                c = self.base.mul(c1, c2)
-                if e in out:
-                    s = self.base.add(out[e], c)
-                    if self.base.is_zero(s):
-                        del out[e]
-                    else:
-                        out[e] = s
-                elif not self.base.is_zero(c):
-                    out[e] = c
-        return out
+        return _terms.mul(a, b, self.base, self._combine)
 
     def is_zero(self, a) -> bool:
         return not a
@@ -156,26 +122,8 @@ class NilAlgebra:
         return self.mul(a, self.inv(b))
 
     def to_str(self, a) -> str:
-        if not a:
-            return "0"
-        parts = []
-        for exp in sorted(a, key=lambda e: (sum(e), tuple(-x for x in e))):
-            c = a[exp]
-            mono = "*".join(
-                f"{g}^{e}" if e > 1 else g for g, e in zip(self.gens, exp) if e
-            )
-            cs = self.base.to_str(c)
-            if mono and ("+" in cs or "-" in cs[1:] or " " in cs):
-                cs = f"({cs})"
-            if mono:
-                s = mono if cs == "1" else (f"-{mono}" if cs == "-1" else f"{cs}*{mono}")
-            else:
-                s = cs
-            parts.append(s)
-        out = parts[0]
-        for p in parts[1:]:
-            out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-        return out
+        items = sorted(a.items(), key=lambda t: (sum(t[0]), tuple(-x for x in t[0])))
+        return _terms.format_terms(items, self.base, lambda e: _terms.power_str(self.gens, e))
 
     def scalar_coordinates(self, elems: list) -> tuple[list, list[list]]:
         monos = self.monomials()
@@ -350,19 +298,8 @@ class DiffPoly:
         self.coeff_ring = coeff_ring
         self.wvars = tuple(wvars)
         self.horizon = horizon
-        self.terms = {}
-        for key, c in terms.items():
-            if c.is_zero():
-                continue
-            key = tuple(sorted(key))
-            if key in self.terms:
-                s = self.terms[key] + c
-                if s.is_zero():
-                    del self.terms[key]
-                else:
-                    self.terms[key] = s
-            else:
-                self.terms[key] = c
+        items = ((tuple(sorted(key)), c) for key, c in terms.items() if not c.is_zero())
+        self.terms = _terms.accumulate({}, items, _terms.OPERATORS)
 
     # builders ---------------------------------------------------------
     @classmethod
@@ -373,9 +310,6 @@ class DiffPoly:
     def symbol(cls, nstreams: int, coeff_ring, wvars, horizon: int, i: int, k: tuple[int, ...]) -> "DiffPoly":
         one = TruncSeries.one(coeff_ring, wvars, horizon)
         return cls(nstreams, coeff_ring, wvars, horizon, {(((i, tuple(k)), 1),): one})
-
-    def _zero_series(self) -> TruncSeries:
-        return TruncSeries.zero(self.coeff_ring, self.wvars, self.horizon)
 
     def _check(self, other: "DiffPoly"):
         if (self.nstreams, self.coeff_ring, self.wvars, self.horizon) != (
@@ -388,16 +322,7 @@ class DiffPoly:
 
     def __add__(self, other):
         self._check(other)
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            if key in out:
-                s = out[key] + c
-                if s.is_zero():
-                    del out[key]
-                else:
-                    out[key] = s
-            else:
-                out[key] = c
+        out = _terms.add(self.terms, other.terms, _terms.OPERATORS)
         return DiffPoly(self.nstreams, self.coeff_ring, self.wvars, self.horizon, out)
 
     def __neg__(self):
@@ -411,19 +336,7 @@ class DiffPoly:
 
     def __mul__(self, other):
         self._check(other)
-        out: dict = {}
-        for k1, c1 in self.terms.items():
-            for k2, c2 in other.terms.items():
-                key = _merge_keys(k1, k2)
-                c = c1 * c2
-                if key in out:
-                    s = out[key] + c
-                    if s.is_zero():
-                        del out[key]
-                        continue
-                    out[key] = s
-                elif not c.is_zero():
-                    out[key] = c
+        out = _terms.mul(self.terms, other.terms, _terms.OPERATORS, _merge_keys)
         return DiffPoly(self.nstreams, self.coeff_ring, self.wvars, self.horizon, out)
 
     def scale_series(self, s: TruncSeries) -> "DiffPoly":
@@ -489,33 +402,16 @@ class DiffPoly:
         return out
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for key in sorted(self.terms, key=_key_sort, reverse=True):
-            c = self.terms[key]
-            mono = "*".join(
+        def render(key):
+            return "*".join(
                 (f"Y{i + 1}" if self.nstreams > 1 else "Y")
                 + (f"^({','.join(map(str, k))})" if any(k) else "")
                 + (f"**{e}" if e > 1 else "")
                 for (i, k), e in key
             )
-            cs = str(c)
-            if mono:
-                if cs == "1":
-                    parts.append(mono)
-                elif cs == "-1":
-                    parts.append(f"-{mono}")
-                else:
-                    if "+" in cs or "-" in cs[1:] or " " in cs:
-                        cs = f"({cs})"
-                    parts.append(f"{cs}*{mono}")
-            else:
-                parts.append(cs)
-        out = parts[0]
-        for p in parts[1:]:
-            out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-        return out
+
+        items = sorted(self.terms.items(), key=lambda t: _key_sort(t[0]), reverse=True)
+        return _terms.format_terms(items, _terms.OPERATORS, render)
 
     def __repr__(self):
         return f"DiffPoly({self})"
@@ -759,10 +655,8 @@ def _correct_family(gens, family, base_ring, matrix, unknowns, coords):
             sol = solve_linear(matrix, rhs, base_ring)
             if sol is None:
                 constraints.append(
-                    "parameter monomial " + "*".join(
-                        f"{g}^{e}" if e > 1 else g
-                        for g, e in zip(algebra.gens, mono) if e
-                    ) + ": residue not absorbable; the zero set satisfies an extra relation"
+                    "parameter monomial " + _terms.power_str(algebra.gens, mono)
+                    + ": residue not absorbable; the zero set satisfies an extra relation"
                 )
                 continue
             progressed = True

@@ -31,7 +31,8 @@ from .exactalg import (
     rref,
     solve_linear,
 )
-from .hull import HullData
+from .exactalg import terms as _terms
+from .hull import HullData, distinct_products
 from .lieritt import NilAlgebra, multi_indices
 from .series import TruncSeries
 from .taylor import JointElement
@@ -286,7 +287,8 @@ class TensorRing:
 
 class HopfPresentation:
     """Generators of the constants of the doubled ring with the structure
-    maps evaluated on them."""
+    maps evaluated on them.  A monomial in the generators is its exponent
+    tuple, indexed like names."""
 
     def __init__(self, data: PVData, tensor: TensorRing, gens: list[MPoly],
                  names: list[str], relations: list, comul: dict, counit: dict,
@@ -296,37 +298,49 @@ class HopfPresentation:
         self.gens = gens
         self.names = names
         self.relations = relations
-        self.comul = comul         # name -> {(name_or_1, name_or_1): scalar}
+        self.comul = comul         # name -> {(monomial, monomial): scalar}
         self.counit = counit       # name -> scalar
-        self.antipode = antipode   # name -> {monomial in names: scalar}
+        self.antipode = antipode   # name -> {monomial: scalar}
         self.report = report
+
+    def _unit(self, name: str) -> tuple[int, ...]:
+        return tuple(int(n == name) for n in self.names)
 
     def is_primitive(self, name: str) -> bool:
         c = self.comul[name]
-        return set(c) == {(name, "1"), ("1", name)} and all(
+        h, one = self._unit(name), (0,) * len(self.names)
+        return set(c) == {(h, one), (one, h)} and all(
             self.data.k.eq(v, self.data.k.one()) for v in c.values()
         )
 
     def is_grouplike(self, name: str) -> bool:
         c = self.comul[name]
-        return set(c) == {(name, name)} and all(
+        h = self._unit(name)
+        return set(c) == {(h, h)} and all(
             self.data.k.eq(v, self.data.k.one()) for v in c.values()
         )
 
     def as_dict(self) -> dict:
+        k = self.data.k
+
+        def label(exp):
+            return _label_str(exp, self.names)
+
         return {
             "generators": {n: str(g) for n, g in zip(self.names, self.gens)},
             "relations": [str(r) for r in self.relations],
             "comultiplication": {
                 n: " + ".join(
-                    f"{self.data.k.to_str(c)}*{a}(x){b}" for (a, b), c in sorted(m.items())
+                    f"{k.to_str(c)}*{a}(x){b}"
+                    for (a, b), c in sorted(((label(a), label(b)), c) for (a, b), c in m.items())
                 )
                 for n, m in self.comul.items()
             },
-            "counit": {n: self.data.k.to_str(c) for n, c in self.counit.items()},
+            "counit": {n: k.to_str(c) for n, c in self.counit.items()},
             "antipode": {
                 n: " + ".join(
-                    f"{self.data.k.to_str(c)}*{mono}" for mono, c in sorted(m.items())
+                    f"{k.to_str(c)}*{mono}"
+                    for mono, c in sorted((label(e), c) for e, c in m.items())
                 )
                 for n, m in self.antipode.items()
             },
@@ -354,27 +368,18 @@ def hopf_algebra(data: PVData, degree: int, horizon: int | None = None) -> HopfP
     for c in candidates:
         if c.is_const():
             continue
-        span = _monomials_in(tensor.ring, gens + [one], degree)
+        span = distinct_products(gens + [one], one, degree, str)
         if not _in_k_span(tensor.ring, c, span, k):
             gens.append(_normalize_gen(tensor.ring, c))
     # the flip of a constant is constant: close the generator set under the
     # flip so inverses of grouplikes are present
     for g in list(gens):
         fg = _flip(tensor, g)
-        span = _monomials_in(tensor.ring, gens + [one], degree)
+        span = distinct_products(gens + [one], one, degree, str)
         if not _in_k_span(tensor.ring, fg, span, k):
             gens.append(_normalize_gen(tensor.ring, fg))
     names = [f"h{i+1}" if len(gens) > 1 else "h" for i in range(len(gens))]
-
-    # relations among generator monomials
-    relations = []
-    span, labels = _monomial_values(tensor.ring, gens, names, degree + 1)
-    _, rows = tensor.ring.scalar_coordinates(span)
-    cols = [[rows[j][i] for j in range(len(span))] for i in range(len(rows[0]))] if span else []
-    ker = kernel_basis(cols, k, ncols=len(span)) if span else []
-    for vec in ker:
-        terms = {labels[i]: c for i, c in enumerate(vec) if not k.is_zero(c)}
-        relations.append(_relation_str(terms, k))
+    relations = _hopf_relations(tensor.ring, gens, k, degree + 1)
 
     counit = {}
     comul = {}
@@ -389,8 +394,8 @@ def hopf_algebra(data: PVData, degree: int, horizon: int | None = None) -> HopfP
             counit[name] = k.zero()
         else:
             counit[name] = mg.const_coeff()
-        comul[name] = _comultiplication(tensor, gens, names, g, degree, failures)
-        antipode[name] = _antipode(tensor, gens, names, g, degree, failures)
+        comul[name] = _comultiplication(tensor, gens, g, degree, failures)
+        antipode[name] = _antipode(tensor, gens, g, degree, failures)
 
     rep_axioms = _check_hopf_axioms(tensor, gens, names, comul, counit, antipode, degree)
     checked += rep_axioms.checked
@@ -427,45 +432,43 @@ def _merge_slots(tensor: TensorRing, g: MPoly) -> MPoly:
     return out
 
 
-def _monomials_in(ring: PolyRing, gens: list[MPoly], degree: int) -> list[MPoly]:
-    out = [ring.one()]
-    frontier = [ring.one()]
-    for _ in range(degree):
-        nxt = []
-        for f in frontier:
-            for g in gens:
-                p = f * g
-                nxt.append(p)
-        frontier = nxt
-        out.extend(frontier)
-    seen = set()
-    uniq = []
-    for m in out:
-        key = str(m)
-        if key not in seen:
-            seen.add(key)
-            uniq.append(m)
-    return uniq
+def _monomial(ring: PolyRing, gens: list[MPoly], exp: tuple[int, ...]) -> MPoly:
+    """The generator monomial prod gens[i]^exp[i]."""
+    return evaluate(((exp, ring.field.one()),), gens, ring, ring.const)
 
 
-def _monomial_values(ring: PolyRing, gens: list[MPoly], names: list[str], degree: int):
-    values = []
-    labels = []
-    for exps in multi_indices(len(gens), degree):
-        m = ring.one()
-        for g, e in zip(gens, exps):
-            m = m * g ** e
-        values.append(m)
-        labels.append(tuple(exps))
-    return values, labels
+def _hopf_relations(ring: PolyRing, gens: list[MPoly], k, degree: int) -> list[str]:
+    """Linear relations over k among the generator monomials of degree <=
+    degree, taken degree by degree; a relation is kept only when it is not a
+    combination of monomial multiples of the earlier ones (the rule of
+    hull.find_relations)."""
+    labels = multi_indices(len(gens), degree)  # by total degree
+    values = [_monomial(ring, gens, e) for e in labels]
+    column = {e: j for j, e in enumerate(labels)}
+    relations: list[dict] = []
+    for d in range(degree + 1):
+        ncols = sum(1 for e in labels if sum(e) <= d)
+        _, rows = ring.scalar_coordinates(values[:ncols])
+        cols = [[rows[j][i] for j in range(ncols)] for i in range(len(rows[0]))]
+        kernel = kernel_basis(cols, k, ncols=ncols)
+        if not kernel:
+            continue
+        span = Echelon(k)
+        for rel in relations:
+            room = d - max(sum(e) for e in rel)
+            for shift in labels:
+                if sum(shift) <= room:
+                    span.add({column[_terms.add_keys(e, shift)]: c for e, c in rel.items()})
+        for vec in kernel:
+            if span.add(vec):
+                relations.append({labels[j]: c for j, c in enumerate(vec) if not k.is_zero(c)})
+    return [_relation_str(r, k) for r in relations]
 
 
 def _relation_str(terms: dict, k) -> str:
     parts = []
     for exps, c in sorted(terms.items(), key=lambda t: (sum(t[0]), t[0]), reverse=True):
-        mono = "*".join(
-            (f"h{i+1}" + (f"^{e}" if e > 1 else "")) for i, e in enumerate(exps) if e
-        ) or "1"
+        mono = _terms.power_str([f"h{i+1}" for i in range(len(exps))], exps) or "1"
         parts.append(f"{k.to_str(c)}*{mono}")
     return " + ".join(parts) + " = 0"
 
@@ -502,20 +505,20 @@ class _TripleRing:
         return evaluate(g.sorted_terms(), images, self.ring, self.ring.const)
 
 
-def _comultiplication(tensor: TensorRing, gens, names, g: MPoly, degree: int,
+def _comultiplication(tensor: TensorRing, gens, g: MPoly, degree: int,
                       failures: list) -> dict:
     """Split the slots over the middle: a (x) b -> a (x) 1 (x) b, then express
     in products of generator monomials placed in slots (1,2) and (2,3)."""
     k = tensor.data.k
     triple = _TripleRing(tensor)
-    R = tensor.data.R
     # a (x) b -> a in slot 1, b in slot 3
     split = triple.embed_pair(g, 1, 3)
-    mono_vals, labels = _monomial_values(tensor.ring, gens, names, degree)
+    labels = multi_indices(len(gens), degree)
+    mono_vals = [_monomial(tensor.ring, gens, e) for e in labels]
     cols = []
     col_labels = []
-    for i, (va, la) in enumerate(zip(mono_vals, labels)):
-        for j, (vb, lb) in enumerate(zip(mono_vals, labels)):
+    for va, la in zip(mono_vals, labels):
+        for vb, lb in zip(mono_vals, labels):
             prod = triple.embed_pair(va, 1, 2) * triple.embed_pair(vb, 2, 3)
             cols.append(prod)
             col_labels.append((la, lb))
@@ -526,24 +529,18 @@ def _comultiplication(tensor: TensorRing, gens, names, g: MPoly, degree: int,
     if sol is None:
         failures.append("comultiplication image is not expressible at this degree")
         return {}
-    out = {}
-    for (la, lb), c in zip(col_labels, sol):
-        if k.is_zero(c):
-            continue
-        out[(_label_str(la, names), _label_str(lb, names))] = c
-    return out
+    return {key: c for key, c in zip(col_labels, sol) if not k.is_zero(c)}
 
 
 def _label_str(exps: tuple, names: list[str]) -> str:
-    parts = [f"{names[i]}" + (f"^{e}" if e > 1 else "") for i, e in enumerate(exps) if e]
-    return "*".join(parts) if parts else "1"
+    return _terms.power_str(names, exps) or "1"
 
 
-def _antipode(tensor: TensorRing, gens, names, g: MPoly, degree: int,
-              failures: list) -> dict:
+def _antipode(tensor: TensorRing, gens, g: MPoly, degree: int, failures: list) -> dict:
     k = tensor.data.k
     fg = _flip(tensor, g)
-    mono_vals, labels = _monomial_values(tensor.ring, gens, names, degree)
+    labels = multi_indices(len(gens), degree)
+    mono_vals = [_monomial(tensor.ring, gens, e) for e in labels]
     lab, rows = tensor.ring.scalar_coordinates(mono_vals + [fg])
     mat = [[rows[j][i] for j in range(len(mono_vals))] for i in range(len(lab))]
     rhs = [rows[len(mono_vals)][i] for i in range(len(lab))]
@@ -551,155 +548,103 @@ def _antipode(tensor: TensorRing, gens, names, g: MPoly, degree: int,
     if sol is None:
         failures.append("antipode image is not expressible at this degree")
         return {}
-    return {
-        _label_str(labels[i], names): c for i, c in enumerate(sol) if not k.is_zero(c)
-    }
+    return {labels[i]: c for i, c in enumerate(sol) if not k.is_zero(c)}
+
+
+class _PairTerms:
+    """k-linear combinations of pairs (monomial, monomial) of generator
+    monomials: the tensor square in which comultiplication lands."""
+
+    def __init__(self, k, ngens: int):
+        self.k = k
+        self.unit = ((0,) * ngens, (0,) * ngens)
+
+    def zero(self) -> dict:
+        return {}
+
+    def const(self, c) -> dict:
+        return {} if self.k.is_zero(c) else {self.unit: c}
+
+    def add(self, a: dict, b: dict) -> dict:
+        return _terms.add(a, b, self.k)
+
+    def mul(self, a: dict, b: dict) -> dict:
+        return _terms.mul(a, b, self.k, _pair_keys)
+
+
+def _pair_keys(p: tuple, q: tuple) -> tuple:
+    return _terms.add_keys(p[0], q[0]), _terms.add_keys(p[1], q[1])
 
 
 def _check_hopf_axioms(tensor: TensorRing, gens, names, comul, counit, antipode,
                        degree: int) -> Report:
     """Counit law, coassociativity, and the antipode law on the generators,
-    all evaluated inside the slotted rings."""
+    all evaluated inside the slotted rings.  The counit, antipode and
+    comultiplication of a monomial are the algebra maps evaluated on it."""
     k = tensor.data.k
+    ring = tensor.ring
     failures = []
     checked = 0
-    name_to_gen = dict(zip(names, gens))
 
-    def value_of(label: str) -> MPoly:
-        if label == "1":
-            return tensor.ring.one()
-        out = tensor.ring.one()
-        for part in label.split("*"):
-            if "^" in part:
-                nm, e = part.split("^")
-                out = out * name_to_gen[nm] ** int(e)
-            else:
-                out = out * name_to_gen[part]
-        return out
+    def at(exp, images, target, lift):
+        return evaluate(((exp, k.one()),), images, target, lift)
 
-    def counit_of_label(label: str):
-        if label == "1":
-            return k.one()
-        out = k.one()
-        for part in label.split("*"):
-            nm, e = (part.split("^") + ["1"])[:2]
-            c = _merge_slots(tensor, value_of(nm))
-            if not c.is_const():
-                return None
-            for _ in range(int(e)):
-                out = k.mul(out, c.const_coeff())
-        return out
+    # the counit of a generator is its merged value, None when not a scalar
+    eps = []
+    for g in gens:
+        mg = _merge_slots(tensor, g)
+        eps.append(mg.const_coeff() if mg.is_const() else None)
+    s_images = [evaluate(antipode[n].items(), gens, ring, ring.const) for n in names]
+    pairs = _PairTerms(k, len(gens))
+    delta_images = [comul[n] for n in names]
+    quad = _TripleRing(tensor, nslots=4)
 
     for name, g in zip(names, gens):
         # (counit x id) comul = id
         checked += 1
-        acc = tensor.ring.zero()
+        acc = ring.zero()
         for (la, lb), c in comul[name].items():
-            eps = counit_of_label(la)
-            if eps is None:
-                failures.append(f"counit law: {la} has no scalar counit")
+            if any(e and eps[i] is None for i, e in enumerate(la)):
+                failures.append(f"counit law: {_label_str(la, names)} has no scalar counit")
                 continue
-            acc = acc + value_of(lb).scale(k.mul(c, eps))
+            eps_a = at(la, eps, k, lambda x: x)
+            acc = acc + _monomial(ring, gens, lb).scale(k.mul(c, eps_a))
         if not acc == g:
             failures.append(f"counit law fails on {name}")
 
         # antipode law: m (S x id) comul = unit counit
         checked += 1
-        acc = tensor.ring.zero()
+        acc = ring.zero()
         for (la, lb), c in comul[name].items():
-            s_img = tensor.ring.zero()
-            sa = _antipode_of_label(tensor, antipode, names, name_to_gen, la)
-            if sa is None:
-                failures.append(f"antipode law: {la} not expressible")
-                continue
-            acc = acc + (sa * value_of(lb)).scale(c)
-        expected = tensor.ring.one().scale(counit[name])
+            sa = at(la, s_images, ring, ring.const)
+            acc = acc + (sa * _monomial(ring, gens, lb)).scale(c)
+        expected = ring.one().scale(counit[name])
         if not acc == expected:
             failures.append(f"antipode law fails on {name}")
 
         # coassociativity in four slots
         checked += 1
-        quad = _TripleRing(tensor, nslots=4)
         lhs = quad.ring.zero()
         rhs_ = quad.ring.zero()
         for (la, lb), c in comul[name].items():
             # (comul x id): split la over slots (1,2,3) against lb in (3,4)
-            for (lc, ld), c2 in _comul_of_label(tensor, comul, names, name_to_gen, la, degree).items():
+            for (lc, ld), c2 in at(la, delta_images, pairs, pairs.const).items():
                 term = (
-                    quad.embed_pair(value_of(lc), 1, 2)
-                    * quad.embed_pair(value_of(ld), 2, 3)
-                    * quad.embed_pair(value_of(lb), 3, 4)
+                    quad.embed_pair(_monomial(ring, gens, lc), 1, 2)
+                    * quad.embed_pair(_monomial(ring, gens, ld), 2, 3)
+                    * quad.embed_pair(_monomial(ring, gens, lb), 3, 4)
                 )
                 lhs = lhs + term.scale(k.mul(c, c2))
-            for (lc, ld), c2 in _comul_of_label(tensor, comul, names, name_to_gen, lb, degree).items():
+            for (lc, ld), c2 in at(lb, delta_images, pairs, pairs.const).items():
                 term = (
-                    quad.embed_pair(value_of(la), 1, 2)
-                    * quad.embed_pair(value_of(lc), 2, 3)
-                    * quad.embed_pair(value_of(ld), 3, 4)
+                    quad.embed_pair(_monomial(ring, gens, la), 1, 2)
+                    * quad.embed_pair(_monomial(ring, gens, lc), 2, 3)
+                    * quad.embed_pair(_monomial(ring, gens, ld), 3, 4)
                 )
                 rhs_ = rhs_ + term.scale(k.mul(c, c2))
         if not lhs == rhs_:
             failures.append(f"coassociativity fails on {name}")
     return Report(not failures, checked, failures, {"degree": degree})
-
-
-def _antipode_of_label(tensor, antipode, names, name_to_gen, label):
-    if label == "1":
-        return tensor.ring.one()
-    out = tensor.ring.one()
-    for part in label.split("*"):
-        nm, e = (part.split("^") + ["1"])[:2]
-        img = tensor.ring.zero()
-        for mono, c in antipode.get(nm, {}).items():
-            img = img + _value_of_label(tensor, name_to_gen, mono).scale(c)
-        for _ in range(int(e)):
-            out = out * img
-    return out
-
-
-def _value_of_label(tensor, name_to_gen, label):
-    if label == "1":
-        return tensor.ring.one()
-    out = tensor.ring.one()
-    for part in label.split("*"):
-        nm, e = (part.split("^") + ["1"])[:2]
-        for _ in range(int(e)):
-            out = out * name_to_gen[nm]
-    return out
-
-
-def _comul_of_label(tensor, comul, names, name_to_gen, label, degree) -> dict:
-    """Comultiplication of a generator monomial, multiplied out from the
-    generator values (comultiplication is an algebra map)."""
-    k = tensor.data.k
-    if label == "1":
-        return {("1", "1"): k.one()}
-    acc = {("1", "1"): k.one()}
-    for part in label.split("*"):
-        nm, e = (part.split("^") + ["1"])[:2]
-        for _ in range(int(e)):
-            nxt: dict = {}
-            for (la, lb), c in acc.items():
-                for (ma, mb), d in comul[nm].items():
-                    key = (_mul_label(la, ma), _mul_label(lb, mb))
-                    val = k.mul(c, d)
-                    nxt[key] = k.add(nxt.get(key, k.zero()), val)
-            acc = nxt
-    return acc
-
-
-def _mul_label(a: str, b: str) -> str:
-    if a == "1":
-        return b
-    if b == "1":
-        return a
-    counts: dict = {}
-    for part in a.split("*") + b.split("*"):
-        nm, e = (part.split("^") + ["1"])[:2]
-        counts[nm] = counts.get(nm, 0) + int(e)
-    return "*".join(
-        f"{nm}" + (f"^{e}" if e > 1 else "") for nm, e in sorted(counts.items())
-    )
 
 
 # ----------------------------------------------------------- galois points
@@ -938,7 +883,7 @@ def check_mu_bijectivity(data: PVData, hopf: HopfPresentation, degree: int) -> R
     tensor = hopf.tensor
     failures = []
     r_monos = _laurent_monomials(data.R, 2 * degree)
-    h_monos = _monomials_in(tensor.ring, hopf.gens, degree)
+    h_monos = distinct_products(hopf.gens, tensor.ring.one(), degree, str)
     images = []
     for r in r_monos:
         left = tensor.embed(r, 1)

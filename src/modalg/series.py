@@ -1,10 +1,10 @@
 """Truncated multivariate formal power series over an exact coefficient ring.
 
-A TruncSeries keeps every monomial of total degree <= horizon (optionally
-also capped per variable) and drops the rest.  Coefficients live in any ring
-following the exactalg protocol (QQ, GF(p), FracField, PolyRing, NilAlgebra,
-ProductField), so the same series code serves power series over a function
-field as well as infinitesimal transformations over a nilpotent test algebra.
+A TruncSeries keeps every monomial of total degree <= horizon and drops the
+rest.  Coefficients live in any ring following the exactalg protocol (QQ,
+GF(p), FracField, PolyRing, NilAlgebra, ProductField), so the same series
+code serves power series over a function field as well as infinitesimal
+transformations over a nilpotent test algebra.
 
 Exactness contract: addition and multiplication of two series agree with the
 untruncated result in every degree <= horizon.  Composition f(phi) is the
@@ -22,6 +22,7 @@ import math
 from typing import Iterable, Sequence
 
 from .exactalg import Matrix, evaluate
+from .exactalg import terms as _terms
 
 
 def _ring_is_nilpotent(ring, c) -> bool:
@@ -34,55 +35,45 @@ def _ring_is_nilpotent(ring, c) -> bool:
 class TruncSeries:
     """Series sum_e c_e * w^e with |e| <= horizon, canonical sparse terms."""
 
-    __slots__ = ("ring", "vars", "horizon", "caps", "terms")
+    __slots__ = ("ring", "vars", "horizon", "terms")
 
-    def __init__(self, ring, variables: Sequence[str], horizon: int, terms: dict | None = None,
-                 caps: Sequence[int] | None = None):
+    def __init__(self, ring, variables: Sequence[str], horizon: int, terms: dict | None = None):
         self.ring = ring
         self.vars = tuple(variables)
         self.horizon = horizon
-        self.caps = tuple(caps) if caps is not None else None
         self.terms: dict = {}
         if terms:
             for exp, c in terms.items():
                 exp = tuple(exp)
-                if self._admits(exp) and not ring.is_zero(c):
+                if sum(exp) <= horizon and not ring.is_zero(c):
                     self.terms[exp] = c
-
-    def _admits(self, exp: tuple[int, ...]) -> bool:
-        if sum(exp) > self.horizon:
-            return False
-        if self.caps is not None and any(e > m for e, m in zip(exp, self.caps)):
-            return False
-        return True
 
     # ------------------------------------------------------------ builders
     @classmethod
-    def zero(cls, ring, variables, horizon, caps=None) -> "TruncSeries":
-        return cls(ring, variables, horizon, {}, caps)
+    def zero(cls, ring, variables, horizon) -> "TruncSeries":
+        return cls(ring, variables, horizon, {})
 
     @classmethod
-    def const(cls, ring, variables, horizon, c, caps=None) -> "TruncSeries":
+    def const(cls, ring, variables, horizon, c) -> "TruncSeries":
         n = len(tuple(variables))
-        return cls(ring, variables, horizon, {(0,) * n: c}, caps)
+        return cls(ring, variables, horizon, {(0,) * n: c})
 
     @classmethod
-    def one(cls, ring, variables, horizon, caps=None) -> "TruncSeries":
-        return cls.const(ring, variables, horizon, ring.one(), caps)
+    def one(cls, ring, variables, horizon) -> "TruncSeries":
+        return cls.const(ring, variables, horizon, ring.one())
 
     @classmethod
-    def variable(cls, ring, variables, horizon, name: str, caps=None) -> "TruncSeries":
+    def variable(cls, ring, variables, horizon, name: str) -> "TruncSeries":
         variables = tuple(variables)
         exp = [0] * len(variables)
         exp[variables.index(name)] = 1
-        return cls(ring, variables, horizon, {tuple(exp): ring.one()}, caps)
+        return cls(ring, variables, horizon, {tuple(exp): ring.one()})
 
     def _make(self, terms: dict) -> "TruncSeries":
-        return TruncSeries(self.ring, self.vars, self.horizon, terms, self.caps)
+        return TruncSeries(self.ring, self.vars, self.horizon, terms)
 
     def _check(self, other: "TruncSeries"):
-        if self.ring != other.ring or self.vars != other.vars or self.horizon != other.horizon \
-                or self.caps != other.caps:
+        if self.ring != other.ring or self.vars != other.vars or self.horizon != other.horizon:
             raise ValueError("series context mismatch")
 
     # ------------------------------------------------------------- queries
@@ -117,18 +108,7 @@ class TruncSeries:
     # ---------------------------------------------------------- arithmetic
     def __add__(self, other: "TruncSeries") -> "TruncSeries":
         self._check(other)
-        R = self.ring
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            if e in out:
-                s = R.add(out[e], c)
-                if R.is_zero(s):
-                    del out[e]
-                else:
-                    out[e] = s
-            else:
-                out[e] = c
-        return self._make(out)
+        return self._make(_terms.add(self.terms, other.terms, self.ring))
 
     def __neg__(self) -> "TruncSeries":
         R = self.ring
@@ -139,28 +119,13 @@ class TruncSeries:
 
     def __mul__(self, other: "TruncSeries") -> "TruncSeries":
         self._check(other)
-        R = self.ring
-        out: dict = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                if not self._admits(e):
-                    continue
-                c = R.mul(c1, c2)
-                if e in out:
-                    s = R.add(out[e], c)
-                    if R.is_zero(s):
-                        del out[e]
-                    else:
-                        out[e] = s
-                elif not R.is_zero(c):
-                    out[e] = c
-        return self._make(out)
+        return self._make(_terms.mul(self.terms, other.terms, self.ring,
+                                     _terms.degree_bound(self.horizon)))
 
     def __pow__(self, n: int) -> "TruncSeries":
         if n < 0:
             raise ValueError("negative power; use recip")
-        r = TruncSeries.one(self.ring, self.vars, self.horizon, self.caps)
+        r = TruncSeries.one(self.ring, self.vars, self.horizon)
         b = self
         while n:
             if n & 1:
@@ -215,7 +180,7 @@ class TruncSeries:
                 c0 = p.constant_term()
                 if not _ring_is_nilpotent(p.ring, c0):
                     raise ValueError("substitution needs zero or nilpotent constant term")
-        S = SeriesRing(tgt.ring, tgt.vars, tgt.horizon, tgt.caps)
+        S = SeriesRing(tgt.ring, tgt.vars, tgt.horizon)
         return evaluate(self.sorted_terms(), phis, S, S.const)
 
     def recip(self) -> "TruncSeries":
@@ -225,7 +190,7 @@ class TruncSeries:
         if not R.is_unit(c0):
             raise ValueError("reciprocal needs a unit constant term")
         inv0 = R.inv(c0)
-        one = TruncSeries.one(R, self.vars, self.horizon, self.caps)
+        one = TruncSeries.one(R, self.vars, self.horizon)
         g = one - self.scale(inv0)
         # g has zero constant term up to nilpotents, so the geometric sum
         # terminates within horizon + nilpotency order steps
@@ -242,16 +207,16 @@ class TruncSeries:
 
     # ------------------------------------------------------ reshaping maps
     def truncate(self, horizon: int) -> "TruncSeries":
-        return TruncSeries(self.ring, self.vars, horizon, self.terms, self.caps)
+        return TruncSeries(self.ring, self.vars, horizon, self.terms)
 
     def with_horizon(self, horizon: int) -> "TruncSeries":
         """Reinterpret the stored terms at a different horizon (exact for
         polynomial data)."""
-        return TruncSeries(self.ring, self.vars, horizon, self.terms, self.caps)
+        return TruncSeries(self.ring, self.vars, horizon, self.terms)
 
     def map_coeffs(self, fn, ring=None) -> "TruncSeries":
         return TruncSeries(ring or self.ring, self.vars, self.horizon,
-                           {e: fn(c) for e, c in self.terms.items()}, self.caps)
+                           {e: fn(c) for e, c in self.terms.items()})
 
     def embed(self, variables: Sequence[str], horizon: int | None = None) -> "TruncSeries":
         """View this series inside a larger variable tuple (by name)."""
@@ -266,44 +231,10 @@ class TruncSeries:
             out[tuple(ee)] = c
         return TruncSeries(self.ring, variables, self.horizon if horizon is None else horizon, out)
 
-    def split_coefficients(self, keep: Sequence[str]) -> dict[tuple[int, ...], "TruncSeries"]:
-        """Collect terms by the exponents of the dropped variables: view the
-        series in vars as a family of series in `keep`, keyed by the
-        complementary exponent."""
-        keep = tuple(keep)
-        keep_idx = [self.vars.index(v) for v in keep]
-        drop_idx = [i for i in range(len(self.vars)) if self.vars[i] not in keep]
-        fam: dict[tuple[int, ...], dict] = {}
-        for e, c in self.terms.items():
-            ke = tuple(e[i] for i in keep_idx)
-            de = tuple(e[i] for i in drop_idx)
-            fam.setdefault(de, {})[ke] = c
-        return {
-            de: TruncSeries(self.ring, keep, self.horizon, t) for de, t in fam.items()
-        }
-
     def __str__(self):
-        if not self.terms:
-            return "0"
-        R = self.ring
-        parts = []
-        for e, c in self.sorted_terms():
-            mono = "*".join(
-                f"{self.vars[i]}^{a}" if a > 1 else self.vars[i] for i, a in enumerate(e) if a
-            )
-            cs = R.to_str(c)
-            wrap = ("+" in cs or ("-" in cs[1:]) or " " in cs) and mono
-            if wrap:
-                cs = f"({cs})"
-            if mono:
-                s = mono if cs == "1" else (f"-{mono}" if cs == "-1" else f"{cs}*{mono}")
-            else:
-                s = cs
-            parts.append(s)
-        out = parts[0]
-        for p in parts[1:]:
-            out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-        return out
+        names = self.vars
+        return _terms.format_terms(self.sorted_terms(), self.ring,
+                                   lambda e: _terms.power_str(names, e))
 
     def __repr__(self):
         return f"TruncSeries({self})"
@@ -311,20 +242,18 @@ class TruncSeries:
 
 class SeriesRing:
     """Ring context for the series of one shape (coefficient ring, variables,
-    horizon, caps), as exactalg.evaluate needs it."""
+    horizon), as exactalg.evaluate needs it."""
 
-    def __init__(self, ring, variables: Sequence[str], horizon: int,
-                 caps: Sequence[int] | None = None):
+    def __init__(self, ring, variables: Sequence[str], horizon: int):
         self.ring = ring
         self.vars = tuple(variables)
         self.horizon = horizon
-        self.caps = caps
 
     def zero(self) -> TruncSeries:
-        return TruncSeries.zero(self.ring, self.vars, self.horizon, self.caps)
+        return TruncSeries.zero(self.ring, self.vars, self.horizon)
 
     def const(self, c) -> TruncSeries:
-        return TruncSeries.const(self.ring, self.vars, self.horizon, c, self.caps)
+        return TruncSeries.const(self.ring, self.vars, self.horizon, c)
 
     def add(self, a: TruncSeries, b: TruncSeries) -> TruncSeries:
         return a + b
@@ -333,20 +262,8 @@ class SeriesRing:
         return a * b
 
 
-def series_mul(f: TruncSeries, g: TruncSeries) -> TruncSeries:
-    return f * g
-
-
-def series_compose(f: TruncSeries, phis: Sequence[TruncSeries]) -> TruncSeries:
-    return f.compose(phis)
-
-
-def series_recip(f: TruncSeries) -> TruncSeries:
-    return f.recip()
-
-
-def identity_tuple(ring, variables, horizon, caps=None) -> tuple[TruncSeries, ...]:
-    return tuple(TruncSeries.variable(ring, variables, horizon, v, caps) for v in variables)
+def identity_tuple(ring, variables, horizon) -> tuple[TruncSeries, ...]:
+    return tuple(TruncSeries.variable(ring, variables, horizon, v) for v in variables)
 
 
 def formal_inverse(phis: Sequence[TruncSeries], max_extra_sweeps: int = 4) -> tuple[TruncSeries, ...]:
@@ -377,7 +294,7 @@ def formal_inverse(phis: Sequence[TruncSeries], max_extra_sweeps: int = 4) -> tu
     jac = Matrix(R, [[phis[i].coeff(unit_exps[j]) for j in range(n)] for i in range(n)])
     jinv = jac.inverse()  # raises ValueError when singular
 
-    ident = identity_tuple(R, base.vars, base.horizon, base.caps)
+    ident = identity_tuple(R, base.vars, base.horizon)
     g = list(ident)
     sweeps = base.horizon + max_extra_sweeps + _nil_order(R)
     for _ in range(sweeps):
@@ -413,8 +330,8 @@ def truncated_exp(s: TruncSeries) -> TruncSeries:
         raise ValueError("exp needs characteristic 0")
     if not R.is_zero(s.constant_term()):
         raise ValueError("exp needs zero constant term")
-    out = TruncSeries.one(R, s.vars, s.horizon, s.caps)
-    p = TruncSeries.one(R, s.vars, s.horizon, s.caps)
+    out = TruncSeries.one(R, s.vars, s.horizon)
+    p = TruncSeries.one(R, s.vars, s.horizon)
     for k in range(1, s.horizon + 1):
         p = p * s
         if p.is_zero():

@@ -17,6 +17,7 @@ import math
 from typing import Sequence
 
 from .exactalg import evaluate
+from .exactalg import terms as _terms
 from .hull import HullData
 from .lieritt import (
     DiffPoly,
@@ -45,19 +46,10 @@ class YPoly:
         return cls(alg, {(): c})
 
     def __add__(self, other: "YPoly") -> "YPoly":
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            out[k] = out[k] + v if k in out else v
-        return YPoly(self.alg, out)
+        return YPoly(self.alg, _terms.add(self.terms, other.terms, _terms.OPERATORS))
 
     def __mul__(self, other: "YPoly") -> "YPoly":
-        out: dict = {}
-        for k1, v1 in self.terms.items():
-            for k2, v2 in other.terms.items():
-                key = _merge_keys(k1, k2)
-                prod = v1 * v2
-                out[key] = out[key] + prod if key in out else prod
-        return YPoly(self.alg, out)
+        return YPoly(self.alg, _terms.mul(self.terms, other.terms, _terms.OPERATORS, _merge_keys))
 
     def deriv(self, l: tuple[int, ...], max_order: int) -> "YPoly":
         """Divided derivative acting on the Y symbols only (coefficients are
@@ -65,7 +57,7 @@ class YPoly:
         every modeled transformation and are dropped."""
         if not any(l):
             return self
-        out: dict = {}
+        items = []
         for key, coeff in self.terms.items():
             factors = []
             for (j, k), e in key:
@@ -92,9 +84,8 @@ class YPoly:
                 counts: dict = {}
                 for s in new_syms:
                     counts[s] = counts.get(s, 0) + 1
-                key2 = tuple(sorted(counts.items()))
-                out[key2] = out[key2] + c if key2 in out else c
-        return YPoly(self.alg, out)
+                items.append((tuple(sorted(counts.items())), c))
+        return YPoly(self.alg, _terms.accumulate({}, items, _terms.OPERATORS))
 
 
 def build_ideal(hull: HullData, relations: Sequence[DiffPoly]) -> LieRittIdeal:
@@ -126,8 +117,7 @@ def build_ideal(hull: HullData, relations: Sequence[DiffPoly]) -> LieRittIdeal:
             for j, e in enumerate(m):
                 if e:
                     counts[(j, zero_k)] = e
-            key = tuple(sorted(counts.items()))
-            terms[key] = terms[key] + coeff if key in terms else coeff
+            terms[tuple(sorted(counts.items()))] = coeff
         templates[i] = YPoly(alg, terms)
 
     deriv_cache: dict[tuple[int, tuple[int, ...]], YPoly] = {}

@@ -9,10 +9,11 @@ from fractions import Fraction
 import pytest
 
 from modalg.actions import ActionSpec, check_module_algebra
-from modalg.exactalg import GF, QQ, AlgebraicField, FracField, restriction_kernel
+from modalg.exactalg import GF, QQ, AlgebraicField, FracField, PolyRing, restriction_kernel
 from modalg.hull import (
     ExtensionDesc,
     change_basis,
+    distinct_products,
     find_relations,
     hull_generators,
     make_basis_derivation,
@@ -335,3 +336,24 @@ def test_hull_basis_independence_additive():
         assert span_u.contains(_hom_coordinates(v))
     for u in gens_u:
         assert span_v.contains(_hom_coordinates(u))
+
+
+def test_distinct_products_match_word_enumeration():
+    # reference: every word of length <= degree, in order of length and then
+    # lexicographically, deduplicated by value at its first occurrence
+    R = PolyRing(QQ, ["y", "yi", "z"], inverse_pairs=[(0, 1)])
+    y, yi, z = R.gens()
+    gens = [z, y, yi, y * y, R.one()]
+    for degree in range(4):
+        words, layer = [R.one()], [R.one()]
+        for _ in range(degree):
+            layer = [p * g for p in layer for g in gens]
+            words += layer
+        want, seen = [], set()
+        for m in words:
+            if str(m) not in seen:
+                seen.add(str(m))
+                want.append(str(m))
+        got = [str(m) for m in distinct_products(gens, R.one(), degree, str)]
+        assert got == want
+    assert distinct_products(gens, R.one(), 1, str)[:3] == [R.one(), z, y]

@@ -1,12 +1,17 @@
-"""Source hygiene: no module of the library imports a name it never uses.
+"""Source hygiene: no module of the library imports a name it never uses,
+and no private function or method of the library goes unreferenced.
 
-Package __init__.py files are exempt, since their imports are re-exports.
-Names are read with ast only; a name counts as used when it appears
-anywhere in the module, including inside string annotations."""
+Package __init__.py files are exempt from the import check, since their
+imports are re-exports.  Names are read with ast only; a name counts as used
+when it appears anywhere in the module, including inside string
+annotations.  A private (single-underscore) function counts as referenced
+when its name appears as a name, an attribute or a string anywhere in the
+library outside its own def."""
 
 from __future__ import annotations
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "modalg"
@@ -71,3 +76,52 @@ def test_library_modules_import_only_names_they_use():
     bad = [f"{p.relative_to(SRC)}:{line} {name}"
            for p in modules for name, line in unused_imports(p.read_text())]
     assert not bad, "unused imports: " + ", ".join(bad)
+
+
+def _references(tree: ast.AST) -> Counter:
+    out = Counter()
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Name):
+            out[n.id] += 1
+        elif isinstance(n, ast.Attribute):
+            out[n.attr] += 1
+        elif isinstance(n, ast.Constant) and isinstance(n.value, str):
+            out[n.value] += 1
+    return out
+
+
+def unreferenced_private_functions(sources: dict[str, str]) -> list[str]:
+    """module:name of every single-underscore def whose name is referenced
+    nowhere in sources except inside the defs of that name."""
+    total = Counter()
+    inside = Counter()
+    defs = []
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        total += _references(tree)
+        for node in ast.walk(tree):
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and node.name.startswith("_") and not node.name.startswith("__")):
+                defs.append((module, node.name))
+                inside[node.name] += _references(node)[node.name]
+    return sorted(f"{m}:{name}" for m, name in defs if total[name] == inside[name])
+
+
+def test_reference_scanner():
+    sources = {
+        "a.py": (
+            "def _dead(x):\n    return _dead(x - 1) if x else 0\n"
+            "def _used():\n    return 1\n"
+            "class C:\n    def _method(self):\n        return 2\n"
+            "    def _named(self):\n        return 3\n"
+            "    def __repr__(self):\n        return 'C'\n"
+        ),
+        "b.py": "from a import _used, C\nv = _used() + C()._method() + getattr(C(), '_named')()\n",
+    }
+    assert unreferenced_private_functions(sources) == ["a.py:_dead"]
+
+
+def test_library_private_functions_are_referenced():
+    sources = {str(p.relative_to(SRC)): p.read_text() for p in sorted(SRC.rglob("*.py"))}
+    dead = unreferenced_private_functions(sources)
+    assert not dead, "unreferenced private functions: " + ", ".join(dead)

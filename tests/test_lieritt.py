@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from modalg.exactalg import QQ, FracField
+from modalg.exactalg import QQ, FracField, PolyRing
 from modalg.lieritt import (
     DiffPoly,
     InfTransform,
@@ -39,6 +39,20 @@ def test_nilalgebra_arithmetic():
     assert A.mul(u, A.inv(u)) == A.one()
     assert A.is_nilpotent(a) and not A.is_nilpotent(u)
     assert A.unit_part(A.add(u, b)) == Fraction(1)
+
+
+def test_sum_coefficients_print_in_parentheses():
+    # a coefficient that is itself a sum must not run into its monomial:
+    # c1 + (1 + c3)*y is not 1 + c3*y + c1, and (c1 - c3)*y is not c1 - c3*y
+    A = NilAlgebra(QQ, ("c1", "c2", "c3"), 2)
+    c1, c3 = A.gen("c1"), A.gen("c3")
+    R = PolyRing(A, ["y"])
+    y = R.var("y")
+    assert str(R.const(c1) + R.const(A.add(A.one(), c3)) * y) == "(1 + c3)*y + c1"
+    assert str(R.const(A.sub(c1, c3)) * y) == "(c1 - c3)*y"
+    # the other printers share the rule
+    assert str(series(A, 2, {(1,): A.sub(c1, c3)})) == "(c1 - c3)*w"
+    assert A.to_str(A.mul(A.add(A.one(), c1), A.sub(A.one(), c3))) == "1 + c1 - c3"
 
 
 # ------------------------------------------------------------- composition

@@ -179,6 +179,15 @@ def test_hopf_algebra_exponential_is_grouplike(degree):
 
 
 @pytest.mark.parametrize("degree", [2, 3])
+def test_hopf_relations_exponential_are_pruned(degree):
+    # k[h1, h2] / (h1*h2 - 1) is the coordinate ring of G_m: one relation,
+    # every other kernel vector is a monomial multiple of it
+    data, _ = exponential_pv()
+    hopf = pv.hopf_algebra(data, degree)
+    assert hopf.relations == ["1*h1*h2 + -1*1 = 0"]
+
+
+@pytest.mark.parametrize("degree", [2, 3])
 @pytest.mark.parametrize("make", [additive_pv, exponential_pv])
 def test_mu_bijective(make, degree):
     # R (x) constants -> R (x) R is an isomorphism for a Picard-Vessiot ring

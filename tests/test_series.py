@@ -248,13 +248,6 @@ def test_hasse_deriv_iterativity_char0_and_char2():
             assert lhs == rhs
 
 
-def test_per_variable_caps():
-    s = TruncSeries(QQ, ("w",), 6, {(k,): Fraction(1) for k in range(7)}, caps=(2,))
-    assert s.terms.keys() == {(0,), (1,), (2,)}
-    t = s * s
-    assert all(e[0] <= 2 for e in t.terms)
-
-
 def test_truncated_exp():
     w = qq_series(4, {1: 1})
     e = truncated_exp(w)
