@@ -70,7 +70,11 @@ class TruncSeries:
         return cls(ring, variables, horizon, {tuple(exp): ring.one()})
 
     def _make(self, terms: dict) -> "TruncSeries":
-        return TruncSeries(self.ring, self.vars, self.horizon, terms)
+        """A series of this shape from terms already canonical for it: nonzero
+        coefficients and total degrees <= horizon, so nothing is rechecked."""
+        out = TruncSeries.__new__(TruncSeries)
+        out.ring, out.vars, out.horizon, out.terms = self.ring, self.vars, self.horizon, terms
+        return out
 
     def _check(self, other: "TruncSeries"):
         if self.ring != other.ring or self.vars != other.vars or self.horizon != other.horizon:
@@ -136,9 +140,9 @@ class TruncSeries:
 
     def scale(self, c) -> "TruncSeries":
         R = self.ring
-        if R.is_zero(c):
-            return self._make({})
-        return self._make({e: R.mul(cc, c) for e, cc in self.terms.items()})
+        # c may be zero or a zero divisor of the coefficient ring
+        return self._make({e: m for e, cc in self.terms.items()
+                           if not R.is_zero(m := R.mul(cc, c))})
 
     # -------------------------------------------------------- derivations
     def hasse_deriv(self, k: Iterable[int]) -> "TruncSeries":

@@ -116,6 +116,17 @@ def test_compose_nilpotent_constant_term():
     assert f.compose([a + w]) == a + w
 
 
+def test_products_by_zero_divisors_store_no_zero_terms():
+    # over A = Q[a]/(a^2), a*a = 0: the terms it kills must not be stored
+    A = NilAlgebra(QQ, ("a",), 2)
+    a = A.gen("a")
+    s = TruncSeries(A, ("w",), 3, {(0,): a, (1,): A.one()})
+    assert s.scale(a).terms == {(1,): a}
+    assert (s * TruncSeries.const(A, ("w",), 3, a)).terms == {(1,): a}
+    assert s.scale(A.zero()).is_zero()
+    assert (s - s).is_zero() and not (s - s).terms
+
+
 def test_compose_rejects_unit_constant_term():
     f = qq_series(3, {1: 1})
     bad = qq_series(3, {0: 1, 1: 1})
