@@ -473,6 +473,7 @@ __all__ = [
     "HullData",
     "change_basis",
     "change_basis_substitution",
+    "distinct_products",
     "find_relations",
     "hull_generators",
     "make_basis_derivation",
