@@ -41,6 +41,7 @@ def accumulate(out: dict, items, ring) -> dict:
 
 
 def add(a: dict, b: dict, ring) -> dict:
+    """The sum of two term dicts, as a new dict."""
     return accumulate(dict(a), b.items(), ring)
 
 
