@@ -1,5 +1,14 @@
 """Exact base arithmetic: prime fields and rationals, sparse multivariate
-polynomials, fraction fields, products of fields, and small matrices."""
+polynomials, fraction fields, algebraic extensions, products of fields, and
+small matrices.
+
+Every coefficient context follows one ring protocol, documented in ring.py:
+char and scalars (the prime field it is a vector space over), zero, one,
+from_int, const (the embedding of a scalar), the arithmetic add, sub, neg,
+mul, inv and div, the tests is_zero, is_unit, is_nilpotent and eq, to_str,
+gens() and scalar_coordinates.  Contexts are interned, so equal
+constructions return the same object and contexts compare by identity.
+"""
 
 from .algext import AlgebraicField
 from .fields import GF, QQ, PrimeField, RationalField, binom, scalar_field
@@ -7,6 +16,7 @@ from .frac import Frac, FracField
 from .linalg import Echelon, Matrix, kernel_basis, restriction_kernel, rref, solve_linear
 from .poly import MPoly, PolyRing, evaluate, grlex_key, poly_gcd
 from .product import ProductField
+from .ring import Ring
 
 __all__ = [
     "AlgebraicField",
@@ -30,4 +40,5 @@ __all__ = [
     "grlex_key",
     "poly_gcd",
     "ProductField",
+    "Ring",
 ]

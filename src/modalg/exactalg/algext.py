@@ -12,6 +12,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from .frac import Frac, FracField
+from .ring import Ring, stacked_coordinates
 
 
 def _poly_trim(p: list) -> list:
@@ -71,8 +72,12 @@ def _poly_gcd_ext(a: list, b: list, F: FracField) -> tuple[list, list, list]:
     return r0, s0, t0
 
 
-class AlgebraicField:
+class AlgebraicField(Ring):
     """The field base[z]/(minpoly); elements are coefficient tuples."""
+
+    @staticmethod
+    def _intern_key(base: FracField, gen: str, minpoly: Sequence[Frac]):
+        return base, gen, tuple((c.field, c.key()) for c in minpoly)
 
     def __init__(self, base: FracField, gen: str, minpoly: Sequence[Frac]):
         minpoly = list(minpoly)
@@ -81,14 +86,11 @@ class AlgebraicField:
         if not minpoly[-1] == base.one():
             raise ValueError("minimal polynomial must be monic")
         self.base = base
+        self.scalars = base.scalars
         self.gen_name = gen
         self.minpoly = minpoly
         self.degree = len(minpoly) - 1
         self.vars = base.vars + (gen,)
-
-    @property
-    def char(self) -> int:
-        return self.base.char
 
     def is_separable(self) -> bool:
         d = _poly_trim([c * self.base.from_int(i) for i, c in enumerate(self.minpoly)][1:])
@@ -120,22 +122,16 @@ class AlgebraicField:
     def one(self):
         return self.element([self.base.one()])
 
-    def from_int(self, n: int):
-        return self.from_base(self.base.from_int(n))
+    def const(self, c):
+        return self.from_base(self.base.const(c))
 
     def var(self, name: str):
         if name == self.gen_name:
             return self.element([self.base.zero(), self.base.one()])
         return self.from_base(self.base.var(name))
 
-    def gens(self):
-        return [self.var(v) for v in self.vars]
-
     def add(self, a, b):
         return tuple(x + y for x, y in zip(a, b))
-
-    def sub(self, a, b):
-        return tuple(x - y for x, y in zip(a, b))
 
     def neg(self, a):
         return tuple(-x for x in a)
@@ -147,9 +143,6 @@ class AlgebraicField:
     def is_zero(self, a) -> bool:
         return all(x.is_zero() for x in a)
 
-    def is_unit(self, a) -> bool:
-        return not self.is_zero(a)
-
     def inv(self, a):
         p = _poly_trim(list(a))
         if not p:
@@ -158,9 +151,6 @@ class AlgebraicField:
         if len(g) != 1:
             raise ZeroDivisionError("element shares a factor with the minimal polynomial")
         return self.element(_poly_scale(s, g[0].inverse()))
-
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
 
     def eq(self, a, b) -> bool:
         return all(x == y for x, y in zip(a, b))
@@ -181,26 +171,8 @@ class AlgebraicField:
         return " + ".join(parts) if parts else "0"
 
     def scalar_coordinates(self, elems: list) -> tuple[list, list[list]]:
-        labels: list = []
-        rows: list[list] = [[] for _ in elems]
-        for i in range(self.degree):
-            comp = [e[i] for e in elems]
-            sub_labels, sub_rows = self.base.scalar_coordinates(comp)
-            labels.extend((i, lab) for lab in sub_labels)
-            for j, r in enumerate(sub_rows):
-                rows[j].extend(r)
-        return labels, rows
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, AlgebraicField)
-            and self.base == other.base
-            and self.gen_name == other.gen_name
-            and all(a == b for a, b in zip(self.minpoly, other.minpoly))
-        )
-
-    def __hash__(self):
-        return hash(("AlgebraicField", self.base, self.gen_name, self.degree))
+        return stacked_coordinates(self.base, len(elems),
+                                   ((i, [e[i] for e in elems]) for i in range(self.degree)))
 
     def __repr__(self):
         return f"AlgebraicField({self.base!r}, {self.gen_name!r}, degree {self.degree})"

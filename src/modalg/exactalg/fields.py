@@ -8,7 +8,9 @@ Scalars are plain Python values; the field object says how to combine them:
 
 Every coefficient container (polynomials, fractions, series, ...) stores a
 reference to its field and routes arithmetic through it, so the same code
-runs over QQ and over GF(p) without change.
+runs over QQ and over GF(p) without change.  Both follow the ring protocol
+of ring.py as the prime fields: they are their own scalars.  Contexts are
+interned, so GF is PrimeField itself and GF(p) is GF(p) for every call.
 """
 
 from __future__ import annotations
@@ -16,8 +18,28 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+from .ring import Ring
 
-class RationalField:
+
+class _ScalarField(Ring):
+    """What the prime fields QQ and GF(p) share: each is its own scalar
+    field, so a scalar embeds as itself and is its own single coordinate."""
+
+    @property
+    def scalars(self):
+        return self
+
+    def const(self, c):
+        return c
+
+    def to_str(self, a) -> str:
+        return str(a)
+
+    def scalar_coordinates(self, elems: list) -> tuple[list, list[list]]:
+        return [()], [[c] for c in elems]
+
+
+class RationalField(_ScalarField):
     """The field of rational numbers; elements are Fraction."""
 
     char = 0
@@ -56,33 +78,28 @@ class RationalField:
     def is_zero(self, a) -> bool:
         return a == 0
 
-    def is_unit(self, a) -> bool:
-        return a != 0
-
     def eq(self, a, b) -> bool:
         return a == b
-
-    def to_str(self, a) -> str:
-        return str(a)
 
     def __repr__(self):
         return "QQ"
 
-    def __eq__(self, other):
-        return isinstance(other, RationalField)
 
-    def __hash__(self):
-        return hash("QQ")
-
-
-class PrimeField:
+class PrimeField(_ScalarField):
     """The field with p elements; elements are ints reduced into [0, p)."""
+
+    @staticmethod
+    def _intern_key(p: int):
+        return p
 
     def __init__(self, p: int):
         if p < 2 or any(p % q == 0 for q in range(2, int(math.isqrt(p)) + 1)):
             raise ValueError(f"{p} is not prime")
         self.p = p
-        self.char = p
+
+    @property
+    def char(self) -> int:
+        return self.p
 
     def zero(self):
         return 0
@@ -105,9 +122,6 @@ class PrimeField:
     def mul(self, a, b):
         return (a * b) % self.p
 
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
     def inv(self, a):
         a %= self.p
         if a == 0:
@@ -116,9 +130,6 @@ class PrimeField:
 
     def is_zero(self, a) -> bool:
         return a % self.p == 0
-
-    def is_unit(self, a) -> bool:
-        return a % self.p != 0
 
     def eq(self, a, b) -> bool:
         return (a - b) % self.p == 0
@@ -129,23 +140,9 @@ class PrimeField:
     def __repr__(self):
         return f"GF({self.p})"
 
-    def __eq__(self, other):
-        return isinstance(other, PrimeField) and other.p == self.p
-
-    def __hash__(self):
-        return hash(("GF", self.p))
-
 
 QQ = RationalField()
-
-_prime_fields: dict[int, PrimeField] = {}
-
-
-def GF(p: int) -> PrimeField:
-    """Return the (cached) prime field with p elements."""
-    if p not in _prime_fields:
-        _prime_fields[p] = PrimeField(p)
-    return _prime_fields[p]
+GF = PrimeField
 
 
 def scalar_field(char: int):

@@ -32,9 +32,10 @@ normalizes nothing.
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Sequence
 
 from .poly import MPoly, PolyRing, poly_gcd
+from .ring import Ring
 
 
 def _cancel(p: MPoly, q: MPoly) -> tuple[MPoly, MPoly]:
@@ -49,31 +50,29 @@ def _cancel(p: MPoly, q: MPoly) -> tuple[MPoly, MPoly]:
     return p.exact_div(g), q.exact_div(g)
 
 
-class FracField:
-    """Field of fractions of field[vars]; elements are Frac."""
+class FracField(Ring):
+    """Field of fractions of field[vars] over a prime field; elements are
+    Frac."""
 
-    def __init__(self, field, variables: Iterable[str]):
+    @staticmethod
+    def _intern_key(field, variables: Sequence[str]):
+        return field, tuple(variables)
+
+    def __init__(self, field, variables: Sequence[str]):
         self.scalars = field
         self.poly_ring = PolyRing(field, variables)
         self.vars = self.poly_ring.vars
-
-    @property
-    def char(self) -> int:
-        return self.scalars.char
 
     def frac(self, num: MPoly, den: MPoly) -> "Frac":
         return Frac(self, num, den)
 
     def from_poly(self, p: MPoly) -> "Frac":
-        if p.ring is not self.poly_ring and p.ring != self.poly_ring:
+        if p.ring is not self.poly_ring:
             raise ValueError("polynomial ring mismatch")
         return Frac._reduced(self, p, self.poly_ring.one())
 
     def var(self, name: str) -> "Frac":
         return self.from_poly(self.poly_ring.var(name))
-
-    def gens(self) -> list["Frac"]:
-        return [self.var(v) for v in self.vars]
 
     def zero(self) -> "Frac":
         return self.from_poly(self.poly_ring.zero())
@@ -82,16 +81,10 @@ class FracField:
         return self.from_poly(self.poly_ring.one())
 
     def const(self, c) -> "Frac":
-        return self.from_poly(self.poly_ring.const(c))
-
-    def from_int(self, n: int) -> "Frac":
-        return self.const(self.scalars.from_int(n))
+        return self.from_poly(self.poly_ring.scalar(c))
 
     def add(self, a, b):
         return a + b
-
-    def sub(self, a, b):
-        return a - b
 
     def neg(self, a):
         return -a
@@ -99,17 +92,11 @@ class FracField:
     def mul(self, a, b):
         return a * b
 
-    def div(self, a, b):
-        return a / b
-
     def inv(self, a):
         return a.inverse()
 
     def is_zero(self, a) -> bool:
         return a.num.is_zero()
-
-    def is_unit(self, a) -> bool:
-        return not a.num.is_zero()
 
     def eq(self, a, b) -> bool:
         return a == b
@@ -118,11 +105,8 @@ class FracField:
         return str(a)
 
     def scalar_coordinates(self, elems: list) -> tuple[list, list[list]]:
-        """Expand field elements into coordinates over the scalar field.
-
-        Returns (labels, rows): a common finite monomial basis after clearing
-        denominators, and one coordinate row per element.  A scalar-linear
-        combination of elems vanishes iff the combination of rows does."""
+        """Coordinates over the scalar field on the monomials of the
+        numerators after clearing denominators: labels are monomials."""
         common = self.poly_ring.one()
         for e in elems:
             g = poly_gcd(common, e.den)
@@ -135,12 +119,6 @@ class FracField:
 
     def __repr__(self):
         return f"FracField({self.scalars!r}, {self.vars})"
-
-    def __eq__(self, other):
-        return isinstance(other, FracField) and self.scalars == other.scalars and self.vars == other.vars
-
-    def __hash__(self):
-        return hash(("FracField", self.scalars, self.vars))
 
 
 class Frac:
@@ -175,7 +153,7 @@ class Frac:
         return f
 
     def _check(self, other: "Frac"):
-        if self.field is not other.field and self.field != other.field:
+        if self.field is not other.field:
             raise ValueError("fraction field mismatch")
 
     # A monic denominator is constant exactly when it is 1.
@@ -238,11 +216,8 @@ class Frac:
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
-    def is_poly(self) -> bool:
-        return self.den.is_const()
-
     def __eq__(self, other):
-        if not isinstance(other, Frac) or (self.field is not other.field and self.field != other.field):
+        if not isinstance(other, Frac) or self.field is not other.field:
             return NotImplemented
         return self.num == other.num and self.den == other.den
 

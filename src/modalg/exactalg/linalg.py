@@ -47,7 +47,7 @@ class Matrix:
         return self.rows[i][j]
 
     def __mul__(self, other: "Matrix") -> "Matrix":
-        if self.ring != other.ring or self.ncols != other.nrows:
+        if self.ring is not other.ring or self.ncols != other.nrows:
             raise ValueError("matrix shape/ring mismatch")
         R = self.ring
         out = []
@@ -62,7 +62,7 @@ class Matrix:
         return Matrix(R, out)
 
     def __add__(self, other: "Matrix") -> "Matrix":
-        if self.ring != other.ring or self.nrows != other.nrows or self.ncols != other.ncols:
+        if self.ring is not other.ring or self.nrows != other.nrows or self.ncols != other.ncols:
             raise ValueError("matrix shape/ring mismatch")
         R = self.ring
         return Matrix(R, [[R.add(a, b) for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)])
@@ -74,7 +74,7 @@ class Matrix:
         return Matrix(self.ring, [list(col) for col in zip(*self.rows)])
 
     def __eq__(self, other):
-        if not isinstance(other, Matrix) or self.ring != other.ring:
+        if not isinstance(other, Matrix) or self.ring is not other.ring:
             return NotImplemented
         if self.nrows != other.nrows or self.ncols != other.ncols:
             return False
@@ -261,21 +261,17 @@ def solve_linear(rows: list[list], rhs: list, field):
 def restriction_kernel(elems_by_column: list[list], domain, field) -> list[list]:
     """Kernel over the scalar field of a map given by columns of domain values.
 
-    Each column is a list of elements of `domain` (a ring with a
-    scalar_coordinates method, or the scalar field itself); the result is an
-    echelonized basis of the scalar vectors x with sum_j x_j * column_j = 0."""
+    Each column is a list of elements of the context `domain`; each row of
+    elements is expanded into equations over the scalars by
+    domain.scalar_coordinates.  The result is an echelonized basis of the
+    scalar vectors x with sum_j x_j * column_j = 0."""
     ncols = len(elems_by_column)
     if ncols == 0:
         return []
     height = len(elems_by_column[0])
     rows: list[list] = []
     for i in range(height):
-        slice_ = [col[i] for col in elems_by_column]
-        if hasattr(domain, "scalar_coordinates"):
-            _, coord_rows = domain.scalar_coordinates(slice_)
-            # coord_rows: one row per element; transpose to equations
-            for k in range(len(coord_rows[0]) if coord_rows else 0):
-                rows.append([coord_rows[j][k] for j in range(ncols)])
-        else:
-            rows.append(list(slice_))
+        _, coord_rows = domain.scalar_coordinates([col[i] for col in elems_by_column])
+        # coord_rows: one row per element; transpose to equations
+        rows.extend(list(eq) for eq in zip(*coord_rows))
     return kernel_basis(rows, field, ncols)

@@ -18,9 +18,10 @@ such as K[x, x^-1] without a separate representation.
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Sequence
 
 from . import terms as _terms
+from .ring import Ring, stacked_coordinates
 
 
 def grlex_key(exp: tuple[int, ...]):
@@ -57,11 +58,19 @@ def evaluate(terms, images, target, lift):
     return out
 
 
-class PolyRing:
-    """Context for MPoly values: scalar field, named variables, inverse pairs."""
+class PolyRing(Ring):
+    """Context for MPoly values: coefficient ring, named variables, inverse
+    pairs.  The coefficients live in field, which is a prime field except
+    for the polynomial rings over a NilAlgebra that carry points over test
+    algebras; scalar(c) embeds a coefficient and const(c) a scalar."""
 
-    def __init__(self, field, variables: Iterable[str], inverse_pairs: Iterable[tuple[int, int]] = ()):
+    @staticmethod
+    def _intern_key(field, variables: Sequence[str], inverse_pairs: Sequence[tuple[int, int]] = ()):
+        return field, tuple(variables), tuple(tuple(p) for p in inverse_pairs)
+
+    def __init__(self, field, variables: Sequence[str], inverse_pairs: Sequence[tuple[int, int]] = ()):
         self.field = field
+        self.scalars = field.scalars
         self.vars = tuple(variables)
         if len(set(self.vars)) != len(self.vars):
             raise ValueError("duplicate variable names")
@@ -71,10 +80,6 @@ class PolyRing:
                 raise ValueError(f"bad inverse pair ({i}, {j})")
         # the product key of two exponent tuples
         self._combine = self._reduced_sum if self.inverse_pairs else _terms.add_keys
-
-    @property
-    def char(self) -> int:
-        return self.field.char
 
     def nvars(self) -> int:
         return len(self.vars)
@@ -105,11 +110,12 @@ class PolyRing:
     def one(self) -> "MPoly":
         return MPoly(self, {(0,) * self.nvars(): self.field.one()})
 
-    def const(self, c) -> "MPoly":
+    def scalar(self, c) -> "MPoly":
+        """The constant polynomial with coefficient c of the coefficient ring."""
         return self.poly({(0,) * self.nvars(): c})
 
-    def from_int(self, n: int) -> "MPoly":
-        return self.const(self.field.from_int(n))
+    def const(self, c) -> "MPoly":
+        return self.scalar(self.field.const(c))
 
     def var(self, name: str) -> "MPoly":
         i = self.vars.index(name)
@@ -117,15 +123,9 @@ class PolyRing:
         exp[i] = 1
         return MPoly(self, {tuple(exp): self.field.one()})
 
-    def gens(self) -> list["MPoly"]:
-        return [self.var(v) for v in self.vars]
-
     # ring protocol (elements are MPoly) -------------------------------
     def add(self, a, b):
         return a + b
-
-    def sub(self, a, b):
-        return a - b
 
     def neg(self, a):
         return -a
@@ -142,6 +142,9 @@ class PolyRing:
     def is_unit(self, a) -> bool:
         return a.unit_inverse_or_none() is not None
 
+    def is_nilpotent(self, a) -> bool:
+        return all(self.field.is_nilpotent(c) for c in a.terms.values())
+
     def inv(self, a):
         r = a.unit_inverse_or_none()
         if r is None:
@@ -152,26 +155,16 @@ class PolyRing:
         return str(a)
 
     def scalar_coordinates(self, elems: list) -> tuple[list, list[list]]:
-        """Monomial coordinates over the scalar field, on a common basis."""
-        monomials = sorted({exp for p in elems for exp in p.terms})
+        """Coordinates over the scalar field: the coordinates of the
+        coefficients of each monomial, on a common basis of monomials."""
         zero = self.field.zero()
-        rows = [[p.terms.get(m, zero) for m in monomials] for p in elems]
-        return monomials, rows
+        monomials = sorted({exp for p in elems for exp in p.terms})
+        return stacked_coordinates(self.field, len(elems),
+                                   ((m, [p.terms.get(m, zero) for p in elems]) for m in monomials))
 
     def __repr__(self):
         inv = f", inverse_pairs={self.inverse_pairs}" if self.inverse_pairs else ""
         return f"PolyRing({self.field!r}, {self.vars}{inv})"
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, PolyRing)
-            and self.field == other.field
-            and self.vars == other.vars
-            and self.inverse_pairs == other.inverse_pairs
-        )
-
-    def __hash__(self):
-        return hash((self.field, self.vars, self.inverse_pairs))
 
 
 class MPoly:
@@ -215,7 +208,7 @@ class MPoly:
 
     # -- arithmetic -------------------------------------------------------
     def _check(self, other: "MPoly"):
-        if self.ring is not other.ring and self.ring != other.ring:
+        if self.ring is not other.ring:
             raise ValueError("polynomial ring mismatch")
 
     def __add__(self, other):
@@ -253,7 +246,7 @@ class MPoly:
         return MPoly(self.ring, {e: f.mul(cc, c) for e, cc in self.terms.items()})
 
     def __eq__(self, other):
-        if not isinstance(other, MPoly) or (self.ring is not other.ring and self.ring != other.ring):
+        if not isinstance(other, MPoly) or self.ring is not other.ring:
             return NotImplemented
         if self.terms.keys() != other.terms.keys():
             return False
@@ -275,7 +268,7 @@ class MPoly:
         if not f.is_unit(c):
             return None
         if all(e == 0 for e in exp):
-            return ring.const(f.inv(c))
+            return ring.scalar(f.inv(c))
         if not ring.inverse_pairs:
             return None
         inv_of = {}
@@ -331,7 +324,7 @@ class MPoly:
         """Substitute ring elements for variables (same ring)."""
         ring = self.ring
         gens = [images[v] if v in images else ring.var(v) for v in ring.vars]
-        return evaluate(self.sorted_terms(), gens, ring, ring.const)
+        return evaluate(self.sorted_terms(), gens, ring, ring.scalar)
 
     def __str__(self):
         names = self.ring.vars
@@ -391,7 +384,7 @@ def poly_gcd(a: MPoly, b: MPoly) -> MPoly:
     """GCD of two polynomials, normalized so the leading coefficient under
     graded lex order is 1.  Primitive pseudo-remainder sequence, recursing on
     the coefficient polynomials; exact over QQ and GF(p)."""
-    if a.ring != b.ring:
+    if a.ring is not b.ring:
         raise ValueError("polynomial ring mismatch")
     if a.ring.inverse_pairs:
         raise ValueError("gcd is not defined on rings with inverse pairs")

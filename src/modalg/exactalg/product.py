@@ -7,19 +7,22 @@ exactly the tuples with some (but not all) zero components.
 
 from __future__ import annotations
 
+from .ring import Ring, stacked_coordinates
 
-class ProductField:
+
+class ProductField(Ring):
     """The ring F x F x ... x F (count copies of the factor field)."""
+
+    @staticmethod
+    def _intern_key(factor, count: int):
+        return factor, count
 
     def __init__(self, factor, count: int):
         if count < 1:
             raise ValueError("product needs at least one factor")
         self.factor = factor
+        self.scalars = factor.scalars
         self.count = count
-
-    @property
-    def char(self) -> int:
-        return self.factor.char
 
     def element(self, comps) -> tuple:
         comps = tuple(comps)
@@ -36,14 +39,11 @@ class ProductField:
     def one(self):
         return self.diagonal(self.factor.one())
 
-    def from_int(self, n: int):
-        return self.diagonal(self.factor.from_int(n))
+    def const(self, c):
+        return self.diagonal(self.factor.const(c))
 
     def add(self, a, b):
         return tuple(self.factor.add(x, y) for x, y in zip(a, b))
-
-    def sub(self, a, b):
-        return tuple(self.factor.sub(x, y) for x, y in zip(a, b))
 
     def neg(self, a):
         return tuple(self.factor.neg(x) for x in a)
@@ -62,9 +62,6 @@ class ProductField:
             raise ZeroDivisionError("non-unit in product ring")
         return tuple(self.factor.inv(x) for x in a)
 
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
     def eq(self, a, b) -> bool:
         return all(self.factor.eq(x, y) for x, y in zip(a, b))
 
@@ -73,24 +70,8 @@ class ProductField:
 
     def scalar_coordinates(self, elems: list) -> tuple[list, list[list]]:
         """Componentwise scalar coordinates, concatenated over the factors."""
-        labels: list = []
-        cols: list[list] = [[] for _ in elems]
-        for i in range(self.count):
-            comp = [e[i] for e in elems]
-            if hasattr(self.factor, "scalar_coordinates"):
-                sub_labels, rows = self.factor.scalar_coordinates(comp)
-            else:
-                sub_labels, rows = [()], [[c] for c in comp]
-            labels.extend((i, lab) for lab in sub_labels)
-            for j, row in enumerate(rows):
-                cols[j].extend(row)
-        return labels, cols
+        return stacked_coordinates(self.factor, len(elems),
+                                   ((i, [e[i] for e in elems]) for i in range(self.count)))
 
     def __repr__(self):
         return f"ProductField({self.factor!r}, {self.count})"
-
-    def __eq__(self, other):
-        return isinstance(other, ProductField) and self.factor == other.factor and self.count == other.count
-
-    def __hash__(self):
-        return hash(("ProductField", self.factor, self.count))

@@ -20,7 +20,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from .actions import ActionSpec, HomElement, Report
-from .exactalg import AlgebraicField, Echelon, FracField, Matrix, kernel_basis
+from .exactalg import AlgebraicField, Echelon, FracField, kernel_basis
 from .lieritt import DiffPoly, multi_indices
 from .series import TruncSeries, formal_inverse
 from .taylor import ExpansionAlgebra
@@ -42,7 +42,7 @@ class ExtensionDesc:
         self.K_gens = list(K_gens)
         self.K_vars = tuple(K_vars)
         self.name = name
-        if action.ring != L:
+        if action.ring is not L:
             raise ValueError("action is not over the declared field")
 
     def n(self) -> int:
@@ -52,34 +52,6 @@ class ExtensionDesc:
         L = self.L
         vs = L.base.vars if isinstance(L, AlgebraicField) else L.vars
         return tuple(v for v in vs if v not in self.K_vars)
-
-    def validate(self, horizon: int = 2) -> Report:
-        """Jacobian criterion: the basis must separate, i.e. the matrix of
-        first divided derivatives of the basis elements along the variable
-        directions must be invertible over L."""
-        failures = []
-        theta0 = variable_basis_derivation(self.L, horizon, fixed_vars=self.K_vars)
-        n = self.n()
-        tvars = self.transcendental_vars()
-        if n != len(tvars):
-            failures.append(
-                f"basis length {n} does not match transcendence degree {len(tvars)}"
-            )
-        else:
-            jac = []
-            for v in self.basis:
-                s = theta0.theta_series(v, 1)
-                row = []
-                for j in range(n):
-                    e = [0] * n
-                    e[j] = 1
-                    row.append(s.coeff(tuple(e)))
-                jac.append(row)
-            try:
-                Matrix(self.L, jac).inverse()
-            except ValueError:
-                failures.append("basis Jacobian is singular; not a separating basis")
-        return Report(not failures, 1 + n, failures, {"horizon": horizon})
 
 
 def variable_basis_derivation(L, horizon: int, fixed_vars: Sequence[str] = ()) -> ActionSpec:
@@ -160,7 +132,7 @@ def make_basis_derivation(ext: ExtensionDesc, horizon: int) -> ActionSpec:
     L = ext.L
     theta0 = variable_basis_derivation(L, horizon, fixed_vars=ext.K_vars)
     tvars = ext.transcendental_vars()
-    if [str_of(L, b) for b in ext.basis] == [str_of(L, L.var(v)) for v in tvars]:
+    if [L.to_str(b) for b in ext.basis] == [L.to_str(L.var(v)) for v in tvars]:
         return theta0
     subst, rep = change_basis_substitution(L, theta0, ext.basis, horizon)
     if not rep.ok:
@@ -170,10 +142,6 @@ def make_basis_derivation(ext: ExtensionDesc, horizon: int) -> ActionSpec:
         img = theta0._theta_image(name, horizon)
         images[name] = img.compose(list(subst), strict=False)
     return ActionSpec(L, "iterder", n=theta0.n, theta_images=images, wvars=theta0.wvars)
-
-
-def str_of(L, elem) -> str:
-    return L.to_str(elem) if hasattr(L, "to_str") else str(elem)
 
 
 def change_basis_substitution(L, theta0: ActionSpec, new_basis: Sequence, horizon: int):
@@ -277,7 +245,7 @@ def hull_generators(ext: ExtensionDesc, t_horizon: int, w_horizon: int,
     rho_gens = [
         (f"rho({name})", g, algebra.expand_rho(g)) for name, g in zip(L.vars, gen_elems)
     ]
-    rho_K_gens = [(f"rho(K:{str_of(L, g)})", algebra.expand_rho(g)) for g in ext.K_gens]
+    rho_K_gens = [(f"rho(K:{L.to_str(g)})", algebra.expand_rho(g)) for g in ext.K_gens]
 
     table: dict = {}
     for i, (_, _, joint) in enumerate(rho_gens):
@@ -392,7 +360,9 @@ def find_relations(hull: HullData, diff_order: int, degree: int,
         monomials_by_degree.append(level)
     total = sum(len(lv) for lv in monomials_by_degree)
     if total > max_monomials:
-        raise ValueError(f"relation search space too large ({total} monomials)")
+        raise ValueError(f"relation search space too large ({total} monomials, above "
+                         f"max_monomials={max_monomials}); raise max_monomials or lower "
+                         f"diff_order or degree")
 
     def value(mono: tuple) -> HomElement:
         v = None

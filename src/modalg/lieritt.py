@@ -15,35 +15,38 @@ from typing import Iterable, Sequence
 
 from .exactalg import evaluate, kernel_basis, solve_linear
 from .exactalg import terms as _terms
+from .exactalg.ring import Ring, stacked_coordinates
 from .series import TruncSeries, identity_tuple
 
 
 # ----------------------------------------------------------------- algebra
 
 
-class NilAlgebra:
+class NilAlgebra(Ring):
     """L[e_1, ..., e_r] with every monomial of total degree >= order set to 0.
 
     Elements are dicts mapping exponent tuples (total degree < order) to
-    nonzero base-ring coefficients.  The nilradical is spanned by the
-    positive-degree monomials; unit_part is the degree-0 projection.
+    nonzero base-ring coefficients.  The generator names are vars.  The
+    nilradical is spanned by the positive-degree monomials; unit_part is the
+    degree-0 projection.
     """
+
+    @staticmethod
+    def _intern_key(base, gens: Sequence[str], order: int):
+        return base, tuple(gens), order
 
     def __init__(self, base, gens: Sequence[str], order: int):
         if order < 1:
             raise ValueError("nilpotency order must be >= 1")
         self.base = base
-        self.gens = tuple(gens)
+        self.scalars = base.scalars
+        self.vars = tuple(gens)
         self.order = order
         self._combine = _terms.degree_bound(order - 1)
 
-    @property
-    def char(self) -> int:
-        return self.base.char
-
     def monomials(self) -> list[tuple[int, ...]]:
         """All surviving exponent tuples, sorted by (degree, lex)."""
-        r = len(self.gens)
+        r = len(self.vars)
         out = []
         for total in range(self.order):
             for exp in _compositions(total, r):
@@ -59,24 +62,24 @@ class NilAlgebra:
         return {}
 
     def one(self):
-        return {(0,) * len(self.gens): self.base.one()}
-
-    def from_int(self, n: int):
-        return self.scalar(self.base.from_int(n))
+        return {(0,) * len(self.vars): self.base.one()}
 
     def scalar(self, c):
-        return self.element({(0,) * len(self.gens): c})
+        """The constant element with coefficient c of the base ring."""
+        return self.element({(0,) * len(self.vars): c})
 
-    def gen(self, name: str):
-        e = [0] * len(self.gens)
-        e[self.gens.index(name)] = 1
+    def const(self, c):
+        return self.scalar(self.base.const(c))
+
+    def var(self, name: str):
+        e = [0] * len(self.vars)
+        e[self.vars.index(name)] = 1
         return {tuple(e): self.base.one()}
+
+    gen = var
 
     def add(self, a, b):
         return _terms.add(a, b, self.base)
-
-    def sub(self, a, b):
-        return self.add(a, self.neg(b))
 
     def neg(self, a):
         return {exp: self.base.neg(c) for exp, c in a.items()}
@@ -87,12 +90,9 @@ class NilAlgebra:
     def is_zero(self, a) -> bool:
         return not a
 
-    def eq(self, a, b) -> bool:
-        return self.is_zero(self.sub(a, b))
-
     def unit_part(self, a):
         """Image under the projection killing the nilradical."""
-        return a.get((0,) * len(self.gens), self.base.zero())
+        return a.get((0,) * len(self.vars), self.base.zero())
 
     def nil_part(self, a):
         return {e: c for e, c in a.items() if sum(e) > 0}
@@ -118,42 +118,17 @@ class NilAlgebra:
             out = self.add(out, p)
         return self.mul(out, uinv)
 
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
     def to_str(self, a) -> str:
         items = sorted(a.items(), key=lambda t: (sum(t[0]), tuple(-x for x in t[0])))
-        return _terms.format_terms(items, self.base, lambda e: _terms.power_str(self.gens, e))
+        return _terms.format_terms(items, self.base, lambda e: _terms.power_str(self.vars, e))
 
     def scalar_coordinates(self, elems: list) -> tuple[list, list[list]]:
-        monos = self.monomials()
-        base = self.base
-        if hasattr(base, "scalar_coordinates"):
-            labels: list = []
-            rows: list[list] = [[] for _ in elems]
-            for m in monos:
-                comp = [e.get(m, base.zero()) for e in elems]
-                sub_labels, sub_rows = base.scalar_coordinates(comp)
-                labels.extend((m, lab) for lab in sub_labels)
-                for j, r in enumerate(sub_rows):
-                    rows[j].extend(r)
-            return labels, rows
-        zero = base.zero()
-        return list(monos), [[e.get(m, zero) for m in monos] for e in elems]
+        zero = self.base.zero()
+        return stacked_coordinates(self.base, len(elems),
+                                   ((m, [e.get(m, zero) for e in elems]) for m in self.monomials()))
 
     def __repr__(self):
-        return f"NilAlgebra({self.base!r}, {self.gens}, order={self.order})"
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, NilAlgebra)
-            and self.base == other.base
-            and self.gens == other.gens
-            and self.order == other.order
-        )
-
-    def __hash__(self):
-        return hash(("NilAlgebra", self.base, self.gens, self.order))
+        return f"NilAlgebra({self.base!r}, {self.vars}, order={self.order})"
 
 
 def _compositions(total: int, parts: int) -> Iterable[tuple[int, ...]]:
@@ -201,7 +176,7 @@ class InfTransform:
         if len(vars_) != n:
             raise ValueError("component count must match variable count")
         for i, phi in enumerate(self.comps):
-            if phi.ring != A:
+            if phi.ring is not A:
                 raise ValueError("component not over the declared algebra")
             for exp, c in phi.terms.items():
                 is_wi = sum(exp) == 1 and exp[i] == 1
@@ -229,7 +204,7 @@ class InfTransform:
 
     def compose(self, other: "InfTransform") -> "InfTransform":
         """self . other, the transformation w -> self(other(w))."""
-        if self.algebra != other.algebra or self.vars != other.vars or self.horizon != other.horizon:
+        if self.algebra is not other.algebra or self.vars != other.vars or self.horizon != other.horizon:
             raise ValueError("transformation context mismatch")
         H = self._work_horizon()
         lifted_inner = [p.with_horizon(H) for p in other.comps]
@@ -265,10 +240,7 @@ class InfTransform:
     def __eq__(self, other):
         if not isinstance(other, InfTransform):
             return NotImplemented
-        return (
-            self.algebra == other.algebra
-            and all(a == b for a, b in zip(self.comps, other.comps))
-        )
+        return self.algebra is other.algebra and all(a == b for a, b in zip(self.comps, other.comps))
 
     def __str__(self):
         return "(" + ", ".join(str(c) for c in self.comps) + ")"
@@ -320,24 +292,28 @@ class DiffPoly:
         ):
             raise ValueError("differential polynomial context mismatch")
 
+    def _make(self, terms: dict) -> "DiffPoly":
+        """A polynomial of this shape from terms already canonical for it:
+        sorted keys and nonzero coefficients, so nothing is rechecked."""
+        out = DiffPoly.__new__(DiffPoly)
+        out.nstreams, out.coeff_ring, out.wvars, out.horizon = (
+            self.nstreams, self.coeff_ring, self.wvars, self.horizon)
+        out.terms = terms
+        return out
+
     def __add__(self, other):
         self._check(other)
-        out = _terms.add(self.terms, other.terms, _terms.OPERATORS)
-        return DiffPoly(self.nstreams, self.coeff_ring, self.wvars, self.horizon, out)
+        return self._make(_terms.add(self.terms, other.terms, _terms.OPERATORS))
 
     def __neg__(self):
-        return DiffPoly(
-            self.nstreams, self.coeff_ring, self.wvars, self.horizon,
-            {k: -c for k, c in self.terms.items()},
-        )
+        return self._make({k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
         self._check(other)
-        out = _terms.mul(self.terms, other.terms, _terms.OPERATORS, _merge_keys)
-        return DiffPoly(self.nstreams, self.coeff_ring, self.wvars, self.horizon, out)
+        return self._make(_terms.mul(self.terms, other.terms, _terms.OPERATORS, _merge_keys))
 
     def scale_series(self, s: TruncSeries) -> "DiffPoly":
         return DiffPoly(
@@ -350,9 +326,6 @@ class DiffPoly:
 
     def symbols(self) -> set[tuple[int, tuple[int, ...]]]:
         return {sym for key in self.terms for sym, _ in key}
-
-    def max_symbol_order(self) -> int:
-        return max((sum(k) for _, k in self.symbols()), default=0)
 
     def y_degree(self) -> int:
         return max((sum(e for _, e in key) for key in self.terms), default=0)
@@ -543,14 +516,14 @@ class SolutionFamily:
         in the nilradical); the base ring must agree."""
         if self.empty:
             raise ValueError("empty solution family")
-        if algebra.base != self.algebra.base:
+        if algebra.base is not self.algebra.base:
             raise ValueError("base ring mismatch")
         for name in self.params:
             v = values[name]
             if not algebra.is_nilpotent(v):
                 raise ValueError(f"value for {name} is not nilpotent")
 
-        images = [values[name] for name in self.algebra.gens]
+        images = [values[name] for name in self.algebra.vars]
         comps = [c.map_coeffs(lambda p: evaluate(p.items(), images, algebra, algebra.scalar),
                               algebra)
                  for c in self.components]
@@ -655,7 +628,7 @@ def _correct_family(gens, family, base_ring, matrix, unknowns, coords):
             sol = solve_linear(matrix, rhs, base_ring)
             if sol is None:
                 constraints.append(
-                    "parameter monomial " + _terms.power_str(algebra.gens, mono)
+                    "parameter monomial " + _terms.power_str(algebra.vars, mono)
                     + ": residue not absorbable; the zero set satisfies an extra relation"
                 )
                 continue

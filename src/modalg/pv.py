@@ -59,7 +59,7 @@ class PVData:
         self.gen_in_X = dict(gen_in_X)
         self.name = name
         self.k = L.scalars
-        if R.field != L.scalars:
+        if R.field is not L.scalars:
             raise ValueError("principal ring must be presented over the constants field")
 
     # R-polynomials viewed inside L
@@ -216,7 +216,7 @@ class TensorRing:
 
     def _embed_poly(self, ring, p: MPoly, slot: int) -> MPoly:
         images = [ring.var(f"{v}_{slot}") for v in self.data.R.vars]
-        return evaluate(p.sorted_terms(), images, ring, ring.const)
+        return evaluate(p.sorted_terms(), images, ring, ring.scalar)
 
     def embed(self, p: MPoly, slot: int) -> MPoly:
         return self._embed_poly(self.ring, p, slot)
@@ -386,18 +386,24 @@ def hopf_algebra(data: PVData, degree: int, horizon: int | None = None) -> HopfP
     antipode = {}
     failures = []
     checked = 0
+    if not gens:
+        failures.append(f"the doubled ring has no nonscalar constant of degree <= {degree}; "
+                        f"raise degree")
+    eps = []  # the counit of each generator, None when it is not a scalar
     for name, g in zip(names, gens):
         mg = _merge_slots(tensor, g)
         checked += 1
         if not (mg.is_const()):
             failures.append(f"counit of {name} is not a scalar: {mg}")
             counit[name] = k.zero()
+            eps.append(None)
         else:
             counit[name] = mg.const_coeff()
+            eps.append(counit[name])
         comul[name] = _comultiplication(tensor, gens, g, degree, failures)
         antipode[name] = _antipode(tensor, gens, g, degree, failures)
 
-    rep_axioms = _check_hopf_axioms(tensor, gens, names, comul, counit, antipode, degree)
+    rep_axioms = _check_hopf_axioms(tensor, gens, names, comul, counit, eps, antipode, degree)
     checked += rep_axioms.checked
     failures.extend(rep_axioms.failures)
     report = Report(not failures, checked, failures, {"degree": degree, "horizon": horizon})
@@ -434,7 +440,7 @@ def _merge_slots(tensor: TensorRing, g: MPoly) -> MPoly:
 
 def _monomial(ring: PolyRing, gens: list[MPoly], exp: tuple[int, ...]) -> MPoly:
     """The generator monomial prod gens[i]^exp[i]."""
-    return evaluate(((exp, ring.field.one()),), gens, ring, ring.const)
+    return evaluate(((exp, ring.field.one()),), gens, ring, ring.scalar)
 
 
 def _hopf_relations(ring: PolyRing, gens: list[MPoly], k, degree: int) -> list[str]:
@@ -502,7 +508,7 @@ class _TripleRing:
         R = self.base.data.R
         images = ([self.ring.var(f"{v}_{slot_a}") for v in R.vars]
                   + [self.ring.var(f"{v}_{slot_b}") for v in R.vars])
-        return evaluate(g.sorted_terms(), images, self.ring, self.ring.const)
+        return evaluate(g.sorted_terms(), images, self.ring, self.ring.scalar)
 
 
 def _comultiplication(tensor: TensorRing, gens, g: MPoly, degree: int,
@@ -576,11 +582,12 @@ def _pair_keys(p: tuple, q: tuple) -> tuple:
     return _terms.add_keys(p[0], q[0]), _terms.add_keys(p[1], q[1])
 
 
-def _check_hopf_axioms(tensor: TensorRing, gens, names, comul, counit, antipode,
+def _check_hopf_axioms(tensor: TensorRing, gens, names, comul, counit, eps, antipode,
                        degree: int) -> Report:
     """Counit law, coassociativity, and the antipode law on the generators,
     all evaluated inside the slotted rings.  The counit, antipode and
-    comultiplication of a monomial are the algebra maps evaluated on it."""
+    comultiplication of a monomial are the algebra maps evaluated on it;
+    eps lists the counit of each generator, None when it is not a scalar."""
     k = tensor.data.k
     ring = tensor.ring
     failures = []
@@ -589,12 +596,7 @@ def _check_hopf_axioms(tensor: TensorRing, gens, names, comul, counit, antipode,
     def at(exp, images, target, lift):
         return evaluate(((exp, k.one()),), images, target, lift)
 
-    # the counit of a generator is its merged value, None when not a scalar
-    eps = []
-    for g in gens:
-        mg = _merge_slots(tensor, g)
-        eps.append(mg.const_coeff() if mg.is_const() else None)
-    s_images = [evaluate(antipode[n].items(), gens, ring, ring.const) for n in names]
+    s_images = [evaluate(antipode[n].items(), gens, ring, ring.scalar) for n in names]
     pairs = _PairTerms(k, len(gens))
     delta_images = [comul[n] for n in names]
     quad = _TripleRing(tensor, nslots=4)
@@ -616,7 +618,7 @@ def _check_hopf_axioms(tensor: TensorRing, gens, names, comul, counit, antipode,
         checked += 1
         acc = ring.zero()
         for (la, lb), c in comul[name].items():
-            sa = at(la, s_images, ring, ring.const)
+            sa = at(la, s_images, ring, ring.scalar)
             acc = acc + (sa * _monomial(ring, gens, lb)).scale(c)
         expected = ring.one().scale(counit[name])
         if not acc == expected:
@@ -672,10 +674,6 @@ class GaloisFamily:
         }
 
 
-def _lift_k_to_base(base, c):
-    return base.const(c) if hasattr(base, "const") else c
-
-
 class _GaloisSystem:
     """Equation assembly for sigma(X (x) 1) = (X (x) 1)(1 (x) M)."""
 
@@ -688,26 +686,21 @@ class _GaloisSystem:
     def _ra(self, A: NilAlgebra) -> PolyRing:
         return PolyRing(A, self.data.R.vars, self.data.R.inverse_pairs)
 
-    def _lift_poly(self, RA: PolyRing, A: NilAlgebra, p: MPoly) -> MPoly:
-        return RA.poly({
-            exp: A.scalar(_lift_k_to_base(A.base, c)) for exp, c in p.terms.items()
-        })
-
     def _sigma_images(self, A: NilAlgebra, M: Matrix) -> dict:
         data = self.data
         RA = self._ra(A)
-        XA = data.X.map(lambda p: self._lift_poly(RA, A, p), RA)
-        XinvA = data.Xinv.map(lambda p: self._lift_poly(RA, A, p), RA)
-        MA = Matrix(RA, [[RA.const(e) for e in row] for row in M.rows])
+        XA = data.X.map(lambda p: _lift_poly(RA, p), RA)
+        XinvA = data.Xinv.map(lambda p: _lift_poly(RA, p), RA)
+        MA = Matrix(RA, [[RA.scalar(e) for e in row] for row in M.rows])
         XM = XA * MA
         Minv = M.inverse()
-        MinvXinv = Matrix(RA, [[RA.const(e) for e in row] for row in Minv.rows]) * XinvA
+        MinvXinv = Matrix(RA, [[RA.scalar(e) for e in row] for row in Minv.rows]) * XinvA
         images = {}
         for g, (which, i, j) in data.gen_in_X.items():
             images[g] = XM.entry(i, j) if which == "X" else MinvXinv.entry(i, j)
         return images, XA, XM, MinvXinv, XinvA
 
-    def _theta_on_RA(self, A: NilAlgebra, RA: PolyRing) -> ActionSpec | None:
+    def _theta_on_RA(self, RA: PolyRing) -> ActionSpec | None:
         act = self.data.action
         if not act.has_theta():
             return None
@@ -715,19 +708,19 @@ class _GaloisSystem:
         for name in self.data.R.vars:
             img_L = act.theta_series(self.data.r_to_L(self.data.R.var(name)), self.horizon)
             terms = {
-                e: self._lift_poly(RA, A, self.data.l_to_r(c))
+                e: _lift_poly(RA, self.data.l_to_r(c))
                 for e, c in img_L.terms.items()
             }
             images[name] = TruncSeries(RA, act.wvars, self.horizon, terms)
         return ActionSpec(RA, "iterder", n=max(act.n, 1), theta_images=images,
                           wvars=act.wvars)
 
-    def _endo_on_RA(self, A: NilAlgebra, RA: PolyRing, g_idx: int) -> dict:
+    def _endo_on_RA(self, RA: PolyRing, g_idx: int) -> dict:
         act = self.data.action
         images = {}
         for name in self.data.R.vars:
             img_L = act.apply_generator(g_idx, self.data.r_to_L(self.data.R.var(name)))
-            images[name] = self._lift_poly(RA, A, self.data.l_to_r(img_L))
+            images[name] = _lift_poly(RA, self.data.l_to_r(img_L))
         return images
 
     def residues(self, A: NilAlgebra, M: Matrix) -> list:
@@ -747,7 +740,7 @@ class _GaloisSystem:
             vi, vj = data.R.vars[i], data.R.vars[j]
             eqs.append(images[vi] * images[vj] - RA.one())
         # equivariance: operators commute with sigma on the generators
-        theta_RA = self._theta_on_RA(A, RA)
+        theta_RA = self._theta_on_RA(RA)
         for kind, payload in _d_basis_entries(data.action, self.horizon):
             for name in data.R.vars:
                 g = data.R.var(name)
@@ -755,10 +748,10 @@ class _GaloisSystem:
                     dg = data.l_to_r(data.action.theta_coefficient(data.r_to_L(g), payload))
                     lhs = theta_RA.theta_series(images[name], sum(payload)).coeff(payload)
                 else:
-                    endo_images = self._endo_on_RA(A, RA, payload)
+                    endo_images = self._endo_on_RA(RA, payload)
                     lhs = _apply_sigma(RA, endo_images, images[name])
                     dg = data.l_to_r(data.action.apply_generator(payload, data.r_to_L(g)))
-                rhs = _apply_sigma(RA, images, self._lift_poly(RA, A, dg))
+                rhs = _apply_sigma(RA, images, _lift_poly(RA, dg))
                 eqs.append(lhs - rhs)
         # label each coefficient by its equation and monomial, so that the
         # coefficients of different equations never merge
@@ -767,7 +760,13 @@ class _GaloisSystem:
 
 def _apply_sigma(RA: PolyRing, images: dict, p: MPoly) -> MPoly:
     """sigma(p) for p in RA: each generator goes to its image."""
-    return evaluate(p.sorted_terms(), [images[v] for v in RA.vars], RA, RA.const)
+    return evaluate(p.sorted_terms(), [images[v] for v in RA.vars], RA, RA.scalar)
+
+
+def _lift_poly(RA: PolyRing, p: MPoly) -> MPoly:
+    """A polynomial over the constants field as an element of R (x) A."""
+    A = RA.field
+    return RA.poly({exp: A.const(c) for exp, c in p.terms.items()})
 
 
 def galois_points(data: PVData, algebra: NilAlgebra, formal: bool = True,
@@ -1023,14 +1022,12 @@ def compare(data: PVData, hull: HullData, relations, degree: int = 3) -> Compare
         for bi, c in enumerate(cs):
             if P.is_zero(c):
                 continue
-            img = img + _lift_r_elem(RA, P, data, basis[bi]).scale(c)
+            img = img + _lift_poly(RA, data.l_to_r(basis[bi])).scale(c)
         gen_images[name] = img
         partner = _partner_of(data.R, name)
         if partner is not None:
             gen_images[partner] = RA.inv(img) if RA.is_unit(img) else _nil_inverse(RA, P, img)
-    XA = data.X.map(lambda p: RA.poly({
-        exp: P.scalar(_lift_k_to_base(P.base, c)) for exp, c in p.terms.items()
-    }), RA)
+    XA = data.X.map(lambda p: _lift_poly(RA, p), RA)
     sigmaX = XA.map(lambda p: _apply_sigma(RA, gen_images, p), RA)
     Minduced = XA.inverse() * sigmaX
     const_entries = []
@@ -1069,11 +1066,6 @@ def _partner_of(R: PolyRing, name: str):
         if R.vars[j] == name:
             return R.vars[i]
     return None
-
-
-def _lift_r_elem(RA: PolyRing, P: NilAlgebra, data: PVData, b: Frac) -> MPoly:
-    p = data.l_to_r(b)
-    return RA.poly({exp: P.scalar(_lift_k_to_base(P.base, c)) for exp, c in p.terms.items()})
 
 
 def _nil_inverse(RA: PolyRing, P: NilAlgebra, img: MPoly) -> MPoly:
@@ -1135,8 +1127,8 @@ def _match_parameters(Minduced: Matrix, gal: GaloisFamily, P: NilAlgebra):
     matrices and verify the substitution reproduces the induced matrix."""
     base = gal.algebra.base
     n = Minduced.nrows
-    src_params = P.gens
-    tgt_params = gal.algebra.gens
+    src_params = P.vars
+    tgt_params = gal.algebra.vars
     # build the linear map on parameters: columns indexed by target params,
     # equations indexed by (entry, source param)
     mat = []
@@ -1151,7 +1143,7 @@ def _match_parameters(Minduced: Matrix, gal: GaloisFamily, P: NilAlgebra):
                     row.append(gal.M.entry(i, j).get(t_mono, base.zero()))
                 mat.append(row)
                 c = Minduced.entry(i, j).const_coeff().get(s_mono, P.base.zero())
-                rhs.append(_project_to_P(P, c))
+                rhs.append(c)
         # one solve per source parameter would interleave; solve jointly below
     # solve for the full linear substitution T with params_target = T params_src
     nsrc, ntgt = len(src_params), len(tgt_params)
@@ -1182,13 +1174,12 @@ def _match_parameters(Minduced: Matrix, gal: GaloisFamily, P: NilAlgebra):
             c = T[sp][tp]
             if not base.is_zero(c):
                 mono = tuple(1 if t == sp else 0 for t in range(nsrc))
-                v = P.add(v, P.element({mono: _project_to_P(P, c)}))
+                v = P.add(v, P.element({mono: c}))
         subs_vals.append(v)
     for i in range(n):
         for j in range(n):
-            got = evaluate(gal.M.entry(i, j).items(), subs_vals, P,
-                           lambda c: P.scalar(_project_to_P(P, c)))
-            want = _coerce_entry(Minduced.entry(i, j).const_coeff(), P)
+            got = evaluate(gal.M.entry(i, j).items(), subs_vals, P, P.scalar)
+            want = Minduced.entry(i, j).const_coeff()
             if not P.eq(got, want):
                 return None
     desc = {}
@@ -1202,19 +1193,6 @@ def _match_parameters(Minduced: Matrix, gal: GaloisFamily, P: NilAlgebra):
         desc[name] = " + ".join(parts) if parts else "0"
     return {"bijective": bij, "matrix": T,
             "description": "; ".join(f"{k} -> {v}" for k, v in sorted(desc.items()))}
-
-
-def _project_to_P(P: NilAlgebra, c):
-    if hasattr(P.base, "const") and not hasattr(c, "num"):
-        return P.base.const(c)
-    return c
-
-
-def _coerce_entry(v, P: NilAlgebra):
-    out = P.zero()
-    for mono, c in v.items():
-        out = P.add(out, P.element({mono: _project_to_P(P, c)}))
-    return out
 
 
 def _homomorphism_check(data: PVData, hull: HullData, um: UmemuraReport, degree: int) -> bool:
@@ -1265,14 +1243,12 @@ def _induced_matrix(data: PVData, hull: HullData, P: NilAlgebra, transform, degr
         for bi, c in enumerate(coeffs):
             if P.is_zero(c):
                 continue
-            r_img = r_img + _lift_r_elem(RA, P, data, basis[bi]).scale(c)
+            r_img = r_img + _lift_poly(RA, data.l_to_r(basis[bi])).scale(c)
         gen_images[name] = r_img
         partner = _partner_of(data.R, name)
         if partner is not None:
             gen_images[partner] = _nil_inverse(RA, P, r_img)
-    XA = data.X.map(lambda p: RA.poly({
-        exp: P.scalar(_lift_k_to_base(P.base, c)) for exp, c in p.terms.items()
-    }), RA)
+    XA = data.X.map(lambda p: _lift_poly(RA, p), RA)
     sigmaX = XA.map(lambda p: _apply_sigma(RA, gen_images, p), RA)
     M = XA.inverse() * sigmaX
     out = []

@@ -25,13 +25,6 @@ from .exactalg import Matrix, evaluate
 from .exactalg import terms as _terms
 
 
-def _ring_is_nilpotent(ring, c) -> bool:
-    probe = getattr(ring, "is_nilpotent", None)
-    if probe is not None:
-        return probe(c)
-    return ring.is_zero(c)
-
-
 class TruncSeries:
     """Series sum_e c_e * w^e with |e| <= horizon, canonical sparse terms."""
 
@@ -77,7 +70,7 @@ class TruncSeries:
         return out
 
     def _check(self, other: "TruncSeries"):
-        if self.ring != other.ring or self.vars != other.vars or self.horizon != other.horizon:
+        if self.ring is not other.ring or self.vars != other.vars or self.horizon != other.horizon:
             raise ValueError("series context mismatch")
 
     # ------------------------------------------------------------- queries
@@ -182,7 +175,7 @@ class TruncSeries:
         if strict:
             for p in phis:
                 c0 = p.constant_term()
-                if not _ring_is_nilpotent(p.ring, c0):
+                if not p.ring.is_nilpotent(c0):
                     raise ValueError("substitution needs zero or nilpotent constant term")
         S = SeriesRing(tgt.ring, tgt.vars, tgt.horizon)
         return evaluate(self.sorted_terms(), phis, S, S.const)
@@ -196,11 +189,11 @@ class TruncSeries:
         inv0 = R.inv(c0)
         one = TruncSeries.one(R, self.vars, self.horizon)
         g = one - self.scale(inv0)
-        # g has zero constant term up to nilpotents, so the geometric sum
-        # terminates within horizon + nilpotency order steps
+        # g has zero constant term, so g^(horizon + 1) vanishes and the
+        # geometric sum ends within horizon + 1 steps
         acc = one
         p = one
-        for _ in range(self.horizon + _nil_order(R) + 1):
+        for _ in range(self.horizon + 1):
             p = p * g
             if p.is_zero():
                 break
@@ -286,10 +279,17 @@ def formal_inverse(phis: Sequence[TruncSeries], max_extra_sweeps: int = 4) -> tu
     if len(phis) != n:
         raise ValueError("need as many series as variables")
     R = base.ring
+    sweeps = base.horizon + max_extra_sweeps
     for p in phis:
         base._check(p)
-        if not _ring_is_nilpotent(R, p.constant_term()):
+        c0 = p.constant_term()
+        if not R.is_nilpotent(c0):
             raise ValueError("formal inverse needs zero or nilpotent constant terms")
+        # each nonzero power of a constant term may cost one more sweep
+        c = c0
+        while not R.is_zero(c):
+            sweeps += 1
+            c = R.mul(c, c0)
     unit_exps = []
     for i in range(n):
         e = [0] * n
@@ -300,7 +300,6 @@ def formal_inverse(phis: Sequence[TruncSeries], max_extra_sweeps: int = 4) -> tu
 
     ident = identity_tuple(R, base.vars, base.horizon)
     g = list(ident)
-    sweeps = base.horizon + max_extra_sweeps + _nil_order(R)
     for _ in range(sweeps):
         resid = [phis[i].compose(g, strict=False) - ident[i] for i in range(n)]
         if all(r.is_zero() for r in resid):
@@ -323,14 +322,10 @@ def _sum_series(items: list[TruncSeries]) -> TruncSeries:
     return out
 
 
-def _nil_order(ring) -> int:
-    return getattr(ring, "order", 0) or 0
-
-
 def truncated_exp(s: TruncSeries) -> TruncSeries:
     """exp of a series with zero constant term, characteristic 0 only."""
     R = s.ring
-    if getattr(R, "char", 0) != 0:
+    if R.char != 0:
         raise ValueError("exp needs characteristic 0")
     if not R.is_zero(s.constant_term()):
         raise ValueError("exp needs zero constant term")

@@ -21,7 +21,7 @@ from __future__ import annotations
 from typing import Callable, Sequence
 
 from .actions import ActionSpec, HomElement, Report
-from .exactalg import evaluate
+from .exactalg import Frac, evaluate
 from .series import TruncSeries
 
 
@@ -31,7 +31,7 @@ def ring_hom(elem, images: dict, target, lift: Callable):
     def at(p):
         return evaluate(p.sorted_terms(), [images[v] for v in p.ring.vars], target, lift)
 
-    if hasattr(elem, "num"):  # fraction
+    if isinstance(elem, Frac):
         return target.mul(at(elem.num), target.inv(at(elem.den)))
     return at(elem)
 
@@ -45,11 +45,8 @@ class TaylorMap:
         self.word_bound = action.default_word_bound() if word_bound is None else word_bound
         self._cache: dict = {}
 
-    def _key(self, elem):
-        return elem.key() if hasattr(elem, "key") else str(elem)
-
     def expand(self, elem) -> HomElement:
-        k = self._key(elem)
+        k = self.action.ring.to_str(elem)
         if k not in self._cache:
             self._cache[k] = self.action.expand(elem, self.horizon, self.word_bound)
         return self._cache[k]
@@ -329,11 +326,6 @@ class JointElement:
             for e, c in s.terms.items():
                 out[(word, e[:nt], e[nt:])] = c
         return out
-
-    def ev_unit_origin(self):
-        """Value at the unit word with t = w = 0."""
-        word = self.alg.monoid.unit() if self.alg.monoid is not None else 0
-        return self.data[word].coeff((0,) * len(self.alg.vars))
 
     def __str__(self):
         if self.alg.monoid is None or self.alg.word_bound == 0:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-from .exactalg import evaluate
+from .exactalg import Frac, evaluate
 from .exactalg import terms as _terms
 from .hull import HullData
 from .lieritt import (
@@ -135,7 +135,7 @@ def build_ideal(hull: HullData, relations: Sequence[DiffPoly]) -> LieRittIdeal:
         multiplier = None
         for _, coeff in rel.terms.items():
             c = coeff.coeff((0,) * len(coeff.vars))
-            if hasattr(c, "den") and not c.den.is_const():
+            if isinstance(c, Frac) and not c.den.is_const():
                 den = L.from_poly(c.den)
                 m = theta_u.theta_series(den, wh)
                 multiplier = m if multiplier is None else multiplier * m
@@ -185,7 +185,7 @@ def _normalize(poly: DiffPoly, L) -> DiffPoly | None:
     s = _unit_scalar(L, c)
     if s is None:
         return poly
-    inv = _lift_scalar_inv(L, s)
+    inv = L.const(L.scalars.inv(s))
     return DiffPoly(
         poly.nstreams, poly.coeff_ring, poly.wvars, poly.horizon,
         {k: ser.scale(inv) for k, ser in poly.terms.items()},
@@ -194,7 +194,7 @@ def _normalize(poly: DiffPoly, L) -> DiffPoly | None:
 
 def _unit_scalar(L, c):
     """The scalar-field content of a field element's canonical form."""
-    if hasattr(c, "num"):  # fraction over a polynomial ring
+    if isinstance(c, Frac):
         if c.num.is_zero():
             return None
         _, lead = c.num.leading()
@@ -206,16 +206,6 @@ def _unit_scalar(L, c):
                 return lead
         return None
     return c
-
-
-def _lift_scalar_inv(L, s):
-    scalars = L.scalars if hasattr(L, "scalars") else L
-    inv = scalars.inv(s)
-    if hasattr(L, "const"):
-        return L.const(inv)
-    if hasattr(L, "from_base"):
-        return L.from_base(L.base.const(inv))
-    return inv
 
 
 def _term_order(key):

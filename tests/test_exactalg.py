@@ -1,5 +1,5 @@
 """Base arithmetic tests: scalar fields, binomials, polynomials, fractions,
-matrices, row reduction.  Expected values for the derived cases are computed
+the ring protocol and interning of contexts, matrices, row reduction.  Expected values for the derived cases are computed
 by independent oracles (direct expansion, Lucas digits, cross-multiplication,
 adjugate, a dense elimination loop)."""
 
@@ -16,13 +16,16 @@ from hypothesis import strategies as st
 from modalg.exactalg import (
     GF,
     QQ,
+    AlgebraicField,
     Echelon,
     Frac,
     FracField,
     Matrix,
     MPoly,
     PolyRing,
+    PrimeField,
     ProductField,
+    RationalField,
     binom,
     kernel_basis,
     poly_gcd,
@@ -30,6 +33,7 @@ from modalg.exactalg import (
     rref,
     solve_linear,
 )
+from modalg.lieritt import NilAlgebra
 
 
 # ---------------------------------------------------------------- scalars
@@ -332,6 +336,76 @@ def test_product_field_componentwise():
     b = P.element([Fraction(1), Fraction(2), Fraction(3)])
     assert P.is_unit(b)
     assert P.mul(b, P.inv(b)) == P.one()
+
+
+# -------------------------------------------------------------- contexts
+
+
+def test_contexts_are_interned():
+    assert RationalField() is QQ
+    assert GF(7) is PrimeField(7) and GF(7) is not GF(5)
+    assert PolyRing(QQ, ["x"]) is PolyRing(QQ, ("x",))
+    assert PolyRing(QQ, ["y", "yi"], inverse_pairs=[(0, 1)]) is PolyRing(QQ, ("y", "yi"), [[0, 1]])
+    assert PolyRing(QQ, ["x"]) is not PolyRing(GF(7), ["x"])
+    F = FracField(QQ, ["y"])
+    assert FracField(QQ, ("y",)) is F and F.poly_ring is PolyRing(QQ, ["y"])
+    assert NilAlgebra(F, ["a", "b"], 3) is NilAlgebra(F, ("a", "b"), 3)
+    assert NilAlgebra(F, ("a", "b"), 3) is not NilAlgebra(F, ("a", "b"), 2)
+    assert ProductField(QQ, 3) is ProductField(QQ, 3)
+    u = FracField(QQ, ["u"])
+    minpoly = [-u.var("u"), u.zero(), u.one()]
+    assert AlgebraicField(u, "z", minpoly) is AlgebraicField(u, "z", tuple(minpoly))
+    # an equal construction is the same object, so contexts compare by identity
+    assert PolyRing(QQ, ["x"]) == PolyRing(QQ, ["x"])
+    assert {F: 1}[FracField(QQ, ["y"])] == 1
+
+
+def test_bad_context_arguments_raise_on_every_call():
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            PrimeField(4)
+        with pytest.raises(ValueError):
+            GF(1)
+        with pytest.raises(ValueError):
+            PolyRing(QQ, ["x", "x"])
+        with pytest.raises(ValueError):
+            PolyRing(QQ, ["x", "y"], inverse_pairs=[(0, 2)])
+        with pytest.raises(ValueError):
+            FracField(QQ, ["y", "y"])
+        with pytest.raises(ValueError):
+            NilAlgebra(QQ, ("a",), 0)
+        with pytest.raises(ValueError):
+            ProductField(QQ, 0)
+        u = FracField(QQ, ["u"])
+        with pytest.raises(ValueError):
+            AlgebraicField(u, "z", [u.one(), u.one(), u.from_int(2)])
+
+
+def test_every_context_answers_the_protocol():
+    F = FracField(GF(5), ["y"])
+    u = FracField(QQ, ["u"])
+    contexts = [QQ, GF(5), PolyRing(QQ, ["x"]), F, ProductField(F, 2),
+                NilAlgebra(F, ("a",), 2),
+                AlgebraicField(u, "z", [-u.var("u"), u.zero(), u.one()])]
+    for R in contexts:
+        assert R.scalars in (QQ, GF(5)) and R.char == R.scalars.char
+        two = R.from_int(2)
+        assert R.eq(two, R.const(R.scalars.from_int(2)))
+        assert R.eq(R.add(R.one(), R.one()), two)
+        assert R.eq(R.sub(two, R.one()), R.one())
+        assert R.eq(R.div(two, two), R.one())
+        assert R.is_unit(two) and not R.is_nilpotent(two) and R.is_nilpotent(R.zero())
+        assert R.to_str(R.zero()) in ("0", "(0, 0)")
+        elems = [R.one(), two] + R.gens()
+        labels, rows = R.scalar_coordinates(elems)
+        assert len(rows) == len(elems) and all(len(r) == len(labels) for r in rows)
+        # -2 * 1 + 1 * two = 0 is the one scalar relation between 1 and two
+        k = R.scalars
+        kernel = restriction_kernel([[R.one()], [two]], R, k)
+        assert kernel == [[k.from_int(-2), k.one()]]
+    assert QQ.gens() == [] and QQ.scalar_coordinates([Fraction(3)]) == ([()], [[Fraction(3)]])
+    A = NilAlgebra(QQ, ("a",), 2)
+    assert A.is_nilpotent(A.gen("a")) and A.gens() == [A.gen("a")]
 
 
 # ---------------------------------------------------------------- matrices

@@ -304,6 +304,12 @@ def test_find_relations_self_check_raises(monkeypatch):
         find_relations(hull, diff_order=1, degree=1)
 
 
+def test_find_relations_search_space_error_names_the_bound():
+    hull = hull_generators(additive_ext(), t_horizon=3, w_horizon=3)
+    with pytest.raises(ValueError, match="max_monomials=10"):
+        find_relations(hull, diff_order=3, degree=2, max_monomials=10)
+
+
 def test_find_relations_trivial_action():
     L = FracField(QQ, ["y"])
     triv = ActionSpec(L, "trivial", n=1)

@@ -1,5 +1,7 @@
 """Source hygiene: no module of the library imports a name it never uses,
-and no private function or method of the library goes unreferenced.
+no private function or method of the library goes unreferenced, and no
+module probes an object with hasattr or getattr (a context answers the ring
+protocol of exactalg/ring.py instead).
 
 Package __init__.py files are exempt from the import check, since their
 imports are re-exports.  Names are read with ast only; a name counts as used
@@ -125,3 +127,29 @@ def test_library_private_functions_are_referenced():
     sources = {str(p.relative_to(SRC)): p.read_text() for p in sorted(SRC.rglob("*.py"))}
     dead = unreferenced_private_functions(sources)
     assert not dead, "unreferenced private functions: " + ", ".join(dead)
+
+
+def attribute_probes(source: str) -> list[tuple[str, int]]:
+    """(name, line) of every call of hasattr or getattr in the source."""
+    return sorted(
+        (n.func.id, n.lineno) for n in ast.walk(ast.parse(source))
+        if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+        and n.func.id in ("hasattr", "getattr")
+    )
+
+
+def test_probe_scanner():
+    source = (
+        "def f(ring, x):\n"
+        "    if hasattr(ring, 'const'):\n"
+        "        return ring.const(x)\n"
+        "    probe = getattr(ring, 'order', 0)\n"
+        "    return ring.hasattr + probe  # hasattr(ring) in a comment\n"
+    )
+    assert attribute_probes(source) == [("getattr", 4), ("hasattr", 2)]
+
+
+def test_library_has_no_attribute_probes():
+    probes = [f"{p.relative_to(SRC)}:{line} {name}"
+              for p in sorted(SRC.rglob("*.py")) for name, line in attribute_probes(p.read_text())]
+    assert not probes, "attribute probes: " + ", ".join(probes)

@@ -48,8 +48,8 @@ def test_sum_coefficients_print_in_parentheses():
     c1, c3 = A.gen("c1"), A.gen("c3")
     R = PolyRing(A, ["y"])
     y = R.var("y")
-    assert str(R.const(c1) + R.const(A.add(A.one(), c3)) * y) == "(1 + c3)*y + c1"
-    assert str(R.const(A.sub(c1, c3)) * y) == "(c1 - c3)*y"
+    assert str(R.scalar(c1) + R.scalar(A.add(A.one(), c3)) * y) == "(1 + c3)*y + c1"
+    assert str(R.scalar(A.sub(c1, c3)) * y) == "(c1 - c3)*y"
     # the other printers share the rule
     assert str(series(A, 2, {(1,): A.sub(c1, c3)})) == "(c1 - c3)*w"
     assert A.to_str(A.mul(A.add(A.one(), c1), A.sub(A.one(), c3))) == "1 + c1 - c3"

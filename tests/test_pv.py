@@ -10,7 +10,7 @@ import pytest
 
 from modalg import pv
 from modalg.actions import ActionSpec
-from modalg.exactalg import QQ, FracField, Matrix, PolyRing, solve_linear
+from modalg.exactalg import GF, QQ, FracField, Matrix, PolyRing, solve_linear
 from modalg.hull import ExtensionDesc, find_relations, hull_generators
 from modalg.lieritt import NilAlgebra
 from modalg.series import TruncSeries, truncated_exp
@@ -83,13 +83,13 @@ def test_split_tensor_matches_per_monomial_solve(monkeypatch):
             assert all(P.eq(a, b) for a, b in zip(got, want))
 
 
-def additive_pv():
-    """R = Q[y], X = [[1, y], [0, 1]] for theta(y) = y + w."""
-    L = FracField(QQ, ["y"])
+def additive_pv(field=QQ):
+    """R = k[y], X = [[1, y], [0, 1]] for theta(y) = y + w."""
+    L = FracField(field, ["y"])
     y = L.var("y")
     img = TruncSeries(L, ("w",), 8, {(0,): y, (1,): L.one()})
     action = ActionSpec(L, "iterder", n=1, theta_images={"y": img})
-    R = PolyRing(QQ, ["y"])
+    R = PolyRing(field, ["y"])
     X = Matrix(R, [[R.one(), R.var("y")], [R.zero(), R.one()]])
     data = pv.PVData(L, action, R, X, {"y": ("X", 0, 1)}, name="additive")
     return data, ExtensionDesc(L, [y], action, name="additive")
@@ -127,6 +127,20 @@ def test_verify_additive_holds(degree):
     assert report.ok, report.failures
 
 
+def test_additive_pv_in_characteristic_7():
+    # the constants of GF(7)(y) of degree <= 3 are the scalars: the order-1
+    # divided derivative must be imposed, not only the orders 7, 49, ...
+    data, ext = additive_pv(GF(7))
+    for degree in (2, 3):
+        report = pv.verify(data, degree)
+        assert report.ok, report.failures
+    assert pv.lie_dim(data) == 1
+    hull = hull_generators(ext, t_horizon=3, w_horizon=3)
+    rels = find_relations(hull, diff_order=3, degree=2)
+    d = pv.compare(data, hull, rels, degree=3).as_dict()
+    assert d["ok"] and d["formal_group"]["tag"] == "Ga_hat"
+
+
 @pytest.mark.parametrize("degree", [2, 3])
 def test_verify_exponential_holds(degree):
     # the constants are the powers of y_1*yi_2, of degree 2; yi_2^d needs d
@@ -160,6 +174,15 @@ def test_hopf_algebra_additive_is_primitive():
         assert d["antipode"] == {"h": "-1*h"}
         assert d["comultiplication"] == {"h": "1*1(x)h + 1*h(x)1"}
         assert d["relations"] == []
+
+
+def test_hopf_algebra_below_constant_degree_names_the_bound():
+    # the grouplike constants have degree 2: at degree 1 nothing is found,
+    # and the report must say so instead of passing with nothing checked
+    data, _ = exponential_pv()
+    report = pv.hopf_algebra(data, 1).report
+    assert not report.ok
+    assert "degree <= 1" in report.failures[0] and "raise degree" in report.failures[0]
 
 
 @pytest.mark.parametrize("degree", [2, 3])
