@@ -229,10 +229,8 @@ class Frac:
         return (self.num.key(), self.den.key())
 
     def __str__(self):
-        if self.den.is_const():
-            if self.num.is_const() or len(self.num.terms) == 1:
-                return str(self.num)
-            return f"({self.num})"
+        if self.den.is_const():  # the monic denominator is 1
+            return str(self.num)
         n = str(self.num) if len(self.num.terms) == 1 else f"({self.num})"
         d = str(self.den) if len(self.den.terms) == 1 else f"({self.den})"
         return f"{n}/{d}"

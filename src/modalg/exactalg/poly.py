@@ -383,7 +383,9 @@ def _pseudo_rem(a: MPoly, b: MPoly, i: int) -> MPoly:
 def poly_gcd(a: MPoly, b: MPoly) -> MPoly:
     """GCD of two polynomials, normalized so the leading coefficient under
     graded lex order is 1.  Primitive pseudo-remainder sequence, recursing on
-    the coefficient polynomials; exact over QQ and GF(p)."""
+    the coefficient polynomials, except that a gcd with a one-term argument
+    (a Laurent denominator, say) is a monomial read off the exponents; exact
+    over QQ and GF(p)."""
     if a.ring is not b.ring:
         raise ValueError("polynomial ring mismatch")
     if a.ring.inverse_pairs:
@@ -406,14 +408,25 @@ def _content_and_primitive(p: MPoly, i: int) -> tuple[MPoly, MPoly]:
     return content, _from_coeffs(p.ring, i, prim)
 
 
+def _monomial_gcd(m: MPoly, p: MPoly) -> MPoly:
+    """gcd of a one-term m and a nonzero p: the monomial whose exponents are
+    the componentwise minimum of m's exponents and all exponents of p."""
+    (low,) = m.terms
+    for exp in p.terms:
+        low = tuple(map(min, low, exp))
+    return MPoly(m.ring, {low: m.ring.field.one()})
+
+
 def _gcd_rec(a: MPoly, b: MPoly) -> MPoly:
     ring = a.ring
     if a.is_zero():
         return b
     if b.is_zero():
         return a
-    if a.is_const() or b.is_const():
-        return ring.one()
+    if len(a.terms) == 1:
+        return _monomial_gcd(a, b)
+    if len(b.terms) == 1:
+        return _monomial_gcd(b, a)
     i = next(k for k in range(ring.nvars()) if a.degree_in(k) > 0 or b.degree_in(k) > 0)
     if a.degree_in(i) < b.degree_in(i):
         a, b = b, a

@@ -61,19 +61,20 @@ class PVData:
         self.k = L.scalars
         if R.field is not L.scalars:
             raise ValueError("principal ring must be presented over the constants field")
+        # the other generator of each inverse pair, by name
+        self.partner = {}
+        for i, j in R.inverse_pairs:
+            self.partner[R.vars[i]] = R.vars[j]
+            self.partner[R.vars[j]] = R.vars[i]
 
     # R-polynomials viewed inside L
     def r_to_L(self, p: MPoly) -> Frac:
-        inv_of = {}
-        for i, j in self.R.inverse_pairs:
-            inv_of[self.R.vars[i]] = self.R.vars[j]
-            inv_of[self.R.vars[j]] = self.R.vars[i]
         images = []
         for name in self.R.vars:
             if name in self.L.vars:
                 images.append(self.L.var(name))
             else:
-                base = inv_of.get(name)
+                base = self.partner.get(name)
                 if base is None or base not in self.L.vars:
                     raise ValueError(f"generator {name} has no location in L")
                 images.append(self.L.var(base).inverse())
@@ -86,27 +87,20 @@ class PVData:
         if len(den.terms) != 1:
             raise ValueError(f"{f} is not visibly in the principal ring")
         (dexp, dc), = den.terms.items()
-        inv_name = {}
-        for i, j in self.R.inverse_pairs:
-            inv_name[self.R.vars[i]] = self.R.vars[j]
-            inv_name[self.R.vars[j]] = self.R.vars[i]
-        out = self.R.zero()
-        dinv = self.k.inv(dc)
+        R, names = self.R, f.field.vars
+        # a term's net exponent of a generator is a power of the generator
+        # when it is >= 0 and a power of its partner otherwise: the exponents
+        # of the generators come first, then those of the partners
+        terms = []
         for exp, c in f.num.sorted_terms():
-            terms = {(0,) * self.R.nvars(): self.k.mul(c, dinv)}
-            t = MPoly(self.R, terms)
-            for i, e in enumerate(exp):
-                name = f.field.vars[i]
-                net = e - dexp[i]
-                if net >= 0:
-                    t = t * self.R.var(name) ** net
-                else:
-                    partner = inv_name.get(name)
-                    if partner is None:
-                        raise ValueError(f"{f} is not in the principal ring")
-                    t = t * self.R.var(partner) ** (-net)
-            out = out + t
-        return out
+            net = [e - d for e, d in zip(exp, dexp)]
+            if any(e < 0 and name not in self.partner for e, name in zip(net, names)):
+                raise ValueError(f"{f} is not in the principal ring")
+            terms.append((tuple(max(e, 0) for e in net) + tuple(max(-e, 0) for e in net), c))
+        images = ([R.var(name) for name in names]
+                  + [R.var(self.partner[name]) if name in self.partner else None for name in names])
+        dinv = self.k.inv(dc)
+        return evaluate(terms, images, R, lambda c: R.scalar(self.k.mul(c, dinv)))
 
 
 def _d_basis_entries(action: ActionSpec, horizon: int) -> list[tuple]:
@@ -677,9 +671,8 @@ class GaloisFamily:
 class _GaloisSystem:
     """Equation assembly for sigma(X (x) 1) = (X (x) 1)(1 (x) M)."""
 
-    def __init__(self, data: PVData, base, horizon: int):
+    def __init__(self, data: PVData, horizon: int):
         self.data = data
-        self.base = base
         self.horizon = horizon
         self.n = data.X.nrows
 
@@ -783,7 +776,7 @@ def galois_points(data: PVData, algebra: NilAlgebra, formal: bool = True,
         raise ValueError("only formal points are solved; for points over a plain "
                          "algebra use the Hopf presentation")
     base = algebra.base
-    sys = _GaloisSystem(data, base, horizon)
+    sys = _GaloisSystem(data, horizon)
     n = data.X.nrows
     nunknowns = n * n
 
@@ -921,10 +914,7 @@ def find_rational_point(data: PVData, height: int = 3):
     generators (nonzero for invertible ones) making X invertible."""
     R = data.R
     k = data.k
-    inv_partner = {}
-    for i, j in R.inverse_pairs:
-        inv_partner[R.vars[i]] = R.vars[j]
-        inv_partner[R.vars[j]] = R.vars[i]
+    inv_partner = data.partner
     primary = [v for v in R.vars if v not in inv_partner or v < inv_partner[v]]
     candidates = [c for c in range(-height, height + 1)]
     candidates.sort(key=lambda c: (abs(c), -c))
@@ -989,57 +979,30 @@ def compare(data: PVData, hull: HullData, relations, degree: int = 3) -> Compare
 
     # rewrite each reconstructed image in split form: sum of deformed
     # expansions of R-monomials times w-free coefficients
-    alg = hull.algebra
     L = data.L
-    basis = [data.r_to_L(m) for m in _laurent_monomials(data.R, degree)]
-    alg_P = alg.with_ring(P)
-    deformed = [alg_P._deform_hom(alg.expand_plain(b), P.scalar) for b in basis]
+    split = _SplitOperator(L, [data.r_to_L(m) for m in _laurent_monomials(data.R, degree)],
+                           hull.algebra)
     sigma_images = {}
-    param_map_rows = []
     for label, _, _ in hull.rho_gens:
-        img = um.images[label]
-        coeffs = _split_tensor(img, deformed, P, L)
+        coeffs = split.split(um.images[label], P)
         if coeffs is None:
             return CompareReport(False, {
                 "error": f"image of {label} is not split by the R-monomial basis; "
                          f"an etale twist would be required"})
         sigma_images[label] = coeffs
     details["sigma_images"] = {
-        lbl: " + ".join(f"({P.to_str(c)})*({L.to_str(b)})" for b, c in pairs)
-        for lbl, pairs in (
-            (lbl, [(basis[i], c) for i, c in enumerate(cs) if not P.is_zero(c)])
-            for lbl, cs in sigma_images.items()
-        )
+        lbl: " + ".join(f"({P.to_str(c)})*({L.to_str(b)})"
+                        for b, c in zip(split.basis, cs) if not P.is_zero(c))
+        for lbl, cs in sigma_images.items()
     }
 
     # induced matrix on X: sigma(X) entrywise through the generator images
-    RA = PolyRing(P, data.R.vars, data.R.inverse_pairs)
-    gen_images = {}
-    for i, name in enumerate(data.L.vars):
-        label = f"rho({name})"
-        cs = sigma_images[label]
-        img = RA.zero()
-        for bi, c in enumerate(cs):
-            if P.is_zero(c):
-                continue
-            img = img + _lift_poly(RA, data.l_to_r(basis[bi])).scale(c)
-        gen_images[name] = img
-        partner = _partner_of(data.R, name)
-        if partner is not None:
-            gen_images[partner] = RA.inv(img) if RA.is_unit(img) else _nil_inverse(RA, P, img)
-    XA = data.X.map(lambda p: _lift_poly(RA, p), RA)
-    sigmaX = XA.map(lambda p: _apply_sigma(RA, gen_images, p), RA)
-    Minduced = XA.inverse() * sigmaX
-    const_entries = []
-    for row in Minduced.rows:
-        for e in row:
-            if not e.is_const():
-                return CompareReport(False, {
-                    "error": "induced matrix is not constant over the test algebra"})
-            const_entries.append(e.const_coeff())
-    details["induced_matrix"] = "[" + "; ".join(
-        ", ".join(P.to_str(Minduced.entry(i, j).const_coeff())
-                  for j in range(data.X.ncols)) for i in range(data.X.nrows)) + "]"
+    Minduced = _Induced(data, split, P).matrix(
+        [sigma_images[f"rho({name})"] for name in L.vars])
+    if Minduced is None:
+        return CompareReport(False, {
+            "error": "induced matrix is not constant over the test algebra"})
+    details["induced_matrix"] = str(Minduced)
 
     # parameter map: match the induced matrix against the solved family by
     # equating the coefficients of each parameter monomial
@@ -1050,22 +1013,13 @@ def compare(data: PVData, hull: HullData, relations, degree: int = 3) -> Compare
     details["parameter_map"] = pmap["description"]
 
     # group law compatibility on symbolic parameters
-    hom_ok = _homomorphism_check(data, hull, um, degree)
+    hom_ok = _homomorphism_check(data, hull, um, split)
     details["group_homomorphism"] = hom_ok
     details["lie_dim"] = lie_dim(data)
     details["umemura_parameters"] = list(um.family.params)
     details["galois_parameters"] = list(gal.params)
     details["formal_group"] = um.classification
     return CompareReport(bool(pmap["bijective"] and hom_ok), details)
-
-
-def _partner_of(R: PolyRing, name: str):
-    for i, j in R.inverse_pairs:
-        if R.vars[i] == name:
-            return R.vars[j]
-        if R.vars[j] == name:
-            return R.vars[i]
-    return None
 
 
 def _nil_inverse(RA: PolyRing, P: NilAlgebra, img: MPoly) -> MPoly:
@@ -1091,34 +1045,92 @@ def _nil_inverse(RA: PolyRing, P: NilAlgebra, img: MPoly) -> MPoly:
     return out
 
 
-def _split_tensor(img: JointElement, deformed: list, P: NilAlgebra, L):
-    """Write a joint element as sum_i deformed[i] * c_i with w-free c_i in the
-    parameter algebra.  The deformed columns are parameter-free, so the same
-    coefficient matrix over L serves every parameter monomial: it is reduced
-    once, augmented with one right-hand column per monomial.  Returns the
-    list of c_i, or None when some monomial's column is inconsistent (the
-    element does not split)."""
-    keys = sorted({k for d in deformed for k in d.coordinates()}
-                  | set(img.coordinates()), key=str)
-    dcoords = [d.coordinates() for d in deformed]
-    ic = img.coordinates()
-    monos = P.monomials()
-    aug = []
-    for key in keys:
-        coeff = ic.get(key, P.zero())
-        aug.append([P.unit_part(dc.get(key, P.zero())) for dc in dcoords]
-                   + [coeff.get(mono, P.base.zero()) for mono in monos])
-    ncols = len(deformed)
-    m, pivots = rref(aug, L)
-    if pivots and pivots[-1] >= ncols:
-        return None  # a pivot in a right-hand column: that monomial is inconsistent
-    out = [P.zero() for _ in deformed]
-    for t, mono in enumerate(monos):
-        for r, pc in enumerate(pivots):
-            x = m[r][ncols + t]
-            if not L.is_zero(x):
-                out[pc] = P.add(out[pc], P.element({mono: x}))
-    return out
+class _SplitOperator:
+    """Writes joint elements in split form sum_i deformed(b_i) * c_i: the b_i
+    are R-monomials in L, deformed(b) is the theta_u-deformed expansion of
+    b, and the c_i are w-free coefficients in a test algebra P.
+
+    The deformed expansions have coordinates in L, free of parameters, so
+    one factorization of their coordinate block D serves every split and
+    every parameter monomial: the reduced echelon form of [D | I] gives a row
+    transform E with E*D in reduced echelon form.  An image with coordinate
+    vector b splits exactly when it has no nonzero coordinate outside the
+    block and E*b vanishes on the zero rows of E*D; then the other rows of
+    E*b are the coefficients at the pivot columns, and the rest are zero.
+    That is the solution the reduced echelon form of [D | b] gives, since
+    that form is unique."""
+
+    def __init__(self, L, basis: list, alg):
+        self.L = L
+        self.basis = basis
+        self.columns = [alg._deform_hom(alg.expand_plain(b), lambda c: c).coordinates()
+                        for b in basis]
+        keys = sorted({key for col in self.columns for key in col}, key=str)
+        self.row = {key: i for i, key in enumerate(keys)}
+        n, zero, one = len(basis), L.zero(), L.one()
+        block = [[col.get(key, zero) for col in self.columns]
+                 + [one if i == j else zero for j in range(len(keys))]
+                 for i, key in enumerate(keys)]
+        reduced, pivots = rref(block, L)
+        self.pivots = [c for c in pivots if c < n]  # rows beyond these are zero on D
+        self.transform = [r[n:] for r in reduced]
+
+    def split(self, img: JointElement, P: NilAlgebra):
+        """The list of c_i, or None when img does not split."""
+        L = self.L
+        b = []  # (row of the block, coefficient) of each nonzero coordinate
+        for key, c in img.coordinates().items():
+            if P.is_zero(c):
+                continue
+            if key not in self.row:
+                return None  # a zero row of D against a nonzero coordinate
+            b.append((self.row[key], c))
+        out = [P.zero() for _ in self.basis]
+        for i, row in enumerate(self.transform):
+            acc: dict = {}
+            for j, c in b:
+                e = row[j]
+                if not L.is_zero(e):
+                    _terms.accumulate(acc, ((mono, L.mul(e, x)) for mono, x in c.items()), L)
+            if i < len(self.pivots):
+                out[self.pivots[i]] = acc
+            elif acc:
+                return None
+        return out
+
+
+class _Induced:
+    """The matrix X^{-1} sigma(X) over a test algebra P that generator images
+    in split form induce; the basis, X and its inverse are lifted to R (x) P
+    once."""
+
+    def __init__(self, data: PVData, split: _SplitOperator, P: NilAlgebra):
+        self.data = data
+        self.split = split
+        self.P = P
+        RA = self.RA = PolyRing(P, data.R.vars, data.R.inverse_pairs)
+        self.basis = [_lift_poly(RA, data.l_to_r(b)) for b in split.basis]
+        self.X = data.X.map(lambda p: _lift_poly(RA, p), RA)
+        self.Xinv = data.Xinv.map(lambda p: _lift_poly(RA, p), RA)
+
+    def matrix(self, coeffs: list):
+        """The induced matrix over P when coeffs[i] are the split coefficients
+        of the image of the i-th generator of L; None when it is not
+        constant."""
+        RA, P, partner = self.RA, self.P, self.data.partner
+        images = {}
+        for name, cs in zip(self.data.L.vars, coeffs):
+            img = RA.zero()
+            for b, c in zip(self.basis, cs):
+                if not P.is_zero(c):
+                    img = img + b.scale(c)
+            images[name] = img
+            if name in partner:
+                images[partner[name]] = RA.inv(img) if RA.is_unit(img) else _nil_inverse(RA, P, img)
+        M = self.Xinv * self.X.map(lambda p: _apply_sigma(RA, images, p), RA)
+        if not all(e.is_const() for row in M.rows for e in row):
+            return None
+        return M.map(lambda e: e.const_coeff(), P)
 
 
 def _match_parameters(Minduced: Matrix, gal: GaloisFamily, P: NilAlgebra):
@@ -1142,7 +1154,7 @@ def _match_parameters(Minduced: Matrix, gal: GaloisFamily, P: NilAlgebra):
                     t_mono = tuple(1 if t == tp else 0 for t in range(len(tgt_params)))
                     row.append(gal.M.entry(i, j).get(t_mono, base.zero()))
                 mat.append(row)
-                c = Minduced.entry(i, j).const_coeff().get(s_mono, P.base.zero())
+                c = Minduced.entry(i, j).get(s_mono, P.base.zero())
                 rhs.append(c)
         # one solve per source parameter would interleave; solve jointly below
     # solve for the full linear substitution T with params_target = T params_src
@@ -1179,7 +1191,7 @@ def _match_parameters(Minduced: Matrix, gal: GaloisFamily, P: NilAlgebra):
     for i in range(n):
         for j in range(n):
             got = evaluate(gal.M.entry(i, j).items(), subs_vals, P, P.scalar)
-            want = Minduced.entry(i, j).const_coeff()
+            want = Minduced.entry(i, j)
             if not P.eq(got, want):
                 return None
     desc = {}
@@ -1189,13 +1201,16 @@ def _match_parameters(Minduced: Matrix, gal: GaloisFamily, P: NilAlgebra):
             c = T[sp][tp]
             if not base.is_zero(c):
                 cs = base.to_str(c)
+                if "+" in cs or "-" in cs[1:] or " " in cs:
+                    cs = f"({cs})"
                 parts.append(tname if cs == "1" else f"{cs}*{tname}")
         desc[name] = " + ".join(parts) if parts else "0"
     return {"bijective": bij, "matrix": T,
             "description": "; ".join(f"{k} -> {v}" for k, v in sorted(desc.items()))}
 
 
-def _homomorphism_check(data: PVData, hull: HullData, um: UmemuraReport, degree: int) -> bool:
+def _homomorphism_check(data: PVData, hull: HullData, um: UmemuraReport,
+                        split: _SplitOperator) -> bool:
     """The matrix induced by a composed pair of symbolic automorphisms is the
     product of the induced matrices."""
     fam = um.family
@@ -1207,56 +1222,34 @@ def _homomorphism_check(data: PVData, hull: HullData, um: UmemuraReport, degree:
                     + tuple(f"t{i}" for i in range(nparams)), 3)
     f = fam.instantiate(P2, {p: P2.gen(f"s{i}") for i, p in enumerate(fam.params)})
     g = fam.instantiate(P2, {p: P2.gen(f"t{i}") for i, p in enumerate(fam.params)})
-    fg = f.compose(g)
-    Mf = _induced_matrix(data, hull, P2, f, degree)
-    Mg = _induced_matrix(data, hull, P2, g, degree)
-    Mfg = _induced_matrix(data, hull, P2, fg, degree)
+    induced = _Induced(data, split, P2)
+    alg_P = hull.algebra.with_ring(P2)
+    table = {key: alg_P._deform_hom(v, P2.scalar) for key, v in hull.derivative_table.items()}
+    Mf, Mg, Mfg = (_induced_matrix(hull, induced, table, t) for t in (f, g, f.compose(g)))
     if Mf is None or Mg is None or Mfg is None:
         return False
-    prod = Mf * Mg
-    return prod == Mfg
+    return Mf * Mg == Mfg
 
 
-def _induced_matrix(data: PVData, hull: HullData, P: NilAlgebra, transform, degree: int):
+def _induced_matrix(hull: HullData, induced: _Induced, table: dict, transform):
     """Matrix on X induced by an infinitesimal automorphism given as a
     transformation: reconstruct the generator images through the expansion
-    pairing, split them over the R-monomials, and read off X^{-1} sigma(X)."""
+    pairing, split them over the R-monomials, and read off X^{-1} sigma(X).
+    table holds the deformed derivative table of the hull over the test
+    algebra."""
     alg = hull.algebra
-    L = data.L
+    P = induced.P
     n = alg.theta_u.n
     wh = alg.w_horizon
     alg_P = alg.with_ring(P)
     ident = [TruncSeries.variable(P, transform.vars, wh, v) for v in transform.vars]
     deviation = [alg_P.from_w_series(c - ident[j]) for j, c in enumerate(transform.comps)]
-    basis = [data.r_to_L(m) for m in _laurent_monomials(data.R, degree)]
-    deformed = [alg_P._deform_hom(alg.expand_plain(b), P.scalar) for b in basis]
-
-    RA = PolyRing(P, data.R.vars, data.R.inverse_pairs)
-    gen_images = {}
-    for i, name in enumerate(data.L.vars):
-        img = evaluate(((k, hull.derivative_table[(i, k)]) for k in multi_indices(n, wh)),
-                       deviation, alg_P, lambda v: alg_P._deform_hom(v, P.scalar))
-        coeffs = _split_tensor(img, deformed, P, L)
-        if coeffs is None:
+    coeffs = []
+    for i in range(len(induced.data.L.vars)):
+        img = evaluate(((k, table[(i, k)]) for k in multi_indices(n, wh)),
+                       deviation, alg_P, lambda v: v)
+        cs = induced.split.split(img, P)
+        if cs is None:
             return None
-        r_img = RA.zero()
-        for bi, c in enumerate(coeffs):
-            if P.is_zero(c):
-                continue
-            r_img = r_img + _lift_poly(RA, data.l_to_r(basis[bi])).scale(c)
-        gen_images[name] = r_img
-        partner = _partner_of(data.R, name)
-        if partner is not None:
-            gen_images[partner] = _nil_inverse(RA, P, r_img)
-    XA = data.X.map(lambda p: _lift_poly(RA, p), RA)
-    sigmaX = XA.map(lambda p: _apply_sigma(RA, gen_images, p), RA)
-    M = XA.inverse() * sigmaX
-    out = []
-    for row in M.rows:
-        rr = []
-        for e in row:
-            if not e.is_const():
-                return None
-            rr.append(e.const_coeff())
-        out.append(rr)
-    return Matrix(P, out)
+        coeffs.append(cs)
+    return induced.matrix(coeffs)

@@ -205,6 +205,61 @@ def test_poly_gcd_two_variables_matches_sympy(coeff_lists):
         assert got.monic() == want.monic()
 
 
+def _gcd_matches_sympy(a, b):
+    """poly_gcd(a, b) equals sympy's gcd up to sympy's monic(), over QQ or
+    GF(p), in either argument order."""
+    import sympy
+
+    field, gens = a.ring.field, sympy.symbols(a.ring.vars)
+    if field.char:
+        def conv(p):
+            return sympy.Poly({e: int(c) for e, c in p.terms.items()} or {(0,) * len(gens): 0},
+                              *gens, modulus=field.char)
+    else:
+        def conv(p):
+            return _to_sympy(p, *gens)
+    want = conv(a).gcd(conv(b))
+    for got in (poly_gcd(a, b), poly_gcd(b, a)):
+        assert conv(got).monic() == want.monic()
+        assert got.leading()[1] == field.one()
+
+
+EXPS_LOW = st.tuples(st.integers(0, 3), st.integers(0, 3))
+MONOMIAL_RINGS = [PolyRing(QQ, ["y"]), PolyRing(QQ, ["x", "y"]), PolyRing(GF(7), ["x", "y"])]
+
+
+@pytest.mark.parametrize("ring", MONOMIAL_RINGS, ids=str)
+@settings(max_examples=40, deadline=None)
+@given(mono=EXPS_LOW, c=st.integers(1, 6),
+       terms=st.dictionaries(EXPS_LOW, st.integers(-3, 3).filter(bool), min_size=1, max_size=5))
+def test_poly_gcd_with_a_monomial_matches_sympy(ring, mono, c, terms):
+    # a one-term argument takes the closed form; sympy runs a full gcd
+    pytest.importorskip("sympy")
+    n = ring.nvars()
+    m = ring.poly({mono[:n]: ring.field.from_int(c)})
+    p = ring.poly({e[:n]: ring.field.from_int(v) for e, v in terms.items()})
+    if p.is_zero():
+        return
+    _gcd_matches_sympy(m, p)
+
+
+@pytest.mark.parametrize("ring", MONOMIAL_RINGS[1:], ids=str)
+def test_poly_gcd_monomial_edge_cases(ring):
+    pytest.importorskip("sympy")
+    x, y = ring.var("x"), ring.var("y")
+    three = ring.from_int(3)
+    cases = [
+        (three * x * x * y, x * y * y * y),         # monomial against monomial: x*y
+        (x * x * x, y * y + ring.one()),            # no shared variable: 1
+        (x * x, three * y * y * y),                 # disjoint monomials: 1
+        (x * y * y, x * x * y + x * y * y * y),     # shared factor x*y
+    ]
+    for a, b in cases:
+        _gcd_matches_sympy(a, b)
+    assert poly_gcd(three * x * x * y, x * y * y * y) == x * y
+    assert poly_gcd(x * x * x, y * y + ring.one()) == ring.one()
+
+
 def test_poly_gcd_with_a_constant_is_one():
     for ring in (qq_ring("y"), qq_ring("x", "y"), PolyRing(GF(7), ["y"])):
         x = ring.gens()[0]

@@ -55,6 +55,19 @@ def test_sum_coefficients_print_in_parentheses():
     assert A.to_str(A.mul(A.add(A.one(), c1), A.sub(A.one(), c3))) == "1 + c1 - c3"
 
 
+def test_fraction_coefficients_print_in_one_pair_of_parentheses():
+    # a fraction over the denominator 1 prints as its numerator, so the term
+    # printer's parentheses are the only ones
+    F = FracField(QQ, ["y"])
+    y = F.var("y")
+    E = NilAlgebra(F, ("e",), 2)
+    assert E.to_str({(1,): y + F.one()}) == "(y + 1)*e"
+    assert E.to_str({(1,): y}) == "y*e"
+    assert str(y + F.one()) == "y + 1"
+    assert str((y + F.one()) / (y - F.one())) == "(y + 1)/(y - 1)"
+    assert str(F.one() / y) == "1/y"
+
+
 # ------------------------------------------------------------- composition
 
 

@@ -1,15 +1,15 @@
 """Picard-Vessiot comparison: splitting a joint element over the deformed
 R-monomial basis, checked against a per-monomial reference solve, the
-formal groups of the additive and exponential examples against the theory
-(G_a-hat and G_m-hat, Lie dimension 1), and the Picard-Vessiot axioms of
-both examples."""
+formal groups of the additive, exponential and q-difference examples
+against the theory (G_a-hat and G_m-hat, Lie dimension 1), and the
+Picard-Vessiot axioms of these examples."""
 
 from __future__ import annotations
 
 import pytest
 
 from modalg import pv
-from modalg.actions import ActionSpec
+from modalg.actions import ActionSpec, MonoidDesc
 from modalg.exactalg import GF, QQ, FracField, Matrix, PolyRing, solve_linear
 from modalg.hull import ExtensionDesc, find_relations, hull_generators
 from modalg.lieritt import NilAlgebra
@@ -30,14 +30,13 @@ def exponential_pv():
     return data, ExtensionDesc(L, [y], action, name="exponential")
 
 
-def split_by_monomial(img, deformed, P, L):
-    """Reference: one solve_linear per parameter monomial on the same matrix."""
-    keys = sorted({k for d in deformed for k in d.coordinates()}
-                  | set(img.coordinates()), key=str)
-    dcoords = [d.coordinates() for d in deformed]
-    dmat = [[P.unit_part(dc.get(key, P.zero())) for dc in dcoords] for key in keys]
+def split_by_monomial(img, columns, P, L):
+    """Reference: one solve_linear per parameter monomial, on the coordinate
+    columns of the deformed basis over the keys of the columns and the image."""
     ic = img.coordinates()
-    out = [P.zero() for _ in deformed]
+    keys = sorted({k for col in columns for k in col} | set(ic), key=str)
+    dmat = [[col.get(key, L.zero()) for col in columns] for key in keys]
+    out = [P.zero() for _ in columns]
     for mono in P.monomials():
         rhs = [ic.get(key, P.zero()).get(mono, P.base.zero()) for key in keys]
         sol = solve_linear(dmat, rhs, L)
@@ -49,38 +48,58 @@ def split_by_monomial(img, deformed, P, L):
     return out
 
 
-def test_split_tensor_matches_per_monomial_solve(monkeypatch):
-    calls = []
-    original = pv._split_tensor
+def same_split(got, want, P):
+    if got is None or want is None:
+        return got is None and want is None
+    return len(got) == len(want) and all(P.eq(a, b) for a, b in zip(got, want))
 
-    def recording(img, deformed, P, L):
-        got = original(img, deformed, P, L)
-        calls.append((img, deformed, P, L, got))
+
+def test_split_tensor_matches_per_monomial_solve(monkeypatch):
+    # every split the comparison makes goes through one factored operator and
+    # matches the per-monomial reference solve
+    calls = []
+    original = pv._SplitOperator.split
+
+    def recording(self, img, P):
+        got = original(self, img, P)
+        calls.append((self, img, P, got))
         return got
 
-    monkeypatch.setattr(pv, "_split_tensor", recording)
+    monkeypatch.setattr(pv._SplitOperator, "split", recording)
     data, ext = exponential_pv()
     hull = hull_generators(ext, t_horizon=3, w_horizon=3)
     rels = find_relations(hull, diff_order=3, degree=2)
     d = pv.compare(data, hull, rels, degree=3).as_dict()
     assert d["ok"] and d["lie_dim"] == 1 and d["group_homomorphism"] is True
     assert d["formal_group"]["tag"] in ("Gm_hat", "Gm_hat_conjugate")
-    assert calls
-    for img, deformed, P, L, got in calls:
-        want = split_by_monomial(img, deformed, P, L)
-        assert got is not None and want is not None
-        assert len(got) == len(want)
-        assert all(P.eq(a, b) for a, b in zip(got, want))
+    # the sigma-image of y, then the images under f, g and their composite
+    assert len(calls) == 4
+    assert len({id(op) for op, _, _, _ in calls}) == 1
+    for op, img, P, got in calls:
+        assert got is not None
+        assert same_split(got, split_by_monomial(img, op.columns, P, op.L), P)
+    op, img, P, _ = calls[0]
+    L, alg = data.L, hull.algebra
     # fewer basis columns: both agree on whether the element splits
-    img, deformed, P, L, _ = calls[0]
-    assert original(img, [], P, L) is None
+    empty = pv._SplitOperator(L, [], alg)
+    assert original(empty, img, P) is None
     assert split_by_monomial(img, [], P, L) is None
-    for short in (deformed[:1], deformed[1:]):
-        got = original(img, short, P, L)
-        want = split_by_monomial(img, short, P, L)
-        assert (got is None) == (want is None)
-        if got is not None:
-            assert all(P.eq(a, b) for a, b in zip(got, want))
+    for short in (op.basis[:1], op.basis[1:]):
+        sub = pv._SplitOperator(L, short, alg)
+        assert same_split(original(sub, img, P), split_by_monomial(img, sub.columns, P, L), P)
+    # every coordinate inside the block, but the image outside the span
+    y = L.var("y")
+    sub = pv._SplitOperator(L, [y * y], alg)
+    assert set(img.coordinates()) <= set(sub.row)
+    assert original(sub, img, P) is None
+    assert split_by_monomial(img, sub.columns, P, L) is None
+    # a nonzero coordinate outside the block (t-degree above the horizon)
+    (word, s), = img.data.items()
+    extra = (alg.t_horizon + 1,) + (0,) * (len(s.vars) - 1)
+    assert (word, extra[:1], extra[1:]) not in op.row
+    outside = img.alg.element({word: s + TruncSeries(P, s.vars, s.horizon, {extra: P.one()})})
+    assert original(op, outside, P) is None
+    assert split_by_monomial(outside, op.columns, P, L) is None
 
 
 def additive_pv(field=QQ):
@@ -219,3 +238,33 @@ def test_mu_bijective(make, degree):
     report = pv.check_mu_bijectivity(data, hopf, degree)
     assert report.ok, report.failures
     assert report.checked > 0
+
+
+def q_difference_pv():
+    """R = Q[y, 1/y], X = [[y]] for the endomorphism sigma(y) = 2*y."""
+    L = FracField(QQ, ["y"])
+    y = L.var("y")
+    action = ActionSpec(L, "end", monoid=MonoidDesc("endo"), endo_maps=[{"y": y * L.const(2)}])
+    R = PolyRing(QQ, ["y", "yi"], inverse_pairs=[(0, 1)])
+    X = Matrix(R, [[R.var("y")]])
+    data = pv.PVData(L, action, R, X, {"y": ("X", 0, 0), "yi": ("Xinv", 0, 0)},
+                     name="q-difference")
+    return data, ExtensionDesc(L, [y], action, name="q-difference")
+
+
+def test_q_difference_pv_is_multiplicative():
+    # sigma(X) = X * [[2]]: the difference Galois group is G_m, so the formal
+    # group is G_m-hat with Lie dimension 1, and the axioms hold once the
+    # degree reaches the constant y_1*yi_2
+    data, ext = q_difference_pv()
+    for degree in (2, 3):
+        report = pv.verify(data, degree)
+        assert report.ok, report.failures
+    assert pv.lie_dim(data) == 1
+    hull = hull_generators(ext, t_horizon=2, w_horizon=2)
+    rels = find_relations(hull, diff_order=2, degree=2)
+    d = pv.compare(data, hull, rels, degree=3).as_dict()
+    assert d["ok"], d
+    assert d["lie_dim"] == 1
+    assert d["formal_group"]["tag"] == "Gm_hat_conjugate"
+    assert d["group_homomorphism"] is True
