@@ -28,7 +28,6 @@ from .exactalg import (
     evaluate,
     kernel_basis,
     restriction_kernel,
-    rref,
     solve_linear,
 )
 from .exactalg import terms as _terms
@@ -669,12 +668,33 @@ class GaloisFamily:
 
 
 class _GaloisSystem:
-    """Equation assembly for sigma(X (x) 1) = (X (x) 1)(1 (x) M)."""
+    """Equation assembly for sigma(X (x) 1) = (X (x) 1)(1 (x) M).
+
+    The operator side does not depend on the test algebra, so it is built
+    once, in R: the theta series of each R-generator and, for every operator
+    of _d_basis_entries, its image of each R-generator (for a monoid
+    generator these images are the endomorphism itself).  residues only
+    lifts them to R (x) A."""
 
     def __init__(self, data: PVData, horizon: int):
         self.data = data
         self.horizon = horizon
         self.n = data.X.nrows
+        act, R = data.action, data.R
+        gens = {name: data.r_to_L(R.var(name)) for name in R.vars}
+        self.theta = {}  # name -> {w-exponent: coefficient in R}
+        if act.has_theta():
+            for name, g in gens.items():
+                series = act.theta_series(g, horizon)
+                self.theta[name] = {e: data.l_to_r(c) for e, c in series.terms.items()}
+        self.operators = []  # (kind, payload, {name: image of the generator in R})
+        for kind, payload in _d_basis_entries(act, horizon):
+            if kind == "theta":
+                moved = {name: self.theta[name].get(payload, R.zero()) for name in R.vars}
+            else:
+                moved = {name: data.l_to_r(act.apply_generator(payload, g))
+                         for name, g in gens.items()}
+            self.operators.append((kind, payload, moved))
 
     def _ra(self, A: NilAlgebra) -> PolyRing:
         return PolyRing(A, self.data.R.vars, self.data.R.inverse_pairs)
@@ -693,29 +713,6 @@ class _GaloisSystem:
             images[g] = XM.entry(i, j) if which == "X" else MinvXinv.entry(i, j)
         return images, XA, XM, MinvXinv, XinvA
 
-    def _theta_on_RA(self, RA: PolyRing) -> ActionSpec | None:
-        act = self.data.action
-        if not act.has_theta():
-            return None
-        images = {}
-        for name in self.data.R.vars:
-            img_L = act.theta_series(self.data.r_to_L(self.data.R.var(name)), self.horizon)
-            terms = {
-                e: _lift_poly(RA, self.data.l_to_r(c))
-                for e, c in img_L.terms.items()
-            }
-            images[name] = TruncSeries(RA, act.wvars, self.horizon, terms)
-        return ActionSpec(RA, "iterder", n=max(act.n, 1), theta_images=images,
-                          wvars=act.wvars)
-
-    def _endo_on_RA(self, RA: PolyRing, g_idx: int) -> dict:
-        act = self.data.action
-        images = {}
-        for name in self.data.R.vars:
-            img_L = act.apply_generator(g_idx, self.data.r_to_L(self.data.R.var(name)))
-            images[name] = _lift_poly(RA, self.data.l_to_r(img_L))
-        return images
-
     def residues(self, A: NilAlgebra, M: Matrix) -> list:
         """All equation coefficients, as elements of A."""
         data = self.data
@@ -733,19 +730,21 @@ class _GaloisSystem:
             vi, vj = data.R.vars[i], data.R.vars[j]
             eqs.append(images[vi] * images[vj] - RA.one())
         # equivariance: operators commute with sigma on the generators
-        theta_RA = self._theta_on_RA(RA)
-        for kind, payload in _d_basis_entries(data.action, self.horizon):
+        act = data.action
+        theta_RA = None
+        if self.theta:
+            theta_RA = ActionSpec(RA, "iterder", n=max(act.n, 1), wvars=act.wvars, theta_images={
+                name: TruncSeries(RA, act.wvars, self.horizon,
+                                  {e: _lift_poly(RA, c) for e, c in terms.items()})
+                for name, terms in self.theta.items()})
+        for kind, payload, moved in self.operators:
+            moved = {name: _lift_poly(RA, p) for name, p in moved.items()}
             for name in data.R.vars:
-                g = data.R.var(name)
                 if kind == "theta":
-                    dg = data.l_to_r(data.action.theta_coefficient(data.r_to_L(g), payload))
                     lhs = theta_RA.theta_series(images[name], sum(payload)).coeff(payload)
                 else:
-                    endo_images = self._endo_on_RA(RA, payload)
-                    lhs = _apply_sigma(RA, endo_images, images[name])
-                    dg = data.l_to_r(data.action.apply_generator(payload, data.r_to_L(g)))
-                rhs = _apply_sigma(RA, images, _lift_poly(RA, dg))
-                eqs.append(lhs - rhs)
+                    lhs = _apply_sigma(RA, moved, images[name])
+                eqs.append(lhs - _apply_sigma(RA, images, moved[name]))
         # label each coefficient by its equation and monomial, so that the
         # coefficients of different equations never merge
         return [((q, exp), e.terms[exp]) for q, e in enumerate(eqs) for exp in sorted(e.terms)]
@@ -951,7 +950,11 @@ def compare(data: PVData, hull: HullData, relations, degree: int = 3) -> Compare
     automorphism is rewritten through the expansion pairing as an R (x) A
     transformation of the generators; the matrix it induces on X is matched
     against the solved formal family, giving the parameter map, and the map
-    is verified to be a group isomorphism on symbolic parameters."""
+    is verified to be a group isomorphism on symbolic parameters.
+
+    details["lie_dim"] is the parameter count of the formal family solved
+    here; it equals lie_dim(data), since both solves take the kernel of the
+    same linearization at the identity."""
     point, B = find_rational_point(data)
     details: dict = {}
     if point is None:
@@ -1015,7 +1018,7 @@ def compare(data: PVData, hull: HullData, relations, degree: int = 3) -> Compare
     # group law compatibility on symbolic parameters
     hom_ok = _homomorphism_check(data, hull, um, split)
     details["group_homomorphism"] = hom_ok
-    details["lie_dim"] = lie_dim(data)
+    details["lie_dim"] = len(gal.params)
     details["umemura_parameters"] = list(um.family.params)
     details["galois_parameters"] = list(gal.params)
     details["formal_group"] = um.classification
@@ -1051,14 +1054,17 @@ class _SplitOperator:
     b, and the c_i are w-free coefficients in a test algebra P.
 
     The deformed expansions have coordinates in L, free of parameters, so
-    one factorization of their coordinate block D serves every split and
-    every parameter monomial: the reduced echelon form of [D | I] gives a row
-    transform E with E*D in reduced echelon form.  An image with coordinate
-    vector b splits exactly when it has no nonzero coordinate outside the
-    block and E*b vanishes on the zero rows of E*D; then the other rows of
-    E*b are the coefficients at the pivot columns, and the rest are zero.
-    That is the solution the reduced echelon form of [D | b] gives, since
-    that form is unique."""
+    one elimination of their coordinate block D serves every split and
+    every parameter monomial.  Gauss-Jordan elimination runs over the
+    columns of D once and records each step: the pivot column and row, the
+    inverse of the pivot, and the (row, -factor) pairs it clears.  A column
+    is a pivot exactly when it is independent of the columns before it.
+    split replays the steps on the coordinates of an image: the image splits
+    exactly when it has no nonzero coordinate outside the block and the
+    replay leaves every non-pivot row zero; then the pivot rows hold the
+    coefficients at the pivot columns, and the free columns get zero.  That
+    is the solution the reduced echelon form of [D | b] gives, since that
+    form is unique."""
 
     def __init__(self, L, basis: list, alg):
         self.L = L
@@ -1067,36 +1073,49 @@ class _SplitOperator:
                         for b in basis]
         keys = sorted({key for col in self.columns for key in col}, key=str)
         self.row = {key: i for i, key in enumerate(keys)}
-        n, zero, one = len(basis), L.zero(), L.one()
-        block = [[col.get(key, zero) for col in self.columns]
-                 + [one if i == j else zero for j in range(len(keys))]
-                 for i, key in enumerate(keys)]
-        reduced, pivots = rref(block, L)
-        self.pivots = [c for c in pivots if c < n]  # rows beyond these are zero on D
-        self.transform = [r[n:] for r in reduced]
+        rows: list[dict] = [{} for _ in keys]  # row of D -> {column: entry}
+        for j, col in enumerate(self.columns):
+            for key, c in col.items():
+                if not L.is_zero(c):
+                    rows[self.row[key]][j] = c
+        self.steps = []
+        pivot_rows: set = set()
+        for j in range(len(basis)):
+            r = next((i for i, row in enumerate(rows) if i not in pivot_rows and j in row), None)
+            if r is None:
+                continue  # column j depends on the columns before it
+            pivot_rows.add(r)
+            inv = L.inv(rows[r][j])
+            pivot = rows[r] = {col: L.mul(inv, x) for col, x in rows[r].items()}
+            clears = []
+            for i, row in enumerate(rows):
+                if i != r and j in row:
+                    f = L.neg(row[j])
+                    _terms.accumulate(row, ((col, L.mul(f, x)) for col, x in pivot.items()), L)
+                    clears.append((i, f))
+            self.steps.append((j, r, inv, clears))
 
     def split(self, img: JointElement, P: NilAlgebra):
         """The list of c_i, or None when img does not split."""
         L = self.L
-        b = []  # (row of the block, coefficient) of each nonzero coordinate
+        b = {}  # row of the block -> its coordinate, a P-element
         for key, c in img.coordinates().items():
             if P.is_zero(c):
                 continue
             if key not in self.row:
                 return None  # a zero row of D against a nonzero coordinate
-            b.append((self.row[key], c))
+            b[self.row[key]] = dict(c)
+        for _, r, inv, clears in self.steps:
+            c = b.get(r)
+            if not c:
+                continue
+            c = b[r] = {mono: L.mul(inv, x) for mono, x in c.items()}
+            for i, f in clears:
+                _terms.accumulate(b.setdefault(i, {}), ((m, L.mul(f, x)) for m, x in c.items()), L)
         out = [P.zero() for _ in self.basis]
-        for i, row in enumerate(self.transform):
-            acc: dict = {}
-            for j, c in b:
-                e = row[j]
-                if not L.is_zero(e):
-                    _terms.accumulate(acc, ((mono, L.mul(e, x)) for mono, x in c.items()), L)
-            if i < len(self.pivots):
-                out[self.pivots[i]] = acc
-            elif acc:
-                return None
-        return out
+        for j, r, _, _ in self.steps:
+            out[j] = b.pop(r, P.zero())
+        return None if any(b.values()) else out
 
 
 class _Induced:

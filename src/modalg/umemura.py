@@ -410,7 +410,9 @@ def _parameter_law(family: SolutionFamily) -> str:
     """Compose two symbolic members and express the result in the family.
 
     For one-parameter linear families the composed transformation equals the
-    family member at a parameter value u(s, t); the returned string shows u.
+    family member at a parameter value u(s, t); the returned string reads
+    "law(a, a') = u", the parameter of the composite of the members at a
+    and a'.
     An inexpressible composition reports 'not closed within bounds'."""
     L = family.algebra.base
     nparams = len(family.params)
@@ -439,5 +441,5 @@ def _parameter_law(family: SolutionFamily) -> str:
     check = family.instantiate(P2, {family.params[0]: u})
     if check != comp:
         return "not closed within bounds"
-    return f"{family.params[0]}*{family.params[0]}' = {P2.to_str(u)}".replace(
-        "s0", family.params[0]).replace("t0", f"{family.params[0]}'")
+    a = family.params[0]
+    return f"law({a}, {a}') = " + P2.to_str(u).replace("s0", a).replace("t0", f"{a}'")

@@ -174,6 +174,19 @@ def test_constants_shift_on_function_field():
     assert basis[0] == L.one()
 
 
+def test_constants_in_characteristic_7_see_the_p_power_order():
+    # theta^(k)(y^7) = binomial(7, k) y^(7-k) vanishes mod 7 for 0 < k < 7,
+    # so y^7 is a constant up to horizon 6; theta^(7)(y^7) = 1 removes it once
+    # the horizon reaches p (Matzat-van der Put 2003)
+    L, act = shift_action(GF(7))
+    y7 = L.one()
+    for _ in range(7):
+        y7 = y7 * L.var("y")
+    assert constants(L, act, degree=7, horizon=6) == [L.one(), y7]
+    assert act.theta_series(y7, 7).coeff((7,)) == L.one()
+    assert constants(L, act, degree=7, horizon=7) == [L.one()]
+
+
 def test_constants_diagonal_derivation_two_variables():
     # theta^(1)(y1) = theta^(1)(y2) = 1: constants generated by y2 - y1
     L = FracField(QQ, ["y1", "y2"])

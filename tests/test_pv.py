@@ -84,11 +84,14 @@ def test_split_tensor_matches_per_monomial_solve(monkeypatch):
     empty = pv._SplitOperator(L, [], alg)
     assert original(empty, img, P) is None
     assert split_by_monomial(img, [], P, L) is None
-    for short in (op.basis[:1], op.basis[1:]):
-        sub = pv._SplitOperator(L, short, alg)
-        assert same_split(original(sub, img, P), split_by_monomial(img, sub.columns, P, L), P)
-    # every coordinate inside the block, but the image outside the span
     y = L.var("y")
+    for short in (op.basis[:1], op.basis[1:], [y, y + y]):
+        sub = pv._SplitOperator(L, short, alg)
+        got = original(sub, img, P)
+        assert same_split(got, split_by_monomial(img, sub.columns, P, L), P)
+    # [y, 2*y] has a dependent column, which is free: its coefficient is zero
+    assert got is not None and P.is_zero(got[1]) and not P.is_zero(got[0])
+    # every coordinate inside the block, but the image outside the span
     sub = pv._SplitOperator(L, [y * y], alg)
     assert set(img.coordinates()) <= set(sub.row)
     assert original(sub, img, P) is None
@@ -268,3 +271,75 @@ def test_q_difference_pv_is_multiplicative():
     assert d["lie_dim"] == 1
     assert d["formal_group"]["tag"] == "Gm_hat_conjugate"
     assert d["group_homomorphism"] is True
+
+
+EXAMPLES = {
+    "exponential": (exponential_pv, 3),
+    "additive": (additive_pv, 3),
+    "additive GF(7)": (lambda: additive_pv(GF(7)), 3),
+    "q-difference": (q_difference_pv, 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXAMPLES))
+def test_compare_lie_dim_is_the_solved_parameter_count(name):
+    # each example has a one-dimensional group (G_a or G_m): the formal family
+    # compare solves has one parameter, and lie_dim counts the same kernel
+    make, bound = EXAMPLES[name]
+    data, ext = make()
+    hull = hull_generators(ext, t_horizon=bound, w_horizon=bound)
+    rels = find_relations(hull, diff_order=bound, degree=2)
+    d = pv.compare(data, hull, rels, degree=3).as_dict()
+    assert d["ok"], d
+    assert d["lie_dim"] == pv.lie_dim(data) == len(d["galois_parameters"]) == 1
+
+
+def test_compare_solves_the_formal_family_once(monkeypatch):
+    # lie_dim is read from the family compare has solved, not solved again
+    calls = []
+    original = pv.galois_points
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(pv, "galois_points", counting)
+    data, ext = exponential_pv()
+    hull = hull_generators(ext, t_horizon=3, w_horizon=3)
+    rels = find_relations(hull, diff_order=3, degree=2)
+    d = pv.compare(data, hull, rels, degree=3).as_dict()
+    assert d["ok"] and d["lie_dim"] == 1
+    assert len(calls) == 1
+
+
+def product_pv():
+    """R = Q[y, z, 1/z], X = [[1, y, 0], [0, 1, 0], [0, 0, z]] for
+    theta(y) = y + w and theta(z) = z exp(w): the group G_a x G_m."""
+    L = FracField(QQ, ["y", "z"])
+    y, z = L.var("y"), L.var("z")
+    w = TruncSeries.variable(L, ("w",), 8, "w")
+    action = ActionSpec(L, "iterder", n=1, theta_images={
+        "y": TruncSeries(L, ("w",), 8, {(0,): y, (1,): L.one()}),
+        "z": TruncSeries.const(L, ("w",), 8, z) * truncated_exp(w)})
+    R = PolyRing(QQ, ["y", "z", "zi"], inverse_pairs=[(1, 2)])
+    one, zero = R.one(), R.zero()
+    X = Matrix(R, [[one, R.var("y"), zero], [zero, one, zero], [zero, zero, R.var("z")]])
+    data = pv.PVData(L, action, R, X,
+                     {"y": ("X", 0, 1), "z": ("X", 2, 2), "zi": ("Xinv", 2, 2)},
+                     name="product")
+    return data, ExtensionDesc(L, [y, z], action, name="product")
+
+
+def test_compare_product_has_two_parameters():
+    # G_a x G_m is two-dimensional: two Galois parameters matched with the
+    # two hull parameters by a group homomorphism; the split operator here
+    # works over two L-generators.  The tag is not asserted: the product is
+    # not classified yet.
+    data, ext = product_pv()
+    hull = hull_generators(ext, t_horizon=6, w_horizon=2)
+    rels = find_relations(hull, diff_order=2, degree=2)
+    d = pv.compare(data, hull, rels, degree=2).as_dict()
+    assert d["ok"], d
+    assert d["lie_dim"] == 2
+    assert d["group_homomorphism"] is True
+    assert len(d["galois_parameters"]) == 2

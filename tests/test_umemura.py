@@ -131,6 +131,15 @@ def test_exponential_points():
     assert img == scaled
 
 
+def test_parameter_law_names_the_composite():
+    # the left side is the parameter of the composite, not a product:
+    # translations add (G_a), and (1 + a)(1 + a') = 1 + (a + a' + a*a') (G_m)
+    for setup, want in ((additive_setup, "law(a0, a0') = a0 + a0'"),
+                        (exponential_setup, "law(a0, a0') = a0 + a0' + a0*a0'")):
+        _, hull, rels = setup(3, 4)
+        assert solve_points(hull, rels).classification["parameter_law"] == want
+
+
 def test_group_compatibility_both_examples():
     for setup in (additive_setup, exponential_setup):
         _, hull, rels = setup(th=2, wh=3)
