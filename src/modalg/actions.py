@@ -277,8 +277,12 @@ class ActionSpec:
             wvars = ("w",) if n == 1 else tuple(f"w{i+1}" for i in range(n))
         self.wvars = tuple(wvars)
         self._check_shape()
+        # horizon -> GeneratorPowers of the theta images, filled by theta_series
+        self._theta_powers: dict = {}
 
     def _check_shape(self):
+        if not isinstance(self.ring, (FracField, PolyRing, AlgebraicField)):
+            raise ValueError(f"unsupported ring context {self.ring!r}")
         if self.kind not in ("trivial", "der", "iterder", "end", "auto", "monoid", "smash"):
             raise ValueError(f"unknown action kind {self.kind!r}")
         if self.kind in ("der", "iterder", "smash") and self.n < 1:
@@ -303,12 +307,6 @@ class ActionSpec:
         return DEFAULT_WORD_BOUND if self.has_monoid() else TRIVIAL_WORD_BOUND
 
     # ----------------------------------------------------- generator images
-    def _gen_names(self) -> tuple[str, ...]:
-        ring = self.ring
-        if isinstance(ring, (FracField, PolyRing, AlgebraicField)):
-            return ring.vars
-        raise ValueError(f"unsupported ring context {ring!r}")
-
     def _gen_element(self, name: str):
         ring = self.ring
         return ring.var(name)
@@ -400,7 +398,7 @@ class ActionSpec:
 
     # --------------------------------------------------------- application
     def _apply_with(self, maps: Sequence[dict], gen_idx: int, elem):
-        images = {name: self._endo_image(maps, gen_idx, name) for name in self._gen_names()}
+        images = {name: self._endo_image(maps, gen_idx, name) for name in self.ring.vars}
         return self._ring_hom(elem, images)
 
     def apply_generator(self, gen_idx: int, elem):
@@ -433,13 +431,35 @@ class ActionSpec:
         return elem
 
     def theta_series(self, elem, horizon: int) -> TruncSeries:
-        """The derivation expansion sum_k theta^(k)(elem) w^k."""
+        """The derivation expansion sum_k theta^(k)(elem) w^k.
+
+        The horizon-adjusted images of the generators (for the partner of an
+        inverse pair, the reciprocal of its partner's image) and their powers
+        are built on the first call at each horizon and kept on this action,
+        so they live exactly as long as it does; a later call extends a power
+        row only when it needs a higher exponent.  An element's numerator and
+        denominator are sums of scaled cached powers, and a fraction costs one
+        TruncSeries.divide."""
         if not self.has_theta() and self.kind != "trivial":
             return TruncSeries.const(self.ring, (), 0, elem)
         if self.kind == "trivial":
             return TruncSeries.const(self.ring, self.wvars, horizon, elem)
-        images = {name: self._theta_image(name, horizon) for name in self._gen_names()}
-        return self._series_hom(elem, images, horizon)
+        powers = self._theta_powers.get(horizon)
+        if powers is None:
+            powers = self._theta_powers[horizon] = GeneratorPowers(
+                SeriesRing(self.ring, self.wvars, horizon),
+                {name: self._theta_image(name, horizon) for name in self.ring.vars})
+        ring = self.ring
+        if isinstance(ring, AlgebraicField):
+            out = powers.space.zero()
+            for d, c in enumerate(ring.decompose(elem)):
+                if not c.is_zero():
+                    t = powers.frac(c, ring.const)
+                    out = out + (t * powers.power(ring.gen_name, d) if d else t)
+            return out
+        if isinstance(ring, FracField):
+            return powers.frac(elem, ring.const)
+        return powers.poly(elem, ring.scalar)
 
     def theta_coefficient(self, elem, k: tuple[int, ...]):
         return self.theta_series(elem, sum(k)).coeff(k)
@@ -455,20 +475,6 @@ class ActionSpec:
                         for p in (elem.num, elem.den))
             return num / den
         return evaluate(elem.sorted_terms(), gens, ring, ring.scalar)
-
-    def _series_hom(self, elem, images: dict[str, TruncSeries], horizon: int) -> TruncSeries:
-        ring = self.ring
-        S = SeriesRing(ring, self.wvars, horizon)
-        if isinstance(ring, AlgebraicField):
-            return evaluate([((d,), c) for d, c in enumerate(ring.decompose(elem))],
-                            [images[ring.gen_name]], S,
-                            lambda c: _frac_series(c, images, ring, self.wvars, horizon))
-        gens = [images[v] for v in ring.vars]
-        if isinstance(ring, FracField):
-            num, den = (evaluate(p.sorted_terms(), gens, S, lambda c: S.const(ring.const(c)))
-                        for p in (elem.num, elem.den))
-            return num * den.recip()
-        return evaluate(elem.sorted_terms(), gens, S, lambda c: S.const(ring.scalar(c)))
 
     # ----------------------------------------------------------- expansion
     def tvars(self) -> tuple[str, ...]:
@@ -527,14 +533,47 @@ def _frac_hom(c: Frac, images: dict, alg: AlgebraicField):
     return alg.div(num, den)
 
 
-def _frac_series(c: Frac, images: dict[str, TruncSeries], alg: AlgebraicField,
-                 wvars, horizon: int) -> TruncSeries:
-    """Series image of a base-field fraction under base-variable images."""
-    S = SeriesRing(alg, wvars, horizon)
-    gens = [images[v] for v in c.field.vars]
-    num, den = (evaluate(p.sorted_terms(), gens, S, lambda cc: S.const(alg.const(cc)))
-                for p in (c.num, c.den))
-    return num * den.recip()
+class GeneratorPowers:
+    """Series images of named generators in one series space, with the
+    powers of each image built once and extended only when a higher
+    exponent is needed."""
+
+    __slots__ = ("space", "images", "rows")
+
+    def __init__(self, space: SeriesRing, images: dict[str, TruncSeries]):
+        self.space = space
+        self.images = images
+        self.rows: dict[str, list[TruncSeries]] = {}
+
+    def power(self, name: str, e: int) -> TruncSeries:
+        """The e-th power (e >= 1) of the image of the generator name."""
+        row = self.rows.get(name)
+        if row is None:
+            row = self.rows[name] = [None, self.images[name]]
+        while len(row) <= e:
+            row.append(row[-1] * row[1])
+        return row[e]
+
+    def poly(self, p, lift) -> TruncSeries:
+        """The image of a polynomial over the generators, summed in the order
+        of its sorted terms: each term is its cached powers scaled by
+        lift(coefficient)."""
+        S = self.space
+        out = S.zero()
+        for exp, c in p.sorted_terms():
+            t = None
+            for name, e in zip(p.ring.vars, exp):
+                if e:
+                    pw = self.power(name, e)
+                    t = pw if t is None else t * pw
+            out = out + (S.const(lift(c)) if t is None else t.scale(lift(c)))
+        return out
+
+    def frac(self, c: Frac, lift) -> TruncSeries:
+        """The image of a fraction: numerator divided by denominator, with no
+        division when the (monic) denominator is 1."""
+        num = self.poly(c.num, lift)
+        return num if c.den.is_const() else num.divide(self.poly(c.den, lift))
 
 
 def convolution(f: HomElement, g: HomElement) -> HomElement:

@@ -16,7 +16,7 @@ from .frac import Frac, FracField
 from .linalg import Echelon, Matrix, kernel_basis, restriction_kernel, rref, solve_linear
 from .poly import MPoly, PolyRing, evaluate, grlex_key, poly_gcd
 from .product import ProductField
-from .ring import Ring
+from .ring import Ring, power
 
 __all__ = [
     "AlgebraicField",
@@ -41,4 +41,5 @@ __all__ = [
     "poly_gcd",
     "ProductField",
     "Ring",
+    "power",
 ]

@@ -15,9 +15,10 @@ with one full gcd.  Arithmetic starts from operands that already keep the
 invariants and takes only the gcds that can be nontrivial, after Henrici
 (1956; Knuth, TAOCP vol. 2, 4.5.1):
 
-  * a/b * c/d divides out gcd(a, d) and gcd(c, b), each skipped when one
-    of its arguments is constant; both quotients of b and d stay monic
-    because poly_gcd returns monic gcds;
+  * a/1 * c/1 is (a*c)/1, with no gcd and no product of denominators;
+  * otherwise a/b * c/d divides out gcd(a, d) and gcd(c, b), each skipped
+    when one of its arguments is constant; both quotients of b and d stay
+    monic because poly_gcd returns monic gcds;
   * a/b + c/d is (a + c)/1 or (a*d + c)/d when a denominator is 1.
     Otherwise let g = gcd(b, d): when g is 1, (a*d + c*b)/(b*d) is already
     reduced; else, with t = a*(d/g) + c*(b/g), every common factor of t and
@@ -35,7 +36,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from .poly import MPoly, PolyRing, poly_gcd
-from .ring import Ring
+from .ring import Ring, power
 
 
 def _cancel(p: MPoly, q: MPoly) -> tuple[MPoly, MPoly]:
@@ -187,6 +188,8 @@ class Frac:
         a, b, c, d = self.num, self.den, other.num, other.den
         if a.is_zero() or c.is_zero():
             return self.field.zero()
+        if b.is_const() and d.is_const():
+            return Frac._reduced(self.field, a * c, b)
         a, d = _cancel(a, d)
         c, b = _cancel(c, b)
         return Frac._reduced(self.field, a * c, b * d)
@@ -204,14 +207,7 @@ class Frac:
     def __pow__(self, n: int):
         if n < 0:
             return self.inverse() ** (-n)
-        r = self.field.one()
-        b = self
-        while n:
-            if n & 1:
-                r = r * b
-            b = b * b
-            n >>= 1
-        return r
+        return power(self, n, self.field.one)
 
     def is_zero(self) -> bool:
         return self.num.is_zero()

@@ -21,7 +21,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from . import terms as _terms
-from .ring import Ring, stacked_coordinates
+from .ring import Ring, power, stacked_coordinates
 
 
 def grlex_key(exp: tuple[int, ...]):
@@ -75,6 +75,8 @@ class PolyRing(Ring):
         if len(set(self.vars)) != len(self.vars):
             raise ValueError("duplicate variable names")
         self.inverse_pairs = tuple(tuple(p) for p in inverse_pairs)
+        # the exponent tuple of the constant monomial
+        self.const_exp = (0,) * len(self.vars)
         for i, j in self.inverse_pairs:
             if not (0 <= i < len(self.vars) and 0 <= j < len(self.vars)) or i == j:
                 raise ValueError(f"bad inverse pair ({i}, {j})")
@@ -108,11 +110,11 @@ class PolyRing(Ring):
         return MPoly(self, {})
 
     def one(self) -> "MPoly":
-        return MPoly(self, {(0,) * self.nvars(): self.field.one()})
+        return MPoly(self, {self.const_exp: self.field.one()})
 
     def scalar(self, c) -> "MPoly":
         """The constant polynomial with coefficient c of the coefficient ring."""
-        return self.poly({(0,) * self.nvars(): c})
+        return self.poly({self.const_exp: c})
 
     def const(self, c) -> "MPoly":
         return self.scalar(self.field.const(c))
@@ -181,10 +183,11 @@ class MPoly:
         return not self.terms
 
     def is_const(self) -> bool:
-        return all(all(e == 0 for e in exp) for exp in self.terms)
+        t = self.terms
+        return not t or (len(t) == 1 and self.ring.const_exp in t)
 
     def const_coeff(self):
-        return self.terms.get((0,) * self.ring.nvars(), self.ring.field.zero())
+        return self.terms.get(self.ring.const_exp, self.ring.field.zero())
 
     def total_degree(self) -> int:
         return max((sum(e) for e in self.terms), default=0)
@@ -228,16 +231,7 @@ class MPoly:
         return MPoly(ring, _terms.mul(self.terms, other.terms, ring.field, ring._combine))
 
     def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative power of a polynomial")
-        r = self.ring.one()
-        b = self
-        while n:
-            if n & 1:
-                r = r * b
-            b = b * b
-            n >>= 1
-        return r
+        return power(self, n, self.ring.one)
 
     def scale(self, c) -> "MPoly":
         f = self.ring.field

@@ -87,6 +87,25 @@ class Ring(metaclass=_Interned):
         return [self.var(v) for v in self.vars]
 
 
+def power(x, n: int, one):
+    """x ** n for an integer n >= 0 by binary powering; one() is called only
+    for n == 0.  The product starts from x itself and squares only below the
+    top bit of n, so x ** 1 makes no product and x ** n makes at most
+    2 * floor(log2 n) of them."""
+    if n < 0:
+        raise ValueError("negative power")
+    if n == 0:
+        return one()
+    result = None
+    while True:
+        if n & 1:
+            result = x if result is None else result * x
+        n >>= 1
+        if not n:
+            return result
+        x = x * x
+
+
 def stacked_coordinates(ring, count: int, parts) -> tuple[list, list[list]]:
     """scalar_coordinates of count elements given by their components in
     ring: parts yields (key, comps) with comps[j] the component of element

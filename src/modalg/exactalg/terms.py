@@ -47,7 +47,16 @@ def add(a: dict, b: dict, ring) -> dict:
 
 def mul(a: dict, b: dict, ring, combine) -> dict:
     """The product of two term dicts, summed in the order of the pairs (the
-    terms of a outer, those of b inner)."""
+    terms of a outer, those of b inner).  One term times one term, the
+    common case, is a single key and coefficient product."""
+    if len(a) == 1 and len(b) == 1:
+        (k1, c1), = a.items()
+        (k2, c2), = b.items()
+        k = combine(k1, k2)
+        if k is None:
+            return {}
+        c = ring.mul(c1, c2)
+        return {} if ring.is_zero(c) else {k: c}
     out: dict = {}
     radd, rmul, is_zero = ring.add, ring.mul, ring.is_zero
     b_items = b.items()

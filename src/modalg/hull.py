@@ -3,7 +3,7 @@
 Given an extension L | K with an action of operators on L and a separating
 transcendence basis u, the *basis derivation* is the unique iterative
 derivation with u_i -> u_i + w_i, trivial on K, extended to fractions
-through series reciprocals and to separable algebraic generators by solving
+through series division and to separable algebraic generators by solving
 their defining equations degree by degree.
 
 The hull is the smallest subring of the function realization containing the
@@ -17,12 +17,13 @@ produces the series substitution carrying one basis derivation into another.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Sequence
 
-from .actions import ActionSpec, HomElement, Report
+from .actions import ActionSpec, GeneratorPowers, HomElement, Report
 from .exactalg import AlgebraicField, Echelon, FracField, kernel_basis
 from .lieritt import DiffPoly, multi_indices
-from .series import TruncSeries, formal_inverse
+from .series import SeriesRing, TruncSeries, formal_inverse
 from .taylor import ExpansionAlgebra
 
 
@@ -86,12 +87,9 @@ def _solve_algebraic_image(L: AlgebraicField, images: dict, wvars, horizon: int)
     expanded.  Requires P separable (P'(z) a unit)."""
     if not L.is_separable():
         raise ValueError("inseparable algebraic generator; no unique derivation lift")
-    from .actions import _frac_series
-
     n = len(wvars)
-    coeff_series = [
-        _frac_series(c, images, L, wvars, horizon) for c in L.minpoly
-    ]
+    powers = GeneratorPowers(SeriesRing(L, wvars, horizon), images)
+    coeff_series = [powers.frac(c, L.const) for c in L.minpoly]
 
     def p_theta(g: TruncSeries) -> TruncSeries:
         out = TruncSeries.zero(L, wvars, horizon)
@@ -215,6 +213,14 @@ class HullData:
 
     def n_gens(self) -> int:
         return len(self.rho_gens)
+
+    @cached_property
+    def deformed_table(self) -> dict:
+        """(i, k) -> the derivative_table entry deformed over L by the basis
+        derivation, built on first use and kept as long as this hull; a test
+        algebra only lifts it (ExpansionAlgebra.lift)."""
+        alg = self.algebra
+        return {key: alg._deform_hom(v, lambda c: c) for key, v in self.derivative_table.items()}
 
     def describe(self) -> dict:
         return {

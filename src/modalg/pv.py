@@ -729,19 +729,25 @@ class _GaloisSystem:
         for i, j in data.R.inverse_pairs:
             vi, vj = data.R.vars[i], data.R.vars[j]
             eqs.append(images[vi] * images[vj] - RA.one())
-        # equivariance: operators commute with sigma on the generators
+        # equivariance: operators commute with sigma on the generators; each
+        # image is expanded once, at the largest theta order, and every
+        # payload reads its coefficient there (a series agrees with its
+        # truncations in every lower degree)
         act = data.action
-        theta_RA = None
-        if self.theta:
+        sigma_theta = {}
+        orders = [sum(payload) for kind, payload, _ in self.operators if kind == "theta"]
+        if orders:
             theta_RA = ActionSpec(RA, "iterder", n=max(act.n, 1), wvars=act.wvars, theta_images={
                 name: TruncSeries(RA, act.wvars, self.horizon,
                                   {e: _lift_poly(RA, c) for e, c in terms.items()})
                 for name, terms in self.theta.items()})
+            sigma_theta = {name: theta_RA.theta_series(images[name], max(orders))
+                           for name in data.R.vars}
         for kind, payload, moved in self.operators:
             moved = {name: _lift_poly(RA, p) for name, p in moved.items()}
             for name in data.R.vars:
                 if kind == "theta":
-                    lhs = theta_RA.theta_series(images[name], sum(payload)).coeff(payload)
+                    lhs = sigma_theta[name].coeff(payload)
                 else:
                     lhs = _apply_sigma(RA, moved, images[name])
                 eqs.append(lhs - _apply_sigma(RA, images, moved[name]))
@@ -1243,7 +1249,7 @@ def _homomorphism_check(data: PVData, hull: HullData, um: UmemuraReport,
     g = fam.instantiate(P2, {p: P2.gen(f"t{i}") for i, p in enumerate(fam.params)})
     induced = _Induced(data, split, P2)
     alg_P = hull.algebra.with_ring(P2)
-    table = {key: alg_P._deform_hom(v, P2.scalar) for key, v in hull.derivative_table.items()}
+    table = {key: alg_P.lift(v, P2.scalar) for key, v in hull.deformed_table.items()}
     Mf, Mg, Mfg = (_induced_matrix(hull, induced, table, t) for t in (f, g, f.compose(g)))
     if Mf is None or Mg is None or Mfg is None:
         return False

@@ -7,7 +7,11 @@ code serves power series over a function field as well as infinitesimal
 transformations over a nilpotent test algebra.
 
 Exactness contract: addition and multiplication of two series agree with the
-untruncated result in every degree <= horizon.  Composition f(phi) is the
+untruncated result in every degree <= horizon.  So does the quotient
+a.divide(b) whenever b has a unit constant term (ValueError otherwise): its
+coefficient of w^e is solved from the coefficients of a and b in degrees
+<= |e| alone, so it equals the coefficient of the untruncated quotient;
+b.recip() is the quotient 1.divide(b).  Composition f(phi) is the
 polynomial substitution of the stored terms of f; it agrees with untruncated
 composition in every degree <= horizon whenever the constant terms of phi are
 zero.  With merely nilpotent constant terms the agreement additionally needs
@@ -19,9 +23,10 @@ the working horizon accordingly.
 from __future__ import annotations
 
 import math
+from operator import add as _add
 from typing import Iterable, Sequence
 
-from .exactalg import Matrix, evaluate
+from .exactalg import Matrix, evaluate, power
 from .exactalg import terms as _terms
 
 
@@ -120,16 +125,7 @@ class TruncSeries:
                                      _terms.degree_bound(self.horizon)))
 
     def __pow__(self, n: int) -> "TruncSeries":
-        if n < 0:
-            raise ValueError("negative power; use recip")
-        r = TruncSeries.one(self.ring, self.vars, self.horizon)
-        b = self
-        while n:
-            if n & 1:
-                r = r * b
-            b = b * b
-            n >>= 1
-        return r
+        return power(self, n, lambda: TruncSeries.one(self.ring, self.vars, self.horizon))
 
     def scale(self, c) -> "TruncSeries":
         R = self.ring
@@ -182,25 +178,44 @@ class TruncSeries:
 
     def recip(self) -> "TruncSeries":
         """Multiplicative inverse; needs a unit constant term."""
-        c0 = self.constant_term()
+        return TruncSeries.one(self.ring, self.vars, self.horizon).divide(self)
+
+    def divide(self, den: "TruncSeries") -> "TruncSeries":
+        """The quotient self / den; den needs a unit constant term c0.
+
+        Solved degree by degree, q_e = c0^-1 (a_e - sum_{0<f<=e} b_f q_(e-f))
+        for self = sum a_e w^e and den = sum b_f w^f: once q_e is known, its
+        products with the nonconstant terms of den are subtracted from the
+        pending sums of the higher degrees."""
+        self._check(den)
         R = self.ring
+        c0 = den.constant_term()
         if not R.is_unit(c0):
-            raise ValueError("reciprocal needs a unit constant term")
+            raise ValueError("division needs a unit constant term in the denominator")
         inv0 = R.inv(c0)
-        one = TruncSeries.one(R, self.vars, self.horizon)
-        g = one - self.scale(inv0)
-        # g has zero constant term, so g^(horizon + 1) vanishes and the
-        # geometric sum ends within horizon + 1 steps
-        acc = one
-        p = one
-        for _ in range(self.horizon + 1):
-            p = p * g
-            if p.is_zero():
-                break
-            acc = acc + p
-        if not p.is_zero():
-            raise ArithmeticError("reciprocal did not converge")
-        return acc.scale(inv0)
+        radd, rmul, is_zero = R.add, R.mul, R.is_zero
+        h = self.horizon
+        tail = [(f, R.neg(b)) for f, b in den.terms.items() if any(f)]
+        # pending[d]: a_e - sum b_f q_(e-f) so far, for the exponents e of degree d
+        pending: list[dict] = [{} for _ in range(h + 1)]
+        for e, a in self.terms.items():
+            pending[sum(e)][e] = a
+        out: dict = {}
+        for layer in pending:
+            for e, s in layer.items():
+                q = rmul(inv0, s)
+                if is_zero(q):
+                    continue
+                out[e] = q
+                for f, nb in tail:
+                    k = tuple(map(_add, e, f))
+                    d = sum(k)
+                    if d > h:
+                        continue
+                    c = rmul(nb, q)
+                    bucket = pending[d]
+                    bucket[k] = radd(bucket[k], c) if k in bucket else c
+        return self._make(out)
 
     # ------------------------------------------------------ reshaping maps
     def truncate(self, horizon: int) -> "TruncSeries":

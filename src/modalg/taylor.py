@@ -21,7 +21,7 @@ from __future__ import annotations
 from typing import Callable, Sequence
 
 from .actions import ActionSpec, HomElement, Report
-from .exactalg import Frac, evaluate
+from .exactalg import Frac, evaluate, power
 from .series import TruncSeries
 
 
@@ -229,6 +229,11 @@ class ExpansionAlgebra:
             data[word] = self._series(terms)
         return self.element(data)
 
+    def lift(self, f: "JointElement", lift: Callable) -> "JointElement":
+        """f, an element over another coefficient ring with the same bounds,
+        with every coefficient mapped into this algebra's ring by lift."""
+        return self.element({w: s.map_coeffs(lift, self.ring) for w, s in f.data.items()})
+
     def with_ring(self, ring) -> "ExpansionAlgebra":
         alg = ExpansionAlgebra(self.action, self.theta_u, self.t_horizon, self.w_horizon,
                                self.word_bound, ring=ring)
@@ -279,14 +284,7 @@ class JointElement:
         return JointElement(self.alg, {w: s.scale(c) for w, s in self.data.items()})
 
     def __pow__(self, n: int):
-        r = self.alg.one()
-        b = self
-        while n:
-            if n & 1:
-                r = r * b
-            b = b * b
-            n >>= 1
-        return r
+        return power(self, n, self.alg.one)
 
     def is_zero(self) -> bool:
         return all(s.is_zero() for s in self.data.values())

@@ -294,8 +294,8 @@ def solve_points(hull: HullData, relations: Sequence[DiffPoly],
     images = {}
     congruent = True
     for i, (label, _, joint) in enumerate(hull.rho_gens):
-        img = evaluate(((k, hull.derivative_table[(i, k)]) for k in multi_indices(n, wh)),
-                       deviation, alg_P, lambda v: alg_P._deform_hom(v, P.scalar))
+        img = evaluate(((k, hull.deformed_table[(i, k)]) for k in multi_indices(n, wh)),
+                       deviation, alg_P, lambda v: alg_P.lift(v, P.scalar))
         images[label] = img
         # congruence: killing the parameters recovers the undeformed image
         reduced = JointElement(
@@ -345,13 +345,14 @@ def group_compatibility_check(hull: HullData, report: UmemuraReport) -> bool:
     composed = f.compose(g)
     alg_P2 = alg.with_ring(P2)
     ident = [TruncSeries.variable(P2, family.vars, wh, v) for v in family.vars]
+    table = {key: alg_P2.lift(v, P2.scalar) for key, v in hull.deformed_table.items()}
 
     def deviation(transform: InfTransform) -> list[JointElement]:
         return [alg_P2.from_w_series(c - ident[j]) for j, c in enumerate(transform.comps)]
 
     def reconstruct(transform: InfTransform, i: int) -> JointElement:
-        return evaluate(((k, hull.derivative_table[(i, k)]) for k in multi_indices(n, wh)),
-                        deviation(transform), alg_P2, lambda v: alg_P2._deform_hom(v, P2.scalar))
+        return evaluate(((k, table[(i, k)]) for k in multi_indices(n, wh)),
+                        deviation(transform), alg_P2, lambda v: v)
 
     for i in range(hull.n_gens()):
         # phi_f applied to the image of phi_g: derivatives of phi_f's image,

@@ -1,12 +1,15 @@
 """Module-algebra structure tests: measuring and algebra-compatibility
-checkers, constants, the internal translation action, convolution, and
-simplicity of products of fields."""
+checkers, the theta expansion against an evaluate-then-reciprocal reference,
+constants, the internal translation action, convolution, and simplicity of
+products of fields."""
 
 from __future__ import annotations
 
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from modalg.actions import (
     ActionSpec,
@@ -20,8 +23,9 @@ from modalg.actions import (
     convolution,
     translate,
 )
-from modalg.exactalg import GF, QQ, FracField, PolyRing, kernel_basis
-from modalg.series import TruncSeries
+from modalg.exactalg import GF, QQ, AlgebraicField, FracField, PolyRing, evaluate, kernel_basis
+from modalg.hull import variable_basis_derivation
+from modalg.series import SeriesRing, TruncSeries, truncated_exp
 
 
 def shift_action(field=QQ):
@@ -162,6 +166,133 @@ def test_smash_noncommuting_detected():
     rep = check_module_algebra(act, L, depth=3)
     assert not rep.ok
     assert any("commutation" in f for f in rep.failures)
+
+
+# ------------------------------------------------------------ theta expansion
+
+
+def geometric_recip(f: TruncSeries) -> TruncSeries:
+    # c0^-1 sum_k (1 - f/c0)^k, which ends within horizon + 1 products
+    R = f.ring
+    inv0 = R.inv(f.constant_term())
+    one = TruncSeries.one(R, f.vars, f.horizon)
+    g = one - f.scale(inv0)
+    acc, p = one, one
+    for _ in range(f.horizon + 1):
+        p = p * g
+        acc = acc + p
+    return acc.scale(inv0)
+
+
+def theta_reference(act: ActionSpec, elem, horizon: int) -> TruncSeries:
+    """Reference: the declared images (an undeclared inverse-pair partner gets
+    the reciprocal of its partner's image) substituted by exactalg.evaluate,
+    every fraction as numerator times the geometric reciprocal of the
+    denominator."""
+    ring = act.ring
+    S = SeriesRing(ring, act.wvars, horizon)
+    images = {name: act.theta_images[name].with_horizon(horizon)
+              for name in ring.vars if name in act.theta_images}
+    for i, j in ring.inverse_pairs if isinstance(ring, PolyRing) else ():
+        a, b = ring.vars[i], ring.vars[j]
+        if a not in images:
+            images[a] = geometric_recip(images[b])
+        if b not in images:
+            images[b] = geometric_recip(images[a])
+
+    def frac(c):
+        num, den = (evaluate(p.sorted_terms(), [images[v] for v in c.field.vars], S,
+                             lambda x: S.const(ring.const(x))) for p in (c.num, c.den))
+        return num * geometric_recip(den)
+
+    if isinstance(ring, AlgebraicField):
+        return evaluate([((d,), c) for d, c in enumerate(ring.decompose(elem))],
+                        [images[ring.gen_name]], S, frac)
+    if isinstance(ring, FracField):
+        return frac(elem)
+    return evaluate(elem.sorted_terms(), [images[v] for v in ring.vars], S,
+                    lambda x: S.const(ring.scalar(x)))
+
+
+def _rational_action():
+    L = FracField(QQ, ["y"])
+    y = L.var("y")
+    w = TruncSeries.variable(L, ("w",), 8, "w")
+    return ActionSpec(L, "iterder", n=1, theta_images={
+        "y": TruncSeries.const(L, ("w",), 8, y) * truncated_exp(w) + w * w})
+
+
+def _two_variable_action():
+    return variable_basis_derivation(FracField(QQ, ["x1", "x2"]), 8)
+
+
+def _algebraic_action():
+    base = FracField(QQ, ["u"])
+    u = base.var("u")
+    return variable_basis_derivation(AlgebraicField(base, "z", [-u, base.zero(), base.one()]), 8)
+
+
+def _laurent_action():
+    R = PolyRing(QQ, ["y", "yi"], inverse_pairs=[(0, 1)])
+    return ActionSpec(R, "iterder", n=1, theta_images={
+        "y": TruncSeries(R, ("w",), 8, {(0,): R.var("y"), (1,): R.one(), (2,): R.var("y")})})
+
+
+THETA_ACTIONS = {
+    "QQ(y)": _rational_action,
+    "GF7(y)": lambda: shift_action(GF(7))[1],
+    "QQ(x1,x2)": _two_variable_action,
+    "QQ(u)[z]/(z^2-u)": _algebraic_action,
+    "QQ[y,1/y]": _laurent_action,
+}
+
+
+@st.composite
+def theta_cases(draw):
+    """A fresh action and an element of its ring: a quotient of small
+    polynomials in the generators (a polynomial for a polynomial ring)."""
+    act = THETA_ACTIONS[draw(st.sampled_from(sorted(THETA_ACTIONS)))]()
+    ring = act.ring
+    field = ring.base if isinstance(ring, AlgebraicField) else ring
+    gens = field.gens()
+
+    def small():
+        out = field.from_int(draw(st.integers(-2, 2)))
+        for g in gens:
+            out = out + field.from_int(draw(st.integers(-2, 2))) * g
+        out = out + field.from_int(draw(st.integers(-1, 1))) * gens[-1] * gens[0]
+        return out
+
+    if isinstance(ring, PolyRing):
+        return act, small()
+    if isinstance(ring, AlgebraicField):
+        parts = []
+        for _ in range(ring.degree):
+            den = small()
+            parts.append(small() / (den if not den.is_zero() else field.one()))
+        return act, ring.element(parts)
+    den = small()
+    return act, small() / (den if not den.is_zero() else field.one())
+
+
+@settings(max_examples=20, deadline=None)
+@given(theta_cases())
+def test_theta_series_matches_evaluate_then_reciprocal(case):
+    act, elem = case
+    # in two variables an expansion at horizon 8 takes seconds
+    top = 8 if len(act.wvars) == 1 else 5
+    low = act.theta_series(elem, 3)
+    high = act.theta_series(elem, top)
+    # the later, higher expansion agrees with the earlier one in degrees <= 3
+    assert high.truncate(3) == low
+    assert act.theta_series(elem, 3) == low
+    assert low == theta_reference(act, elem, 3)
+    assert high == theta_reference(act, elem, top)
+
+
+def test_action_over_an_unsupported_context_is_rejected_when_built():
+    with pytest.raises(ValueError, match="unsupported ring context"):
+        ActionSpec(QQ, "iterder", n=1)
 
 
 # ------------------------------------------------------------------ constants

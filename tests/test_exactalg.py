@@ -33,7 +33,10 @@ from modalg.exactalg import (
     rref,
     solve_linear,
 )
+from modalg.actions import ActionSpec
 from modalg.lieritt import NilAlgebra
+from modalg.series import TruncSeries
+from modalg.taylor import ExpansionAlgebra
 
 
 # ---------------------------------------------------------------- scalars
@@ -364,6 +367,9 @@ def test_frac_arithmetic_matches_normalizing_constructor(data):
     assert _same_pair(a - b, Frac(L, p * s - r * q, q * s))
     assert _same_pair(a * b, Frac(L, p * r, q * s))
     assert _same_pair(-a, Frac(L, -p, q))
+    # both denominators 1: the product is the pair (p*r, 1) with no gcd taken
+    one = L.poly_ring.one()
+    assert _same_pair(L.from_poly(p) * L.from_poly(r), Frac(L, p * r, one))
     assert _same_pair(L.from_poly(p), Frac(L, p, L.poly_ring.one()))
     if b.is_zero():
         with pytest.raises(ZeroDivisionError):
@@ -672,3 +678,48 @@ def test_dense_rational_function_rref_matches_dense_reference():
     want_rows, want_pivots = dense_rref(rows, QY)
     assert got_pivots == want_pivots == [0, 1, 2, 3]
     assert _same_rows(QY, got_rows, want_rows)
+
+
+# ------------------------------------------------------------- binary powers
+
+
+def _power_bases():
+    """One value of each type whose ** is exactalg.power: a polynomial, a
+    fraction, a truncated series and an element of an expansion algebra."""
+    R = PolyRing(QQ, ["x", "y"])
+    L = FracField(QQ, ["y"])
+    y = L.var("y")
+    act = ActionSpec(L, "iterder", n=1,
+                     theta_images={"y": TruncSeries(L, ("w",), 8, {(0,): y, (1,): L.one()})})
+    alg = ExpansionAlgebra(act, act, t_horizon=3, w_horizon=3)
+    return [
+        R.var("x") + R.from_int(2) * R.var("y") - R.one(),
+        (y + L.one()) / (y - L.from_int(2)),
+        TruncSeries(QQ, ("w",), 5, {(0,): Fraction(1), (1,): Fraction(-1), (2,): Fraction(3)}),
+        alg.expand_rho(y),
+    ]
+
+
+@pytest.mark.parametrize("index", range(4))
+def test_power_is_repeated_multiplication_with_fewest_products(index, monkeypatch):
+    x = _power_bases()[index]
+    cls = type(x)
+    one = x ** 0
+    products = []
+    original = cls.__mul__
+
+    def counting(a, b):
+        products.append(1)
+        return original(a, b)
+
+    monkeypatch.setattr(cls, "__mul__", counting)
+    expected = one
+    for n in range(6):
+        products.clear()
+        got = x ** n
+        # squarings below the top bit, plus one product per further set bit
+        assert len(products) == max(n.bit_length() - 1, 0) + max(bin(n).count("1") - 1, 0)
+        assert got == expected
+        expected = original(expected, x)
+    products.clear()
+    assert x ** 1 is x and not products

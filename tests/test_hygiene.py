@@ -1,7 +1,8 @@
 """Source hygiene: no module of the library imports a name it never uses,
-no private function or method of the library goes unreferenced, and no
-module probes an object with hasattr or getattr (a context answers the ring
-protocol of exactalg/ring.py instead).
+no private function or method of the library goes unreferenced, no module
+probes an object with hasattr or getattr (a context answers the ring
+protocol of exactalg/ring.py instead), and binary powering is written once,
+in exactalg.power.
 
 Package __init__.py files are exempt from the import check, since their
 imports are re-exports.  Names are read with ast only; a name counts as used
@@ -153,3 +154,49 @@ def test_library_has_no_attribute_probes():
     probes = [f"{p.relative_to(SRC)}:{line} {name}"
               for p in sorted(SRC.rglob("*.py")) for name, line in attribute_probes(p.read_text())]
     assert not probes, "attribute probes: " + ", ".join(probes)
+
+
+def binary_power_loops(source: str) -> list[tuple[str, int]]:
+    """(enclosing function, line) of every while loop whose body shifts a
+    name right in place (the n >>= 1 of binary powering)."""
+    out = []
+
+    def visit(node, func):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.While) and any(
+                    isinstance(n, ast.AugAssign) and isinstance(n.op, ast.RShift)
+                    and isinstance(n.target, ast.Name) for n in ast.walk(child)):
+                out.append((func, child.lineno))
+            visit(child, func)
+
+    visit(ast.parse(source), "<module>")
+    return sorted(out)
+
+
+def test_binary_power_scanner():
+    source = (
+        "class P:\n"
+        "    def __pow__(self, n):\n"
+        "        r, b = 1, self\n"
+        "        while n:\n"
+        "            if n & 1:\n"
+        "                r = r * b\n"
+        "            b = b * b\n"
+        "            n >>= 1\n"
+        "        return r\n"
+        "def bits(n):\n"
+        "    n >>= 1\n"
+        "    while n:\n"
+        "        n -= 1\n"
+        "    return n >> 1\n"
+    )
+    assert binary_power_loops(source) == [("__pow__", 4)]
+
+
+def test_library_powers_only_through_the_shared_helper():
+    loops = [f"{p.relative_to(SRC)}:{func}"
+             for p in sorted(SRC.rglob("*.py")) for func, _ in binary_power_loops(p.read_text())]
+    assert loops == ["exactalg/ring.py:power"], "binary-power loops outside exactalg.power: " + ", ".join(loops)

@@ -343,3 +343,33 @@ def test_compare_product_has_two_parameters():
     assert d["lie_dim"] == 2
     assert d["group_homomorphism"] is True
     assert len(d["galois_parameters"]) == 2
+
+
+def test_residues_expand_each_generator_once(monkeypatch):
+    # residues reads every theta payload from one expansion per R-generator
+    # at the largest payload order: two generators (y, 1/y) per call, over
+    # the four residue calls one exponential compare makes
+    inside = []
+    calls = []
+    residues, theta_series = pv._GaloisSystem.residues, ActionSpec.theta_series
+
+    def counting_residues(self, *args):
+        inside.append(True)
+        try:
+            return residues(self, *args)
+        finally:
+            inside.pop()
+
+    def counting_theta(self, *args):
+        if inside:
+            calls.append(args[1])
+        return theta_series(self, *args)
+
+    monkeypatch.setattr(pv._GaloisSystem, "residues", counting_residues)
+    monkeypatch.setattr(ActionSpec, "theta_series", counting_theta)
+    data, ext = exponential_pv()
+    hull = hull_generators(ext, t_horizon=3, w_horizon=3)
+    rels = find_relations(hull, diff_order=3, degree=2)
+    d = pv.compare(data, hull, rels, degree=3).as_dict()
+    assert d["ok"] and d["lie_dim"] == 1
+    assert len(calls) == 8 and set(calls) == {3}

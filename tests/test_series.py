@@ -2,8 +2,10 @@
 
 Derived expectations are produced by independent oracles inside the test:
 a direct Cauchy-product loop for multiplication, direct term substitution
-for composition, the geometric series for reciprocals, and a degree-by-degree
-solve (independent of the library routine) for compositional inverses.
+for composition, the geometric series for reciprocals and quotients (the
+loop the library used before its degree-by-degree division), and a
+degree-by-degree solve (independent of the library routine) for
+compositional inverses.
 """
 
 from __future__ import annotations
@@ -13,6 +15,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from modalg.exactalg import GF, QQ, FracField
 from modalg.lieritt import NilAlgebra
@@ -182,6 +186,82 @@ def test_recip_random_unit_series():
     for _ in range(100):
         f = rand_series(rng, 4, unit=True)
         assert f * f.recip() == TruncSeries.one(QQ, ("w",), 4)
+
+
+def geometric_recip_oracle(f: TruncSeries) -> TruncSeries:
+    # 1/f = c0^-1 sum_k g^k with g = 1 - f/c0, which has zero constant term,
+    # so g^(horizon + 1) vanishes: at most horizon + 1 full series products
+    R = f.ring
+    inv0 = R.inv(f.constant_term())
+    one = TruncSeries.one(R, f.vars, f.horizon)
+    g = one - f.scale(inv0)
+    acc, p = one, one
+    for _ in range(f.horizon + 1):
+        p = p * g
+        if p.is_zero():
+            break
+        acc = acc + p
+    assert p.is_zero()
+    return acc.scale(inv0)
+
+
+DIVISION_RINGS = {
+    "QQ": QQ,
+    "GF7": GF(7),
+    "QQ(y)": FracField(QQ, ["y"]),
+    "nil": NilAlgebra(QQ, ("e",), 3),
+}
+
+
+def division_coefficients(R):
+    """Small coefficients of R, zero included; units are those with a
+    nonzero (constant) part."""
+    if R is QQ:
+        return st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+    if R.char == 7:
+        return st.integers(0, 6).map(R.from_int)
+    if isinstance(R, NilAlgebra):
+        return st.lists(st.integers(-2, 2), min_size=3, max_size=3).map(
+            lambda cs: R.element({(0,): Fraction(cs[0]), (1,): Fraction(cs[1]), (2,): Fraction(cs[2])}))
+    y = R.var("y")
+    return st.tuples(st.integers(-2, 2), st.integers(-2, 2), st.integers(1, 2)).map(
+        lambda t: (R.from_int(t[0]) + R.from_int(t[1]) * y) / (y + R.from_int(t[2])))
+
+
+@st.composite
+def division_cases(draw):
+    """(numerator, denominator) series over one of the rings, in one or two
+    variables at horizon <= 4; the denominator may lack a unit constant."""
+    R = DIVISION_RINGS[draw(st.sampled_from(sorted(DIVISION_RINGS)))]
+    nvars = draw(st.sampled_from([1, 2]))
+    variables = ("w",) if nvars == 1 else ("w1", "w2")
+    horizon = draw(st.integers(0, 4 if nvars == 1 else 3))
+    exps = st.tuples(*[st.integers(0, horizon)] * nvars)
+    coeffs = division_coefficients(R)
+    num, den = (draw(st.dictionaries(exps, coeffs, max_size=5)) for _ in range(2))
+    den[(0,) * nvars] = draw(coeffs)
+    return (TruncSeries(R, variables, horizon, num), TruncSeries(R, variables, horizon, den))
+
+
+@settings(max_examples=150, deadline=None)
+@given(division_cases())
+def test_divide_and_recip_match_geometric_oracle(case):
+    num, den = case
+    if not den.ring.is_unit(den.constant_term()):
+        with pytest.raises(ValueError):
+            num.divide(den)
+        with pytest.raises(ValueError):
+            den.recip()
+        return
+    r = geometric_recip_oracle(den)
+    assert den.recip() == r
+    assert num.divide(den) == num * r
+    assert num.divide(den) * den == num
+
+
+def test_divide_rejects_other_shapes():
+    with pytest.raises(ValueError):
+        qq_series(3, {0: 1}).divide(qq_series(2, {0: 1}))
 
 
 # ---------------------------------------------------------- formal inverse

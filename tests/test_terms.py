@@ -6,6 +6,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from modalg.exactalg import QQ, PolyRing, terms
+from modalg.lieritt import NilAlgebra
 
 
 def test_accumulate_drops_cancelled_keys():
@@ -32,6 +33,17 @@ def test_mul_with_and_without_truncation():
     assert terms.mul(a, b, QQ, terms.degree_bound(1)) == {(0,): Fraction(1)}
     assert terms.degree_bound(1) is terms.degree_bound(1)
     assert terms.mul({}, b, QQ, terms.add_keys) == {}
+
+
+def test_mul_of_single_terms():
+    # one term times one term: a key and a coefficient product, dropped when
+    # combine truncates it or the coefficients multiply to zero
+    assert terms.mul({(1,): Fraction(2)}, {(2,): Fraction(3)}, QQ, terms.add_keys) \
+        == {(3,): Fraction(6)}
+    assert terms.mul({(1,): Fraction(2)}, {(2,): Fraction(3)}, QQ, terms.degree_bound(2)) == {}
+    A = NilAlgebra(QQ, ("e",), 2)
+    e = A.gen("e")
+    assert terms.mul({(0,): e}, {(1,): e}, A, terms.add_keys) == {}
 
 
 def test_operators_context_for_value_coefficients():
