@@ -735,14 +735,14 @@ class _GaloisSystem:
         # truncations in every lower degree)
         act = data.action
         sigma_theta = {}
-        orders = [sum(payload) for kind, payload, _ in self.operators if kind == "theta"]
-        if orders:
+        top = max((sum(payload) for kind, payload, _ in self.operators if kind == "theta"),
+                  default=None)
+        if top is not None:
             theta_RA = ActionSpec(RA, "iterder", n=max(act.n, 1), wvars=act.wvars, theta_images={
                 name: TruncSeries(RA, act.wvars, self.horizon,
                                   {e: _lift_poly(RA, c) for e, c in terms.items()})
                 for name, terms in self.theta.items()})
-            sigma_theta = {name: theta_RA.theta_series(images[name], max(orders))
-                           for name in data.R.vars}
+            sigma_theta = {name: theta_RA.theta_series(images[name], top) for name in data.R.vars}
         for kind, payload, moved in self.operators:
             moved = {name: _lift_poly(RA, p) for name, p in moved.items()}
             for name in data.R.vars:

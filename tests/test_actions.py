@@ -279,7 +279,7 @@ def theta_cases(draw):
 @given(theta_cases())
 def test_theta_series_matches_evaluate_then_reciprocal(case):
     act, elem = case
-    # in two variables an expansion at horizon 8 takes seconds
+    # in two variables the reference at horizon 8 takes over a second
     top = 8 if len(act.wvars) == 1 else 5
     low = act.theta_series(elem, 3)
     high = act.theta_series(elem, top)
