@@ -19,6 +19,9 @@ invariants and takes only the gcds that can be nontrivial, after Henrici
   * otherwise a/b * c/d divides out gcd(a, d) and gcd(c, b), each skipped
     when one of its arguments is constant; both quotients of b and d stay
     monic because poly_gcd returns monic gcds;
+  * the gcd of two one-term polynomials c*x^e and c'*x^e' is the monomial
+    x^min(e, e') (componentwise minimum), so cancelling them shifts both
+    exponents by that minimum, with no gcd call and no division;
   * a/b + c/d is (a + c)/1 or (a*d + c)/d when a denominator is 1.
     Otherwise let g = gcd(b, d): when g is 1, (a*d + c*b)/(b*d) is already
     reduced; else, with t = a*(d/g) + c*(b/g), every common factor of t and
@@ -42,9 +45,19 @@ from .ring import Ring, power
 def _cancel(p: MPoly, q: MPoly) -> tuple[MPoly, MPoly]:
     """Nonzero p and q divided by their gcd, which poly_gcd makes monic;
     p and q themselves when that gcd is 1, with no gcd taken when p or q
-    is constant."""
+    is constant.  The gcd of two one-term polynomials is x^low for the
+    componentwise minimum low of their exponents, so each is shifted by
+    -low directly."""
     if p.is_const() or q.is_const():
         return p, q
+    if len(p.terms) == 1 and len(q.terms) == 1:
+        (ep, cp), = p.terms.items()
+        (eq, cq), = q.terms.items()
+        low = tuple(map(min, ep, eq))
+        if not any(low):
+            return p, q
+        return (MPoly(p.ring, {tuple(a - b for a, b in zip(ep, low)): cp}),
+                MPoly(q.ring, {tuple(a - b for a, b in zip(eq, low)): cq}))
     g = poly_gcd(p, q)
     if g.is_const():
         return p, q

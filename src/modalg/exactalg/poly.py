@@ -281,6 +281,11 @@ class MPoly:
     def exact_div(self, d: "MPoly") -> "MPoly":
         """Exact polynomial division; raises ValueError when not divisible.
 
+        A one-term divisor c*x^e takes one pass: every exponent is shifted
+        by -e and every coefficient divided by c, and the division is exact
+        exactly when no shifted exponent is negative.  Other divisors take
+        long division under graded lex order.
+
         Only for rings without inverse pairs (divide units out instead)."""
         self._check(d)
         if self.ring.inverse_pairs:
@@ -288,6 +293,15 @@ class MPoly:
         if d.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
         f = self.ring.field
+        if len(d.terms) == 1:
+            (dexp, dc), = d.terms.items()
+            q = {}
+            for exp, c in self.terms.items():
+                qexp = tuple(a - b for a, b in zip(exp, dexp))
+                if min(qexp, default=0) < 0:
+                    raise ValueError("non-exact polynomial division")
+                q[qexp] = f.div(c, dc)
+            return MPoly(self.ring, q)
         r = self
         q: dict = {}
         dexp, dc = d.leading()
@@ -378,8 +392,8 @@ def poly_gcd(a: MPoly, b: MPoly) -> MPoly:
     """GCD of two polynomials, normalized so the leading coefficient under
     graded lex order is 1.  Primitive pseudo-remainder sequence, recursing on
     the coefficient polynomials, except that a gcd with a one-term argument
-    (a Laurent denominator, say) is a monomial read off the exponents; exact
-    over QQ and GF(p)."""
+    (a Laurent denominator, say) is a monomial read off the exponents, which
+    is monic as computed and is not rescaled; exact over QQ and GF(p)."""
     if a.ring is not b.ring:
         raise ValueError("polynomial ring mismatch")
     if a.ring.inverse_pairs:
@@ -388,7 +402,8 @@ def poly_gcd(a: MPoly, b: MPoly) -> MPoly:
     if g.is_zero():
         return g
     _, lc = g.leading()
-    return g.scale(g.ring.field.inv(lc))
+    f = g.ring.field
+    return g if f.eq(lc, f.one()) else g.scale(f.inv(lc))
 
 
 def _content_and_primitive(p: MPoly, i: int) -> tuple[MPoly, MPoly]:

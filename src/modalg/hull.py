@@ -50,21 +50,25 @@ class ExtensionDesc:
         return len(self.basis)
 
     def transcendental_vars(self) -> tuple[str, ...]:
-        L = self.L
-        vs = L.base.vars if isinstance(L, AlgebraicField) else L.vars
-        return tuple(v for v in vs if v not in self.K_vars)
+        return tuple(v for v in _field_variables(self.L) if v not in self.K_vars)
+
+
+def _field_variables(L) -> tuple[str, ...]:
+    """The names of the rational function field variables of L: its own for
+    a FracField, its base's for an AlgebraicField (whose vars also name the
+    algebraic generator)."""
+    if isinstance(L, AlgebraicField):
+        return L.base.vars
+    if isinstance(L, FracField):
+        return L.vars
+    raise ValueError(f"unsupported field context {L!r}")
 
 
 def variable_basis_derivation(L, horizon: int, fixed_vars: Sequence[str] = ()) -> ActionSpec:
     """The iterative derivation sending each moving field variable v to
     v + w_v, fixing the declared subfield variables, and solving the defining
     equation of an algebraic generator."""
-    if isinstance(L, AlgebraicField):
-        all_vars = L.base.vars
-    elif isinstance(L, FracField):
-        all_vars = L.vars
-    else:
-        raise ValueError(f"unsupported field context {L!r}")
+    all_vars = _field_variables(L)
     moving = [v for v in all_vars if v not in fixed_vars]
     n = len(moving)
     wvars = ("w",) if n == 1 else tuple(f"w{i+1}" for i in range(n))

@@ -674,7 +674,8 @@ class _GaloisSystem:
     once, in R: the theta series of each R-generator and, for every operator
     of _d_basis_entries, its image of each R-generator (for a monoid
     generator these images are the endomorphism itself).  residues only
-    lifts them to R (x) A."""
+    lifts them to R (x) A, and X and X^-1 are lifted once per test
+    algebra."""
 
     def __init__(self, data: PVData, horizon: int):
         self.data = data
@@ -695,6 +696,7 @@ class _GaloisSystem:
                 moved = {name: data.l_to_r(act.apply_generator(payload, g))
                          for name, g in gens.items()}
             self.operators.append((kind, payload, moved))
+        self._lifted_X: dict = {}  # test algebra -> (X, X^-1) over R (x) A
 
     def _ra(self, A: NilAlgebra) -> PolyRing:
         return PolyRing(A, self.data.R.vars, self.data.R.inverse_pairs)
@@ -702,8 +704,11 @@ class _GaloisSystem:
     def _sigma_images(self, A: NilAlgebra, M: Matrix) -> dict:
         data = self.data
         RA = self._ra(A)
-        XA = data.X.map(lambda p: _lift_poly(RA, p), RA)
-        XinvA = data.Xinv.map(lambda p: _lift_poly(RA, p), RA)
+        lifted = self._lifted_X.get(A)
+        if lifted is None:
+            lifted = self._lifted_X[A] = tuple(
+                m.map(lambda p: _lift_poly(RA, p), RA) for m in (data.X, data.Xinv))
+        XA, XinvA = lifted
         MA = Matrix(RA, [[RA.scalar(e) for e in row] for row in M.rows])
         XM = XA * MA
         Minv = M.inverse()

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-from .exactalg import Frac, evaluate
+from .exactalg import Frac, evaluate, power
 from .exactalg import terms as _terms
 from .hull import HullData
 from .lieritt import (
@@ -127,6 +127,9 @@ def build_ideal(hull: HullData, relations: Sequence[DiffPoly]) -> LieRittIdeal:
             deriv_cache[(i, k)] = templates[i].deriv(k, wh)
         return deriv_cache[(i, k)]
 
+    def y_one() -> YPoly:
+        return YPoly.const(alg, alg.one())
+
     gens: list[DiffPoly] = []
     seen: set = set()
     for rel in relations:
@@ -147,9 +150,7 @@ def build_ideal(hull: HullData, relations: Sequence[DiffPoly]) -> LieRittIdeal:
                 joint_c = joint_c * alg.from_w_series(multiplier)
             term = YPoly.const(alg, joint_c)
             for (i, k), e in key:
-                d = template_deriv(i, tuple(k))
-                for _ in range(e):
-                    term = term * d
+                term = term * power(template_deriv(i, tuple(k)), e, y_one)
             twisted = twisted + term
         # extract one differential polynomial per operator coordinate
         coords: dict = {}
@@ -257,17 +258,19 @@ def solve_points(hull: HullData, relations: Sequence[DiffPoly],
     identity modulo nilpotents and the preservation of all relations are
     re-checked on the symbolic family."""
     # re-check the precondition: relations vanish on the generators
+    def plain_one():
+        return hull.algebra.expand_plain(hull.ext.L.one())
+
     for rel in relations:
         acc = None
         for key, coeff in rel.terms.items():
             c = coeff.coeff((0,) * len(coeff.vars))
             term = None
             for (i, k), e in key:
-                v = hull.derivative_table[(i, tuple(k))]
-                for _ in range(e):
-                    term = v if term is None else term * v
+                v = power(hull.derivative_table[(i, tuple(k))], e, plain_one)
+                term = v if term is None else term * v
             if term is None:
-                term = hull.algebra.expand_plain(hull.ext.L.one())
+                term = plain_one()
             term = term.scale(c)
             acc = term if acc is None else acc + term
         if acc is not None and not all(s.is_zero() for s in acc.data.values()):
@@ -311,9 +314,7 @@ def solve_points(hull: HullData, relations: Sequence[DiffPoly],
             c = coeff.coeff((0,) * len(coeff.vars))
             term = alg_P.from_w_series(alg.theta_u.theta_series(c, wh), lift=P.scalar)
             for (i, k), e in key:
-                base = images[hull.rho_gens[i][0]].theta_w(tuple(k))
-                for _ in range(e):
-                    term = term * base
+                term = term * images[hull.rho_gens[i][0]].theta_w(tuple(k)) ** e
             acc = acc + term
         if not acc.is_zero():
             relations_ok = False

@@ -33,6 +33,7 @@ from modalg.exactalg import (
     rref,
     solve_linear,
 )
+from modalg.exactalg import frac
 from modalg.actions import ActionSpec
 from modalg.lieritt import NilAlgebra
 from modalg.series import TruncSeries
@@ -274,6 +275,86 @@ def test_poly_gcd_with_a_constant_is_one():
             assert poly_gcd(ring.zero(), c) == ring.one()
 
 
+def _long_division(p, d):
+    """Reference: exact division by long division under graded lex order,
+    subtracting one quotient term times d per step."""
+    f = p.ring.field
+    r, q = p, {}
+    dexp, dc = d.leading()
+    while not r.is_zero():
+        rexp, rc = r.leading()
+        qexp = tuple(a - b for a, b in zip(rexp, dexp))
+        if any(e < 0 for e in qexp):
+            raise ValueError("non-exact polynomial division")
+        qc = f.div(rc, dc)
+        q[qexp] = f.add(q.get(qexp, f.zero()), qc)
+        r = r - p.ring.poly({qexp: qc}) * d
+    return p.ring.poly(q)
+
+
+@pytest.mark.parametrize("ring", MONOMIAL_RINGS, ids=str)
+@settings(max_examples=40, deadline=None)
+@given(mono=EXPS_LOW, c=st.integers(1, 6),
+       terms=st.dictionaries(EXPS_LOW, st.integers(-3, 3).filter(bool), max_size=5))
+def test_exact_div_by_one_term_matches_long_division(ring, mono, c, terms):
+    # a one-term divisor shifts the exponents in one pass; the long-division
+    # loop is the oracle, for exact and for non-exact quotients alike
+    n = ring.nvars()
+    m = ring.poly({mono[:n]: ring.field.from_int(c)})
+    q = ring.poly({e[:n]: ring.field.from_int(v) for e, v in terms.items()})
+    assert (q * m).exact_div(m) == q == _long_division(q * m, m)
+    try:
+        want = _long_division(q, m)
+    except ValueError:
+        with pytest.raises(ValueError, match="non-exact"):
+            q.exact_div(m)
+    else:
+        assert q.exact_div(m) == want
+
+
+def test_exact_div_by_one_term_rejects_non_exact_and_bad_divisors():
+    ring = qq_ring("x1", "x2")
+    x1, x2 = ring.gens()
+    R = qq_ring("y")
+    y = R.var("y")
+    three = R.from_int(3)
+    for p, d in ((x1, x2), (y, y * y), (three * y, y * y)):
+        with pytest.raises(ValueError, match="non-exact"):
+            p.exact_div(d)
+    with pytest.raises(ZeroDivisionError):
+        y.exact_div(R.zero())
+    laurent = PolyRing(QQ, ["y", "yi"], inverse_pairs=[(0, 1)])
+    with pytest.raises(ValueError, match="inverse pairs"):
+        laurent.var("y").exact_div(laurent.var("y"))
+
+
+@pytest.mark.parametrize("ring", MONOMIAL_RINGS, ids=str)
+@settings(max_examples=40, deadline=None)
+@given(a=EXPS_LOW, b=EXPS_LOW, ca=st.integers(1, 6), cb=st.integers(1, 6))
+def test_cancel_of_one_term_pair_is_division_by_gcd_without_gcd_call(ring, a, b, ca, cb):
+    # gcd(c*x^e, c'*x^e') = x^min(e, e'): _cancel shifts both exponents
+    # directly and never calls poly_gcd; the oracle divides by poly_gcd
+    n = ring.nvars()
+    p = ring.poly({a[:n]: ring.field.from_int(ca)})
+    q = ring.poly({b[:n]: ring.field.from_int(cb)})
+    g = poly_gcd(p, q)
+    want = (p, q) if p.is_const() or q.is_const() else (_long_division(p, g), _long_division(q, g))
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return poly_gcd(*args)
+
+    original = frac.poly_gcd
+    frac.poly_gcd = counting
+    try:
+        got = frac._cancel(p, q)
+    finally:
+        frac.poly_gcd = original
+    assert got == want
+    assert not calls
+
+
 # -------------------------------------------------------------- fractions
 
 
@@ -331,7 +412,9 @@ FRAC_FIELDS = {
 @st.composite
 def frac_pairs(draw):
     """(L, a, b): two fractions built by the normalizing constructor from
-    polynomials of total degree <= 2, often with a factor in common."""
+    polynomials of total degree <= 2, often with a factor in common; about
+    one operand in four is a Laurent monomial c*x^e / x^f instead, such as
+    3y/y^2, y^2/y or 1/y^3."""
     L = FRAC_FIELDS[draw(st.sampled_from(sorted(FRAC_FIELDS)))]
     R = L.poly_ring
     gens = R.gens()
@@ -348,16 +431,21 @@ def frac_pairs(draw):
             p = R.one()
         return p * factor if draw(st.booleans()) else p
 
-    a = Frac(L, part(False), part(True))
-    b = Frac(L, part(False), part(True))
-    return L, a, b
+    def operand():
+        if draw(st.integers(0, 3)):
+            return Frac(L, part(False), part(True))
+        e, f = (draw(st.tuples(*[st.integers(0, 3)] * R.nvars())) for _ in range(2))
+        c = R.field.from_int(draw(st.integers(-3, 3).filter(bool)))
+        return Frac(L, R.poly({e: c}), R.poly({f: R.field.one()}))
+
+    return L, operand(), operand()
 
 
 def _same_pair(got, want):
     return got.num.terms == want.num.terms and got.den.terms == want.den.terms
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=180, deadline=None)
 @given(frac_pairs())
 def test_frac_arithmetic_matches_normalizing_constructor(data):
     # oracle: the normalizing constructor on the cross-multiplied pair

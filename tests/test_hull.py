@@ -113,6 +113,28 @@ def test_inseparable_generator_rejected():
         variable_basis_derivation(L, 3)
 
 
+def test_moving_variables_of_each_field_context():
+    # a FracField moves its own variables and an AlgebraicField its base's
+    # (its vars also name the algebraic generator), less the variables of K;
+    # any other context is rejected by both readers
+    L = FracField(QQ, ["x", "y"])
+    ext = ExtensionDesc(L, [L.var("y")], variable_basis_derivation(L, 2), K_vars=("x",))
+    assert ext.transcendental_vars() == ("y",)
+    base = FracField(QQ, ["u"])
+    u = base.var("u")
+    A = AlgebraicField(base, "z", [-u, base.zero(), base.one()])
+    ext = ExtensionDesc(A, [A.var("u")], variable_basis_derivation(A, 2))
+    assert ext.transcendental_vars() == ("u",)
+    R = PolyRing(QQ, ["y"])
+    y = R.var("y")
+    action = ActionSpec(R, "iterder", n=1,
+                        theta_images={"y": TruncSeries(R, ("w",), 2, {(0,): y, (1,): R.one()})})
+    with pytest.raises(ValueError, match="unsupported field context"):
+        ExtensionDesc(R, [y], action).transcendental_vars()
+    with pytest.raises(ValueError, match="unsupported field context"):
+        variable_basis_derivation(R, 2)
+
+
 # ---------------------------------------------------------- change of basis
 
 

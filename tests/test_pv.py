@@ -373,3 +373,22 @@ def test_residues_expand_each_generator_once(monkeypatch):
     d = pv.compare(data, hull, rels, degree=3).as_dict()
     assert d["ok"] and d["lie_dim"] == 1
     assert len(calls) == 8 and set(calls) == {3}
+
+
+def test_galois_points_lifts_x_once_per_test_algebra(monkeypatch):
+    # residues runs 1 + n^2 times over the probe algebra and again over the
+    # parameter algebra; X and X^-1 are lifted to R (x) A once for each
+    lifts = []
+    original = Matrix.map
+
+    def recording(self, fn, new_ring=None):
+        if self is data.X or self is data.Xinv:
+            lifts.append((self is data.X, new_ring))
+        return original(self, fn, new_ring)
+
+    data, _ = exponential_pv()
+    monkeypatch.setattr(Matrix, "map", recording)
+    fam = pv.galois_points(data, NilAlgebra(data.L, ("eps",), 2), horizon=3, param_order=2)
+    assert fam.report.ok and len(fam.params) == 1
+    # X and X^-1, each over the probe and the parameter algebra
+    assert len(lifts) == len(set(lifts)) == 4
