@@ -153,10 +153,10 @@ def verify(data: PVData, degree: int, horizon: int | None = None) -> Report:
                     break
 
     # (iii) the constants of the doubled ring generate it over the left slot
-    tensor = TensorRing(data)
-    hbasis = tensor.constant_basis(degree, horizon)
+    pair = _TensorPower(data.R, 2)
+    hbasis = _doubled_constants(data, pair, degree, horizon)
     checked += 1
-    if not tensor.left_span_covers(hbasis, degree):
+    if not _left_span_covers(data, pair, hbasis, degree):
         failures.append(
             f"constants of degree <= {degree} do not generate the doubled ring at degree "
             f"{degree}; raise degree (a generating constant may have a higher degree)"
@@ -187,103 +187,95 @@ def _laurent_monomials(R: PolyRing, degree: int) -> list[MPoly]:
     return out
 
 
-class TensorRing:
-    """R tensor R over the base, with the doubled action.
+class _TensorPower:
+    """R tensored with itself n times over the base: the R-generators with
+    slot suffixes _1 ... _n and the inverse pairs of each slot."""
 
-    Variables are the R-generators with slot suffixes _1 and _2; the action
-    doubles through the coproduct: derivations distribute over the slots and
-    monoid generators act diagonally."""
-
-    def __init__(self, data: PVData):
-        self.data = data
-        R = data.R
-        vars2 = [f"{v}_1" for v in R.vars] + [f"{v}_2" for v in R.vars]
-        pairs = []
+    def __init__(self, R: PolyRing, n: int):
+        self.R = R
         nv = R.nvars()
-        for i, j in R.inverse_pairs:
-            pairs.append((i, j))
-            pairs.append((i + nv, j + nv))
-        self.ring = PolyRing(R.field, vars2, pairs)
-        self.nslots = 2
-        self._action = self._doubled_action(self.ring, 2)
+        self.ring = PolyRing(R.field, [f"{v}_{s}" for s in range(1, n + 1) for v in R.vars],
+                             [(i + s * nv, j + s * nv) for s in range(n) for i, j in R.inverse_pairs])
 
-    def _embed_poly(self, ring, p: MPoly, slot: int) -> MPoly:
-        images = [ring.var(f"{v}_{slot}") for v in self.data.R.vars]
-        return evaluate(p.sorted_terms(), images, ring, ring.scalar)
+    def place(self, g: MPoly, slots: tuple[int, ...]) -> MPoly:
+        """The image of g under slot i -> slots[i]: g lies in the tensor
+        power with len(slots) slots, an element of R counting as one slot."""
+        images = [self.ring.var(f"{v}_{s}") for s in slots for v in self.R.vars]
+        return evaluate(g.sorted_terms(), images, self.ring, self.ring.scalar)
 
-    def embed(self, p: MPoly, slot: int) -> MPoly:
-        return self._embed_poly(self.ring, p, slot)
 
-    def _doubled_action(self, ring, nslots: int) -> ActionSpec:
-        data = self.data
-        act = data.action
-        theta_images = {}
-        endo_maps = None
-        if act.has_theta():
-            wvars = act.wvars
-            for name in data.R.vars:
-                img_L = act.theta_series(data.r_to_L(data.R.var(name)), 8)
-                for slot in range(1, nslots + 1):
-                    terms = {}
-                    for e, c in img_L.terms.items():
-                        terms[e] = self._embed_poly(ring, data.l_to_r(c), slot)
-                    theta_images[f"{name}_{slot}"] = TruncSeries(ring, wvars, 8, terms)
-        if act.has_monoid():
-            endo_maps = []
-            for g in range(len(act.monoid.gens)):
-                m = {}
-                for name in data.R.vars:
-                    img_L = act.apply_generator(g, data.r_to_L(data.R.var(name)))
-                    for slot in range(1, nslots + 1):
-                        m[f"{name}_{slot}"] = self._embed_poly(
-                            ring, data.l_to_r(img_L), slot)
-                endo_maps.append(m)
-        kind = act.kind if act.kind != "der" else "iterder"
-        n = act.n if act.has_theta() else 0
-        if act.kind == "der":
-            # realize the derivation through its divided powers on the slots
-            kind = "iterder"
-            n = 1
-        monoid = act.monoid if act.has_monoid() else None
-        return ActionSpec(ring, kind if kind != "trivial" else "trivial", n=n,
-                          theta_images=theta_images, monoid=monoid,
-                          endo_maps=endo_maps or [],
-                          wvars=act.wvars if act.has_theta() else None)
+def _doubled_action(data: PVData, pair: _TensorPower, horizon: int) -> ActionSpec:
+    """The action on R (x) R through the coproduct: derivations distribute
+    over the slots and monoid generators act diagonally.  The theta images
+    are expanded at the horizon the constants are read at."""
+    act, R = data.action, data.R
+    theta_images = {}
+    endo_maps = []
+    if act.has_theta():
+        for name in R.vars:
+            series = act.theta_series(data.r_to_L(R.var(name)), horizon)
+            coeffs = {e: data.l_to_r(c) for e, c in series.terms.items()}
+            for s in (1, 2):
+                theta_images[f"{name}_{s}"] = TruncSeries(
+                    pair.ring, act.wvars, horizon,
+                    {e: pair.place(c, (s,)) for e, c in coeffs.items()})
+    if act.has_monoid():
+        for g in range(len(act.monoid.gens)):
+            m = {}
+            for name in R.vars:
+                img = data.l_to_r(act.apply_generator(g, data.r_to_L(R.var(name))))
+                for s in (1, 2):
+                    m[f"{name}_{s}"] = pair.place(img, (s,))
+            endo_maps.append(m)
+    if act.kind == "der":
+        # realize the derivation through its divided powers on the slots
+        kind, n = "iterder", 1
+    else:
+        kind, n = act.kind, act.n if act.has_theta() else 0
+    return ActionSpec(pair.ring, kind, n=n, theta_images=theta_images,
+                      monoid=act.monoid if act.has_monoid() else None, endo_maps=endo_maps,
+                      wvars=act.wvars if act.has_theta() else None)
 
-    def constant_basis(self, degree: int, horizon: int) -> list[MPoly]:
-        return constants(self.ring, self._action, degree, horizon)
 
-    def left_span_covers(self, hbasis: list[MPoly], degree: int) -> bool:
-        """Does R (left slot) times the algebra the constants generate span
-        the doubled ring, on monomials of degree <= degree?
+def _doubled_constants(data: PVData, pair: _TensorPower, degree: int,
+                       horizon: int) -> list[MPoly]:
+    return constants(pair.ring, _doubled_action(data, pair, horizon), degree, horizon)
 
-        R_{<=degree} is multiplied by the products of at most degree
-        constants: a target such as yi_2^d needs d of them, as in
-        yi_2^d = yi_1^d * (y_1*yi_2)^d."""
-        one = self.ring.one()
-        # a basis of the products of at most `degree` constants, one factor
-        # more per round; only the products new in a round can give new ones
-        consts = Echelon(self.data.k)
-        consts.add(one.terms)
-        basis = layer = [one]
-        for _ in range(degree):
-            layer = [p * h for p in layer for h in hbasis]
-            layer = [q for q in layer if consts.add(q.terms)]
-            basis = basis + layer
-        span = Echelon(self.data.k)
-        for m in _laurent_monomials(self.data.R, degree):
-            lm = self.embed(m, 1)
-            for q in basis:
-                span.add((lm * q).terms)
-        return all(span.contains(t.terms) for t in _laurent_monomials(self.ring, degree))
+
+def _left_span_covers(data: PVData, pair: _TensorPower, hbasis: list[MPoly],
+                      degree: int) -> bool:
+    """Does R (left slot) times the algebra the constants generate span
+    the doubled ring, on monomials of degree <= degree?
+
+    R_{<=degree} is multiplied by the products of at most degree
+    constants: a target such as yi_2^d needs d of them, as in
+    yi_2^d = yi_1^d * (y_1*yi_2)^d."""
+    one = pair.ring.one()
+    # a basis of the products of at most `degree` constants, one factor
+    # more per round; only the products new in a round can give new ones
+    consts = Echelon(data.k)
+    consts.add(one.terms)
+    basis = layer = [one]
+    for _ in range(degree):
+        layer = [p * h for p in layer for h in hbasis]
+        layer = [q for q in layer if consts.add(q.terms)]
+        basis = basis + layer
+    span = Echelon(data.k)
+    for m in _laurent_monomials(data.R, degree):
+        lm = pair.place(m, (1,))
+        for q in basis:
+            span.add((lm * q).terms)
+    return all(span.contains(t.terms) for t in _laurent_monomials(pair.ring, degree))
 
 
 class HopfPresentation:
     """Generators of the constants of the doubled ring with the structure
     maps evaluated on them.  A monomial in the generators is its exponent
-    tuple, indexed like names."""
+    tuple, indexed like names.  tensor is the two-slot power R (x) R: the
+    generators are elements of tensor.ring, and tensor.place(r, (1,)) puts
+    an element r of R in the left slot."""
 
-    def __init__(self, data: PVData, tensor: TensorRing, gens: list[MPoly],
+    def __init__(self, data: PVData, tensor: _TensorPower, gens: list[MPoly],
                  names: list[str], relations: list, comul: dict, counit: dict,
                  antipode: dict, report: Report):
         self.data = data
@@ -347,32 +339,30 @@ def hopf_algebra(data: PVData, degree: int, horizon: int | None = None) -> HopfP
     bialgebra axioms are verified on the generators to the degree bound."""
     if horizon is None:
         horizon = max(degree, 3)
-    k = data.k
-    tensor = TensorRing(data)
-    cbasis = tensor.constant_basis(degree, horizon)
+    k, R = data.k, data.R
+    tensor = _TensorPower(R, 2)
+    ring = tensor.ring
+    cbasis = _doubled_constants(data, tensor, degree, horizon)
     # generator selection: strip the unit, smallest degree first, greedy
     # reduction modulo the subalgebra generated so far
-    one = tensor.ring.one()
-    candidates = sorted(
-        (c for c in cbasis),
-        key=lambda c: (c.total_degree(), str(c)),
-    )
+    one = ring.one()
+    candidates = sorted(cbasis, key=lambda c: (c.total_degree(), str(c)))
     gens: list[MPoly] = []
     for c in candidates:
         if c.is_const():
             continue
         span = distinct_products(gens + [one], one, degree, str)
-        if not _in_k_span(tensor.ring, c, span, k):
-            gens.append(_normalize_gen(tensor.ring, c))
+        if _span_coefficients(ring, c, span, k) is None:
+            gens.append(_normalize_gen(ring, c))
     # the flip of a constant is constant: close the generator set under the
     # flip so inverses of grouplikes are present
     for g in list(gens):
-        fg = _flip(tensor, g)
+        fg = tensor.place(g, (2, 1))
         span = distinct_products(gens + [one], one, degree, str)
-        if not _in_k_span(tensor.ring, fg, span, k):
-            gens.append(_normalize_gen(tensor.ring, fg))
+        if _span_coefficients(ring, fg, span, k) is None:
+            gens.append(_normalize_gen(ring, fg))
     names = [f"h{i+1}" if len(gens) > 1 else "h" for i in range(len(gens))]
-    relations = _hopf_relations(tensor.ring, gens, k, degree + 1)
+    relations = _hopf_relations(ring, gens, k, degree + 1)
 
     counit = {}
     comul = {}
@@ -382,9 +372,20 @@ def hopf_algebra(data: PVData, degree: int, horizon: int | None = None) -> HopfP
     if not gens:
         failures.append(f"the doubled ring has no nonscalar constant of degree <= {degree}; "
                         f"raise degree")
+    # comultiplication splits the slots over the middle, a (x) b -> a (x) 1
+    # (x) b, and is read off in the products of generator monomials placed
+    # in slots (1,2) and (2,3); the antipode is the flip, read off in the
+    # generator monomials
+    labels = multi_indices(len(gens), degree)
+    mono_vals = [_monomial(ring, gens, e) for e in labels]
+    triple = _TensorPower(R, 3)
+    pair_labels = list(itertools.product(labels, labels))
+    pair_vals = [triple.place(a, (1, 2)) * triple.place(b, (2, 3))
+                 for a, b in itertools.product(mono_vals, mono_vals)]
+    merge = [R.var(v) for v in R.vars] * 2  # the multiplication map to R
     eps = []  # the counit of each generator, None when it is not a scalar
     for name, g in zip(names, gens):
-        mg = _merge_slots(tensor, g)
+        mg = evaluate(g.sorted_terms(), merge, R, R.scalar)
         checked += 1
         if not (mg.is_const()):
             failures.append(f"counit of {name} is not a scalar: {mg}")
@@ -393,8 +394,10 @@ def hopf_algebra(data: PVData, degree: int, horizon: int | None = None) -> HopfP
         else:
             counit[name] = mg.const_coeff()
             eps.append(counit[name])
-        comul[name] = _comultiplication(tensor, gens, g, degree, failures)
-        antipode[name] = _antipode(tensor, gens, g, degree, failures)
+        comul[name] = _expand(triple.ring, triple.place(g, (1, 3)), pair_vals, pair_labels, k,
+                              "comultiplication", failures)
+        antipode[name] = _expand(ring, tensor.place(g, (2, 1)), mono_vals, labels, k,
+                                 "antipode", failures)
 
     rep_axioms = _check_hopf_axioms(tensor, gens, names, comul, counit, eps, antipode, degree)
     checked += rep_axioms.checked
@@ -407,28 +410,6 @@ def hopf_algebra(data: PVData, degree: int, horizon: int | None = None) -> HopfP
 def _normalize_gen(ring: PolyRing, g: MPoly) -> MPoly:
     _, lc = g.leading()
     return g.scale(ring.field.inv(lc))
-
-
-def _flip(tensor: TensorRing, g: MPoly) -> MPoly:
-    R = tensor.data.R
-    images = {}
-    for v in R.vars:
-        images[f"{v}_1"] = tensor.ring.var(f"{v}_2")
-        images[f"{v}_2"] = tensor.ring.var(f"{v}_1")
-    return g.subs(images)
-
-
-def _merge_slots(tensor: TensorRing, g: MPoly) -> MPoly:
-    """Multiplication map to the single-slot ring: v_1, v_2 -> v."""
-    R = tensor.data.R
-    out = R.zero()
-    nv = R.nvars()
-    for exp, c in g.sorted_terms():
-        e1 = exp[:nv]
-        e2 = exp[nv:]
-        merged = tuple(a + b for a, b in zip(e1, e2))
-        out = out + R.poly({merged: c})
-    return out
 
 
 def _monomial(ring: PolyRing, gens: list[MPoly], exp: tuple[int, ...]) -> MPoly:
@@ -472,127 +453,53 @@ def _relation_str(terms: dict, k) -> str:
     return " + ".join(parts) + " = 0"
 
 
-def _in_k_span(ring: PolyRing, target: MPoly, span: list[MPoly], k) -> bool:
+def _span_coefficients(ring: PolyRing, target: MPoly, span: list[MPoly], k):
+    """Coefficients over k writing target in the k-span of span, or None."""
     labels, rows = ring.scalar_coordinates(span + [target])
     cols = [[rows[j][i] for j in range(len(span))] for i in range(len(labels))]
-    rhs = [rows[len(span)][i] for i in range(len(labels))]
-    return solve_linear(cols, rhs, k) is not None
+    return solve_linear(cols, rows[len(span)], k)
 
 
-class _TripleRing:
-    """Three slots for coassociativity and comultiplication computations."""
-
-    def __init__(self, tensor: TensorRing, nslots: int = 3):
-        R = tensor.data.R
-        self.base = tensor
-        self.nslots = nslots
-        vars_ = []
-        pairs = []
-        nv = R.nvars()
-        for s in range(1, nslots + 1):
-            vars_.extend(f"{v}_{s}" for v in R.vars)
-        for s in range(nslots):
-            for i, j in R.inverse_pairs:
-                pairs.append((i + s * nv, j + s * nv))
-        self.ring = PolyRing(R.field, vars_, pairs)
-
-    def embed_pair(self, g: MPoly, slot_a: int, slot_b: int) -> MPoly:
-        """Image of a two-slot element under slots (1,2) -> (slot_a, slot_b)."""
-        R = self.base.data.R
-        images = ([self.ring.var(f"{v}_{slot_a}") for v in R.vars]
-                  + [self.ring.var(f"{v}_{slot_b}") for v in R.vars])
-        return evaluate(g.sorted_terms(), images, self.ring, self.ring.scalar)
-
-
-def _comultiplication(tensor: TensorRing, gens, g: MPoly, degree: int,
-                      failures: list) -> dict:
-    """Split the slots over the middle: a (x) b -> a (x) 1 (x) b, then express
-    in products of generator monomials placed in slots (1,2) and (2,3)."""
-    k = tensor.data.k
-    triple = _TripleRing(tensor)
-    # a (x) b -> a in slot 1, b in slot 3
-    split = triple.embed_pair(g, 1, 3)
-    labels = multi_indices(len(gens), degree)
-    mono_vals = [_monomial(tensor.ring, gens, e) for e in labels]
-    cols = []
-    col_labels = []
-    for va, la in zip(mono_vals, labels):
-        for vb, lb in zip(mono_vals, labels):
-            prod = triple.embed_pair(va, 1, 2) * triple.embed_pair(vb, 2, 3)
-            cols.append(prod)
-            col_labels.append((la, lb))
-    lab, rows = triple.ring.scalar_coordinates(cols + [split])
-    mat = [[rows[j][i] for j in range(len(cols))] for i in range(len(lab))]
-    rhs = [rows[len(cols)][i] for i in range(len(lab))]
-    sol = solve_linear(mat, rhs, k)
+def _expand(ring: PolyRing, target: MPoly, values: list[MPoly], labels: list, k, what: str,
+            failures: list) -> dict:
+    """target as {label: coefficient} over the values with those labels;
+    {} with a failure naming the map when target is outside their span."""
+    sol = _span_coefficients(ring, target, values, k)
     if sol is None:
-        failures.append("comultiplication image is not expressible at this degree")
+        failures.append(f"{what} image is not expressible at this degree")
         return {}
-    return {key: c for key, c in zip(col_labels, sol) if not k.is_zero(c)}
+    return {key: c for key, c in zip(labels, sol) if not k.is_zero(c)}
 
 
 def _label_str(exps: tuple, names: list[str]) -> str:
     return _terms.power_str(names, exps) or "1"
 
 
-def _antipode(tensor: TensorRing, gens, g: MPoly, degree: int, failures: list) -> dict:
-    k = tensor.data.k
-    fg = _flip(tensor, g)
-    labels = multi_indices(len(gens), degree)
-    mono_vals = [_monomial(tensor.ring, gens, e) for e in labels]
-    lab, rows = tensor.ring.scalar_coordinates(mono_vals + [fg])
-    mat = [[rows[j][i] for j in range(len(mono_vals))] for i in range(len(lab))]
-    rhs = [rows[len(mono_vals)][i] for i in range(len(lab))]
-    sol = solve_linear(mat, rhs, k)
-    if sol is None:
-        failures.append("antipode image is not expressible at this degree")
-        return {}
-    return {labels[i]: c for i, c in enumerate(sol) if not k.is_zero(c)}
-
-
-class _PairTerms:
-    """k-linear combinations of pairs (monomial, monomial) of generator
-    monomials: the tensor square in which comultiplication lands."""
-
-    def __init__(self, k, ngens: int):
-        self.k = k
-        self.unit = ((0,) * ngens, (0,) * ngens)
-
-    def zero(self) -> dict:
-        return {}
-
-    def const(self, c) -> dict:
-        return {} if self.k.is_zero(c) else {self.unit: c}
-
-    def add(self, a: dict, b: dict) -> dict:
-        return _terms.add(a, b, self.k)
-
-    def mul(self, a: dict, b: dict) -> dict:
-        return _terms.mul(a, b, self.k, _pair_keys)
-
-
-def _pair_keys(p: tuple, q: tuple) -> tuple:
-    return _terms.add_keys(p[0], q[0]), _terms.add_keys(p[1], q[1])
-
-
-def _check_hopf_axioms(tensor: TensorRing, gens, names, comul, counit, eps, antipode,
+def _check_hopf_axioms(tensor: _TensorPower, gens, names, comul, counit, eps, antipode,
                        degree: int) -> Report:
     """Counit law, coassociativity, and the antipode law on the generators,
     all evaluated inside the slotted rings.  The counit, antipode and
     comultiplication of a monomial are the algebra maps evaluated on it;
     eps lists the counit of each generator, None when it is not a scalar."""
-    k = tensor.data.k
+    k = tensor.R.field
     ring = tensor.ring
     failures = []
     checked = 0
 
-    def at(exp, images, target, lift):
-        return evaluate(((exp, k.one()),), images, target, lift)
+    def tensor_sum(name, left, right, target):
+        # sum of c * mono(la)(left) * mono(lb)(right) over the comultiplication
+        return evaluate(((la + lb, c) for (la, lb), c in comul[name].items()),
+                        left + right, target, target.scalar)
 
     s_images = [evaluate(antipode[n].items(), gens, ring, ring.scalar) for n in names]
-    pairs = _PairTerms(k, len(gens))
-    delta_images = [comul[n] for n in names]
-    quad = _TripleRing(tensor, nslots=4)
+    # coassociativity in four slots: the comultiplication of each generator
+    # placed over (1,2),(2,3) and over (2,3),(3,4); (lc, ld) -> mono(lc)_12 *
+    # mono(ld)_23 is an algebra map, so a monomial's comultiplication placed
+    # there is the monomial evaluated on these images
+    quad = _TensorPower(tensor.R, 4)
+    at_slots = {s: [quad.place(g, s) for g in gens] for s in ((1, 2), (2, 3), (3, 4))}
+    low = [tensor_sum(n, at_slots[(1, 2)], at_slots[(2, 3)], quad.ring) for n in names]
+    high = [tensor_sum(n, at_slots[(2, 3)], at_slots[(3, 4)], quad.ring) for n in names]
 
     for name, g in zip(names, gens):
         # (counit x id) comul = id
@@ -602,42 +509,20 @@ def _check_hopf_axioms(tensor: TensorRing, gens, names, comul, counit, eps, anti
             if any(e and eps[i] is None for i, e in enumerate(la)):
                 failures.append(f"counit law: {_label_str(la, names)} has no scalar counit")
                 continue
-            eps_a = at(la, eps, k, lambda x: x)
+            eps_a = evaluate(((la, k.one()),), eps, k, lambda x: x)
             acc = acc + _monomial(ring, gens, lb).scale(k.mul(c, eps_a))
         if not acc == g:
             failures.append(f"counit law fails on {name}")
 
         # antipode law: m (S x id) comul = unit counit
         checked += 1
-        acc = ring.zero()
-        for (la, lb), c in comul[name].items():
-            sa = at(la, s_images, ring, ring.scalar)
-            acc = acc + (sa * _monomial(ring, gens, lb)).scale(c)
-        expected = ring.one().scale(counit[name])
-        if not acc == expected:
+        if not tensor_sum(name, s_images, gens, ring) == ring.one().scale(counit[name]):
             failures.append(f"antipode law fails on {name}")
 
-        # coassociativity in four slots
+        # coassociativity: (comul x id) comul = (id x comul) comul
         checked += 1
-        lhs = quad.ring.zero()
-        rhs_ = quad.ring.zero()
-        for (la, lb), c in comul[name].items():
-            # (comul x id): split la over slots (1,2,3) against lb in (3,4)
-            for (lc, ld), c2 in at(la, delta_images, pairs, pairs.const).items():
-                term = (
-                    quad.embed_pair(_monomial(ring, gens, lc), 1, 2)
-                    * quad.embed_pair(_monomial(ring, gens, ld), 2, 3)
-                    * quad.embed_pair(_monomial(ring, gens, lb), 3, 4)
-                )
-                lhs = lhs + term.scale(k.mul(c, c2))
-            for (lc, ld), c2 in at(lb, delta_images, pairs, pairs.const).items():
-                term = (
-                    quad.embed_pair(_monomial(ring, gens, la), 1, 2)
-                    * quad.embed_pair(_monomial(ring, gens, lc), 2, 3)
-                    * quad.embed_pair(_monomial(ring, gens, ld), 3, 4)
-                )
-                rhs_ = rhs_ + term.scale(k.mul(c, c2))
-        if not lhs == rhs_:
+        if not (tensor_sum(name, low, at_slots[(3, 4)], quad.ring)
+                == tensor_sum(name, at_slots[(1, 2)], high, quad.ring)):
             failures.append(f"coassociativity fails on {name}")
     return Report(not failures, checked, failures, {"degree": degree})
 
@@ -881,24 +766,18 @@ def check_mu_bijectivity(data: PVData, hopf: HopfPresentation, degree: int) -> R
     """The multiplication map from R tensor the constants onto the doubled
     ring: monomials r (x) h map to independent elements whose span contains
     every doubled monomial within the degree window."""
-    k = data.k
     tensor = hopf.tensor
     failures = []
     r_monos = _laurent_monomials(data.R, 2 * degree)
     h_monos = distinct_products(hopf.gens, tensor.ring.one(), degree, str)
-    images = []
-    for r in r_monos:
-        left = tensor.embed(r, 1)
-        for h in h_monos:
-            images.append(left * h)
-    labels, rows = tensor.ring.scalar_coordinates(images)
-    cols = [[rows[j][i] for j in range(len(images))] for i in range(len(labels))]
-    ker = kernel_basis(cols, k, ncols=len(images))
-    if ker:
+    images = [tensor.place(r, (1,)) * h for r in r_monos for h in h_monos]
+    span = Echelon(data.k)
+    # the images are independent exactly when each one adds to the span
+    if not all([span.add(img.terms) for img in images]):
         failures.append("monomial images are linearly dependent")
     targets = _laurent_monomials(tensor.ring, degree)
     for t in targets:
-        if not _in_k_span(tensor.ring, t, images, k):
+        if not span.contains(t.terms):
             failures.append(f"doubled monomial {t} is outside the image span")
             break
     return Report(not failures, len(images) + len(targets), failures, {"degree": degree})

@@ -1,15 +1,15 @@
 """Source hygiene: no module of the library imports a name it never uses,
-no private function or method of the library goes unreferenced, no module
-probes an object with hasattr or getattr (a context answers the ring
+no private function, method or class of the library goes unreferenced, no
+module probes an object with hasattr or getattr (a context answers the ring
 protocol of exactalg/ring.py instead), and binary powering is written once,
 in exactalg.power.
 
 Package __init__.py files are exempt from the import check, since their
 imports are re-exports.  Names are read with ast only; a name counts as used
 when it appears anywhere in the module, including inside string
-annotations.  A private (single-underscore) function counts as referenced
-when its name appears as a name, an attribute or a string anywhere in the
-library outside its own def."""
+annotations.  A private (single-underscore) function or class counts as
+referenced when its name appears as a name, an attribute or a string
+anywhere in the library outside its own definition."""
 
 from __future__ import annotations
 
@@ -94,8 +94,9 @@ def _references(tree: ast.AST) -> Counter:
 
 
 def unreferenced_private_functions(sources: dict[str, str]) -> list[str]:
-    """module:name of every single-underscore def whose name is referenced
-    nowhere in sources except inside the defs of that name."""
+    """module:name of every single-underscore def or class whose name is
+    referenced nowhere in sources except inside the definitions of that
+    name."""
     total = Counter()
     inside = Counter()
     defs = []
@@ -103,7 +104,7 @@ def unreferenced_private_functions(sources: dict[str, str]) -> list[str]:
         tree = ast.parse(source)
         total += _references(tree)
         for node in ast.walk(tree):
-            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
                     and node.name.startswith("_") and not node.name.startswith("__")):
                 defs.append((module, node.name))
                 inside[node.name] += _references(node)[node.name]
@@ -118,16 +119,19 @@ def test_reference_scanner():
             "class C:\n    def _method(self):\n        return 2\n"
             "    def _named(self):\n        return 3\n"
             "    def __repr__(self):\n        return 'C'\n"
+            "class _Dead:\n    def make(self) -> '_Dead':\n        return _Dead()\n"
+            "class _Used:\n    pass\n"
         ),
-        "b.py": "from a import _used, C\nv = _used() + C()._method() + getattr(C(), '_named')()\n",
+        "b.py": ("from a import _used, C, _Used\n"
+                 "v = _used() + C()._method() + getattr(C(), '_named')() + len([_Used()])\n"),
     }
-    assert unreferenced_private_functions(sources) == ["a.py:_dead"]
+    assert unreferenced_private_functions(sources) == ["a.py:_Dead", "a.py:_dead"]
 
 
 def test_library_private_functions_are_referenced():
     sources = {str(p.relative_to(SRC)): p.read_text() for p in sorted(SRC.rglob("*.py"))}
     dead = unreferenced_private_functions(sources)
-    assert not dead, "unreferenced private functions: " + ", ".join(dead)
+    assert not dead, "unreferenced private functions or classes: " + ", ".join(dead)
 
 
 def attribute_probes(source: str) -> list[tuple[str, int]]:

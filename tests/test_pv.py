@@ -117,6 +117,24 @@ def additive_pv(field=QQ):
     return data, ExtensionDesc(L, [y], action, name="additive")
 
 
+def product_pv():
+    """R = Q[y, z, 1/z], X = [[1, y, 0], [0, 1, 0], [0, 0, z]] for
+    theta(y) = y + w and theta(z) = z exp(w): the group G_a x G_m."""
+    L = FracField(QQ, ["y", "z"])
+    y, z = L.var("y"), L.var("z")
+    w = TruncSeries.variable(L, ("w",), 8, "w")
+    action = ActionSpec(L, "iterder", n=1, theta_images={
+        "y": TruncSeries(L, ("w",), 8, {(0,): y, (1,): L.one()}),
+        "z": TruncSeries.const(L, ("w",), 8, z) * truncated_exp(w)})
+    R = PolyRing(QQ, ["y", "z", "zi"], inverse_pairs=[(1, 2)])
+    one, zero = R.one(), R.zero()
+    X = Matrix(R, [[one, R.var("y"), zero], [zero, one, zero], [zero, zero, R.var("z")]])
+    data = pv.PVData(L, action, R, X,
+                     {"y": ("X", 0, 1), "z": ("X", 2, 2), "zi": ("Xinv", 2, 2)},
+                     name="product")
+    return data, ExtensionDesc(L, [y, z], action, name="product")
+
+
 def test_galois_points_additive_is_one_dimensional():
     # the formal points of the unipotent group are M = [[1, a], [0, 1]]: one
     # parameter, and the linear system must not be empty
@@ -163,12 +181,14 @@ def test_additive_pv_in_characteristic_7():
     assert d["ok"] and d["formal_group"]["tag"] == "Ga_hat"
 
 
-@pytest.mark.parametrize("degree", [2, 3])
-def test_verify_exponential_holds(degree):
+@pytest.mark.parametrize("degree, horizon", [(2, None), (3, None), (2, 10), (3, 10)],
+                         ids=["2", "3", "2-10", "3-10"])
+def test_verify_exponential_holds(degree, horizon):
     # the constants are the powers of y_1*yi_2, of degree 2; yi_2^d needs d
-    # of them: yi_2^d = yi_1^d * (y_1*yi_2)^d
+    # of them: yi_2^d = yi_1^d * (y_1*yi_2)^d.  At horizon 10 the doubled
+    # action is expanded to w^10, where exp(w)*exp(-w) = 1 still holds.
     data, _ = exponential_pv()
-    report = pv.verify(data, degree)
+    report = pv.verify(data, degree, horizon=horizon)
     assert report.ok, report.failures
 
 
@@ -233,7 +253,46 @@ def test_hopf_relations_exponential_are_pruned(degree):
 
 
 @pytest.mark.parametrize("degree", [2, 3])
-@pytest.mark.parametrize("make", [additive_pv, exponential_pv])
+def test_hopf_algebra_product_is_ga_times_gm(degree):
+    # G_a x G_m: the primitive y_1 - y_2 of G_a and the grouplike pair of
+    # G_m, with the one relation of G_m; two R-variables per slot
+    data, _ = product_pv()
+    d = pv.hopf_algebra(data, degree).as_dict()
+    assert d["checks"]["ok"], d["checks"]
+    assert d["generators"] == {"h1": "y_1 - y_2", "h2": "z_1*zi_2", "h3": "zi_1*z_2"}
+    assert d["comultiplication"] == {
+        "h1": "1*1(x)h1 + 1*h1(x)1", "h2": "1*h2(x)h2", "h3": "1*h3(x)h3"}
+    assert d["counit"] == {"h1": "0", "h2": "1", "h3": "1"}
+    assert d["antipode"] == {"h1": "-1*h1", "h2": "1*h3", "h3": "1*h2"}
+    assert d["relations"] == ["1*h2*h3 + -1*1 = 0"]
+
+
+def test_hopf_axiom_check_fails_on_bad_maps():
+    # the additive example with its own maps passes; a comultiplication that
+    # is not coassociative, or an antipode that breaks the antipode law, fails
+    data, _ = additive_pv()
+    hopf = pv.hopf_algebra(data, 3)
+    h = (1,)
+
+    def check(comul, antipode):
+        return pv._check_hopf_axioms(hopf.tensor, hopf.gens, ["h"], {"h": comul},
+                                     {"h": data.k.zero()}, [data.k.zero()], {"h": antipode}, 3)
+
+    neg = data.k.neg(data.k.one())
+    assert check(hopf.comul["h"], hopf.antipode["h"]).ok
+    # h -> h (x) 1 + 1 (x) h + h (x) h^2
+    bad = dict(hopf.comul["h"])
+    bad[(h, (2,))] = data.k.one()
+    report = check(bad, {h: neg})
+    assert "coassociativity fails on h" in report.failures
+    assert "counit law fails on h" not in report.failures
+    # S(h) = h: h + h is not the counit 0
+    report = check(hopf.comul["h"], {h: data.k.one()})
+    assert report.failures == ["antipode law fails on h"]
+
+
+@pytest.mark.parametrize("degree", [2, 3])
+@pytest.mark.parametrize("make", [additive_pv, exponential_pv, product_pv])
 def test_mu_bijective(make, degree):
     # R (x) constants -> R (x) R is an isomorphism for a Picard-Vessiot ring
     data, _ = make()
@@ -310,24 +369,6 @@ def test_compare_solves_the_formal_family_once(monkeypatch):
     d = pv.compare(data, hull, rels, degree=3).as_dict()
     assert d["ok"] and d["lie_dim"] == 1
     assert len(calls) == 1
-
-
-def product_pv():
-    """R = Q[y, z, 1/z], X = [[1, y, 0], [0, 1, 0], [0, 0, z]] for
-    theta(y) = y + w and theta(z) = z exp(w): the group G_a x G_m."""
-    L = FracField(QQ, ["y", "z"])
-    y, z = L.var("y"), L.var("z")
-    w = TruncSeries.variable(L, ("w",), 8, "w")
-    action = ActionSpec(L, "iterder", n=1, theta_images={
-        "y": TruncSeries(L, ("w",), 8, {(0,): y, (1,): L.one()}),
-        "z": TruncSeries.const(L, ("w",), 8, z) * truncated_exp(w)})
-    R = PolyRing(QQ, ["y", "z", "zi"], inverse_pairs=[(1, 2)])
-    one, zero = R.one(), R.zero()
-    X = Matrix(R, [[one, R.var("y"), zero], [zero, one, zero], [zero, zero, R.var("z")]])
-    data = pv.PVData(L, action, R, X,
-                     {"y": ("X", 0, 1), "z": ("X", 2, 2), "zi": ("Xinv", 2, 2)},
-                     name="product")
-    return data, ExtensionDesc(L, [y, z], action, name="product")
 
 
 def test_compare_product_has_two_parameters():
