@@ -22,6 +22,14 @@ invariants and takes only the gcds that can be nontrivial, after Henrici
   * the gcd of two one-term polynomials c*x^e and c'*x^e' is the monomial
     x^min(e, e') (componentwise minimum), so cancelling them shifts both
     exponents by that minimum, with no gcd call and no division;
+  * on Laurent monomials (one-term numerators over one-term, hence monic,
+    denominators) both operations are exponent arithmetic:
+    (c x^a / x^b) * (c' x^e / x^f) is c*c' x^(a+e) / x^(b+f) with both
+    exponents shifted down by their componentwise minimum, and
+    c x^a / x^b + c' x^e / x^f puts both numerators over x^m, m = max(b, f),
+    merges them when their exponents agree, and divides by x^min(e1, e2, m)
+    for the numerator exponents e1, e2, the gcd of a numerator of one or two
+    terms with the monomial x^m;
   * a/b + c/d is (a + c)/1 or (a*d + c)/d when a denominator is 1.
     Otherwise let g = gcd(b, d): when g is 1, (a*d + c*b)/(b*d) is already
     reduced; else, with t = a*(d/g) + c*(b/g), every common factor of t and
@@ -36,6 +44,7 @@ normalizes nothing.
 
 from __future__ import annotations
 
+from operator import add, sub
 from typing import Sequence
 
 from .poly import MPoly, PolyRing, poly_gcd
@@ -62,6 +71,45 @@ def _cancel(p: MPoly, q: MPoly) -> tuple[MPoly, MPoly]:
     if g.is_const():
         return p, q
     return p.exact_div(g), q.exact_div(g)
+
+
+def _laurent_product(field: "FracField", a: MPoly, b: MPoly, c: MPoly, d: MPoly) -> "Frac":
+    """(a/b) * (c/d) for one-term a, b, c, d: the exponent sums shifted down
+    by their componentwise minimum."""
+    (ea, ca), = a.terms.items()
+    (eb, one), = b.terms.items()  # a monic one-term denominator has coefficient 1
+    (ec, cc), = c.terms.items()
+    (ed, _), = d.terms.items()
+    top, bottom = tuple(map(add, ea, ec)), tuple(map(add, eb, ed))
+    low = tuple(map(min, top, bottom))
+    R = field.poly_ring
+    return Frac._reduced(field, MPoly(R, {tuple(map(sub, top, low)): field.scalars.mul(ca, cc)}),
+                         MPoly(R, {tuple(map(sub, bottom, low)): one}))
+
+
+def _laurent_sum(field: "FracField", a: MPoly, b: MPoly, c: MPoly, d: MPoly) -> "Frac":
+    """a/b + c/d for one-term a, b, c, d: both numerators over x^max(b, d),
+    merged when their exponents agree, then numerator and denominator
+    divided by their gcd, the monomial x^min over all three exponents."""
+    (ea, ca), = a.terms.items()
+    (eb, one), = b.terms.items()  # a monic one-term denominator has coefficient 1
+    (ec, cc), = c.terms.items()
+    (ed, _), = d.terms.items()
+    m = tuple(map(max, eb, ed))
+    e1 = tuple(x + y - z for x, y, z in zip(ea, m, eb))
+    e2 = tuple(x + y - z for x, y, z in zip(ec, m, ed))
+    F = field.scalars
+    if e1 == e2:
+        s = F.add(ca, cc)
+        if F.is_zero(s):
+            return field.zero()
+        low = tuple(map(min, e1, m))
+        num = {tuple(map(sub, e1, low)): s}
+    else:
+        low = tuple(map(min, e1, e2, m))
+        num = {tuple(map(sub, e1, low)): ca, tuple(map(sub, e2, low)): cc}
+    R = field.poly_ring
+    return Frac._reduced(field, MPoly(R, num), MPoly(R, {tuple(map(sub, m, low)): one}))
 
 
 class FracField(Ring):
@@ -120,15 +168,25 @@ class FracField(Ring):
 
     def scalar_coordinates(self, elems: list) -> tuple[list, list[list]]:
         """Coordinates over the scalar field on the monomials of the
-        numerators after clearing denominators: labels are monomials."""
-        common = self.poly_ring.one()
-        for e in elems:
-            g = poly_gcd(common, e.den)
-            common = common * e.den.exact_div(g)
-        nums = [e.num * common.exact_div(e.den) for e in elems]
-        monomials = sorted({exp for p in nums for exp in p.terms})
+        numerators after clearing denominators: labels are monomials.  When
+        every denominator has one term, their lcm is x^max over their
+        exponents, and each numerator is shifted by its missing exponents."""
+        if all(len(e.den.terms) == 1 for e in elems):
+            dens = [next(iter(e.den.terms)) for e in elems]
+            common = tuple(map(max, zip(self.poly_ring.const_exp, *dens)))
+            nums = []
+            for e, ed in zip(elems, dens):
+                shift = tuple(map(sub, common, ed))
+                nums.append({tuple(map(add, exp, shift)): c for exp, c in e.num.terms.items()})
+        else:
+            common = self.poly_ring.one()
+            for e in elems:
+                g = poly_gcd(common, e.den)
+                common = common * e.den.exact_div(g)
+            nums = [(e.num * common.exact_div(e.den)).terms for e in elems]
+        monomials = sorted({exp for p in nums for exp in p})
         zero = self.scalars.zero()
-        rows = [[p.terms.get(m, zero) for m in monomials] for p in nums]
+        rows = [[p.get(m, zero) for m in monomials] for p in nums]
         return monomials, rows
 
     def __repr__(self):
@@ -180,6 +238,8 @@ class Frac:
             return Frac._reduced(self.field, a * d + c, d)
         if d.is_const():
             return Frac._reduced(self.field, a + c * b, b)
+        if len(a.terms) == len(b.terms) == len(c.terms) == len(d.terms) == 1:
+            return _laurent_sum(self.field, a, b, c, d)
         g = poly_gcd(b, d)
         if g.is_const():
             return Frac._reduced(self.field, a * d + c * b, b * d)
@@ -203,6 +263,8 @@ class Frac:
             return self.field.zero()
         if b.is_const() and d.is_const():
             return Frac._reduced(self.field, a * c, b)
+        if len(a.terms) == len(b.terms) == len(c.terms) == len(d.terms) == 1:
+            return _laurent_product(self.field, a, b, c, d)
         a, d = _cancel(a, d)
         c, b = _cancel(c, b)
         return Frac._reduced(self.field, a * c, b * d)

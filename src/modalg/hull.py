@@ -224,7 +224,7 @@ class HullData:
         derivation, built on first use and kept as long as this hull; a test
         algebra only lifts it (ExpansionAlgebra.lift)."""
         alg = self.algebra
-        return {key: alg._deform_hom(v, lambda c: c) for key, v in self.derivative_table.items()}
+        return {key: alg._deform_hom(v) for key, v in self.derivative_table.items()}
 
     def describe(self) -> dict:
         return {

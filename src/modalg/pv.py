@@ -382,6 +382,9 @@ def hopf_algebra(data: PVData, degree: int, horizon: int | None = None) -> HopfP
     pair_labels = list(itertools.product(labels, labels))
     pair_vals = [triple.place(a, (1, 2)) * triple.place(b, (2, 3))
                  for a, b in itertools.product(mono_vals, mono_vals)]
+    # each block is the same for every generator: eliminate it once
+    pair_block = _Elimination(k, [_scalar_column(triple.ring, v, k) for v in pair_vals])
+    mono_block = _Elimination(k, [_scalar_column(ring, v, k) for v in mono_vals])
     merge = [R.var(v) for v in R.vars] * 2  # the multiplication map to R
     eps = []  # the counit of each generator, None when it is not a scalar
     for name, g in zip(names, gens):
@@ -394,9 +397,9 @@ def hopf_algebra(data: PVData, degree: int, horizon: int | None = None) -> HopfP
         else:
             counit[name] = mg.const_coeff()
             eps.append(counit[name])
-        comul[name] = _expand(triple.ring, triple.place(g, (1, 3)), pair_vals, pair_labels, k,
+        comul[name] = _expand(triple.ring, triple.place(g, (1, 3)), pair_block, pair_labels, k,
                               "comultiplication", failures)
-        antipode[name] = _expand(ring, tensor.place(g, (2, 1)), mono_vals, labels, k,
+        antipode[name] = _expand(ring, tensor.place(g, (2, 1)), mono_block, labels, k,
                                  "antipode", failures)
 
     rep_axioms = _check_hopf_axioms(tensor, gens, names, comul, counit, eps, antipode, degree)
@@ -460,15 +463,25 @@ def _span_coefficients(ring: PolyRing, target: MPoly, span: list[MPoly], k):
     return solve_linear(cols, rows[len(span)], k)
 
 
-def _expand(ring: PolyRing, target: MPoly, values: list[MPoly], labels: list, k, what: str,
+def _scalar_column(ring: PolyRing, elem: MPoly, k) -> dict:
+    """The scalar coordinates of elem as a sparse column {label: nonzero
+    scalar}; labels name a monomial and a scalar coordinate, so they agree
+    between elements."""
+    labels, (row,) = ring.scalar_coordinates([elem])
+    return {lab: x for lab, x in zip(labels, row) if not k.is_zero(x)}
+
+
+def _expand(ring: PolyRing, target: MPoly, block: _Elimination, labels: list, k, what: str,
             failures: list) -> dict:
-    """target as {label: coefficient} over the values with those labels;
-    {} with a failure naming the map when target is outside their span."""
-    sol = _span_coefficients(ring, target, values, k)
+    """target as {label: coefficient} over the values whose scalar columns
+    block has eliminated, with those labels; {} with a failure naming the
+    map when target is outside their span."""
+    col = _scalar_column(ring, target, k)
+    sol = block.solve({lab: {(): x} for lab, x in col.items()})
     if sol is None:
         failures.append(f"{what} image is not expressible at this degree")
         return {}
-    return {key: c for key, c in zip(labels, sol) if not k.is_zero(c)}
+    return {key: v[()] for key, v in zip(labels, sol) if v}
 
 
 def _label_str(exps: tuple, names: list[str]) -> str:
@@ -938,74 +951,90 @@ def _nil_inverse(RA: PolyRing, P: NilAlgebra, img: MPoly) -> MPoly:
     return out
 
 
-class _SplitOperator:
-    """Writes joint elements in split form sum_i deformed(b_i) * c_i: the b_i
-    are R-monomials in L, deformed(b) is the theta_u-deformed expansion of
-    b, and the c_i are w-free coefficients in a test algebra P.
+class _Elimination:
+    """Gauss-Jordan elimination of a block of sparse columns over a field,
+    recorded once and replayed on any number of right-hand sides.
 
-    The deformed expansions have coordinates in L, free of parameters, so
-    one elimination of their coordinate block D serves every split and
-    every parameter monomial.  Gauss-Jordan elimination runs over the
-    columns of D once and records each step: the pivot column and row, the
+    Column j is a dict {row key: entry}.  The elimination runs over the
+    columns once and records each step: the pivot column and row, the
     inverse of the pivot, and the (row, -factor) pairs it clears.  A column
     is a pivot exactly when it is independent of the columns before it.
-    split replays the steps on the coordinates of an image: the image splits
-    exactly when it has no nonzero coordinate outside the block and the
+    solve replays the steps on a right-hand side: it is in the span exactly
+    when it has no nonzero entry outside the rows of the block and the
     replay leaves every non-pivot row zero; then the pivot rows hold the
     coefficients at the pivot columns, and the free columns get zero.  That
-    is the solution the reduced echelon form of [D | b] gives, since that
-    form is unique."""
+    is the solution the reduced echelon form of [block | rhs] gives, since
+    that form is unique."""
 
-    def __init__(self, L, basis: list, alg):
-        self.L = L
-        self.basis = basis
-        self.columns = [alg._deform_hom(alg.expand_plain(b), lambda c: c).coordinates()
-                        for b in basis]
-        keys = sorted({key for col in self.columns for key in col}, key=str)
+    def __init__(self, field, columns: list[dict]):
+        self.field = F = field
+        self.columns = columns
+        keys = sorted({key for col in columns for key in col}, key=str)
         self.row = {key: i for i, key in enumerate(keys)}
-        rows: list[dict] = [{} for _ in keys]  # row of D -> {column: entry}
-        for j, col in enumerate(self.columns):
+        rows: list[dict] = [{} for _ in keys]  # row of the block -> {column: entry}
+        for j, col in enumerate(columns):
             for key, c in col.items():
-                if not L.is_zero(c):
+                if not F.is_zero(c):
                     rows[self.row[key]][j] = c
         self.steps = []
         pivot_rows: set = set()
-        for j in range(len(basis)):
+        for j in range(len(columns)):
             r = next((i for i, row in enumerate(rows) if i not in pivot_rows and j in row), None)
             if r is None:
                 continue  # column j depends on the columns before it
             pivot_rows.add(r)
-            inv = L.inv(rows[r][j])
-            pivot = rows[r] = {col: L.mul(inv, x) for col, x in rows[r].items()}
+            inv = F.inv(rows[r][j])
+            pivot = rows[r] = {col: F.mul(inv, x) for col, x in rows[r].items()}
             clears = []
             for i, row in enumerate(rows):
                 if i != r and j in row:
-                    f = L.neg(row[j])
-                    _terms.accumulate(row, ((col, L.mul(f, x)) for col, x in pivot.items()), L)
+                    f = F.neg(row[j])
+                    _terms.accumulate(row, ((col, F.mul(f, x)) for col, x in pivot.items()), F)
                     clears.append((i, f))
             self.steps.append((j, r, inv, clears))
 
-    def split(self, img: JointElement, P: NilAlgebra):
-        """The list of c_i, or None when img does not split."""
-        L = self.L
-        b = {}  # row of the block -> its coordinate, a P-element
-        for key, c in img.coordinates().items():
-            if P.is_zero(c):
-                continue
+    def solve(self, rhs: dict):
+        """Solve for a right-hand side with several components at once: rhs
+        maps row keys to vectors {component: nonzero scalar}.  The list of
+        coefficient vectors, one per column ({} for zero), or None when some
+        component is outside the span of the columns."""
+        F = self.field
+        b = {}  # row of the block -> its vector
+        for key, c in rhs.items():
             if key not in self.row:
-                return None  # a zero row of D against a nonzero coordinate
+                return None  # a zero row of the block against a nonzero entry
             b[self.row[key]] = dict(c)
         for _, r, inv, clears in self.steps:
             c = b.get(r)
             if not c:
                 continue
-            c = b[r] = {mono: L.mul(inv, x) for mono, x in c.items()}
+            c = b[r] = {comp: F.mul(inv, x) for comp, x in c.items()}
             for i, f in clears:
-                _terms.accumulate(b.setdefault(i, {}), ((m, L.mul(f, x)) for m, x in c.items()), L)
-        out = [P.zero() for _ in self.basis]
+                _terms.accumulate(b.setdefault(i, {}), ((m, F.mul(f, x)) for m, x in c.items()), F)
+        out: list[dict] = [{} for _ in self.columns]
         for j, r, _, _ in self.steps:
-            out[j] = b.pop(r, P.zero())
+            out[j] = b.pop(r, {})
         return None if any(b.values()) else out
+
+
+class _SplitOperator(_Elimination):
+    """Writes joint elements in split form sum_i deformed(b_i) * c_i: the b_i
+    are R-monomials in L, deformed(b) is the theta_u-deformed expansion of
+    b, and the c_i are w-free coefficients in a test algebra P.
+
+    The deformed expansions have coordinates in L, free of parameters, so
+    one elimination of their coordinate block serves every split and every
+    parameter monomial: a coefficient in P is the vector of its
+    coefficients on the parameter monomials."""
+
+    def __init__(self, L, basis: list, alg):
+        self.L = L
+        self.basis = basis
+        super().__init__(L, [alg.expand_rho(b).coordinates() for b in basis])
+
+    def split(self, img: JointElement, P: NilAlgebra):
+        """The list of c_i, or None when img does not split."""
+        return self.solve({key: c for key, c in img.coordinates().items() if not P.is_zero(c)})
 
 
 class _Induced:

@@ -25,6 +25,10 @@ from .exactalg import Frac, evaluate, power
 from .series import TruncSeries
 
 
+def _identity(c):
+    return c
+
+
 def ring_hom(elem, images: dict, target, lift: Callable):
     """Apply the ring map sending each generator to images[name] and each
     scalar c to lift(c); elem comes from a FracField or PolyRing context."""
@@ -159,9 +163,8 @@ class ExpansionAlgebra:
     def mul(self, a: "JointElement", b: "JointElement") -> "JointElement":
         return a * b
 
-    def from_hom(self, f: HomElement, lift: Callable | None = None) -> "JointElement":
+    def from_hom(self, f: HomElement, lift: Callable = _identity) -> "JointElement":
         """Embed a t-only realization (no w-dependence)."""
-        lift = lift or (lambda c: c)
         data = {}
         for word, s in f.data.items():
             terms = {}
@@ -170,9 +173,8 @@ class ExpansionAlgebra:
             data[word] = self._series(terms)
         return self.element(data)
 
-    def from_w_series(self, s: TruncSeries, lift: Callable | None = None) -> "JointElement":
+    def from_w_series(self, s: TruncSeries, lift: Callable = _identity) -> "JointElement":
         """Constant-in-t embedding of a w-series (a rho0-style coefficient)."""
-        lift = lift or (lambda c: c)
         terms = {}
         for e, c in s.terms.items():
             terms[(0,) * len(self.tvars) + tuple(e)] = lift(c)
@@ -185,16 +187,7 @@ class ExpansionAlgebra:
     def expand_rho(self, elem) -> "JointElement":
         """The universal expansion followed by the w-direction derivation on
         every value: the fully deformed realization of elem."""
-        f = self.expand_plain(elem)
-        data = {}
-        for word, s in f.data.items():
-            terms: dict = {}
-            for e, c in s.terms.items():
-                wseries = self.theta_u.theta_series(c, self.w_horizon)
-                for we, wc in wseries.terms.items():
-                    terms[tuple(e) + tuple(we)] = wc
-            data[word] = self._series(terms)
-        return self.element(data)
+        return self._deform_hom(self.expand_plain(elem))
 
     def expand_rho0(self, elem) -> "JointElement":
         """The trivially-embedded element, w-deformed: theta_u(elem) at t=0."""
@@ -202,7 +195,7 @@ class ExpansionAlgebra:
         return self.from_w_series(wseries)
 
     def merge_tensor(self, terms: Sequence[tuple[HomElement, TruncSeries]],
-                     lift: Callable | None = None, target_ring=None) -> "JointElement":
+                     lift: Callable = _identity, target_ring=None) -> "JointElement":
         """Multiplication map on simple tensors: sum of theta_u-deformed hull
         factors times constant embeddings of the w-series factors.
 
@@ -210,7 +203,6 @@ class ExpansionAlgebra:
         factors live over the target coefficient ring (lift embeds base
         coefficients there).  The kernel behaviour that makes this map
         injective on truncations is exercised by the tests."""
-        lift = lift or (lambda c: c)
         alg = self if target_ring is None else self.with_ring(target_ring)
         out = alg.zero()
         for hull_part, wpart in terms:
@@ -218,7 +210,7 @@ class ExpansionAlgebra:
             out = out + deformed * alg.from_w_series(wpart)
         return out
 
-    def _deform_hom(self, f: HomElement, lift: Callable) -> "JointElement":
+    def _deform_hom(self, f: HomElement, lift: Callable = _identity) -> "JointElement":
         data = {}
         for word, s in f.data.items():
             terms: dict = {}

@@ -5,6 +5,7 @@ adjugate, a dense elimination loop)."""
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import random
 from fractions import Fraction
@@ -328,6 +329,23 @@ def test_exact_div_by_one_term_rejects_non_exact_and_bad_divisors():
         laurent.var("y").exact_div(laurent.var("y"))
 
 
+@contextlib.contextmanager
+def _gcd_calls():
+    """The list of the calls that frac makes to poly_gcd inside the block."""
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return poly_gcd(*args)
+
+    original = frac.poly_gcd
+    frac.poly_gcd = counting
+    try:
+        yield calls
+    finally:
+        frac.poly_gcd = original
+
+
 @pytest.mark.parametrize("ring", MONOMIAL_RINGS, ids=str)
 @settings(max_examples=40, deadline=None)
 @given(a=EXPS_LOW, b=EXPS_LOW, ca=st.integers(1, 6), cb=st.integers(1, 6))
@@ -339,18 +357,8 @@ def test_cancel_of_one_term_pair_is_division_by_gcd_without_gcd_call(ring, a, b,
     q = ring.poly({b[:n]: ring.field.from_int(cb)})
     g = poly_gcd(p, q)
     want = (p, q) if p.is_const() or q.is_const() else (_long_division(p, g), _long_division(q, g))
-    calls = []
-
-    def counting(*args):
-        calls.append(args)
-        return poly_gcd(*args)
-
-    original = frac.poly_gcd
-    frac.poly_gcd = counting
-    try:
+    with _gcd_calls() as calls:
         got = frac._cancel(p, q)
-    finally:
-        frac.poly_gcd = original
     assert got == want
     assert not calls
 
@@ -467,6 +475,88 @@ def test_frac_arithmetic_matches_normalizing_constructor(data):
     else:
         assert _same_pair(a / b, Frac(L, p * s, q * r))
         assert _same_pair(b.inverse(), Frac(L, s, r))
+
+
+LAURENT_FIELDS = dict(FRAC_FIELDS, **{"GF7(x,y)": FracField(GF(7), ["x", "y"])})
+
+
+def _laurent(L, c, num_exp, den_exp):
+    """c*x^num_exp / x^den_exp through the normalizing constructor."""
+    R = L.poly_ring
+    return Frac(L, R.poly({num_exp: R.field.from_int(c)}), R.poly({den_exp: R.field.one()}))
+
+
+@st.composite
+def laurent_monomials(draw, L):
+    n = L.poly_ring.nvars()
+    exps = st.tuples(*[st.integers(0, 3)] * n)
+    return _laurent(L, draw(st.integers(-3, 3).filter(bool)), draw(exps), draw(exps))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_laurent_monomial_arithmetic_is_closed_form(data):
+    # both operands c*x^e / x^f: exponent arithmetic with no gcd; oracle: the
+    # normalizing constructor on the cross-multiplied pair
+    L = LAURENT_FIELDS[data.draw(st.sampled_from(sorted(LAURENT_FIELDS)))]
+    a, b = data.draw(laurent_monomials(L)), data.draw(laurent_monomials(L))
+    p, q, r, s = a.num, a.den, b.num, b.den
+    want = [Frac(L, p * s + r * q, q * s), Frac(L, p * s - r * q, q * s),
+            Frac(L, p * r, q * s), Frac(L, p * s, q * r)]
+    with _gcd_calls() as calls:
+        got = [a + b, a - b, a * b, a / b]
+    assert not calls
+    for g, w in zip(got, want):
+        assert _same_pair(g, w)
+
+
+def test_laurent_monomial_arithmetic_cases():
+    F = FracField(QQ, ["x", "y"])
+    Fy = FracField(QQ, ["y"])
+    G = FracField(GF(7), ["y"])
+    x, y = F.poly_ring.gens()
+    (yy,) = Fy.poly_ring.gens()
+    one = F.poly_ring.one()
+    with _gcd_calls() as calls:
+        a = _laurent(F, 3, (2, 0), (0, 1))  # 3x^2/y
+        assert _same_pair(a + (-a), F.zero())
+        s = _laurent(Fy, 1, (0,), (1,)) + _laurent(Fy, 1, (0,), (2,))  # 1/y + 1/y^2
+        assert (s.num, s.den) == (yy + Fy.poly_ring.one(), yy * yy)
+        s = _laurent(F, 1, (1, 0), (0, 1)) + _laurent(F, 1, (0, 1), (1, 0))  # x/y + y/x
+        assert (s.num, s.den) == (x * x + y * y, x * y)
+        s = _laurent(F, 2, (0, 1), (1, 0)) * _laurent(F, 1, (1, 0), (0, 1))  # (2y/x)*(x/y)
+        assert (s.num, s.den) == (F.poly_ring.from_int(2), one)
+        s = _laurent(G, 3, (0,), (1,)) + _laurent(G, 4, (0,), (1,))  # 3/y + 4/y over GF(7)
+        assert _same_pair(s, G.zero())
+    assert not calls
+
+
+def _gcd_path_coordinates(L, elems):
+    """Reference: clear denominators with their lcm built by poly_gcd."""
+    common = L.poly_ring.one()
+    for e in elems:
+        common = common * e.den.exact_div(poly_gcd(common, e.den))
+    nums = [e.num * common.exact_div(e.den) for e in elems]
+    labels = sorted({m for p in nums for m in p.terms})
+    return labels, [[p.terms.get(m, L.scalars.zero()) for m in labels] for p in nums]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_scalar_coordinates_of_laurent_monomials_match_the_gcd_path(data):
+    # one-term denominators: the lcm is x^max of their exponents, no gcd taken;
+    # a sum of two Laurent monomials keeps a one-term denominator
+    L = LAURENT_FIELDS[data.draw(st.sampled_from(sorted(LAURENT_FIELDS)))]
+    elems = data.draw(st.lists(laurent_monomials(L), max_size=5))
+    elems += [a + b for a, b in data.draw(
+        st.lists(st.tuples(laurent_monomials(L), laurent_monomials(L)), max_size=2))]
+    want = _gcd_path_coordinates(L, elems)
+    with _gcd_calls() as calls:
+        assert L.scalar_coordinates(elems) == want
+    assert not calls
+    # a denominator of two terms takes the gcd path
+    mixed = elems + [L.one() / (L.var(L.vars[-1]) + L.one())]
+    assert L.scalar_coordinates(mixed) == _gcd_path_coordinates(L, mixed)
 
 
 def test_frac_from_poly_rejects_another_ring():

@@ -6,14 +6,19 @@ Picard-Vessiot axioms of these examples."""
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from modalg import pv
 from modalg.actions import ActionSpec, MonoidDesc
-from modalg.exactalg import GF, QQ, FracField, Matrix, PolyRing, solve_linear
+from modalg.exactalg import GF, QQ, FracField, Matrix, PolyRing, frac, poly_gcd, solve_linear
 from modalg.hull import ExtensionDesc, find_relations, hull_generators
 from modalg.lieritt import NilAlgebra
 from modalg.series import TruncSeries, truncated_exp
+from modalg.umemura import build_ideal, group_compatibility_check, solve_points
 
 
 def exponential_pv():
@@ -433,3 +438,78 @@ def test_galois_points_lifts_x_once_per_test_algebra(monkeypatch):
     assert fam.report.ok and len(fam.params) == 1
     # X and X^-1, each over the probe and the parameter algebra
     assert len(lifts) == len(set(lifts)) == 4
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_elimination_replay_matches_solve_linear(data):
+    # one elimination of the block serves every right-hand side: the replay
+    # gives the solution of the reduced echelon form of [block | rhs], or
+    # None, and a two-component right-hand side solves both at once
+    entry = st.integers(-2, 2).map(Fraction)
+    nrows, ncols = data.draw(st.integers(1, 5)), data.draw(st.integers(0, 4))
+    cols = [data.draw(st.lists(entry, min_size=nrows, max_size=nrows)) for _ in range(ncols)]
+    rows = [[col[i] for col in cols] for i in range(nrows)]
+    block = pv._Elimination(QQ, [dict(enumerate(col)) for col in cols])
+
+    def rhs():
+        # a combination of the columns, sometimes moved off their span
+        xs = data.draw(st.lists(entry, min_size=ncols, max_size=ncols))
+        b = [sum((x * col[i] for x, col in zip(xs, cols)), Fraction(0)) for i in range(nrows)]
+        b[data.draw(st.integers(0, nrows - 1))] += data.draw(entry)
+        return b
+
+    b0, b1 = rhs(), rhs()
+    want = [solve_linear(rows, b, QQ) for b in (b0, b1)]
+    pairs = {i: {c: x for c, x in ((0, b0[i]), (1, b1[i])) if x} for i in range(nrows)}
+    got = block.solve({i: v for i, v in pairs.items() if v})
+    if None in want:
+        assert got is None
+        return
+    assert [[v.get(c, Fraction(0)) for v in got] for c in (0, 1)] == want
+    for c, b in enumerate((b0, b1)):
+        one = block.solve({i: {(): x} for i, x in enumerate(b) if x})
+        assert [v.get((), Fraction(0)) for v in one] == want[c]
+
+
+def test_hopf_algebra_eliminates_each_block_once(monkeypatch):
+    # the comultiplication and the antipode of every generator are solved
+    # against one elimination each of the pair block and the monomial block
+    blocks = []
+    original = pv._Elimination.__init__
+
+    def recording(self, field, columns):
+        blocks.append(len(columns))
+        original(self, field, columns)
+
+    monkeypatch.setattr(pv._Elimination, "__init__", recording)
+    data, _ = product_pv()
+    d = pv.hopf_algebra(data, 2).as_dict()
+    assert d["checks"]["ok"] and len(d["generators"]) == 3
+    # 10 generator monomials of degree <= 2 in 3 generators, and their pairs
+    assert blocks == [100, 10]
+
+
+def test_chain_and_compare_take_no_polynomial_gcd(monkeypatch):
+    # every fraction on these paths is a Laurent monomial c*y^a / y^b, so
+    # sums, products and common denominators are exponent arithmetic
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return poly_gcd(*args)
+
+    monkeypatch.setattr(frac, "poly_gcd", counting)
+    for make, tag in ((additive_pv, "Ga_hat"), (exponential_pv, "Gm_hat_conjugate")):
+        _, ext = make()
+        hull = hull_generators(ext, t_horizon=3, w_horizon=4)
+        rels = find_relations(hull, diff_order=4, degree=2)
+        report = solve_points(hull, rels, build_ideal(hull, rels))
+        assert report.classification["tag"] == tag
+        assert group_compatibility_check(hull, report)
+    data, ext = exponential_pv()
+    hull = hull_generators(ext, t_horizon=3, w_horizon=3)
+    rels = find_relations(hull, diff_order=3, degree=2)
+    d = pv.compare(data, hull, rels, degree=3).as_dict()
+    assert d["ok"] and d["group_homomorphism"] is True
+    assert calls == []
