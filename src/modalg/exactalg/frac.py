@@ -168,25 +168,15 @@ class FracField(Ring):
 
     def scalar_coordinates(self, elems: list) -> tuple[list, list[list]]:
         """Coordinates over the scalar field on the monomials of the
-        numerators after clearing denominators: labels are monomials.  When
-        every denominator has one term, their lcm is x^max over their
-        exponents, and each numerator is shifted by its missing exponents."""
-        if all(len(e.den.terms) == 1 for e in elems):
-            dens = [next(iter(e.den.terms)) for e in elems]
-            common = tuple(map(max, zip(self.poly_ring.const_exp, *dens)))
-            nums = []
-            for e, ed in zip(elems, dens):
-                shift = tuple(map(sub, common, ed))
-                nums.append({tuple(map(add, exp, shift)): c for exp, c in e.num.terms.items()})
-        else:
-            common = self.poly_ring.one()
-            for e in elems:
-                g = poly_gcd(common, e.den)
-                common = common * e.den.exact_div(g)
-            nums = [(e.num * common.exact_div(e.den)).terms for e in elems]
-        monomials = sorted({exp for p in nums for exp in p})
+        numerators after clearing denominators: labels are monomials."""
+        common = self.poly_ring.one()
+        for e in elems:
+            g = poly_gcd(common, e.den)
+            common = common * e.den.exact_div(g)
+        nums = [e.num * common.exact_div(e.den) for e in elems]
+        monomials = sorted({exp for p in nums for exp in p.terms})
         zero = self.scalars.zero()
-        rows = [[p.get(m, zero) for m in monomials] for p in nums]
+        rows = [[p.terms.get(m, zero) for m in monomials] for p in nums]
         return monomials, rows
 
     def __repr__(self):

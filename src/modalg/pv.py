@@ -352,14 +352,14 @@ def hopf_algebra(data: PVData, degree: int, horizon: int | None = None) -> HopfP
         if c.is_const():
             continue
         span = distinct_products(gens + [one], one, degree, str)
-        if _span_coefficients(ring, c, span, k) is None:
+        if _coefficients(ring, c, _span_block(ring, span, k), k) is None:
             gens.append(_normalize_gen(ring, c))
     # the flip of a constant is constant: close the generator set under the
     # flip so inverses of grouplikes are present
     for g in list(gens):
         fg = tensor.place(g, (2, 1))
         span = distinct_products(gens + [one], one, degree, str)
-        if _span_coefficients(ring, fg, span, k) is None:
+        if _coefficients(ring, fg, _span_block(ring, span, k), k) is None:
             gens.append(_normalize_gen(ring, fg))
     names = [f"h{i+1}" if len(gens) > 1 else "h" for i in range(len(gens))]
     relations = _hopf_relations(ring, gens, k, degree + 1)
@@ -383,8 +383,8 @@ def hopf_algebra(data: PVData, degree: int, horizon: int | None = None) -> HopfP
     pair_vals = [triple.place(a, (1, 2)) * triple.place(b, (2, 3))
                  for a, b in itertools.product(mono_vals, mono_vals)]
     # each block is the same for every generator: eliminate it once
-    pair_block = _Elimination(k, [_scalar_column(triple.ring, v, k) for v in pair_vals])
-    mono_block = _Elimination(k, [_scalar_column(ring, v, k) for v in mono_vals])
+    pair_block = _span_block(triple.ring, pair_vals, k)
+    mono_block = _span_block(ring, mono_vals, k)
     merge = [R.var(v) for v in R.vars] * 2  # the multiplication map to R
     eps = []  # the counit of each generator, None when it is not a scalar
     for name, g in zip(names, gens):
@@ -456,13 +456,6 @@ def _relation_str(terms: dict, k) -> str:
     return " + ".join(parts) + " = 0"
 
 
-def _span_coefficients(ring: PolyRing, target: MPoly, span: list[MPoly], k):
-    """Coefficients over k writing target in the k-span of span, or None."""
-    labels, rows = ring.scalar_coordinates(span + [target])
-    cols = [[rows[j][i] for j in range(len(span))] for i in range(len(labels))]
-    return solve_linear(cols, rows[len(span)], k)
-
-
 def _scalar_column(ring: PolyRing, elem: MPoly, k) -> dict:
     """The scalar coordinates of elem as a sparse column {label: nonzero
     scalar}; labels name a monomial and a scalar coordinate, so they agree
@@ -471,13 +464,24 @@ def _scalar_column(ring: PolyRing, elem: MPoly, k) -> dict:
     return {lab: x for lab, x in zip(labels, row) if not k.is_zero(x)}
 
 
+def _span_block(ring: PolyRing, span: list[MPoly], k) -> _Elimination:
+    """The elimination of the scalar columns of span over k."""
+    return _Elimination(k, [_scalar_column(ring, v, k) for v in span])
+
+
+def _coefficients(ring: PolyRing, target: MPoly, block: _Elimination, k):
+    """target in the k-span of the elements that block has eliminated: one
+    vector {(): coefficient} ({} for zero) per element, or None when target
+    is outside that span."""
+    return block.solve({lab: {(): x} for lab, x in _scalar_column(ring, target, k).items()})
+
+
 def _expand(ring: PolyRing, target: MPoly, block: _Elimination, labels: list, k, what: str,
             failures: list) -> dict:
-    """target as {label: coefficient} over the values whose scalar columns
-    block has eliminated, with those labels; {} with a failure naming the
-    map when target is outside their span."""
-    col = _scalar_column(ring, target, k)
-    sol = block.solve({lab: {(): x} for lab, x in col.items()})
+    """target as {label: coefficient} over the elements that block has
+    eliminated, with those labels; {} with a failure naming the map when
+    target is outside their span."""
+    sol = _coefficients(ring, target, block, k)
     if sol is None:
         failures.append(f"{what} image is not expressible at this degree")
         return {}
@@ -1028,7 +1032,6 @@ class _SplitOperator(_Elimination):
     coefficients on the parameter monomials."""
 
     def __init__(self, L, basis: list, alg):
-        self.L = L
         self.basis = basis
         super().__init__(L, [alg.expand_rho(b).coordinates() for b in basis])
 

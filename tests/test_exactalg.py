@@ -531,34 +531,6 @@ def test_laurent_monomial_arithmetic_cases():
     assert not calls
 
 
-def _gcd_path_coordinates(L, elems):
-    """Reference: clear denominators with their lcm built by poly_gcd."""
-    common = L.poly_ring.one()
-    for e in elems:
-        common = common * e.den.exact_div(poly_gcd(common, e.den))
-    nums = [e.num * common.exact_div(e.den) for e in elems]
-    labels = sorted({m for p in nums for m in p.terms})
-    return labels, [[p.terms.get(m, L.scalars.zero()) for m in labels] for p in nums]
-
-
-@settings(max_examples=80, deadline=None)
-@given(st.data())
-def test_scalar_coordinates_of_laurent_monomials_match_the_gcd_path(data):
-    # one-term denominators: the lcm is x^max of their exponents, no gcd taken;
-    # a sum of two Laurent monomials keeps a one-term denominator
-    L = LAURENT_FIELDS[data.draw(st.sampled_from(sorted(LAURENT_FIELDS)))]
-    elems = data.draw(st.lists(laurent_monomials(L), max_size=5))
-    elems += [a + b for a, b in data.draw(
-        st.lists(st.tuples(laurent_monomials(L), laurent_monomials(L)), max_size=2))]
-    want = _gcd_path_coordinates(L, elems)
-    with _gcd_calls() as calls:
-        assert L.scalar_coordinates(elems) == want
-    assert not calls
-    # a denominator of two terms takes the gcd path
-    mixed = elems + [L.one() / (L.var(L.vars[-1]) + L.one())]
-    assert L.scalar_coordinates(mixed) == _gcd_path_coordinates(L, mixed)
-
-
 def test_frac_from_poly_rejects_another_ring():
     F = FracField(QQ, ["y"])
     with pytest.raises(ValueError):
