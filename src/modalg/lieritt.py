@@ -4,7 +4,12 @@ differential polynomials in the transformation coefficients, and zero sets.
 The group studied here consists of n-tuples of truncated series congruent to
 (w_1, ..., w_n) modulo nilpotent coefficients, multiplied by composition.
 Zero sets of differential-polynomial ideals cut out subgroups; the shipped
-solver parametrizes them exactly by layered linear algebra.
+solver parametrizes them exactly by layered linear algebra.  Its linear
+system is the Jacobian of the generators at the identity tuple, read off in
+closed form, and its kernel is the Lie algebra of the Umemura functor at the
+stated horizon.  The Hasse binomials C(k0, k) and the exponents of the
+generators enter through the base ring's from_int, so in characteristic p
+they vanish mod p exactly as in TruncSeries.hasse_deriv.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from typing import Iterable, Sequence
 from .exactalg import evaluate, kernel_basis, solve_linear
 from .exactalg import terms as _terms
 from .exactalg.ring import Ring, stacked_coordinates
-from .series import TruncSeries, identity_tuple
+from .series import SeriesRing, TruncSeries, identity_tuple
 
 
 # ----------------------------------------------------------------- algebra
@@ -46,12 +51,7 @@ class NilAlgebra(Ring):
 
     def monomials(self) -> list[tuple[int, ...]]:
         """All surviving exponent tuples, sorted by (degree, lex)."""
-        r = len(self.vars)
-        out = []
-        for total in range(self.order):
-            for exp in _compositions(total, r):
-                out.append(exp)
-        return out
+        return multi_indices(len(self.vars), self.order - 1)
 
     def element(self, terms: dict) -> dict:
         base, order = self.base, self.order
@@ -350,29 +350,18 @@ class DiffPoly:
         """Substitute the divided derivatives of phi for the symbols.
 
         lift: base-coefficient -> algebra element embedding for the
-        coefficient series."""
+        coefficient series.  The symbols are the variables of
+        exactalg.evaluate, so each symbol's powers are built once per call."""
         A = phi.algebra
-        tgt_vars = phi.vars
-        horizon = phi.horizon
-        if tgt_vars != self.wvars:
+        if phi.vars != self.wvars:
             raise ValueError("variable mismatch in evaluation")
-        deriv_cache: dict[tuple[int, tuple[int, ...]], TruncSeries] = {}
-
-        def deriv(i: int, k: tuple[int, ...]) -> TruncSeries:
-            if (i, k) not in deriv_cache:
-                deriv_cache[(i, k)] = phi.comps[i].hasse_deriv(k)
-            return deriv_cache[(i, k)]
-
-        out = TruncSeries.zero(A, tgt_vars, horizon)
-        for key, c in self.terms.items():
-            t = c.map_coeffs(lift, A)
-            for sym, e in key:
-                i, k = sym
-                if sum(k) > horizon:
-                    raise ValueError("symbol order exceeds the horizon")
-                t = t * deriv(i, k) ** e
-            out = out + t
-        return out
+        symbols = sorted(self.symbols())
+        if any(sum(k) > phi.horizon for _, k in symbols):
+            raise ValueError("symbol order exceeds the horizon")
+        return evaluate(((tuple(dict(key).get(sym, 0) for sym in symbols), c)
+                         for key, c in self.terms.items()),
+                        [phi.comps[i].hasse_deriv(k) for i, k in symbols],
+                        SeriesRing(A, phi.vars, phi.horizon), lambda c: c.map_coeffs(lift, A))
 
     def __str__(self):
         def render(key):
@@ -542,22 +531,24 @@ class SolutionFamily:
         return f"SolutionFamily({self.shape()})"
 
 
-def solve_zero_set(ideal: LieRittIdeal, horizon: int | None = None,
-                   param_order: int = 3) -> SolutionFamily:
+def solve_zero_set(ideal: LieRittIdeal, param_order: int = 3) -> SolutionFamily:
     """Parametrize the transformations annihilating every generator.
 
-    The unknown coefficient of w^k in component i ranges over the nilradical
-    of the test algebra.  The system is linearized at the identity tuple and
-    solved exactly; one symbolic nilpotent parameter is introduced per kernel
-    direction.  For ideals of degree <= 1 in the Y-symbols the linear family
-    is the complete answer over every test algebra.  Nonlinear generators
-    leave residues of parameter degree >= 2, which are absorbed layer by
-    layer with corrections solved against the same linear system; a residue
-    no correction can absorb is reported as a parameter constraint cutting
-    out the actual zero set.
+    The unknown coefficient of w^k in component i, |k| <= ideal.horizon,
+    ranges over the nilradical of the test algebra.  The linear system is
+    the Jacobian of the generators at the identity tuple, whose kernel is
+    the Lie algebra of the Umemura functor at this horizon; its Hasse
+    binomials C(k0, k) and Y-exponents are taken through base_ring.from_int,
+    so in characteristic p an entry divisible by p vanishes.  One symbolic
+    nilpotent parameter is introduced per kernel direction.  For ideals of
+    degree <= 1 in the Y-symbols the linear family is the complete answer
+    over every test algebra.  Nonlinear generators leave residues of
+    parameter degree >= 2, which are absorbed layer by layer with
+    corrections solved against the same linear system; a residue no
+    correction can absorb is reported as a parameter constraint cutting out
+    the actual zero set.
     """
-    if horizon is None:
-        horizon = ideal.horizon
+    horizon = ideal.horizon
     base_ring = ideal.coeff_ring
     n = ideal.nstreams
     wvars = ideal.wvars
@@ -565,17 +556,11 @@ def solve_zero_set(ideal: LieRittIdeal, horizon: int | None = None,
     unknowns = [(i, k) for i in range(n) for k in multi_indices(len(wvars), horizon)]
     coords = [(gi, exp) for gi in range(len(gens)) for exp in multi_indices(len(wvars), horizon)]
 
-    rows = _linear_rows(gens, base_ring, wvars, horizon, unknowns)
+    rows, consistent = _jacobian_at_identity(gens, base_ring, len(wvars), horizon, unknowns)
+    if not consistent:
+        # nothing nilpotent can cancel a nonzero base-ring constant
+        return SolutionFamily(NilAlgebra(base_ring, (), 1), wvars, horizon, [], [], empty=True)
     matrix = [rows[c] for c in coords]
-
-    # residue of the identity tuple: nothing nilpotent can cancel a nonzero
-    # base-ring constant, so a nonzero residue means the zero set is empty
-    probe_alg = NilAlgebra(base_ring, (), 1)
-    ident = InfTransform.identity(probe_alg, wvars, horizon)
-    for g in gens:
-        r = g.evaluate(ident, probe_alg.scalar)
-        if not r.is_zero():
-            return SolutionFamily(probe_alg, wvars, horizon, [], [], empty=True)
 
     kernel = kernel_basis(matrix, base_ring, ncols=len(unknowns))
     params = [f"a{j}" for j in range(len(kernel))]
@@ -648,28 +633,68 @@ def _correct_family(gens, family, base_ring, matrix, unknowns, coords):
     return family
 
 
-def _linear_rows(gens, base_ring, wvars, horizon, unknowns):
-    """Linearization at the identity: rows indexed by (generator, w-exp)."""
-    probe_alg = NilAlgebra(base_ring, ("_p",), 2)
-    probe = probe_alg.gen("_p")
-    ident = InfTransform.identity(probe_alg, wvars, horizon)
-    unknown_pos = {u: j for j, u in enumerate(unknowns)}
-    rows: dict[tuple, list] = {}
-    for gi in range(len(gens)):
-        for exp in multi_indices(len(wvars), horizon):
-            rows[(gi, exp)] = [base_ring.zero()] * len(unknowns)
-    for u in unknowns:
-        comps = list(ident.comps)
-        delta = TruncSeries(probe_alg, wvars, horizon, {tuple(u[1]): probe})
-        comps[u[0]] = comps[u[0]] + delta
-        perturbed = InfTransform(probe_alg, comps, check=False)
-        for gi, g in enumerate(gens):
-            val = g.evaluate(perturbed, probe_alg.scalar)
-            for exp, c in val.terms.items():
-                lin = c.get((1,), base_ring.zero())
-                if not base_ring.is_zero(lin):
-                    rows[(gi, exp)][unknown_pos[u]] = lin
-    return rows
+def _jacobian_at_identity(gens, base_ring, nvars: int, horizon: int, unknowns):
+    """The generators linearized at the identity tuple, and whether the
+    identity annihilates them all, in one pass over the terms.
+
+    Rows are indexed by (generator, w-exponent) and list the coefficient of
+    each unknown (i, k0).  At the identity Y_i^(k) is w_i, 1 or 0, so the
+    value of a term c * prod Y_f^e_f and its partial derivative in a factor
+    f are w^m * c and w^m_f * e_f * c, or 0.  Moving the unknown (i, k0) by
+    p*w^k0 moves Y_i^(k) by C(k0, k)*p*w^(k0-k), so the factor Y_i^(k) adds
+    e_f * C(k0, k) * w^(m_f + k0 - k) * c to the column of (i, k0)."""
+    F = base_ring
+    zero = (0,) * nvars
+    units = [tuple(int(j == i) for j in range(nvars)) for i in range(nvars)]
+    # the exponent m of Y_i^(k) = w^m at the identity; an absent symbol is 0
+    at_identity = {**{(i, zero): u for i, u in enumerate(units)},
+                   **{(i, u): zero for i, u in enumerate(units)}}
+    entries: dict = {}  # (generator, w-exponent, column) -> nonzero entry
+    consistent = True
+    for gi, g in enumerate(gens):
+        residue: dict = {}
+        for key, c in g.terms.items():
+            if any(sum(k) > horizon for (_, k), _ in key):
+                raise ValueError("symbol order exceeds the horizon")
+            values = [(at_identity.get(sym), e) for sym, e in key]
+            m = _monomial_power(values, nvars)
+            if m is not None:
+                _terms.accumulate(residue, _shifted(c, m, horizon), F)
+            for f, ((i, k), e) in enumerate(key):
+                m = _monomial_power(values[:f] + [(values[f][0], e - 1)] + values[f + 1:], nvars)
+                if m is None:
+                    continue
+                for col, (i0, k0) in enumerate(unknowns):
+                    if i0 != i:
+                        continue
+                    n = e * math.prod(map(math.comb, k0, k))  # 0 unless k0 >= k
+                    if not n or F.is_zero(factor := F.from_int(n)):
+                        continue
+                    shift = tuple(a + top - bot for a, top, bot in zip(m, k0, k))
+                    _terms.accumulate(entries, (((gi, s, col), F.mul(factor, x))
+                                                for s, x in _shifted(c, shift, horizon)), F)
+        consistent = consistent and not residue
+    rows = {(gi, exp): [F.zero()] * len(unknowns)
+            for gi in range(len(gens)) for exp in multi_indices(nvars, horizon)}
+    for (gi, exp, col), x in entries.items():
+        rows[(gi, exp)][col] = x
+    return rows, consistent
+
+
+def _monomial_power(values, nvars: int):
+    """The exponent of prod (w^m)^e over the (m, e) pairs, with m None for
+    the value 0; None when the product is 0."""
+    if any(e and m is None for m, e in values):
+        return None
+    return tuple(sum(e * m[j] for m, e in values if e) for j in range(nvars))
+
+
+def _shifted(c: TruncSeries, shift: tuple[int, ...], horizon: int):
+    """The terms of w^shift * c up to the horizon."""
+    for s, x in c.terms.items():
+        exp = _terms.add_keys(s, shift)
+        if sum(exp) <= horizon:
+            yield exp, x
 
 
 # ------------------------------------------------------- formal group law

@@ -348,18 +348,22 @@ def hopf_algebra(data: PVData, degree: int, horizon: int | None = None) -> HopfP
     one = ring.one()
     candidates = sorted(cbasis, key=lambda c: (c.total_degree(), str(c)))
     gens: list[MPoly] = []
+    spans: dict[int, _Elimination] = {}  # the products of the first n generators
+
+    def is_new(c: MPoly) -> bool:  # outside the span of the generator products
+        if len(gens) not in spans:
+            products = distinct_products(gens + [one], one, degree, str)
+            spans[len(gens)] = _span_block(ring, products, k)
+        return _coefficients(ring, c, spans[len(gens)], k) is None
+
     for c in candidates:
-        if c.is_const():
-            continue
-        span = distinct_products(gens + [one], one, degree, str)
-        if _coefficients(ring, c, _span_block(ring, span, k), k) is None:
+        if not c.is_const() and is_new(c):
             gens.append(_normalize_gen(ring, c))
     # the flip of a constant is constant: close the generator set under the
     # flip so inverses of grouplikes are present
     for g in list(gens):
         fg = tensor.place(g, (2, 1))
-        span = distinct_products(gens + [one], one, degree, str)
-        if _coefficients(ring, fg, _span_block(ring, span, k), k) is None:
+        if is_new(fg):
             gens.append(_normalize_gen(ring, fg))
     names = [f"h{i+1}" if len(gens) > 1 else "h" for i in range(len(gens))]
     relations = _hopf_relations(ring, gens, k, degree + 1)
@@ -380,8 +384,9 @@ def hopf_algebra(data: PVData, degree: int, horizon: int | None = None) -> HopfP
     mono_vals = [_monomial(ring, gens, e) for e in labels]
     triple = _TensorPower(R, 3)
     pair_labels = list(itertools.product(labels, labels))
-    pair_vals = [triple.place(a, (1, 2)) * triple.place(b, (2, 3))
-                 for a, b in itertools.product(mono_vals, mono_vals)]
+    left = [triple.place(a, (1, 2)) for a in mono_vals]
+    right = [triple.place(b, (2, 3)) for b in mono_vals]
+    pair_vals = [a * b for a, b in itertools.product(left, right)]
     # each block is the same for every generator: eliminate it once
     pair_block = _span_block(triple.ring, pair_vals, k)
     mono_block = _span_block(ring, mono_vals, k)

@@ -1,6 +1,7 @@
 """Infinitesimal transformation groups, differential polynomials and zero
-sets: group axioms, the three worked zero-set families, and the composition
-law polynomials checked against direct composition."""
+sets: group axioms, the three worked zero-set families, the Jacobian at the
+identity checked against a per-unknown dual-number linearization, and the
+composition law polynomials checked against direct composition."""
 
 from __future__ import annotations
 
@@ -9,12 +10,13 @@ from fractions import Fraction
 
 import pytest
 
-from modalg.exactalg import QQ, FracField, PolyRing
+from modalg.exactalg import GF, QQ, FracField, PolyRing
 from modalg.lieritt import (
     DiffPoly,
     InfTransform,
     LieRittIdeal,
     NilAlgebra,
+    _jacobian_at_identity,
     _splits,
     group_law_coeffs,
     multi_indices,
@@ -293,6 +295,24 @@ def test_zero_set_empty_when_inconsistent():
     assert fam.empty
 
 
+def test_zero_set_shapes():
+    # the three shipped families and the inconsistent ideal, printed exactly
+    L = FracField(QQ, ["y"])
+    assert solve_zero_set(ideal_additive(5)).shape() == "{ a0 + w : a0 in N(A) }"
+    assert solve_zero_set(ideal_multiplicative(5)).shape() == "{ (1 + a0)*w : a0 in N(A) }"
+    assert solve_zero_set(ideal_conjugated(L, 5)).shape() == "{ y*a0 + (1 + a0)*w : a0 in N(A) }"
+    one = TruncSeries.one(QQ, ("w",), 4)
+    F = DiffPoly.symbol(1, QQ, ("w",), 4, 0, (0,)) - DiffPoly.coefficient(1, one)
+    assert solve_zero_set(LieRittIdeal(1, QQ, ("w",), 4, [F])).shape() == "<empty>"
+
+
+def test_zero_set_rejects_symbol_above_horizon():
+    Y5 = DiffPoly.symbol(1, QQ, ("w",), 4, 0, (5,))
+    Y1 = DiffPoly.symbol(1, QQ, ("w",), 4, 0, (1,))
+    with pytest.raises(ValueError, match="symbol order exceeds the horizon"):
+        solve_zero_set(LieRittIdeal(1, QQ, ("w",), 4, [Y1, Y5]))
+
+
 def test_zero_set_families_are_subgroups():
     # closure of each shipped family under composition and inversion,
     # with independent symbolic parameters
@@ -343,6 +363,119 @@ def test_multiplicative_conjugated_isomorphism():
     law = A.add(A.add(a, b), A.mul(a, b))
     assert g_mult(a).compose(g_mult(b)) == g_mult(law)
     assert g_conj(a).compose(g_conj(b)) == g_conj(law)
+
+
+# ------------------------------------------------- Jacobian at the identity
+
+
+def oracle_rows(gens, base_ring, wvars, horizon, unknowns):
+    """Reference linearization at the identity: perturb one unknown at a
+    time by p*w^k over the dual numbers and read off the coefficient of p in
+    every generator's value."""
+    probe_alg = NilAlgebra(base_ring, ("_p",), 2)
+    probe = probe_alg.gen("_p")
+    ident = InfTransform.identity(probe_alg, wvars, horizon)
+    rows = {(gi, exp): [base_ring.zero()] * len(unknowns)
+            for gi in range(len(gens)) for exp in multi_indices(len(wvars), horizon)}
+    for col, (i, k) in enumerate(unknowns):
+        comps = list(ident.comps)
+        comps[i] = comps[i] + TruncSeries(probe_alg, wvars, horizon, {k: probe})
+        perturbed = InfTransform(probe_alg, comps, check=False)
+        for gi, g in enumerate(gens):
+            for exp, c in g.evaluate(perturbed, probe_alg.scalar).terms.items():
+                rows[(gi, exp)][col] = c.get((1,), base_ring.zero())
+    return rows
+
+
+def oracle_consistent(gens, base_ring, wvars, horizon):
+    """Does the identity tuple annihilate every generator?"""
+    alg = NilAlgebra(base_ring, (), 1)
+    ident = InfTransform.identity(alg, wvars, horizon)
+    return all(g.evaluate(ident, alg.scalar).is_zero() for g in gens)
+
+
+def jacobian_and_oracle(gens, base_ring, wvars, horizon):
+    """Check the closed-form Jacobian and residue verdict against the
+    oracles; the rows and the unknowns, for further checks."""
+    unknowns = [(i, k) for i in range(len(wvars)) for k in multi_indices(len(wvars), horizon)]
+    rows, consistent = _jacobian_at_identity(gens, base_ring, len(wvars), horizon, unknowns)
+    want = oracle_rows(gens, base_ring, wvars, horizon, unknowns)
+    assert rows.keys() == want.keys()
+    for key, row in rows.items():
+        assert all(base_ring.eq(a, b) for a, b in zip(row, want[key])), key
+    assert consistent == oracle_consistent(gens, base_ring, wvars, horizon)
+    return rows, unknowns
+
+
+def random_diffpoly(rng, base_ring, wvars, horizon, scalars):
+    """A sum of up to four terms of Y-degree <= 3; the symbols favour the
+    orders 0 and e_i, where the identity takes nonzero values."""
+    nv = len(wvars)
+    units = [tuple(int(j == i) for j in range(nv)) for i in range(nv)]
+    ks = multi_indices(nv, horizon)
+    terms = {}
+    for _ in range(rng.randint(1, 4)):
+        key = {}
+        for _ in range(rng.randint(0, 3)):
+            i = rng.randrange(nv)
+            k = rng.choice([(0,) * nv, units[i], rng.choice(ks)])
+            key[(i, k)] = key.get((i, k), 0) + 1
+        coeffs = {e: rng.choice(scalars) for e in ks if rng.random() < 0.3}
+        coeffs[rng.choice(ks[:nv + 1])] = rng.choice(scalars)
+        terms[tuple(key.items())] = TruncSeries(base_ring, wvars, horizon, coeffs)
+    return DiffPoly(nv, base_ring, wvars, horizon, terms)
+
+
+def vanishing_at_identity(g):
+    """g minus its value at the identity tuple."""
+    alg = NilAlgebra(g.coeff_ring, (), 1)
+    value = g.evaluate(InfTransform.identity(alg, g.wvars, g.horizon), alg.scalar)
+    return g - DiffPoly.coefficient(g.nstreams, value.map_coeffs(alg.unit_part, g.coeff_ring))
+
+
+def test_jacobian_matches_dual_number_oracle_random():
+    rng = random.Random(1311)
+    L = FracField(QQ, ["y"])
+    y = L.var("y")
+    F5 = GF(5)
+    bases = [
+        (QQ, [Fraction(c) for c in (-2, -1, 1, 3)] + [Fraction(1, 2)]),
+        (F5, [1, 2, 3, 4]),
+        (L, [L.one(), y, L.neg(y), y * y + L.one(), L.one() / y]),
+    ]
+    for base, scalars in bases:
+        for nv in (1, 2):
+            wvars = ("w",) if nv == 1 else ("w1", "w2")
+            for horizon in range(3, 7) if nv == 1 else (3, 4):
+                for _ in range(3):
+                    gens = [random_diffpoly(rng, base, wvars, horizon, scalars)
+                            for _ in range(rng.randint(1, 3))]
+                    jacobian_and_oracle(gens, base, wvars, horizon)
+                    # the same generators shifted to vanish at the identity
+                    jacobian_and_oracle([vanishing_at_identity(g) for g in gens],
+                                        base, wvars, horizon)
+
+
+def test_jacobian_in_characteristic_five():
+    # over GF(5) C(5, 1) = 5 kills the move of Y^(1) under the unknown w^5,
+    # and the exponent 5 kills the whole linear term of Y^5 - w^5
+    F5 = GF(5)
+    w = TruncSeries.variable(F5, ("w",), 6, "w")
+    Y = DiffPoly.symbol(1, F5, ("w",), 6, 0, (0,))
+    Y1 = DiffPoly.symbol(1, F5, ("w",), 6, 0, (1,))
+    fifth = Y * Y * Y * Y * Y - DiffPoly.coefficient(1, w ** 5)
+    rows, unknowns = jacobian_and_oracle([Y1, fifth], F5, ("w",), 6)
+    col = unknowns.index((0, (5,)))
+    assert all(F5.is_zero(rows[(0, e)][col]) for e in multi_indices(1, 6))
+    assert F5.eq(rows[(0, (5,))][unknowns.index((0, (6,)))], F5.from_int(6))
+    assert all(F5.is_zero(x) for e in multi_indices(1, 6) for x in rows[(1, e)])
+    # over QQ both survive: 5*w^4 under w^5, and 5*w^4 * dY in the fifth power
+    Yq = DiffPoly.symbol(1, QQ, ("w",), 6, 0, (0,))
+    Y1q = DiffPoly.symbol(1, QQ, ("w",), 6, 0, (1,))
+    wq = TruncSeries.variable(QQ, ("w",), 6, "w")
+    fifth_q = Yq * Yq * Yq * Yq * Yq - DiffPoly.coefficient(1, wq ** 5)
+    rows_q, _ = jacobian_and_oracle([Y1q, fifth_q], QQ, ("w",), 6)
+    assert rows_q[(0, (4,))][col] == 5 and rows_q[(1, (4,))][unknowns.index((0, (0,)))] == 5
 
 
 # ----------------------------------------------------------- formal group law

@@ -486,9 +486,29 @@ def test_hopf_algebra_eliminates_each_block_once(monkeypatch):
     data, _ = product_pv()
     d = pv.hopf_algebra(data, 2).as_dict()
     assert d["checks"]["ok"] and len(d["generators"]) == 3
-    # generator selection eliminates its spans first; then 10 generator
-    # monomials of degree <= 2 in 3 generators, and their 100 pairs
+    # generator selection eliminates its spans first, one per size of the
+    # generator set (0 to 3); then 10 generator monomials of degree <= 2 in
+    # 3 generators, and their 100 pairs
     assert blocks[-2:] == [100, 10] and 100 not in blocks[:-2]
+    assert len(blocks[:-2]) == 4
+
+
+def test_hopf_algebra_places_each_generator_monomial_once(monkeypatch):
+    # the comultiplication reads the pair products off the generator
+    # monomials placed once in the slots (1,2) and once in (2,3) of the
+    # triple tensor power: 20 monomials of degree <= 3 in 3 generators
+    placed = []
+    original = pv._TensorPower.place
+
+    def recording(self, g, slots):
+        placed.append((len(self.ring.vars) // len(self.R.vars), slots))
+        return original(self, g, slots)
+
+    monkeypatch.setattr(pv._TensorPower, "place", recording)
+    data, _ = product_pv()
+    d = pv.hopf_algebra(data, 3).as_dict()
+    assert d["checks"]["ok"] and len(d["generators"]) == 3
+    assert placed.count((3, (1, 2))) == 20 and placed.count((3, (2, 3))) == 20
 
 
 def test_chain_and_compare_take_no_polynomial_gcd(monkeypatch):
