@@ -190,6 +190,13 @@ class HomElement:
             {w: self.data[w] * other.data[w] for w in common},
         )
 
+    def one(self) -> "HomElement":
+        """The unit on the words of this element, in its context."""
+        return HomElement(
+            self.ring, self.monoid, self.tvars, self.horizon, self.word_bound,
+            {w: TruncSeries.one(self.ring, self.tvars, self.horizon) for w in self.data},
+        )
+
     def scale(self, c) -> "HomElement":
         return HomElement(
             self.ring, self.monoid, self.tvars, self.horizon, self.word_bound,

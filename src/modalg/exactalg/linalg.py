@@ -1,25 +1,25 @@
-"""Small exact matrices and linear solving over the ring/field protocol.
+"""Small exact matrices and linear algebra over the ring/field protocol.
 
-Row reduction assumes the entry domain is a field (every nonzero pivot is
-invertible).  Matrix inversion also works over commutative rings via the
-adjugate, provided the determinant is a unit; an explicit inverse certifies
-invertibility.
+Matrix.det expands cofactors and Matrix.inverse builds the adjugate, so both
+also work over commutative rings; the inverse exists when the determinant
+is a unit, and an explicit inverse certifies invertibility.
 
-rref touches only nonzero entries: the pivot row is scaled on its nonzero
-columns, and each elimination updates only those columns of the target row
-(a - f*0 = a exactly).  Its field operations therefore scale with pivots
-times the nonzeros of each pivot row, not with the full matrix; a zero-test
-scan of each column remains.
-
-Echelon is an incremental row echelon over a field for repeated span
-membership: rows are sparse dicts {column: entry}, each reduced against the
-rows before it and scaled to a unit pivot.  add(vec) reports whether vec was
-independent (and keeps it if so); contains(vec) tests membership without
-changing the span.  A column may be any hashable key, so vectors indexed by
-coordinate labels need no common dense column order.
+Every elimination over a field is one Echelon: a Gauss-Jordan elimination
+of the columns of a matrix, taken one column at a time, recorded once and
+replayed on any number of further vectors.  A vector is a dense sequence
+(keys 0, 1, ...) or a sparse dict {key: entry}; its keys name the rows, and
+a key may first appear in a later vector.  Each independent vector records
+one step: its pivot key, the inverse of its pivot and the (key, -factor)
+pairs that clear its other entries.  Replaying the steps touches only
+nonzero entries, so the work scales with the nonzeros, not with the matrix.
+Span membership, the solution of a right-hand side and the relation of each
+dependent vector are read off the replay.  kernel_basis, solve_linear and
+rref are short reads of one Echelon over the columns of a dense matrix.
 """
 
 from __future__ import annotations
+
+from . import terms as _terms
 
 
 class Matrix:
@@ -141,85 +141,100 @@ class Matrix:
         return f"Matrix({self})"
 
 
-def rref(rows: list[list], field) -> tuple[list[list], list[int]]:
-    """Reduced row echelon form over a field; returns (rows, pivot columns)."""
-    m = [list(r) for r in rows]
-    nr = len(m)
-    nc = len(m[0]) if m else 0
-    is_zero, mul, sub = field.is_zero, field.mul, field.sub
-    pivots: list[int] = []
-    r = 0
-    for c in range(nc):
-        pr = next((i for i in range(r, nr) if not is_zero(m[i][c])), None)
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        prow = m[r]
-        inv = field.inv(prow[c])
-        # rows at and below r vanish left of c, so the pivot row does too
-        nz = [j for j in range(c, nc) if not is_zero(prow[j])]
-        for j in nz:
-            prow[j] = mul(inv, prow[j])
-        for i in range(nr):
-            row = m[i]
-            if i != r and not is_zero(row[c]):
-                f = row[c]
-                for j in nz:
-                    row[j] = sub(row[j], mul(f, prow[j]))
-        pivots.append(c)
-        r += 1
-        if r == nr:
-            break
-    return m, pivots
-
-
 class Echelon:
-    """Incremental row echelon over a field for span membership.
+    """Gauss-Jordan elimination over a field, recorded and replayed.
 
-    Rows are sparse dicts {column: entry} with a unit pivot; every row is
-    zero at the pivots of the rows added before it, so one pass in insertion
-    order reduces a vector to zero exactly when it lies in the span.
-    Vectors are given as dense sequences (columns 0, 1, ...) or as dicts
-    from column keys to entries."""
+    The vectors added are the columns of a matrix whose rows are their
+    keys.  add replays the recorded steps on a new vector: a nonzero entry
+    left outside the pivot keys makes it independent, and it records one
+    more step with that key as its pivot; otherwise the entry at each pivot
+    key is its coefficient on the vector of that step, and those
+    coefficients are kept in dependent.  The steps reduce every column to
+    the reduced row echelon form, which is unique, so the choice of pivot
+    key changes no answer.  contains and solve replay without adding."""
 
-    def __init__(self, field):
+    def __init__(self, field, vectors=()):
         self.field = field
-        self.rows: list[tuple[object, dict]] = []  # (pivot column, row)
+        self.steps: list[tuple] = []  # (pivot key, inverse of the pivot, [(key, -factor)])
+        self.pivots: dict = {}  # pivot key -> index of the vector of its step
+        self.dependent: dict[int, dict] = {}  # index -> {index of a pivot vector: coefficient}
+        self.size = 0  # the number of vectors added
+        for vec in vectors:
+            self.add(vec)
 
-    def _reduce(self, vec) -> dict:
+    def _replay(self, vec) -> dict:
+        """vec reduced by the steps, as a dict of its nonzero entries."""
         field = self.field
-        is_zero, mul, sub = field.is_zero, field.mul, field.sub
+        mul = field.mul
         items = vec.items() if isinstance(vec, dict) else enumerate(vec)
-        v = {j: x for j, x in items if not is_zero(x)}
-        for p, row in self.rows:
-            f = v.pop(p, None)
-            if f is None:
+        v = {key: x for key, x in items if not field.is_zero(x)}
+        for p, inv, clears in self.steps:
+            c = v.get(p)
+            if c is None:
                 continue
-            # the pivot entry is one, so v[p] - f*1 = 0 exactly
-            for j, b in row.items():
-                if j == p:
-                    continue
-                a = v.get(j)
-                x = field.neg(mul(f, b)) if a is None else sub(a, mul(f, b))
-                if is_zero(x):
-                    v.pop(j, None)
-                else:
-                    v[j] = x
+            c = v[p] = mul(inv, c)
+            _terms.accumulate(v, ((key, mul(f, c)) for key, f in clears), field)
         return v
 
-    def contains(self, vec) -> bool:
-        """Is vec in the span of the rows added so far?"""
-        return not self._reduce(vec)
-
     def add(self, vec) -> bool:
-        """Add vec to the span; True iff it was independent of the rows."""
-        v = self._reduce(vec)
-        if not v:
+        """Append vec; True iff it is independent of the vectors before it."""
+        field = self.field
+        v = self._replay(vec)
+        j = self.size
+        self.size += 1
+        p = next((key for key in v if key not in self.pivots), None)
+        if p is None:
+            self.dependent[j] = {self.pivots[key]: x for key, x in v.items()}
             return False
-        p = next(iter(v))
-        inv = self.field.inv(v[p])
-        self.rows.append((p, {j: self.field.mul(inv, x) for j, x in v.items()}))
+        self.steps.append((p, field.inv(v[p]),
+                           [(key, field.neg(x)) for key, x in v.items() if key != p]))
+        self.pivots[p] = j
         return True
+
+    def contains(self, vec) -> bool:
+        """Is vec in the span of the vectors added so far?"""
+        return all(key in self.pivots for key in self._replay(vec))
+
+    def solve(self, vec):
+        """The coefficients of vec on the vectors added so far, one per
+        vector and zero at the dependent ones, or None when vec is outside
+        their span."""
+        v = self._replay(vec)
+        if any(key not in self.pivots for key in v):
+            return None
+        x = [self.field.zero()] * self.size
+        for key, c in v.items():
+            x[self.pivots[key]] = c
+        return x
+
+    def relation(self, j: int) -> dict:
+        """The relation of the dependent vector j as {index: coefficient},
+        in index order: j with coefficient one, minus its coefficients on
+        the pivot vectors before it."""
+        field = self.field
+        rel = {i: field.neg(c) for i, c in self.dependent[j].items()}
+        rel[j] = field.one()
+        return dict(sorted(rel.items()))
+
+
+def _columns(rows: list[list], ncols: int):
+    return ([row[c] for row in rows] for c in range(ncols))
+
+
+def rref(rows: list[list], field) -> tuple[list[list], list[int]]:
+    """Reduced row echelon form over a field; returns (rows, pivot columns)."""
+    ncols = len(rows[0]) if rows else 0
+    ech = Echelon(field, _columns(rows, ncols))
+    pivots = list(ech.pivots.values())
+    m = [[field.zero()] * ncols for _ in rows]
+    row_of = {}
+    for r, pc in enumerate(pivots):
+        m[r][pc] = field.one()
+        row_of[pc] = r
+    for fc, coeffs in ech.dependent.items():
+        for pc, c in coeffs.items():
+            m[row_of[pc]][fc] = c
+    return m, pivots
 
 
 def kernel_basis(rows: list[list], field, ncols: int | None = None) -> list[list]:
@@ -228,34 +243,20 @@ def kernel_basis(rows: list[list], field, ncols: int | None = None) -> list[list
     Free coordinates are set to 1 one at a time in ascending column order."""
     if ncols is None:
         ncols = len(rows[0]) if rows else 0
-    if not rows:
-        rows = [[field.zero()] * ncols]
-    m, pivots = rref(rows, field)
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
+    ech = Echelon(field, _columns(rows, ncols))
     basis = []
-    for fc in free:
-        v = [field.zero()] * ncols
-        v[fc] = field.one()
-        for r, pc in enumerate(pivots):
-            v[pc] = field.neg(m[r][fc])
-        basis.append(v)
+    for fc in ech.dependent:
+        rel = ech.relation(fc)
+        basis.append([rel.get(c, field.zero()) for c in range(ncols)])
     return basis
 
 
 def solve_linear(rows: list[list], rhs: list, field):
-    """One solution of rows * x = rhs over a field, or None if inconsistent."""
+    """One solution of rows * x = rhs over a field, or None if inconsistent;
+    the free coordinates are zero."""
     if not rows:
         return [] if all(field.is_zero(b) for b in rhs) else None
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    m, pivots = rref(aug, field)
-    nc = len(rows[0])
-    if nc in pivots:
-        return None
-    x = [field.zero()] * nc
-    for r, pc in enumerate(pivots):
-        x[pc] = m[r][nc]
-    return x
+    return Echelon(field, _columns(rows, len(rows[0]))).solve(rhs)
 
 
 def restriction_kernel(elems_by_column: list[list], domain, field) -> list[list]:

@@ -21,7 +21,7 @@ from functools import cached_property
 from typing import Sequence
 
 from .actions import ActionSpec, GeneratorPowers, HomElement, Report
-from .exactalg import AlgebraicField, Echelon, FracField, kernel_basis
+from .exactalg import AlgebraicField, Echelon, FracField
 from .lieritt import DiffPoly, multi_indices
 from .series import SeriesRing, TruncSeries, formal_inverse
 from .taylor import ExpansionAlgebra
@@ -305,22 +305,14 @@ def _hom_coordinates(v: HomElement) -> dict:
 def _monomial_span(gens: list[HomElement], L, span_degree: int) -> Echelon:
     """Echelon of the L-span of the monomials of bounded degree in gens, over
     the coordinates of _hom_coordinates."""
-    span = Echelon(L)
-    for m in _hom_monomials(gens, span_degree):
-        span.add(_hom_coordinates(m))
-    return span
+    return Echelon(L, (_hom_coordinates(m) for m in _hom_monomials(gens, span_degree)))
 
 
 def _hom_monomials(gens: list[HomElement], degree: int) -> list[HomElement]:
     if not gens:
         return []
-    ref = gens[0]
-    one = HomElement(
-        ref.ring, ref.monoid, ref.tvars, ref.horizon, ref.word_bound,
-        {w: TruncSeries.one(ref.ring, ref.tvars, ref.horizon) for w in ref.data},
-    )
     return distinct_products(
-        gens, one, degree,
+        gens, gens[0].one(), degree,
         lambda m: tuple(sorted((k, str(c)) for k, c in _hom_coordinates(m).items())))
 
 
@@ -379,47 +371,30 @@ def find_relations(hull: HullData, diff_order: int, degree: int,
         for sym in mono:
             hv = hull.derivative_table[sym]
             v = hv if v is None else v * hv
-        if v is None:
-            ref = hull.derivative_table[symbols[0]]
-            v = HomElement(
-                ref.ring, ref.monoid, ref.tvars, ref.horizon, ref.word_bound,
-                {w: TruncSeries.one(ref.ring, ref.tvars, ref.horizon) for w in ref.data},
-            )
-        return v
+        return hull.derivative_table[symbols[0]].one() if v is None else v
 
-    all_monos: list[tuple] = []
-    column: dict[tuple, int] = {}  # monomial -> its index in all_monos
-    values: list[HomElement] = []
-    coords: list[dict] = []
+    all_monos = [m for level in monomials_by_degree for m in level]
+    column = {m: j for j, m in enumerate(all_monos)}
+    values = [value(m) for m in all_monos]
+    # one elimination of the monomial columns: the relations of its
+    # dependent columns of degree d are the new kernel vectors at degree d
+    monomials = Echelon(L, (_hom_coordinates(v) for v in values))
     relations: list[dict] = []  # monomial multiset -> coefficient in L
+    span = Echelon(L)  # the consequences: relations times monomials
     for d in range(0, degree + 1):
-        for m in monomials_by_degree[d]:
-            column[m] = len(all_monos)
-            all_monos.append(m)
-            values.append(value(m))
-            coords.append(_hom_coordinates(values[-1]))
-        keys = sorted({k for c in coords for k in c}, key=str)
-        rows = [[c.get(key, L.zero()) for c in coords] for key in keys]
-        kernel = kernel_basis(rows, L, ncols=len(all_monos))
-        if not kernel:
-            continue
-        # span of consequences: earlier relations multiplied by monomials
-        span = Echelon(L)
         for rel in relations:
-            rel_deg = max(len(m) for m in rel)
-            for shift_deg in range(0, d - rel_deg + 1):
-                for shift in monomials_by_degree[shift_deg]:
-                    vec = {}
-                    for m, c in rel.items():
-                        col = column.get(tuple(sorted(m + shift)))
-                        if col is None:
-                            break
-                        vec[col] = c
-                    else:
-                        span.add(vec)
-        for vec in kernel:
-            if span.add(vec):
-                relations.append({m: c for m, c in zip(all_monos, vec) if not L.is_zero(c)})
+            for shift in monomials_by_degree[d - max(len(m) for m in rel)]:
+                vec = {}
+                for m, c in rel.items():
+                    col = column.get(tuple(sorted(m + shift)))
+                    if col is None:
+                        break
+                    vec[col] = c
+                else:
+                    span.add(vec)
+        for j in monomials.dependent:
+            if len(all_monos[j]) == d and span.add(vec := monomials.relation(j)):
+                relations.append({all_monos[i]: c for i, c in vec.items()})
     out = []
     for rel in relations:
         out.append(_relation_to_diffpoly(rel, hull, nstreams, nvars))

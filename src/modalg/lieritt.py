@@ -18,7 +18,7 @@ import itertools
 import math
 from typing import Iterable, Sequence
 
-from .exactalg import evaluate, kernel_basis, solve_linear
+from .exactalg import Echelon, evaluate
 from .exactalg import terms as _terms
 from .exactalg.ring import Ring, stacked_coordinates
 from .series import SeriesRing, TruncSeries, identity_tuple
@@ -554,83 +554,82 @@ def solve_zero_set(ideal: LieRittIdeal, param_order: int = 3) -> SolutionFamily:
     wvars = ideal.wvars
     gens = ideal.materialized()
     unknowns = [(i, k) for i in range(n) for k in multi_indices(len(wvars), horizon)]
-    coords = [(gi, exp) for gi in range(len(gens)) for exp in multi_indices(len(wvars), horizon)]
 
     rows, consistent = _jacobian_at_identity(gens, base_ring, len(wvars), horizon, unknowns)
     if not consistent:
         # nothing nilpotent can cancel a nonzero base-ring constant
         return SolutionFamily(NilAlgebra(base_ring, (), 1), wvars, horizon, [], [], empty=True)
-    matrix = [rows[c] for c in coords]
-
-    kernel = kernel_basis(matrix, base_ring, ncols=len(unknowns))
-    params = [f"a{j}" for j in range(len(kernel))]
+    jacobian = Echelon(base_ring, ({c: row[u] for c, row in rows.items()}
+                                   for u in range(len(unknowns))))
+    params = [f"a{j}" for j in range(len(jacobian.dependent))]
     algebra = NilAlgebra(base_ring, params, param_order)
 
-    comps = []
-    for i in range(n):
-        terms: dict = {}
-        e_i = [0] * len(wvars)
-        e_i[i] = 1
-        terms[tuple(e_i)] = algebra.one()
-        for j, vec in enumerate(kernel):
-            p = algebra.gen(params[j])
-            for u, coefficient in zip(unknowns, vec):
-                if u[0] != i or base_ring.is_zero(coefficient):
-                    continue
-                add = algebra.mul(p, algebra.scalar(coefficient))
-                k = tuple(u[1])
-                cur = algebra.add(terms.get(k, algebra.zero()), add)
-                terms[k] = cur
-        comps.append(TruncSeries(algebra, wvars, horizon, terms))
+    def components(values: list) -> list[TruncSeries]:
+        comps = []
+        for i in range(n):
+            terms = {tuple(int(j == i) for j in range(len(wvars))): algebra.one()}
+            for (i0, k), v in zip(unknowns, values):
+                if i0 == i and v:
+                    terms[k] = algebra.add(terms.get(k, algebra.zero()), v)
+            comps.append(TruncSeries(algebra, wvars, horizon, terms))
+        return comps
 
-    family = SolutionFamily(algebra, wvars, horizon, params, comps)
-    if all(g.y_degree() <= 1 for g in gens):
-        return family
-    return _correct_family(gens, family, base_ring, matrix, unknowns, coords)
+    def residues(values: list) -> dict:
+        phi = InfTransform(algebra, components(values), check=False)
+        return {(gi, exp): c for gi, g in enumerate(gens)
+                for exp, c in g.evaluate(phi, algebra.scalar).terms.items()}
+
+    values = kernel_values(jacobian, algebra)
+    constraints = []
+    if any(g.y_degree() > 1 for g in gens):
+        constraints = ["parameter monomial " + _terms.power_str(algebra.vars, mono)
+                       + ": residue not absorbable; the zero set satisfies an extra relation"
+                       for mono in absorb_residues(algebra, jacobian, values, residues)]
+    return SolutionFamily(algebra, wvars, horizon, params, components(values),
+                          constraints=constraints)
 
 
-def _correct_family(gens, family, base_ring, matrix, unknowns, coords):
-    """Absorb parameter-degree >= 2 residues of Y-nonlinear generators."""
-    algebra = family.algebra
-    constraints: list[str] = []
-    comps = list(family.components)
-    for _degree in range(2, algebra.order):
-        phi = InfTransform(algebra, comps, check=False)
-        residues = [g.evaluate(phi, algebra.scalar) for g in gens]
-        if all(r.is_zero() for r in residues):
-            break
-        monos = {m for r in residues for c in r.terms.values() for m in c}
+def kernel_values(jacobian: Echelon, algebra: NilAlgebra) -> list:
+    """The linear family over algebra: the value at each unknown (a vector
+    of jacobian) of the sum over j of the j-th generator of algebra times
+    the relation of the j-th dependent vector, a kernel vector."""
+    values = [algebra.zero()] * jacobian.size
+    for j, u in enumerate(jacobian.dependent):
+        e = tuple(int(i == j) for i in range(len(algebra.vars)))
+        for v, c in jacobian.relation(u).items():
+            values[v] = algebra.add(values[v], algebra.element({e: c}))
+    return values
+
+
+def absorb_residues(algebra: NilAlgebra, jacobian: Echelon, values: list, residues) -> list:
+    """Layered corrections absorbing the parameter-degree >= 2 residues of a
+    nonlinear system whose linearization is jacobian.
+
+    values[u] is the value in algebra of the unknown u (the u-th vector of
+    jacobian) and is corrected in place; residues(values) maps row keys of
+    jacobian to the residues in algebra.  Each layer takes the residues
+    once and, for each parameter monomial of degree >= 2 in (degree, lex)
+    order, solves jacobian against minus its coefficients and adds the
+    solution times the monomial to the values.  Returns the monomials whose
+    residue is outside the span of jacobian, in the order met."""
+    F = jacobian.field
+    unabsorbed = []
+    for _layer in range(2, algebra.order):
+        res = residues(values)
+        monos = {m for r in res.values() for m in r if sum(m) >= 2}
         progressed = False
         for mono in sorted(monos, key=lambda e: (sum(e), e)):
-            if sum(mono) < 2:
-                continue
-            rhs = [
-                base_ring.neg(residues[gi].coeff(exp).get(mono, base_ring.zero()))
-                for gi, exp in coords
-            ]
-            if all(base_ring.is_zero(b) for b in rhs):
-                continue
-            sol = solve_linear(matrix, rhs, base_ring)
+            sol = jacobian.solve({key: F.neg(r[mono]) for key, r in res.items() if mono in r})
             if sol is None:
-                constraints.append(
-                    "parameter monomial " + _terms.power_str(algebra.vars, mono)
-                    + ": residue not absorbable; the zero set satisfies an extra relation"
-                )
+                unabsorbed.append(mono)
                 continue
             progressed = True
-            for u, val in zip(unknowns, sol):
-                if base_ring.is_zero(val):
-                    continue
-                i, k = u
-                t = dict(comps[i].terms)
-                t[tuple(k)] = algebra.add(t.get(tuple(k), algebra.zero()),
-                                          algebra.element({mono: val}))
-                comps[i] = TruncSeries(algebra, family.vars, family.horizon, t)
+            for u, x in enumerate(sol):
+                if not F.is_zero(x):
+                    values[u] = algebra.add(values[u], algebra.element({mono: x}))
         if not progressed:
             break
-    family.components = comps
-    family.constraints = constraints
-    return family
+    return unabsorbed
 
 
 def _jacobian_at_identity(gens, base_ring, nvars: int, horizon: int, unknowns):

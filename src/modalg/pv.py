@@ -26,13 +26,11 @@ from .exactalg import (
     MPoly,
     PolyRing,
     evaluate,
-    kernel_basis,
     restriction_kernel,
-    solve_linear,
 )
 from .exactalg import terms as _terms
 from .hull import HullData, distinct_products
-from .lieritt import NilAlgebra, multi_indices
+from .lieritt import NilAlgebra, absorb_residues, kernel_values, multi_indices
 from .series import TruncSeries
 from .taylor import JointElement
 from .umemura import UmemuraReport, solve_points
@@ -348,13 +346,13 @@ def hopf_algebra(data: PVData, degree: int, horizon: int | None = None) -> HopfP
     one = ring.one()
     candidates = sorted(cbasis, key=lambda c: (c.total_degree(), str(c)))
     gens: list[MPoly] = []
-    spans: dict[int, _Elimination] = {}  # the products of the first n generators
+    spans: dict[int, Echelon] = {}  # the products of the first n generators
 
     def is_new(c: MPoly) -> bool:  # outside the span of the generator products
         if len(gens) not in spans:
             products = distinct_products(gens + [one], one, degree, str)
             spans[len(gens)] = _span_block(ring, products, k)
-        return _coefficients(ring, c, spans[len(gens)], k) is None
+        return not spans[len(gens)].contains(_scalar_column(ring, c, k))
 
     for c in candidates:
         if not c.is_const() and is_new(c):
@@ -431,25 +429,20 @@ def _hopf_relations(ring: PolyRing, gens: list[MPoly], k, degree: int) -> list[s
     combination of monomial multiples of the earlier ones (the rule of
     hull.find_relations)."""
     labels = multi_indices(len(gens), degree)  # by total degree
-    values = [_monomial(ring, gens, e) for e in labels]
+    _, coords = ring.scalar_coordinates([_monomial(ring, gens, e) for e in labels])
+    monomials = Echelon(k, coords)
     column = {e: j for j, e in enumerate(labels)}
     relations: list[dict] = []
+    span = Echelon(k)  # the monomial multiples of the relations found so far
     for d in range(degree + 1):
-        ncols = sum(1 for e in labels if sum(e) <= d)
-        _, rows = ring.scalar_coordinates(values[:ncols])
-        cols = [[rows[j][i] for j in range(ncols)] for i in range(len(rows[0]))]
-        kernel = kernel_basis(cols, k, ncols=ncols)
-        if not kernel:
-            continue
-        span = Echelon(k)
         for rel in relations:
             room = d - max(sum(e) for e in rel)
             for shift in labels:
-                if sum(shift) <= room:
+                if sum(shift) == room:
                     span.add({column[_terms.add_keys(e, shift)]: c for e, c in rel.items()})
-        for vec in kernel:
-            if span.add(vec):
-                relations.append({labels[j]: c for j, c in enumerate(vec) if not k.is_zero(c)})
+        for j in monomials.dependent:
+            if sum(labels[j]) == d and span.add(vec := monomials.relation(j)):
+                relations.append({labels[i]: c for i, c in vec.items()})
     return [_relation_str(r, k) for r in relations]
 
 
@@ -469,28 +462,21 @@ def _scalar_column(ring: PolyRing, elem: MPoly, k) -> dict:
     return {lab: x for lab, x in zip(labels, row) if not k.is_zero(x)}
 
 
-def _span_block(ring: PolyRing, span: list[MPoly], k) -> _Elimination:
+def _span_block(ring: PolyRing, span: list[MPoly], k) -> Echelon:
     """The elimination of the scalar columns of span over k."""
-    return _Elimination(k, [_scalar_column(ring, v, k) for v in span])
+    return Echelon(k, (_scalar_column(ring, v, k) for v in span))
 
 
-def _coefficients(ring: PolyRing, target: MPoly, block: _Elimination, k):
-    """target in the k-span of the elements that block has eliminated: one
-    vector {(): coefficient} ({} for zero) per element, or None when target
-    is outside that span."""
-    return block.solve({lab: {(): x} for lab, x in _scalar_column(ring, target, k).items()})
-
-
-def _expand(ring: PolyRing, target: MPoly, block: _Elimination, labels: list, k, what: str,
+def _expand(ring: PolyRing, target: MPoly, block: Echelon, labels: list, k, what: str,
             failures: list) -> dict:
     """target as {label: coefficient} over the elements that block has
     eliminated, with those labels; {} with a failure naming the map when
     target is outside their span."""
-    sol = _coefficients(ring, target, block, k)
+    sol = block.solve(_scalar_column(ring, target, k))
     if sol is None:
         failures.append(f"{what} image is not expressible at this degree")
         return {}
-    return {key: v[()] for key, v in zip(labels, sol) if v}
+    return {key: x for key, x in zip(labels, sol) if not k.is_zero(x)}
 
 
 def _label_str(exps: tuple, names: list[str]) -> str:
@@ -725,44 +711,18 @@ def galois_points(data: PVData, algebra: NilAlgebra, formal: bool = True,
         vals[u] = probe
         res = sys.residues(probe_alg, m_matrix(probe_alg, vals))
         linear.append({lbl: v.get((1,), base.zero()) for lbl, v in res})
-    coords = sorted(set().union(*linear))
-    matrix = [[col.get(lbl, base.zero()) for col in linear] for lbl in coords]
-    kernel = kernel_basis(matrix, base, ncols=nunknowns)
-    params = [f"c{j}" for j in range(len(kernel))]
+    coords = set().union(*linear)
+    jacobian = Echelon(base, linear)
+    params = [f"c{j}" for j in range(len(jacobian.dependent))]
     P = NilAlgebra(base, params, param_order)
-    values = []
-    for u in range(nunknowns):
-        v = P.zero()
-        for j, vec in enumerate(kernel):
-            if not base.is_zero(vec[u]):
-                v = P.add(v, P.mul(P.gen(params[j]), P.scalar(vec[u])))
-        values.append(v)
+    values = kernel_values(jacobian, P)
 
-    failures: list[str] = []
-    # layered corrections for nonlinear residues
-    for _deg in range(2, param_order):
-        res = sys.residues(P, m_matrix(P, values))
-        monos = {m for _, v in res for m in v if sum(m) >= 2}
-        if not monos:
-            break
-        progressed = False
-        for mono in sorted(monos, key=lambda e: (sum(e), e)):
-            res_map = dict(res)
-            rhs = [base.neg(res_map.get(lbl, P.zero()).get(mono, base.zero()))
-                   for lbl in coords]
-            if all(base.is_zero(b) for b in rhs):
-                continue
-            sol = solve_linear(matrix, rhs, base)
-            if sol is None:
-                failures.append(f"residue at parameter monomial {mono} is not absorbable")
-                continue
-            progressed = True
-            for u in range(nunknowns):
-                if not base.is_zero(sol[u]):
-                    values[u] = P.add(values[u], P.element({mono: sol[u]}))
-        if not progressed:
-            break
+    def residues(values: list) -> dict:
+        # only the coordinates of the linearization take part
+        return {lbl: v for lbl, v in sys.residues(P, m_matrix(P, values)) if lbl in coords}
 
+    failures = [f"residue at parameter monomial {mono} is not absorbable"
+                for mono in absorb_residues(P, jacobian, values, residues)]
     final_res = sys.residues(P, m_matrix(P, values))
     if any(not P.is_zero(v) for _, v in final_res):
         failures.append("solved family leaves a nonzero residue")
@@ -960,89 +920,31 @@ def _nil_inverse(RA: PolyRing, P: NilAlgebra, img: MPoly) -> MPoly:
     return out
 
 
-class _Elimination:
-    """Gauss-Jordan elimination of a block of sparse columns over a field,
-    recorded once and replayed on any number of right-hand sides.
-
-    Column j is a dict {row key: entry}.  The elimination runs over the
-    columns once and records each step: the pivot column and row, the
-    inverse of the pivot, and the (row, -factor) pairs it clears.  A column
-    is a pivot exactly when it is independent of the columns before it.
-    solve replays the steps on a right-hand side: it is in the span exactly
-    when it has no nonzero entry outside the rows of the block and the
-    replay leaves every non-pivot row zero; then the pivot rows hold the
-    coefficients at the pivot columns, and the free columns get zero.  That
-    is the solution the reduced echelon form of [block | rhs] gives, since
-    that form is unique."""
-
-    def __init__(self, field, columns: list[dict]):
-        self.field = F = field
-        self.columns = columns
-        keys = sorted({key for col in columns for key in col}, key=str)
-        self.row = {key: i for i, key in enumerate(keys)}
-        rows: list[dict] = [{} for _ in keys]  # row of the block -> {column: entry}
-        for j, col in enumerate(columns):
-            for key, c in col.items():
-                if not F.is_zero(c):
-                    rows[self.row[key]][j] = c
-        self.steps = []
-        pivot_rows: set = set()
-        for j in range(len(columns)):
-            r = next((i for i, row in enumerate(rows) if i not in pivot_rows and j in row), None)
-            if r is None:
-                continue  # column j depends on the columns before it
-            pivot_rows.add(r)
-            inv = F.inv(rows[r][j])
-            pivot = rows[r] = {col: F.mul(inv, x) for col, x in rows[r].items()}
-            clears = []
-            for i, row in enumerate(rows):
-                if i != r and j in row:
-                    f = F.neg(row[j])
-                    _terms.accumulate(row, ((col, F.mul(f, x)) for col, x in pivot.items()), F)
-                    clears.append((i, f))
-            self.steps.append((j, r, inv, clears))
-
-    def solve(self, rhs: dict):
-        """Solve for a right-hand side with several components at once: rhs
-        maps row keys to vectors {component: nonzero scalar}.  The list of
-        coefficient vectors, one per column ({} for zero), or None when some
-        component is outside the span of the columns."""
-        F = self.field
-        b = {}  # row of the block -> its vector
-        for key, c in rhs.items():
-            if key not in self.row:
-                return None  # a zero row of the block against a nonzero entry
-            b[self.row[key]] = dict(c)
-        for _, r, inv, clears in self.steps:
-            c = b.get(r)
-            if not c:
-                continue
-            c = b[r] = {comp: F.mul(inv, x) for comp, x in c.items()}
-            for i, f in clears:
-                _terms.accumulate(b.setdefault(i, {}), ((m, F.mul(f, x)) for m, x in c.items()), F)
-        out: list[dict] = [{} for _ in self.columns]
-        for j, r, _, _ in self.steps:
-            out[j] = b.pop(r, {})
-        return None if any(b.values()) else out
-
-
-class _SplitOperator(_Elimination):
+class _SplitOperator(Echelon):
     """Writes joint elements in split form sum_i deformed(b_i) * c_i: the b_i
     are R-monomials in L, deformed(b) is the theta_u-deformed expansion of
     b, and the c_i are w-free coefficients in a test algebra P.
 
     The deformed expansions have coordinates in L, free of parameters, so
-    one elimination of their coordinate block serves every split and every
-    parameter monomial: a coefficient in P is the vector of its
-    coefficients on the parameter monomials."""
+    one elimination of their coordinate columns serves every split: each
+    parameter monomial of an image is one right-hand side."""
 
     def __init__(self, L, basis: list, alg):
         self.basis = basis
-        super().__init__(L, [alg.expand_rho(b).coordinates() for b in basis])
+        super().__init__(L, (alg.expand_rho(b).coordinates() for b in basis))
 
     def split(self, img: JointElement, P: NilAlgebra):
         """The list of c_i, or None when img does not split."""
-        return self.solve({key: c for key, c in img.coordinates().items() if not P.is_zero(c)})
+        coords = img.coordinates()
+        out: list[dict] = [{} for _ in self.basis]
+        for mono in {m for c in coords.values() for m in c}:
+            sol = self.solve({key: c[mono] for key, c in coords.items() if mono in c})
+            if sol is None:
+                return None
+            for c, x in zip(out, sol):
+                if not P.base.is_zero(x):
+                    c[mono] = x
+        return out
 
 
 class _Induced:
@@ -1087,30 +989,22 @@ def _match_parameters(Minduced: Matrix, gal: GaloisFamily, P: NilAlgebra):
     n = Minduced.nrows
     src_params = P.vars
     tgt_params = gal.algebra.vars
-    # build the linear map on parameters: columns indexed by target params,
-    # equations indexed by (entry, source param)
-    mat = []
-    rhs = []
-    for sp in range(len(src_params)):
-        s_mono = tuple(1 if t == sp else 0 for t in range(len(src_params)))
-        for i in range(n):
-            for j in range(n):
-                row = []
-                for tp in range(len(tgt_params)):
-                    t_mono = tuple(1 if t == tp else 0 for t in range(len(tgt_params)))
-                    row.append(gal.M.entry(i, j).get(t_mono, base.zero()))
-                mat.append(row)
-                c = Minduced.entry(i, j).get(s_mono, P.base.zero())
-                rhs.append(c)
-        # one solve per source parameter would interleave; solve jointly below
-    # solve for the full linear substitution T with params_target = T params_src
     nsrc, ntgt = len(src_params), len(tgt_params)
+    entries = [(i, j) for i in range(n) for j in range(n)]
+
+    def unit(t: int, count: int) -> tuple:
+        return tuple(int(s == t) for s in range(count))
+
+    # the linear substitution T with params_target = T params_src: one
+    # column per target parameter, its coefficients in the entries of the
+    # solved family; that block is the same for every source parameter, so
+    # it is eliminated once and each source parameter is one right-hand side
+    block = Echelon(base, ({e: gal.M.entry(*e).get(unit(tp, ntgt), base.zero()) for e in entries}
+                           for tp in range(ntgt)))
     T = []
-    per = n * n
     for sp in range(nsrc):
-        block_rows = mat[sp * per:(sp + 1) * per]
-        block_rhs = rhs[sp * per:(sp + 1) * per]
-        col = solve_linear(block_rows, block_rhs, base)
+        col = block.solve({e: Minduced.entry(*e).get(unit(sp, nsrc), P.base.zero())
+                           for e in entries})
         if col is None:
             return None
         T.append(col)

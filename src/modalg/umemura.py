@@ -14,6 +14,8 @@ generators through the twisted-expansion formula.
 from __future__ import annotations
 
 import math
+import operator
+from types import SimpleNamespace
 from typing import Sequence
 
 from .exactalg import Frac, evaluate, power
@@ -258,22 +260,12 @@ def solve_points(hull: HullData, relations: Sequence[DiffPoly],
     identity modulo nilpotents and the preservation of all relations are
     re-checked on the symbolic family."""
     # re-check the precondition: relations vanish on the generators
-    def plain_one():
-        return hull.algebra.expand_plain(hull.ext.L.one())
-
+    L = hull.ext.L
+    one = next(iter(hull.derivative_table.values())).one()
+    homs = SimpleNamespace(zero=lambda: one.scale(L.zero()), add=operator.add, mul=operator.mul)
     for rel in relations:
-        acc = None
-        for key, coeff in rel.terms.items():
-            c = coeff.coeff((0,) * len(coeff.vars))
-            term = None
-            for (i, k), e in key:
-                v = power(hull.derivative_table[(i, tuple(k))], e, plain_one)
-                term = v if term is None else term * v
-            if term is None:
-                term = plain_one()
-            term = term.scale(c)
-            acc = term if acc is None else acc + term
-        if acc is not None and not all(s.is_zero() for s in acc.data.values()):
+        value = _relation_value(rel, hull.derivative_table.__getitem__, homs, one.scale)
+        if not all(s.is_zero() for s in value.data.values()):
             raise ValueError("relation does not vanish on the hull generators")
 
     if ideal is None:
@@ -284,7 +276,6 @@ def solve_points(hull: HullData, relations: Sequence[DiffPoly],
         return UmemuraReport(hull, ideal, family, {}, {"solved": False}, classification)
 
     alg = hull.algebra
-    L = hull.ext.L
     P = family.algebra
     alg_P = alg.with_ring(P)
     n = alg.theta_u.n
@@ -307,17 +298,11 @@ def solve_points(hull: HullData, relations: Sequence[DiffPoly],
         if reduced != joint:
             congruent = False
 
-    relations_ok = True
-    for rel in relations:
-        acc = alg_P.zero()
-        for key, coeff in rel.terms.items():
-            c = coeff.coeff((0,) * len(coeff.vars))
-            term = alg_P.from_w_series(alg.theta_u.theta_series(c, wh), lift=P.scalar)
-            for (i, k), e in key:
-                term = term * images[hull.rho_gens[i][0]].theta_w(tuple(k)) ** e
-            acc = acc + term
-        if not acc.is_zero():
-            relations_ok = False
+    relations_ok = all(
+        _relation_value(rel, lambda sym: images[hull.rho_gens[sym[0]][0]].theta_w(sym[1]), alg_P,
+                        lambda c: alg_P.from_w_series(alg.theta_u.theta_series(c, wh),
+                                                      lift=P.scalar)).is_zero()
+        for rel in relations)
 
     checks = {
         "solved": True,
@@ -326,6 +311,15 @@ def solve_points(hull: HullData, relations: Sequence[DiffPoly],
         "constraints": list(family.constraints),
     }
     return UmemuraReport(hull, ideal, family, images, checks, classification)
+
+
+def _relation_value(rel: DiffPoly, image, target, lift):
+    """rel with each symbol s replaced by image(s) and each coefficient, a
+    constant series c, by lift(c), summed in the context target."""
+    symbols = sorted(rel.symbols())
+    return evaluate(((tuple(dict(key).get(sym, 0) for sym in symbols), c.coeff((0,) * len(c.vars)))
+                     for key, c in rel.terms.items()),
+                    [image(sym) for sym in symbols], target, lift)
 
 
 def group_compatibility_check(hull: HullData, report: UmemuraReport) -> bool:

@@ -742,6 +742,9 @@ FIELDS = {
 }
 
 
+FIELD_ENTRIES = {field: entry for field, entry, _, _ in FIELDS.values()}
+
+
 @st.composite
 def matrices(draw, min_rows=1, extra_rows=0):
     """(field, rows): a random matrix, sparse or dense, over QQ, GF(7) or
@@ -776,6 +779,24 @@ def test_sparse_rref_matches_dense_reference(data):
     assert _same_rows(field, got_rows, want_rows)
 
 
+def dense_rank(rows, field):
+    return len(dense_rref(rows, field)[1]) if rows else 0
+
+
+def dense_solve(rows, rhs, field):
+    """Reference: the solution the dense reduced echelon form of [rows | rhs]
+    gives, zero at the free columns, or None when rhs is outside the span of
+    the columns."""
+    ncols = len(rows[0])
+    m, pivots = dense_rref([list(r) + [b] for r, b in zip(rows, rhs)], field)
+    if ncols in pivots:
+        return None
+    x = [field.zero()] * ncols
+    for r, pc in enumerate(pivots):
+        x[pc] = m[r][ncols]
+    return x
+
+
 @settings(max_examples=60, deadline=None)
 @given(matrices(min_rows=2, extra_rows=1))
 def test_echelon_add_and_contains_match_rref_rank(data):
@@ -785,18 +806,73 @@ def test_echelon_add_and_contains_match_rref_rank(data):
     ech = Echelon(field)
     independent = 0
     for i, row in enumerate(rows):
-        rank_before = len(rref(rows[:i], field)[1]) if i else 0
-        rank_after = len(rref(rows[:i + 1], field)[1])
+        rank_before = dense_rank(rows[:i], field)
+        rank_after = dense_rank(rows[:i + 1], field)
         assert ech.contains(row) == (rank_after == rank_before)
         added = ech.add(row)
         assert added == (rank_after > rank_before)
         independent += added
-    assert independent == len(ech.rows) == len(rref(rows, field)[1])
+    assert independent == len(ech.steps) == dense_rank(rows, field)
     assert all(ech.contains(row) for row in rows)
-    in_span = len(rref(rows + [vec], field)[1]) == len(rref(rows, field)[1])
+    in_span = dense_rank(rows + [vec], field) == dense_rank(rows, field)
     assert ech.contains(vec) == in_span
     # the same vector as a dict keyed by column
     assert ech.contains({j: x for j, x in enumerate(vec)}) == in_span
+
+
+@settings(max_examples=80, deadline=None)
+@given(matrices(min_rows=2), st.data())
+def test_echelon_matches_dense_reference(matrix, data):
+    # the columns of the matrix, added one at a time as sparse dicts keyed by
+    # row, against the dense reduced echelon form; the last row is nonzero
+    # only from a drawn column on, so its key first appears in a later vector
+    field, rows = matrix
+    ncols = len(rows[0])
+    first = data.draw(st.integers(0, ncols - 1))
+    rows[-1] = [field.zero()] * first + [field.one()] + rows[-1][first + 1:]
+    cols = [{("row", i): row[c] for i, row in enumerate(rows) if not field.is_zero(row[c])}
+            for c in range(ncols)]
+    assert all(("row", len(rows) - 1) not in col for col in cols[:first])
+    want_rows, pivots = dense_rref(rows, field)
+    ech = Echelon(field)
+    assert [ech.add(col) for col in cols] == [c in pivots for c in range(ncols)]
+    assert list(ech.pivots.values()) == pivots and len(ech.steps) == len(pivots)
+    free = [c for c in range(ncols) if c not in pivots]
+    assert list(ech.dependent) == free
+    # each relation is a kernel vector of the dense form
+    kernel = []
+    for fc in free:
+        v = [field.zero()] * ncols
+        v[fc] = field.one()
+        for r, pc in enumerate(pivots):
+            v[pc] = field.neg(want_rows[r][fc])
+        kernel.append(v)
+    got = [[ech.relation(fc).get(c, field.zero()) for c in range(ncols)] for fc in free]
+    assert _same_rows(field, got, kernel)
+    assert _same_rows(field, kernel_basis(rows, field), kernel)
+    got_rows, got_pivots = rref(rows, field)
+    assert got_pivots == pivots and _same_rows(field, got_rows, want_rows)
+    # right-hand sides: a combination of the columns, sometimes moved off
+    # their span, solved by replaying the one elimination
+    for _ in range(3):
+        xs = [data.draw(FIELD_ENTRIES[field]()) for _ in range(ncols)]
+        b = [field.zero()] * len(rows)
+        for c, x in enumerate(xs):
+            b = [field.add(bi, field.mul(x, row[c])) for bi, row in zip(b, rows)]
+        if data.draw(st.booleans()):
+            i = data.draw(st.integers(0, len(rows) - 1))
+            b[i] = field.add(b[i], field.one())
+        want = dense_solve(rows, b, field)
+        rhs = {("row", i): x for i, x in enumerate(b)}
+        assert ech.contains(rhs) == (want is not None)
+        got = ech.solve(rhs)
+        assert (got is None) == (want is None)
+        if want is not None:
+            assert _same_rows(field, [got], [want])
+        got = solve_linear(rows, b, field)
+        assert (got is None) == (want is None)
+        if want is not None:
+            assert _same_rows(field, [got], [want])
 
 
 def test_echelon_with_labelled_columns():
@@ -807,7 +883,16 @@ def test_echelon_with_labelled_columns():
     assert not ech.contains({"c": Fraction(1)})
     assert not ech.add({"a": Fraction(2), "b": Fraction(5), "c": Fraction(1)})
     assert ech.contains({}) and ech.contains([Fraction(0), Fraction(0)])
-    assert len(ech.rows) == 2
+    assert len(ech.steps) == 2
+    # the third vector is twice the first plus the second
+    assert ech.relation(2) == {0: Fraction(-2), 1: Fraction(-1), 2: Fraction(1)}
+    assert ech.solve({"a": Fraction(1), "b": Fraction(3), "c": Fraction(1)}) == [
+        Fraction(1), Fraction(1), Fraction(0)]
+    assert ech.solve({"c": Fraction(1)}) is None
+    # the key "d" first appears in the fourth vector
+    assert ech.add({"c": Fraction(1), "d": Fraction(3)})
+    assert ech.solve({"c": Fraction(2), "d": Fraction(6)}) == [
+        Fraction(0), Fraction(0), Fraction(0), Fraction(2)]
 
 
 def test_dense_rational_function_rref_matches_dense_reference():

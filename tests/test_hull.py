@@ -314,13 +314,17 @@ def test_find_relations_matches_seed_order(make):
 
 
 def test_find_relations_self_check_raises(monkeypatch):
-    # a "kernel" vector that is not in the kernel: the monomial 1 alone
+    # a "kernel" vector that is not in the kernel: the monomial 1 alone,
+    # reported as a dependent column of the monomial elimination
     import modalg.hull
 
-    def not_a_kernel(rows, field, ncols=None):
-        return [[field.one()] + [field.zero()] * (ncols - 1)]
+    class NotAKernel(modalg.hull.Echelon):
+        def __init__(self, field, vectors=()):
+            super().__init__(field, vectors)
+            if self.size:  # the monomial columns, not the consequence span
+                self.dependent = {0: {}, **self.dependent}
 
-    monkeypatch.setattr(modalg.hull, "kernel_basis", not_a_kernel)
+    monkeypatch.setattr(modalg.hull, "Echelon", NotAKernel)
     hull = hull_generators(additive_ext(), t_horizon=3, w_horizon=3)
     with pytest.raises(ArithmeticError, match="does not vanish"):
         find_relations(hull, diff_order=1, degree=1)

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from modalg.exactalg import GF, QQ, FracField, PolyRing
+from modalg.exactalg import GF, QQ, Echelon, FracField, PolyRing
 from modalg.lieritt import (
     DiffPoly,
     InfTransform,
@@ -476,6 +476,36 @@ def test_jacobian_in_characteristic_five():
     fifth_q = Yq * Yq * Yq * Yq * Yq - DiffPoly.coefficient(1, wq ** 5)
     rows_q, _ = jacobian_and_oracle([Y1q, fifth_q], QQ, ("w",), 6)
     assert rows_q[(0, (4,))][col] == 5 and rows_q[(1, (4,))][unknowns.index((0, (0,)))] == 5
+
+
+def test_correction_eliminates_the_jacobian_once(monkeypatch):
+    # a Y-nonlinear ideal in two streams whose corrections meet residues at
+    # many parameter monomials, some absorbable and some not: the kernel and
+    # every correction are read off one elimination of the Jacobian
+    rng = random.Random(7)
+    wvars = ("w1", "w2")
+    scalars = [Fraction(c) for c in (-2, -1, 1, 3)] + [Fraction(1, 2)]
+    gens = [vanishing_at_identity(random_diffpoly(rng, QQ, wvars, 3, scalars))
+            for _ in range(rng.randint(1, 3))]
+    assert max(g.y_degree() for g in gens) > 1
+    # every Echelon built is one elimination; every solve replays one
+    built, solved = [], []
+    init, solve = Echelon.__init__, Echelon.solve
+
+    def counting_init(self, *args):
+        built.append(self)
+        init(self, *args)
+
+    def counting_solve(self, vec):
+        solved.append(self)
+        return solve(self, vec)
+
+    monkeypatch.setattr(Echelon, "__init__", counting_init)
+    monkeypatch.setattr(Echelon, "solve", counting_solve)
+    fam = solve_zero_set(LieRittIdeal(2, QQ, wvars, 3, gens))
+    assert len(built) == 1
+    assert set(map(id, solved)) == {id(built[0])}
+    assert 0 < len(fam.constraints) < len(solved)
 
 
 # ----------------------------------------------------------- formal group law

@@ -14,10 +14,12 @@ from hypothesis import strategies as st
 
 from modalg import pv
 from modalg.actions import ActionSpec, MonoidDesc
-from modalg.exactalg import GF, QQ, FracField, Matrix, PolyRing, frac, poly_gcd, solve_linear
+from modalg.exactalg import (GF, QQ, Echelon, FracField, Matrix, PolyRing, frac, poly_gcd,
+                             solve_linear)
 from modalg.hull import ExtensionDesc, find_relations, hull_generators
 from modalg.lieritt import NilAlgebra
 from modalg.series import TruncSeries, truncated_exp
+from test_exactalg import dense_solve
 from modalg.umemura import build_ideal, group_compatibility_check, solve_points
 
 
@@ -53,6 +55,11 @@ def split_by_monomial(img, columns, P, L):
     return out
 
 
+def basis_columns(op, alg):
+    """The coordinate columns of the deformed basis of a split operator."""
+    return [alg.expand_rho(b).coordinates() for b in op.basis]
+
+
 def same_split(got, want, P):
     if got is None or want is None:
         return got is None and want is None
@@ -80,11 +87,11 @@ def test_split_tensor_matches_per_monomial_solve(monkeypatch):
     # the sigma-image of y, then the images under f, g and their composite
     assert len(calls) == 4
     assert len({id(op) for op, _, _, _ in calls}) == 1
+    L, alg = data.L, hull.algebra
     for op, img, P, got in calls:
         assert got is not None
-        assert same_split(got, split_by_monomial(img, op.columns, P, data.L), P)
+        assert same_split(got, split_by_monomial(img, basis_columns(op, alg), P, L), P)
     op, img, P, _ = calls[0]
-    L, alg = data.L, hull.algebra
     # fewer basis columns: both agree on whether the element splits
     empty = pv._SplitOperator(L, [], alg)
     assert original(empty, img, P) is None
@@ -93,21 +100,21 @@ def test_split_tensor_matches_per_monomial_solve(monkeypatch):
     for short in (op.basis[:1], op.basis[1:], [y, y + y]):
         sub = pv._SplitOperator(L, short, alg)
         got = original(sub, img, P)
-        assert same_split(got, split_by_monomial(img, sub.columns, P, L), P)
+        assert same_split(got, split_by_monomial(img, basis_columns(sub, alg), P, L), P)
     # [y, 2*y] has a dependent column, which is free: its coefficient is zero
     assert got is not None and P.is_zero(got[1]) and not P.is_zero(got[0])
     # every coordinate inside the block, but the image outside the span
     sub = pv._SplitOperator(L, [y * y], alg)
-    assert set(img.coordinates()) <= set(sub.row)
+    assert set(img.coordinates()) <= set().union(*basis_columns(sub, alg))
     assert original(sub, img, P) is None
-    assert split_by_monomial(img, sub.columns, P, L) is None
+    assert split_by_monomial(img, basis_columns(sub, alg), P, L) is None
     # a nonzero coordinate outside the block (t-degree above the horizon)
     (word, s), = img.data.items()
     extra = (alg.t_horizon + 1,) + (0,) * (len(s.vars) - 1)
-    assert (word, extra[:1], extra[1:]) not in op.row
+    assert (word, extra[:1], extra[1:]) not in set().union(*basis_columns(op, alg))
     outside = img.alg.element({word: s + TruncSeries(P, s.vars, s.horizon, {extra: P.one()})})
     assert original(op, outside, P) is None
-    assert split_by_monomial(outside, op.columns, P, L) is None
+    assert split_by_monomial(outside, basis_columns(op, alg), P, L) is None
 
 
 def additive_pv(field=QQ):
@@ -421,6 +428,24 @@ def test_residues_expand_each_generator_once(monkeypatch):
     assert len(calls) == 8 and set(calls) == {3}
 
 
+def test_galois_points_eliminates_the_linearization_once(monkeypatch):
+    # the parameters and every layered correction are read off one
+    # elimination of the linearization at the identity
+    built = []
+    init = Echelon.__init__
+
+    def counting(self, *args):
+        init(self, *args)
+        built.append(self.size)
+
+    monkeypatch.setattr(Echelon, "__init__", counting)
+    data, _ = product_pv()
+    fam = pv.galois_points(data, NilAlgebra(data.L, ("eps",), 2), horizon=3, param_order=3)
+    assert fam.report.ok and len(fam.params) == 2
+    # one column per entry of the 3x3 matrix M
+    assert built == [9]
+
+
 def test_galois_points_lifts_x_once_per_test_algebra(monkeypatch):
     # residues runs 1 + n^2 times over the probe algebra and again over the
     # parameter algebra; X and X^-1 are lifted to R (x) A once for each
@@ -443,14 +468,14 @@ def test_galois_points_lifts_x_once_per_test_algebra(monkeypatch):
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_elimination_replay_matches_solve_linear(data):
-    # one elimination of the block serves every right-hand side: the replay
-    # gives the solution of the reduced echelon form of [block | rhs], or
-    # None, and a two-component right-hand side solves both at once
+    # one elimination of the block serves every right-hand side: each replay
+    # gives the solution the dense reduced echelon form of [block | rhs]
+    # gives (zero at the free columns), or None, as solve_linear does
     entry = st.integers(-2, 2).map(Fraction)
     nrows, ncols = data.draw(st.integers(1, 5)), data.draw(st.integers(0, 4))
     cols = [data.draw(st.lists(entry, min_size=nrows, max_size=nrows)) for _ in range(ncols)]
     rows = [[col[i] for col in cols] for i in range(nrows)]
-    block = pv._Elimination(QQ, [dict(enumerate(col)) for col in cols])
+    block = Echelon(QQ, [dict(enumerate(col)) for col in cols])
 
     def rhs():
         # a combination of the columns, sometimes moved off their span
@@ -459,38 +484,33 @@ def test_elimination_replay_matches_solve_linear(data):
         b[data.draw(st.integers(0, nrows - 1))] += data.draw(entry)
         return b
 
-    b0, b1 = rhs(), rhs()
-    want = [solve_linear(rows, b, QQ) for b in (b0, b1)]
-    pairs = {i: {c: x for c, x in ((0, b0[i]), (1, b1[i])) if x} for i in range(nrows)}
-    got = block.solve({i: v for i, v in pairs.items() if v})
-    if None in want:
-        assert got is None
-        return
-    assert [[v.get(c, Fraction(0)) for v in got] for c in (0, 1)] == want
-    for c, b in enumerate((b0, b1)):
-        one = block.solve({i: {(): x} for i, x in enumerate(b) if x})
-        assert [v.get((), Fraction(0)) for v in one] == want[c]
+    for b in (rhs(), rhs()):
+        want = dense_solve(rows, b, QQ)
+        assert block.solve({i: x for i, x in enumerate(b) if x}) == want
+        assert solve_linear(rows, b, QQ) == want
 
 
 def test_hopf_algebra_eliminates_each_block_once(monkeypatch):
     # the comultiplication and the antipode of every generator are solved
     # against one elimination each of the pair block and the monomial block
     blocks = []
-    original = pv._Elimination.__init__
 
-    def recording(self, field, columns):
-        blocks.append(len(columns))
-        original(self, field, columns)
+    class Recording(pv.Echelon):
+        def __init__(self, field, vectors=()):
+            super().__init__(field, vectors)
+            blocks.append(self.size)
 
-    monkeypatch.setattr(pv._Elimination, "__init__", recording)
+    monkeypatch.setattr(pv, "Echelon", Recording)
     data, _ = product_pv()
     d = pv.hopf_algebra(data, 2).as_dict()
     assert d["checks"]["ok"] and len(d["generators"]) == 3
     # generator selection eliminates its spans first, one per size of the
-    # generator set (0 to 3); then 10 generator monomials of degree <= 2 in
-    # 3 generators, and their 100 pairs
-    assert blocks[-2:] == [100, 10] and 100 not in blocks[:-2]
-    assert len(blocks[:-2]) == 4
+    # generator set (0 to 3); the relations eliminate the 20 generator
+    # monomials of degree <= 3 once, beside the span of their consequences;
+    # then 10 generator monomials of degree <= 2 in 3 generators, and their
+    # 100 pairs
+    assert blocks[-4:] == [20, 0, 100, 10] and 100 not in blocks[:-4]
+    assert len(blocks[:-4]) == 4
 
 
 def test_hopf_algebra_places_each_generator_monomial_once(monkeypatch):
