@@ -2,15 +2,30 @@
 
 Scalars are plain Python values; the field object says how to combine them:
 
-  QQ    -- elements are fractions.Fraction (always in lowest terms,
-           positive denominator; both invariants are guaranteed by Fraction)
-  GF(p) -- elements are ints in [0, p)
+  QQ    -- elements are fractions.Fraction in lowest terms with a positive
+           denominator
+  GF(p) -- elements are ints in [0, p), the canonical residues
 
 Every coefficient container (polynomials, fractions, series, ...) stores a
 reference to its field and routes arithmetic through it, so the same code
 runs over QQ and over GF(p) without change.  Both follow the ring protocol
-of ring.py as the prime fields: they are their own scalars.  Contexts are
-interned, so GF is PrimeField itself and GF(p) is GF(p) for every call.
+of ring.py as the prime fields: they are their own scalars, and const(c)
+brings an int (or, for QQ, a Fraction) into the field.  Operations take
+elements in these forms and never re-canonicalize them, so a raw int goes
+through const before PolyRing.poly or another raw-term constructor stores
+it.  Contexts are interned, so GF is PrimeField itself and GF(p) is GF(p)
+for every call.
+
+QQ computes on the integers of its operands, not through the operators of
+Fraction: sums and products take the gcd steps of Henrici (1956; Knuth,
+TAOCP vol. 2, 4.5.1), as fractions._add and fractions._mul do, so every
+result is already in lowest terms with a positive denominator and is built
+without renormalizing, by object.__new__(Fraction) and setting its two
+slots _numerator and _denominator (as Fraction._from_coprime_ints does on
+CPython 3.12).  That is the slot layout of Fraction on CPython 3.10 to 3.13;
+tests/test_exactalg.py::test_fraction_slot_layout pins it, so a change of
+layout fails there instead of producing wrong values.  GF(p) compares its
+canonical residues directly.
 """
 
 from __future__ import annotations
@@ -21,16 +36,24 @@ from fractions import Fraction
 from .ring import Ring
 
 
+def _fraction(n: int, d: int) -> Fraction:
+    """The Fraction n/d for coprime n and d > 0, built without renormalizing."""
+    f = object.__new__(Fraction)
+    f._numerator = n
+    f._denominator = d
+    return f
+
+
+_ZERO, _ONE = Fraction(0), Fraction(1)
+
+
 class _ScalarField(Ring):
     """What the prime fields QQ and GF(p) share: each is its own scalar
-    field, so a scalar embeds as itself and is its own single coordinate."""
+    field, so a scalar is its own single coordinate."""
 
     @property
     def scalars(self):
         return self
-
-    def const(self, c):
-        return c
 
     def to_str(self, a) -> str:
         return str(a)
@@ -40,46 +63,51 @@ class _ScalarField(Ring):
 
 
 class RationalField(_ScalarField):
-    """The field of rational numbers; elements are Fraction."""
+    """The field of rational numbers; elements are Fraction in lowest terms."""
 
     char = 0
 
     def zero(self):
-        return Fraction(0)
+        return _ZERO
 
     def one(self):
-        return Fraction(1)
+        return _ONE
 
     def from_int(self, n: int) -> Fraction:
-        return Fraction(n)
+        return _fraction(n, 1)
+
+    def const(self, c) -> Fraction:
+        return c if type(c) is Fraction else Fraction(c)
 
     def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
+        na, da, nb, db = a._numerator, a._denominator, b._numerator, b._denominator
+        g = math.gcd(da, db)
+        if g == 1:
+            return _fraction(na * db + nb * da, da * db)
+        s = da // g
+        t = na * (db // g) + nb * s
+        g2 = math.gcd(t, g)  # every common factor of t and s * db divides g
+        return _fraction(t // g2, s * (db // g2))
 
     def neg(self, a):
-        return -a
+        return _fraction(-a._numerator, a._denominator)
 
     def mul(self, a, b):
-        return a * b
-
-    def div(self, a, b):
-        if b == 0:
-            raise ZeroDivisionError("division by zero in QQ")
-        return a / b
+        na, da, nb, db = a._numerator, a._denominator, b._numerator, b._denominator
+        g1, g2 = math.gcd(na, db), math.gcd(nb, da)
+        return _fraction((na // g1) * (nb // g2), (da // g2) * (db // g1))
 
     def inv(self, a):
-        if a == 0:
+        n, d = a._numerator, a._denominator
+        if not n:
             raise ZeroDivisionError("inverse of zero in QQ")
-        return 1 / Fraction(a)
+        return _fraction(d, n) if n > 0 else _fraction(-d, -n)
 
     def is_zero(self, a) -> bool:
-        return a == 0
+        return not a._numerator
 
     def eq(self, a, b) -> bool:
-        return a == b
+        return a._numerator == b._numerator and a._denominator == b._denominator
 
     def __repr__(self):
         return "QQ"
@@ -110,6 +138,8 @@ class PrimeField(_ScalarField):
     def from_int(self, n: int) -> int:
         return n % self.p
 
+    const = from_int
+
     def add(self, a, b):
         return (a + b) % self.p
 
@@ -123,19 +153,15 @@ class PrimeField(_ScalarField):
         return (a * b) % self.p
 
     def inv(self, a):
-        a %= self.p
-        if a == 0:
+        if not a:
             raise ZeroDivisionError(f"inverse of zero in GF({self.p})")
         return pow(a, self.p - 2, self.p)
 
     def is_zero(self, a) -> bool:
-        return a % self.p == 0
+        return not a
 
     def eq(self, a, b) -> bool:
-        return (a - b) % self.p == 0
-
-    def to_str(self, a) -> str:
-        return str(a % self.p)
+        return a == b
 
     def __repr__(self):
         return f"GF({self.p})"

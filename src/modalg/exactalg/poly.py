@@ -101,7 +101,7 @@ class PolyRing(Ring):
         return self._reduce_exp(_terms.add_keys(e1, e2))
 
     def poly(self, terms: dict) -> "MPoly":
-        """Build a polynomial from raw terms, canonicalizing."""
+        """Build a polynomial from raw terms (coefficients in field), canonicalizing."""
         f = self.field
         items = ((self._reduce_exp(tuple(exp)), c) for exp, c in terms.items() if not f.is_zero(c))
         return MPoly(self, _terms.accumulate({}, items, f))
@@ -113,7 +113,7 @@ class PolyRing(Ring):
         return MPoly(self, {self.const_exp: self.field.one()})
 
     def scalar(self, c) -> "MPoly":
-        """The constant polynomial with coefficient c of the coefficient ring."""
+        """The constant polynomial with coefficient c, an element of field."""
         return self.poly({self.const_exp: c})
 
     def const(self, c) -> "MPoly":

@@ -54,6 +54,7 @@ class NilAlgebra(Ring):
         return multi_indices(len(self.vars), self.order - 1)
 
     def element(self, terms: dict) -> dict:
+        """The element with these terms, whose coefficients lie in base."""
         base, order = self.base, self.order
         items = ((tuple(e), c) for e, c in terms.items() if sum(e) < order and not base.is_zero(c))
         return _terms.accumulate({}, items, base)
@@ -65,7 +66,7 @@ class NilAlgebra(Ring):
         return {(0,) * len(self.vars): self.base.one()}
 
     def scalar(self, c):
-        """The constant element with coefficient c of the base ring."""
+        """The constant element with coefficient c, an element of base."""
         return self.element({(0,) * len(self.vars): c})
 
     def const(self, c):
@@ -555,12 +556,11 @@ def solve_zero_set(ideal: LieRittIdeal, param_order: int = 3) -> SolutionFamily:
     gens = ideal.materialized()
     unknowns = [(i, k) for i in range(n) for k in multi_indices(len(wvars), horizon)]
 
-    rows, consistent = _jacobian_at_identity(gens, base_ring, len(wvars), horizon, unknowns)
+    columns, consistent = _jacobian_at_identity(gens, base_ring, len(wvars), horizon, unknowns)
     if not consistent:
         # nothing nilpotent can cancel a nonzero base-ring constant
         return SolutionFamily(NilAlgebra(base_ring, (), 1), wvars, horizon, [], [], empty=True)
-    jacobian = Echelon(base_ring, ({c: row[u] for c, row in rows.items()}
-                                   for u in range(len(unknowns))))
+    jacobian = Echelon(base_ring, columns)
     params = [f"a{j}" for j in range(len(jacobian.dependent))]
     algebra = NilAlgebra(base_ring, params, param_order)
 
@@ -636,8 +636,9 @@ def _jacobian_at_identity(gens, base_ring, nvars: int, horizon: int, unknowns):
     """The generators linearized at the identity tuple, and whether the
     identity annihilates them all, in one pass over the terms.
 
-    Rows are indexed by (generator, w-exponent) and list the coefficient of
-    each unknown (i, k0).  At the identity Y_i^(k) is w_i, 1 or 0, so the
+    The linearization is one sparse column per unknown (i, k0), in the order
+    of unknowns, mapping (generator, w-exponent) to the nonzero coefficient
+    of the unknown there.  At the identity Y_i^(k) is w_i, 1 or 0, so the
     value of a term c * prod Y_f^e_f and its partial derivative in a factor
     f are w^m * c and w^m_f * e_f * c, or 0.  Moving the unknown (i, k0) by
     p*w^k0 moves Y_i^(k) by C(k0, k)*p*w^(k0-k), so the factor Y_i^(k) adds
@@ -648,7 +649,7 @@ def _jacobian_at_identity(gens, base_ring, nvars: int, horizon: int, unknowns):
     # the exponent m of Y_i^(k) = w^m at the identity; an absent symbol is 0
     at_identity = {**{(i, zero): u for i, u in enumerate(units)},
                    **{(i, u): zero for i, u in enumerate(units)}}
-    entries: dict = {}  # (generator, w-exponent, column) -> nonzero entry
+    columns: list[dict] = [{} for _ in unknowns]
     consistent = True
     for gi, g in enumerate(gens):
         residue: dict = {}
@@ -670,14 +671,10 @@ def _jacobian_at_identity(gens, base_ring, nvars: int, horizon: int, unknowns):
                     if not n or F.is_zero(factor := F.from_int(n)):
                         continue
                     shift = tuple(a + top - bot for a, top, bot in zip(m, k0, k))
-                    _terms.accumulate(entries, (((gi, s, col), F.mul(factor, x))
-                                                for s, x in _shifted(c, shift, horizon)), F)
+                    _terms.accumulate(columns[col], (((gi, s), F.mul(factor, x))
+                                                     for s, x in _shifted(c, shift, horizon)), F)
         consistent = consistent and not residue
-    rows = {(gi, exp): [F.zero()] * len(unknowns)
-            for gi in range(len(gens)) for exp in multi_indices(nvars, horizon)}
-    for (gi, exp, col), x in entries.items():
-        rows[(gi, exp)][col] = x
-    return rows, consistent
+    return columns, consistent
 
 
 def _monomial_power(values, nvars: int):

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import contextlib
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -60,10 +61,94 @@ def test_field_axioms_random_samples():
                 assert fld.eq(fld.mul(a, fld.inv(a)), fld.one())
 
 
+def test_fraction_slot_layout():
+    # QQ builds its results by setting these two slots of a bare Fraction;
+    # another layout must fail here rather than yield wrong values
+    assert Fraction.__slots__ == ("_numerator", "_denominator")
+    r = QQ.add(Fraction(1, 6), Fraction(1, 3))
+    assert (r.numerator, r.denominator) == (1, 2) and hash(r) == hash(Fraction(1, 2))
+
+
+def _rationals():
+    """Signed fractions, with 0, +-1 and large numerators and denominators."""
+    nums = st.one_of(st.sampled_from([0, 1, -1]), st.integers(-50, 50),
+                     st.integers(-10**40, 10**40))
+    dens = st.one_of(st.just(1), st.integers(1, 50), st.integers(1, 10**40))
+    return st.builds(Fraction, nums, dens)
+
+
+def _lowest_terms(r):
+    return type(r) is Fraction and r.denominator > 0 and math.gcd(r.numerator, r.denominator) == 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(_rationals(), _rationals())
+def test_qq_kernel_matches_fraction_operators(a, b):
+    # oracle: the operators of fractions.Fraction; every result in lowest terms
+    got = [QQ.add(a, b), QQ.sub(a, b), QQ.mul(a, b), QQ.neg(a)]
+    for g, want in zip(got, [a + b, a - b, a * b, -a]):
+        assert _lowest_terms(g) and (g.numerator, g.denominator) == (want.numerator, want.denominator)
+    assert QQ.eq(a, b) == (a == b) and QQ.eq(a, Fraction(a)) and QQ.is_zero(a) == (a == 0)
+    if b == 0:
+        for op in (QQ.inv, lambda x: QQ.div(a, x)):
+            with pytest.raises(ZeroDivisionError):
+                op(b)
+    else:
+        for g, want in ((QQ.inv(b), 1 / b), (QQ.div(a, b), a / b)):
+            assert _lowest_terms(g) and (g.numerator, g.denominator) == (want.numerator, want.denominator)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([2, 3, 7, 13, 101]), st.integers(-10**20, 10**20), st.integers(-10**20, 10**20))
+def test_prime_field_matches_integer_residues(p, m, n):
+    # oracle: integer arithmetic followed by % p
+    F = GF(p)
+    a, b = F.from_int(m), F.from_int(n)
+    assert a == m % p and F.const(n) == n % p
+    assert (F.add(a, b), F.sub(a, b), F.mul(a, b), F.neg(a)) == ((m + n) % p, (m - n) % p,
+                                                                 (m * n) % p, -m % p)
+    assert F.is_zero(a) == (m % p == 0) and F.eq(a, b) == ((m - n) % p == 0)
+    if b:
+        assert F.mul(F.inv(b), b) == 1 and F.div(a, b) == (m * pow(n, -1, p)) % p
+    else:
+        with pytest.raises(ZeroDivisionError):
+            F.inv(b)
+
+
+def test_const_embeds_into_the_scalar_field():
+    # QQ.const makes a Fraction and GF(p).const reduces mod p, through every
+    # context that builds a constant from them
+    L = FracField(QQ, ["y"])
+    for two in (L.const(2).num, PolyRing(QQ, ["x"]).const(2)):
+        (c,) = two.terms.values()
+        assert type(c) is Fraction and c == 2
+    assert L.const(2) == L.from_int(2) and L.const(Fraction(1, 2)) * L.const(2) == L.one()
+    assert QQ.const(Fraction(1, 3)) == Fraction(1, 3)
+    G = GF(13)
+    assert G.const(13) == 0 and G.const(-1) == 12 and G.is_zero(G.const(26))
+    assert FracField(G, ["y"]).const(13).is_zero() and PolyRing(G, ["x"]).const(13).is_zero()
+    assert PolyRing(G, ["x"]).const(15) == PolyRing(G, ["x"]).from_int(2)
+    assert L.const(1) is L.one() and FracField(G, ["y"]).const(14) is FracField(G, ["y"]).one()
+
+
+def test_raw_term_constructors_store_field_elements():
+    # the raw-term constructors take coefficients already in the field, so a
+    # raw int goes through const first: 13 and 26 are 0 in GF(13) and drop out
+    G = GF(13)
+    R = PolyRing(G, ["x"])
+    p = R.poly({(0,): G.const(26), (1,): G.const(27), (2,): G.const(-1)})
+    assert p.terms == {(1,): 1, (2,): 12} and p == R.var("x") - R.var("x") ** 2
+    assert R.scalar(G.const(13)).is_zero() and str(p) == str(R.var("x") + R.from_int(12) * R.var("x") ** 2)
+    A = NilAlgebra(G, ["a"], 3)
+    assert A.element({(0,): G.const(13), (1,): G.const(14), (3,): G.one()}) == {(1,): 1}
+    # over QQ the stored coefficient is a Fraction, never an int
+    S = PolyRing(QQ, ["x"])
+    q = S.poly({(1,): QQ.const(2)})
+    assert [type(c) for c in q.terms.values()] == [Fraction] and q == S.from_int(2) * S.var("x")
+
+
 def test_binom_char0_factorial_identity():
     assert binom(5, 2) == Fraction(10)
-    import math
-
     for i in range(10):
         for j in range(i + 1):
             assert binom(i, j) == Fraction(
@@ -421,8 +506,10 @@ FRAC_FIELDS = {
 def frac_pairs(draw):
     """(L, a, b): two fractions built by the normalizing constructor from
     polynomials of total degree <= 2, often with a factor in common; about
-    one operand in four is a Laurent monomial c*x^e / x^f instead, such as
-    3y/y^2, y^2/y or 1/y^3."""
+    one operand in six is a Laurent monomial c*x^e / x^f instead, such as
+    3y/y^2, y^2/y or 1/y^3, one in six a constant c/1 (0 and 1 included),
+    and one in twelve the interned unit L.one(), so that one-term operands
+    meet multi-term ones."""
     L = FRAC_FIELDS[draw(st.sampled_from(sorted(FRAC_FIELDS)))]
     R = L.poly_ring
     gens = R.gens()
@@ -440,11 +527,16 @@ def frac_pairs(draw):
         return p * factor if draw(st.booleans()) else p
 
     def operand():
-        if draw(st.integers(0, 3)):
-            return Frac(L, part(False), part(True))
-        e, f = (draw(st.tuples(*[st.integers(0, 3)] * R.nvars())) for _ in range(2))
-        c = R.field.from_int(draw(st.integers(-3, 3).filter(bool)))
-        return Frac(L, R.poly({e: c}), R.poly({f: R.field.one()}))
+        kind = draw(st.integers(0, 11))
+        if kind < 2:
+            e, f = (draw(st.tuples(*[st.integers(0, 3)] * R.nvars())) for _ in range(2))
+            c = R.field.from_int(draw(st.integers(-3, 3).filter(bool)))
+            return Frac(L, R.poly({e: c}), R.poly({f: R.field.one()}))
+        if kind < 4:
+            return Frac(L, R.from_int(draw(st.integers(-3, 3))), R.one())
+        if kind < 5:
+            return L.one()
+        return Frac(L, part(False), part(True))
 
     return L, operand(), operand()
 
@@ -463,6 +555,10 @@ def test_frac_arithmetic_matches_normalizing_constructor(data):
     assert _same_pair(a - b, Frac(L, p * s - r * q, q * s))
     assert _same_pair(a * b, Frac(L, p * r, q * s))
     assert _same_pair(-a, Frac(L, -p, q))
+    # the interned unit and zero return the other operand itself
+    for x in (a, b):
+        assert x * L.one() is x and L.one() * x is x
+        assert x + L.zero() is x and L.zero() + x is x
     # both denominators 1: the product is the pair (p*r, 1) with no gcd taken
     one = L.poly_ring.one()
     assert _same_pair(L.from_poly(p) * L.from_poly(r), Frac(L, p * r, one))

@@ -398,7 +398,15 @@ def jacobian_and_oracle(gens, base_ring, wvars, horizon):
     """Check the closed-form Jacobian and residue verdict against the
     oracles; the rows and the unknowns, for further checks."""
     unknowns = [(i, k) for i in range(len(wvars)) for k in multi_indices(len(wvars), horizon)]
-    rows, consistent = _jacobian_at_identity(gens, base_ring, len(wvars), horizon, unknowns)
+    columns, consistent = _jacobian_at_identity(gens, base_ring, len(wvars), horizon, unknowns)
+    assert len(columns) == len(unknowns)
+    # densify the sparse columns: a key outside the rows, or a stored zero, fails
+    rows = {(gi, exp): [base_ring.zero()] * len(unknowns)
+            for gi in range(len(gens)) for exp in multi_indices(len(wvars), horizon)}
+    for col, column in enumerate(columns):
+        for key, x in column.items():
+            assert key in rows and not base_ring.is_zero(x), (key, col)
+            rows[key][col] = x
     want = oracle_rows(gens, base_ring, wvars, horizon, unknowns)
     assert rows.keys() == want.keys()
     for key, row in rows.items():

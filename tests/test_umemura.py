@@ -7,7 +7,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from modalg.actions import ActionSpec
-from modalg.exactalg import QQ, FracField
+from modalg.exactalg import QQ, Frac, FracField
 from modalg.hull import ExtensionDesc, find_relations, hull_generators
 from modalg.lieritt import NilAlgebra
 from modalg.series import TruncSeries, truncated_exp
@@ -77,6 +77,18 @@ def test_trivial_ideal_forces_identity():
     report = solve_points(hull, rels, ideal)
     assert report.family.params == []
     assert report.classification["tag"] == "trivial"
+
+
+def test_interned_unit_is_unchanged_by_a_chain_run():
+    # the whole chain shares L.one() and L.zero(); none of it may alter them
+    ext, hull, rels = exponential_setup()
+    report = solve_points(hull, rels, build_ideal(hull, rels))
+    assert group_compatibility_check(hull, report)
+    L = ext.L
+    R = L.poly_ring
+    assert L.one() == Frac(L, R.one(), R.one()) and L.zero() == Frac(L, R.zero(), R.one())
+    assert L.one().num.terms == L.one().den.terms == {(0,): Fraction(1)}
+    assert L.zero().num.terms == {} and L.zero().den.terms == {(0,): Fraction(1)}
 
 
 # ------------------------------------------------------------------ points
