@@ -217,7 +217,7 @@ class HomElement:
             if word not in (0, None) and word != ():
                 raise ValueError("no monoid part in this realization")
             new_wb = self.word_bound
-            out = {w: s.hasse_deriv(k).truncate(new_h) for w, s in self.data.items()}
+            out = {w: s.hasse_deriv(k).with_horizon(new_h) for w, s in self.data.items()}
             return HomElement(self.ring, self.monoid, self.tvars, new_h, new_wb, out)
         new_wb = self.word_bound - self.monoid.length(word)
         if new_wb < 0:
@@ -228,7 +228,7 @@ class HomElement:
                 continue
             tgt = self.monoid.compose(w, word)
             if tgt in self.data:
-                out[w] = self.data[tgt].hasse_deriv(k).truncate(new_h)
+                out[w] = self.data[tgt].hasse_deriv(k).with_horizon(new_h)
         return HomElement(self.ring, self.monoid, self.tvars, new_h, new_wb, out)
 
     def truncate(self, horizon: int, word_bound: int | None = None) -> "HomElement":
@@ -236,7 +236,7 @@ class HomElement:
         out = {}
         for w, s in self.data.items():
             if self.monoid is None or self.monoid.in_bound(w, wb):
-                out[w] = s.truncate(horizon)
+                out[w] = s.with_horizon(horizon)
         return HomElement(self.ring, self.monoid, self.tvars, horizon, wb, out)
 
     def __eq__(self, other):

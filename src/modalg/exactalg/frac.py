@@ -16,8 +16,9 @@ invariants and takes only the gcds that can be nontrivial, after Henrici
 (1956; Knuth, TAOCP vol. 2, 4.5.1):
 
   * FracField interns its zero() and one(), and x + zero() and x * one()
-    return x itself, with no arithmetic; const(1) and a one-term product
-    equal to 1 return the interned one(), so that products by them do too;
+    return x itself, with no arithmetic; const(1), a one-term product equal
+    to 1, and a negation or inverse equal to 1 return the interned one(), so
+    that products by them do too;
   * a fraction whose numerator and monic denominator both have one term is
     c*x^v for the Laurent exponent v = e - f of c*x^e / x^f, and on two such
     operands both operations are exponent arithmetic and at most one scalar
@@ -236,7 +237,10 @@ class Frac:
         return self + (-other)
 
     def __neg__(self):
-        return Frac._reduced(self.field, -self.num, self.den)
+        field, num, den = self.field, -self.num, self.den
+        if num.terms == field._one.num.terms and den.is_const():
+            return field._one
+        return Frac._reduced(field, num, den)
 
     def __mul__(self, other):
         self._check(other)
@@ -269,9 +273,12 @@ class Frac:
     def inverse(self) -> "Frac":
         if self.num.is_zero():
             raise ZeroDivisionError("inverse of zero fraction")
+        field = self.field
+        if self.num.terms == field._one.num.terms and self.den.is_const():
+            return field._one
         _, lc = self.num.leading()
-        c = self.field.scalars.inv(lc)
-        return Frac._reduced(self.field, self.den.scale(c), self.num.scale(c))
+        c = field.scalars.inv(lc)
+        return Frac._reduced(field, self.den.scale(c), self.num.scale(c))
 
     def __pow__(self, n: int):
         if n < 0:

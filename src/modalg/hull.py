@@ -21,9 +21,9 @@ from functools import cached_property
 from typing import Sequence
 
 from .actions import ActionSpec, GeneratorPowers, HomElement, Report
-from .exactalg import AlgebraicField, Echelon, FracField
+from .exactalg import AlgebraicField, Echelon, FracField, evaluate
 from .lieritt import DiffPoly, multi_indices
-from .series import SeriesRing, TruncSeries, formal_inverse
+from .series import SeriesRing, TruncSeries, formal_inverse, identity_tuple
 from .taylor import ExpansionAlgebra
 
 
@@ -91,26 +91,17 @@ def _solve_algebraic_image(L: AlgebraicField, images: dict, wvars, horizon: int)
     expanded.  Requires P separable (P'(z) a unit)."""
     if not L.is_separable():
         raise ValueError("inseparable algebraic generator; no unique derivation lift")
-    n = len(wvars)
-    powers = GeneratorPowers(SeriesRing(L, wvars, horizon), images)
+    ring = SeriesRing(L, wvars, horizon)
+    powers = GeneratorPowers(ring, images)
     coeff_series = [powers.frac(c, L.const) for c in L.minpoly]
 
     def p_theta(g: TruncSeries) -> TruncSeries:
-        out = TruncSeries.zero(L, wvars, horizon)
-        gpow = TruncSeries.one(L, wvars, horizon)
-        for c in coeff_series:
-            out = out + c * gpow
-            gpow = gpow * g
-        return out
+        return evaluate((((i,), c) for i, c in enumerate(coeff_series)), [g], ring, lambda v: v)
 
     # P'(z) in L: sum_{i>=1} i c_i z^(i-1)
     z = L.var(L.gen_name)
-    dP_at_z = L.zero()
-    zpow = L.one()
-    for i in range(1, len(L.minpoly)):
-        term = L.mul(L.from_int(i), L.from_base(L.minpoly[i]))
-        dP_at_z = L.add(dP_at_z, L.mul(term, zpow))
-        zpow = L.mul(zpow, z)
+    dP_at_z = evaluate((((i - 1,), L.mul(L.from_int(i), L.from_base(c)))
+                        for i, c in enumerate(L.minpoly) if i), [z], L, lambda v: v)
     inv_slope = L.inv(dP_at_z)
 
     g = TruncSeries.const(L, wvars, horizon, z)
@@ -214,6 +205,7 @@ class HullData:
         self.rho_K_gens = rho_K_gens        # [(label, JointElement)]
         self.derivative_table = derivative_table  # (i, k) -> HomElement
         self.closure = closure
+        self._lifted_tables: dict = {}  # test algebra P -> deformed_table over P
 
     def n_gens(self) -> int:
         return len(self.rho_gens)
@@ -226,15 +218,26 @@ class HullData:
         alg = self.algebra
         return {key: alg._deform_hom(v) for key, v in self.derivative_table.items()}
 
-    def describe(self) -> dict:
-        return {
-            "base_ring_gens": [label for label, _ in self.rho0_gens],
-            "expanded_gens": {
-                label: str(j) for label, _, j in self.rho_gens
-            },
-            "constants_part_gens": [label for label, _ in self.rho_K_gens],
-            "closure": self.closure.as_dict(),
-        }
+    def images(self, comps: Sequence[TruncSeries], table: dict | None = None) -> list:
+        """The image of every expanded generator under the transformation
+        w -> comps, over the comps' test algebra P, by the twisted-expansion
+        formula: generator i goes to sum_k table[(i, k)] * (comps - w)^k.
+        The default table is deformed_table lifted to P, kept per P as long
+        as this hull."""
+        alg = self.algebra
+        P = comps[0].ring
+        alg_P = alg.with_ring(P)
+        if table is None:
+            table = self._lifted_tables.get(P)
+            if table is None:
+                table = self._lifted_tables[P] = {
+                    key: alg_P.lift(v, P.scalar) for key, v in self.deformed_table.items()}
+        wh = alg.w_horizon
+        deviation = [alg_P.from_w_series(c - w)
+                     for c, w in zip(comps, identity_tuple(P, comps[0].vars, wh))]
+        ks = multi_indices(alg.theta_u.n, wh)
+        return [evaluate(((k, table[(i, k)]) for k in ks), deviation, alg_P, lambda v: v)
+                for i in range(self.n_gens())]
 
 
 def hull_generators(ext: ExtensionDesc, t_horizon: int, w_horizon: int,

@@ -16,12 +16,13 @@ from __future__ import annotations
 
 import itertools
 import math
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .exactalg import Echelon, evaluate
 from .exactalg import terms as _terms
 from .exactalg.ring import Ring, stacked_coordinates
-from .series import SeriesRing, TruncSeries, identity_tuple
+from .series import SeriesRing, TruncSeries, formal_inverse, identity_tuple
 
 
 # ----------------------------------------------------------------- algebra
@@ -210,25 +211,18 @@ class InfTransform:
         H = self._work_horizon()
         lifted_inner = [p.with_horizon(H) for p in other.comps]
         out = [
-            p.with_horizon(H).compose(lifted_inner).truncate(self.horizon)
+            p.with_horizon(H).compose(lifted_inner).with_horizon(self.horizon)
             for p in self.comps
         ]
         return InfTransform(self.algebra, out, check=False)
 
     def invert(self) -> "InfTransform":
-        """Group inverse: fixed-point iteration psi <- w - dev(psi) climbing
-        the nilpotent filtration one level per sweep."""
-        A = self.algebra
+        """Group inverse: series.formal_inverse of the components at the
+        working horizon, truncated back to this horizon and certified by
+        composing with self."""
         H = self._work_horizon()
-        ident = identity_tuple(A, self.vars, H)
-        dev = [p.with_horizon(H) - ident[i] for i, p in enumerate(self.comps)]
-        psi = list(ident)
-        for _ in range(A.order + 1):
-            new_psi = [ident[i] - dev[i].compose(psi, strict=False) for i in range(len(psi))]
-            if all(a == b for a, b in zip(new_psi, psi)):
-                break
-            psi = new_psi
-        result = InfTransform(A, [p.truncate(self.horizon) for p in psi], check=False)
+        psi = formal_inverse([p.with_horizon(H) for p in self.comps])
+        result = InfTransform(self.algebra, [p.with_horizon(self.horizon) for p in psi], check=False)
         comp = self.compose(result)
         if not comp.is_identity():
             raise ArithmeticError("inverse iteration did not converge")
@@ -518,6 +512,18 @@ class SolutionFamily:
                               algebra)
                  for c in self.components]
         return InfTransform(algebra, comps)
+
+    @cached_property
+    def symbolic_pair(self) -> tuple[InfTransform, InfTransform, InfTransform]:
+        """(f, g, f . g): the members at the symbolic parameters s_i and t_i
+        of NilAlgebra(base, (s_0, ..., t_0, ...), 3) and their composite,
+        built on first use and shared by every check of the group law."""
+        k = len(self.params)
+        P2 = NilAlgebra(self.algebra.base, tuple(f"s{i}" for i in range(k))
+                        + tuple(f"t{i}" for i in range(k)), 3)
+        f = self.instantiate(P2, {p: P2.gen(f"s{i}") for i, p in enumerate(self.params)})
+        g = self.instantiate(P2, {p: P2.gen(f"t{i}") for i, p in enumerate(self.params)})
+        return f, g, f.compose(g)
 
     def shape(self) -> str:
         if self.empty:

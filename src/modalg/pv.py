@@ -693,24 +693,17 @@ def galois_points(data: PVData, algebra: NilAlgebra, formal: bool = True,
             rows.append(row)
         return Matrix(A, rows)
 
-    # linearization at M = I
-    probe_alg = NilAlgebra(base, ("_p",), 2)
-    probe = probe_alg.gen("_p")
-    zero_vals = [probe_alg.zero()] * nunknowns
-    base_res = sys.residues(probe_alg, m_matrix(probe_alg, zero_vals))
-    if any(not probe_alg.is_zero(v) for _, v in base_res):
+    # linearization at M = I: one evaluation at M = I + sum_u p_u E_u over
+    # NilAlgebra(base, (_p0, ...), 2), where every residue is its value at
+    # the identity (the constant term) plus its linear part (the coefficient
+    # of p_u is column u)
+    probe_alg = NilAlgebra(base, tuple(f"_p{u}" for u in range(nunknowns)), 2)
+    res = sys.residues(probe_alg, m_matrix(probe_alg, [probe_alg.gen(v) for v in probe_alg.vars]))
+    if any((0,) * nunknowns in v for _, v in res):
         return GaloisFamily(data, algebra, [], m_matrix(algebra, [algebra.zero()] * nunknowns),
                             {}, Report(False, 1, ["identity is not a point"], {}))
-
-    # one column per unknown: the linear part of each residue when only that
-    # unknown is perturbed; the identity's residues all vanish, so only the
-    # perturbed residues can name the equations
-    linear = []
-    for u in range(nunknowns):
-        vals = list(zero_vals)
-        vals[u] = probe
-        res = sys.residues(probe_alg, m_matrix(probe_alg, vals))
-        linear.append({lbl: v.get((1,), base.zero()) for lbl, v in res})
+    units = [tuple(int(t == u) for t in range(nunknowns)) for u in range(nunknowns)]
+    linear = [{lbl: v[e] for lbl, v in res if e in v} for e in units]
     coords = set().union(*linear)
     jacobian = Echelon(base, linear)
     params = [f"c{j}" for j in range(len(jacobian.dependent))]
@@ -826,7 +819,10 @@ def compare(data: PVData, hull: HullData, relations, degree: int = 3) -> Compare
 
     details["lie_dim"] is the parameter count of the formal family solved
     here; it equals lie_dim(data), since both solves take the kernel of the
-    same linearization at the identity."""
+    same linearization at the identity.  data and hull must share the
+    field L (ValueError otherwise)."""
+    if data.L is not hull.ext.L:
+        raise ValueError("the Picard-Vessiot data and the hull are over different fields")
     point, B = find_rational_point(data)
     details: dict = {}
     if point is None:
@@ -1051,44 +1047,26 @@ def _match_parameters(Minduced: Matrix, gal: GaloisFamily, P: NilAlgebra):
 
 def _homomorphism_check(data: PVData, hull: HullData, um: UmemuraReport,
                         split: _SplitOperator) -> bool:
-    """The matrix induced by a composed pair of symbolic automorphisms is the
-    product of the induced matrices."""
+    """The matrix induced by a composed pair of symbolic automorphisms (the
+    family's symbolic_pair) is the product of the induced matrices."""
     fam = um.family
     if not fam.params:
         return True
-    L = data.L
-    nparams = len(fam.params)
-    P2 = NilAlgebra(L, tuple(f"s{i}" for i in range(nparams))
-                    + tuple(f"t{i}" for i in range(nparams)), 3)
-    f = fam.instantiate(P2, {p: P2.gen(f"s{i}") for i, p in enumerate(fam.params)})
-    g = fam.instantiate(P2, {p: P2.gen(f"t{i}") for i, p in enumerate(fam.params)})
-    induced = _Induced(data, split, P2)
-    alg_P = hull.algebra.with_ring(P2)
-    table = {key: alg_P.lift(v, P2.scalar) for key, v in hull.deformed_table.items()}
-    Mf, Mg, Mfg = (_induced_matrix(hull, induced, table, t) for t in (f, g, f.compose(g)))
+    pair = fam.symbolic_pair
+    induced = _Induced(data, split, pair[0].algebra)
+    Mf, Mg, Mfg = (_induced_matrix(hull, induced, t) for t in pair)
     if Mf is None or Mg is None or Mfg is None:
         return False
     return Mf * Mg == Mfg
 
 
-def _induced_matrix(hull: HullData, induced: _Induced, table: dict, transform):
+def _induced_matrix(hull: HullData, induced: _Induced, transform):
     """Matrix on X induced by an infinitesimal automorphism given as a
-    transformation: reconstruct the generator images through the expansion
-    pairing, split them over the R-monomials, and read off X^{-1} sigma(X).
-    table holds the deformed derivative table of the hull over the test
-    algebra."""
-    alg = hull.algebra
-    P = induced.P
-    n = alg.theta_u.n
-    wh = alg.w_horizon
-    alg_P = alg.with_ring(P)
-    ident = [TruncSeries.variable(P, transform.vars, wh, v) for v in transform.vars]
-    deviation = [alg_P.from_w_series(c - ident[j]) for j, c in enumerate(transform.comps)]
+    transformation: reconstruct the generator images (HullData.images),
+    split them over the R-monomials, and read off X^{-1} sigma(X)."""
     coeffs = []
-    for i in range(len(induced.data.L.vars)):
-        img = evaluate(((k, table[(i, k)]) for k in multi_indices(n, wh)),
-                       deviation, alg_P, lambda v: v)
-        cs = induced.split.split(img, P)
+    for img in hull.images(transform.comps):
+        cs = induced.split.split(img, induced.P)
         if cs is None:
             return None
         coeffs.append(cs)

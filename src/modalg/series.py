@@ -218,30 +218,14 @@ class TruncSeries:
         return self._make(out)
 
     # ------------------------------------------------------ reshaping maps
-    def truncate(self, horizon: int) -> "TruncSeries":
-        return TruncSeries(self.ring, self.vars, horizon, self.terms)
-
     def with_horizon(self, horizon: int) -> "TruncSeries":
-        """Reinterpret the stored terms at a different horizon (exact for
-        polynomial data)."""
+        """The stored terms at another horizon: truncated when it is lower,
+        reinterpreted (exact for polynomial data) when it is higher."""
         return TruncSeries(self.ring, self.vars, horizon, self.terms)
 
     def map_coeffs(self, fn, ring=None) -> "TruncSeries":
         return TruncSeries(ring or self.ring, self.vars, self.horizon,
                            {e: fn(c) for e, c in self.terms.items()})
-
-    def embed(self, variables: Sequence[str], horizon: int | None = None) -> "TruncSeries":
-        """View this series inside a larger variable tuple (by name)."""
-        variables = tuple(variables)
-        idx = [variables.index(v) for v in self.vars]
-        n = len(variables)
-        out: dict = {}
-        for e, c in self.terms.items():
-            ee = [0] * n
-            for i, a in zip(idx, e):
-                ee[i] = a
-            out[tuple(ee)] = c
-        return TruncSeries(self.ring, variables, self.horizon if horizon is None else horizon, out)
 
     def __str__(self):
         names = self.vars
@@ -278,14 +262,16 @@ def identity_tuple(ring, variables, horizon) -> tuple[TruncSeries, ...]:
     return tuple(TruncSeries.variable(ring, variables, horizon, v) for v in variables)
 
 
-def formal_inverse(phis: Sequence[TruncSeries], max_extra_sweeps: int = 4) -> tuple[TruncSeries, ...]:
+def formal_inverse(phis: Sequence[TruncSeries]) -> tuple[TruncSeries, ...]:
     """Compositional inverse of a tuple with zero (or nilpotent) constant
-    terms and invertible Jacobian of linear parts.
+    terms and invertible Jacobian of linear parts; the one fixed-point lift
+    of the library, which InfTransform.invert also runs.
 
     Solves degree by degree: with J the Jacobian, the update
-    g <- g - J^{-1} (phi(g) - w) fixes one filtration layer per sweep; the
-    result is verified two-sidedly and an ArithmeticError is raised when the
-    iteration fails to close (singular data slipping past the Jacobian test).
+    g <- g - J^{-1} (phi(g) - w) fixes one filtration layer per sweep; each
+    residual phi(g) - w is computed once, the result is verified
+    two-sidedly and an ArithmeticError is raised when the iteration fails
+    to close (singular data slipping past the Jacobian test).
     """
     if not phis:
         return ()
@@ -294,7 +280,7 @@ def formal_inverse(phis: Sequence[TruncSeries], max_extra_sweeps: int = 4) -> tu
     if len(phis) != n:
         raise ValueError("need as many series as variables")
     R = base.ring
-    sweeps = base.horizon + max_extra_sweeps
+    sweeps = base.horizon + 4  # one layer per sweep, with slack
     for p in phis:
         base._check(p)
         c0 = p.constant_term()
@@ -315,17 +301,18 @@ def formal_inverse(phis: Sequence[TruncSeries], max_extra_sweeps: int = 4) -> tu
 
     ident = identity_tuple(R, base.vars, base.horizon)
     g = list(ident)
-    for _ in range(sweeps):
+    for sweep in range(sweeps + 1):
         resid = [phis[i].compose(g, strict=False) - ident[i] for i in range(n)]
         if all(r.is_zero() for r in resid):
             break
+        if sweep == sweeps:
+            raise ArithmeticError("formal inverse iteration did not converge")
         g = [
             g[i] - _sum_series([resid[j].scale(jinv.entry(i, j)) for j in range(n)])
             for i in range(n)
         ]
-    resid = [phis[i].compose(g, strict=False) - ident[i] for i in range(n)]
     back = [gg.compose(list(phis), strict=False) - ident[i] for i, gg in enumerate(g)]
-    if any(not r.is_zero() for r in resid) or any(not b.is_zero() for b in back):
+    if any(not b.is_zero() for b in back):
         raise ArithmeticError("formal inverse iteration did not converge")
     return tuple(g)
 

@@ -23,9 +23,7 @@ from .exactalg import terms as _terms
 from .hull import HullData
 from .lieritt import (
     DiffPoly,
-    InfTransform,
     LieRittIdeal,
-    NilAlgebra,
     SolutionFamily,
     _merge_keys,
     _splits,
@@ -254,11 +252,11 @@ def solve_points(hull: HullData, relations: Sequence[DiffPoly],
     """Solve the ideal over the symbolic test algebra and reconstruct the
     action of each point on the expanded generators.
 
-    The reconstruction follows the twisted-expansion formula: the image of
-    an expanded generator is the sum over k of its k-th derivative times the
-    k-th power of the transformation deviation.  Both the congruence to the
-    identity modulo nilpotents and the preservation of all relations are
-    re-checked on the symbolic family."""
+    The reconstruction is HullData.images, the twisted-expansion formula:
+    the image of an expanded generator is the sum over k of its k-th
+    derivative times the k-th power of the transformation deviation.  Both
+    the congruence to the identity modulo nilpotents and the preservation
+    of all relations are re-checked on the symbolic family."""
     # re-check the precondition: relations vanish on the generators
     L = hull.ext.L
     one = next(iter(hull.derivative_table.values())).one()
@@ -278,18 +276,10 @@ def solve_points(hull: HullData, relations: Sequence[DiffPoly],
     alg = hull.algebra
     P = family.algebra
     alg_P = alg.with_ring(P)
-    n = alg.theta_u.n
     wh = alg.w_horizon
-
-    # the deviation of the solved transformation from the identity
-    ident = [TruncSeries.variable(P, family.vars, wh, v) for v in family.vars]
-    deviation = [alg_P.from_w_series(c - ident[j]) for j, c in enumerate(family.components)]
-
     images = {}
     congruent = True
-    for i, (label, _, joint) in enumerate(hull.rho_gens):
-        img = evaluate(((k, hull.deformed_table[(i, k)]) for k in multi_indices(n, wh)),
-                       deviation, alg_P, lambda v: alg_P.lift(v, P.scalar))
+    for (label, _, joint), img in zip(hull.rho_gens, hull.images(family.components)):
         images[label] = img
         # congruence: killing the parameters recovers the undeformed image
         reduced = JointElement(
@@ -325,39 +315,19 @@ def _relation_value(rel: DiffPoly, image, target, lift):
 def group_compatibility_check(hull: HullData, report: UmemuraReport) -> bool:
     """The point map sends composition of automorphisms to composition of
     transformations: applying one point to the reconstructed image of
-    another equals reconstructing along the composed transformation."""
+    another equals reconstructing along the composed transformation.  The
+    points are the family's symbolic_pair, and every reconstruction is
+    HullData.images."""
     family = report.family
     if family.empty or not family.params:
         return True
-    L = hull.ext.L
+    f, g, composed = family.symbolic_pair
     alg = hull.algebra
-    n = alg.theta_u.n
-    wh = alg.w_horizon
-    P2 = NilAlgebra(L, tuple(f"s{i}" for i in range(len(family.params)))
-                    + tuple(f"t{i}" for i in range(len(family.params))), 3)
-    f = family.instantiate(P2, {p: P2.gen(f"s{i}") for i, p in enumerate(family.params)})
-    g = family.instantiate(P2, {p: P2.gen(f"t{i}") for i, p in enumerate(family.params)})
-    composed = f.compose(g)
-    alg_P2 = alg.with_ring(P2)
-    ident = [TruncSeries.variable(P2, family.vars, wh, v) for v in family.vars]
-    table = {key: alg_P2.lift(v, P2.scalar) for key, v in hull.deformed_table.items()}
-
-    def deviation(transform: InfTransform) -> list[JointElement]:
-        return [alg_P2.from_w_series(c - ident[j]) for j, c in enumerate(transform.comps)]
-
-    def reconstruct(transform: InfTransform, i: int) -> JointElement:
-        return evaluate(((k, table[(i, k)]) for k in multi_indices(n, wh)),
-                        deviation(transform), alg_P2, lambda v: v)
-
-    for i in range(hull.n_gens()):
-        # phi_f applied to the image of phi_g: derivatives of phi_f's image,
-        # paired with powers of phi_g's deviation
-        img_f = reconstruct(f, i)
-        acc = evaluate(((k, img_f.theta_w(k)) for k in multi_indices(n, wh)),
-                       deviation(g), alg_P2, lambda a: a)
-        if acc != reconstruct(composed, i):
-            return False
-    return True
+    # phi_f applied after phi_g: derivatives of phi_f's image, paired with
+    # powers of phi_g's deviation
+    after_g = {(i, k): img.theta_w(k) for i, img in enumerate(hull.images(f.comps))
+               for k in multi_indices(alg.theta_u.n, alg.w_horizon)}
+    return hull.images(g.comps, after_g) == hull.images(composed.comps)
 
 
 # ------------------------------------------------------------ classification
@@ -411,13 +381,9 @@ def _parameter_law(family: SolutionFamily) -> str:
     and a'.
     An inexpressible composition reports 'not closed within bounds'."""
     L = family.algebra.base
-    nparams = len(family.params)
-    P2 = NilAlgebra(L, tuple(f"s{i}" for i in range(nparams))
-                    + tuple(f"t{i}" for i in range(nparams)), 3)
-    f = family.instantiate(P2, {p: P2.gen(f"s{i}") for i, p in enumerate(family.params)})
-    g = family.instantiate(P2, {p: P2.gen(f"t{i}") for i, p in enumerate(family.params)})
-    comp = f.compose(g)
-    if nparams != 1:
+    f, _, comp = family.symbolic_pair
+    P2 = f.algebra
+    if len(family.params) != 1:
         return "composition computed; no closed form attempted"
     # solve family(u) == comp for u by matching the coefficient where the
     # parameter direction is 1

@@ -284,7 +284,7 @@ def test_theta_series_matches_evaluate_then_reciprocal(case):
     low = act.theta_series(elem, 3)
     high = act.theta_series(elem, top)
     # the later, higher expansion agrees with the earlier one in degrees <= 3
-    assert high.truncate(3) == low
+    assert high.with_horizon(3) == low
     assert act.theta_series(elem, 3) == low
     assert low == theta_reference(act, elem, 3)
     assert high == theta_reference(act, elem, top)

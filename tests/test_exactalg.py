@@ -131,6 +131,21 @@ def test_const_embeds_into_the_scalar_field():
     assert L.const(1) is L.one() and FracField(G, ["y"]).const(14) is FracField(G, ["y"]).one()
 
 
+def test_negation_and_inverse_equal_to_one_return_the_interned_unit():
+    # so that products by them take the x * one() shortcut
+    for F in (QQ, GF(7)):
+        L = FracField(F, ["y"])
+        one, minus_one = L.one(), L.from_int(-1)
+        fresh_one = L.from_poly(L.poly_ring.one())
+        assert fresh_one is not one
+        assert one.inverse() is one and fresh_one.inverse() is one
+        assert -minus_one is one and -(-one) is one
+        assert minus_one.inverse() == minus_one and minus_one.inverse() is not one
+        assert -one == minus_one and (-one).inverse() == minus_one
+        y = L.var("y")
+        assert -(-y) == y and y.inverse() * y is one
+
+
 def test_raw_term_constructors_store_field_elements():
     # the raw-term constructors take coefficients already in the field, so a
     # raw int goes through const first: 13 and 26 are 0 in GF(13) and drop out

@@ -167,6 +167,34 @@ def test_group_axioms_random():
                 assert f.compose(fi) == ident and fi.compose(f) == ident
 
 
+def fixed_point_inverse(f):
+    """The inverse by the iteration psi <- w - dev(psi), one nilpotent layer
+    per sweep, at the working horizon of f, truncated back."""
+    A = f.algebra
+    H = f.horizon + max(A.order - 2, 0)
+    ident = [TruncSeries.variable(A, f.vars, H, v) for v in f.vars]
+    dev = [p.with_horizon(H) - ident[i] for i, p in enumerate(f.comps)]
+    psi = list(ident)
+    for _ in range(A.order + 1):
+        new_psi = [ident[i] - dev[i].compose(psi, strict=False) for i in range(len(psi))]
+        if new_psi == psi:
+            break
+        psi = new_psi
+    return InfTransform(A, [p.with_horizon(f.horizon) for p in psi], check=False)
+
+
+def test_invert_matches_the_fixed_point_iteration():
+    # invert is formal_inverse of the components; the fixed-point iteration
+    # it replaced stays here as the reference
+    rng = random.Random(16)
+    for nvars in (1, 2):
+        for order in (2, 3, 4):
+            A = NilAlgebra(QQ, ("e1", "e2"), order)
+            for _ in range(6):
+                f = rand_transform(rng, A, nvars, 3)
+                assert f.invert() == fixed_point_inverse(f)
+
+
 def test_validation_rejects_non_congruent():
     A = NilAlgebra(QQ, ("a",), 2)
     w = TruncSeries.variable(A, ("w",), 3, "w")

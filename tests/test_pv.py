@@ -17,7 +17,7 @@ from modalg.actions import ActionSpec, MonoidDesc
 from modalg.exactalg import (GF, QQ, Echelon, FracField, Matrix, PolyRing, frac, poly_gcd,
                              solve_linear)
 from modalg.hull import ExtensionDesc, find_relations, hull_generators
-from modalg.lieritt import NilAlgebra
+from modalg.lieritt import InfTransform, NilAlgebra
 from modalg.series import TruncSeries, truncated_exp
 from test_exactalg import dense_solve
 from modalg.umemura import build_ideal, group_compatibility_check, solve_points
@@ -383,6 +383,40 @@ def test_compare_solves_the_formal_family_once(monkeypatch):
     assert len(calls) == 1
 
 
+def test_compare_composes_the_symbolic_pair_once(monkeypatch):
+    # the parameter law and the homomorphism check read the family's one
+    # symbolic pair
+    calls = []
+    compose = InfTransform.compose
+
+    def counting(self, other):
+        calls.append(self.algebra)
+        return compose(self, other)
+
+    monkeypatch.setattr(InfTransform, "compose", counting)
+    data, ext = exponential_pv()
+    hull = hull_generators(ext, t_horizon=3, w_horizon=3)
+    rels = find_relations(hull, diff_order=3, degree=2)
+    d = pv.compare(data, hull, rels, degree=3).as_dict()
+    assert d["ok"] and d["group_homomorphism"] is True
+    assert len(calls) == 1
+
+
+def test_compare_rejects_data_over_another_field():
+    # the hull's symbolic points live over the hull's field, so PV data over
+    # a different FracField (here in another variable) is refused up front
+    data, _ = exponential_pv()
+    other = FracField(QQ, ["z"])
+    z = other.var("z")
+    action = ActionSpec(other, "iterder", n=1, theta_images={
+        "z": TruncSeries(other, ("w",), 8, {(0,): z, (1,): other.one()})})
+    ext = ExtensionDesc(other, [z], action, name="additive in z")
+    hull = hull_generators(ext, t_horizon=3, w_horizon=3)
+    rels = find_relations(hull, diff_order=3, degree=2)
+    with pytest.raises(ValueError, match="different fields"):
+        pv.compare(data, hull, rels, degree=3)
+
+
 def test_compare_product_has_two_parameters():
     # G_a x G_m is two-dimensional: two Galois parameters matched with the
     # two hull parameters by a group homomorphism; the split operator here
@@ -401,12 +435,15 @@ def test_compare_product_has_two_parameters():
 def test_residues_expand_each_generator_once(monkeypatch):
     # residues reads every theta payload from one expansion per R-generator
     # at the largest payload order: two generators (y, 1/y) per call, over
-    # the four residue calls one exponential compare makes
+    # the three residue calls one exponential compare makes (the
+    # linearization, one correction layer at order 3, the final check)
     inside = []
     calls = []
+    residue_calls = []
     residues, theta_series = pv._GaloisSystem.residues, ActionSpec.theta_series
 
     def counting_residues(self, *args):
+        residue_calls.append(args[0])
         inside.append(True)
         try:
             return residues(self, *args)
@@ -425,7 +462,8 @@ def test_residues_expand_each_generator_once(monkeypatch):
     rels = find_relations(hull, diff_order=3, degree=2)
     d = pv.compare(data, hull, rels, degree=3).as_dict()
     assert d["ok"] and d["lie_dim"] == 1
-    assert len(calls) == 8 and set(calls) == {3}
+    assert len(residue_calls) == 3
+    assert len(calls) == 6 and set(calls) == {3}
 
 
 def test_galois_points_eliminates_the_linearization_once(monkeypatch):
@@ -446,8 +484,39 @@ def test_galois_points_eliminates_the_linearization_once(monkeypatch):
     assert built == [9]
 
 
+def test_galois_points_linearization_matches_the_per_unknown_probes(monkeypatch):
+    # the columns read off one evaluation at M = I + sum_u p_u E_u equal
+    # those of one dual-number evaluation per unknown, which stays here as
+    # the reference
+    columns = []
+
+    class Recording(Echelon):
+        def __init__(self, field, vectors=()):
+            vectors = list(vectors)
+            if not columns:
+                columns.extend(vectors)
+            super().__init__(field, vectors)
+
+    monkeypatch.setattr(pv, "Echelon", Recording)
+    data, _ = product_pv()
+    fam = pv.galois_points(data, NilAlgebra(data.L, ("eps",), 2), horizon=3, param_order=3)
+    assert fam.report.ok and len(fam.params) == 2
+
+    base, n = data.L, data.X.nrows
+    system = pv._GaloisSystem(data, 3)
+    A = NilAlgebra(base, ("_p",), 2)
+    expected = []
+    for u in range(n * n):
+        M = Matrix(A, [[A.add(A.one() if i == j else A.zero(),
+                              A.gen("_p") if i * n + j == u else A.zero())
+                        for j in range(n)] for i in range(n)])
+        expected.append([(lbl, v.get((1,), base.zero())) for lbl, v in system.residues(A, M)])
+    assert [list(c.items()) for c in columns] == expected
+    assert sum(map(len, expected)) > 0
+
+
 def test_galois_points_lifts_x_once_per_test_algebra(monkeypatch):
-    # residues runs 1 + n^2 times over the probe algebra and again over the
+    # residues runs once over the probe algebra and again over the
     # parameter algebra; X and X^-1 are lifted to R (x) A once for each
     lifts = []
     original = Matrix.map

@@ -9,7 +9,7 @@ from fractions import Fraction
 from modalg.actions import ActionSpec
 from modalg.exactalg import QQ, Frac, FracField
 from modalg.hull import ExtensionDesc, find_relations, hull_generators
-from modalg.lieritt import NilAlgebra
+from modalg.lieritt import InfTransform, NilAlgebra
 from modalg.series import TruncSeries, truncated_exp
 from modalg.umemura import (
     build_ideal,
@@ -157,6 +157,25 @@ def test_group_compatibility_both_examples():
         _, hull, rels = setup(th=2, wh=3)
         report = solve_points(hull, rels)
         assert group_compatibility_check(hull, report)
+
+
+def test_chain_composes_the_symbolic_pair_once(monkeypatch):
+    # the parameter law and the group compatibility check read the family's
+    # one symbolic pair
+    calls = []
+    compose = InfTransform.compose
+
+    def counting(self, other):
+        calls.append(self.algebra)
+        return compose(self, other)
+
+    monkeypatch.setattr(InfTransform, "compose", counting)
+    for setup in (additive_setup, exponential_setup):
+        calls.clear()
+        _, hull, rels = setup(th=2, wh=3)
+        report = solve_points(hull, rels)
+        assert group_compatibility_check(hull, report)
+        assert len(calls) == 1
 
 
 def test_functoriality_in_the_test_algebra():
