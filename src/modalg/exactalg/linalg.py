@@ -1,20 +1,17 @@
 """Small exact matrices and linear algebra over the ring/field protocol.
 
-Matrix.det expands cofactors and Matrix.inverse builds the adjugate, so both
-also work over commutative rings; the inverse exists when the determinant
-is a unit, and an explicit inverse certifies invertibility.
-
-Every elimination over a field is one Echelon: a Gauss-Jordan elimination
-of the columns of a matrix, taken one column at a time, recorded once and
-replayed on any number of further vectors.  A vector is a dense sequence
-(keys 0, 1, ...) or a sparse dict {key: entry}; its keys name the rows, and
-a key may first appear in a later vector.  Each independent vector records
-one step: its pivot key, the inverse of its pivot and the (key, -factor)
-pairs that clear its other entries.  Replaying the steps touches only
-nonzero entries, so the work scales with the nonzeros, not with the matrix.
-Span membership, the solution of a right-hand side and the relation of each
-dependent vector are read off the replay.  kernel_basis, solve_linear and
-rref are short reads of one Echelon over the columns of a dense matrix.
+Every elimination is one Echelon: a Gauss-Jordan elimination of the columns
+of a matrix, taken one column at a time, recorded once and replayed on any
+number of further vectors.  A vector is a dense sequence (keys 0, 1, ...)
+or a sparse dict {key: entry}; its keys name the rows, and a key may first
+appear in a later vector.  Each independent vector records one step: its
+pivot key, the inverse of its pivot and the (key, -factor) pairs that clear
+its other entries.  Replaying the steps touches only nonzero entries, so
+the work scales with the nonzeros, not with the matrix.  Pivots are units,
+so the elimination is complete over a field and over a local ring such as
+NilAlgebra, where a square matrix is invertible exactly when every column
+takes a pivot.  Matrix.inverse and Matrix.det, span membership, solutions,
+kernels and rref are short reads of one Echelon.
 """
 
 from __future__ import annotations
@@ -61,17 +58,8 @@ class Matrix:
             out.append(row)
         return Matrix(R, out)
 
-    def __add__(self, other: "Matrix") -> "Matrix":
-        if self.ring is not other.ring or self.nrows != other.nrows or self.ncols != other.ncols:
-            raise ValueError("matrix shape/ring mismatch")
-        R = self.ring
-        return Matrix(R, [[R.add(a, b) for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)])
-
     def map(self, fn, new_ring=None) -> "Matrix":
         return Matrix(new_ring or self.ring, [[fn(e) for e in row] for row in self.rows])
-
-    def transpose(self) -> "Matrix":
-        return Matrix(self.ring, [list(col) for col in zip(*self.rows)])
 
     def __eq__(self, other):
         if not isinstance(other, Matrix) or self.ring is not other.ring:
@@ -83,55 +71,38 @@ class Matrix:
             R.eq(a, b) for r1, r2 in zip(self.rows, other.rows) for a, b in zip(r1, r2)
         )
 
-    def det(self):
-        """Determinant by cofactor expansion (square, small sizes)."""
+    def _echelon(self, what: str) -> "Echelon":
         if self.nrows != self.ncols:
-            raise ValueError("determinant of a non-square matrix")
+            raise ValueError(f"{what} of a non-square matrix")
+        return Echelon(self.ring, _columns(self.rows, self.ncols))
+
+    def det(self):
+        """The determinant from one Echelon of the columns: the product of
+        its pivots, signed by the order of their keys, and zero when a
+        column is dependent.  Raises ValueError where a column has no unit
+        pivot, which over a local ring needs a nonunit determinant."""
         R = self.ring
-        n = self.nrows
-        if n == 0:
-            return R.one()
-        if n == 1:
-            return self.rows[0][0]
-        d = R.zero()
-        for j in range(n):
-            c = self.rows[0][j]
-            if R.is_zero(c):
-                continue
-            minor = Matrix(R, [[self.rows[i][k] for k in range(n) if k != j] for i in range(1, n)])
-            t = R.mul(c, minor.det())
-            d = R.add(d, t if j % 2 == 0 else R.neg(t))
-        return d
+        ech = self._echelon("determinant")
+        if ech.dependent:
+            return R.zero()
+        keys = [p for p, _, _ in ech.steps]
+        d = R.one()
+        for _, inv, _ in ech.steps:
+            d = R.mul(d, inv)
+        d = R.inv(d)
+        odd = sum(a > b for i, a in enumerate(keys) for b in keys[i + 1:]) % 2
+        return R.neg(d) if odd else d
 
     def inverse(self) -> "Matrix":
-        """Exact inverse via the adjugate; raises ValueError when the
-        determinant is not a unit.  The result certifies itself:
-        self * inverse == identity by construction of the adjugate."""
-        if self.nrows != self.ncols:
-            raise ValueError("inverse of a non-square matrix")
+        """The exact inverse: one Echelon of the columns and one solve per
+        unit vector.  Raises ValueError when a column is dependent or takes
+        no unit pivot."""
         R = self.ring
-        n = self.nrows
-        d = self.det()
-        if not R.is_unit(d):
-            raise ValueError("matrix is not invertible (determinant is not a unit)")
-        dinv = R.inv(d)
-        if n == 0:
-            return Matrix(R, [])
-        out = [[None] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                minor = Matrix(
-                    R,
-                    [[self.rows[r][c] for c in range(n) if c != j] for r in range(n) if r != i],
-                )
-                cof = minor.det()
-                if (i + j) % 2 == 1:
-                    cof = R.neg(cof)
-                out[j][i] = R.mul(cof, dinv)
-        inv = Matrix(R, out)
-        if not (self * inv) == Matrix.identity(R, n):
-            raise ValueError("inverse certification failed")
-        return inv
+        ech = self._echelon("inverse")
+        if ech.dependent:
+            raise ValueError("matrix is not invertible (dependent column)")
+        cols = [ech.solve({i: R.one()}) for i in range(self.nrows)]
+        return Matrix(R, zip(*cols))
 
     def __str__(self):
         R = self.ring
@@ -142,16 +113,19 @@ class Matrix:
 
 
 class Echelon:
-    """Gauss-Jordan elimination over a field, recorded and replayed.
+    """Gauss-Jordan elimination with unit pivots, recorded and replayed.
 
     The vectors added are the columns of a matrix whose rows are their
-    keys.  add replays the recorded steps on a new vector: a nonzero entry
+    keys.  add replays the recorded steps on a new vector: a unit entry
     left outside the pivot keys makes it independent, and it records one
-    more step with that key as its pivot; otherwise the entry at each pivot
-    key is its coefficient on the vector of that step, and those
-    coefficients are kept in dependent.  The steps reduce every column to
-    the reduced row echelon form, which is unique, so the choice of pivot
-    key changes no answer.  contains and solve replay without adding."""
+    more step with the first such key as its pivot; a vector with no entry
+    left outside the pivot keys is dependent, the entry at each pivot key
+    is its coefficient on the vector of that step, and those coefficients
+    are kept in dependent; a vector whose entries left outside the pivot
+    keys are all nonunits raises ValueError.  Over a field the steps reduce
+    every column to the reduced row echelon form, which is unique, so the
+    choice of pivot key changes no answer.  contains and solve replay
+    without adding."""
 
     def __init__(self, field, vectors=()):
         self.field = field
@@ -180,11 +154,14 @@ class Echelon:
         """Append vec; True iff it is independent of the vectors before it."""
         field = self.field
         v = self._replay(vec)
+        pivots, is_unit = self.pivots, field.is_unit
+        p = next((key for key, x in v.items() if key not in pivots and is_unit(x)), None)
+        if p is None and any(key not in pivots for key in v):
+            raise ValueError("no unit pivot")
         j = self.size
         self.size += 1
-        p = next((key for key in v if key not in self.pivots), None)
         if p is None:
-            self.dependent[j] = {self.pivots[key]: x for key, x in v.items()}
+            self.dependent[j] = {pivots[key]: x for key, x in v.items()}
             return False
         self.steps.append((p, field.inv(v[p]),
                            [(key, field.neg(x)) for key, x in v.items() if key != p]))

@@ -21,7 +21,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from . import terms as _terms
-from .ring import Ring, power, stacked_coordinates
+from .ring import Ring, power, stacked_coordinates, unit_plus_nilpotent_inverse
 
 
 def grlex_key(exp: tuple[int, ...]):
@@ -252,18 +252,17 @@ class MPoly:
         return r if r is NotImplemented else not r
 
     def unit_inverse_or_none(self):
-        """Inverse when this is a unit: a nonzero constant, or a unit monomial
-        in a ring with inverse pairs."""
+        """Inverse when this is a unit: one term with a unit coefficient on
+        a unit monomial (a constant, or a product of inverse-pair
+        generators) plus any terms with nilpotent coefficients."""
         ring = self.ring
         f = ring.field
-        if len(self.terms) != 1:
+        terms = self.terms
+        units = [(e, c) for e, c in terms.items() if not f.is_nilpotent(c)]
+        if len(units) != 1:
             return None
-        (exp, c), = self.terms.items()
+        (exp, c), = units
         if not f.is_unit(c):
-            return None
-        if all(e == 0 for e in exp):
-            return ring.scalar(f.inv(c))
-        if not ring.inverse_pairs:
             return None
         inv_of = {}
         for i, j in ring.inverse_pairs:
@@ -276,7 +275,11 @@ class MPoly:
             if i not in inv_of:
                 return None
             e[inv_of[i]] = v
-        return MPoly(ring, {tuple(e): f.inv(c)})
+        unit_inv = MPoly(ring, {tuple(e): f.inv(c)})
+        if len(terms) == 1:
+            return unit_inv
+        nil = MPoly(ring, {k: x for k, x in terms.items() if k != exp})
+        return unit_plus_nilpotent_inverse(ring, unit_inv, nil)
 
     def exact_div(self, d: "MPoly") -> "MPoly":
         """Exact polynomial division; raises ValueError when not divisible.

@@ -28,6 +28,11 @@ through vars, and the field and reduced-ring answers of is_unit and
 is_nilpotent.  A context overrides them only where it computes them
 differently.
 
+NilAlgebra.inv, and PolyRing.inv over a local coefficient ring such as
+NilAlgebra, invert a unit plus nilpotent terms by one geometric series,
+unit_plus_nilpotent_inverse; a PolyRing unit is one unit monomial with a
+unit coefficient plus terms with nilpotent coefficients.
+
 Contexts are interned: constructing a context with equal arguments returns
 the same object, so contexts compare by identity and a mismatch check is one
 `is` test.  A new context validates its arguments when it is built, and a
@@ -104,6 +109,18 @@ def power(x, n: int, one):
         if not n:
             return result
         x = x * x
+
+
+def unit_plus_nilpotent_inverse(ring, unit_inv, nil):
+    """(u + nil)^-1 for a unit u with inverse unit_inv and a nilpotent nil:
+    unit_inv * sum_k (-unit_inv * nil)^k, up to the first zero power."""
+    h = ring.neg(ring.mul(unit_inv, nil))
+    out = term = ring.one()
+    while True:
+        term = ring.mul(term, h)
+        if ring.is_zero(term):
+            return ring.mul(out, unit_inv)
+        out = ring.add(out, term)
 
 
 def stacked_coordinates(ring, count: int, parts) -> tuple[list, list[list]]:

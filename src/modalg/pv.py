@@ -52,7 +52,6 @@ class PVData:
         self.action = action
         self.R = R
         self.X = X
-        self.Xinv = X.inverse()
         self.gen_in_X = dict(gen_in_X)
         self.name = name
         self.k = L.scalars
@@ -63,6 +62,9 @@ class PVData:
         for i, j in R.inverse_pairs:
             self.partner[R.vars[i]] = R.vars[j]
             self.partner[R.vars[j]] = R.vars[i]
+        # X is inverted over the field L; l_to_r raises when an entry of the
+        # inverse is outside R
+        self.Xinv = X.map(self.r_to_L, L).inverse().map(self.l_to_r, R)
 
     # R-polynomials viewed inside L
     def r_to_L(self, p: MPoly) -> Frac:
@@ -602,10 +604,8 @@ class _GaloisSystem:
             lifted = self._lifted_X[A] = tuple(
                 m.map(lambda p: _lift_poly(RA, p), RA) for m in (data.X, data.Xinv))
         XA, XinvA = lifted
-        MA = Matrix(RA, [[RA.scalar(e) for e in row] for row in M.rows])
-        XM = XA * MA
-        Minv = M.inverse()
-        MinvXinv = Matrix(RA, [[RA.scalar(e) for e in row] for row in Minv.rows]) * XinvA
+        XM = XA * M.map(RA.scalar, RA)
+        MinvXinv = M.inverse().map(RA.scalar, RA) * XinvA
         images = {}
         for g, (which, i, j) in data.gen_in_X.items():
             images[g] = XM.entry(i, j) if which == "X" else MinvXinv.entry(i, j)
@@ -797,11 +797,8 @@ def find_rational_point(data: PVData, height: int = 3):
         values = [point[v] for v in R.vars]
         B = Matrix(k, [[evaluate(p.terms.items(), values, k, lambda c: c) for p in row]
                        for row in data.X.rows])
-        try:
-            B.inverse()
-        except ValueError:
-            continue
-        return point, B
+        if not Echelon(k, B.rows).dependent:
+            return point, B
     return None, None
 
 
@@ -893,29 +890,6 @@ def compare(data: PVData, hull: HullData, relations, degree: int = 3) -> Compare
     return CompareReport(bool(pmap["bijective"] and hom_ok), details)
 
 
-def _nil_inverse(RA: PolyRing, P: NilAlgebra, img: MPoly) -> MPoly:
-    """Inverse of a unit-monomial-plus-nilpotent element of R (x) A, by the
-    geometric series on the nilpotent part."""
-    unit_terms = {e: P.unit_part(c) for e, c in img.terms.items()
-                  if not P.base.is_zero(P.unit_part(c))}
-    m = RA.poly({e: P.scalar(c) for e, c in unit_terms.items()})
-    m_inv = m.unit_inverse_or_none()
-    if m_inv is None:
-        raise ValueError("image is not invertible in the principal ring")
-    eta = m_inv * img - RA.one()  # nilpotent coefficients
-    acc = RA.one()
-    pw = RA.one()
-    for k in range(1, P.order + 1):
-        pw = pw * eta
-        if pw.is_zero():
-            break
-        acc = acc + pw if k % 2 == 0 else acc - pw
-    out = acc * m_inv
-    if not (out * img) == RA.one():
-        raise ArithmeticError("nilpotent inverse did not close")
-    return out
-
-
 class _SplitOperator(Echelon):
     """Writes joint elements in split form sum_i deformed(b_i) * c_i: the b_i
     are R-monomials in L, deformed(b) is the theta_u-deformed expansion of
@@ -970,7 +944,7 @@ class _Induced:
                     img = img + b.scale(c)
             images[name] = img
             if name in partner:
-                images[partner[name]] = RA.inv(img) if RA.is_unit(img) else _nil_inverse(RA, P, img)
+                images[partner[name]] = RA.inv(img)
         M = self.Xinv * self.X.map(lambda p: _apply_sigma(RA, images, p), RA)
         if not all(e.is_const() for row in M.rows for e in row):
             return None
@@ -1005,14 +979,7 @@ def _match_parameters(Minduced: Matrix, gal: GaloisFamily, P: NilAlgebra):
             return None
         T.append(col)
     # bijectivity of the parameter map
-    bij = True
-    if nsrc == ntgt:
-        try:
-            Matrix(base, [[T[s][t] for s in range(nsrc)] for t in range(ntgt)]).inverse()
-        except ValueError:
-            bij = False
-    else:
-        bij = False
+    bij = nsrc == ntgt and not Echelon(base, T).dependent
     # verify: substituting the map into the solved family reproduces the
     # induced matrix including higher parameter degrees
     subs_vals = []

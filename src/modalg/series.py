@@ -291,11 +291,7 @@ def formal_inverse(phis: Sequence[TruncSeries]) -> tuple[TruncSeries, ...]:
         while not R.is_zero(c):
             sweeps += 1
             c = R.mul(c, c0)
-    unit_exps = []
-    for i in range(n):
-        e = [0] * n
-        e[i] = 1
-        unit_exps.append(tuple(e))
+    unit_exps = [tuple(int(i == j) for j in range(n)) for i in range(n)]
     jac = Matrix(R, [[phis[i].coeff(unit_exps[j]) for j in range(n)] for i in range(n)])
     jinv = jac.inverse()  # raises ValueError when singular
 

@@ -55,9 +55,6 @@ class TaylorMap:
             self._cache[k] = self.action.expand(elem, self.horizon, self.word_bound)
         return self._cache[k]
 
-    def constant(self, elem) -> HomElement:
-        return self.action.constant_expansion(elem, self.horizon, self.word_bound)
-
 
 def taylor_expand(elem, action: ActionSpec, horizon: int, word_bound: int | None = None) -> HomElement:
     return action.expand(elem, horizon, word_bound)

@@ -244,6 +244,15 @@ def test_laurent_inverse_pair_reduction():
     assert ring.is_unit(u)
     assert ring.mul(u, ring.inv(u)) == ring.one()
     assert not ring.is_unit(y + ring.one())
+    # over NilAlgebra(QQ, (e,), 2) a unit monomial plus nilpotent terms is a
+    # unit: (y + e*y^2)(yi - e) = 1 - e^2*y^2 = 1
+    A = NilAlgebra(QQ, ("e",), 2)
+    ring = PolyRing(A, ["y", "yi"], inverse_pairs=[(0, 1)])
+    y, yi = ring.gens()
+    e = ring.scalar(A.var("e"))
+    assert ring.inv(y + e * y ** 2) == yi - e
+    assert ring.inv(ring.scalar(A.add(A.one(), A.var("e")))) == ring.one() - e
+    assert not ring.is_unit(ring.one() + y) and not ring.is_unit(e + e * y)
 
 
 def test_poly_gcd_univariate_and_multivariate():
@@ -753,12 +762,32 @@ def test_mat_inverse_adjugate_oracle():
     # adjugate oracle for [[1,1],[1,2]]: det=1, adj=[[2,-1],[-1,1]]
     M = Matrix(QQ, [[Fraction(1), Fraction(1)], [Fraction(1), Fraction(2)]])
     assert M.inverse() == Matrix(QQ, [[Fraction(2), Fraction(-1)], [Fraction(-1), Fraction(1)]])
+    assert M.det() == 1
+    # the swap [[0,1],[1,0]] takes its pivots in the other order: det=-1
+    swap = Matrix(QQ, [[Fraction(0), Fraction(1)], [Fraction(1), Fraction(0)]])
+    assert swap.inverse() == swap and swap.det() == -1
+    # over NilAlgebra(QQ, (e,), 2), [[e,1],[1,e]]: det = e^2 - 1 = -1 and
+    # adj = [[e,-1],[-1,e]]; the (0, 0) entry is not a unit, so the first
+    # pivot is in the other row
+    A = NilAlgebra(QQ, ("e",), 2)
+    e, one, minus_e = A.var("e"), A.one(), A.neg(A.var("e"))
+    M = Matrix(A, [[e, one], [one, e]])
+    Minv = M.inverse()
+    assert Minv == Matrix(A, [[minus_e, one], [one, minus_e]])
+    assert M * Minv == Minv * M == Matrix.identity(A, 2)
+    assert A.eq(M.det(), A.const(-1))
 
 
 def test_mat_inverse_rejects_singular():
     M = Matrix(QQ, [[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]])
     with pytest.raises(ValueError):
         M.inverse()
+    assert M.det() == 0
+    # over NilAlgebra, [[e]] has a nilpotent determinant: no unit pivot
+    A = NilAlgebra(QQ, ("e",), 2)
+    for op in (Matrix.inverse, Matrix.det):
+        with pytest.raises(ValueError, match="no unit pivot"):
+            op(Matrix(A, [[A.var("e")]]))
 
 
 def test_laurent_matrix_inverse():
@@ -766,6 +795,34 @@ def test_laurent_matrix_inverse():
     y = ring.var("y")
     M = Matrix(ring, [[y]])
     assert M.inverse() == Matrix(ring, [[ring.var("yi")]])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(-2, 2), min_size=27, max_size=27))
+def test_mat_inverse_and_det_over_a_local_ring(coeffs):
+    # oracle: the Leibniz expansion of the determinant over NilAlgebra; M is
+    # invertible exactly when that determinant is a unit, and det() either
+    # equals it or raises for want of a unit pivot
+    A = NilAlgebra(QQ, ("e",), 3)
+    it = iter(coeffs)
+    M = Matrix(A, [[A.element({(k,): QQ.const(next(it)) for k in range(3)}) for _ in range(3)]
+                   for _ in range(3)])
+    det = A.zero()
+    for perm in itertools.permutations(range(3)):
+        term = A.from_int(-1 if sum(a > b for i, a in enumerate(perm) for b in perm[i + 1:]) % 2
+                          else 1)
+        for i, j in enumerate(perm):
+            term = A.mul(term, M.entry(i, j))
+        det = A.add(det, term)
+    if A.is_unit(det):
+        Minv = M.inverse()
+        assert M * Minv == Minv * M == Matrix.identity(A, 3)
+        assert A.eq(M.det(), det)
+        return
+    with pytest.raises(ValueError):
+        M.inverse()
+    with contextlib.suppress(ValueError):
+        assert A.eq(M.det(), det)
 
 
 # ---------------------------------------------------------- linear algebra

@@ -9,7 +9,9 @@ imports are re-exports.  Names are read with ast only; a name counts as used
 when it appears anywhere in the module, including inside string
 annotations.  A private (single-underscore) function or class counts as
 referenced when its name appears as a name, an attribute or a string
-anywhere in the library outside its own definition."""
+anywhere in the library outside its own definition, and a public method of
+a library class when its name appears so anywhere in the library, the
+tests or the benchmark outside its own definition."""
 
 from __future__ import annotations
 
@@ -17,7 +19,8 @@ import ast
 from collections import Counter
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "modalg"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "modalg"
 
 
 def _imported(tree: ast.Module) -> dict[str, int]:
@@ -132,6 +135,57 @@ def test_library_private_functions_are_referenced():
     sources = {str(p.relative_to(SRC)): p.read_text() for p in sorted(SRC.rglob("*.py"))}
     dead = unreferenced_private_functions(sources)
     assert not dead, "unreferenced private functions or classes: " + ", ".join(dead)
+
+
+def unreferenced_public_methods(library: dict[str, str], others: dict[str, str]) -> list[str]:
+    """module:Class.name of every public method of a class in library whose
+    name is referenced nowhere in library or others except inside the
+    definitions of that name."""
+    total = Counter()
+    inside = Counter()
+    defs = []
+    for module, source in {**library, **others}.items():
+        tree = ast.parse(source)
+        total += _references(tree)
+        if module not in library:
+            continue
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and not node.name.startswith("_")):
+                    defs.append((module, cls.name, node.name))
+                    inside[node.name] += _references(node)[node.name]
+    return sorted(f"{m}:{c}.{name}" for m, c, name in defs if total[name] == inside[name])
+
+
+def test_public_method_scanner():
+    library = {
+        "lib.py": (
+            "class C:\n"
+            "    def used(self):\n        return self.helper()\n"
+            "    def helper(self):\n        return 1\n"
+            "    def dead(self, n):\n        return self.dead(n - 1) if n else 0\n"
+            "    @property\n    def shown(self):\n        return 2\n"
+            "    def named(self):\n        return 3\n"
+            "    def __add__(self, other):\n        return self\n"
+            "    def _private(self):\n        return 4\n"
+            "class D:\n    def dead_too(self):\n        return 5\n"
+        ),
+    }
+    others = {"test_lib.py": ("from lib import C\n"
+                              "v = C().used() + C().shown + getattr(C(), 'named')()\n")}
+    assert unreferenced_public_methods(library, others) == ["lib.py:C.dead", "lib.py:D.dead_too"]
+
+
+def test_library_public_methods_are_referenced():
+    def read(root):
+        return {str(p.relative_to(ROOT)): p.read_text() for p in sorted(root.rglob("*.py"))}
+
+    others = {**read(ROOT / "tests"), **read(ROOT / "bench")}
+    dead = unreferenced_public_methods(read(SRC), others)
+    assert not dead, "unreferenced public methods: " + ", ".join(dead)
 
 
 def attribute_probes(source: str) -> list[tuple[str, int]]:

@@ -129,6 +129,20 @@ def additive_pv(field=QQ):
     return data, ExtensionDesc(L, [y], action, name="additive")
 
 
+def test_pvdata_inverts_x_over_the_field():
+    # det [[1+y, y], [y, y-1]] = -1, so X^-1 = -[[y-1, -y], [-y, 1+y]]; no
+    # entry of X is a unit of Q[y], and the inverse is taken over L
+    data, _ = additive_pv()
+    R = data.R
+    y, one = R.var("y"), R.one()
+    X = Matrix(R, [[one + y, y], [y, y - one]])
+    inverted = pv.PVData(data.L, data.action, R, X, {"y": ("X", 0, 1)})
+    assert inverted.Xinv == Matrix(R, [[one - y, y], [y, -one - y]])
+    # 1/y is not in Q[y]
+    with pytest.raises(ValueError):
+        pv.PVData(data.L, data.action, R, Matrix(R, [[y]]), {"y": ("X", 0, 0)})
+
+
 def product_pv():
     """R = Q[y, z, 1/z], X = [[1, y, 0], [0, 1, 0], [0, 0, z]] for
     theta(y) = y + w and theta(z) = z exp(w): the group G_a x G_m."""
@@ -480,8 +494,11 @@ def test_galois_points_eliminates_the_linearization_once(monkeypatch):
     data, _ = product_pv()
     fam = pv.galois_points(data, NilAlgebra(data.L, ("eps",), 2), horizon=3, param_order=3)
     assert fam.report.ok and len(fam.params) == 2
-    # one column per entry of the 3x3 matrix M
-    assert built == [9]
+    # one column per entry of the 3x3 matrix M; the other eliminations are
+    # 3x3 inverses of X and of the points M
+    n = data.X.nrows
+    assert [size for size in built if size > n] == [9]
+    assert all(size == n for size in built if size <= n)
 
 
 def test_galois_points_linearization_matches_the_per_unknown_probes(monkeypatch):
