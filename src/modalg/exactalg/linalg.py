@@ -10,8 +10,8 @@ its other entries.  Replaying the steps touches only nonzero entries, so
 the work scales with the nonzeros, not with the matrix.  Pivots are units,
 so the elimination is complete over a field and over a local ring such as
 NilAlgebra, where a square matrix is invertible exactly when every column
-takes a pivot.  Matrix.inverse and Matrix.det, span membership, solutions,
-kernels and rref are short reads of one Echelon.
+takes a pivot.  Matrix.inverse and Matrix.det (one per factor of a product
+ring), span membership, solutions, kernels and rref read one Echelon.
 """
 
 from __future__ import annotations
@@ -76,12 +76,20 @@ class Matrix:
             raise ValueError(f"{what} of a non-square matrix")
         return Echelon(self.ring, _columns(self.rows, self.ncols))
 
+    def _factorwise(self, op) -> list:
+        """op applied to the matrix of each factor of a product ring."""
+        return [op(Matrix(F, [[e[i] for e in row] for row in self.rows]))
+                for i, F in enumerate(self.ring.factors())]
+
     def det(self):
         """The determinant from one Echelon of the columns: the product of
         its pivots, signed by the order of their keys, and zero when a
         column is dependent.  Raises ValueError where a column has no unit
-        pivot, which over a local ring needs a nonunit determinant."""
+        pivot, which over a local ring needs a nonunit determinant.  Over a
+        product of rings, the tuple of the factors' determinants."""
         R = self.ring
+        if R.factors():
+            return tuple(self._factorwise(Matrix.det))
         ech = self._echelon("determinant")
         if ech.dependent:
             return R.zero()
@@ -96,8 +104,11 @@ class Matrix:
     def inverse(self) -> "Matrix":
         """The exact inverse: one Echelon of the columns and one solve per
         unit vector.  Raises ValueError when a column is dependent or takes
-        no unit pivot."""
+        no unit pivot.  Over a product of rings, factor by factor."""
         R = self.ring
+        if R.factors():
+            inverses = self._factorwise(Matrix.inverse)
+            return Matrix(R, [zip(*rows) for rows in zip(*(m.rows for m in inverses))])
         ech = self._echelon("inverse")
         if ech.dependent:
             raise ValueError("matrix is not invertible (dependent column)")

@@ -37,7 +37,7 @@ def evaluate(terms, images, target, lift):
     context needs only zero(), add(a, b) and mul(a, b), and lift(c) must
     return a target element.  Each image's powers are computed once, up to
     the largest exponent that occurs, and each term is lift(c) times its
-    cached powers."""
+    cached powers; the sum starts from the first term, not from zero()."""
     terms = list(terms)
     top = [0] * len(images)
     for exp, _ in terms:
@@ -48,14 +48,14 @@ def evaluate(terms, images, target, lift):
         for _ in range(n - 1):
             row.append(target.mul(row[-1], img))
         powers.append(row)
-    out = target.zero()
+    out = None
     for exp, c in terms:
         t = lift(c)
         for row, e in zip(powers, exp):
             if e:
                 t = target.mul(t, row[e])
-        out = target.add(out, t)
-    return out
+        out = t if out is None else target.add(out, t)
+    return target.zero() if out is None else out
 
 
 class PolyRing(Ring):

@@ -68,6 +68,9 @@ class ProductField(Ring):
     def to_str(self, a) -> str:
         return "(" + ", ".join(self.factor.to_str(x) for x in a) + ")"
 
+    def factors(self) -> tuple:
+        return (self.factor,) * self.count
+
     def scalar_coordinates(self, elems: list) -> tuple[list, list[list]]:
         """Componentwise scalar coordinates, concatenated over the factors."""
         return stacked_coordinates(self.factor, len(elems),

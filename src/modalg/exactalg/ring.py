@@ -20,7 +20,9 @@ and NilAlgebra, and each of them provides:
                        finite basis, one row per element, such that a
                        scalar-linear combination of elems vanishes iff the
                        same combination of rows does.  A prime field returns
-                       each element as its own single coordinate.
+                       each element as its own single coordinate;
+  factors()            the factor rings of a direct product, whose elements
+                       are tuples of components; () for any other context.
 
 Ring supplies the methods that follow from the others: from_int through
 const, sub through add and neg, div through inv, eq through sub, gens
@@ -90,6 +92,9 @@ class Ring(metaclass=_Interned):
 
     def gens(self) -> list:
         return [self.var(v) for v in self.vars]
+
+    def factors(self) -> tuple:
+        return ()
 
 
 def power(x, n: int, one):

@@ -17,8 +17,7 @@ produces the series substitution carrying one basis derivation into another.
 
 from __future__ import annotations
 
-from functools import cached_property
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .actions import ActionSpec, GeneratorPowers, HomElement, Report
 from .exactalg import AlgebraicField, Echelon, FracField, evaluate
@@ -205,38 +204,36 @@ class HullData:
         self.rho_K_gens = rho_K_gens        # [(label, JointElement)]
         self.derivative_table = derivative_table  # (i, k) -> HomElement
         self.closure = closure
-        self._lifted_tables: dict = {}  # test algebra P -> deformed_table over P
+        self._lifted: dict = {}  # test algebra P -> {(i, k): entry lifted to P}
 
     def n_gens(self) -> int:
         return len(self.rho_gens)
 
-    @cached_property
-    def deformed_table(self) -> dict:
-        """(i, k) -> the derivative_table entry deformed over L by the basis
-        derivation, built on first use and kept as long as this hull; a test
-        algebra only lifts it (ExpansionAlgebra.lift)."""
-        alg = self.algebra
-        return {key: alg._deform_hom(v) for key, v in self.derivative_table.items()}
-
-    def images(self, comps: Sequence[TruncSeries], table: dict | None = None) -> list:
+    def images(self, comps: Sequence[TruncSeries], entry: Callable | None = None) -> list:
         """The image of every expanded generator under the transformation
         w -> comps, over the comps' test algebra P, by the twisted-expansion
-        formula: generator i goes to sum_k table[(i, k)] * (comps - w)^k.
-        The default table is deformed_table lifted to P, kept per P as long
-        as this hull."""
+        formula: generator i goes to sum_k entry(i, k) * (comps - w)^k.
+        The deviation comps - w has nilpotent coefficients (else ValueError),
+        and P.order of them multiply to zero, so the sum stops at
+        |k| = P.order - 1 and entry is called only for those k.  The default
+        entry is derivative_table[(i, k)] deformed by the basis derivation and
+        lifted to P, built on first use and kept as long as this hull."""
         alg = self.algebra
         P = comps[0].ring
         alg_P = alg.with_ring(P)
-        if table is None:
-            table = self._lifted_tables.get(P)
-            if table is None:
-                table = self._lifted_tables[P] = {
-                    key: alg_P.lift(v, P.scalar) for key, v in self.deformed_table.items()}
-        wh = alg.w_horizon
-        deviation = [alg_P.from_w_series(c - w)
-                     for c, w in zip(comps, identity_tuple(P, comps[0].vars, wh))]
-        ks = multi_indices(alg.theta_u.n, wh)
-        return [evaluate(((k, table[(i, k)]) for k in ks), deviation, alg_P, lambda v: v)
+        deviation = [c - w for c, w in zip(comps, identity_tuple(P, comps[0].vars, alg.w_horizon))]
+        if not all(P.is_nilpotent(x) for d in deviation for x in d.terms.values()):
+            raise ValueError("transformation is not the identity modulo nilpotents")
+        if entry is None:
+            lifted = self._lifted.setdefault(P, {})
+
+            def entry(i, k):
+                if (i, k) not in lifted:
+                    lifted[i, k] = alg_P._deform_hom(self.derivative_table[(i, k)], P.scalar)
+                return lifted[i, k]
+        ks = multi_indices(alg.theta_u.n, min(alg.w_horizon, P.order - 1))
+        deviation = [alg_P.from_w_series(d) for d in deviation]
+        return [evaluate(((k, entry(i, k)) for k in ks), deviation, alg_P, lambda v: v)
                 for i in range(self.n_gens())]
 
 
@@ -347,6 +344,12 @@ def find_relations(hull: HullData, diff_order: int, degree: int,
     the expanded generators, echelonized and pruned of consequences of
     lower-degree relations.  Completeness holds only relative to the stated
     bounds; each returned polynomial vanishes identically on the generators.
+
+    At each degree d the consequences (relations times monomials), then the
+    kernel vectors of the dependent columns of degree d, go into one span; a
+    kernel vector outside it is a new relation.  All lie in the kernel on the
+    columns of degree <= d, whose dimension is the number of dependent ones,
+    so the search at d stops, exactly, once the span has that rank.
     """
     L = hull.ext.L
     theta_u = hull.algebra.theta_u
@@ -384,9 +387,14 @@ def find_relations(hull: HullData, diff_order: int, degree: int,
     monomials = Echelon(L, (_hom_coordinates(v) for v in values))
     relations: list[dict] = []  # monomial multiset -> coefficient in L
     span = Echelon(L)  # the consequences: relations times monomials
+    kernel_rank = 0  # of the kernel on the columns of degree <= d
     for d in range(0, degree + 1):
+        candidates = [j for j in monomials.dependent if len(all_monos[j]) == d]
+        kernel_rank += len(candidates)
         for rel in relations:
             for shift in monomials_by_degree[d - max(len(m) for m in rel)]:
+                if len(span.steps) == kernel_rank:
+                    break
                 vec = {}
                 for m, c in rel.items():
                     col = column.get(tuple(sorted(m + shift)))
@@ -395,12 +403,12 @@ def find_relations(hull: HullData, diff_order: int, degree: int,
                     vec[col] = c
                 else:
                     span.add(vec)
-        for j in monomials.dependent:
-            if len(all_monos[j]) == d and span.add(vec := monomials.relation(j)):
+        for j in candidates:
+            if len(span.steps) == kernel_rank:
+                break
+            if span.add(vec := monomials.relation(j)):
                 relations.append({all_monos[i]: c for i, c in vec.items()})
-    out = []
-    for rel in relations:
-        out.append(_relation_to_diffpoly(rel, hull, nstreams, nvars))
+    out = [_relation_to_diffpoly(rel, hull, nstreams, nvars) for rel in relations]
     # verify: every relation vanishes on the generators
     for rel in relations:
         v = None

@@ -218,11 +218,6 @@ class ExpansionAlgebra:
             data[word] = self._series(terms)
         return self.element(data)
 
-    def lift(self, f: "JointElement", lift: Callable) -> "JointElement":
-        """f, an element over another coefficient ring with the same bounds,
-        with every coefficient mapped into this algebra's ring by lift."""
-        return self.element({w: s.map_coeffs(lift, self.ring) for w, s in f.data.items()})
-
     def with_ring(self, ring) -> "ExpansionAlgebra":
         alg = ExpansionAlgebra(self.action, self.theta_u, self.t_horizon, self.w_horizon,
                                self.word_bound, ring=ring)

@@ -288,11 +288,19 @@ def solve_points(hull: HullData, relations: Sequence[DiffPoly],
         if reduced != joint:
             congruent = False
 
-    relations_ok = all(
-        _relation_value(rel, lambda sym: images[hull.rho_gens[sym[0]][0]].theta_w(sym[1]), alg_P,
-                        lambda c: alg_P.from_w_series(alg.theta_u.theta_series(c, wh),
-                                                      lift=P.scalar)).is_zero()
-        for rel in relations)
+    # each symbol's theta_w-image and each coefficient's lift, once per call
+    symbol_images = {sym: images[hull.rho_gens[sym[0]][0]].theta_w(sym[1])
+                     for sym in set().union(*(rel.symbols() for rel in relations))}
+    lifts: dict = {}
+
+    def lift(c):
+        key = L.to_str(c)
+        if key not in lifts:
+            lifts[key] = alg_P.from_w_series(alg.theta_u.theta_series(c, wh), lift=P.scalar)
+        return lifts[key]
+
+    relations_ok = all(_relation_value(rel, symbol_images.__getitem__, alg_P, lift).is_zero()
+                       for rel in relations)
 
     checks = {
         "solved": True,
@@ -322,12 +330,11 @@ def group_compatibility_check(hull: HullData, report: UmemuraReport) -> bool:
     if family.empty or not family.params:
         return True
     f, g, composed = family.symbolic_pair
-    alg = hull.algebra
     # phi_f applied after phi_g: derivatives of phi_f's image, paired with
     # powers of phi_g's deviation
-    after_g = {(i, k): img.theta_w(k) for i, img in enumerate(hull.images(f.comps))
-               for k in multi_indices(alg.theta_u.n, alg.w_horizon)}
-    return hull.images(g.comps, after_g) == hull.images(composed.comps)
+    f_images = hull.images(f.comps)
+    after_g = hull.images(g.comps, lambda i, k: f_images[i].theta_w(k))
+    return after_g == hull.images(composed.comps)
 
 
 # ------------------------------------------------------------ classification

@@ -669,6 +669,26 @@ def test_product_field_componentwise():
     assert P.mul(b, P.inv(b)) == P.one()
 
 
+def test_matrix_over_a_product_eliminates_factor_by_factor():
+    # the factors pivot in different rows: no entry of the first column is a
+    # unit of Q x Q, yet the matrix is its own inverse, of determinant (1, -1)
+    P = ProductField(QQ, 2)
+    one, zero = Fraction(1), Fraction(0)
+    M = Matrix(P, [[(one, zero), (zero, one)], [(zero, one), (one, zero)]])
+    assert M.inverse() == M
+    assert M * M.inverse() == Matrix.identity(P, 2)
+    assert M.det() == (one, -one)
+    # singular in the second factor only
+    S = Matrix(P, [[(one, one), (zero, one)], [(zero, one), (one, one)]])
+    assert S.det() == (one, zero)
+    with pytest.raises(ValueError):
+        S.inverse()
+    # a single factor is the plain elimination
+    T = Matrix(ProductField(QQ, 1), [[(Fraction(2),)]])
+    assert T.inverse() == Matrix(ProductField(QQ, 1), [[(Fraction(1, 2),)]])
+    assert T.det() == (Fraction(2),)
+
+
 # -------------------------------------------------------------- contexts
 
 
@@ -727,6 +747,7 @@ def test_every_context_answers_the_protocol():
         assert R.eq(R.div(two, two), R.one())
         assert R.is_unit(two) and not R.is_nilpotent(two) and R.is_nilpotent(R.zero())
         assert R.to_str(R.zero()) in ("0", "(0, 0)")
+        assert R.factors() == ((F, F) if isinstance(R, ProductField) else ())
         elems = [R.one(), two] + R.gens()
         labels, rows = R.scalar_coordinates(elems)
         assert len(rows) == len(elems) and all(len(r) == len(labels) for r in rows)

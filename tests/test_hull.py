@@ -8,10 +8,22 @@ from fractions import Fraction
 
 import pytest
 
-from modalg.actions import ActionSpec, check_module_algebra
-from modalg.exactalg import GF, QQ, AlgebraicField, FracField, PolyRing, restriction_kernel
+import modalg.hull
+from modalg.actions import ActionSpec, MonoidDesc, check_module_algebra
+from modalg.exactalg import (
+    GF,
+    QQ,
+    AlgebraicField,
+    Echelon,
+    FracField,
+    PolyRing,
+    evaluate,
+    restriction_kernel,
+)
 from modalg.hull import (
     ExtensionDesc,
+    _hom_coordinates,
+    _relation_to_diffpoly,
     change_basis,
     distinct_products,
     find_relations,
@@ -19,7 +31,8 @@ from modalg.hull import (
     make_basis_derivation,
     variable_basis_derivation,
 )
-from modalg.series import TruncSeries, truncated_exp
+from modalg.lieritt import NilAlgebra, multi_indices
+from modalg.series import TruncSeries, identity_tuple, truncated_exp
 
 
 def additive_ext(field=QQ):
@@ -39,6 +52,38 @@ def exponential_ext():
     img = TruncSeries.const(L, ("w",), 8, y) * truncated_exp(w)
     action = ActionSpec(L, "iterder", n=1, theta_images={"y": img})
     return ExtensionDesc(L, [y], action, name="exponential")
+
+
+def q_difference_ext():
+    """L = QQ(y) with the endomorphism sigma(y) = 2y: values on monoid words."""
+    L = FracField(QQ, ["y"])
+    y = L.var("y")
+    action = ActionSpec(L, "end", monoid=MonoidDesc("endo"), endo_maps=[{"y": y * L.from_int(2)}])
+    return ExtensionDesc(L, [y], action, name="q-difference")
+
+
+def product_ext():
+    """L = QQ(y, z) with theta(y) = y + w and theta(z) = z exp(w), basis (y, z):
+    the extension of G_a x G_m, with two w variables."""
+    L = FracField(QQ, ["y", "z"])
+    y, z = L.var("y"), L.var("z")
+    w = TruncSeries.variable(L, ("w",), 8, "w")
+    action = ActionSpec(L, "iterder", n=1, theta_images={
+        "y": TruncSeries(L, ("w",), 8, {(0,): y, (1,): L.one()}),
+        "z": TruncSeries.const(L, ("w",), 8, z) * truncated_exp(w)})
+    return ExtensionDesc(L, [y, z], action, name="product")
+
+
+def gaussian_ext():
+    """y' = 2xy over K = QQ(x): theta(x) = x + w, theta(y) = y exp(2xw + w^2)."""
+    L = FracField(QQ, ["x", "y"])
+    x, y = L.var("x"), L.var("y")
+    w = TruncSeries.variable(L, ("w",), 8, "w")
+    exponent = (TruncSeries.const(L, ("w",), 8, x + x) + w) * w
+    action = ActionSpec(L, "iterder", n=1, theta_images={
+        "x": TruncSeries(L, ("w",), 8, {(0,): x, (1,): L.one()}),
+        "y": TruncSeries.const(L, ("w",), 8, y) * truncated_exp(exponent)})
+    return ExtensionDesc(L, [y], action, K_gens=[x], K_vars=("x",), name="gaussian")
 
 
 # ------------------------------------------------------- basis derivation
@@ -389,3 +434,129 @@ def test_distinct_products_match_word_enumeration():
         got = [str(m) for m in distinct_products(gens, R.one(), degree, str)]
         assert got == want
     assert distinct_products(gens, R.one(), 1, str)[:3] == [R.one(), z, y]
+
+
+# ------------------------------------------------- early exits on the chain
+
+
+def reference_images(hull, comps):
+    """The twisted-expansion formula summed over every |k| <= w_horizon,
+    with each derivative_table entry deformed over L and then lifted."""
+    alg = hull.algebra
+    P = comps[0].ring
+    alg_P = alg.with_ring(P)
+    wh = alg.w_horizon
+    deviation = [alg_P.from_w_series(c - w)
+                 for c, w in zip(comps, identity_tuple(P, comps[0].vars, wh))]
+
+    def lifted(v):
+        return alg_P.element({word: s.map_coeffs(P.scalar, P)
+                              for word, s in alg._deform_hom(v).data.items()})
+
+    ks = multi_indices(alg.theta_u.n, wh)
+    return [evaluate(((k, lifted(hull.derivative_table[(i, k)])) for k in ks),
+                     deviation, alg_P, lambda v: v)
+            for i in range(hull.n_gens())]
+
+
+@pytest.mark.parametrize("make", [additive_ext, exponential_ext, lambda: additive_ext(GF(7)),
+                                  q_difference_ext],
+                         ids=["additive", "exponential", "additive-GF7", "q-difference"])
+@pytest.mark.parametrize("order", [2, 3])
+def test_images_cut_at_the_nilpotency_order_matches_the_full_sum(make, order):
+    ext = make()
+    L = ext.L
+    wh = 4  # above the order: the terms with order <= |k| <= wh vanish
+    hull = hull_generators(ext, t_horizon=2, w_horizon=wh)
+    P = NilAlgebra(L, ("a", "b"), order)
+    a, b = P.gen("a"), P.gen("b")
+    comps = [TruncSeries(P, hull.algebra.wvars, wh,
+                         {(0,): a, (1,): P.add(P.one(), b), (2,): P.mul(a, b), (4,): a})]
+    want = reference_images(hull, comps)
+    assert hull.images(comps) == want
+    # a second call reuses the lifted entries and agrees
+    assert hull.images(comps) == want
+    # only the entries with |k| < order are asked for
+    asked = []
+    zero = hull.algebra.with_ring(P).zero()
+    hull.images(comps, lambda i, k: asked.append(k) or zero)
+    assert asked == multi_indices(1, order - 1) * hull.n_gens()
+
+
+def test_images_reject_a_deviation_with_a_unit_coefficient():
+    hull = hull_generators(additive_ext(), t_horizon=2, w_horizon=3)
+    P = NilAlgebra(hull.ext.L, ("a",), 2)
+    for terms in ({(0,): P.one(), (1,): P.one()}, {(1,): P.from_int(2)}):
+        with pytest.raises(ValueError, match="modulo nilpotents"):
+            hull.images([TruncSeries(P, hull.algebra.wvars, 3, terms)])
+
+
+def exhaustive_relations(hull, diff_order: int, degree: int):
+    """find_relations' search with every consequence and every kernel vector
+    added to the span.  Returns the relations as strings, the degree of each
+    monomial column, the kernel rank on the columns of degree <= d for each
+    d, and the number of vectors the span received."""
+    L = hull.ext.L
+    n = hull.algebra.theta_u.n
+    symbols = [(i, k) for i in range(hull.n_gens()) for k in multi_indices(n, diff_order)]
+    levels = [[()]]
+    for _ in range(degree):
+        levels.append([m + (s,) for m in levels[-1]
+                       for s in symbols[symbols.index(m[-1]) if m else 0:]])
+    monos = [m for level in levels for m in level]
+    column = {m: j for j, m in enumerate(monos)}
+
+    def value(mono):
+        v = None
+        for sym in mono:
+            v = hull.derivative_table[sym] if v is None else v * hull.derivative_table[sym]
+        return hull.derivative_table[symbols[0]].one() if v is None else v
+
+    monomials = Echelon(L, (_hom_coordinates(value(m)) for m in monos))
+    relations, span = [], Echelon(L)
+    for d in range(degree + 1):
+        for rel in relations:
+            for shift in levels[d - max(len(m) for m in rel)]:
+                keys = [tuple(sorted(m + shift)) for m in rel]
+                if all(k in column for k in keys):
+                    span.add({column[k]: c for k, c in zip(keys, rel.values())})
+        for j in monomials.dependent:
+            if len(monos[j]) == d and span.add(vec := monomials.relation(j)):
+                relations.append({monos[i]: c for i, c in vec.items()})
+    ranks = [sum(len(monos[j]) <= d for j in monomials.dependent) for d in range(degree + 1)]
+    strings = [str(_relation_to_diffpoly(rel, hull, hull.n_gens(), n)) for rel in relations]
+    return strings, [len(m) for m in monos], ranks, span.size
+
+
+@pytest.mark.parametrize("make, th, wh, count", [
+    (additive_ext, 4, 8, 8),
+    (exponential_ext, 4, 8, 8),
+    (product_ext, 2, 2, 15),
+    (product_ext, 3, 3, 30),
+    (product_ext, 6, 2, 12),
+    (gaussian_ext, 4, 2, 5),
+], ids=["additive-4-8", "exponential-4-8", "product-2-2", "product-3-3", "product-6-2",
+        "gaussian-4-2"])
+def test_find_relations_early_exit_matches_the_exhaustive_search(make, th, wh, count,
+                                                                 monkeypatch):
+    hull = hull_generators(make(), t_horizon=th, w_horizon=wh)
+    want, col_degree, ranks, exhaustive_adds = exhaustive_relations(hull, wh, 2)
+    adds = []  # (rank of the span before the add, vector) for the consequence span
+
+    class Recording(Echelon):
+        def __init__(self, field, vectors=()):
+            self.recording = vectors == ()  # the span starts empty
+            super().__init__(field, vectors)
+
+        def add(self, vec) -> bool:
+            if self.recording:
+                adds.append((len(self.steps), vec))
+            return super().add(vec)
+
+    monkeypatch.setattr(modalg.hull, "Echelon", Recording)
+    got = [str(r) for r in find_relations(hull, diff_order=wh, degree=2)]
+    assert got == want and len(got) == count
+    # no vector reaches the span once it has the rank of the kernel at its degree
+    for rank, vec in adds:
+        assert rank < ranks[max(col_degree[c] for c in vec)]
+    assert len(adds) <= exhaustive_adds
