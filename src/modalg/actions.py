@@ -446,7 +446,9 @@ class ActionSpec:
         so they live exactly as long as it does; a later call extends a power
         row only when it needs a higher exponent.  An element's numerator and
         denominator are sums of scaled cached powers, and a fraction costs one
-        TruncSeries.divide."""
+        TruncSeries.divide, none when its denominator is 1; so a constant
+        deforms to the constant series, and the polynomial coefficients that
+        umemura deforms after clearing denominators cost no division."""
         if not self.has_theta() and self.kind != "trivial":
             return TruncSeries.const(self.ring, (), 0, elem)
         if self.kind == "trivial":

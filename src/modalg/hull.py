@@ -381,6 +381,8 @@ def find_relations(hull: HullData, diff_order: int, degree: int,
 
     all_monos = [m for level in monomials_by_degree for m in level]
     column = {m: j for j, m in enumerate(all_monos)}
+    # a monomial lists its symbols in the order of symbols
+    position = {s: j for j, s in enumerate(symbols)}.__getitem__
     values = [value(m) for m in all_monos]
     # one elimination of the monomial columns: the relations of its
     # dependent columns of degree d are the new kernel vectors at degree d
@@ -397,7 +399,7 @@ def find_relations(hull: HullData, diff_order: int, degree: int,
                     break
                 vec = {}
                 for m, c in rel.items():
-                    col = column.get(tuple(sorted(m + shift)))
+                    col = column.get(tuple(sorted(m + shift, key=position)))
                     if col is None:
                         break
                     vec[col] = c

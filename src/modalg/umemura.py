@@ -91,11 +91,15 @@ class YPoly:
 def build_ideal(hull: HullData, relations: Sequence[DiffPoly]) -> LieRittIdeal:
     """Twist each relation into differential-polynomial generators.
 
-    Relation coefficients c become their w-deformations; the symbol for the
-    k-th derivative of generator i becomes the k-th derivative of the
-    template sum_m V_(i,m) Y^m.  One generator is extracted per operator
-    coordinate (word, t-exponent); duplicates and scalar multiples are
-    removed and each generator is normalized to leading coefficient one."""
+    Each relation is first cleared of denominators in L (_cleared), and the
+    cleared coefficients, polynomials, become their w-deformations; as
+    theta_u is a ring homomorphism and truncated products are exact, this
+    equals deforming each coefficient and multiplying by the deformed
+    clearing multiplier.  The symbol for the k-th derivative of generator i
+    becomes the k-th derivative of the template sum_m V_(i,m) Y^m.  One
+    generator is extracted per operator coordinate (word, t-exponent);
+    duplicates and scalar multiples are removed and each generator is
+    normalized to leading coefficient one."""
     alg = hull.algebra
     L = hull.ext.L
     theta_u = alg.theta_u
@@ -130,25 +134,11 @@ def build_ideal(hull: HullData, relations: Sequence[DiffPoly]) -> LieRittIdeal:
     def y_one() -> YPoly:
         return YPoly.const(alg, alg.one())
 
-    gens: list[DiffPoly] = []
-    seen: set = set()
+    gens: dict[tuple, DiffPoly] = {}  # signature -> generator
     for rel in relations:
-        # clearing multiplier: the deformation of the coefficient
-        # denominators turns the rational coefficients into polynomials
-        multiplier = None
-        for _, coeff in rel.terms.items():
-            c = coeff.coeff((0,) * len(coeff.vars))
-            if isinstance(c, Frac) and not c.den.is_const():
-                den = L.from_poly(c.den)
-                m = theta_u.theta_series(den, wh)
-                multiplier = m if multiplier is None else multiplier * m
         twisted = YPoly(alg, {})
-        for key, coeff in rel.terms.items():
-            c = coeff.coeff((0,) * len(coeff.vars))
-            joint_c = alg.from_w_series(theta_u.theta_series(c, wh))
-            if multiplier is not None:
-                joint_c = joint_c * alg.from_w_series(multiplier)
-            term = YPoly.const(alg, joint_c)
+        for key, c in _cleared(rel, L):
+            term = YPoly.const(alg, alg.from_w_series(theta_u.theta_series(c, wh)))
             for (i, k), e in key:
                 term = term * power(template_deriv(i, tuple(k)), e, y_one)
             twisted = twisted + term
@@ -166,12 +156,23 @@ def build_ideal(hull: HullData, relations: Sequence[DiffPoly]) -> LieRittIdeal:
             poly = _normalize(poly, L)
             if poly is None or poly.is_zero():
                 continue
-            sig = _signature(poly, L)
-            if sig not in seen:
-                seen.add(sig)
-                gens.append(poly)
-    gens.sort(key=lambda g: _signature(g, L))
-    return LieRittIdeal(n, L, wvars, wh, gens)
+            gens.setdefault(_signature(poly, L), poly)
+    return LieRittIdeal(n, L, wvars, wh, [gens[sig] for sig in sorted(gens)])
+
+
+def _cleared(rel: DiffPoly, L) -> list[tuple]:
+    """The terms (key, coefficient in L) of M*rel, where M is the product of
+    the denominators of rel's coefficients: a unit multiple of rel, so it
+    vanishes exactly where rel does, with polynomial coefficients."""
+    terms = [(key, c.coeff((0,) * len(c.vars))) for key, c in rel.terms.items()]
+    multiplier = None
+    for _, c in terms:
+        if isinstance(c, Frac) and not c.den.is_const():
+            den = L.from_poly(c.den)
+            multiplier = den if multiplier is None else multiplier * den
+    if multiplier is None:
+        return terms
+    return [(key, c * multiplier) for key, c in terms]
 
 
 def _normalize(poly: DiffPoly, L) -> DiffPoly | None:
@@ -256,13 +257,16 @@ def solve_points(hull: HullData, relations: Sequence[DiffPoly],
     the image of an expanded generator is the sum over k of its k-th
     derivative times the k-th power of the transformation deviation.  Both
     the congruence to the identity modulo nilpotents and the preservation
-    of all relations are re-checked on the symbolic family."""
+    of all relations are re-checked on the symbolic family; both relation
+    checks evaluate each relation cleared of denominators (_cleared), a unit
+    multiple with the same zero test and polynomial coefficients."""
     # re-check the precondition: relations vanish on the generators
     L = hull.ext.L
+    cleared = [_cleared(rel, L) for rel in relations]
     one = next(iter(hull.derivative_table.values())).one()
     homs = SimpleNamespace(zero=lambda: one.scale(L.zero()), add=operator.add, mul=operator.mul)
-    for rel in relations:
-        value = _relation_value(rel, hull.derivative_table.__getitem__, homs, one.scale)
+    for terms in cleared:
+        value = _relation_value(terms, hull.derivative_table.__getitem__, homs, one.scale)
         if not all(s.is_zero() for s in value.data.values()):
             raise ValueError("relation does not vanish on the hull generators")
 
@@ -299,8 +303,8 @@ def solve_points(hull: HullData, relations: Sequence[DiffPoly],
             lifts[key] = alg_P.from_w_series(alg.theta_u.theta_series(c, wh), lift=P.scalar)
         return lifts[key]
 
-    relations_ok = all(_relation_value(rel, symbol_images.__getitem__, alg_P, lift).is_zero()
-                       for rel in relations)
+    relations_ok = all(_relation_value(terms, symbol_images.__getitem__, alg_P, lift).is_zero()
+                       for terms in cleared)
 
     checks = {
         "solved": True,
@@ -311,12 +315,12 @@ def solve_points(hull: HullData, relations: Sequence[DiffPoly],
     return UmemuraReport(hull, ideal, family, images, checks, classification)
 
 
-def _relation_value(rel: DiffPoly, image, target, lift):
-    """rel with each symbol s replaced by image(s) and each coefficient, a
-    constant series c, by lift(c), summed in the context target."""
-    symbols = sorted(rel.symbols())
-    return evaluate(((tuple(dict(key).get(sym, 0) for sym in symbols), c.coeff((0,) * len(c.vars)))
-                     for key, c in rel.terms.items()),
+def _relation_value(terms: list[tuple], image, target, lift):
+    """The relation with terms (key, coefficient c in L), each symbol s
+    replaced by image(s) and each c by lift(c), summed in the context
+    target."""
+    symbols = sorted({sym for key, _ in terms for sym, _ in key})
+    return evaluate(((tuple(dict(key).get(sym, 0) for sym in symbols), c) for key, c in terms),
                     [image(sym) for sym in symbols], target, lift)
 
 

@@ -290,6 +290,63 @@ def test_theta_series_matches_evaluate_then_reciprocal(case):
     assert high == theta_reference(act, elem, top)
 
 
+FIELD_ACTIONS = ("QQ(y)", "GF7(y)", "QQ(x1,x2)")
+
+
+@st.composite
+def field_elements(draw, count: int):
+    """A fresh action over a rational function field and count of its
+    elements: small polynomials over small polynomials or over monomials."""
+    act = THETA_ACTIONS[draw(st.sampled_from(FIELD_ACTIONS))]()
+    L = act.ring
+    gens = L.gens()
+
+    def small():
+        out = L.from_int(draw(st.integers(-2, 2)))
+        for g in gens:
+            out = out + L.from_int(draw(st.integers(-2, 2))) * g
+        return out + L.from_int(draw(st.integers(-1, 1))) * gens[-1] * gens[0]
+
+    def monomial():
+        out = L.one()
+        for g in gens:
+            out = out * g ** draw(st.integers(0, 3))
+        return out
+
+    elems = []
+    for _ in range(count):
+        den = draw(st.sampled_from((small, monomial)))()
+        elems.append(small() / (den if not den.is_zero() else L.one()))
+    return act, elems
+
+
+def _horizon(act) -> int:
+    # a quotient of general polynomials in two variables at horizon 3 takes
+    # seconds to divide
+    return 4 if len(act.wvars) == 1 else 2
+
+
+@settings(max_examples=25, deadline=None)
+@given(field_elements(2))
+def test_theta_series_is_multiplicative_at_the_horizon(case):
+    # theta is a ring homomorphism and truncated products are exact, so
+    # deforming a product equals multiplying the deformations
+    act, (a, b) = case
+    h = _horizon(act)
+    assert act.theta_series(a * b, h) == act.theta_series(a, h) * act.theta_series(b, h)
+
+
+@pytest.mark.parametrize("name", FIELD_ACTIONS + ("QQ[y,1/y]",))
+@pytest.mark.parametrize("value", [0, 1, Fraction(-3, 2)])
+def test_a_constant_deforms_to_the_constant_series(name, value):
+    act = THETA_ACTIONS[name]()
+    R = act.ring
+    c = R.const(value)
+    got = act.theta_series(c, 5)
+    assert got == TruncSeries.const(R, act.wvars, 5, c)
+    assert got == theta_reference(act, c, 5)
+
+
 def test_action_over_an_unsupported_context_is_rejected_when_built():
     with pytest.raises(ValueError, match="unsupported ring context"):
         ActionSpec(QQ, "iterder", n=1)

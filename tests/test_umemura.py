@@ -143,6 +143,18 @@ def test_exponential_points():
     assert img == scaled
 
 
+def test_points_of_a_wrong_ideal_do_not_preserve_the_relations():
+    # the translations w -> w + a0 solve the additive ideal but move the
+    # exponential relation Y^(1) - 1/y*Y; the relations are checked cleared
+    # of denominators, which must not hide that
+    _, add_hull, add_rels = additive_setup(4, 8)
+    _, hull, rels = exponential_setup(4, 8)
+    report = solve_points(hull, rels, build_ideal(add_hull, add_rels))
+    assert report.classification["tag"] == "Ga_hat"
+    assert report.checks["solved"]
+    assert report.checks["relations_preserved"] is False
+
+
 def test_parameter_law_names_the_composite():
     # the left side is the parameter of the composite, not a product:
     # translations add (G_a), and (1 + a)(1 + a') = 1 + (a + a' + a*a') (G_m)
