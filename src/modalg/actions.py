@@ -25,9 +25,10 @@ the word, with the horizon shrinking accordingly.
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Callable, Sequence
 
-from .exactalg import Frac, FracField, PolyRing, ProductField, evaluate, restriction_kernel
+from .exactalg import Frac, FracField, PolyRing, ProductField, binom, evaluate, restriction_kernel
 from .exactalg.algext import AlgebraicField
 from .lieritt import multi_indices
 from .series import SeriesRing, TruncSeries
@@ -314,14 +315,10 @@ class ActionSpec:
         return DEFAULT_WORD_BOUND if self.has_monoid() else TRIVIAL_WORD_BOUND
 
     # ----------------------------------------------------- generator images
-    def _gen_element(self, name: str):
-        ring = self.ring
-        return ring.var(name)
-
     def _theta_image(self, name: str, horizon: int) -> TruncSeries:
         """theta(gen) as a series in the w variables, horizon-adjusted."""
         if self.kind == "trivial" or not self.has_theta():
-            return TruncSeries.const(self.ring, self.wvars, horizon, self._gen_element(name))
+            return TruncSeries.const(self.ring, self.wvars, horizon, self.ring.var(name))
         if self.kind == "der":
             return self._der_series(name, horizon)
         if name in self.theta_images:
@@ -343,11 +340,9 @@ class ActionSpec:
 
     def _der_series(self, name: str, horizon: int) -> TruncSeries:
         # divided powers of a single derivation: sum d^k(g)/k! w^k
-        import math
-
         ring = self.ring
-        out = {(0,): self._gen_element(name)}
-        cur = self._gen_element(name)
+        cur = ring.var(name)
+        out = {(0,): cur}
         for k in range(1, horizon + 1):
             cur = self._apply_derivation(cur)
             if ring.is_zero(cur):
@@ -405,8 +400,10 @@ class ActionSpec:
 
     # --------------------------------------------------------- application
     def _apply_with(self, maps: Sequence[dict], gen_idx: int, elem):
-        images = {name: self._endo_image(maps, gen_idx, name) for name in self.ring.vars}
-        return self._ring_hom(elem, images)
+        ring = self.ring
+        images = {name: self._endo_image(maps, gen_idx, name) for name in ring.vars}
+        return ring_hom(ring, elem, images, ring,
+                        ring.scalar if isinstance(ring, PolyRing) else ring.const)
 
     def apply_generator(self, gen_idx: int, elem):
         """Apply one monoid generator to a ring element."""
@@ -473,18 +470,6 @@ class ActionSpec:
     def theta_coefficient(self, elem, k: tuple[int, ...]):
         return self.theta_series(elem, sum(k)).coeff(k)
 
-    def _ring_hom(self, elem, images: dict):
-        ring = self.ring
-        if isinstance(ring, AlgebraicField):
-            return evaluate([((d,), c) for d, c in enumerate(ring.decompose(elem))],
-                            [images[ring.gen_name]], ring, lambda c: _frac_hom(c, images, ring))
-        gens = [images[v] for v in ring.vars]
-        if isinstance(ring, FracField):
-            num, den = (evaluate(p.sorted_terms(), gens, ring, ring.const)
-                        for p in (elem.num, elem.den))
-            return num / den
-        return evaluate(elem.sorted_terms(), gens, ring, ring.scalar)
-
     # ----------------------------------------------------------- expansion
     def tvars(self) -> tuple[str, ...]:
         if not self.has_theta() and self.kind != "trivial":
@@ -535,11 +520,21 @@ class ActionSpec:
         return f"ActionSpec({self.kind!r}, ring={self.ring!r}, n={self.n})"
 
 
-def _frac_hom(c: Frac, images: dict, alg: AlgebraicField):
-    """Apply base-variable images to a base-field fraction, inside alg."""
-    gens = [images[v] for v in c.field.vars]
-    num, den = (evaluate(p.sorted_terms(), gens, alg, alg.const) for p in (c.num, c.den))
-    return alg.div(num, den)
+def ring_hom(ring, elem, images: dict, target, lift: Callable):
+    """The image of elem, an element of ring (a PolyRing, a FracField or an
+    AlgebraicField over one), under the ring map into target that sends
+    each generator name to images[name] and each scalar c to lift(c)."""
+    if isinstance(ring, AlgebraicField):
+        return evaluate([((d,), c) for d, c in enumerate(ring.decompose(elem))],
+                        [images[ring.gen_name]], target,
+                        lambda c: ring_hom(ring.base, c, images, target, lift))
+
+    def at(p):
+        return evaluate(p.sorted_terms(), [images[v] for v in p.ring.vars], target, lift)
+
+    if isinstance(ring, FracField):
+        return target.div(at(elem.num), at(elem.den))
+    return at(elem)
 
 
 class GeneratorPowers:
@@ -715,11 +710,8 @@ def check_module_algebra(action: ActionSpec, ring, depth: int,
                         continue
                     checked += 1
                     lhs = eda.value(unit_word, j)
-                    from .exactalg import binom as _binom
-
-                    c = _binom(tuple(x + y for x, y in zip(i, j)), i, ring.char)
                     ij = tuple(x + y for x, y in zip(i, j))
-                    rhs = ring.mul(ea.value(unit_word, ij), ring.const(c))
+                    rhs = ring.mul(ea.value(unit_word, ij), ring.const(binom(ij, i, ring.char)))
                     if not ring.eq(lhs, rhs):
                         failures.append(
                             f"iteration rule fails at (i, j) = ({i}, {j}) on {a}"
@@ -780,7 +772,7 @@ def constants(ring, action, degree: int, horizon: int | None = None) -> list:
         return product_constants(ring, action, degree)
     if horizon is None:
         horizon = max(degree, 2)
-    basis = _monomial_basis(ring, degree)
+    basis = monomial_basis(ring, degree)
     scalars = ring.scalars
     columns: list[list] = [[] for _ in basis]
     if action.has_theta() or action.kind == "der":
@@ -822,16 +814,25 @@ def _kernel_elements(ring, basis: list, kernel: list[list]) -> list:
     return out
 
 
-def _monomial_basis(ring, degree: int) -> list:
+def monomial_basis(ring, degree: int) -> list:
+    """The distinct monomials of total degree <= degree in the generators of
+    ring, in the order of multi_indices; a monomial that an inverse pair
+    reduces to an earlier one is kept once, at its first place.  Each
+    monomial is one product: an earlier monomial times one generator."""
     gens = ring.gens()
-    n = len(gens)
-    seen = []
+    built: dict = {}
+    seen = set()
     out = []
-    for exp in multi_indices(n, degree):
-        m = evaluate([(exp, ring.one())], gens, ring, lambda c: c)
+    for exp in multi_indices(len(gens), degree):
+        j = next((i for i, e in enumerate(exp) if e), None)
+        if j is None:
+            m = ring.one()
+        else:
+            m = ring.mul(built[exp[:j] + (exp[j] - 1,) + exp[j + 1:]], gens[j])
+        built[exp] = m
         key = ring.to_str(m)
         if key not in seen:
-            seen.append(key)
+            seen.add(key)
             out.append(m)
     return out
 
@@ -902,7 +903,7 @@ def product_constants(spec: ProductRingSpec, action, degree: int) -> list:
     P = spec.ring
     basis = []
     for i in range(spec.count):
-        for b in _monomial_basis(factor, degree):
+        for b in monomial_basis(factor, degree):
             v = [factor.zero()] * spec.count
             v[i] = b
             basis.append(tuple(v))

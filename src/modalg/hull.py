@@ -142,7 +142,6 @@ def change_basis_substitution(L, theta0: ActionSpec, new_basis: Sequence, horizo
     Solves s_i(t(w)) = w_i for s_i = theta_old(v_i) - v_i via the formal
     inverse; a singular Jacobian means the new basis does not separate."""
     n = theta0.n
-    failures = []
     s = []
     for v in new_basis:
         ser = theta0.theta_series(v, horizon)
@@ -152,7 +151,7 @@ def change_basis_substitution(L, theta0: ActionSpec, new_basis: Sequence, horizo
         t = formal_inverse(s)
     except (ValueError, ArithmeticError) as exc:
         return None, Report(False, n, [f"substitution inverse failed: {exc}"], {})
-    return t, Report(not failures, n, failures, {"horizon": horizon})
+    return t, Report(True, n, [], {"horizon": horizon})
 
 
 def change_basis(ext: ExtensionDesc, new_basis: Sequence, horizon: int):
@@ -262,8 +261,7 @@ def hull_generators(ext: ExtensionDesc, t_horizon: int, w_horizon: int,
         for k in multi_indices(theta_u.n, w_horizon):
             table[(i, tuple(k))] = joint.w_slice(k)
 
-    accepted: list[HomElement] = [hom for _, hom in
-                                  [(lbl, j.w_slice((0,) * theta_u.n)) for lbl, j in rho0_gens]]
+    accepted: list[HomElement] = [j.w_slice((0,) * theta_u.n) for _, j in rho0_gens]
     accepted += [table[(i, (0,) * theta_u.n)] for i in range(len(rho_gens))]
     span = _monomial_span(accepted, L, span_degree)
     new_gens = []
@@ -281,7 +279,6 @@ def hull_generators(ext: ExtensionDesc, t_horizon: int, w_horizon: int,
                     added_this_order = True
         if added_this_order:
             stabilized_at = order
-    # a second sweep: closure stabilized iff the last horizon order added nothing
     if stabilized_at >= w_horizon:
         failures.append(
             f"derivative closure still growing at order {w_horizon}; "

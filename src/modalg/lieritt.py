@@ -241,11 +241,13 @@ class InfTransform:
 
 
 class DiffPoly:
-    """Polynomial in finitely many symbols Y_i^(k) with series coefficients.
+    """Polynomial in finitely many symbols Y_i^(k) with coefficients in w:
+    TruncSeries over coeff_ring, or JointElements in umemura.
 
-    The derivation sends Y_i^(k) to C(k+l, k) Y_i^(k+l) and acts on the w's
-    of the coefficients; evaluation substitutes the k-th divided derivative
-    of a transformation component for Y_i^(k)."""
+    The derivation sends Y_i^(k) to C(k+l, k) Y_i^(k+l), dropping a symbol
+    it moves above the horizon, and acts on the w's of the coefficients;
+    evaluation substitutes the k-th divided derivative of a transformation
+    component for Y_i^(k)."""
 
     __slots__ = ("nstreams", "coeff_ring", "wvars", "horizon", "terms")
 
@@ -316,19 +318,23 @@ class DiffPoly:
 
     # derivation --------------------------------------------------------
     def hasse_deriv(self, l: tuple[int, ...]) -> "DiffPoly":
-        """Divided derivative of order l, acting on coefficients and symbols
-        through the splitting rule for products."""
+        """Divided derivative of order l by the Leibniz rule: a coefficient c
+        taking the part p of l times the symbol_derivatives of the rest."""
         l = tuple(l)
-        if all(a == 0 for a in l):
+        if not any(l):
             return self
-        zero = DiffPoly(self.nstreams, self.coeff_ring, self.wvars, self.horizon, {})
-        out = zero
+        from_int = self.coeff_ring.from_int
+        items = []
         for key, c in self.terms.items():
-            factors = [("c", c)]
-            for sym, e in key:
-                factors.extend([("y", sym)] * e)
-            out = out + _deriv_product(self, factors, l)
-        return out
+            for part, rest in _splits(l, 2):
+                dc = c.hasse_deriv(part) if any(part) else c
+                if dc.is_zero():
+                    continue
+                for dkey, m in symbol_derivatives(key, rest, self.horizon):
+                    t = dc if m == 1 else dc.scale(from_int(m))
+                    if not t.is_zero():
+                        items.append((dkey, t))
+        return self._make(_terms.accumulate({}, items, _terms.OPERATORS))
 
     def evaluate(self, phi: InfTransform, lift) -> TruncSeries:
         """Substitute the divided derivatives of phi for the symbols.
@@ -374,43 +380,29 @@ def _key_sort(key):
     return (sum(e for _, e in key), tuple((i, k, e) for (i, k), e in key))
 
 
-def _deriv_product(ctx: DiffPoly, factors: list, l: tuple[int, ...]) -> DiffPoly:
-    """Derivative of a product of atomic factors by splitting l across them."""
-    n = len(l)
-    zero = DiffPoly(ctx.nstreams, ctx.coeff_ring, ctx.wvars, ctx.horizon, {})
-
-    def atom_deriv(kind, payload, part: tuple[int, ...]) -> DiffPoly:
-        if kind == "c":
-            s = payload.hasse_deriv(part)
-            if s.is_zero():
-                return zero
-            return DiffPoly.coefficient(ctx.nstreams, s)
-        i, k = payload
-        kk = tuple(a + b for a, b in zip(k, part))
-        b = 1
-        for a, bb in zip(kk, k):
-            b *= math.comb(a, bb)
-        coef = ctx.coeff_ring.from_int(b)
-        if ctx.coeff_ring.is_zero(coef):
-            return zero
-        sym = DiffPoly.symbol(ctx.nstreams, ctx.coeff_ring, ctx.wvars, ctx.horizon, i, kk)
-        return DiffPoly.coefficient(
-            ctx.nstreams, TruncSeries.const(ctx.coeff_ring, ctx.wvars, ctx.horizon, coef)
-        ) * sym
-
-    out = zero
-    for split in _splits(l, len(factors)):
-        term = None
-        dead = False
-        for (kind, payload), part in zip(factors, split):
-            d = atom_deriv(kind, payload, part)
-            if d.is_zero():
-                dead = True
+def symbol_derivatives(key, l: tuple[int, ...], horizon: int):
+    """The divided derivative of order l of the symbol product key, as
+    (key, integer) pairs, one per product reached.  Each split of l over the
+    factors (Y^e is e factors) turns a factor Y_i^(k) taking the part p into
+    C(k+p, k)*Y_i^(k+p); a split that moves a symbol above the horizon is
+    dropped, since such a symbol vanishes on every transformation at that
+    horizon.  The caller maps the integers into its ring (they may vanish
+    mod p)."""
+    factors = [sym for sym, e in key for _ in range(e)]
+    out: dict = {}
+    for split in _splits(tuple(l), len(factors)):
+        n = 1
+        counts: dict = {}
+        for (i, k), p in zip(factors, split):
+            kp = _terms.add_keys(k, p)
+            if sum(kp) > horizon:
                 break
-            term = d if term is None else term * d
-        if not dead and term is not None:
-            out = out + term
-    return out
+            n *= math.prod(map(math.comb, kp, k))
+            counts[(i, kp)] = counts.get((i, kp), 0) + 1
+        else:
+            dkey = tuple(sorted(counts.items()))
+            out[dkey] = out.get(dkey, 0) + n
+    return out.items()
 
 
 def _splits(l: tuple[int, ...], parts: int):

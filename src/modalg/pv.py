@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 
-from .actions import ActionSpec, Report, constants
+from .actions import ActionSpec, Report, constants, monomial_basis
 from .exactalg import (
     Echelon,
     Frac,
@@ -166,25 +166,13 @@ def verify(data: PVData, degree: int, horizon: int | None = None) -> Report:
     if act.has_monoid():
         for g in range(len(act.monoid.gens)):
             checked += 1
-            basis = _laurent_monomials(data.R, degree)
+            basis = monomial_basis(data.R, degree)
             cols = [[act.apply_generator(g, data.r_to_L(b))] for b in basis]
             ker = restriction_kernel(cols, L, data.k)
             if ker:
                 failures.append(f"monoid generator {g} has a kernel at degree {degree}")
 
     return Report(not failures, checked, failures, {"degree": degree, "horizon": horizon})
-
-
-def _laurent_monomials(R: PolyRing, degree: int) -> list[MPoly]:
-    out = []
-    seen = set()
-    for exp in multi_indices(R.nvars(), degree):
-        m = R.poly({tuple(exp): R.field.one()})
-        key = str(m)
-        if key not in seen:
-            seen.add(key)
-            out.append(m)
-    return out
 
 
 class _TensorPower:
@@ -261,11 +249,11 @@ def _left_span_covers(data: PVData, pair: _TensorPower, hbasis: list[MPoly],
         layer = [q for q in layer if consts.add(q.terms)]
         basis = basis + layer
     span = Echelon(data.k)
-    for m in _laurent_monomials(data.R, degree):
+    for m in monomial_basis(data.R, degree):
         lm = pair.place(m, (1,))
         for q in basis:
             span.add((lm * q).terms)
-    return all(span.contains(t.terms) for t in _laurent_monomials(pair.ring, degree))
+    return all(span.contains(t.terms) for t in monomial_basis(pair.ring, degree))
 
 
 class HopfPresentation:
@@ -743,14 +731,14 @@ def check_mu_bijectivity(data: PVData, hopf: HopfPresentation, degree: int) -> R
     every doubled monomial within the degree window."""
     tensor = hopf.tensor
     failures = []
-    r_monos = _laurent_monomials(data.R, 2 * degree)
+    r_monos = monomial_basis(data.R, 2 * degree)
     h_monos = distinct_products(hopf.gens, tensor.ring.one(), degree, str)
     images = [tensor.place(r, (1,)) * h for r in r_monos for h in h_monos]
     span = Echelon(data.k)
     # the images are independent exactly when each one adds to the span
     if not all([span.add(img.terms) for img in images]):
         failures.append("monomial images are linearly dependent")
-    targets = _laurent_monomials(tensor.ring, degree)
+    targets = monomial_basis(tensor.ring, degree)
     for t in targets:
         if not span.contains(t.terms):
             failures.append(f"doubled monomial {t} is outside the image span")
@@ -848,7 +836,7 @@ def compare(data: PVData, hull: HullData, relations, degree: int = 3) -> Compare
     # rewrite each reconstructed image in split form: sum of deformed
     # expansions of R-monomials times w-free coefficients
     L = data.L
-    split = _SplitOperator(L, [data.r_to_L(m) for m in _laurent_monomials(data.R, degree)],
+    split = _SplitOperator(L, [data.r_to_L(m) for m in monomial_basis(data.R, degree)],
                            hull.algebra)
     sigma_images = {}
     for label, _, _ in hull.rho_gens:

@@ -20,24 +20,13 @@ from __future__ import annotations
 
 from typing import Callable, Sequence
 
-from .actions import ActionSpec, HomElement, Report
-from .exactalg import Frac, evaluate, power
+from .actions import ActionSpec, HomElement, Report, ring_hom
+from .exactalg import power
 from .series import TruncSeries
 
 
 def _identity(c):
     return c
-
-
-def ring_hom(elem, images: dict, target, lift: Callable):
-    """Apply the ring map sending each generator to images[name] and each
-    scalar c to lift(c); elem comes from a FracField or PolyRing context."""
-    def at(p):
-        return evaluate(p.sorted_terms(), [images[v] for v in p.ring.vars], target, lift)
-
-    if isinstance(elem, Frac):
-        return target.mul(at(elem.num), target.inv(at(elem.den)))
-    return at(elem)
 
 
 class TaylorMap:
@@ -80,7 +69,7 @@ def check_expansion_universal(action: ActionSpec, Lambda: Callable, target,
     for s in samples:
         checked += 1
         try:
-            lam_s = ring_hom(s, gen_images, target, target_lift)
+            lam_s = ring_hom(ring, s, gen_images, target, target_lift)
         except ZeroDivisionError:
             failures.append(f"induced map undefined on {s}")
             continue
@@ -89,7 +78,7 @@ def check_expansion_universal(action: ActionSpec, Lambda: Callable, target,
         mapped = HomElement(
             target, expanded.monoid, expanded.tvars, expanded.horizon, expanded.word_bound,
             {w: series.map_coeffs(
-                lambda c: ring_hom(c, gen_images, target, target_lift),
+                lambda c: ring_hom(ring, c, gen_images, target, target_lift),
                 target,
             ) for w, series in expanded.data.items()},
         )
@@ -281,7 +270,7 @@ class JointElement:
             return False
         return all(self.data[w] == other.data[w] for w in self.data)
 
-    def theta_w(self, k: tuple[int, ...]) -> "JointElement":
+    def hasse_deriv(self, k: tuple[int, ...]) -> "JointElement":
         """Divided derivative in the w direction (wordwise)."""
         kk = (0,) * len(self.alg.tvars) + tuple(k)
         return JointElement(self.alg, {w: s.hasse_deriv(kk) for w, s in self.data.items()})

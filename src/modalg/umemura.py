@@ -13,7 +13,6 @@ generators through the twisted-expansion formula.
 
 from __future__ import annotations
 
-import math
 import operator
 from types import SimpleNamespace
 from typing import Sequence
@@ -25,67 +24,12 @@ from .lieritt import (
     DiffPoly,
     LieRittIdeal,
     SolutionFamily,
-    _merge_keys,
-    _splits,
     multi_indices,
     solve_zero_set,
+    symbol_derivatives,
 )
 from .series import TruncSeries
 from .taylor import JointElement
-
-
-class YPoly:
-    """Polynomial in the Y symbols with JointElement coefficients."""
-
-    def __init__(self, alg, terms: dict):
-        self.alg = alg
-        self.terms = {k: v for k, v in terms.items() if not v.is_zero()}
-
-    @classmethod
-    def const(cls, alg, c: JointElement) -> "YPoly":
-        return cls(alg, {(): c})
-
-    def __add__(self, other: "YPoly") -> "YPoly":
-        return YPoly(self.alg, _terms.add(self.terms, other.terms, _terms.OPERATORS))
-
-    def __mul__(self, other: "YPoly") -> "YPoly":
-        return YPoly(self.alg, _terms.mul(self.terms, other.terms, _terms.OPERATORS, _merge_keys))
-
-    def deriv(self, l: tuple[int, ...], max_order: int) -> "YPoly":
-        """Divided derivative acting on the Y symbols only (coefficients are
-        w-free by construction); symbols beyond max_order evaluate to zero on
-        every modeled transformation and are dropped."""
-        if not any(l):
-            return self
-        items = []
-        for key, coeff in self.terms.items():
-            factors = []
-            for (j, k), e in key:
-                factors.extend([(j, k)] * e)
-            for split in _splits(l, len(factors)):
-                scale = 1
-                new_syms = []
-                dead = False
-                for (j, k), part in zip(factors, split):
-                    kk = tuple(a + b for a, b in zip(k, part))
-                    if sum(kk) > max_order:
-                        dead = True
-                        break
-                    b = 1
-                    for a, bb in zip(kk, k):
-                        b *= math.comb(a, bb)
-                    scale *= b
-                    new_syms.append((j, kk))
-                if dead:
-                    continue
-                c = coeff.scale(self.alg.ring.from_int(scale))
-                if c.is_zero():
-                    continue
-                counts: dict = {}
-                for s in new_syms:
-                    counts[s] = counts.get(s, 0) + 1
-                items.append((tuple(sorted(counts.items())), c))
-        return YPoly(self.alg, _terms.accumulate({}, items, _terms.OPERATORS))
 
 
 def build_ideal(hull: HullData, relations: Sequence[DiffPoly]) -> LieRittIdeal:
@@ -96,10 +40,12 @@ def build_ideal(hull: HullData, relations: Sequence[DiffPoly]) -> LieRittIdeal:
     theta_u is a ring homomorphism and truncated products are exact, this
     equals deforming each coefficient and multiplying by the deformed
     clearing multiplier.  The symbol for the k-th derivative of generator i
-    becomes the k-th derivative of the template sum_m V_(i,m) Y^m.  One
-    generator is extracted per operator coordinate (word, t-exponent);
-    duplicates and scalar multiples are removed and each generator is
-    normalized to leading coefficient one."""
+    becomes the k-th derivative of its template sum_m V_(i,m) Y^m, a
+    DiffPoly with w-free JointElement coefficients, so only its symbols are
+    derived, by symbol_derivatives (_symbol_deriv).  One generator is
+    extracted per operator coordinate (word, t-exponent); duplicates and
+    scalar multiples are removed and each generator is normalized to leading
+    coefficient one."""
     alg = hull.algebra
     L = hull.ext.L
     theta_u = alg.theta_u
@@ -107,40 +53,24 @@ def build_ideal(hull: HullData, relations: Sequence[DiffPoly]) -> LieRittIdeal:
     wh = alg.w_horizon
     wvars = theta_u.wvars
 
-    # deformation templates and their derivatives
-    zero_k = (0,) * n
-    templates: dict[int, YPoly] = {}
-    for i in range(hull.n_gens()):
-        terms: dict = {}
-        for m in multi_indices(n, wh):
-            v = hull.derivative_table[(i, tuple(m))]
-            coeff = alg.from_hom(v)
-            if coeff.is_zero():
-                continue
-            counts: dict = {}
-            for j, e in enumerate(m):
-                if e:
-                    counts[(j, zero_k)] = e
-            terms[tuple(sorted(counts.items()))] = coeff
-        templates[i] = YPoly(alg, terms)
+    templates = _templates(hull)
+    deriv_cache: dict[tuple[int, tuple[int, ...]], DiffPoly] = {}
 
-    deriv_cache: dict[tuple[int, tuple[int, ...]], YPoly] = {}
-
-    def template_deriv(i: int, k: tuple[int, ...]) -> YPoly:
+    def template_deriv(i: int, k: tuple[int, ...]) -> DiffPoly:
         if (i, k) not in deriv_cache:
-            deriv_cache[(i, k)] = templates[i].deriv(k, wh)
+            deriv_cache[(i, k)] = _symbol_deriv(templates[i], k)
         return deriv_cache[(i, k)]
 
-    def y_one() -> YPoly:
-        return YPoly.const(alg, alg.one())
+    def constant(c: JointElement) -> DiffPoly:
+        return DiffPoly(n, L, wvars, wh, {(): c})
 
     gens: dict[tuple, DiffPoly] = {}  # signature -> generator
     for rel in relations:
-        twisted = YPoly(alg, {})
+        twisted = DiffPoly(n, L, wvars, wh, {})
         for key, c in _cleared(rel, L):
-            term = YPoly.const(alg, alg.from_w_series(theta_u.theta_series(c, wh)))
+            term = constant(alg.from_w_series(theta_u.theta_series(c, wh)))
             for (i, k), e in key:
-                term = term * power(template_deriv(i, tuple(k)), e, y_one)
+                term = term * power(template_deriv(i, tuple(k)), e, lambda: constant(alg.one()))
             twisted = twisted + term
         # extract one differential polynomial per operator coordinate
         coords: dict = {}
@@ -158,6 +88,39 @@ def build_ideal(hull: HullData, relations: Sequence[DiffPoly]) -> LieRittIdeal:
                 continue
             gens.setdefault(_signature(poly, L), poly)
     return LieRittIdeal(n, L, wvars, wh, [gens[sig] for sig in sorted(gens)])
+
+
+def _templates(hull: HullData) -> list[DiffPoly]:
+    """The template of each hull generator i, its expansion with w routed
+    through the Y symbols: sum over |m| <= w_horizon of the w-free embedding
+    of its m-th derivative times prod_j Y_j^(0)^m_j."""
+    alg = hull.algebra
+    n = alg.theta_u.n
+    zero_k = (0,) * n
+    templates = []
+    for i in range(hull.n_gens()):
+        terms = {tuple(((j, zero_k), e) for j, e in enumerate(m) if e):
+                 alg.from_hom(hull.derivative_table[(i, tuple(m))])
+                 for m in multi_indices(n, alg.w_horizon)}
+        templates.append(DiffPoly(n, hull.ext.L, alg.theta_u.wvars, alg.w_horizon, terms))
+    return templates
+
+
+def _symbol_deriv(poly: DiffPoly, l: tuple[int, ...]) -> DiffPoly:
+    """poly.hasse_deriv(l) for a polynomial whose coefficients are free of w:
+    the symbols are derived by symbol_derivatives, the coefficients only
+    scaled, since all their derivatives vanish."""
+    if not any(l):
+        return poly
+    from_int = poly.coeff_ring.from_int
+    items = []
+    for key, c in poly.terms.items():
+        for dkey, m in symbol_derivatives(key, l, poly.horizon):
+            t = c if m == 1 else c.scale(from_int(m))
+            if not t.is_zero():
+                items.append((dkey, t))
+    return DiffPoly(poly.nstreams, poly.coeff_ring, poly.wvars, poly.horizon,
+                    _terms.accumulate({}, items, _terms.OPERATORS))
 
 
 def _cleared(rel: DiffPoly, L) -> list[tuple]:
@@ -292,8 +255,8 @@ def solve_points(hull: HullData, relations: Sequence[DiffPoly],
         if reduced != joint:
             congruent = False
 
-    # each symbol's theta_w-image and each coefficient's lift, once per call
-    symbol_images = {sym: images[hull.rho_gens[sym[0]][0]].theta_w(sym[1])
+    # each symbol's w-derivative image and each coefficient's lift, once per call
+    symbol_images = {sym: images[hull.rho_gens[sym[0]][0]].hasse_deriv(sym[1])
                      for sym in set().union(*(rel.symbols() for rel in relations))}
     lifts: dict = {}
 
@@ -337,7 +300,7 @@ def group_compatibility_check(hull: HullData, report: UmemuraReport) -> bool:
     # phi_f applied after phi_g: derivatives of phi_f's image, paired with
     # powers of phi_g's deviation
     f_images = hull.images(f.comps)
-    after_g = hull.images(g.comps, lambda i, k: f_images[i].theta_w(k))
+    after_g = hull.images(g.comps, lambda i, k: f_images[i].hasse_deriv(k))
     return after_g == hull.images(composed.comps)
 
 

@@ -1,5 +1,7 @@
 """Source hygiene: no module of the library imports a name it never uses,
-no private function, method or class of the library goes unreferenced, no
+nor a single-underscore name from another module of the library (a helper
+two modules share is public in one of them), no private function, method or
+class of the library goes unreferenced, no
 module probes an object with hasattr or getattr (a context answers the ring
 protocol of exactalg/ring.py instead), and binary powering is written once,
 in exactalg.power.
@@ -82,6 +84,35 @@ def test_library_modules_import_only_names_they_use():
     bad = [f"{p.relative_to(SRC)}:{line} {name}"
            for p in modules for name, line in unused_imports(p.read_text())]
     assert not bad, "unused imports: " + ", ".join(bad)
+
+
+def private_imports(source: str) -> list[tuple[str, int]]:
+    """(name, line) of every single-underscore name imported from a module
+    of the library: a relative import or one from modalg."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").split(".")[0] == "modalg"):
+            out += [(alias.name, node.lineno) for alias in node.names
+                    if alias.name.startswith("_") and not alias.name.startswith("__")]
+    return sorted(out)
+
+
+def test_private_import_scanner():
+    source = (
+        "from . import terms as _terms\n"
+        "from .lieritt import (\n    DiffPoly,\n    _splits,\n)\n"
+        "from modalg.hull import _hom_coordinates\n"
+        "from operator import add as _add\n"
+        "from .ring import __all__\n"
+    )
+    assert private_imports(source) == [("_hom_coordinates", 6), ("_splits", 2)]
+
+
+def test_library_modules_import_no_private_names():
+    bad = [f"{p.relative_to(SRC)}:{line} {name}"
+           for p in sorted(SRC.rglob("*.py")) for name, line in private_imports(p.read_text())]
+    assert not bad, "private names imported from another module: " + ", ".join(bad)
 
 
 def _references(tree: ast.AST) -> Counter:

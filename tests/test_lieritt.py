@@ -5,6 +5,7 @@ composition law polynomials checked against direct composition."""
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -274,6 +275,51 @@ def test_diffpoly_leibniz_via_evaluation():
         lhs = F.hasse_deriv((k,)).evaluate(phi, A.scalar)
         rhs = F.evaluate(phi, A.scalar).hasse_deriv((k,))
         assert lhs == rhs
+
+
+def test_diffpoly_iteration_rule_with_a_w_dependent_coefficient():
+    # D^(i) o D^(j) = C(i+j, i) D^(i+j) on symbols and on the coefficient;
+    # over GF(3) some of the binomials vanish, and then so does D^(i) o D^(j)
+    h = 6
+    for F in (QQ, GF(3)):
+        w = TruncSeries.variable(F, ("w",), h, "w")
+        c = TruncSeries.const(F, ("w",), h, F.from_int(2)) + w + w * w * w
+        Y0, Y1 = (DiffPoly.symbol(1, F, ("w",), h, 0, (k,)) for k in (0, 1))
+        P = (Y0 * Y1).scale_series(c) + Y1 * Y1 * Y1 + DiffPoly.coefficient(1, w ** 4)
+        vanished = 0
+        for i in range(h + 1):
+            for j in range(h + 1):
+                lhs = P.hasse_deriv((j,)).hasse_deriv((i,))
+                n = TruncSeries.const(F, ("w",), h, F.from_int(math.comb(i + j, i)))
+                rhs = P.hasse_deriv((i + j,))
+                assert lhs.terms == rhs.scale_series(n).terms
+                vanished += lhs.is_zero() and not rhs.is_zero()
+        assert (vanished > 0) == (F is not QQ)
+
+
+def test_derive_then_evaluate_agrees_below_the_horizon():
+    # D^(l) commutes with evaluation in every w-degree <= horizon - |l|,
+    # also where D^(l) moves a symbol above the horizon (it vanishes on a
+    # transformation at this horizon) and with a w-dependent coefficient
+    h = 4
+    A = NilAlgebra(QQ, ("a", "b"), 3)
+    a, b = A.gen("a"), A.gen("b")
+    for wvars in (("w",), ("w1", "w2")):
+        n = len(wvars)
+        x, y = (TruncSeries.variable(A, wvars, h, v) for v in (wvars[0], wvars[-1]))
+        top = (x * x * x).scale(a) + (y * y * y * y).scale(b)  # symbols up to order 4 live
+        phi = InfTransform(A, [TruncSeries.const(A, wvars, h, a) + x + (x * y).scale(b) + top]
+                           + [y + (x * x * y * y).scale(a)] * (n - 1))
+        q = [TruncSeries.variable(QQ, wvars, h, v) for v in wvars]
+        c = TruncSeries.const(QQ, wvars, h, Fraction(1, 2)) + q[0] * q[-1]
+        k2 = (2,) + (0,) * (n - 1)
+        Y = [DiffPoly.symbol(n, QQ, wvars, h, i, k) for i, k in ((0, (0,) * n), (n - 1, k2), (0, k2))]
+        F = (Y[0] * Y[1]).scale_series(c) + Y[2] * Y[2]
+        for l in multi_indices(n, h):
+            lhs = F.hasse_deriv(l).evaluate(phi, A.scalar)
+            rhs = F.evaluate(phi, A.scalar).hasse_deriv(l)
+            for d in multi_indices(n, h - sum(l)):
+                assert A.eq(lhs.coeff(d), rhs.coeff(d)), (wvars, l, d)
 
 
 # ----------------------------------------------------------------- zero sets

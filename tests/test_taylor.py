@@ -6,7 +6,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from modalg.actions import ActionSpec, HomElement, MonoidDesc, convolution, translate
+from modalg.actions import ActionSpec, HomElement, MonoidDesc, convolution, ring_hom, translate
 from modalg.exactalg import QQ, FracField
 from modalg.series import TruncSeries
 from modalg.taylor import (
@@ -131,9 +131,7 @@ def test_universal_factorization_recovers_composed_map():
     y = L.var("y")
 
     def g(elem):
-        from modalg.taylor import ring_hom
-
-        return ring_hom(elem, {"y": y * y}, L, lambda c: L.const(c))
+        return ring_hom(L, elem, {"y": y * y}, L, L.const)
 
     def Lambda(elem):
         f = taylor_expand(elem, act, 4)

@@ -9,9 +9,11 @@ from fractions import Fraction
 from modalg.actions import ActionSpec
 from modalg.exactalg import QQ, Frac, FracField
 from modalg.hull import ExtensionDesc, find_relations, hull_generators
-from modalg.lieritt import InfTransform, NilAlgebra
+from modalg.lieritt import InfTransform, NilAlgebra, multi_indices
 from modalg.series import TruncSeries, truncated_exp
 from modalg.umemura import (
+    _symbol_deriv,
+    _templates,
     build_ideal,
     group_compatibility_check,
     identify_formal_group,
@@ -69,6 +71,20 @@ def test_exponential_ideal_is_conjugated_multiplicative():
     for k in (2, 3, 4):
         assert f"Y^({k})" in gens
     assert len(gens) == 4
+
+
+def test_template_derivatives_need_only_the_symbol_rule():
+    # the template of the exponential hull at (4, 8) and its square have
+    # w-free coefficients, so deriving their symbols alone, as build_ideal
+    # does, is the whole Leibniz rule of DiffPoly.hasse_deriv
+    _, hull, _ = exponential_setup(4, 8)
+    (template,) = _templates(hull)
+    assert len(template.terms) > 1
+    for poly in (template, template * template):
+        for k in multi_indices(1, 8):
+            derived = _symbol_deriv(poly, k)
+            assert derived.terms == poly.hasse_deriv(k).terms
+            assert not derived.is_zero()
 
 
 def test_trivial_ideal_forces_identity():
