@@ -4,6 +4,30 @@ Fields and rings with bialgebra actions (derivations, iterative derivations,
 endomorphisms, monoid actions), universal expansion maps, Galois hulls,
 Lie-Ritt groups of infinitesimal transformations, and Picard-Vessiot data,
 all in exact arithmetic over QQ or GF(p).
+
+The submodule pv (the Picard-Vessiot comparison, the largest module) is
+loaded lazily: ``modalg.pv`` and ``from modalg import pv`` return a module
+whose source is compiled and executed on its first attribute access.  A
+program that imports it but runs only the Umemura chain (hull, lieritt,
+umemura) never pays for compiling it.  This is safe because pv is a leaf of
+the package: no other module of modalg imports it.  ``import modalg.pv`` and
+``from modalg.pv import ...`` work as usual; every other submodule is
+imported eagerly.
 """
 
+import importlib.util
+import sys
+
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    if name != "pv":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    spec = importlib.util.find_spec(f"{__name__}.pv")
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    globals()["pv"] = module
+    return module

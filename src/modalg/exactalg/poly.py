@@ -29,7 +29,7 @@ def grlex_key(exp: tuple[int, ...]):
     return (sum(exp), exp)
 
 
-def evaluate(terms, images, target, lift):
+def evaluate(terms, images, target, lift, is_one=None):
     """The ring map x_i -> images[i], c -> lift(c) applied to sum c * x^exp.
 
     terms is an iterable of (exponent tuple, coefficient) pairs, summed in
@@ -37,7 +37,10 @@ def evaluate(terms, images, target, lift):
     context needs only zero(), add(a, b) and mul(a, b), and lift(c) must
     return a target element.  Each image's powers are computed once, up to
     the largest exponent that occurs, and each term is lift(c) times its
-    cached powers; the sum starts from the first term, not from zero()."""
+    cached powers; the sum starts from the first term, not from zero().
+    When is_one(c) is true for a term with a nonzero exponent, the term is
+    its product of powers alone: c is not lifted and nothing is multiplied
+    by it."""
     terms = list(terms)
     top = [0] * len(images)
     for exp, _ in terms:
@@ -50,10 +53,10 @@ def evaluate(terms, images, target, lift):
         powers.append(row)
     out = None
     for exp, c in terms:
-        t = lift(c)
+        t = None if is_one is not None and any(exp) and is_one(c) else lift(c)
         for row, e in zip(powers, exp):
             if e:
-                t = target.mul(t, row[e])
+                t = row[e] if t is None else target.mul(t, row[e])
         out = t if out is None else target.add(out, t)
     return target.zero() if out is None else out
 

@@ -1,12 +1,13 @@
 """Universal expansion maps and their function-space realizations.
 
-taylor_expand realizes a ring element as a function on the acting bialgebra:
-divided-power coefficients for derivation actions (a Taylor expansion),
-iterates for endomorphism actions (an Euler-style expansion), wordwise for
-monoid actions.  The map is a homomorphism into the convolution algebra and
-intertwines the ring action with right translation; both facts are checked
-by the test suite, and the factorization property (every homomorphism into a
-translation algebra factors through it) is verified by check_expansion_universal.
+ActionSpec.expand realizes a ring element as a function on the acting
+bialgebra: divided-power coefficients for derivation actions (a Taylor
+expansion), iterates for endomorphism actions (an Euler-style expansion),
+wordwise for monoid actions.  The map is a homomorphism into the convolution
+algebra and intertwines the ring action with right translation; both facts
+are checked by the test suite, and the factorization property (every
+homomorphism into a translation algebra factors through it) is verified by
+check_expansion_universal.
 
 ExpansionAlgebra is the bivariate refinement: values are series in the
 operator variables t and in deformation variables w, with independent bounds
@@ -27,26 +28,6 @@ from .series import TruncSeries
 
 def _identity(c):
     return c
-
-
-class TaylorMap:
-    """Cached universal expansion for one action at fixed bounds."""
-
-    def __init__(self, action: ActionSpec, horizon: int, word_bound: int | None = None):
-        self.action = action
-        self.horizon = horizon
-        self.word_bound = action.default_word_bound() if word_bound is None else word_bound
-        self._cache: dict = {}
-
-    def expand(self, elem) -> HomElement:
-        k = self.action.ring.to_str(elem)
-        if k not in self._cache:
-            self._cache[k] = self.action.expand(elem, self.horizon, self.word_bound)
-        return self._cache[k]
-
-
-def taylor_expand(elem, action: ActionSpec, horizon: int, word_bound: int | None = None) -> HomElement:
-    return action.expand(elem, horizon, word_bound)
 
 
 def check_expansion_universal(action: ActionSpec, Lambda: Callable, target,

@@ -229,7 +229,7 @@ def solve_points(hull: HullData, relations: Sequence[DiffPoly],
     one = next(iter(hull.derivative_table.values())).one()
     homs = SimpleNamespace(zero=lambda: one.scale(L.zero()), add=operator.add, mul=operator.mul)
     for terms in cleared:
-        value = _relation_value(terms, hull.derivative_table.__getitem__, homs, one.scale)
+        value = _relation_value(terms, hull.derivative_table.__getitem__, homs, one.scale, L)
         if not all(s.is_zero() for s in value.data.values()):
             raise ValueError("relation does not vanish on the hull generators")
 
@@ -266,7 +266,7 @@ def solve_points(hull: HullData, relations: Sequence[DiffPoly],
             lifts[key] = alg_P.from_w_series(alg.theta_u.theta_series(c, wh), lift=P.scalar)
         return lifts[key]
 
-    relations_ok = all(_relation_value(terms, symbol_images.__getitem__, alg_P, lift).is_zero()
+    relations_ok = all(_relation_value(terms, symbol_images.__getitem__, alg_P, lift, L).is_zero()
                        for terms in cleared)
 
     checks = {
@@ -278,13 +278,14 @@ def solve_points(hull: HullData, relations: Sequence[DiffPoly],
     return UmemuraReport(hull, ideal, family, images, checks, classification)
 
 
-def _relation_value(terms: list[tuple], image, target, lift):
+def _relation_value(terms: list[tuple], image, target, lift, L):
     """The relation with terms (key, coefficient c in L), each symbol s
     replaced by image(s) and each c by lift(c), summed in the context
-    target."""
+    target; a coefficient 1 is neither lifted nor multiplied in."""
     symbols = sorted({sym for key, _ in terms for sym, _ in key})
+    one = L.one()
     return evaluate(((tuple(dict(key).get(sym, 0) for sym in symbols), c) for key, c in terms),
-                    [image(sym) for sym in symbols], target, lift)
+                    [image(sym) for sym in symbols], target, lift, lambda c: L.eq(c, one))
 
 
 def group_compatibility_check(hull: HullData, report: UmemuraReport) -> bool:

@@ -3,8 +3,9 @@ nor a single-underscore name from another module of the library (a helper
 two modules share is public in one of them), no private function, method or
 class of the library goes unreferenced, no
 module probes an object with hasattr or getattr (a context answers the ring
-protocol of exactalg/ring.py instead), and binary powering is written once,
-in exactalg.power.
+protocol of exactalg/ring.py instead), binary powering is written once,
+in exactalg.power, and no module of the library imports modalg.pv (the
+package loads pv lazily, which pays only while pv is a leaf).
 
 Package __init__.py files are exempt from the import check, since their
 imports are re-exports.  Names are read with ast only; a name counts as used
@@ -289,3 +290,48 @@ def test_library_powers_only_through_the_shared_helper():
     loops = [f"{p.relative_to(SRC)}:{func}"
              for p in sorted(SRC.rglob("*.py")) for func, _ in binary_power_loops(p.read_text())]
     assert loops == ["exactalg/ring.py:power"], "binary-power loops outside exactalg.power: " + ", ".join(loops)
+
+
+def imports_of(source: str, package: str, target: str) -> list[int]:
+    """Lines of every import, at any depth of a module of package, that
+    binds target or a name inside it: ``import target``, ``from target
+    import x``, ``from parent import leaf`` and their relative forms."""
+    parts = package.split(".")
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = parts[:len(parts) - node.level + 1] if node.level else []
+            module = ".".join(base + ([node.module] if node.module else []))
+            names = [module] + [f"{module}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        if any(n == target or n.startswith(target + ".") for n in names):
+            out.append(node.lineno)
+    return sorted(out)
+
+
+def test_import_scanner():
+    source = (
+        "from . import hull, pv\n"
+        "from .pv import PVData\n"
+        "from .. import pv as other\n"
+        "import modalg.pv\n"
+        "from modalg import umemura\n"
+        "from .pvx import y\n"
+        "def f():\n"
+        "    from modalg.pv import compare\n"
+        "    return compare\n"
+    )
+    assert imports_of(source, "modalg", "modalg.pv") == [1, 2, 4, 8]
+    assert imports_of(source, "modalg.exactalg", "modalg.pv") == [3, 4, 8]
+
+
+def test_no_library_module_imports_pv():
+    found = []
+    for p in sorted(SRC.rglob("*.py")):
+        rel = p.relative_to(SRC.parent)
+        package = ".".join(rel.parent.parts)
+        found += [f"{p.relative_to(SRC)}:{line}" for line in imports_of(p.read_text(), package, "modalg.pv")]
+    assert not found, "modules importing modalg.pv: " + ", ".join(found)

@@ -1,0 +1,78 @@
+"""The package loads modalg.pv lazily: importing it compiles nothing, a
+Umemura chain never touches it, and its first attribute access compiles and
+runs it.  Each case runs in a fresh interpreter whose bytecode cache is an
+empty directory, so every module that is loaded is compiled from source and
+an audit hook on the compile event sees it."""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+RECORDER = """
+import sys
+compiled = []
+sys.addaudithook(lambda event, args: compiled.append(str(args[1]))
+                 if event == "compile" else None)
+
+def pv_compiled():
+    return any(name.endswith("pv.py") for name in compiled)
+"""
+
+
+def run_fresh(body: str, tmp_path: Path) -> str:
+    env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONPYCACHEPREFIX=str(tmp_path),
+               PYTHONDONTWRITEBYTECODE="1")
+    code = RECORDER + textwrap.dedent(body)
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def test_chain_runs_without_compiling_pv(tmp_path):
+    out = run_fresh("""
+        from modalg import hull, pv, umemura
+        from modalg.actions import ActionSpec
+        from modalg.exactalg import QQ, FracField
+        from modalg.series import TruncSeries
+
+        L = FracField(QQ, ["y"])
+        y = L.var("y")
+        img = TruncSeries(L, ("w",), 8, {(0,): y, (1,): L.one()})
+        action = ActionSpec(L, "iterder", n=1, theta_images={"y": img})
+        ext = hull.ExtensionDesc(L, [y], action, name="additive")
+        h = hull.hull_generators(ext, t_horizon=3, w_horizon=4)
+        report = umemura.solve_points(h, hull.find_relations(h, diff_order=4, degree=2))
+        print(report.classification["tag"], pv_compiled())
+        print(callable(pv.compare), pv_compiled())
+    """, tmp_path)
+    assert out.split("\n")[:2] == ["Ga_hat False", "True True"]
+
+
+def test_import_statement_loads_pv(tmp_path):
+    out = run_fresh("""
+        import modalg.pv
+        print(callable(modalg.pv.compare), pv_compiled())
+    """, tmp_path)
+    assert out == "True True\n"
+
+
+def test_from_import_loads_pv(tmp_path):
+    out = run_fresh("""
+        from modalg.pv import PVData
+        import modalg
+        print(PVData.__name__, modalg.pv.PVData is PVData, pv_compiled())
+    """, tmp_path)
+    assert out == "PVData True True\n"
+
+
+def test_other_names_are_missing():
+    import modalg
+
+    assert not hasattr(modalg, "nope")

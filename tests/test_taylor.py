@@ -9,12 +9,7 @@ from fractions import Fraction
 from modalg.actions import ActionSpec, HomElement, MonoidDesc, convolution, ring_hom, translate
 from modalg.exactalg import QQ, FracField
 from modalg.series import TruncSeries
-from modalg.taylor import (
-    ExpansionAlgebra,
-    TaylorMap,
-    check_expansion_universal,
-    taylor_expand,
-)
+from modalg.taylor import ExpansionAlgebra, check_expansion_universal
 
 
 def shift_action():
@@ -37,24 +32,18 @@ def test_derivation_expansion_binomial_oracle():
     L = FracField(QQ, ["y"])
     y = L.var("y")
     act = ActionSpec(L, "der", n=1, d_images={"y": L.one()})
-    f = taylor_expand(y * y, act, 4)
-    s = f.data[0]
+    s = act.expand(y * y, 4).data[0]
     # oracle: coefficients of (y + w)^2 by direct polynomial expansion
-    pr = L.poly_ring
-    yy, ww = pr.var("y"), None
-    import itertools
-
     expanded = {(0,): y * y, (1,): L.from_int(2) * y, (2,): L.one()}
     for k, v in expanded.items():
         assert s.coeff(k) == v
     assert s.coeff((3,)).is_zero()
-    del yy, ww, itertools, pr
 
 
 def test_endomorphism_expansion_iterates():
     L, act = step_endo_action()
     y = L.var("y")
-    f = taylor_expand(y, act, 0, word_bound=3)
+    f = act.expand(y, 0, word_bound=3)
     vals = [f.value(k, ()) for k in range(4)]
     assert vals == [y, y + L.from_int(1), y + L.from_int(2), y + L.from_int(3)]
 
@@ -63,14 +52,14 @@ def test_trivial_action_constant_expansion():
     L, act = shift_action()
     y = L.var("y")
     triv = ActionSpec(L, "trivial", n=1)
-    f = taylor_expand(y / (y + L.one()), triv, 4)
+    f = triv.expand(y / (y + L.one()), 4)
     assert f.data[0] == TruncSeries.const(L, ("t",), 4, y / (y + L.one()))
 
 
 def test_expansion_of_fractions_uses_series_reciprocal():
     L, act = shift_action()
     y = L.var("y")
-    f = taylor_expand(L.one() / y, act, 2)
+    f = act.expand(L.one() / y, 2)
     s = f.data[0]
     assert s.coeff((0,)) == L.one() / y
     assert s.coeff((1,)) == -(L.one() / (y * y))
@@ -84,9 +73,7 @@ def test_expansion_multiplicative_random():
     pool = [y, y * y, y + L.one(), L.one() / y, (y * y - L.one()) / y]
     for _ in range(25):
         a, b = rng.choice(pool), rng.choice(pool)
-        assert taylor_expand(a * b, act, 5) == convolution(
-            taylor_expand(a, act, 5), taylor_expand(b, act, 5)
-        )
+        assert act.expand(a * b, 5) == convolution(act.expand(a, 5), act.expand(b, 5))
 
 
 def test_expansion_equivariance_with_translation():
@@ -94,22 +81,12 @@ def test_expansion_equivariance_with_translation():
     L, act = shift_action()
     y = L.var("y")
     for a in [y * y * y, L.one() / y]:
-        ea = taylor_expand(a, act, 6)
+        ea = act.expand(a, 6)
         for k in range(1, 3):
             da = act.theta_coefficient(a, (k,))
-            lhs = taylor_expand(da, act, 6 - k)
+            lhs = act.expand(da, 6 - k)
             rhs = translate(ea, 0, (k,))
             assert lhs == rhs
-
-
-def test_taylor_map_caches():
-    L, act = shift_action()
-    tm = TaylorMap(act, 5)
-    y = L.var("y")
-    f1 = tm.expand(y * y)
-    f2 = tm.expand(y * y)
-    assert f1 is f2
-    assert tm.expand(y).ev_unit() == y
 
 
 # ----------------------------------------------------------- universality
@@ -118,9 +95,8 @@ def test_taylor_map_caches():
 def test_universal_factorization_of_expansion_itself():
     L, act = shift_action()
     y = L.var("y")
-    tm = TaylorMap(act, 4)
     rep = check_expansion_universal(
-        act, tm.expand, L, lambda c: L.const(c), [y, y * y, L.one() / y], 4
+        act, lambda e: act.expand(e, 4), L, lambda c: L.const(c), [y, y * y, L.one() / y], 4
     )
     assert rep.ok
 
@@ -134,7 +110,7 @@ def test_universal_factorization_recovers_composed_map():
         return ring_hom(L, elem, {"y": y * y}, L, L.const)
 
     def Lambda(elem):
-        f = taylor_expand(elem, act, 4)
+        f = act.expand(elem, 4)
         return HomElement(
             L, f.monoid, f.tvars, f.horizon, f.word_bound,
             {w: s.map_coeffs(g, L) for w, s in f.data.items()},
@@ -150,7 +126,7 @@ def test_universal_factorization_detects_violation():
     y = L.var("y")
 
     def bad(elem):
-        f = taylor_expand(elem, act, 4)
+        f = act.expand(elem, 4)
         s = f.data[0]
         broken = s + TruncSeries(L, s.vars, s.horizon, {(2,): elem})  # not a module map
         return HomElement(L, f.monoid, f.tvars, f.horizon, f.word_bound, {0: broken})
