@@ -160,6 +160,9 @@ class HomElement:
             raise KeyError(f"word {word} outside the stored bound")
         return self.data[word].coeff(k)
 
+    def is_zero(self) -> bool:
+        return all(s.is_zero() for s in self.data.values())
+
     def ev_unit(self):
         """Evaluation at the unit operator (counit direction)."""
         return self.value(self._unit_word(), (0,) * len(self.tvars))
@@ -443,9 +446,10 @@ class ActionSpec:
         so they live exactly as long as it does; a later call extends a power
         row only when it needs a higher exponent.  An element's numerator and
         denominator are sums of scaled cached powers, and a fraction costs one
-        TruncSeries.divide, none when its denominator is 1; so a constant
-        deforms to the constant series, and the polynomial coefficients that
-        umemura deforms after clearing denominators cost no division."""
+        TruncSeries.divide, none when its denominator is a monomial, which
+        deforms to cached powers of reciprocal images; so a constant deforms
+        to the constant series, and the polynomial coefficients that umemura
+        deforms after clearing denominators cost no division."""
         if not self.has_theta() and self.kind != "trivial":
             return TruncSeries.const(self.ring, (), 0, elem)
         if self.kind == "trivial":
@@ -539,21 +543,24 @@ def ring_hom(ring, elem, images: dict, target, lift: Callable):
 
 class GeneratorPowers:
     """Series images of named generators in one series space, with the
-    powers of each image built once and extended only when a higher
-    exponent is needed."""
+    powers of each image and of its reciprocal built once and extended only
+    when a higher exponent is needed."""
 
     __slots__ = ("space", "images", "rows")
 
     def __init__(self, space: SeriesRing, images: dict[str, TruncSeries]):
         self.space = space
         self.images = images
-        self.rows: dict[str, list[TruncSeries]] = {}
+        self.rows: dict[tuple[str, bool], list[TruncSeries]] = {}
 
     def power(self, name: str, e: int) -> TruncSeries:
-        """The e-th power (e >= 1) of the image of the generator name."""
-        row = self.rows.get(name)
+        """The e-th power (e != 0) of the image of the generator name; a
+        negative e is a power of the image's reciprocal."""
+        row = self.rows.get((name, e < 0))
         if row is None:
-            row = self.rows[name] = [None, self.images[name]]
+            image = self.images[name]
+            row = self.rows[name, e < 0] = [None, image.recip() if e < 0 else image]
+        e = abs(e)
         while len(row) <= e:
             row.append(row[-1] * row[1])
         return row[e]
@@ -575,9 +582,16 @@ class GeneratorPowers:
 
     def frac(self, c: Frac, lift) -> TruncSeries:
         """The image of a fraction: numerator divided by denominator, with no
-        division when the (monic) denominator is 1."""
+        division when the (monic) denominator is 1 or a monomial x^f, whose
+        image is a product of cached powers of reciprocals."""
         num = self.poly(c.num, lift)
-        return num if c.den.is_const() else num.divide(self.poly(c.den, lift))
+        if len(c.den.terms) != 1:
+            return num.divide(self.poly(c.den, lift))
+        (f, _), = c.den.terms.items()
+        for name, e in zip(c.den.ring.vars, f):
+            if e:
+                num = num * self.power(name, -e)
+        return num
 
 
 def convolution(f: HomElement, g: HomElement) -> HomElement:

@@ -23,7 +23,7 @@ from .actions import ActionSpec, GeneratorPowers, HomElement, Report
 from .exactalg import AlgebraicField, Echelon, FracField, evaluate
 from .lieritt import DiffPoly, multi_indices
 from .series import SeriesRing, TruncSeries, formal_inverse, identity_tuple
-from .taylor import ExpansionAlgebra
+from .taylor import ExpansionAlgebra, JointElement
 
 
 class ExtensionDesc:
@@ -203,7 +203,8 @@ class HullData:
         self.rho_K_gens = rho_K_gens        # [(label, JointElement)]
         self.derivative_table = derivative_table  # (i, k) -> HomElement
         self.closure = closure
-        self._lifted: dict = {}  # test algebra P -> {(i, k): entry lifted to P}
+        self._deformed: dict = {}  # (i, k) -> entry deformed over L
+        self._lifted: dict = {}  # test algebra P -> {(i, k): deformed entry lifted to P}
 
     def n_gens(self) -> int:
         return len(self.rho_gens)
@@ -215,8 +216,9 @@ class HullData:
         The deviation comps - w has nilpotent coefficients (else ValueError),
         and P.order of them multiply to zero, so the sum stops at
         |k| = P.order - 1 and entry is called only for those k.  The default
-        entry is derivative_table[(i, k)] deformed by the basis derivation and
-        lifted to P, built on first use and kept as long as this hull."""
+        entry is derivative_table[(i, k)] deformed by the basis derivation
+        over L, once per hull, then lifted to P coefficientwise; both are
+        built on first use and kept as long as this hull."""
         alg = self.algebra
         P = comps[0].ring
         alg_P = alg.with_ring(P)
@@ -228,7 +230,10 @@ class HullData:
 
             def entry(i, k):
                 if (i, k) not in lifted:
-                    lifted[i, k] = alg_P._deform_hom(self.derivative_table[(i, k)], P.scalar)
+                    if (i, k) not in self._deformed:
+                        self._deformed[i, k] = alg._deform_hom(self.derivative_table[(i, k)])
+                    lifted[i, k] = JointElement(alg_P, {
+                        w: s.map_coeffs(P.scalar, P) for w, s in self._deformed[i, k].data.items()})
                 return lifted[i, k]
         ks = multi_indices(alg.theta_u.n, min(alg.w_horizon, P.order - 1))
         deviation = [alg_P.from_w_series(d) for d in deviation]
@@ -310,7 +315,14 @@ def _hom_monomials(gens: list[HomElement], degree: int) -> list[HomElement]:
         return []
     return distinct_products(
         gens, gens[0].one(), degree,
-        lambda m: tuple(sorted((k, str(c)) for k, c in _hom_coordinates(m).items())))
+        lambda m: frozenset((k, element_key(c)) for k, c in _hom_coordinates(m).items()))
+
+
+def element_key(c):
+    """A hashable key of an element of a FracField (a Frac) or of an
+    AlgebraicField (a tuple of them): equal keys for equal elements, and no
+    printing of polynomials."""
+    return tuple(x.key() for x in c) if isinstance(c, tuple) else c.key()
 
 
 def distinct_products(gens: list, one, degree: int, key) -> list:
@@ -342,71 +354,88 @@ def find_relations(hull: HullData, diff_order: int, degree: int,
     lower-degree relations.  Completeness holds only relative to the stated
     bounds; each returned polynomial vanishes identically on the generators.
 
-    At each degree d the consequences (relations times monomials), then the
-    kernel vectors of the dependent columns of degree d, go into one span; a
-    kernel vector outside it is a new relation.  All lie in the kernel on the
-    columns of degree <= d, whose dimension is the number of dependent ones,
-    so the search at d stops, exactly, once the span has that rank.
+    The monomials are the columns of one elimination, in a graded order that
+    is lexicographic on sorted symbol tuples within a degree (reverse lex on
+    exponent vectors), so it is multiplicative: a < b implies a*m < b*m.  A
+    relation is the kernel vector of a dependent column j, whose highest
+    column is j itself; so the highest column of a consequence rel*shift is
+    lead(rel)*shift, and vectors with distinct highest columns are
+    independent.  All these vectors lie in the kernel on the columns of
+    degree <= d, whose dimension is the number of dependent ones.
+
+    At each degree d, if the relations and their consequences of degree
+    <= d have that many distinct highest columns, they span that kernel and
+    no kernel vector of degree d is new: the degree is certified with no
+    arithmetic.  Otherwise the consequences, then the kernel vectors of the
+    dependent columns of degree d, go into one span, and a kernel vector
+    outside it is a new relation; the search at d stops, exactly, once the
+    span has the kernel's rank.  Before that, the span gets the kernel
+    vectors of the certified degrees' dependent columns, which are
+    independent of it and complete it to the kernel below d.  A monomial
+    with a factor whose derivative is zero is a zero column, formed with no
+    product.
     """
     L = hull.ext.L
-    theta_u = hull.algebra.theta_u
-    nvars = theta_u.n
+    table = hull.derivative_table
+    nvars = hull.algebra.theta_u.n
     nstreams = hull.n_gens()
     symbols = [(i, tuple(k)) for i in range(nstreams) for k in multi_indices(nvars, diff_order)]
-
-    # monomials by total degree, as multisets of symbols
-    monomials_by_degree: list[list[tuple]] = [[()]]
-    for d in range(1, degree + 1):
-        level = []
-        for m in monomials_by_degree[d - 1]:
-            start = symbols.index(m[-1]) if m else 0
-            for s in symbols[start:]:
-                level.append(m + (s,))
-        monomials_by_degree.append(level)
+    monomials_by_degree = _graded_monomials(symbols, degree)
     total = sum(len(lv) for lv in monomials_by_degree)
     if total > max_monomials:
         raise ValueError(f"relation search space too large ({total} monomials, above "
                          f"max_monomials={max_monomials}); raise max_monomials or lower "
                          f"diff_order or degree")
+    zero = {s for s in symbols if table[s].is_zero()}
 
     def value(mono: tuple) -> HomElement:
         v = None
         for sym in mono:
-            hv = hull.derivative_table[sym]
-            v = hv if v is None else v * hv
-        return hull.derivative_table[symbols[0]].one() if v is None else v
+            if sym in zero:
+                return table[sym]
+            v = table[sym] if v is None else v * table[sym]
+        return table[symbols[0]].one() if v is None else v
 
     all_monos = [m for level in monomials_by_degree for m in level]
     column = {m: j for j, m in enumerate(all_monos)}
     # a monomial lists its symbols in the order of symbols
     position = {s: j for j, s in enumerate(symbols)}.__getitem__
+
+    def times(m: tuple, shift: tuple) -> int:
+        return column[tuple(sorted(m + shift, key=position))]
+
     values = [value(m) for m in all_monos]
     # one elimination of the monomial columns: the relations of its
     # dependent columns of degree d are the new kernel vectors at degree d
     monomials = Echelon(L, (_hom_coordinates(v) for v in values))
-    relations: list[dict] = []  # monomial multiset -> coefficient in L
+    relations: list[dict] = []  # monomial multiset -> coefficient in L, lead last
+    leads: set[int] = set()  # the highest columns of the relations and consequences
     span = Echelon(L)  # the consequences: relations times monomials
+    unseeded: list[int] = []  # dependent columns of certified degrees
     kernel_rank = 0  # of the kernel on the columns of degree <= d
     for d in range(0, degree + 1):
         candidates = [j for j in monomials.dependent if len(all_monos[j]) == d]
         kernel_rank += len(candidates)
         for rel in relations:
-            for shift in monomials_by_degree[d - max(len(m) for m in rel)]:
+            lead = next(reversed(rel))
+            leads.update(times(lead, shift) for shift in monomials_by_degree[d - len(lead)])
+        if len(leads) == kernel_rank:
+            unseeded += candidates
+            continue
+        for j in unseeded:
+            span.add(monomials.relation(j))
+        unseeded = []
+        for rel in relations:
+            for shift in monomials_by_degree[d - len(next(reversed(rel)))]:
                 if len(span.steps) == kernel_rank:
                     break
-                vec = {}
-                for m, c in rel.items():
-                    col = column.get(tuple(sorted(m + shift, key=position)))
-                    if col is None:
-                        break
-                    vec[col] = c
-                else:
-                    span.add(vec)
+                span.add({times(m, shift): c for m, c in rel.items()})
         for j in candidates:
             if len(span.steps) == kernel_rank:
                 break
             if span.add(vec := monomials.relation(j)):
                 relations.append({all_monos[i]: c for i, c in vec.items()})
+                leads.add(j)
     out = [_relation_to_diffpoly(rel, hull, nstreams, nvars) for rel in relations]
     # verify: every relation vanishes on the generators
     for rel in relations:
@@ -414,9 +443,20 @@ def find_relations(hull: HullData, diff_order: int, degree: int,
         for m, c in rel.items():
             term = values[column[m]].scale(c)
             v = term if v is None else v + term
-        if v is None or not all(s.is_zero() for s in v.data.values()):
+        if v is None or not v.is_zero():
             raise ArithmeticError("relation does not vanish on the hull generators")
     return out
+
+
+def _graded_monomials(symbols: list, degree: int) -> list[list[tuple]]:
+    """The monomials of each total degree <= degree, as sorted tuples of
+    symbols (sorted by their place in symbols), lexicographic within a
+    degree: the column order of find_relations."""
+    levels: list[list[tuple]] = [[()]]
+    for _ in range(degree):
+        levels.append([m + (s,) for m in levels[-1]
+                       for s in symbols[symbols.index(m[-1]) if m else 0:]])
+    return levels
 
 
 def _relation_to_diffpoly(rel: dict, hull: HullData, nstreams: int, nvars: int) -> DiffPoly:
@@ -439,6 +479,7 @@ __all__ = [
     "change_basis",
     "change_basis_substitution",
     "distinct_products",
+    "element_key",
     "find_relations",
     "hull_generators",
     "make_basis_derivation",

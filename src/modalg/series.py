@@ -148,7 +148,7 @@ class TruncSeries:
             b = 1
             for a, bb in zip(e, k):
                 b *= math.comb(a, bb)
-            coef = R.mul(c, R.from_int(b))
+            coef = c if b == 1 else R.mul(c, R.from_int(b))
             if not R.is_zero(coef):
                 out[tuple(a - bb for a, bb in zip(e, k))] = coef
         return self._make(out)

@@ -19,7 +19,7 @@ from typing import Sequence
 
 from .exactalg import Frac, evaluate, power
 from .exactalg import terms as _terms
-from .hull import HullData
+from .hull import HullData, element_key
 from .lieritt import (
     DiffPoly,
     LieRittIdeal,
@@ -64,7 +64,7 @@ def build_ideal(hull: HullData, relations: Sequence[DiffPoly]) -> LieRittIdeal:
     def constant(c: JointElement) -> DiffPoly:
         return DiffPoly(n, L, wvars, wh, {(): c})
 
-    gens: dict[tuple, DiffPoly] = {}  # signature -> generator
+    gens: dict[frozenset, DiffPoly] = {}  # structural key -> generator
     for rel in relations:
         twisted = DiffPoly(n, L, wvars, wh, {})
         for key, c in _cleared(rel, L):
@@ -86,8 +86,8 @@ def build_ideal(hull: HullData, relations: Sequence[DiffPoly]) -> LieRittIdeal:
             poly = _normalize(poly, L)
             if poly is None or poly.is_zero():
                 continue
-            gens.setdefault(_signature(poly, L), poly)
-    return LieRittIdeal(n, L, wvars, wh, [gens[sig] for sig in sorted(gens)])
+            gens.setdefault(_structural_key(poly), poly)
+    return LieRittIdeal(n, L, wvars, wh, sorted(gens.values(), key=lambda g: _signature(g, L)))
 
 
 def _templates(hull: HullData) -> list[DiffPoly]:
@@ -140,7 +140,8 @@ def _cleared(rel: DiffPoly, L) -> list[tuple]:
 
 def _normalize(poly: DiffPoly, L) -> DiffPoly | None:
     """Scale so the leading term (highest Y-degree, then highest derivative
-    order) has a w-minimal coefficient with unit scalar part."""
+    order) has a w-minimal coefficient with unit scalar part; poly itself
+    when that scalar is already 1."""
     if not poly.terms:
         return None
     lead_key = max(poly.terms, key=_term_order)
@@ -148,9 +149,10 @@ def _normalize(poly: DiffPoly, L) -> DiffPoly | None:
     lead_exp = min(series.terms, key=lambda e: (sum(e), e))
     c = series.terms[lead_exp]
     s = _unit_scalar(L, c)
-    if s is None:
+    F = L.scalars
+    if s is None or F.eq(s, F.one()):
         return poly
-    inv = L.const(L.scalars.inv(s))
+    inv = L.const(F.inv(s))
     return DiffPoly(
         poly.nstreams, poly.coeff_ring, poly.wvars, poly.horizon,
         {k: ser.scale(inv) for k, ser in poly.terms.items()},
@@ -177,6 +179,12 @@ def _term_order(key):
     total = sum(e for _, e in key)
     orders = tuple(sorted((sum(k), i, k) for (i, k), _ in key))
     return (total, orders)
+
+
+def _structural_key(poly: DiffPoly) -> frozenset:
+    """A hashable key that tells generators apart without printing them."""
+    return frozenset((ykey, frozenset((e, element_key(c)) for e, c in s.terms.items()))
+                     for ykey, s in poly.terms.items())
 
 
 def _signature(poly: DiffPoly, L) -> tuple:
@@ -230,7 +238,7 @@ def solve_points(hull: HullData, relations: Sequence[DiffPoly],
     homs = SimpleNamespace(zero=lambda: one.scale(L.zero()), add=operator.add, mul=operator.mul)
     for terms in cleared:
         value = _relation_value(terms, hull.derivative_table.__getitem__, homs, one.scale, L)
-        if not all(s.is_zero() for s in value.data.values()):
+        if not value.is_zero():
             raise ValueError("relation does not vanish on the hull generators")
 
     if ideal is None:

@@ -336,6 +336,16 @@ def test_theta_series_is_multiplicative_at_the_horizon(case):
     assert act.theta_series(a * b, h) == act.theta_series(a, h) * act.theta_series(b, h)
 
 
+@settings(max_examples=25, deadline=None)
+@given(field_elements(1))
+def test_theta_series_of_a_quotient_matches_the_reference(case):
+    # half the denominators are monomials, deformed through cached powers
+    # of reciprocal images rather than by a series division
+    act, (elem,) = case
+    h = _horizon(act)
+    assert act.theta_series(elem, h) == theta_reference(act, elem, h)
+
+
 @pytest.mark.parametrize("name", FIELD_ACTIONS + ("QQ[y,1/y]",))
 @pytest.mark.parametrize("value", [0, 1, Fraction(-3, 2)])
 def test_a_constant_deforms_to_the_constant_series(name, value):

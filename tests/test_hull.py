@@ -7,6 +7,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import modalg.hull
 from modalg.actions import ActionSpec, MonoidDesc, check_module_algebra
@@ -22,6 +24,7 @@ from modalg.exactalg import (
 )
 from modalg.hull import (
     ExtensionDesc,
+    _graded_monomials,
     _hom_coordinates,
     _relation_to_diffpoly,
     change_basis,
@@ -529,24 +532,15 @@ def exhaustive_relations(hull, diff_order: int, degree: int):
     return strings, [len(m) for m in monos], ranks, span.size
 
 
-@pytest.mark.parametrize("make, th, wh, count", [
-    (additive_ext, 4, 8, 8),
-    (exponential_ext, 4, 8, 8),
-    (product_ext, 2, 2, 13),
-    (product_ext, 3, 3, 20),
-    (product_ext, 6, 2, 10),
-    (gaussian_ext, 4, 2, 5),
-], ids=["additive-4-8", "exponential-4-8", "product-2-2", "product-3-3", "product-6-2",
-        "gaussian-4-2"])
-def test_find_relations_early_exit_matches_the_exhaustive_search(make, th, wh, count,
-                                                                 monkeypatch):
-    hull = hull_generators(make(), t_horizon=th, w_horizon=wh)
-    want, col_degree, ranks, exhaustive_adds = exhaustive_relations(hull, wh, 2)
-    adds = []  # (rank of the span before the add, vector) for the consequence span
+@pytest.fixture
+def span_adds(monkeypatch):
+    """Each add to find_relations' consequence span (the Echelon that starts
+    empty), recorded as (rank of the span before the add, vector)."""
+    adds = []
 
     class Recording(Echelon):
         def __init__(self, field, vectors=()):
-            self.recording = vectors == ()  # the span starts empty
+            self.recording = vectors == ()
             super().__init__(field, vectors)
 
         def add(self, vec) -> bool:
@@ -555,12 +549,55 @@ def test_find_relations_early_exit_matches_the_exhaustive_search(make, th, wh, c
             return super().add(vec)
 
     monkeypatch.setattr(modalg.hull, "Echelon", Recording)
-    got = [str(r) for r in find_relations(hull, diff_order=wh, degree=2)]
+    return adds
+
+
+@pytest.mark.parametrize("make, th, wh, degree, count", [
+    (additive_ext, 4, 8, 2, 8),
+    (exponential_ext, 4, 8, 2, 8),
+    (product_ext, 2, 2, 2, 13),
+    (product_ext, 3, 3, 2, 20),
+    (product_ext, 6, 2, 2, 10),
+    (gaussian_ext, 4, 2, 2, 5),
+    (product_ext, 6, 2, 3, 13),
+    (gaussian_ext, 6, 3, 3, 9),
+], ids=["additive-4-8", "exponential-4-8", "product-2-2", "product-3-3", "product-6-2",
+        "gaussian-4-2", "product-6-2-degree-3", "gaussian-6-3-degree-3"])
+def test_find_relations_early_exit_matches_the_exhaustive_search(make, th, wh, degree, count,
+                                                                 span_adds):
+    # the degree-3 cases certify degree 2 and fall back to elimination at 3
+    hull = hull_generators(make(), t_horizon=th, w_horizon=wh)
+    want, col_degree, ranks, exhaustive_adds = exhaustive_relations(hull, wh, degree)
+    got = [str(r) for r in find_relations(hull, diff_order=wh, degree=degree)]
     assert got == want and len(got) == count
     # no vector reaches the span once it has the rank of the kernel at its degree
-    for rank, vec in adds:
+    for rank, vec in span_adds:
         assert rank < ranks[max(col_degree[c] for c in vec)]
-    assert len(adds) <= exhaustive_adds
+    assert len(span_adds) <= exhaustive_adds
+
+
+@pytest.mark.parametrize("make", [additive_ext, exponential_ext], ids=["additive", "exponential"])
+def test_find_relations_certifies_degree_2_without_elimination(make, span_adds):
+    # the degree-1 relations and their multiples have as many distinct
+    # leading columns as the kernel at degree 2 has dimensions
+    hull = hull_generators(make(), t_horizon=4, w_horizon=8)
+    _, col_degree, _, _ = exhaustive_relations(hull, 8, 2)
+    assert len(find_relations(hull, diff_order=8, degree=2)) == 8
+    assert span_adds and all(max(col_degree[c] for c in vec) <= 1 for _, vec in span_adds)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 4), st.data())
+def test_relation_column_order_is_multiplicative(nsymbols, data):
+    # a < b implies a*m < b*m, so a consequence's leading column is its
+    # relation's leading column times the shift
+    levels = _graded_monomials(list(range(nsymbols)), 4)
+    order = {m: j for j, m in enumerate(m for level in levels for m in level)}
+    low = [m for level in levels[:3] for m in level]
+    a, b = sorted(data.draw(st.lists(st.sampled_from(low), min_size=2, max_size=2, unique=True)),
+                  key=order.__getitem__)
+    m = data.draw(st.sampled_from(low))
+    assert order[tuple(sorted(a + m))] < order[tuple(sorted(b + m))]
 
 
 def _is_monomial_multiple(a: dict, b: dict, L) -> bool:
