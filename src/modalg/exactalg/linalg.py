@@ -12,9 +12,21 @@ so the elimination is complete over a field and over a local ring such as
 NilAlgebra, where a square matrix is invertible exactly when every column
 takes a pivot.  Matrix.inverse and Matrix.det (one per factor of a product
 ring), span membership, solutions, kernels and rref read one Echelon.
+
+The pivot of a vector is the minimum-count rule of sparse elimination
+(Markowitz 1957): of its unit entries outside the pivot keys, the one at the
+key that the fewest vectors still to come touch, since each of those
+vectors takes the step's clears as fill-in.  The counts exist only for the
+vectors an Echelon is built with; a vector added later reads every count as
+zero and so pivots on its first unit key.  No answer depends on the rule:
+over a field the reduced echelon form is unique, over a local ring a vector
+takes a unit pivot exactly when it is independent modulo the maximal ideal,
+and Matrix.det signs its product by the order of the pivot keys.
 """
 
 from __future__ import annotations
+
+from collections import Counter
 
 from . import terms as _terms
 
@@ -129,14 +141,16 @@ class Echelon:
     The vectors added are the columns of a matrix whose rows are their
     keys.  add replays the recorded steps on a new vector: a unit entry
     left outside the pivot keys makes it independent, and it records one
-    more step with the first such key as its pivot; a vector with no entry
-    left outside the pivot keys is dependent, the entry at each pivot key
-    is its coefficient on the vector of that step, and those coefficients
-    are kept in dependent; a vector whose entries left outside the pivot
-    keys are all nonunits raises ValueError.  Over a field the steps reduce
-    every column to the reduced row echelon form, which is unique, so the
-    choice of pivot key changes no answer.  contains and solve replay
-    without adding."""
+    more step pivoting at one such unit: the one whose key the fewest of
+    the vectors given to the constructor and not yet added touch, the
+    first on a tie, so a vector added after construction pivots at its
+    first unit key; a vector with no entry left outside the pivot keys is
+    dependent, the entry at each pivot key is its coefficient on the vector
+    of that step, and those coefficients are kept in dependent; a vector
+    whose entries left outside the pivot keys are all nonunits raises
+    ValueError.  Over a field the steps reduce every column to the reduced
+    row echelon form, which is unique, so the choice of pivot key changes
+    no answer.  contains and solve replay without adding."""
 
     def __init__(self, field, vectors=()):
         self.field = field
@@ -144,15 +158,23 @@ class Echelon:
         self.pivots: dict = {}  # pivot key -> index of the vector of its step
         self.dependent: dict[int, dict] = {}  # index -> {index of a pivot vector: coefficient}
         self.size = 0  # the number of vectors added
-        for vec in vectors:
-            self.add(vec)
+        vectors = [self._nonzero(vec) for vec in vectors]
+        # key -> nonzero entries at it in the given vectors not yet added
+        later = self.later = Counter(key for v in vectors for key in v)
+        for v in vectors:
+            for key in v:
+                later[key] -= 1
+            self._add(v)
 
-    def _replay(self, vec) -> dict:
-        """vec reduced by the steps, as a dict of its nonzero entries."""
+    def _nonzero(self, vec) -> dict:
+        is_zero = self.field.is_zero
+        items = vec.items() if isinstance(vec, dict) else enumerate(vec)
+        return {key: x for key, x in items if not is_zero(x)}
+
+    def _replay(self, v: dict) -> dict:
+        """v, a dict of nonzero entries, reduced by the steps in place."""
         field = self.field
         mul = field.mul
-        items = vec.items() if isinstance(vec, dict) else enumerate(vec)
-        v = {key: x for key, x in items if not field.is_zero(x)}
         for p, inv, clears in self.steps:
             c = v.get(p)
             if c is None:
@@ -163,10 +185,22 @@ class Echelon:
 
     def add(self, vec) -> bool:
         """Append vec; True iff it is independent of the vectors before it."""
+        return self._add(self._nonzero(vec))
+
+    def _add(self, v: dict) -> bool:
+        """add for v, a dict of nonzero entries, which it reduces in place."""
         field = self.field
-        v = self._replay(vec)
-        pivots, is_unit = self.pivots, field.is_unit
-        p = next((key for key, x in v.items() if key not in pivots and is_unit(x)), None)
+        self._replay(v)
+        pivots, is_unit, later = self.pivots, field.is_unit, self.later
+        p = fewest = None
+        for key, x in v.items():
+            if key in pivots:
+                continue
+            n = later.get(key, 0)
+            if (p is None or n < fewest) and is_unit(x):
+                p, fewest = key, n
+                if not n:
+                    break
         if p is None and any(key not in pivots for key in v):
             raise ValueError("no unit pivot")
         j = self.size
@@ -181,13 +215,13 @@ class Echelon:
 
     def contains(self, vec) -> bool:
         """Is vec in the span of the vectors added so far?"""
-        return all(key in self.pivots for key in self._replay(vec))
+        return all(key in self.pivots for key in self._replay(self._nonzero(vec)))
 
     def solve(self, vec):
         """The coefficients of vec on the vectors added so far, one per
         vector and zero at the dependent ones, or None when vec is outside
         their span."""
-        v = self._replay(vec)
+        v = self._replay(self._nonzero(vec))
         if any(key not in self.pivots for key in v):
             return None
         x = [self.field.zero()] * self.size

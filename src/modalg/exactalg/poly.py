@@ -209,8 +209,9 @@ class MPoly:
         return sorted(self.terms.items(), key=lambda t: grlex_key(t[0]), reverse=True)
 
     def key(self):
-        """Canonical hashable snapshot (for caches and sorting)."""
-        return tuple((exp, self.ring.field.to_str(c)) for exp, c in self.sorted_terms())
+        """A hashable snapshot of the canonical terms, equal exactly when the
+        polynomials are (for caches and deduplication; it has no order)."""
+        return frozenset(self.terms.items())
 
     # -- arithmetic -------------------------------------------------------
     def _check(self, other: "MPoly"):

@@ -931,14 +931,31 @@ FIELDS = {
 }
 
 
-FIELD_ENTRIES = {field: entry for field, entry, _, _ in FIELDS.values()}
+NIL = NilAlgebra(QQ, ("e",), 2)
+
+
+def nil_entry():
+    """A unit, a unit plus a nilpotent, or a nilpotent of NIL, whose
+    nonunits are the multiples of e."""
+    unit = st.builds(Fraction, st.sampled_from([-2, -1, 1, 2, 3]))
+    return st.one_of(
+        st.builds(NIL.scalar, unit),
+        st.builds(lambda a, b: NIL.element({(0,): a, (1,): b}), unit, unit),
+        st.builds(lambda b: NIL.element({(1,): b}), unit),
+    )
+
+
+# the fields and a local ring, for what holds over every ring an Echelon takes
+RINGS = {**FIELDS, "NIL": (NIL, nil_entry, 5, 5)}
+ENTRIES = {ring: entry for ring, entry, _, _ in RINGS.values()}
 
 
 @st.composite
-def matrices(draw, min_rows=1, extra_rows=0):
+def matrices(draw, min_rows=1, extra_rows=0, rings=FIELDS):
     """(field, rows): a random matrix, sparse or dense, over QQ, GF(7) or
-    QQ(y), with up to extra_rows rows beyond the field's largest shape."""
-    field, entry, max_rows, max_cols = FIELDS[draw(st.sampled_from(sorted(FIELDS)))]
+    QQ(y) (or the rings named in rings), with up to extra_rows rows beyond
+    the field's largest shape."""
+    field, entry, max_rows, max_cols = rings[draw(st.sampled_from(sorted(rings)))]
     nr = draw(st.integers(min_rows, max_rows + extra_rows))
     nc = draw(st.integers(1, max_cols))
     density = draw(st.sampled_from([0.15, 0.5, 1.0]))
@@ -1044,7 +1061,7 @@ def test_echelon_matches_dense_reference(matrix, data):
     # right-hand sides: a combination of the columns, sometimes moved off
     # their span, solved by replaying the one elimination
     for _ in range(3):
-        xs = [data.draw(FIELD_ENTRIES[field]()) for _ in range(ncols)]
+        xs = [data.draw(ENTRIES[field]()) for _ in range(ncols)]
         b = [field.zero()] * len(rows)
         for c, x in enumerate(xs):
             b = [field.add(bi, field.mul(x, row[c])) for bi, row in zip(b, rows)]
@@ -1062,6 +1079,80 @@ def test_echelon_matches_dense_reference(matrix, data):
         assert (got is None) == (want is None)
         if want is not None:
             assert _same_rows(field, [got], [want])
+
+
+@settings(max_examples=100, deadline=None)
+@given(matrices(rings=RINGS), st.data())
+def test_bulk_echelon_matches_one_at_a_time(matrix, data):
+    # the columns given to the constructor pivot at the unit entry whose key
+    # the fewest later columns touch, the columns fed by add at their first
+    # unit key: the two give the same answers, and over NIL, where a rarer
+    # key may hold a nilpotent the rule must skip, both raise at the same
+    # column when its entries left outside the pivot keys are all nilpotent
+    ring, rows = matrix
+    cols = [{i: row[c] for i, row in enumerate(rows) if not ring.is_zero(row[c])}
+            for c in range(len(rows[0]))]
+    single = Echelon(ring)
+    failed = None
+    for j, col in enumerate(cols):
+        try:
+            single.add(col)
+        except ValueError as exc:
+            assert str(exc) == "no unit pivot"
+            failed = j
+            break
+    reached = []
+
+    class Reaching(Echelon):
+        def _add(self, v):
+            reached.append(self.size)
+            return super()._add(v)
+
+    if failed is None:
+        bulk = Reaching(ring, cols)
+    else:
+        with pytest.raises(ValueError, match="no unit pivot"):
+            Reaching(ring, cols)
+        assert reached[-1] == failed
+        bulk = Echelon(ring, cols[:failed])
+    assert bulk.size == single.size and list(bulk.dependent) == list(single.dependent)
+
+    def same(a, b):
+        return a.keys() == b.keys() and all(ring.eq(a[k], b[k]) for k in a)
+
+    assert all(same(bulk.relation(j), single.relation(j)) for j in single.dependent)
+    # right-hand sides: a combination of the columns added, sometimes moved
+    # off their span
+    entry = ENTRIES[ring]
+    for _ in range(3):
+        b = {}
+        for col in cols[:single.size]:
+            x = data.draw(entry())
+            for i, e in col.items():
+                b[i] = ring.add(b.get(i, ring.zero()), ring.mul(x, e))
+        if data.draw(st.booleans()):
+            i = data.draw(st.integers(0, len(rows) - 1))
+            b[i] = ring.add(b.get(i, ring.zero()), data.draw(entry()))
+        assert bulk.contains(b) == single.contains(b)
+        got, want = bulk.solve(b), single.solve(b)
+        assert (got is None) == (want is None)
+        if want is not None:
+            assert all(ring.eq(x, z) for x, z in zip(got, want))
+
+
+def test_bulk_echelon_pivots_at_the_rarest_unit_key():
+    # the first column's rarest key b holds a nilpotent, so it pivots at c,
+    # which one later column touches, not at a, which both do; the second
+    # column pivots at d, which no later column touches, and stops its scan
+    # there; a column added later pivots at its first unit key
+    e, one = NIL.gen("e"), NIL.one()
+    cols = [{"a": one, "b": e, "c": one},
+            {"a": one, "c": NIL.const(2), "d": one},
+            {"a": NIL.const(3), "e": one}]
+    ech = Echelon(NIL, cols)
+    assert [p for p, _, _ in ech.steps] == ["c", "d", "a"]
+    assert ech.add({"f": e, "g": one, "h": one}) and ech.steps[-1][0] == "g"
+    assert [p for p, _, _ in Echelon(NIL, cols[:1]).steps] == ["a"]
 
 
 def test_echelon_with_labelled_columns():

@@ -560,6 +560,23 @@ def test_jacobian_in_characteristic_five():
     assert rows_q[(0, (4,))][col] == 5 and rows_q[(1, (4,))][unknowns.index((0, (0,)))] == 5
 
 
+def test_jacobian_elimination_takes_no_fill_in():
+    # the Jacobian of the exponential ideal at w-horizon 8 (the ideal the
+    # exponential chain builds at (4, 8)) is triangular in the Hasse binomials
+    # C(k0, k): pivoting each column at the key no later column touches
+    # clears only the column's own other entries, where pivoting at its first
+    # key filled in up to 35 clears for 9 nonzeros
+    ideal = ideal_conjugated(FracField(QQ, ["y"]), 8)
+    unknowns = [(0, k) for k in multi_indices(1, 8)]
+    columns, consistent = _jacobian_at_identity(ideal.materialized(), ideal.coeff_ring, 1, 8,
+                                                unknowns)
+    assert consistent and sum(map(len, columns)) == 44
+    jacobian = Echelon(ideal.coeff_ring, columns)
+    assert len(jacobian.steps) == 8 and len(jacobian.dependent) == 1
+    assert [len(clears) for _, _, clears in jacobian.steps] == [
+        len(columns[jacobian.pivots[p]]) - 1 for p, _, _ in jacobian.steps]
+
+
 def test_correction_eliminates_the_jacobian_once(monkeypatch):
     # a Y-nonlinear ideal in two streams whose corrections meet residues at
     # many parameter monomials, some absorbable and some not: the kernel and

@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 
 from modalg import pv
 from modalg.actions import ActionSpec, MonoidDesc
-from modalg.exactalg import (GF, QQ, Echelon, FracField, Matrix, PolyRing, frac, poly_gcd,
-                             solve_linear)
+from modalg.exactalg import (GF, QQ, Echelon, FracField, Matrix, PolyRing, RationalField, frac,
+                             poly_gcd, solve_linear)
 from modalg.hull import ExtensionDesc, find_relations, hull_generators
 from modalg.lieritt import InfTransform, NilAlgebra
 from modalg.series import TruncSeries, truncated_exp
@@ -478,6 +478,40 @@ def test_residues_expand_each_generator_once(monkeypatch):
     assert d["ok"] and d["lie_dim"] == 1
     assert len(residue_calls) == 3
     assert len(calls) == 6 and set(calls) == {3}
+
+
+def test_compare_replays_stay_sparse(monkeypatch):
+    # the rational multiplications and additions made while the eliminations
+    # of one compare replay their steps: 327, where pivoting each column at
+    # its first unit key, which fills in the split block, made 719; the count
+    # repeats exactly, so a rise means fill-in is back
+    LIMIT = 327
+    calls = {"replays": 0, "mul": 0, "add": 0}
+    replay = Echelon._replay
+
+    def counting_replay(self, vec):
+        calls["replays"] += 1
+        try:
+            return replay(self, vec)
+        finally:
+            calls["replays"] -= 1
+
+    def counting(name):
+        op = getattr(RationalField, name)
+
+        def counted(self, a, b):
+            calls[name] += bool(calls["replays"])
+            return op(self, a, b)
+        return counted
+
+    data, ext = exponential_pv()
+    hull = hull_generators(ext, t_horizon=3, w_horizon=3)
+    rels = find_relations(hull, diff_order=3, degree=2)
+    monkeypatch.setattr(Echelon, "_replay", counting_replay)
+    for name in ("mul", "add"):
+        monkeypatch.setattr(RationalField, name, counting(name))
+    assert pv.compare(data, hull, rels, degree=3).as_dict()["ok"]
+    assert calls["mul"] + calls["add"] <= LIMIT, calls
 
 
 def test_galois_points_eliminates_the_linearization_once(monkeypatch):
