@@ -23,7 +23,7 @@ from .actions import ActionSpec, GeneratorPowers, HomElement, Report
 from .exactalg import AlgebraicField, Echelon, FracField, evaluate
 from .lieritt import DiffPoly, multi_indices
 from .series import SeriesRing, TruncSeries, formal_inverse, identity_tuple
-from .taylor import ExpansionAlgebra, JointElement
+from .taylor import ExpansionAlgebra
 
 
 class ExtensionDesc:
@@ -124,7 +124,7 @@ def make_basis_derivation(ext: ExtensionDesc, horizon: int) -> ActionSpec:
     L = ext.L
     theta0 = variable_basis_derivation(L, horizon, fixed_vars=ext.K_vars)
     tvars = ext.transcendental_vars()
-    if [L.to_str(b) for b in ext.basis] == [L.to_str(L.var(v)) for v in tvars]:
+    if len(ext.basis) == len(tvars) and all(map(L.eq, ext.basis, map(L.var, tvars))):
         return theta0
     subst, rep = change_basis_substitution(L, theta0, ext.basis, horizon)
     if not rep.ok:
@@ -232,8 +232,7 @@ class HullData:
                 if (i, k) not in lifted:
                     if (i, k) not in self._deformed:
                         self._deformed[i, k] = alg._deform_hom(self.derivative_table[(i, k)])
-                    lifted[i, k] = JointElement(alg_P, {
-                        w: s.map_coeffs(P.scalar, P) for w, s in self._deformed[i, k].data.items()})
+                    lifted[i, k] = self._deformed[i, k].map_coeffs(P.scalar, alg_P)
                 return lifted[i, k]
         ks = multi_indices(alg.theta_u.n, min(alg.w_horizon, P.order - 1))
         deviation = [alg_P.from_w_series(d) for d in deviation]
@@ -248,8 +247,9 @@ def hull_generators(ext: ExtensionDesc, t_horizon: int, w_horizon: int,
     Every divided derivative of an expanded generator is tested for
     membership in the span of monomials (degree <= span_degree) in the
     already-accepted generators with coefficients from the embedded copy of
-    L; derivatives outside the span are appended as new generators.  The
-    report states whether this closure stabilized within the horizon."""
+    L; derivatives outside the span are appended as new generators, adding
+    their new monomials (v times those of degree < span_degree) to the span.
+    The report states whether this closure stabilized within the horizon."""
     L = ext.L
     theta_u = make_basis_derivation(ext, w_horizon)
     algebra = ExpansionAlgebra(ext.action, theta_u, t_horizon, w_horizon, word_bound)
@@ -279,7 +279,8 @@ def hull_generators(ext: ExtensionDesc, t_horizon: int, w_horizon: int,
                 v = table[(i, tuple(k))]
                 if not span.contains(_hom_coordinates(v)):
                     accepted.append(v)
-                    span = _monomial_span(accepted, L, span_degree)
+                    for m in _hom_monomials(accepted, span_degree - 1) if span_degree else ():
+                        span.add(_hom_coordinates(m * v))
                     new_gens.append(((i, tuple(k)), v))
                     added_this_order = True
         if added_this_order:

@@ -92,6 +92,16 @@ class NilAlgebra(Ring):
     def is_zero(self, a) -> bool:
         return not a
 
+    def transport(self, target: "NilAlgebra", offset: int):
+        """The algebra map to target sending generator i to target's offset + i:
+        it relabels exponents and drops degrees >= target.order, with no
+        arithmetic; a ring map only if self.order >= target.order (else
+        ValueError)."""
+        if self.order < target.order:
+            raise ValueError(f"no algebra map from order {self.order} to order {target.order}")
+        head, tail = (0,) * offset, (0,) * (len(target.vars) - offset - len(self.vars))
+        return lambda a: {head + e + tail: c for e, c in a.items() if sum(e) < target.order}
+
     def unit_part(self, a):
         """Image under the projection killing the nilradical."""
         return a.get((0,) * len(self.vars), self.base.zero())
@@ -469,11 +479,6 @@ class SolutionFamily:
         self.empty = empty
         self.constraints = constraints or []
 
-    def transform(self) -> InfTransform:
-        if self.empty:
-            raise ValueError("empty solution family")
-        return InfTransform(self.algebra, self.components)
-
     def instantiate(self, algebra: NilAlgebra, values: dict) -> InfTransform:
         """Substitute nilpotent algebra elements for the parameters.
 
@@ -497,13 +502,15 @@ class SolutionFamily:
     @cached_property
     def symbolic_pair(self) -> tuple[InfTransform, InfTransform, InfTransform]:
         """(f, g, f . g): the members at the symbolic parameters s_i and t_i
-        of NilAlgebra(base, (s_0, ..., t_0, ...), 3) and their composite,
-        built on first use and shared by every check of the group law."""
+        of NilAlgebra(base, (s_0, ..., t_0, ...), 3), the family transported
+        along a_i -> s_i and a_i -> t_i (so its order must be >= 3), and
+        their composite, built once and shared by the group-law checks."""
         k = len(self.params)
         P2 = NilAlgebra(self.algebra.base, tuple(f"s{i}" for i in range(k))
                         + tuple(f"t{i}" for i in range(k)), 3)
-        f = self.instantiate(P2, {p: P2.gen(f"s{i}") for i, p in enumerate(self.params)})
-        g = self.instantiate(P2, {p: P2.gen(f"t{i}") for i, p in enumerate(self.params)})
+        f, g = (InfTransform(P2, [c.map_coeffs(self.algebra.transport(P2, offset), P2)
+                                  for c in self.components])
+                for offset in (0, k))
         return f, g, f.compose(g)
 
     def shape(self) -> str:

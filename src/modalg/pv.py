@@ -800,7 +800,8 @@ def compare(data: PVData, hull: HullData, relations, degree: int = 3) -> Compare
     automorphism is rewritten through the expansion pairing as an R (x) A
     transformation of the generators; the matrix it induces on X is matched
     against the solved formal family, giving the parameter map, and the map
-    is verified to be a group isomorphism on symbolic parameters.
+    is verified to be a group isomorphism on symbolic parameters, with the
+    symbolic pair's matrices transported from this one (so P.order >= 3).
 
     details["lie_dim"] is the parameter count of the formal family solved
     here; it equals lie_dim(data), since both solves take the kernel of the
@@ -869,7 +870,7 @@ def compare(data: PVData, hull: HullData, relations, degree: int = 3) -> Compare
     details["parameter_map"] = pmap["description"]
 
     # group law compatibility on symbolic parameters
-    hom_ok = _homomorphism_check(data, hull, um, split)
+    hom_ok = _homomorphism_check(data, hull, um, split, Minduced)
     details["group_homomorphism"] = hom_ok
     details["lie_dim"] = len(gal.params)
     details["umemura_parameters"] = list(um.family.params)
@@ -1001,28 +1002,19 @@ def _match_parameters(Minduced: Matrix, gal: GaloisFamily, P: NilAlgebra):
 
 
 def _homomorphism_check(data: PVData, hull: HullData, um: UmemuraReport,
-                        split: _SplitOperator) -> bool:
-    """The matrix induced by a composed pair of symbolic automorphisms (the
-    family's symbolic_pair) is the product of the induced matrices."""
+                        split: _SplitOperator, Minduced: Matrix) -> bool:
+    """The matrix induced by f . g, for the family's symbolic_pair f, g over
+    P2, is the product of those induced by f and g.  Inducing commutes with
+    algebra maps, so the latter are Minduced, the family's, pushed along the
+    transports a_i -> s_i and a_i -> t_i (the family's algebra needs order
+    >= P2.order); only f . g is reconstructed, split and induced."""
     fam = um.family
     if not fam.params:
         return True
-    pair = fam.symbolic_pair
-    induced = _Induced(data, split, pair[0].algebra)
-    Mf, Mg, Mfg = (_induced_matrix(hull, induced, t) for t in pair)
-    if Mf is None or Mg is None or Mfg is None:
-        return False
-    return Mf * Mg == Mfg
-
-
-def _induced_matrix(hull: HullData, induced: _Induced, transform):
-    """Matrix on X induced by an infinitesimal automorphism given as a
-    transformation: reconstruct the generator images (HullData.images),
-    split them over the R-monomials, and read off X^{-1} sigma(X)."""
-    coeffs = []
-    for img in hull.images(transform.comps):
-        cs = induced.split.split(img, induced.P)
-        if cs is None:
-            return None
-        coeffs.append(cs)
-    return induced.matrix(coeffs)
+    f, _, composed = fam.symbolic_pair
+    P2 = f.algebra
+    Mf, Mg = (Minduced.map(fam.algebra.transport(P2, offset), P2)
+              for offset in (0, len(fam.params)))
+    coeffs = [split.split(img, P2) for img in hull.images(composed.comps)]
+    Mfg = None if None in coeffs else _Induced(data, split, P2).matrix(coeffs)
+    return Mfg is not None and Mf * Mg == Mfg

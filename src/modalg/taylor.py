@@ -240,6 +240,10 @@ class JointElement:
     def __pow__(self, n: int):
         return power(self, n, self.alg.one)
 
+    def map_coeffs(self, fn, alg: ExpansionAlgebra) -> "JointElement":
+        """The element of alg with fn applied to every coefficient."""
+        return JointElement(alg, {w: s.map_coeffs(fn, alg.ring) for w, s in self.data.items()})
+
     def is_zero(self) -> bool:
         return all(s.is_zero() for s in self.data.values())
 

@@ -257,10 +257,7 @@ def solve_points(hull: HullData, relations: Sequence[DiffPoly],
     for (label, _, joint), img in zip(hull.rho_gens, hull.images(family.components)):
         images[label] = img
         # congruence: killing the parameters recovers the undeformed image
-        reduced = JointElement(
-            alg, {w: s.map_coeffs(P.unit_part, L) for w, s in img.data.items()}
-        )
-        if reduced != joint:
+        if img.map_coeffs(P.unit_part, alg) != joint:
             congruent = False
 
     # each symbol's w-derivative image and each coefficient's lift, once per call
@@ -269,7 +266,7 @@ def solve_points(hull: HullData, relations: Sequence[DiffPoly],
     lifts: dict = {}
 
     def lift(c):
-        key = L.to_str(c)
+        key = element_key(c)
         if key not in lifts:
             lifts[key] = alg_P.from_w_series(alg.theta_u.theta_series(c, wh), lift=P.scalar)
         return lifts[key]
@@ -300,15 +297,18 @@ def group_compatibility_check(hull: HullData, report: UmemuraReport) -> bool:
     """The point map sends composition of automorphisms to composition of
     transformations: applying one point to the reconstructed image of
     another equals reconstructing along the composed transformation.  The
-    points are the family's symbolic_pair, and every reconstruction is
-    HullData.images."""
+    points are the family's symbolic_pair (f, g, f . g).  The images of f
+    are the report's transported along a_i -> s_i, since reconstruction
+    commutes with algebra maps (the family's order must be >= 3); the
+    others are reconstructed by HullData.images."""
     family = report.family
     if family.empty or not family.params:
         return True
     f, g, composed = family.symbolic_pair
+    to_f, alg_f = family.algebra.transport(f.algebra, 0), hull.algebra.with_ring(f.algebra)
     # phi_f applied after phi_g: derivatives of phi_f's image, paired with
     # powers of phi_g's deviation
-    f_images = hull.images(f.comps)
+    f_images = [img.map_coeffs(to_f, alg_f) for img in report.images.values()]
     after_g = hull.images(g.comps, lambda i, k: f_images[i].hasse_deriv(k))
     return after_g == hull.images(composed.comps)
 

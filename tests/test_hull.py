@@ -4,6 +4,7 @@ relation discovery for the two worked extensions."""
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -26,6 +27,7 @@ from modalg.hull import (
     ExtensionDesc,
     _graded_monomials,
     _hom_coordinates,
+    _monomial_span,
     _relation_to_diffpoly,
     change_basis,
     distinct_products,
@@ -87,6 +89,25 @@ def gaussian_ext():
         "x": TruncSeries(L, ("w",), 8, {(0,): x, (1,): L.one()}),
         "y": TruncSeries.const(L, ("w",), 8, y) * truncated_exp(exponent)})
     return ExtensionDesc(L, [y], action, K_gens=[x], K_vars=("x",), name="gaussian")
+
+
+def riccati_ext():
+    """y' = 1 + y^2 on QQ(y): theta(y) = (y + tan w)/(1 - y tan w), with tan w
+    the quotient of the sine and cosine series.  The second divided
+    derivative of rho(y) is rho(y) + rho(y)^3, outside the degree-2 span."""
+    L = FracField(QQ, ["y"])
+    y = L.var("y")
+
+    def trig(start):  # sin (start 1) or cos (start 0), cut at w^8
+        return TruncSeries(L, ("w",), 8, {(k,): L.const(Fraction((-1) ** (k // 2),
+                                                                  math.factorial(k)))
+                                          for k in range(start, 9, 2)})
+
+    tan = trig(1).divide(trig(0))
+    Y = TruncSeries.const(L, ("w",), 8, y)
+    img = (Y + tan).divide(TruncSeries.one(L, ("w",), 8) - Y * tan)
+    action = ActionSpec(L, "iterder", n=1, theta_images={"y": img})
+    return ExtensionDesc(L, [y], action, name="riccati")
 
 
 # ------------------------------------------------------- basis derivation
@@ -269,6 +290,59 @@ def test_hull_generators_trivial_action():
     assert joint == hull.algebra.expand_rho0(L.var("y"))
 
 
+def rebuilt_closure(hull, span_degree):
+    """hull_generators' closure search with the span rebuilt from every
+    accepted generator by _monomial_span after each acceptance: the
+    accepted (i, k) in order, and the order of the last."""
+    L = hull.ext.L
+    n = hull.algebra.theta_u.n
+    table = hull.derivative_table
+    accepted = [j.w_slice((0,) * n) for _, j in hull.rho0_gens]
+    accepted += [table[(i, (0,) * n)] for i in range(hull.n_gens())]
+    span = _monomial_span(accepted, L, span_degree)
+    new_gens, stabilized_at = [], 0
+    for order in range(1, hull.algebra.w_horizon + 1):
+        for i in range(hull.n_gens()):
+            for k in multi_indices(n, order, order):
+                if not span.contains(_hom_coordinates(table[(i, k)])):
+                    accepted.append(table[(i, k)])
+                    span = _monomial_span(accepted, L, span_degree)
+                    new_gens.append((i, k))
+                    stabilized_at = order
+    return new_gens, stabilized_at
+
+
+@pytest.mark.parametrize("make, th, wh", [(product_ext, 6, 2), (gaussian_ext, 4, 2),
+                                          (gaussian_ext, 6, 3), (riccati_ext, 4, 4)],
+                         ids=["product-6-2", "gaussian-4-2", "gaussian-6-3", "riccati-4-4"])
+@pytest.mark.parametrize("span_degree", [0, 1, 2, 3])
+def test_closure_extends_the_span_as_a_rebuild_would(make, th, wh, span_degree):
+    # the span takes each accepted generator's new monomials; the table,
+    # the accepted generators and the report are those of rebuilding it
+    hull = hull_generators(make(), t_horizon=th, w_horizon=wh, span_degree=span_degree)
+    n = hull.algebra.theta_u.n
+    assert hull.derivative_table == {(i, k): joint.w_slice(k)
+                                     for i, (_, _, joint) in enumerate(hull.rho_gens)
+                                     for k in multi_indices(n, wh)}
+    new_gens, stabilized_at = rebuilt_closure(hull, span_degree)
+    assert hull.closure.as_dict() == {
+        "ok": stabilized_at < wh, "checked": len(hull.derivative_table),
+        "failures": [] if stabilized_at < wh else [
+            f"derivative closure still growing at order {wh}; "
+            f"raise the horizon to certify stabilization"],
+        "bounds": {"t_horizon": th, "w_horizon": wh, "stabilized_at": stabilized_at,
+                   "extra_gens": [str(key) for key in new_gens]}}
+
+
+def test_riccati_closure_accepts_the_cubic_derivative():
+    # (1/2) d^2/dw^2 tan = tan + tan^3 is outside the degree-2 span, and the
+    # third divided derivative (1 + 4 tan^2 + 3 tan^4)/3 is inside the span
+    # that includes it
+    hull = hull_generators(riccati_ext(), t_horizon=4, w_horizon=4)
+    assert hull.closure.ok
+    assert hull.closure.bounds["extra_gens"] == ["(0, (2,))"]
+
+
 def test_linear_disjointness_witness():
     # products of expansion monomials against trivially embedded monomials
     # have full column rank over the constants
@@ -405,8 +479,6 @@ def test_hull_basis_independence_additive():
     ext_v = ExtensionDesc(L, [y + y], ext_u.action)
     hull_u = hull_generators(ext_u, t_horizon=3, w_horizon=3)
     hull_v = hull_generators(ext_v, t_horizon=3, w_horizon=3)
-
-    from modalg.hull import _hom_coordinates, _monomial_span
 
     gens_u = [hull_u.derivative_table[(0, k)] for k in [(0,), (1,)]]
     gens_v = [hull_v.derivative_table[(0, k)] for k in [(0,), (1,)]]

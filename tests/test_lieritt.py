@@ -44,6 +44,24 @@ def test_nilalgebra_arithmetic():
     assert A.unit_part(A.add(u, b)) == Fraction(1)
 
 
+def test_transport_relabels_and_drops_what_the_target_kills():
+    # a0 -> t0, a1 -> t1 into (s0, s1, t0, t1) of order 3: exponents are
+    # shifted by two places and degree >= 3 is dropped; a ring map
+    P = NilAlgebra(QQ, ("a0", "a1"), 4)
+    P2 = NilAlgebra(QQ, ("s0", "s1", "t0", "t1"), 3)
+    to_t = P.transport(P2, 2)
+    c = QQ.from_int
+    x = P.element({(0, 0): c(2), (1, 0): c(3), (1, 1): c(-1), (2, 1): c(5), (0, 3): c(7)})
+    assert to_t(x) == {(0, 0, 0, 0): 2, (0, 0, 1, 0): 3, (0, 0, 1, 1): -1}
+    assert P.transport(P2, 0)(x) == {(0, 0, 0, 0): 2, (1, 0, 0, 0): 3, (1, 1, 0, 0): -1}
+    y = P.add(P.one(), P.gen("a1"))
+    assert to_t(P.mul(x, y)) == P2.mul(to_t(x), to_t(y))
+    # from a lower order the map would not respect products
+    # (a0^3 = 0 in P, a0^3 != 0 in the target), so it is refused
+    with pytest.raises(ValueError, match="order 3 to order 4"):
+        NilAlgebra(QQ, ("a0",), 3).transport(NilAlgebra(QQ, ("s0", "t0"), 4), 1)
+
+
 def test_sum_coefficients_print_in_parentheses():
     # a coefficient that is itself a sum must not run into its monomial:
     # c1 + (1 + c3)*y is not 1 + c3*y + c1, and (c1 - c3)*y is not c1 - c3*y

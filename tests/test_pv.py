@@ -6,6 +6,7 @@ Picard-Vessiot axioms of these examples."""
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -16,21 +17,23 @@ from modalg import pv
 from modalg.actions import ActionSpec, MonoidDesc
 from modalg.exactalg import (GF, QQ, Echelon, FracField, Matrix, PolyRing, RationalField, frac,
                              poly_gcd, solve_linear)
-from modalg.hull import ExtensionDesc, find_relations, hull_generators
-from modalg.lieritt import InfTransform, NilAlgebra
+from modalg.hull import ExtensionDesc, HullData, find_relations, hull_generators
+from modalg.lieritt import InfTransform, NilAlgebra, SolutionFamily
 from modalg.series import TruncSeries, truncated_exp
 from test_exactalg import dense_solve
 from modalg.umemura import build_ideal, group_compatibility_check, solve_points
 
 
-def exponential_pv():
-    """R = Q[y, 1/y], X = [[y]] for theta(y) = y exp(w)."""
-    L = FracField(QQ, ["y"])
+def exponential_pv(field=QQ):
+    """R = k[y, 1/y], X = [[y]] for theta(y) = y exp(w); exp(w) is cut at
+    w^8, so over GF(p) it needs p > 8."""
+    L = FracField(field, ["y"])
     y = L.var("y")
-    w = TruncSeries.variable(L, ("w",), 8, "w")
-    img = TruncSeries.const(L, ("w",), 8, y) * truncated_exp(w)
+    exp_w = TruncSeries(L, ("w",), 8, {(k,): L.inv(L.from_int(math.factorial(k)))
+                                       for k in range(9)})
+    img = TruncSeries.const(L, ("w",), 8, y) * exp_w
     action = ActionSpec(L, "iterder", n=1, theta_images={"y": img})
-    R = PolyRing(QQ, ["y", "yi"], inverse_pairs=[(0, 1)])
+    R = PolyRing(field, ["y", "yi"], inverse_pairs=[(0, 1)])
     X = Matrix(R, [[R.var("y")]])
     data = pv.PVData(L, action, R, X, {"y": ("X", 0, 0), "yi": ("Xinv", 0, 0)},
                      name="exponential")
@@ -84,8 +87,9 @@ def test_split_tensor_matches_per_monomial_solve(monkeypatch):
     d = pv.compare(data, hull, rels, degree=3).as_dict()
     assert d["ok"] and d["lie_dim"] == 1 and d["group_homomorphism"] is True
     assert d["formal_group"]["tag"] in ("Gm_hat", "Gm_hat_conjugate")
-    # the sigma-image of y, then the images under f, g and their composite
-    assert len(calls) == 4
+    # the sigma-image of y, then the image under the composite of f and g;
+    # those of f and g are the first pushed along the parameter transports
+    assert len(calls) == 2
     assert len({id(op) for op, _, _, _ in calls}) == 1
     L, alg = data.L, hull.algebra
     for op, img, P, got in calls:
@@ -414,6 +418,106 @@ def test_compare_composes_the_symbolic_pair_once(monkeypatch):
     d = pv.compare(data, hull, rels, degree=3).as_dict()
     assert d["ok"] and d["group_homomorphism"] is True
     assert len(calls) == 1
+
+
+def two_derivation_pv():
+    """R = Q[y, z, 1/z], X = [[1, y, 0], [0, 1, 0], [0, 0, z]] for the two
+    commuting derivations theta(y) = y + w1 and theta(z) = z exp(w2): the
+    group G_a x G_m with one w variable per factor."""
+    L = FracField(QQ, ["y", "z"])
+    y, z = L.var("y"), L.var("z")
+    wvars = ("w1", "w2")
+    w2 = TruncSeries.variable(L, wvars, 8, "w2")
+    action = ActionSpec(L, "iterder", n=2, theta_images={
+        "y": TruncSeries(L, wvars, 8, {(0, 0): y, (1, 0): L.one()}),
+        "z": TruncSeries.const(L, wvars, 8, z) * truncated_exp(w2)})
+    R = PolyRing(QQ, ["y", "z", "zi"], inverse_pairs=[(1, 2)])
+    one, zero = R.one(), R.zero()
+    X = Matrix(R, [[one, R.var("y"), zero], [zero, one, zero], [zero, zero, R.var("z")]])
+    data = pv.PVData(L, action, R, X,
+                     {"y": ("X", 0, 1), "z": ("X", 2, 2), "zi": ("Xinv", 2, 2)},
+                     name="two derivations")
+    return data, ExtensionDesc(L, [y, z], action, name="two derivations")
+
+
+# name -> (make, horizon, relation degree, compare degree)
+TRANSPORT_EXAMPLES = {
+    "additive": (additive_pv, 3, 2, 3),
+    "additive GF(7)": (lambda: additive_pv(GF(7)), 3, 2, 3),
+    "exponential": (exponential_pv, 3, 2, 3),
+    "exponential GF(11)": (lambda: exponential_pv(GF(11)), 3, 2, 3),
+    "q-difference": (q_difference_pv, 2, 2, 3),
+    "two derivations": (two_derivation_pv, 2, 1, 2),
+}
+
+
+def transport_example(name):
+    """The data, hull and relations of a TRANSPORT_EXAMPLES entry, and its
+    compare degree."""
+    make, bound, degree, compare_degree = TRANSPORT_EXAMPLES[name]
+    data, ext = make()
+    hull = hull_generators(ext, t_horizon=bound, w_horizon=bound)
+    return data, hull, find_relations(hull, diff_order=bound, degree=degree), compare_degree
+
+
+@pytest.mark.parametrize("name", sorted(TRANSPORT_EXAMPLES))
+def test_transported_induced_matrices_equal_the_reconstruction(name, monkeypatch):
+    # inducing commutes with algebra maps: compare's induced matrix pushed
+    # along a_i -> s_i and a_i -> t_i equals the matrix that f and g induce
+    # when their images are reconstructed, split and induced
+    seen = []
+    check = pv._homomorphism_check
+    monkeypatch.setattr(pv, "_homomorphism_check", lambda *args: seen.append(args) or check(*args))
+    data, hull, rels, degree = transport_example(name)
+    d = pv.compare(data, hull, rels, degree=degree).as_dict()
+    assert d["ok"] and d["group_homomorphism"] is True
+    [(_, _, um, split, Minduced)] = seen
+    fam = um.family
+    f, g, _ = fam.symbolic_pair
+    P2 = f.algebra
+    induced = pv._Induced(data, split, P2)
+    for offset, point in ((0, f), (len(fam.params), g)):
+        coeffs = [split.split(img, P2) for img in hull.images(point.comps)]
+        assert None not in coeffs
+        assert Minduced.map(fam.algebra.transport(P2, offset), P2) == induced.matrix(coeffs)
+
+
+def wrong_symbolic_pair(monkeypatch):
+    """Make every family's symbolic_pair (f, g, g . g) instead of
+    (f, g, f . g)."""
+    pair = SolutionFamily.symbolic_pair.func
+
+    def wrong(fam):
+        f, g, _ = pair(fam)
+        return f, g, g.compose(g)
+
+    monkeypatch.setattr(SolutionFamily, "symbolic_pair", property(wrong))
+
+
+@pytest.mark.parametrize("name", sorted(TRANSPORT_EXAMPLES))
+def test_checks_reject_a_wrong_composite(name, monkeypatch):
+    # the transported points keep both group-law checks able to fail
+    data, hull, rels, degree = transport_example(name)
+    wrong_symbolic_pair(monkeypatch)
+    assert group_compatibility_check(hull, solve_points(hull, rels)) is False
+    assert pv.compare(data, hull, rels, degree=degree).as_dict()["group_homomorphism"] is False
+
+
+def test_compare_reconstructs_only_the_composite(monkeypatch):
+    # solve_points reconstructs the family's images and the homomorphism
+    # check those of f . g; the images of f and g are transported
+    calls = []
+    images = HullData.images
+
+    def counting(self, comps, entry=None):
+        calls.append(comps[0].ring)
+        return images(self, comps, entry)
+
+    monkeypatch.setattr(HullData, "images", counting)
+    data, hull, rels, degree = transport_example("two derivations")
+    d = pv.compare(data, hull, rels, degree=degree).as_dict()
+    assert d["ok"] and d["group_homomorphism"] is True
+    assert len(calls) == 2
 
 
 def test_compare_rejects_data_over_another_field():

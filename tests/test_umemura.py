@@ -6,9 +6,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import pytest
+
 from modalg.actions import ActionSpec
 from modalg.exactalg import QQ, Frac, FracField
-from modalg.hull import ExtensionDesc, find_relations, hull_generators
+from modalg.hull import ExtensionDesc, HullData, find_relations, hull_generators
 from modalg.lieritt import InfTransform, NilAlgebra, multi_indices
 from modalg.series import TruncSeries, truncated_exp
 from modalg.umemura import (
@@ -19,6 +21,7 @@ from modalg.umemura import (
     identify_formal_group,
     solve_points,
 )
+from test_pv import TRANSPORT_EXAMPLES, transport_example
 
 
 def additive_setup(th=3, wh=4):
@@ -204,6 +207,45 @@ def test_chain_composes_the_symbolic_pair_once(monkeypatch):
         report = solve_points(hull, rels)
         assert group_compatibility_check(hull, report)
         assert len(calls) == 1
+
+
+@pytest.mark.parametrize("name", sorted(TRANSPORT_EXAMPLES))
+def test_transported_images_equal_the_reconstruction(name):
+    # the symbolic points f and g are the family pushed along a_i -> s_i and
+    # a_i -> t_i, and the reconstruction commutes with those maps: the
+    # report's images pushed along them are the images of f and g
+    _, hull, rels, _ = transport_example(name)
+    report = solve_points(hull, rels)
+    fam = report.family
+    f, g, _ = fam.symbolic_pair
+    P2 = f.algebra
+    k = len(fam.params)
+    alg2 = hull.algebra.with_ring(P2)
+    for offset, point in ((0, f), (k, g)):
+        names = P2.vars[offset:offset + k]
+        assert point == fam.instantiate(P2, {a: P2.gen(s) for a, s in zip(fam.params, names)})
+        to = fam.algebra.transport(P2, offset)
+        assert [img.map_coeffs(to, alg2) for img in report.images.values()] == \
+            hull.images(point.comps)
+
+
+def test_group_compatibility_reconstructs_twice(monkeypatch):
+    # the images under g and under f . g; those of f are the report's,
+    # transported
+    calls = []
+    images = HullData.images
+
+    def counting(self, comps, entry=None):
+        calls.append(comps[0].ring)
+        return images(self, comps, entry)
+
+    monkeypatch.setattr(HullData, "images", counting)
+    for setup in (additive_setup, exponential_setup):
+        _, hull, rels = setup(th=2, wh=3)
+        report = solve_points(hull, rels)
+        calls.clear()
+        assert group_compatibility_check(hull, report)
+        assert len(calls) == 2
 
 
 def test_functoriality_in_the_test_algebra():
