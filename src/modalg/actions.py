@@ -4,8 +4,13 @@ An ActionSpec fixes which bialgebra acts and how its generators move the
 ring generators.  Supported shapes:
 
   trivial            every operator acts through the counit
-  der                one derivation, characteristic 0 (realized through its
-                     divided powers d^k/k!)
+  der                one derivation d, characteristic 0, declared by the
+                     images d(g) of the generators g (0 where undeclared;
+                     an undeclared inverse-pair partner follows its
+                     partner) and realized through its divided powers
+                     d^k/k!.  d extends to every element through the ring
+                     map: d(a) is the coefficient of w in the image of a
+                     under g -> g + d(g) w into series of horizon 1
   iterder(n)         n commuting iterative derivations: generator images are
                      truncated series  theta(g) = g + ... in w_1..w_n
   end / auto         one (injective) endomorphism / automorphism sigma
@@ -28,8 +33,8 @@ import itertools
 import math
 from typing import Callable, Sequence
 
-from .exactalg import Frac, FracField, PolyRing, ProductField, binom, evaluate, restriction_kernel
-from .exactalg.algext import AlgebraicField
+from .exactalg import (AlgebraicField, FracField, GeneratorPowers, PolyRing, ProductField, binom,
+                       restriction_kernel)
 from .lieritt import multi_indices
 from .series import SeriesRing, TruncSeries
 
@@ -318,95 +323,61 @@ class ActionSpec:
         return DEFAULT_WORD_BOUND if self.has_monoid() else TRIVIAL_WORD_BOUND
 
     # ----------------------------------------------------- generator images
+    def _image(self, table: dict, name: str, inv: Callable):
+        """table[name]; inv of the partner's image when only the inverse-pair
+        partner of name has one; None when neither has."""
+        if name in table:
+            return table[name]
+        partner = self.ring.partners.get(name)
+        return inv(table[partner]) if partner in table else None
+
     def _theta_image(self, name: str, horizon: int) -> TruncSeries:
         """theta(gen) as a series in the w variables, horizon-adjusted."""
-        if self.kind == "trivial" or not self.has_theta():
-            return TruncSeries.const(self.ring, self.wvars, horizon, self.ring.var(name))
         if self.kind == "der":
             return self._der_series(name, horizon)
-        if name in self.theta_images:
-            return self.theta_images[name].with_horizon(horizon)
-        partner = self._inverse_partner(name)
-        if partner is not None and partner in self.theta_images:
-            return self.theta_images[partner].with_horizon(horizon).recip()
-        raise KeyError(f"no derivation image declared for generator {name!r}")
-
-    def _inverse_partner(self, name: str) -> str | None:
-        ring = self.ring
-        if isinstance(ring, PolyRing) and ring.inverse_pairs:
-            for i, j in ring.inverse_pairs:
-                if ring.vars[i] == name:
-                    return ring.vars[j]
-                if ring.vars[j] == name:
-                    return ring.vars[i]
-        return None
+        img = self._image(self.theta_images, name, lambda s: s.with_horizon(horizon).recip())
+        if img is None:
+            raise KeyError(f"no derivation image declared for generator {name!r}")
+        return img.with_horizon(horizon)
 
     def _der_series(self, name: str, horizon: int) -> TruncSeries:
-        # divided powers of a single derivation: sum d^k(g)/k! w^k
+        """The divided powers sum_k d^k(g)/k! w^k of the derivation at the
+        generator name, each d(a) read off the ring map at horizon 1 (see
+        the module docstring)."""
         ring = self.ring
+        S = SeriesRing(ring, self.wvars, 1)
+        declared = {v: TruncSeries(ring, self.wvars, 1, {(0,): ring.var(v), (1,): d})
+                    for v, d in self.d_images.items()}
+        images = {}
+        for v in ring.vars:
+            img = self._image(declared, v, S.inv)
+            images[v] = S.const(ring.var(v)) if img is None else img
+        first = GeneratorPowers(S, images)
         cur = ring.var(name)
         out = {(0,): cur}
         for k in range(1, horizon + 1):
-            cur = self._apply_derivation(cur)
+            cur = ring.hom(cur, first, lambda c: S.const(ring.scalar(c))).coeff((1,))
             if ring.is_zero(cur):
                 break
             inv_fact = ring.from_int(math.factorial(k))
             out[(k,)] = ring.mul(cur, ring.inv(inv_fact))
         return TruncSeries(ring, self.wvars, horizon, out)
 
-    def _apply_derivation(self, elem):
-        """Extend the declared derivation from the generators by the Leibniz
-        and quotient rules."""
-        ring = self.ring
-        if isinstance(ring, FracField):
-            num, den = elem.num, elem.den
-            dnum = self._derive_poly_into_field(num)
-            dden = self._derive_poly_into_field(den)
-            fden = ring.from_poly(den)
-            return dnum / fden - ring.frac(num, den) * dden / fden
-        out = ring.zero()
-        for i, v in enumerate(ring.vars):
-            img = self.d_images.get(v)
-            if img is None:
-                partner = self._inverse_partner(v)
-                if partner is None or partner not in self.d_images:
-                    continue
-                # d(1/u) = -d(u) u^(-2), expressed through the inverse variable
-                img = ring.neg(self.d_images[partner]) * ring.var(v) ** 2
-            out = out + elem.partial(i) * img
-        return out
-
-    def _derive_poly_into_field(self, p):
-        ring = self.ring
-        total = ring.zero()
-        for i, v in enumerate(ring.poly_ring.vars):
-            img = self.d_images.get(v)
-            if img is None:
-                continue
-            img_f = img if isinstance(img, Frac) else ring.from_poly(img)
-            total = total + ring.from_poly(p.partial(i)) * img_f
-        return total
-
     def _endo_image(self, maps: Sequence[dict], gen_idx: int, name: str):
-        m = maps[gen_idx]
-        if name in m:
-            return m[name]
-        partner = self._inverse_partner(name)
-        if partner is not None and partner in m:
-            try:
-                return self.ring.inv(m[partner])
-            except ZeroDivisionError:
-                raise ValueError(
-                    f"endomorphism image of {partner!r} is not a unit; cannot act on {name!r}"
-                ) from None
-        raise KeyError(f"no endomorphism image declared for generator {name!r}")
+        try:
+            img = self._image(maps[gen_idx], name, self.ring.inv)
+        except ZeroDivisionError:
+            raise ValueError(f"endomorphism image of {self.ring.partners[name]!r} is not a unit; "
+                             f"cannot act on {name!r}") from None
+        if img is None:
+            raise KeyError(f"no endomorphism image declared for generator {name!r}")
+        return img
 
     # --------------------------------------------------------- application
     def _apply_with(self, maps: Sequence[dict], gen_idx: int, elem):
         ring = self.ring
         images = {name: self._endo_image(maps, gen_idx, name) for name in ring.vars}
-        return ring_hom(ring, elem, images, ring,
-                        ring.scalar if isinstance(ring, PolyRing) else ring.const)
+        return ring.hom(elem, GeneratorPowers(ring, images), ring.scalar)
 
     def apply_generator(self, gen_idx: int, elem):
         """Apply one monoid generator to a ring element."""
@@ -440,7 +411,8 @@ class ActionSpec:
     def theta_series(self, elem, horizon: int) -> TruncSeries:
         """The derivation expansion sum_k theta^(k)(elem) w^k.
 
-        The horizon-adjusted images of the generators (for the partner of an
+        It is the ring's hom into the series of this horizon.  The
+        horizon-adjusted images of the generators (for the partner of an
         inverse pair, the reciprocal of its partner's image) and their powers
         are built on the first call at each horizon and kept on this action,
         so they live exactly as long as it does; a later call extends a power
@@ -450,26 +422,18 @@ class ActionSpec:
         deforms to cached powers of reciprocal images; so a constant deforms
         to the constant series, and the polynomial coefficients that umemura
         deforms after clearing denominators cost no division."""
+        ring = self.ring
         if not self.has_theta() and self.kind != "trivial":
-            return TruncSeries.const(self.ring, (), 0, elem)
+            return TruncSeries.const(ring, (), 0, elem)
         if self.kind == "trivial":
-            return TruncSeries.const(self.ring, self.wvars, horizon, elem)
+            return TruncSeries.const(ring, self.wvars, horizon, elem)
         powers = self._theta_powers.get(horizon)
         if powers is None:
             powers = self._theta_powers[horizon] = GeneratorPowers(
-                SeriesRing(self.ring, self.wvars, horizon),
-                {name: self._theta_image(name, horizon) for name in self.ring.vars})
-        ring = self.ring
-        if isinstance(ring, AlgebraicField):
-            out = powers.space.zero()
-            for d, c in enumerate(ring.decompose(elem)):
-                if not c.is_zero():
-                    t = powers.frac(c, ring.const)
-                    out = out + (t * powers.power(ring.gen_name, d) if d else t)
-            return out
-        if isinstance(ring, FracField):
-            return powers.frac(elem, ring.const)
-        return powers.poly(elem, ring.scalar)
+                SeriesRing(ring, self.wvars, horizon),
+                {name: self._theta_image(name, horizon) for name in ring.vars})
+        S = powers.target
+        return ring.hom(elem, powers, lambda c: S.const(ring.scalar(c)))
 
     def theta_coefficient(self, elem, k: tuple[int, ...]):
         return self.theta_series(elem, sum(k)).coeff(k)
@@ -478,9 +442,7 @@ class ActionSpec:
     def tvars(self) -> tuple[str, ...]:
         if not self.has_theta() and self.kind != "trivial":
             return ()
-        if self.kind == "trivial":
-            return ("t",) if self.n in (0, 1) else tuple(f"t{i+1}" for i in range(self.n))
-        return ("t",) if self.n == 1 else tuple(f"t{i+1}" for i in range(self.n))
+        return ("t",) if self.n in (0, 1) else tuple(f"t{i+1}" for i in range(self.n))
 
     def expand(self, elem, horizon: int, word_bound: int | None = None) -> HomElement:
         """The universal expansion of a ring element: for every word g within
@@ -517,89 +479,8 @@ class ActionSpec:
         h = horizon if tvars else 0
         return HomElement(self.ring, monoid, tvars, h, word_bound if monoid is not None else 0, data)
 
-    def counit(self, word, k: tuple[int, ...]):
-        return self.ring.zero() if any(k) else self.ring.one()
-
     def __repr__(self):
         return f"ActionSpec({self.kind!r}, ring={self.ring!r}, n={self.n})"
-
-
-def ring_hom(ring, elem, images: dict, target, lift: Callable):
-    """The image of elem, an element of ring (a PolyRing, a FracField or an
-    AlgebraicField over one), under the ring map into target that sends
-    each generator name to images[name] and each scalar c to lift(c)."""
-    if isinstance(ring, AlgebraicField):
-        return evaluate([((d,), c) for d, c in enumerate(ring.decompose(elem))],
-                        [images[ring.gen_name]], target,
-                        lambda c: ring_hom(ring.base, c, images, target, lift))
-
-    def at(p):
-        return evaluate(p.sorted_terms(), [images[v] for v in p.ring.vars], target, lift)
-
-    if isinstance(ring, FracField):
-        return target.div(at(elem.num), at(elem.den))
-    return at(elem)
-
-
-class GeneratorPowers:
-    """Series images of named generators in one series space, with the
-    powers of each image and of its reciprocal built once and extended only
-    when a higher exponent is needed."""
-
-    __slots__ = ("space", "images", "rows")
-
-    def __init__(self, space: SeriesRing, images: dict[str, TruncSeries]):
-        self.space = space
-        self.images = images
-        self.rows: dict[tuple[str, bool], list[TruncSeries]] = {}
-
-    def power(self, name: str, e: int) -> TruncSeries:
-        """The e-th power (e != 0) of the image of the generator name; a
-        negative e is a power of the image's reciprocal."""
-        row = self.rows.get((name, e < 0))
-        if row is None:
-            image = self.images[name]
-            row = self.rows[name, e < 0] = [None, image.recip() if e < 0 else image]
-        e = abs(e)
-        while len(row) <= e:
-            row.append(row[-1] * row[1])
-        return row[e]
-
-    def poly(self, p, lift) -> TruncSeries:
-        """The image of a polynomial over the generators, summed in the order
-        of its sorted terms: each term is its cached powers scaled by
-        lift(coefficient)."""
-        S = self.space
-        out = S.zero()
-        for exp, c in p.sorted_terms():
-            t = None
-            for name, e in zip(p.ring.vars, exp):
-                if e:
-                    pw = self.power(name, e)
-                    t = pw if t is None else t * pw
-            out = out + (S.const(lift(c)) if t is None else t.scale(lift(c)))
-        return out
-
-    def frac(self, c: Frac, lift) -> TruncSeries:
-        """The image of a fraction: numerator divided by denominator, with no
-        division when the (monic) denominator is 1 or a monomial x^f, whose
-        image is a product of cached powers of reciprocals."""
-        num = self.poly(c.num, lift)
-        if len(c.den.terms) != 1:
-            return num.divide(self.poly(c.den, lift))
-        (f, _), = c.den.terms.items()
-        for name, e in zip(c.den.ring.vars, f):
-            if e:
-                num = num * self.power(name, -e)
-        return num
-
-
-def convolution(f: HomElement, g: HomElement) -> HomElement:
-    return f * g
-
-
-def translate(f: HomElement, word, k: tuple[int, ...]) -> HomElement:
-    return f.translate(word, k)
 
 
 # ------------------------------------------------------------------ reports
@@ -709,7 +590,7 @@ def check_module_algebra(action: ActionSpec, ring, depth: int,
         if not ring.eq(expand(a, depth).ev_unit(), a):
             failures.append(f"unit operator moves {a}")
 
-    if action.has_theta() or action.kind == "der":
+    if action.has_theta():
         tlen = max(action.n, 1)
         for a in elems:
             ea = expand(a, depth)
@@ -789,7 +670,7 @@ def constants(ring, action, degree: int, horizon: int | None = None) -> list:
     basis = monomial_basis(ring, degree)
     scalars = ring.scalars
     columns: list[list] = [[] for _ in basis]
-    if action.has_theta() or action.kind == "der":
+    if action.has_theta():
         tlen = max(action.n, 1)
         if ring.char == 0:
             orders = [k for k in multi_indices(tlen, horizon) if any(k)]

@@ -6,7 +6,8 @@ Every coefficient context follows one ring protocol, documented in ring.py:
 char and scalars (the prime field it is a vector space over), zero, one,
 from_int, const (the embedding of a scalar), the arithmetic add, sub, neg,
 mul, inv and div, the tests is_zero, is_unit, is_nilpotent and eq, to_str,
-gens() and scalar_coordinates.  Contexts are interned, so equal
+gens() and scalar_coordinates, and for the contexts with named generators
+the ring map hom over a GeneratorPowers.  Contexts are interned, so equal
 constructions return the same object and contexts compare by identity.
 """
 
@@ -16,7 +17,7 @@ from .frac import Frac, FracField
 from .linalg import Echelon, Matrix, kernel_basis, restriction_kernel, rref, solve_linear
 from .poly import MPoly, PolyRing, evaluate, grlex_key, poly_gcd
 from .product import ProductField
-from .ring import Ring, power
+from .ring import GeneratorPowers, Ring, power
 
 __all__ = [
     "AlgebraicField",
@@ -40,6 +41,7 @@ __all__ = [
     "grlex_key",
     "poly_gcd",
     "ProductField",
+    "GeneratorPowers",
     "Ring",
     "power",
 ]

@@ -113,9 +113,6 @@ class AlgebraicField(Ring):
     def from_base(self, c: Frac) -> tuple:
         return self.element([c])
 
-    def decompose(self, a: tuple) -> tuple:
-        return a
-
     def zero(self):
         return self.element([])
 
@@ -124,6 +121,8 @@ class AlgebraicField(Ring):
 
     def const(self, c):
         return self.from_base(self.base.const(c))
+
+    scalar = const
 
     def var(self, name: str):
         if name == self.gen_name:
@@ -154,6 +153,20 @@ class AlgebraicField(Ring):
 
     def eq(self, a, b) -> bool:
         return all(x == y for x, y in zip(a, b))
+
+    def hom(self, a, powers, lift):
+        """The ring map of the protocol (ring.py) at a: the sum of the
+        images of the nonzero base coefficients under base.hom, each times
+        the power of the generator's image."""
+        T = powers.target
+        out = None
+        for d, c in enumerate(a):
+            if not c.is_zero():
+                t = self.base.hom(c, powers, lift)
+                if d:
+                    t = T.mul(t, powers.power(self.gen_name, d))
+                out = t if out is None else T.add(out, t)
+        return T.zero() if out is None else out
 
     def to_str(self, a) -> str:
         parts = []

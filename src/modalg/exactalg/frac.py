@@ -129,6 +129,22 @@ class FracField(Ring):
         c = F.const(c)
         return self._one if F.eq(c, F.one()) else self.from_poly(self.poly_ring.scalar(c))
 
+    scalar = const
+
+    def hom(self, f: "Frac", powers, lift):
+        """The ring map of the protocol (ring.py) at f: the image of the
+        numerator over that of the denominator, with no division when the
+        (monic) denominator is 1 or a monomial x^e, whose image is a product
+        of cached powers of inverse images."""
+        num = self.poly_ring.hom(f.num, powers, lift)
+        if len(f.den.terms) != 1:
+            return powers.target.div(num, self.poly_ring.hom(f.den, powers, lift))
+        (e, _), = f.den.terms.items()
+        for name, k in zip(self.vars, e):
+            if k:
+                num = powers.target.mul(num, powers.power(name, -k))
+        return num
+
     # the ring protocol is Frac's own operators, called with no wrapper frame
     add = staticmethod(operator.add)
     neg = staticmethod(operator.neg)

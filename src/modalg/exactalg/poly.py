@@ -80,9 +80,12 @@ class PolyRing(Ring):
         self.inverse_pairs = tuple(tuple(p) for p in inverse_pairs)
         # the exponent tuple of the constant monomial
         self.const_exp = (0,) * len(self.vars)
+        self.partners = {}
         for i, j in self.inverse_pairs:
             if not (0 <= i < len(self.vars) and 0 <= j < len(self.vars)) or i == j:
                 raise ValueError(f"bad inverse pair ({i}, {j})")
+            self.partners[self.vars[i]] = self.vars[j]
+            self.partners[self.vars[j]] = self.vars[i]
         # the product key of two exponent tuples
         self._combine = self._reduced_sum if self.inverse_pairs else _terms.add_keys
 
@@ -155,6 +158,22 @@ class PolyRing(Ring):
         if r is None:
             raise ZeroDivisionError(f"{a} is not a unit in {self}")
         return r
+
+    def hom(self, p: "MPoly", powers, lift):
+        """The ring map of the protocol (ring.py) at p: the sum, in the
+        order of p's sorted terms, of each term's cached powers times its
+        lifted coefficient."""
+        T = powers.target
+        out = None
+        for exp, c in p.sorted_terms():
+            t = None
+            for name, e in zip(self.vars, exp):
+                if e:
+                    pw = powers.power(name, e)
+                    t = pw if t is None else T.mul(t, pw)
+            t = lift(c) if t is None else T.mul(t, lift(c))
+            out = t if out is None else T.add(out, t)
+        return T.zero() if out is None else out
 
     def to_str(self, a) -> str:
         return str(a)
@@ -321,19 +340,6 @@ class MPoly:
             q[qexp] = f.add(q.get(qexp, f.zero()), qc)
             r = r - MPoly(self.ring, {qexp: qc}) * d
         return self.ring.poly(q)
-
-    def partial(self, i: int) -> "MPoly":
-        """Formal partial derivative in variable i (ordinary, not divided)."""
-        f = self.ring.field
-        out: dict = {}
-        for exp, c in self.terms.items():
-            if exp[i] == 0:
-                continue
-            e = list(exp)
-            n = e[i]
-            e[i] -= 1
-            out[tuple(e)] = f.mul(c, f.from_int(n))
-        return self.ring.poly(out)
 
     def subs(self, images: dict[str, "MPoly"]) -> "MPoly":
         """Substitute ring elements for variables (same ring)."""

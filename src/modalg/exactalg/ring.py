@@ -22,7 +22,22 @@ and NilAlgebra, and each of them provides:
                        same combination of rows does.  A prime field returns
                        each element as its own single coordinate;
   factors()            the factor rings of a direct product, whose elements
-                       are tuples of components; () for any other context.
+                       are tuples of components; () for any other context;
+  partners             the partner table: the name of the other generator of
+                       each inverse pair, by name; Ring's empty table for
+                       every context but a PolyRing with inverse_pairs.
+
+PolyRing, FracField and AlgebraicField, the contexts generated by named
+generators, also answer the one ring map of the library:
+
+  hom(a, powers, lift) the image of a under the ring map that sends each
+                       generator to its image in powers, a GeneratorPowers
+                       over the target context, and each coefficient c of a
+                       to lift(c), a target element.  The coefficients are
+                       the elements of field for a PolyRing and the scalars
+                       for FracField and AlgebraicField; scalar(c) embeds
+                       one in the context itself.  The target needs zero,
+                       add, mul, and inv and div for the images of fractions.
 
 Ring supplies the methods that follow from the others: from_int through
 const, sub through add and neg, div through inv, eq through sub, gens
@@ -45,6 +60,8 @@ returns a hashable key.
 
 from __future__ import annotations
 
+from types import MappingProxyType
+
 _contexts: dict = {}
 
 
@@ -63,6 +80,7 @@ class Ring(metaclass=_Interned):
     """Base of the coefficient contexts; see the module docstring."""
 
     vars: tuple = ()
+    partners = MappingProxyType({})
 
     @staticmethod
     def _intern_key():
@@ -114,6 +132,32 @@ def power(x, n: int, one):
         if not n:
             return result
         x = x * x
+
+
+class GeneratorPowers:
+    """Images of named generators in a target context (anything with mul and
+    inv), with the powers of each image and of its inverse built once and
+    extended only when a higher exponent is needed; a context's hom reads
+    them."""
+
+    __slots__ = ("target", "images", "rows")
+
+    def __init__(self, target, images: dict):
+        self.target = target
+        self.images = images
+        self.rows: dict = {}
+
+    def power(self, name: str, e: int):
+        """The e-th power (e != 0) of the image of the generator name; a
+        negative e is a power of the image's inverse."""
+        row = self.rows.get((name, e < 0))
+        if row is None:
+            image = self.images[name]
+            row = self.rows[name, e < 0] = [None, self.target.inv(image) if e < 0 else image]
+        e = abs(e)
+        while len(row) <= e:
+            row.append(self.target.mul(row[-1], row[1]))
+        return row[e]
 
 
 def unit_plus_nilpotent_inverse(ring, unit_inv, nil):

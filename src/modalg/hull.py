@@ -19,8 +19,8 @@ from __future__ import annotations
 
 from typing import Callable, Sequence
 
-from .actions import ActionSpec, GeneratorPowers, HomElement, Report
-from .exactalg import AlgebraicField, Echelon, FracField, evaluate
+from .actions import ActionSpec, HomElement, Report
+from .exactalg import AlgebraicField, Echelon, FracField, GeneratorPowers, evaluate
 from .lieritt import DiffPoly, multi_indices
 from .series import SeriesRing, TruncSeries, formal_inverse, identity_tuple
 from .taylor import ExpansionAlgebra
@@ -92,7 +92,7 @@ def _solve_algebraic_image(L: AlgebraicField, images: dict, wvars, horizon: int)
         raise ValueError("inseparable algebraic generator; no unique derivation lift")
     ring = SeriesRing(L, wvars, horizon)
     powers = GeneratorPowers(ring, images)
-    coeff_series = [powers.frac(c, L.const) for c in L.minpoly]
+    coeff_series = [L.base.hom(c, powers, lambda v: ring.const(L.scalar(v))) for c in L.minpoly]
 
     def p_theta(g: TruncSeries) -> TruncSeries:
         return evaluate((((i,), c) for i, c in enumerate(coeff_series)), [g], ring, lambda v: v)

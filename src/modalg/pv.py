@@ -57,11 +57,6 @@ class PVData:
         self.k = L.scalars
         if R.field is not L.scalars:
             raise ValueError("principal ring must be presented over the constants field")
-        # the other generator of each inverse pair, by name
-        self.partner = {}
-        for i, j in R.inverse_pairs:
-            self.partner[R.vars[i]] = R.vars[j]
-            self.partner[R.vars[j]] = R.vars[i]
         # X is inverted over the field L; l_to_r raises when an entry of the
         # inverse is outside R
         self.Xinv = X.map(self.r_to_L, L).inverse().map(self.l_to_r, R)
@@ -73,7 +68,7 @@ class PVData:
             if name in self.L.vars:
                 images.append(self.L.var(name))
             else:
-                base = self.partner.get(name)
+                base = self.R.partners.get(name)
                 if base is None or base not in self.L.vars:
                     raise ValueError(f"generator {name} has no location in L")
                 images.append(self.L.var(base).inverse())
@@ -86,18 +81,18 @@ class PVData:
         if len(den.terms) != 1:
             raise ValueError(f"{f} is not visibly in the principal ring")
         (dexp, dc), = den.terms.items()
-        R, names = self.R, f.field.vars
+        R, names, partners = self.R, f.field.vars, self.R.partners
         # a term's net exponent of a generator is a power of the generator
         # when it is >= 0 and a power of its partner otherwise: the exponents
         # of the generators come first, then those of the partners
         terms = []
         for exp, c in f.num.sorted_terms():
             net = [e - d for e, d in zip(exp, dexp)]
-            if any(e < 0 and name not in self.partner for e, name in zip(net, names)):
+            if any(e < 0 and name not in partners for e, name in zip(net, names)):
                 raise ValueError(f"{f} is not in the principal ring")
             terms.append((tuple(max(e, 0) for e in net) + tuple(max(-e, 0) for e in net), c))
         images = ([R.var(name) for name in names]
-                  + [R.var(self.partner[name]) if name in self.partner else None for name in names])
+                  + [R.var(partners[name]) if name in partners else None for name in names])
         dinv = self.k.inv(dc)
         return evaluate(terms, images, R, lambda c: R.scalar(self.k.mul(c, dinv)))
 
@@ -766,7 +761,7 @@ def find_rational_point(data: PVData, height: int = 3):
     generators (nonzero for invertible ones) making X invertible."""
     R = data.R
     k = data.k
-    inv_partner = data.partner
+    inv_partner = data.R.partners
     primary = [v for v in R.vars if v not in inv_partner or v < inv_partner[v]]
     candidates = [c for c in range(-height, height + 1)]
     candidates.sort(key=lambda c: (abs(c), -c))
@@ -924,7 +919,7 @@ class _Induced:
         """The induced matrix over P when coeffs[i] are the split coefficients
         of the image of the i-th generator of L; None when it is not
         constant."""
-        RA, P, partner = self.RA, self.P, self.data.partner
+        RA, P, partner = self.RA, self.P, self.data.R.partners
         images = {}
         for name, cs in zip(self.data.L.vars, coeffs):
             img = RA.zero()

@@ -238,7 +238,8 @@ class TruncSeries:
 
 class SeriesRing:
     """Ring context for the series of one shape (coefficient ring, variables,
-    horizon), as exactalg.evaluate needs it."""
+    horizon), as exactalg.evaluate and the target of a context's hom need
+    it."""
 
     def __init__(self, ring, variables: Sequence[str], horizon: int):
         self.ring = ring
@@ -256,6 +257,12 @@ class SeriesRing:
 
     def mul(self, a: TruncSeries, b: TruncSeries) -> TruncSeries:
         return a * b
+
+    def inv(self, a: TruncSeries) -> TruncSeries:
+        return a.recip()
+
+    def div(self, a: TruncSeries, b: TruncSeries) -> TruncSeries:
+        return a.divide(b)
 
 
 def identity_tuple(ring, variables, horizon) -> tuple[TruncSeries, ...]:

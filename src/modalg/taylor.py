@@ -21,8 +21,8 @@ from __future__ import annotations
 
 from typing import Callable, Sequence
 
-from .actions import ActionSpec, HomElement, Report, ring_hom
-from .exactalg import power
+from .actions import ActionSpec, HomElement, Report
+from .exactalg import GeneratorPowers, power
 from .series import TruncSeries
 
 
@@ -42,15 +42,13 @@ def check_expansion_universal(action: ActionSpec, Lambda: Callable, target,
     ring = action.ring
     if word_bound is None:
         word_bound = action.default_word_bound()
-    gen_images = {}
-    for name in ring.vars:
-        gen_images[name] = Lambda(ring.var(name)).ev_unit()
+    powers = GeneratorPowers(target, {name: Lambda(ring.var(name)).ev_unit() for name in ring.vars})
     failures = []
     checked = 0
     for s in samples:
         checked += 1
         try:
-            lam_s = ring_hom(ring, s, gen_images, target, target_lift)
+            lam_s = ring.hom(s, powers, target_lift)
         except ZeroDivisionError:
             failures.append(f"induced map undefined on {s}")
             continue
@@ -59,7 +57,7 @@ def check_expansion_universal(action: ActionSpec, Lambda: Callable, target,
         mapped = HomElement(
             target, expanded.monoid, expanded.tvars, expanded.horizon, expanded.word_bound,
             {w: series.map_coeffs(
-                lambda c: ring_hom(ring, c, gen_images, target, target_lift),
+                lambda c: ring.hom(c, powers, target_lift),
                 target,
             ) for w, series in expanded.data.items()},
         )

@@ -20,8 +20,6 @@ from modalg.actions import (
     check_module_algebra,
     check_product_simplicity,
     constants,
-    convolution,
-    translate,
 )
 from modalg.exactalg import GF, QQ, AlgebraicField, FracField, PolyRing, evaluate, kernel_basis
 from modalg.hull import variable_basis_derivation
@@ -130,6 +128,37 @@ def test_der_matches_iterder_in_char0():
         assert der.theta_series(elem, 5) == itd.theta_series(elem, 5)
 
 
+def test_der_on_an_algebraic_extension():
+    # L = Q(u)(z) with z^2 = u and d = d/du, so d(z) = z/(2u); the divided
+    # powers of d at z = u^(1/2) are binom(1/2, k) u^(1/2 - k)
+    base = FracField(QQ, ["u"])
+    u = base.var("u")
+    L = AlgebraicField(base, "z", [-u, base.zero(), base.one()])
+    z = L.var("z")
+    uL = L.from_base(u)
+
+    def times_z_over(c, power):  # c * z / u^power
+        return L.mul(z, L.inv(L.mul(L.const(c), L.from_base(u ** power))))
+
+    der = ActionSpec(L, "der", n=1, d_images={"u": L.one(), "z": times_z_over(2, 1)})
+    s = der.theta_series(z, 3)
+    expected = [z, times_z_over(2, 1), times_z_over(-8, 2), times_z_over(16, 3)]
+    assert [s.coeff((k,)) for k in range(4)] == expected
+    assert L.eq(der.theta_coefficient(uL, (1,)), L.one())
+    solved = variable_basis_derivation(L, 3).theta_images["z"]
+    assert [solved.coeff((k,)) for k in range(4)] == expected
+
+
+def test_der_on_an_inverse_pair_follows_the_partner():
+    # Q[u, 1/u] with d(u) = u: theta(u) = u exp(w), so theta(1/u) = (1/u) exp(-w)
+    R = PolyRing(QQ, ["u", "ui"], inverse_pairs=[(0, 1)])
+    der = ActionSpec(R, "der", n=1, d_images={"u": R.var("u")})
+    w = TruncSeries.variable(R, ("w",), 5, "w")
+    expected = TruncSeries.const(R, ("w",), 5, R.var("ui")) * truncated_exp(-w)
+    assert der.theta_series(R.var("ui"), 5) == expected
+    assert der.theta_series(R.var("u") * R.var("ui"), 5) == TruncSeries.one(R, ("w",), 5)
+
+
 def test_smash_commuting_passes():
     # sigma(y) = 2y commutes with the exponential derivation
     # theta(y) = y exp(w), whose divided powers are theta^(k)(y) = y/k!
@@ -206,7 +235,7 @@ def theta_reference(act: ActionSpec, elem, horizon: int) -> TruncSeries:
         return num * geometric_recip(den)
 
     if isinstance(ring, AlgebraicField):
-        return evaluate([((d,), c) for d, c in enumerate(ring.decompose(elem))],
+        return evaluate([((d,), c) for d, c in enumerate(elem)],
                         [images[ring.gen_name]], S, frac)
     if isinstance(ring, FracField):
         return frac(elem)
@@ -469,7 +498,7 @@ def test_translate_sequence_left_shift():
     L = FracField(QQ, ["y"])
     vals = [L.from_int(v) for v in (10, 11, 12, 13)]
     f = seq_hom(L, vals)
-    g = translate(f, 1, ())
+    g = f.translate(1, ())
     assert g.word_bound == 2
     assert [g.value(k, ()) for k in range(3)] == vals[1:]
 
@@ -478,7 +507,7 @@ def test_translate_series_derivative():
     L = FracField(QQ, ["y"])
     s = TruncSeries(L, ("t",), 2, {(0,): L.var("y"), (1,): L.from_int(2), (2,): L.from_int(3)})
     f = HomElement(L, None, ("t",), 2, 0, {0: s})
-    g = translate(f, 0, (1,))
+    g = f.translate(0, (1,))
     assert g.horizon == 1
     assert g.value(0, (0,)) == L.from_int(2)
     assert g.value(0, (1,)) == L.from_int(6)
@@ -488,9 +517,9 @@ def test_translate_fixes_constant_expansions():
     L, act = shift_action()
     c = L.var("y")  # any element, constantly embedded
     f = act.constant_expansion(c, 4)
-    g = translate(f, 0, (1,))
+    g = f.translate(0, (1,))
     assert all(s.is_zero() for s in g.data.values())
-    h = translate(f, 0, (0,))
+    h = f.translate(0, (0,))
     assert h.truncate(3) == f.truncate(3)
 
 
@@ -498,8 +527,8 @@ def test_translate_is_an_action():
     # translating by d' then d equals translating by the product d'. d
     L, act = shift_action()
     f = act.expand(L.var("y") ** 3, 6)
-    a = translate(translate(f, 0, (2,)), 0, (1,))
-    b = translate(f, 0, (3,)).scale(L.from_int(3))  # C(3,2) theta^(3)
+    a = f.translate(0, (2,)).translate(0, (1,))
+    b = f.translate(0, (3,)).scale(L.from_int(3))  # C(3,2) theta^(3)
     assert a.truncate(3) == b.truncate(3)
 
 
@@ -507,14 +536,14 @@ def test_convolution_pointwise_sequences():
     L = FracField(QQ, ["y"])
     f = seq_hom(L, [L.from_int(v) for v in (1, 2, 4)])
     g = seq_hom(L, [L.from_int(v) for v in (1, 3, 9)])
-    h = convolution(f, g)
+    h = f * g
     assert [h.value(k, ()) for k in range(3)] == [L.from_int(v) for v in (1, 6, 36)]
 
 
 def test_convolution_delegates_to_series_mul():
     L, act = shift_action()
     y = L.var("y")
-    lhs = convolution(act.expand(y, 5), act.expand(y + L.one(), 5))
+    lhs = act.expand(y, 5) * act.expand(y + L.one(), 5)
     rhs = act.expand(y * (y + L.one()), 5)
     assert lhs == rhs
 
@@ -523,7 +552,7 @@ def test_unit_of_convolution():
     L, act = endo_action()
     u = act.constant_expansion(L.one(), 0, 3)
     f = seq_hom(L, [L.from_int(v) for v in (5, 6, 7, 8)])
-    assert convolution(u, f) == f
+    assert u * f == f
 
 
 # ------------------------------------------------------------------- products

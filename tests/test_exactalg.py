@@ -220,11 +220,10 @@ def test_poly_mul_and_exact_div():
         (y * y + one).exact_div(y - one)
 
 
-def test_poly_substitution_and_partial():
+def test_poly_substitution():
     ring = qq_ring("x", "y")
     x, y = ring.gens()
     p = x ** 2 * y + y
-    assert p.partial(0) == ring.poly({(1, 1): Fraction(2)})
     assert p.subs({"x": y}) == y ** 3 + y
 
 

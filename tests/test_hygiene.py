@@ -4,8 +4,11 @@ two modules share is public in one of them), no private function, method or
 class of the library goes unreferenced, no
 module probes an object with hasattr or getattr (a context answers the ring
 protocol of exactalg/ring.py instead), binary powering is written once,
-in exactalg.power, and no module of the library imports modalg.pv (the
-package loads pv lazily, which pays only while pv is a leaf).
+in exactalg.power, no module of the library imports modalg.pv (the
+package loads pv lazily, which pays only while pv is a leaf), and outside
+exactalg no function tests an object against a ring context type or Frac
+except at the listed sites (a context answers for its own elements,
+through the ring protocol and its hom).
 
 Package __init__.py files are exempt from the import check, since their
 imports are re-exports.  Names are read with ast only; a name counts as used
@@ -13,8 +16,10 @@ when it appears anywhere in the module, including inside string
 annotations.  A private (single-underscore) function or class counts as
 referenced when its name appears as a name, an attribute or a string
 anywhere in the library outside its own definition, and a public method of
-a library class when its name appears so anywhere in the library, the
-tests or the benchmark outside its own definition."""
+a library class when its name appears as an attribute or a string anywhere
+in the library, the tests or the benchmark outside its own definition (a
+bare name, such as a parameter named like the method, does not reach it).
+Neither scan tells a method from a data attribute of the same name."""
 
 from __future__ import annotations
 
@@ -116,16 +121,20 @@ def test_library_modules_import_no_private_names():
     assert not bad, "private names imported from another module: " + ", ".join(bad)
 
 
-def _references(tree: ast.AST) -> Counter:
+def _member_references(tree: ast.AST) -> Counter:
+    """The attribute and string uses of each name: the ways to reach a
+    method."""
     out = Counter()
     for n in ast.walk(tree):
-        if isinstance(n, ast.Name):
-            out[n.id] += 1
-        elif isinstance(n, ast.Attribute):
+        if isinstance(n, ast.Attribute):
             out[n.attr] += 1
         elif isinstance(n, ast.Constant) and isinstance(n.value, str):
             out[n.value] += 1
     return out
+
+
+def _references(tree: ast.AST) -> Counter:
+    return _member_references(tree) + Counter(n.id for n in ast.walk(tree) if isinstance(n, ast.Name))
 
 
 def unreferenced_private_functions(sources: dict[str, str]) -> list[str]:
@@ -171,14 +180,14 @@ def test_library_private_functions_are_referenced():
 
 def unreferenced_public_methods(library: dict[str, str], others: dict[str, str]) -> list[str]:
     """module:Class.name of every public method of a class in library whose
-    name is referenced nowhere in library or others except inside the
-    definitions of that name."""
+    name is used as an attribute or a string nowhere in library or others
+    except inside the definitions of that name."""
     total = Counter()
     inside = Counter()
     defs = []
     for module, source in {**library, **others}.items():
         tree = ast.parse(source)
-        total += _references(tree)
+        total += _member_references(tree)
         if module not in library:
             continue
         for cls in ast.walk(tree):
@@ -188,7 +197,7 @@ def unreferenced_public_methods(library: dict[str, str], others: dict[str, str])
                 if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
                         and not node.name.startswith("_")):
                     defs.append((module, cls.name, node.name))
-                    inside[node.name] += _references(node)[node.name]
+                    inside[node.name] += _member_references(node)[node.name]
     return sorted(f"{m}:{c}.{name}" for m, c, name in defs if total[name] == inside[name])
 
 
@@ -204,11 +213,14 @@ def test_public_method_scanner():
             "    def __add__(self, other):\n        return self\n"
             "    def _private(self):\n        return 4\n"
             "class D:\n    def dead_too(self):\n        return 5\n"
+            "    def shadowed(self):\n        return 6\n"
+            "def scale(shadowed, by):\n    dead_too = shadowed * by\n    return dead_too\n"
         ),
     }
     others = {"test_lib.py": ("from lib import C\n"
                               "v = C().used() + C().shown + getattr(C(), 'named')()\n")}
-    assert unreferenced_public_methods(library, others) == ["lib.py:C.dead", "lib.py:D.dead_too"]
+    assert unreferenced_public_methods(library, others) == [
+        "lib.py:C.dead", "lib.py:D.dead_too", "lib.py:D.shadowed"]
 
 
 def test_library_public_methods_are_referenced():
@@ -335,3 +347,72 @@ def test_no_library_module_imports_pv():
         package = ".".join(rel.parent.parts)
         found += [f"{p.relative_to(SRC)}:{line}" for line in imports_of(p.read_text(), package, "modalg.pv")]
     assert not found, "modules importing modalg.pv: " + ", ".join(found)
+
+
+RING_TYPES = frozenset({"PolyRing", "FracField", "AlgebraicField", "ProductField", "Frac"})
+
+# The functions outside exactalg that may still test an object against a
+# ring context type or Frac, each for its reason; anything else asks the
+# context (ring protocol, hom, partners) instead.
+RING_TYPE_SITES = {
+    # input validation: an ActionSpec is declared only over these contexts
+    "actions.py:ActionSpec._check_shape",
+    # the rational function field variables sit in L or in L's base
+    "hull.py:_field_variables",
+    # an algebraic generator's image is solved from its minimal polynomial
+    "hull.py:variable_basis_derivation",
+    # the denominators of relation coefficients, read from the Frac form
+    "umemura.py:_cleared",
+    # the scalar content of a coefficient's canonical form
+    "umemura.py:_unit_scalar",
+}
+
+
+def ring_type_tests(source: str) -> list[str]:
+    """The qualified name of the enclosing function of every isinstance call
+    whose class argument names one of RING_TYPES ("<module>" outside any
+    function), once per call."""
+    out = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = scope + (child.name,)
+            elif (isinstance(child, ast.Call) and isinstance(child.func, ast.Name)
+                  and child.func.id == "isinstance" and len(child.args) == 2):
+                named = {n.id for n in ast.walk(child.args[1]) if isinstance(n, ast.Name)}
+                named |= {n.attr for n in ast.walk(child.args[1]) if isinstance(n, ast.Attribute)}
+                if named & RING_TYPES:
+                    out.append(".".join(scope) or "<module>")
+            visit(child, inner)
+
+    visit(ast.parse(source), ())
+    return sorted(out)
+
+
+def test_ring_type_scanner():
+    source = (
+        "from .exactalg import Frac, PolyRing\n"
+        "from . import exactalg\n"
+        "class A:\n"
+        "    def shape(self, ring):\n"
+        "        if isinstance(ring, (exactalg.FracField, PolyRing)):\n"
+        "            return isinstance(ring.one(), Frac)\n"
+        "        return isinstance(ring, tuple)\n"
+        "def lift(c):\n"
+        "    def inner(x):\n"
+        "        return isinstance(x, exactalg.AlgebraicField)\n"
+        "    return inner(c) or isinstance(c, dict)\n"
+        "SEEN = isinstance(None, ProductField)\n"
+    )
+    assert ring_type_tests(source) == ["<module>", "A.shape", "A.shape", "lift.inner"]
+
+
+def test_ring_types_are_tested_only_at_the_listed_sites():
+    found = {f"{p.relative_to(SRC)}:{site}"
+             for p in sorted(SRC.rglob("*.py")) if "exactalg" not in p.relative_to(SRC).parts
+             for site in ring_type_tests(p.read_text())}
+    assert found == RING_TYPE_SITES, (
+        f"unlisted: {sorted(found - RING_TYPE_SITES)}; no longer testing: "
+        f"{sorted(RING_TYPE_SITES - found)}")

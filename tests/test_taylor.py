@@ -6,8 +6,8 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from modalg.actions import ActionSpec, HomElement, MonoidDesc, convolution, ring_hom, translate
-from modalg.exactalg import QQ, FracField
+from modalg.actions import ActionSpec, HomElement, MonoidDesc
+from modalg.exactalg import QQ, FracField, GeneratorPowers
 from modalg.series import TruncSeries
 from modalg.taylor import ExpansionAlgebra, check_expansion_universal
 
@@ -73,7 +73,7 @@ def test_expansion_multiplicative_random():
     pool = [y, y * y, y + L.one(), L.one() / y, (y * y - L.one()) / y]
     for _ in range(25):
         a, b = rng.choice(pool), rng.choice(pool)
-        assert act.expand(a * b, 5) == convolution(act.expand(a, 5), act.expand(b, 5))
+        assert act.expand(a * b, 5) == act.expand(a, 5) * act.expand(b, 5)
 
 
 def test_expansion_equivariance_with_translation():
@@ -85,7 +85,7 @@ def test_expansion_equivariance_with_translation():
         for k in range(1, 3):
             da = act.theta_coefficient(a, (k,))
             lhs = act.expand(da, 6 - k)
-            rhs = translate(ea, 0, (k,))
+            rhs = ea.translate(0, (k,))
             assert lhs == rhs
 
 
@@ -107,7 +107,7 @@ def test_universal_factorization_recovers_composed_map():
     y = L.var("y")
 
     def g(elem):
-        return ring_hom(L, elem, {"y": y * y}, L, L.const)
+        return L.hom(elem, GeneratorPowers(L, {"y": y * y}), L.const)
 
     def Lambda(elem):
         f = act.expand(elem, 4)
