@@ -5,14 +5,17 @@ endomorphisms, monoid actions), universal expansion maps, Galois hulls,
 Lie-Ritt groups of infinitesimal transformations, and Picard-Vessiot data,
 all in exact arithmetic over QQ or GF(p).
 
-The submodule pv (the Picard-Vessiot comparison, the largest module) is
-loaded lazily: ``modalg.pv`` and ``from modalg import pv`` return a module
-whose source is compiled and executed on its first attribute access.  A
-program that imports it but runs only the Umemura chain (hull, lieritt,
-umemura) never pays for compiling it.  This is safe because pv is a leaf of
-the package: no other module of modalg imports it.  ``import modalg.pv`` and
-``from modalg.pv import ...`` work as usual; every other submodule is
-imported eagerly.
+Two submodules are compiled on first use.  pv (the Picard-Vessiot data and
+the comparison) is loaded lazily: ``modalg.pv`` and ``from modalg import pv``
+return a module whose source is compiled and executed on its first attribute
+access.  A program that imports it but runs only the Umemura chain (hull,
+lieritt, umemura) never pays for compiling it.  This is safe because pv is a
+leaf of the package: no other module of modalg imports it.  hopf (the
+Picard-Vessiot axioms and the Hopf algebra of constants) is imported only by
+pv.verify, pv.hopf_algebra and pv.check_mu_bijectivity, on their first call,
+so pv.compare never compiles it.  ``import modalg.pv``, ``from modalg.pv
+import ...``, ``import modalg.hopf`` and ``from modalg import hopf`` work as
+usual; every other submodule is imported eagerly.
 """
 
 import importlib.util

@@ -483,6 +483,20 @@ class ActionSpec:
         return f"ActionSpec({self.kind!r}, ring={self.ring!r}, n={self.n})"
 
 
+def d_basis_entries(action: ActionSpec, horizon: int) -> list[tuple]:
+    """Representative operators: derivation orders and monoid generators."""
+    out = []
+    if action.has_theta():
+        n = max(action.n, 1)
+        for k in multi_indices(n, horizon):
+            if any(k):
+                out.append(("theta", tuple(k)))
+    if action.has_monoid():
+        for g in range(len(action.monoid.gens)):
+            out.append(("endo", g))
+    return out
+
+
 # ------------------------------------------------------------------ reports
 
 

@@ -174,13 +174,18 @@ class Echelon:
     def _replay(self, v: dict) -> dict:
         """v, a dict of nonzero entries, reduced by the steps in place."""
         field = self.field
-        mul = field.mul
+        mul, is_unit, is_zero = field.mul, field.is_unit, field.is_zero
         for p, inv, clears in self.steps:
             c = v.get(p)
             if c is None:
                 continue
             c = v[p] = mul(inv, c)
-            _terms.accumulate(v, ((key, mul(f, c)) for key, f in clears), field)
+            products = ((key, mul(f, c)) for key, f in clears)
+            if not is_unit(c):
+                # over a ring with zero divisors a product by a nonunit can
+                # vanish, and accumulate takes nonzero terms only
+                products = [(key, x) for key, x in products if not is_zero(x)]
+            _terms.accumulate(v, products, field)
         return v
 
     def add(self, vec) -> bool:

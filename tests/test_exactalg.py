@@ -12,7 +12,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from modalg.exactalg import (
@@ -1080,15 +1080,64 @@ def test_echelon_matches_dense_reference(matrix, data):
             assert _same_rows(field, [got], [want])
 
 
+@st.composite
+def echelon_cases(draw):
+    """(ring, rows, right-hand sides): a matrix over RINGS and three
+    right-hand sides, each a coefficient per column and either None or a
+    (row, entry) added to the combination to move it off the span."""
+    ring, rows = draw(matrices(rings=RINGS))
+    entry = ENTRIES[ring]
+    ncols = len(rows[0])
+    off = st.none() | st.tuples(st.integers(0, len(rows) - 1), entry())
+    return ring, rows, [(draw(st.lists(entry(), min_size=ncols, max_size=ncols)), draw(off))
+                        for _ in range(3)]
+
+
+# Over NIL with u = -2 and n = -2e, the columns c0..c3 of
+# [u,0,0,0; 0,u,u,u; u,0,0,0; u,n,0,n; u,u,0,u+n] have c3 = (1+e)*c1 - e*c2:
+# a replay clearing c3 by c2 multiplies nilpotents into products that vanish
+U, N = NIL.const(-2), NIL.element({(1,): Fraction(-2)})
+ZERO_PRODUCT_ROWS = [[U, NIL.zero(), NIL.zero(), NIL.zero()],
+                     [NIL.zero(), U, U, U],
+                     [U, NIL.zero(), NIL.zero(), NIL.zero()],
+                     [U, N, NIL.zero(), N],
+                     [U, U, NIL.zero(), NIL.add(U, N)]]
+
+
+# Over NIL, a combination of these columns that a one-at-a-time replay found
+# outside their span, from the same vanishing products
+ZERO_PRODUCT_SPAN_ROWS = [[U, U, U, U],
+                          [U, U, NIL.const(-1), U],
+                          [U, NIL.zero(), U, U],
+                          [NIL.add(NIL.one(), N), U, U, NIL.one()],
+                          [U, NIL.zero(), U, NIL.zero()]]
+
+
+def test_echelon_drops_products_that_vanish():
+    # one at a time, c3 is found dependent with its relation, as in bulk
+    cols = [{i: row[c] for i, row in enumerate(ZERO_PRODUCT_ROWS) if not NIL.is_zero(row[c])}
+            for c in range(4)]
+    single = Echelon(NIL)
+    assert [single.add(col) for col in cols] == [True, True, True, False]
+    want = {1: NIL.neg(NIL.add(NIL.one(), NIL.gen("e"))), 2: NIL.gen("e"), 3: NIL.one()}
+    for ech in (single, Echelon(NIL, cols)):
+        rel = ech.relation(3)
+        assert rel.keys() == want.keys() and all(NIL.eq(rel[k], want[k]) for k in want)
+    assert Echelon(NIL, cols[:3]).contains(cols[3])
+
+
 @settings(max_examples=100, deadline=None)
-@given(matrices(rings=RINGS), st.data())
-def test_bulk_echelon_matches_one_at_a_time(matrix, data):
+@given(echelon_cases())
+@example((NIL, ZERO_PRODUCT_ROWS, [([NIL.one()] * 4, None), ([U, N, U, N], (3, N)),
+                                   ([N, U, NIL.zero(), U], None)]))
+@example((NIL, ZERO_PRODUCT_SPAN_ROWS, [([U, U, U, N], None)] * 3))
+def test_bulk_echelon_matches_one_at_a_time(case):
     # the columns given to the constructor pivot at the unit entry whose key
     # the fewest later columns touch, the columns fed by add at their first
     # unit key: the two give the same answers, and over NIL, where a rarer
     # key may hold a nilpotent the rule must skip, both raise at the same
     # column when its entries left outside the pivot keys are all nilpotent
-    ring, rows = matrix
+    ring, rows, rhs = case
     cols = [{i: row[c] for i, row in enumerate(rows) if not ring.is_zero(row[c])}
             for c in range(len(rows[0]))]
     single = Echelon(ring)
@@ -1122,16 +1171,14 @@ def test_bulk_echelon_matches_one_at_a_time(matrix, data):
     assert all(same(bulk.relation(j), single.relation(j)) for j in single.dependent)
     # right-hand sides: a combination of the columns added, sometimes moved
     # off their span
-    entry = ENTRIES[ring]
-    for _ in range(3):
+    for xs, off in rhs:
         b = {}
-        for col in cols[:single.size]:
-            x = data.draw(entry())
+        for x, col in zip(xs, cols[:single.size]):
             for i, e in col.items():
                 b[i] = ring.add(b.get(i, ring.zero()), ring.mul(x, e))
-        if data.draw(st.booleans()):
-            i = data.draw(st.integers(0, len(rows) - 1))
-            b[i] = ring.add(b.get(i, ring.zero()), data.draw(entry()))
+        if off is not None:
+            i, x = off
+            b[i] = ring.add(b.get(i, ring.zero()), x)
         assert bulk.contains(b) == single.contains(b)
         got, want = bulk.solve(b), single.solve(b)
         assert (got is None) == (want is None)

@@ -5,7 +5,9 @@ class of the library goes unreferenced, no
 module probes an object with hasattr or getattr (a context answers the ring
 protocol of exactalg/ring.py instead), binary powering is written once,
 in exactalg.power, no module of the library imports modalg.pv (the
-package loads pv lazily, which pays only while pv is a leaf), and outside
+package loads pv lazily, which pays only while pv is a leaf), only pv's
+entry points verify, hopf_algebra and check_mu_bijectivity import
+modalg.hopf (so pv.compare never compiles it), and outside
 exactalg no function tests an object against a ring context type or Frac
 except at the listed sites (a context answers for its own elements,
 through the ring protocol and its hom).
@@ -340,13 +342,42 @@ def test_import_scanner():
     assert imports_of(source, "modalg.exactalg", "modalg.pv") == [3, 4, 8]
 
 
+def enclosing_functions(source: str, lines: list[int]) -> list[str]:
+    """The name of the innermost function around each line ("<module>"
+    outside any function)."""
+    funcs = [n for n in ast.walk(ast.parse(source))
+             if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    out = []
+    for line in lines:
+        around = [f for f in funcs if f.lineno <= line <= f.end_lineno]
+        out.append(max(around, key=lambda f: f.lineno).name if around else "<module>")
+    return out
+
+
+def test_enclosing_function_scanner():
+    source = (
+        "import os\n"
+        "def f():\n"
+        "    from . import hopf\n"
+        "    def g():\n"
+        "        from . import hopf\n"
+        "    return g\n"
+    )
+    assert enclosing_functions(source, [1, 3, 5]) == ["<module>", "f", "g"]
+
+
 def test_no_library_module_imports_pv():
-    found = []
+    found, hopf_sites = [], []
     for p in sorted(SRC.rglob("*.py")):
         rel = p.relative_to(SRC.parent)
         package = ".".join(rel.parent.parts)
-        found += [f"{p.relative_to(SRC)}:{line}" for line in imports_of(p.read_text(), package, "modalg.pv")]
+        source = p.read_text()
+        found += [f"{p.relative_to(SRC)}:{line}" for line in imports_of(source, package, "modalg.pv")]
+        hopf_sites += [f"{p.relative_to(SRC)}:{func}" for func in
+                       enclosing_functions(source, imports_of(source, package, "modalg.hopf"))]
     assert not found, "modules importing modalg.pv: " + ", ".join(found)
+    assert sorted(hopf_sites) == ["pv.py:check_mu_bijectivity", "pv.py:hopf_algebra",
+                                  "pv.py:verify"], "imports of modalg.hopf: " + ", ".join(hopf_sites)
 
 
 RING_TYPES = frozenset({"PolyRing", "FracField", "AlgebraicField", "ProductField", "Frac"})

@@ -1,8 +1,11 @@
 """The package loads modalg.pv lazily: importing it compiles nothing, a
 Umemura chain never touches it, and its first attribute access compiles and
-runs it.  Each case runs in a fresh interpreter whose bytecode cache is an
-empty directory, so every module that is loaded is compiled from source and
-an audit hook on the compile event sees it."""
+runs it.  pv in turn imports modalg.hopf, the Picard-Vessiot axioms and the
+Hopf algebra of constants, only when verify, hopf_algebra or
+check_mu_bijectivity is called, so pv.compare never compiles it.  Each case
+runs in a fresh interpreter whose bytecode cache is an empty directory, so
+every module that is loaded is compiled from source and an audit hook on the
+compile event sees it."""
 
 from __future__ import annotations
 
@@ -22,6 +25,26 @@ sys.addaudithook(lambda event, args: compiled.append(str(args[1]))
 
 def pv_compiled():
     return any(name.endswith("pv.py") for name in compiled)
+
+def hopf_compiled():
+    return any(name.endswith("hopf.py") for name in compiled)
+"""
+
+# the additive Picard-Vessiot example of tests/test_pv.py: R = QQ[y], X =
+# [[1, y], [0, 1]] for theta(y) = y + w
+ADDITIVE_PV = """
+from modalg import hull, pv
+from modalg.actions import ActionSpec
+from modalg.exactalg import QQ, FracField, Matrix, PolyRing
+from modalg.series import TruncSeries
+
+L = FracField(QQ, ["y"])
+img = TruncSeries(L, ("w",), 8, {(0,): L.var("y"), (1,): L.one()})
+action = ActionSpec(L, "iterder", n=1, theta_images={"y": img})
+R = PolyRing(QQ, ["y"])
+X = Matrix(R, [[R.one(), R.var("y")], [R.zero(), R.one()]])
+data = pv.PVData(L, action, R, X, {"y": ("X", 0, 1)}, name="additive")
+ext = hull.ExtensionDesc(L, [L.var("y")], action, name="additive")
 """
 
 
@@ -70,6 +93,51 @@ def test_from_import_loads_pv(tmp_path):
         print(PVData.__name__, modalg.pv.PVData is PVData, pv_compiled())
     """, tmp_path)
     assert out == "PVData True True\n"
+
+
+def test_compare_runs_without_compiling_hopf(tmp_path):
+    out = run_fresh(ADDITIVE_PV + textwrap.dedent("""
+        h = hull.hull_generators(ext, t_horizon=3, w_horizon=3)
+        d = pv.compare(data, h, hull.find_relations(h, diff_order=3, degree=2), degree=3)
+        print(d.ok, pv_compiled(), hopf_compiled(), "modalg.hopf" in sys.modules)
+    """), tmp_path)
+    assert out == "True True False False\n"
+
+
+def test_verify_compiles_hopf_on_first_call(tmp_path):
+    out = run_fresh(ADDITIVE_PV + textwrap.dedent("""
+        print(hopf_compiled())
+        print(pv.verify(data, 2).ok, hopf_compiled())
+    """), tmp_path)
+    assert out == "False\nTrue True\n"
+
+
+def test_hopf_algebra_compiles_hopf_on_first_call(tmp_path):
+    out = run_fresh(ADDITIVE_PV + textwrap.dedent("""
+        print(hopf_compiled())
+        presentation = pv.hopf_algebra(data, 2)
+        hopf = sys.modules["modalg.hopf"]
+        print(presentation.report.ok, type(presentation) is hopf.HopfPresentation, hopf_compiled())
+        print(pv.check_mu_bijectivity(data, presentation, 2).ok)
+    """), tmp_path)
+    assert out == "False\nTrue True True\nTrue\n"
+
+
+def test_import_statement_loads_hopf_without_pv(tmp_path):
+    out = run_fresh("""
+        import modalg.hopf
+        print(callable(modalg.hopf.verify), hopf_compiled(), pv_compiled())
+    """, tmp_path)
+    assert out == "True True False\n"
+
+
+def test_from_import_loads_hopf_without_pv(tmp_path):
+    out = run_fresh("""
+        from modalg import hopf
+        import modalg
+        print(modalg.hopf is hopf, callable(hopf.hopf_algebra), hopf_compiled(), pv_compiled())
+    """, tmp_path)
+    assert out == "True True True False\n"
 
 
 def test_other_names_are_missing():

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from modalg import pv
+from modalg import hopf, pv
 from modalg.actions import ActionSpec, MonoidDesc
 from modalg.exactalg import (GF, QQ, Echelon, FracField, Matrix, PolyRing, RationalField, frac,
                              poly_gcd, solve_linear)
@@ -237,10 +237,10 @@ def test_hopf_algebra_additive_is_primitive():
     # counit 0, antipode -h, and a polynomial algebra (no relations)
     data, _ = additive_pv()
     for degree in (1, 2, 3):
-        hopf = pv.hopf_algebra(data, degree)
-        assert hopf.report.ok, hopf.report.failures
-        assert hopf.names == ["h"] and hopf.is_primitive("h")
-        d = hopf.as_dict()
+        presentation = pv.hopf_algebra(data, degree)
+        assert presentation.report.ok, presentation.report.failures
+        assert presentation.names == ["h"] and presentation.is_primitive("h")
+        d = presentation.as_dict()
         assert d["generators"] == {"h": "y_1 - y_2"}
         assert d["counit"] == {"h": "0"}
         assert d["antipode"] == {"h": "-1*h"}
@@ -262,12 +262,12 @@ def test_hopf_algebra_exponential_is_grouplike(degree):
     # the constants are k[h1, h2] with h1 = y_1/y_2 and h2 = y_2/y_1:
     # grouplike generators, counit 1, antipode swapping them
     data, _ = exponential_pv()
-    hopf = pv.hopf_algebra(data, degree)
-    assert hopf.report.ok, hopf.report.failures
-    assert hopf.names == ["h1", "h2"]
-    assert hopf.is_grouplike("h1") and hopf.is_grouplike("h2")
-    assert not hopf.is_primitive("h1")
-    d = hopf.as_dict()
+    presentation = pv.hopf_algebra(data, degree)
+    assert presentation.report.ok, presentation.report.failures
+    assert presentation.names == ["h1", "h2"]
+    assert presentation.is_grouplike("h1") and presentation.is_grouplike("h2")
+    assert not presentation.is_primitive("h1")
+    d = presentation.as_dict()
     assert d["generators"] == {"h1": "y_1*yi_2", "h2": "yi_1*y_2"}
     assert d["counit"] == {"h1": "1", "h2": "1"}
     assert d["antipode"] == {"h1": "1*h2", "h2": "1*h1"}
@@ -278,8 +278,8 @@ def test_hopf_relations_exponential_are_pruned(degree):
     # k[h1, h2] / (h1*h2 - 1) is the coordinate ring of G_m: one relation,
     # every other kernel vector is a monomial multiple of it
     data, _ = exponential_pv()
-    hopf = pv.hopf_algebra(data, degree)
-    assert hopf.relations == ["1*h1*h2 + -1*1 = 0"]
+    presentation = pv.hopf_algebra(data, degree)
+    assert presentation.relations == ["1*h1*h2 + -1*1 = 0"]
 
 
 @pytest.mark.parametrize("degree", [2, 3])
@@ -301,23 +301,24 @@ def test_hopf_axiom_check_fails_on_bad_maps():
     # the additive example with its own maps passes; a comultiplication that
     # is not coassociative, or an antipode that breaks the antipode law, fails
     data, _ = additive_pv()
-    hopf = pv.hopf_algebra(data, 3)
+    presentation = pv.hopf_algebra(data, 3)
     h = (1,)
 
     def check(comul, antipode):
-        return pv._check_hopf_axioms(hopf.tensor, hopf.gens, ["h"], {"h": comul},
-                                     {"h": data.k.zero()}, [data.k.zero()], {"h": antipode}, 3)
+        return hopf._check_hopf_axioms(presentation.tensor, presentation.gens, ["h"],
+                                       {"h": comul}, {"h": data.k.zero()}, [data.k.zero()],
+                                       {"h": antipode}, 3)
 
     neg = data.k.neg(data.k.one())
-    assert check(hopf.comul["h"], hopf.antipode["h"]).ok
+    assert check(presentation.comul["h"], presentation.antipode["h"]).ok
     # h -> h (x) 1 + 1 (x) h + h (x) h^2
-    bad = dict(hopf.comul["h"])
+    bad = dict(presentation.comul["h"])
     bad[(h, (2,))] = data.k.one()
     report = check(bad, {h: neg})
     assert "coassociativity fails on h" in report.failures
     assert "counit law fails on h" not in report.failures
     # S(h) = h: h + h is not the counit 0
-    report = check(hopf.comul["h"], {h: data.k.one()})
+    report = check(presentation.comul["h"], {h: data.k.one()})
     assert report.failures == ["antipode law fails on h"]
 
 
@@ -326,8 +327,8 @@ def test_hopf_axiom_check_fails_on_bad_maps():
 def test_mu_bijective(make, degree):
     # R (x) constants -> R (x) R is an isomorphism for a Picard-Vessiot ring
     data, _ = make()
-    hopf = pv.hopf_algebra(data, degree)
-    report = pv.check_mu_bijectivity(data, hopf, degree)
+    presentation = pv.hopf_algebra(data, degree)
+    report = pv.check_mu_bijectivity(data, presentation, degree)
     assert report.ok, report.failures
     assert report.checked > 0
 
@@ -719,12 +720,12 @@ def test_hopf_algebra_eliminates_each_block_once(monkeypatch):
     # against one elimination each of the pair block and the monomial block
     blocks = []
 
-    class Recording(pv.Echelon):
+    class Recording(hopf.Echelon):
         def __init__(self, field, vectors=()):
             super().__init__(field, vectors)
             blocks.append(self.size)
 
-    monkeypatch.setattr(pv, "Echelon", Recording)
+    monkeypatch.setattr(hopf, "Echelon", Recording)
     data, _ = product_pv()
     d = pv.hopf_algebra(data, 2).as_dict()
     assert d["checks"]["ok"] and len(d["generators"]) == 3
@@ -742,13 +743,13 @@ def test_hopf_algebra_places_each_generator_monomial_once(monkeypatch):
     # monomials placed once in the slots (1,2) and once in (2,3) of the
     # triple tensor power: 20 monomials of degree <= 3 in 3 generators
     placed = []
-    original = pv._TensorPower.place
+    original = hopf._TensorPower.place
 
     def recording(self, g, slots):
         placed.append((len(self.ring.vars) // len(self.R.vars), slots))
         return original(self, g, slots)
 
-    monkeypatch.setattr(pv._TensorPower, "place", recording)
+    monkeypatch.setattr(hopf._TensorPower, "place", recording)
     data, _ = product_pv()
     d = pv.hopf_algebra(data, 3).as_dict()
     assert d["checks"]["ok"] and len(d["generators"]) == 3
