@@ -17,10 +17,12 @@ produces the series substitution carrying one basis derivation into another.
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Sequence
 
 from .actions import ActionSpec, HomElement, Report
-from .exactalg import AlgebraicField, Echelon, FracField, GeneratorPowers, evaluate
+from .exactalg import AlgebraicField, Echelon, Frac, FracField, GeneratorPowers, evaluate
+from .exactalg import terms as _terms
 from .lieritt import DiffPoly, multi_indices
 from .series import SeriesRing, TruncSeries, formal_inverse, identity_tuple
 from .taylor import ExpansionAlgebra
@@ -374,7 +376,8 @@ def find_relations(hull: HullData, diff_order: int, degree: int,
     vectors of the certified degrees' dependent columns, which are
     independent of it and complete it to the kernel below d.  A monomial
     with a factor whose derivative is zero is a zero column, formed with no
-    product.
+    product.  Each relation is checked by solve_points' zero test,
+    relation_vanishes after cleared, or ArithmeticError is raised.
     """
     L = hull.ext.L
     table = hull.derivative_table
@@ -437,16 +440,31 @@ def find_relations(hull: HullData, diff_order: int, degree: int,
             if span.add(vec := monomials.relation(j)):
                 relations.append({all_monos[i]: c for i, c in vec.items()})
                 leads.add(j)
-    out = [_relation_to_diffpoly(rel, hull, nstreams, nvars) for rel in relations]
-    # verify: every relation vanishes on the generators
     for rel in relations:
-        v = None
-        for m, c in rel.items():
-            term = values[column[m]].scale(c)
-            v = term if v is None else v + term
-        if v is None or not v.is_zero():
+        if not relation_vanishes((values[column[m]], c) for m, c in cleared(rel.items())):
             raise ArithmeticError("relation does not vanish on the hull generators")
-    return out
+    return [_relation_to_diffpoly(rel, hull, nstreams, nvars) for rel in relations]
+
+
+def cleared(terms) -> list:
+    """The terms (key, c) of a relation with coefficients c in L, times the
+    product M of their nonconstant denominators: a unit multiple with
+    polynomial coefficients num*(M/den), by exact division and no gcd."""
+    dens = [c.den for _, c in terms if isinstance(c, Frac) and not c.den.is_const()]
+    if not dens:
+        return terms
+    multiplier = math.prod(dens[1:], start=dens[0])
+    return [(key, c.field.from_poly(c.num * multiplier.exact_div(c.den))) for key, c in terms]
+
+
+def relation_vanishes(terms) -> bool:
+    """Whether sum c*v over the pairs (v, c) of terms is zero coordinatewise:
+    a relation's zero test, for v its monomial values and c from cleared."""
+    total: dict = {}
+    for v, c in terms:
+        _terms.accumulate(total, ((k, v.ring.mul(x, c)) for k, x in _hom_coordinates(v).items()),
+                          v.ring)
+    return not total
 
 
 def _graded_monomials(symbols: list, degree: int) -> list[list[tuple]]:
@@ -461,17 +479,11 @@ def _graded_monomials(symbols: list, degree: int) -> list[list[tuple]]:
 
 
 def _relation_to_diffpoly(rel: dict, hull: HullData, nstreams: int, nvars: int) -> DiffPoly:
-    L = hull.ext.L
-    wvars = hull.algebra.wvars
-    horizon = hull.algebra.w_horizon
-    terms = {}
-    for mono, c in rel.items():
-        counts: dict = {}
-        for sym in mono:
-            counts[sym] = counts.get(sym, 0) + 1
-        key = tuple(sorted(counts.items()))
-        terms[key] = TruncSeries.const(L, wvars, horizon, c)
-    return DiffPoly(nstreams, L, wvars, horizon, terms)
+    L, wvars, horizon = hull.ext.L, hull.algebra.wvars, hull.algebra.w_horizon
+    return DiffPoly(nstreams, L, wvars, horizon,
+                    {tuple(sorted((s, mono.count(s)) for s in set(mono))):
+                     TruncSeries.const(L, wvars, horizon, c)
+                     for mono, c in rel.items()})
 
 
 __all__ = [
@@ -479,10 +491,12 @@ __all__ = [
     "HullData",
     "change_basis",
     "change_basis_substitution",
+    "cleared",
     "distinct_products",
     "element_key",
     "find_relations",
     "hull_generators",
     "make_basis_derivation",
+    "relation_vanishes",
     "variable_basis_derivation",
 ]

@@ -350,18 +350,15 @@ class DiffPoly:
         """Substitute the divided derivatives of phi for the symbols.
 
         lift: base-coefficient -> algebra element embedding for the
-        coefficient series.  The symbols are the variables of
-        exactalg.evaluate, so each symbol's powers are built once per call."""
+        coefficient series; the substitution is evaluate_symbols."""
         A = phi.algebra
         if phi.vars != self.wvars:
             raise ValueError("variable mismatch in evaluation")
-        symbols = sorted(self.symbols())
-        if any(sum(k) > phi.horizon for _, k in symbols):
+        if any(sum(k) > phi.horizon for _, k in self.symbols()):
             raise ValueError("symbol order exceeds the horizon")
-        return evaluate(((tuple(dict(key).get(sym, 0) for sym in symbols), c)
-                         for key, c in self.terms.items()),
-                        [phi.comps[i].hasse_deriv(k) for i, k in symbols],
-                        SeriesRing(A, phi.vars, phi.horizon), lambda c: c.map_coeffs(lift, A))
+        return evaluate_symbols(self.terms.items(), lambda s: phi.comps[s[0]].hasse_deriv(s[1]),
+                                SeriesRing(A, phi.vars, phi.horizon),
+                                lambda c: c.map_coeffs(lift, A))
 
     def __str__(self):
         def render(key):
@@ -377,6 +374,16 @@ class DiffPoly:
 
     def __repr__(self):
         return f"DiffPoly({self})"
+
+
+def evaluate_symbols(terms, image, target, lift, is_one=None):
+    """exactalg.evaluate of the terms (symbol-product key, coefficient) of a
+    differential polynomial with each symbol s sent to image(s): the sorted
+    symbols are the variables, so each one's powers are built once."""
+    terms = list(terms)
+    symbols = sorted({sym for key, _ in terms for sym, _ in key})
+    return evaluate(((tuple(dict(key).get(sym, 0) for sym in symbols), c) for key, c in terms),
+                    [image(sym) for sym in symbols], target, lift, is_one)
 
 
 def _merge_keys(k1, k2):

@@ -13,17 +13,17 @@ generators through the twisted-expansion formula.
 
 from __future__ import annotations
 
-import operator
-from types import SimpleNamespace
+import math
 from typing import Sequence
 
-from .exactalg import Frac, evaluate, power
+from .exactalg import Frac, power
 from .exactalg import terms as _terms
-from .hull import HullData, element_key
+from .hull import HullData, cleared, element_key, relation_vanishes
 from .lieritt import (
     DiffPoly,
     LieRittIdeal,
     SolutionFamily,
+    evaluate_symbols,
     multi_indices,
     solve_zero_set,
     symbol_derivatives,
@@ -35,8 +35,8 @@ from .taylor import JointElement
 def build_ideal(hull: HullData, relations: Sequence[DiffPoly]) -> LieRittIdeal:
     """Twist each relation into differential-polynomial generators.
 
-    Each relation is first cleared of denominators in L (_cleared), and the
-    cleared coefficients, polynomials, become their w-deformations; as
+    Each relation is first cleared of denominators in L (hull.cleared), and
+    the cleared coefficients, polynomials, become their w-deformations; as
     theta_u is a ring homomorphism and truncated products are exact, this
     equals deforming each coefficient and multiplying by the deformed
     clearing multiplier.  The symbol for the k-th derivative of generator i
@@ -67,7 +67,7 @@ def build_ideal(hull: HullData, relations: Sequence[DiffPoly]) -> LieRittIdeal:
     gens: dict[frozenset, DiffPoly] = {}  # structural key -> generator
     for rel in relations:
         twisted = DiffPoly(n, L, wvars, wh, {})
-        for key, c in _cleared(rel, L):
+        for key, c in cleared(_terms_over_L(rel)):
             term = constant(alg.from_w_series(theta_u.theta_series(c, wh)))
             for (i, k), e in key:
                 term = term * power(template_deriv(i, tuple(k)), e, lambda: constant(alg.one()))
@@ -123,19 +123,8 @@ def _symbol_deriv(poly: DiffPoly, l: tuple[int, ...]) -> DiffPoly:
                     _terms.accumulate({}, items, _terms.OPERATORS))
 
 
-def _cleared(rel: DiffPoly, L) -> list[tuple]:
-    """The terms (key, coefficient in L) of M*rel, where M is the product of
-    the denominators of rel's coefficients: a unit multiple of rel, so it
-    vanishes exactly where rel does, with polynomial coefficients."""
-    terms = [(key, c.coeff((0,) * len(c.vars))) for key, c in rel.terms.items()]
-    multiplier = None
-    for _, c in terms:
-        if isinstance(c, Frac) and not c.den.is_const():
-            den = L.from_poly(c.den)
-            multiplier = den if multiplier is None else multiplier * den
-    if multiplier is None:
-        return terms
-    return [(key, c * multiplier) for key, c in terms]
+def _terms_over_L(rel: DiffPoly) -> list[tuple]:
+    return [(key, c.coeff((0,) * len(c.vars))) for key, c in rel.terms.items()]
 
 
 def _normalize(poly: DiffPoly, L) -> DiffPoly | None:
@@ -228,17 +217,16 @@ def solve_points(hull: HullData, relations: Sequence[DiffPoly],
     the image of an expanded generator is the sum over k of its k-th
     derivative times the k-th power of the transformation deviation.  Both
     the congruence to the identity modulo nilpotents and the preservation
-    of all relations are re-checked on the symbolic family; both relation
-    checks evaluate each relation cleared of denominators (_cleared), a unit
-    multiple with the same zero test and polynomial coefficients."""
-    # re-check the precondition: relations vanish on the generators
+    of all relations are re-checked on the symbolic family, and each
+    relation, cleared of denominators (hull.cleared), is first checked to
+    vanish on the generators by hull.relation_vanishes."""
     L = hull.ext.L
-    cleared = [_cleared(rel, L) for rel in relations]
-    one = next(iter(hull.derivative_table.values())).one()
-    homs = SimpleNamespace(zero=lambda: one.scale(L.zero()), add=operator.add, mul=operator.mul)
-    for terms in cleared:
-        value = _relation_value(terms, hull.derivative_table.__getitem__, homs, one.scale, L)
-        if not value.is_zero():
+    table = hull.derivative_table
+    unit = next(iter(table.values())).one()
+    cleared_rels = [cleared(_terms_over_L(rel)) for rel in relations]
+    for terms in cleared_rels:
+        if not relation_vanishes((math.prod((table[sym] for sym, e in key for _ in range(e)),
+                                            start=unit), c) for key, c in terms):
             raise ValueError("relation does not vanish on the hull generators")
 
     if ideal is None:
@@ -271,8 +259,9 @@ def solve_points(hull: HullData, relations: Sequence[DiffPoly],
             lifts[key] = alg_P.from_w_series(alg.theta_u.theta_series(c, wh), lift=P.scalar)
         return lifts[key]
 
-    relations_ok = all(_relation_value(terms, symbol_images.__getitem__, alg_P, lift, L).is_zero()
-                       for terms in cleared)
+    relations_ok = all(evaluate_symbols(terms, symbol_images.__getitem__, alg_P, lift,
+                                        lambda c: L.eq(c, L.one())).is_zero()
+                       for terms in cleared_rels)
 
     checks = {
         "solved": True,
@@ -281,16 +270,6 @@ def solve_points(hull: HullData, relations: Sequence[DiffPoly],
         "constraints": list(family.constraints),
     }
     return UmemuraReport(hull, ideal, family, images, checks, classification)
-
-
-def _relation_value(terms: list[tuple], image, target, lift, L):
-    """The relation with terms (key, coefficient c in L), each symbol s
-    replaced by image(s) and each c by lift(c), summed in the context
-    target; a coefficient 1 is neither lifted nor multiplied in."""
-    symbols = sorted({sym for key, _ in terms for sym, _ in key})
-    one = L.one()
-    return evaluate(((tuple(dict(key).get(sym, 0) for sym in symbols), c) for key, c in terms),
-                    [image(sym) for sym in symbols], target, lift, lambda c: L.eq(c, one))
 
 
 def group_compatibility_check(hull: HullData, report: UmemuraReport) -> bool:

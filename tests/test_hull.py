@@ -4,6 +4,7 @@ relation discovery for the two worked extensions."""
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -18,6 +19,7 @@ from modalg.exactalg import (
     QQ,
     AlgebraicField,
     Echelon,
+    Frac,
     FracField,
     PolyRing,
     evaluate,
@@ -30,6 +32,7 @@ from modalg.hull import (
     _monomial_span,
     _relation_to_diffpoly,
     change_basis,
+    cleared,
     distinct_products,
     find_relations,
     hull_generators,
@@ -89,6 +92,24 @@ def gaussian_ext():
         "x": TruncSeries(L, ("w",), 8, {(0,): x, (1,): L.one()}),
         "y": TruncSeries.const(L, ("w",), 8, y) * truncated_exp(exponent)})
     return ExtensionDesc(L, [y], action, K_gens=[x], K_vars=("x",), name="gaussian")
+
+
+def erf_ext():
+    """The error function over K = QQ(x): y' = 2xy and z' = y, basis (y, z).
+    theta(x) = x + w, theta(y) = y*E and theta(z) = z + y*int_0^w E for
+    E = exp(2xw + w^2), the integral taken termwise.  Theory: 2 parameters,
+    (y, z) -> ((1 + b)*y, z + a*y), the group G_a x| G_m."""
+    L = FracField(QQ, ["x", "y", "z"])
+    x, y, z = L.var("x"), L.var("y"), L.var("z")
+    w = TruncSeries.variable(L, ("w",), 8, "w")
+    exp = truncated_exp((TruncSeries.const(L, ("w",), 8, x + x) + w) * w)
+    integral = TruncSeries(L, ("w",), 8, {(k + 1,): c * L.const(Fraction(1, k + 1))
+                                          for (k,), c in exp.terms.items() if k < 8})
+    action = ActionSpec(L, "iterder", n=1, theta_images={
+        "x": TruncSeries(L, ("w",), 8, {(0,): x, (1,): L.one()}),
+        "y": TruncSeries.const(L, ("w",), 8, y) * exp,
+        "z": TruncSeries.const(L, ("w",), 8, z) + TruncSeries.const(L, ("w",), 8, y) * integral})
+    return ExtensionDesc(L, [y, z], action, K_gens=[x], K_vars=("x",), name="erf")
 
 
 def riccati_ext():
@@ -450,6 +471,85 @@ def test_find_relations_self_check_raises(monkeypatch):
     hull = hull_generators(additive_ext(), t_horizon=3, w_horizon=3)
     with pytest.raises(ArithmeticError, match="does not vanish"):
         find_relations(hull, diff_order=1, degree=1)
+
+
+def test_find_relations_self_check_raises_on_cleared_relations(monkeypatch):
+    # erf's relations carry the denominator x^4 - 3*x^2 + 3/4: doubling every
+    # such coefficient of the kernel vectors leaves relations that clear to
+    # polynomial coefficients and still do not vanish
+    def multi_term(c):
+        return len(c.den.terms) > 1
+
+    class Doubled(modalg.hull.Echelon):
+        def __init__(self, field, vectors=()):
+            super().__init__(field, vectors)
+            if self.size:  # the monomial columns, not the consequence span
+                self.dependent = {j: {i: c + c if multi_term(c) else c for i, c in vec.items()}
+                                  for j, vec in self.dependent.items()}
+
+    seen = []
+
+    def recorded(terms):
+        terms = list(terms)
+        seen.extend(str(c.den) for _, c in terms if multi_term(c))
+        return cleared(terms)
+
+    hull = hull_generators(erf_ext(), t_horizon=6, w_horizon=2)
+    monkeypatch.setattr(modalg.hull, "Echelon", Doubled)
+    monkeypatch.setattr(modalg.hull, "cleared", recorded)
+    with pytest.raises(ArithmeticError, match="does not vanish"):
+        find_relations(hull, diff_order=2, degree=2)
+    assert "x^4 - 3*x^2 + 3/4" in seen
+
+
+def cleared_by_products(terms, L):
+    """The form cleared replaced: every coefficient times the Frac product of
+    the nonconstant denominators."""
+    multiplier = None
+    for _, c in terms:
+        if isinstance(c, Frac) and not c.den.is_const():
+            den = L.from_poly(c.den)
+            multiplier = den if multiplier is None else multiplier * den
+    if multiplier is None:
+        return terms
+    return [(key, c * multiplier) for key, c in terms]
+
+
+@st.composite
+def relation_terms(draw):
+    """(L, terms): one to five (key, coefficient) pairs over QQ(x, y) or
+    GF(7)(y).  Each coefficient is a numerator of total degree <= 2 over a
+    denominator drawn, with repetition, from constant, one-term and
+    multi-term ones; a numerator sometimes shares a factor with it."""
+    L = draw(st.sampled_from([FracField(QQ, ["x", "y"]), FracField(GF(7), ["y"])]))
+    R = L.poly_ring
+    g = R.gens()
+    c = R.from_int
+    dens = [R.one(), c(3), g[-1], c(2) * g[0] ** 3, g[-1] + c(1), g[0] ** 2 - c(3) * g[-1] + c(2),
+            g[-1] ** 2 + g[0] * g[-1] - c(5)]
+    exps = [e for e in itertools.product(range(3), repeat=R.nvars()) if sum(e) <= 2]
+
+    def coefficient():
+        num = R.poly({e: R.field.from_int(draw(st.integers(-2, 2))) for e in exps})
+        den = draw(st.sampled_from(dens))
+        if num.is_zero():
+            num = R.one()
+        if draw(st.booleans()):
+            num = num * draw(st.sampled_from(dens))
+        return Frac(L, num, den)
+
+    return L, [(k, coefficient()) for k in range(draw(st.integers(1, 5)))]
+
+
+@settings(max_examples=120, deadline=None)
+@given(relation_terms())
+def test_cleared_equals_the_frac_product_form(data):
+    L, terms = data
+    got, want = cleared(terms), cleared_by_products(terms, L)
+    assert [k for k, _ in got] == [k for k, _ in want]
+    for (_, a), (_, b) in zip(got, want):
+        assert a == b and str(a) == str(b)
+        assert a.den.is_const()
 
 
 def test_find_relations_search_space_error_names_the_bound():

@@ -393,7 +393,7 @@ RING_TYPE_SITES = {
     # an algebraic generator's image is solved from its minimal polynomial
     "hull.py:variable_basis_derivation",
     # the denominators of relation coefficients, read from the Frac form
-    "umemura.py:_cleared",
+    "hull.py:cleared",
     # the scalar content of a coefficient's canonical form
     "umemura.py:_unit_scalar",
 }

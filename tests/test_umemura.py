@@ -11,7 +11,7 @@ import pytest
 from modalg.actions import ActionSpec
 from modalg.exactalg import QQ, Frac, FracField
 from modalg.hull import ExtensionDesc, HullData, find_relations, hull_generators
-from modalg.lieritt import InfTransform, NilAlgebra, multi_indices
+from modalg.lieritt import DiffPoly, InfTransform, NilAlgebra, multi_indices
 from modalg.series import TruncSeries, truncated_exp
 from modalg.umemura import (
     _symbol_deriv,
@@ -21,6 +21,7 @@ from modalg.umemura import (
     identify_formal_group,
     solve_points,
 )
+from test_hull import gaussian_ext
 from test_pv import TRANSPORT_EXAMPLES, transport_example
 
 
@@ -172,6 +173,23 @@ def test_points_of_a_wrong_ideal_do_not_preserve_the_relations():
     assert report.classification["tag"] == "Ga_hat"
     assert report.checks["solved"]
     assert report.checks["relations_preserved"] is False
+
+
+def test_solve_points_rejects_a_relation_that_does_not_vanish():
+    # the Gaussian relations at (4, 2) have coefficients over the multi-term
+    # denominator x^6 + 3/2*x^4 + 9/4*x^2 - 9/8; doubling one of them leaves
+    # a relation that still clears to polynomial coefficients but does not
+    # vanish on the generators
+    hull = hull_generators(gaussian_ext(), t_horizon=4, w_horizon=2)
+    rels = find_relations(hull, diff_order=2, degree=2)
+    solve_points(hull, rels)
+    i, key = next((i, key) for i, r in enumerate(rels) for key, c in r.terms.items()
+                  if len(c.coeff((0,)).den.terms) > 1)
+    r = rels[i]
+    doubled = DiffPoly(r.nstreams, r.coeff_ring, r.wvars, r.horizon,
+                       {**r.terms, key: r.terms[key] + r.terms[key]})
+    with pytest.raises(ValueError, match="does not vanish"):
+        solve_points(hull, rels[:i] + [doubled] + rels[i + 1:])
 
 
 def test_parameter_law_names_the_composite():
