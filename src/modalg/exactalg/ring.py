@@ -1,9 +1,9 @@
 """The ring protocol: what every coefficient context answers.
 
 A context says how to combine the plain values that are its elements
-(Fraction, int, MPoly, Frac, tuples, dicts).  The contexts are RationalField
-(QQ), PrimeField (GF(p)), PolyRing, FracField, AlgebraicField, ProductField
-and NilAlgebra, and each of them provides:
+(Fraction, int, MPoly, Frac, tuples, dicts, TruncSeries).  The contexts are
+RationalField (QQ), PrimeField (GF(p)), PolyRing, FracField, AlgebraicField,
+ProductField, NilAlgebra and series.SeriesRing, and each of them provides:
 
   char, scalars        the characteristic, and the prime field (QQ or GF(p))
                        the context is a vector space over;
@@ -11,7 +11,11 @@ and NilAlgebra, and each of them provides:
                        and the generators themselves (none for a prime
                        field);
   zero(), one(), from_int(n), const(c)
-                       constants; const(c) embeds a value c of scalars;
+                       constants; const(c) embeds a value c of scalars.
+                       PolyRing, NilAlgebra and SeriesRing also answer
+                       scalar(c), which embeds an element c of their
+                       coefficient ring, such as an element of L for a
+                       SeriesRing over L, as a constant;
   add, sub, neg, mul, inv, div
   is_zero, is_unit, is_nilpotent, eq
   to_str(a)            the text of an element;
@@ -26,6 +30,8 @@ and NilAlgebra, and each of them provides:
   partners             the partner table: the name of the other generator of
                        each inverse pair, by name; Ring's empty table for
                        every context but a PolyRing with inverse_pairs.
+
+SeriesRing answers all of these but scalar_coordinates.
 
 PolyRing, FracField and AlgebraicField, the contexts generated by named
 generators, also answer the one ring map of the library:

@@ -94,7 +94,7 @@ def _solve_algebraic_image(L: AlgebraicField, images: dict, wvars, horizon: int)
         raise ValueError("inseparable algebraic generator; no unique derivation lift")
     ring = SeriesRing(L, wvars, horizon)
     powers = GeneratorPowers(ring, images)
-    coeff_series = [L.base.hom(c, powers, lambda v: ring.const(L.scalar(v))) for c in L.minpoly]
+    coeff_series = [L.base.hom(c, powers, lambda v: ring.scalar(L.scalar(v))) for c in L.minpoly]
 
     def p_theta(g: TruncSeries) -> TruncSeries:
         return evaluate((((i,), c) for i, c in enumerate(coeff_series)), [g], ring, lambda v: v)
@@ -200,10 +200,11 @@ class HullData:
                  derivative_table: dict, closure: Report):
         self.ext = ext
         self.algebra = algebra
-        self.rho0_gens = rho0_gens          # [(label, HomElement)]
-        self.rho_gens = rho_gens            # [(label, elem, JointElement)]
-        self.rho_K_gens = rho_K_gens        # [(label, JointElement)]
-        self.derivative_table = derivative_table  # (i, k) -> HomElement
+        # the elements of algebra are HomElements with w-series values
+        self.rho0_gens = rho0_gens          # [(label, element of algebra)]
+        self.rho_gens = rho_gens            # [(label, elem, element of algebra)]
+        self.rho_K_gens = rho_K_gens        # [(label, element of algebra)]
+        self.derivative_table = derivative_table  # (i, k) -> t-only HomElement over L
         self.closure = closure
         self._deformed: dict = {}  # (i, k) -> entry deformed over L
         self._lifted: dict = {}  # test algebra P -> {(i, k): deformed entry lifted to P}
@@ -234,7 +235,7 @@ class HullData:
                 if (i, k) not in lifted:
                     if (i, k) not in self._deformed:
                         self._deformed[i, k] = alg._deform_hom(self.derivative_table[(i, k)])
-                    lifted[i, k] = self._deformed[i, k].map_coeffs(P.scalar, alg_P)
+                    lifted[i, k] = alg.lift(self._deformed[i, k], P.scalar, alg_P)
                 return lifted[i, k]
         ks = multi_indices(alg.theta_u.n, min(alg.w_horizon, P.order - 1))
         deviation = [alg_P.from_w_series(d) for d in deviation]
@@ -266,9 +267,9 @@ def hull_generators(ext: ExtensionDesc, t_horizon: int, w_horizon: int,
     table: dict = {}
     for i, (_, _, joint) in enumerate(rho_gens):
         for k in multi_indices(theta_u.n, w_horizon):
-            table[(i, tuple(k))] = joint.w_slice(k)
+            table[(i, tuple(k))] = algebra.w_slice(joint, k)
 
-    accepted: list[HomElement] = [j.w_slice((0,) * theta_u.n) for _, j in rho0_gens]
+    accepted: list[HomElement] = [algebra.w_slice(j, (0,) * theta_u.n) for _, j in rho0_gens]
     accepted += [table[(i, (0,) * theta_u.n)] for i in range(len(rho_gens))]
     span = _monomial_span(accepted, L, span_degree)
     new_gens = []

@@ -252,7 +252,8 @@ class InfTransform:
 
 class DiffPoly:
     """Polynomial in finitely many symbols Y_i^(k) with coefficients in w:
-    TruncSeries over coeff_ring, or JointElements in umemura.
+    TruncSeries over coeff_ring, or in umemura HomElements whose values
+    are w-series, coeff_ring being their SeriesRing.
 
     The derivation sends Y_i^(k) to C(k+l, k) Y_i^(k+l), dropping a symbol
     it moves above the horizon, and acts on the w's of the coefficients;

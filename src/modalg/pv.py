@@ -18,12 +18,12 @@ from __future__ import annotations
 
 import itertools
 
-from .actions import ActionSpec, Report, d_basis_entries, monomial_basis
+from .actions import ActionSpec, HomElement, Report, d_basis_entries, monomial_basis
 from .exactalg import Echelon, Frac, FracField, Matrix, MPoly, PolyRing, evaluate
 from .hull import HullData
 from .lieritt import NilAlgebra, absorb_residues, kernel_values
 from .series import TruncSeries
-from .taylor import JointElement
+from .taylor import ExpansionAlgebra
 from .umemura import UmemuraReport, solve_points
 
 
@@ -451,13 +451,13 @@ class _SplitOperator(Echelon):
     one elimination of their coordinate columns serves every split: each
     parameter monomial of an image is one right-hand side."""
 
-    def __init__(self, L, basis: list, alg):
+    def __init__(self, L, basis: list, alg: ExpansionAlgebra):
         self.basis = basis
-        super().__init__(L, (alg.expand_rho(b).coordinates() for b in basis))
+        super().__init__(L, (alg.coordinates(alg.expand_rho(b)) for b in basis))
 
-    def split(self, img: JointElement, P: NilAlgebra):
+    def split(self, img: HomElement, P: NilAlgebra):
         """The list of c_i, or None when img does not split."""
-        coords = img.coordinates()
+        coords = ExpansionAlgebra.coordinates(img)
         out: list[dict] = [{} for _ in self.basis]
         for mono in {m for c in coords.values() for m in c}:
             sol = self.solve({key: c[mono] for key, c in coords.items() if mono in c})

@@ -4,7 +4,11 @@ A TruncSeries keeps every monomial of total degree <= horizon and drops the
 rest.  Coefficients live in any ring following the exactalg protocol (QQ,
 GF(p), FracField, PolyRing, NilAlgebra, ProductField), so the same series
 code serves power series over a function field as well as infinitesimal
-transformations over a nilpotent test algebra.
+transformations over a nilpotent test algebra.  SeriesRing is the interned
+context of the series of one shape, so series can be coefficients of
+series: a t-series over SeriesRing(L, w, h) is a series in t and w whose
+terms keep t-degree <= its horizon and w-degree <= h, the box of
+taylor.ExpansionAlgebra.
 
 Exactness contract: addition and multiplication of two series agree with the
 untruncated result in every degree <= horizon.  So does the quotient
@@ -23,11 +27,13 @@ the working horizon accordingly.
 from __future__ import annotations
 
 import math
-from operator import add as _add
+from operator import add as _add, eq as _eq, neg as _neg
+from operator import methodcaller, mul as _mul
 from typing import Iterable, Sequence
 
 from .exactalg import Matrix, evaluate, power
 from .exactalg import terms as _terms
+from .exactalg.ring import Ring
 
 
 class TruncSeries:
@@ -174,7 +180,7 @@ class TruncSeries:
                 if not p.ring.is_nilpotent(c0):
                     raise ValueError("substitution needs zero or nilpotent constant term")
         S = SeriesRing(tgt.ring, tgt.vars, tgt.horizon)
-        return evaluate(self.sorted_terms(), phis, S, S.const)
+        return evaluate(self.sorted_terms(), phis, S, S.scalar)
 
     def recip(self) -> "TruncSeries":
         """Multiplicative inverse; needs a unit constant term."""
@@ -236,27 +242,49 @@ class TruncSeries:
         return f"TruncSeries({self})"
 
 
-class SeriesRing:
-    """Ring context for the series of one shape (coefficient ring, variables,
-    horizon), as exactalg.evaluate and the target of a context's hom need
-    it."""
+class SeriesRing(Ring):
+    """Ring context of the series of one shape (coefficient ring, variables,
+    horizon), for exactalg.evaluate, a context's hom and the series with
+    series coefficients: scalar(c) embeds a coefficient c as a constant
+    series, const(c) a scalar of the prime field."""
+
+    @staticmethod
+    def _intern_key(ring, variables: Sequence[str], horizon: int):
+        return ring, tuple(variables), horizon
 
     def __init__(self, ring, variables: Sequence[str], horizon: int):
         self.ring = ring
+        self.scalars = ring.scalars
         self.vars = tuple(variables)
         self.horizon = horizon
+
+    add = staticmethod(_add)
+    neg = staticmethod(_neg)
+    mul = staticmethod(_mul)
+    eq = staticmethod(_eq)
+    is_zero = staticmethod(methodcaller("is_zero"))
+    to_str = staticmethod(str)
 
     def zero(self) -> TruncSeries:
         return TruncSeries.zero(self.ring, self.vars, self.horizon)
 
-    def const(self, c) -> TruncSeries:
+    def one(self) -> TruncSeries:
+        return TruncSeries.one(self.ring, self.vars, self.horizon)
+
+    def scalar(self, c) -> TruncSeries:
         return TruncSeries.const(self.ring, self.vars, self.horizon, c)
 
-    def add(self, a: TruncSeries, b: TruncSeries) -> TruncSeries:
-        return a + b
+    def const(self, c) -> TruncSeries:
+        return self.scalar(self.ring.const(c))
 
-    def mul(self, a: TruncSeries, b: TruncSeries) -> TruncSeries:
-        return a * b
+    def var(self, name: str) -> TruncSeries:
+        return TruncSeries.variable(self.ring, self.vars, self.horizon, name)
+
+    def is_unit(self, a: TruncSeries) -> bool:
+        return self.ring.is_unit(a.constant_term())
+
+    def is_nilpotent(self, a: TruncSeries) -> bool:
+        return self.ring.is_nilpotent(a.constant_term())
 
     def inv(self, a: TruncSeries) -> TruncSeries:
         return a.recip()
@@ -266,7 +294,7 @@ class SeriesRing:
 
 
 def identity_tuple(ring, variables, horizon) -> tuple[TruncSeries, ...]:
-    return tuple(TruncSeries.variable(ring, variables, horizon, v) for v in variables)
+    return tuple(SeriesRing(ring, variables, horizon).gens())
 
 
 def formal_inverse(phis: Sequence[TruncSeries]) -> tuple[TruncSeries, ...]:

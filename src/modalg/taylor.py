@@ -9,12 +9,12 @@ are checked by the test suite, and the factorization property (every
 homomorphism into a translation algebra factors through it) is verified by
 check_expansion_universal.
 
-ExpansionAlgebra is the bivariate refinement: values are series in the
-operator variables t and in deformation variables w, with independent bounds
-on the two groups.  It hosts a second, commuting derivation action in the w
-direction and the multiplication map that merges a hull element tensor a
-w-series into a single function; this is where the Galois-hull and
-automorphism computations live.
+ExpansionAlgebra is the bivariate refinement: its elements are HomElements
+whose values are w-series, functions with values in L[[w]] cut to the box
+t-degree <= t_horizon, w-degree <= w_horizon.  It hosts a second, commuting
+derivation action in the w direction and the multiplication map that merges
+a hull element tensor a w-series into a single function; this is where the
+Galois-hull and automorphism computations live.
 """
 
 from __future__ import annotations
@@ -22,8 +22,8 @@ from __future__ import annotations
 from typing import Callable, Sequence
 
 from .actions import ActionSpec, HomElement, Report
-from .exactalg import GeneratorPowers, power
-from .series import TruncSeries
+from .exactalg import GeneratorPowers
+from .series import SeriesRing, TruncSeries
 
 
 def _identity(c):
@@ -53,14 +53,8 @@ def check_expansion_universal(action: ActionSpec, Lambda: Callable, target,
             failures.append(f"induced map undefined on {s}")
             continue
         got = Lambda(s)
-        expanded = action.expand(s, horizon, word_bound)
-        mapped = HomElement(
-            target, expanded.monoid, expanded.tvars, expanded.horizon, expanded.word_bound,
-            {w: series.map_coeffs(
-                lambda c: ring.hom(c, powers, target_lift),
-                target,
-            ) for w, series in expanded.data.items()},
-        )
+        mapped = action.expand(s, horizon, word_bound).map_coeffs(
+            lambda c: ring.hom(c, powers, target_lift), target)
         if got != mapped:
             failures.append(f"factorization fails on {s}")
         elif not target.eq(lam_s, got.ev_unit()):
@@ -74,11 +68,14 @@ def check_expansion_universal(action: ActionSpec, Lambda: Callable, target,
 class ExpansionAlgebra:
     """Functions on the bialgebra with values in truncated w-series.
 
-    Elements map monoid words to series in tvars + wvars over a coefficient
-    ring; the t group is bounded by t_horizon, the w group by w_horizon,
-    enforced after every product.  The derivation action in the w direction
-    (wordwise divided derivatives) commutes with right translation in the t
-    direction.
+    An element is a HomElement over coeffs = SeriesRing(ring, wvars,
+    w_horizon): each monoid word maps to a t-series of horizon t_horizon
+    whose coefficients are w-series of horizon w_horizon, so a product keeps
+    exactly the box of both bounds.  The derivation action in the w
+    direction (HomElement.hasse_deriv) commutes with right translation in
+    the t direction.  The algebra is the context of its elements for
+    exactalg.evaluate (zero, add, mul); w_slice, coordinates and lift read
+    and map them.
     """
 
     def __init__(self, action: ActionSpec, theta_u: ActionSpec, t_horizon: int,
@@ -91,76 +88,64 @@ class ExpansionAlgebra:
         self.word_bound = action.default_word_bound() if word_bound is None else word_bound
         self.tvars = action.tvars()
         self.wvars = theta_u.wvars
-        self.vars = self.tvars + self.wvars
         self.monoid = action.monoid if action.has_monoid() else None
+        self.coeffs = SeriesRing(self.ring, self.wvars, w_horizon)
+        # the t-horizon and word bound of expand_plain's realizations
+        self._th = t_horizon if self.tvars else 0
+        self._wb = self.word_bound if self.monoid is not None else 0
 
     # -------------------------------------------------------- constructors
-    def _prune(self, s: TruncSeries) -> TruncSeries:
-        nt = len(self.tvars)
-        out = {}
-        for e, c in s.terms.items():
-            if sum(e[:nt]) <= self.t_horizon and sum(e[nt:]) <= self.w_horizon:
-                out[e] = c
-        return TruncSeries(s.ring, s.vars, s.horizon, out)
+    def element(self, data: dict) -> HomElement:
+        """The element with the t-series data[word] over coeffs, in the shape
+        of expand_plain."""
+        return HomElement(self.coeffs, self.monoid, self.tvars, self._th, self._wb, data)
 
-    def _series(self, terms: dict) -> TruncSeries:
-        return self._prune(TruncSeries(self.ring, self.vars, self.t_horizon + self.w_horizon, terms))
+    def _constant(self, s: TruncSeries) -> HomElement:
+        """The constant-in-t element with value s, a w-series over coeffs,
+        on every word."""
+        words = self.monoid.words(self.word_bound) if self.monoid is not None else [0]
+        value = TruncSeries.const(self.coeffs, self.tvars, self._th, s)
+        return self.element(dict.fromkeys(words, value))
 
-    def _words(self) -> list:
-        return self.monoid.words(self.word_bound) if self.monoid is not None else [0]
+    def zero(self) -> HomElement:
+        return self._constant(self.coeffs.zero())
 
-    def element(self, data: dict) -> "JointElement":
-        return JointElement(self, data)
+    def const(self, c) -> HomElement:
+        return self._constant(self.coeffs.scalar(c))
 
-    def zero(self) -> "JointElement":
-        return self.element({w: self._series({}) for w in self._words()})
+    def one(self) -> HomElement:
+        return self._constant(self.coeffs.one())
 
-    def const(self, c) -> "JointElement":
-        s = self._series({(0,) * len(self.vars): c})
-        return self.element({w: s for w in self._words()})
-
-    def one(self) -> "JointElement":
-        return self.const(self.ring.one())
-
-    def add(self, a: "JointElement", b: "JointElement") -> "JointElement":
+    def add(self, a: HomElement, b: HomElement) -> HomElement:
         return a + b
 
-    def mul(self, a: "JointElement", b: "JointElement") -> "JointElement":
+    def mul(self, a: HomElement, b: HomElement) -> HomElement:
         return a * b
 
-    def from_hom(self, f: HomElement, lift: Callable = _identity) -> "JointElement":
+    def from_hom(self, f: HomElement) -> HomElement:
         """Embed a t-only realization (no w-dependence)."""
-        data = {}
-        for word, s in f.data.items():
-            terms = {}
-            for e, c in s.terms.items():
-                terms[tuple(e) + (0,) * len(self.wvars)] = lift(c)
-            data[word] = self._series(terms)
-        return self.element(data)
+        return f.map_coeffs(self.coeffs.scalar, self.coeffs)
 
-    def from_w_series(self, s: TruncSeries, lift: Callable = _identity) -> "JointElement":
-        """Constant-in-t embedding of a w-series (a rho0-style coefficient)."""
-        terms = {}
-        for e, c in s.terms.items():
-            terms[(0,) * len(self.tvars) + tuple(e)] = lift(c)
-        ser = self._series(terms)
-        return self.element({w: ser for w in self._words()})
+    def from_w_series(self, s: TruncSeries, lift: Callable = _identity) -> HomElement:
+        """Constant-in-t embedding of a w-series (a rho0-style coefficient),
+        with lift applied to its coefficients."""
+        return self._constant(TruncSeries(self.ring, self.wvars, self.w_horizon,
+                                          {e: lift(c) for e, c in s.terms.items()}))
 
     def expand_plain(self, elem) -> HomElement:
         return self.action.expand(elem, self.t_horizon, self.word_bound)
 
-    def expand_rho(self, elem) -> "JointElement":
+    def expand_rho(self, elem) -> HomElement:
         """The universal expansion followed by the w-direction derivation on
         every value: the fully deformed realization of elem."""
         return self._deform_hom(self.expand_plain(elem))
 
-    def expand_rho0(self, elem) -> "JointElement":
+    def expand_rho0(self, elem) -> HomElement:
         """The trivially-embedded element, w-deformed: theta_u(elem) at t=0."""
-        wseries = self.theta_u.theta_series(elem, self.w_horizon)
-        return self.from_w_series(wseries)
+        return self.from_w_series(self.theta_u.theta_series(elem, self.w_horizon))
 
     def merge_tensor(self, terms: Sequence[tuple[HomElement, TruncSeries]],
-                     lift: Callable = _identity, target_ring=None) -> "JointElement":
+                     lift: Callable = _identity, target_ring=None) -> HomElement:
         """Multiplication map on simple tensors: sum of theta_u-deformed hull
         factors times constant embeddings of the w-series factors.
 
@@ -175,118 +160,30 @@ class ExpansionAlgebra:
             out = out + deformed * alg.from_w_series(wpart)
         return out
 
-    def _deform_hom(self, f: HomElement, lift: Callable = _identity) -> "JointElement":
-        data = {}
-        for word, s in f.data.items():
-            terms: dict = {}
-            for e, c in s.terms.items():
-                wseries = self.theta_u.theta_series(c, self.w_horizon)
-                for we, wc in wseries.terms.items():
-                    terms[tuple(e) + tuple(we)] = lift(wc)
-            data[word] = self._series(terms)
-        return self.element(data)
+    def _deform_hom(self, f: HomElement, lift: Callable = _identity) -> HomElement:
+        """f with each value c replaced by its deformation theta_u(c), a
+        w-series, with lift applied to the coefficients of that series."""
+        theta, wh, ring = self.theta_u.theta_series, self.w_horizon, self.ring
+        return f.map_coeffs(lambda c: theta(c, wh).map_coeffs(lift, ring), self.coeffs)
 
     def with_ring(self, ring) -> "ExpansionAlgebra":
-        alg = ExpansionAlgebra(self.action, self.theta_u, self.t_horizon, self.w_horizon,
-                               self.word_bound, ring=ring)
-        return alg
+        return ExpansionAlgebra(self.action, self.theta_u, self.t_horizon, self.w_horizon,
+                                self.word_bound, ring=ring)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, ExpansionAlgebra)
-            and self.action is other.action
-            and self.theta_u is other.theta_u
-            and (self.ring, self.t_horizon, self.w_horizon, self.word_bound)
-            == (other.ring, other.t_horizon, other.w_horizon, other.word_bound)
-        )
+    # ------------------------------------------------------- reading maps
+    @staticmethod
+    def w_slice(f: HomElement, k: tuple[int, ...]) -> HomElement:
+        """The coefficient of w^k of f, a t-only realization."""
+        return f.map_coeffs(lambda s: s.coeff(k), f.ring.ring)
 
+    @staticmethod
+    def coordinates(f: HomElement) -> dict:
+        """Flat coordinate map (word, t-exp, w-exp) -> coefficient of f."""
+        return {(word, te, we): c for word, s in f.data.items()
+                for te, ws in s.terms.items() for we, c in ws.terms.items()}
 
-class JointElement:
-    """Element of an ExpansionAlgebra: word -> series in (t, w)."""
-
-    __slots__ = ("alg", "data")
-
-    def __init__(self, alg: ExpansionAlgebra, data: dict):
-        self.alg = alg
-        self.data = data
-
-    def _check(self, other: "JointElement"):
-        if self.alg != other.alg:
-            raise ValueError("expansion algebra mismatch")
-
-    def __add__(self, other):
-        self._check(other)
-        common = self.data.keys() & other.data.keys()
-        return JointElement(self.alg, {w: self.data[w] + other.data[w] for w in common})
-
-    def __neg__(self):
-        return JointElement(self.alg, {w: -s for w, s in self.data.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        self._check(other)
-        common = self.data.keys() & other.data.keys()
-        return JointElement(
-            self.alg, {w: self.alg._prune(self.data[w] * other.data[w]) for w in common}
-        )
-
-    def scale(self, c) -> "JointElement":
-        return JointElement(self.alg, {w: s.scale(c) for w, s in self.data.items()})
-
-    def __pow__(self, n: int):
-        return power(self, n, self.alg.one)
-
-    def map_coeffs(self, fn, alg: ExpansionAlgebra) -> "JointElement":
-        """The element of alg with fn applied to every coefficient."""
-        return JointElement(alg, {w: s.map_coeffs(fn, alg.ring) for w, s in self.data.items()})
-
-    def is_zero(self) -> bool:
-        return all(s.is_zero() for s in self.data.values())
-
-    def __eq__(self, other):
-        if not isinstance(other, JointElement):
-            return NotImplemented
-        self._check(other)
-        if self.data.keys() != other.data.keys():
-            return False
-        return all(self.data[w] == other.data[w] for w in self.data)
-
-    def hasse_deriv(self, k: tuple[int, ...]) -> "JointElement":
-        """Divided derivative in the w direction (wordwise)."""
-        kk = (0,) * len(self.alg.tvars) + tuple(k)
-        return JointElement(self.alg, {w: s.hasse_deriv(kk) for w, s in self.data.items()})
-
-    def w_slice(self, k: tuple[int, ...]) -> HomElement:
-        """The coefficient of w^k as a t-only realization."""
-        nt = len(self.alg.tvars)
-        k = tuple(k)
-        data = {}
-        for word, s in self.data.items():
-            terms = {}
-            for e, c in s.terms.items():
-                if e[nt:] == k:
-                    terms[e[:nt]] = c
-            data[word] = TruncSeries(self.alg.ring, self.alg.tvars, self.alg.t_horizon, terms)
-        return HomElement(self.alg.ring, self.alg.monoid, self.alg.tvars,
-                          self.alg.t_horizon, self.alg.word_bound, data)
-
-    def coordinates(self) -> dict:
-        """Flat coordinate map (word, t-exp, w-exp) -> coefficient."""
-        nt = len(self.alg.tvars)
-        out = {}
-        for word, s in self.data.items():
-            for e, c in s.terms.items():
-                out[(word, e[:nt], e[nt:])] = c
-        return out
-
-    def __str__(self):
-        if self.alg.monoid is None or self.alg.word_bound == 0:
-            word = self.alg.monoid.unit() if self.alg.monoid is not None else 0
-            return str(self.data.get(word, "0"))
-        items = sorted(self.data.items(), key=lambda t: (self.alg.monoid.length(t[0]), str(t[0])))
-        return "; ".join(f"{self.alg.monoid.word_str(w)} -> {s}" for w, s in items)
-
-    def __repr__(self):
-        return f"JointElement({self})"
+    @staticmethod
+    def lift(f: HomElement, fn: Callable, alg: "ExpansionAlgebra") -> HomElement:
+        """The element of alg with fn applied to every coefficient of every
+        w-series value of f."""
+        return f.map_coeffs(lambda s: s.map_coeffs(fn, alg.ring), alg.coeffs)

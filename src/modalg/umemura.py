@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
+from .actions import HomElement
 from .exactalg import Frac, power
 from .exactalg import terms as _terms
 from .hull import HullData, cleared, element_key, relation_vanishes
@@ -28,8 +29,6 @@ from .lieritt import (
     solve_zero_set,
     symbol_derivatives,
 )
-from .series import TruncSeries
-from .taylor import JointElement
 
 
 def build_ideal(hull: HullData, relations: Sequence[DiffPoly]) -> LieRittIdeal:
@@ -41,17 +40,19 @@ def build_ideal(hull: HullData, relations: Sequence[DiffPoly]) -> LieRittIdeal:
     equals deforming each coefficient and multiplying by the deformed
     clearing multiplier.  The symbol for the k-th derivative of generator i
     becomes the k-th derivative of its template sum_m V_(i,m) Y^m, a
-    DiffPoly with w-free JointElement coefficients, so only its symbols are
-    derived, by symbol_derivatives (_symbol_deriv).  One generator is
-    extracted per operator coordinate (word, t-exponent); duplicates and
-    scalar multiples are removed and each generator is normalized to leading
-    coefficient one."""
+    DiffPoly over alg.coeffs whose coefficients are w-free elements of
+    hull.algebra, so only its symbols are derived, by symbol_derivatives
+    (_symbol_deriv).  One generator is extracted per operator coordinate
+    (word, t-exponent), whose coefficients are the w-series values there;
+    duplicates and scalar multiples are removed and each generator is
+    normalized to leading coefficient one."""
     alg = hull.algebra
     L = hull.ext.L
     theta_u = alg.theta_u
     n = theta_u.n
     wh = alg.w_horizon
     wvars = theta_u.wvars
+    S = alg.coeffs
 
     templates = _templates(hull)
     deriv_cache: dict[tuple[int, tuple[int, ...]], DiffPoly] = {}
@@ -61,12 +62,12 @@ def build_ideal(hull: HullData, relations: Sequence[DiffPoly]) -> LieRittIdeal:
             deriv_cache[(i, k)] = _symbol_deriv(templates[i], k)
         return deriv_cache[(i, k)]
 
-    def constant(c: JointElement) -> DiffPoly:
-        return DiffPoly(n, L, wvars, wh, {(): c})
+    def constant(c: HomElement) -> DiffPoly:
+        return DiffPoly(n, S, wvars, wh, {(): c})
 
     gens: dict[frozenset, DiffPoly] = {}  # structural key -> generator
     for rel in relations:
-        twisted = DiffPoly(n, L, wvars, wh, {})
+        twisted = DiffPoly(n, S, wvars, wh, {})
         for key, c in cleared(_terms_over_L(rel)):
             term = constant(alg.from_w_series(theta_u.theta_series(c, wh)))
             for (i, k), e in key:
@@ -75,14 +76,11 @@ def build_ideal(hull: HullData, relations: Sequence[DiffPoly]) -> LieRittIdeal:
         # extract one differential polynomial per operator coordinate
         coords: dict = {}
         for ykey, joint in twisted.terms.items():
-            for (word, texp, wexp), c in joint.coordinates().items():
-                coords.setdefault((word, texp), {}).setdefault(ykey, {})[wexp] = c
+            for word, s in joint.data.items():
+                for texp, wseries in s.terms.items():
+                    coords.setdefault((word, texp), {})[ykey] = wseries
         for coord in sorted(coords, key=str):
-            terms = {
-                ykey: TruncSeries(L, wvars, wh, wterms)
-                for ykey, wterms in coords[coord].items()
-            }
-            poly = DiffPoly(n, L, wvars, wh, terms)
+            poly = DiffPoly(n, L, wvars, wh, coords[coord])
             poly = _normalize(poly, L)
             if poly is None or poly.is_zero():
                 continue
@@ -102,7 +100,7 @@ def _templates(hull: HullData) -> list[DiffPoly]:
         terms = {tuple(((j, zero_k), e) for j, e in enumerate(m) if e):
                  alg.from_hom(hull.derivative_table[(i, tuple(m))])
                  for m in multi_indices(n, alg.w_horizon)}
-        templates.append(DiffPoly(n, hull.ext.L, alg.theta_u.wvars, alg.w_horizon, terms))
+        templates.append(DiffPoly(n, alg.coeffs, alg.theta_u.wvars, alg.w_horizon, terms))
     return templates
 
 
@@ -245,7 +243,7 @@ def solve_points(hull: HullData, relations: Sequence[DiffPoly],
     for (label, _, joint), img in zip(hull.rho_gens, hull.images(family.components)):
         images[label] = img
         # congruence: killing the parameters recovers the undeformed image
-        if img.map_coeffs(P.unit_part, alg) != joint:
+        if alg.lift(img, P.unit_part, alg) != joint:
             congruent = False
 
     # each symbol's w-derivative image and each coefficient's lift, once per call
@@ -287,7 +285,7 @@ def group_compatibility_check(hull: HullData, report: UmemuraReport) -> bool:
     to_f, alg_f = family.algebra.transport(f.algebra, 0), hull.algebra.with_ring(f.algebra)
     # phi_f applied after phi_g: derivatives of phi_f's image, paired with
     # powers of phi_g's deviation
-    f_images = [img.map_coeffs(to_f, alg_f) for img in report.images.values()]
+    f_images = [hull.algebra.lift(img, to_f, alg_f) for img in report.images.values()]
     after_g = hull.images(g.comps, lambda i, k: f_images[i].hasse_deriv(k))
     return after_g == hull.images(composed.comps)
 

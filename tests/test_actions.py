@@ -74,6 +74,20 @@ def test_measuring_rejects_squaring_map():
     assert any("y" in f for f in rep.failures)
 
 
+def test_measuring_reports_an_expander_that_raises_on_the_unit():
+    # a broken hand-made expander fails the report instead of raising
+    L, act = shift_action()
+
+    def broken(a):
+        if L.eq(a, L.one()):
+            raise ZeroDivisionError("no expansion of 1")
+        return act.expand(a, 2)
+
+    rep = check_measuring(None, L, depth=2, expander=broken)
+    assert not rep.ok
+    assert [f.split(":")[0] for f in rep.failures] == ["unit expansion failed"]
+
+
 def test_measuring_endomorphism_passes():
     # any ring endomorphism measures: sigma(y) = y^2
     L = FracField(QQ, ["y"])
@@ -231,7 +245,7 @@ def theta_reference(act: ActionSpec, elem, horizon: int) -> TruncSeries:
 
     def frac(c):
         num, den = (evaluate(p.sorted_terms(), [images[v] for v in c.field.vars], S,
-                             lambda x: S.const(ring.const(x))) for p in (c.num, c.den))
+                             lambda x: S.scalar(ring.const(x))) for p in (c.num, c.den))
         return num * geometric_recip(den)
 
     if isinstance(ring, AlgebraicField):
@@ -240,7 +254,7 @@ def theta_reference(act: ActionSpec, elem, horizon: int) -> TruncSeries:
     if isinstance(ring, FracField):
         return frac(elem)
     return evaluate(elem.sorted_terms(), [images[v] for v in ring.vars], S,
-                    lambda x: S.const(ring.scalar(x)))
+                    lambda x: S.scalar(ring.scalar(x)))
 
 
 def _rational_action():

@@ -279,7 +279,7 @@ def test_hull_generators_additive():
     # rho(y) is realized as y + t + w
     label, _, joint = hull.rho_gens[0]
     assert label == "rho(y)"
-    coords = joint.coordinates()
+    coords = hull.algebra.coordinates(joint)
     assert coords[(0, (0,), (0,))] == ext.L.var("y")
     assert coords[(0, (1,), (0,))] == ext.L.one()
     assert coords[(0, (0,), (1,))] == ext.L.one()
@@ -318,7 +318,7 @@ def rebuilt_closure(hull, span_degree):
     L = hull.ext.L
     n = hull.algebra.theta_u.n
     table = hull.derivative_table
-    accepted = [j.w_slice((0,) * n) for _, j in hull.rho0_gens]
+    accepted = [hull.algebra.w_slice(j, (0,) * n) for _, j in hull.rho0_gens]
     accepted += [table[(i, (0,) * n)] for i in range(hull.n_gens())]
     span = _monomial_span(accepted, L, span_degree)
     new_gens, stabilized_at = [], 0
@@ -342,7 +342,7 @@ def test_closure_extends_the_span_as_a_rebuild_would(make, th, wh, span_degree):
     # the accepted generators and the report are those of rebuilding it
     hull = hull_generators(make(), t_horizon=th, w_horizon=wh, span_degree=span_degree)
     n = hull.algebra.theta_u.n
-    assert hull.derivative_table == {(i, k): joint.w_slice(k)
+    assert hull.derivative_table == {(i, k): hull.algebra.w_slice(joint, k)
                                      for i, (_, _, joint) in enumerate(hull.rho_gens)
                                      for k in multi_indices(n, wh)}
     new_gens, stabilized_at = rebuilt_closure(hull, span_degree)
@@ -379,7 +379,7 @@ def test_linear_disjointness_witness():
     for a in (one, rho_y, rho_y * rho_y):
         for b in (one, rho0_y, rho0_y * rho0_y):
             prod = a * b
-            coords = prod.coordinates()
+            coords = alg.coordinates(prod)
             cols.append(coords)
     keys = sorted({k for c in cols for k in c}, key=str)
     vecs = [[c.get(k, L.zero()) for k in keys] for c in cols]
@@ -625,7 +625,7 @@ def reference_images(hull, comps):
                  for c, w in zip(comps, identity_tuple(P, comps[0].vars, wh))]
 
     def lifted(v):
-        return alg_P.element({word: s.map_coeffs(P.scalar, P)
+        return alg_P.element({word: s.map_coeffs(lambda c: c.map_coeffs(P.scalar, P), alg_P.coeffs)
                               for word, s in alg._deform_hom(v).data.items()})
 
     ks = multi_indices(alg.theta_u.n, wh)

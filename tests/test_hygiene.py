@@ -380,7 +380,8 @@ def test_no_library_module_imports_pv():
                                   "pv.py:verify"], "imports of modalg.hopf: " + ", ".join(hopf_sites)
 
 
-RING_TYPES = frozenset({"PolyRing", "FracField", "AlgebraicField", "ProductField", "Frac"})
+RING_TYPES = frozenset({"PolyRing", "FracField", "AlgebraicField", "ProductField", "Frac",
+                        "SeriesRing", "NilAlgebra"})
 
 # The functions outside exactalg that may still test an object against a
 # ring context type or Frac, each for its reason; anything else asks the

@@ -3,13 +3,19 @@ property, equivariance with translation, and the tensor multiplication map."""
 
 from __future__ import annotations
 
+import operator
 import random
 from fractions import Fraction
 
+import pytest
+
 from modalg.actions import ActionSpec, HomElement, MonoidDesc
-from modalg.exactalg import QQ, FracField, GeneratorPowers
+from modalg.exactalg import GF, QQ, FracField, GeneratorPowers
+from modalg.hull import make_basis_derivation
 from modalg.series import TruncSeries
 from modalg.taylor import ExpansionAlgebra, check_expansion_universal
+from test_hull import additive_ext, q_difference_ext
+from test_pv import two_derivation_pv
 
 
 def shift_action():
@@ -153,7 +159,7 @@ def test_merge_tensor_additive_generator():
     # the deformed realization of y: value y + t + w
     expected = alg.expand_rho(y)
     assert merged == expected
-    coords = merged.coordinates()
+    coords = alg.coordinates(merged)
     assert coords[(0, (0,), (0,))] == y
     assert coords[(0, (1,), (0,))] == L.one()
     assert coords[(0, (0,), (1,))] == L.one()
@@ -194,8 +200,8 @@ def test_merge_tensor_injective_on_basis():
     for hom in (one_hom, rho0_y, rho_y):
         for ws in (one_w, w, w * w):
             basis.append(alg.merge_tensor([(hom, ws)]))
-    keys = sorted({k for b in basis for k in b.coordinates()})
-    cols = [[b.coordinates().get(k, L.zero()) for k in keys] for b in basis]
+    keys = sorted({k for b in basis for k in alg.coordinates(b)})
+    cols = [[alg.coordinates(b).get(k, L.zero()) for k in keys] for b in basis]
     ker = restriction_kernel(cols, L, QQ)
     assert ker == []
 
@@ -209,3 +215,46 @@ def test_merge_tensor_kernel_of_w_power():
     a = alg.merge_tensor([(alg.expand_plain(y), TruncSeries.one(L, ("w",), 3))])
     b = alg.expand_rho(y)
     assert (a - b).is_zero()
+
+
+# ------------------------------------------------------------ the box product
+
+
+def flat_coordinates(alg, a, b, op):
+    """Reference: the values of a and b on each word as single series in
+    (t, w) up to total degree t_horizon + w_horizon, combined by op and cut
+    back to the box t-degree <= t_horizon, w-degree <= w_horizon; as
+    coordinates (word, t-exp, w-exp) -> coefficient."""
+    nt = len(alg.tvars)
+    vars_, h = alg.tvars + alg.wvars, alg.t_horizon + alg.w_horizon
+
+    def flat(f):
+        out = {word: {} for word in f.data}
+        for (word, te, we), c in alg.coordinates(f).items():
+            out[word][te + we] = c
+        return {word: TruncSeries(alg.ring, vars_, h, terms) for word, terms in out.items()}
+
+    fa, fb = flat(a), flat(b)
+    return {(word, e[:nt], e[nt:]): c
+            for word in fa.keys() & fb.keys()
+            for e, c in op(fa[word], fb[word]).terms.items()
+            if sum(e[:nt]) <= alg.t_horizon and sum(e[nt:]) <= alg.w_horizon}
+
+
+@pytest.mark.parametrize("make, th, wh", [
+    (additive_ext, 4, 8), (lambda: additive_ext(GF(7)), 3, 4), (q_difference_ext, 2, 2),
+    (lambda: two_derivation_pv()[1], 2, 2)],
+    ids=["additive-4-8", "additive-GF7", "q-difference", "two-derivations"])
+def test_box_product_matches_the_flat_product_cut_to_the_box(make, th, wh):
+    # sums and products of joint elements keep exactly the box that the
+    # flat product over (t, w) keeps once cut back to it
+    ext = make()
+    alg = ExpansionAlgebra(ext.action, make_basis_derivation(ext, wh), th, wh)
+    L = ext.L
+    gens = [L.var(v) for v in L.vars]
+    elems = ([alg.expand_rho(g) for g in gens] + [alg.expand_rho0(g) for g in gens]
+             + [alg.expand_rho(gens[0]) * alg.expand_rho0(gens[-1]) + alg.one()])
+    for a in elems:
+        for b in elems:
+            assert alg.coordinates(a * b) == flat_coordinates(alg, a, b, operator.mul)
+            assert alg.coordinates(a + b) == flat_coordinates(alg, a, b, operator.add)

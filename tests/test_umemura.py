@@ -133,7 +133,7 @@ def test_additive_points():
         hull.derivative_table[(0, (0,))], A.scalar
     )
     delta = img - base
-    coords = delta.coordinates()
+    coords = hull.algebra.coordinates(delta)
     assert set(coords) == {(0, (0,), (0,))}
     assert A.eq(coords[(0, (0,), (0,))], A.gen("a0"))
 
@@ -159,8 +159,19 @@ def test_exponential_points():
     base = hull.algebra.with_ring(A)._deform_hom(
         hull.derivative_table[(0, (0,))], A.scalar
     )
-    scaled = base.scale(A.add(A.one(), A.gen("a0")))
+    scaled = base.scale(base.ring.scalar(A.add(A.one(), A.gen("a0"))))
     assert img == scaled
+
+
+def test_printed_images_group_by_t_monomial():
+    # an image prints each t-monomial once, with its w-series coefficient in
+    # parentheses (the constant term stands bare)
+    _, hull, rels = exponential_setup(4, 3)
+    assert solve_points(hull, rels).as_dict()["images"] == {"rho(y)": (
+        "y + y*a0 + (1 + a0)*w + (y + y*a0 + (1 + a0)*w)*t"
+        " + (1/2*y + 1/2*y*a0 + (1/2 + 1/2*a0)*w)*t^2"
+        " + (1/6*y + 1/6*y*a0 + (1/6 + 1/6*a0)*w)*t^3"
+        " + (1/24*y + 1/24*y*a0 + (1/24 + 1/24*a0)*w)*t^4")}
 
 
 def test_points_of_a_wrong_ideal_do_not_preserve_the_relations():
@@ -243,7 +254,7 @@ def test_transported_images_equal_the_reconstruction(name):
         names = P2.vars[offset:offset + k]
         assert point == fam.instantiate(P2, {a: P2.gen(s) for a, s in zip(fam.params, names)})
         to = fam.algebra.transport(P2, offset)
-        assert [img.map_coeffs(to, alg2) for img in report.images.values()] == \
+        assert [hull.algebra.lift(img, to, alg2) for img in report.images.values()] == \
             hull.images(point.comps)
 
 
