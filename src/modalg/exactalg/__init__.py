@@ -7,17 +7,19 @@ char and scalars (the prime field it is a vector space over), zero, one,
 from_int, const (the embedding of a scalar), the arithmetic add, sub, neg,
 mul, inv and div, the tests is_zero, is_unit, is_nilpotent and eq, to_str,
 gens() and scalar_coordinates, and for the contexts with named generators
-the ring map hom over a GeneratorPowers.  Contexts are interned, so equal
-constructions return the same object and contexts compare by identity.
+the ring map hom over a GeneratorPowers.  GeneratorPowers.substitute is the
+one loop that substitutes images of generators: hom and evaluate (the
+generators numbered by position) both run it.  Contexts are interned, so
+equal constructions return the same object and contexts compare by identity.
 """
 
 from .algext import AlgebraicField
 from .fields import GF, QQ, PrimeField, RationalField, binom, scalar_field
 from .frac import Frac, FracField
 from .linalg import Echelon, Matrix, kernel_basis, restriction_kernel, rref, solve_linear
-from .poly import MPoly, PolyRing, evaluate, grlex_key, poly_gcd
+from .poly import MPoly, PolyRing, grlex_key, poly_gcd
 from .product import ProductField
-from .ring import GeneratorPowers, Ring, power
+from .ring import GeneratorPowers, Ring, evaluate, power
 
 __all__ = [
     "AlgebraicField",

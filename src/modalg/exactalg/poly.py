@@ -21,44 +21,12 @@ from __future__ import annotations
 from typing import Sequence
 
 from . import terms as _terms
-from .ring import Ring, power, stacked_coordinates, unit_plus_nilpotent_inverse
+from .ring import GeneratorPowers, Ring, power, stacked_coordinates, unit_plus_nilpotent_inverse
 
 
 def grlex_key(exp: tuple[int, ...]):
     """Sort key for graded lexicographic order (ascending)."""
     return (sum(exp), exp)
-
-
-def evaluate(terms, images, target, lift, is_one=None):
-    """The ring map x_i -> images[i], c -> lift(c) applied to sum c * x^exp.
-
-    terms is an iterable of (exponent tuple, coefficient) pairs, summed in
-    the order given; images is indexed like the exponent tuples.  The target
-    context needs only zero(), add(a, b) and mul(a, b), and lift(c) must
-    return a target element.  Each image's powers are computed once, up to
-    the largest exponent that occurs, and each term is lift(c) times its
-    cached powers; the sum starts from the first term, not from zero().
-    When is_one(c) is true for a term with a nonzero exponent, the term is
-    its product of powers alone: c is not lifted and nothing is multiplied
-    by it."""
-    terms = list(terms)
-    top = [0] * len(images)
-    for exp, _ in terms:
-        top = [max(a, b) for a, b in zip(top, exp)]
-    powers = []
-    for img, n in zip(images, top):
-        row = [None, img]
-        for _ in range(n - 1):
-            row.append(target.mul(row[-1], img))
-        powers.append(row)
-    out = None
-    for exp, c in terms:
-        t = None if is_one is not None and any(exp) and is_one(c) else lift(c)
-        for row, e in zip(powers, exp):
-            if e:
-                t = row[e] if t is None else target.mul(t, row[e])
-        out = t if out is None else target.add(out, t)
-    return target.zero() if out is None else out
 
 
 class PolyRing(Ring):
@@ -160,20 +128,18 @@ class PolyRing(Ring):
         return r
 
     def hom(self, p: "MPoly", powers, lift):
-        """The ring map of the protocol (ring.py) at p: the sum, in the
-        order of p's sorted terms, of each term's cached powers times its
-        lifted coefficient."""
-        T = powers.target
-        out = None
-        for exp, c in p.sorted_terms():
-            t = None
-            for name, e in zip(self.vars, exp):
-                if e:
-                    pw = powers.power(name, e)
-                    t = pw if t is None else T.mul(t, pw)
-            t = lift(c) if t is None else T.mul(t, lift(c))
-            out = t if out is None else T.add(out, t)
-        return T.zero() if out is None else out
+        """The ring map of the protocol (ring.py) at p, summed in the order
+        of p's sorted terms by GeneratorPowers.substitute; a generator with
+        no image in powers reads the inverse powers of its partner's."""
+        images, keys = powers.images, []
+        for name in self.vars:
+            if name in images:
+                keys.append((name, 1))
+            elif self.partners.get(name) in images:
+                keys.append((self.partners[name], -1))
+            else:
+                raise KeyError(f"no image declared for generator {name!r}")
+        return powers.substitute(p.sorted_terms(), keys, lift)
 
     def to_str(self, a) -> str:
         return str(a)
@@ -344,8 +310,8 @@ class MPoly:
     def subs(self, images: dict[str, "MPoly"]) -> "MPoly":
         """Substitute ring elements for variables (same ring)."""
         ring = self.ring
-        gens = [images[v] if v in images else ring.var(v) for v in ring.vars]
-        return evaluate(self.sorted_terms(), gens, ring, ring.scalar)
+        gens = {v: images[v] if v in images else ring.var(v) for v in ring.vars}
+        return ring.hom(self, GeneratorPowers(ring, gens), ring.scalar)
 
     def __str__(self):
         names = self.ring.vars

@@ -42,8 +42,12 @@ generators, also answer the one ring map of the library:
                        to lift(c), a target element.  The coefficients are
                        the elements of field for a PolyRing and the scalars
                        for FracField and AlgebraicField; scalar(c) embeds
-                       one in the context itself.  The target needs zero,
-                       add, mul, and inv and div for the images of fractions.
+                       one in the context itself.  A generator of an
+                       inverse pair with no image in powers goes to the
+                       inverse of its partner's image, and a generator with
+                       neither raises KeyError naming it.  The target needs
+                       zero, add, mul, and inv and div for the images of
+                       fractions and of partners.
 
 Ring supplies the methods that follow from the others: from_int through
 const, sub through add and neg, div through inv, eq through sub, gens
@@ -141,10 +145,11 @@ def power(x, n: int, one):
 
 
 class GeneratorPowers:
-    """Images of named generators in a target context (anything with mul and
-    inv), with the powers of each image and of its inverse built once and
-    extended only when a higher exponent is needed; a context's hom reads
-    them."""
+    """Images of named generators in a target context, with the powers of
+    each image and of its inverse built once and extended only when a higher
+    exponent is needed; substitute sums products of them, and a context's
+    hom reads them through it.  The target needs zero, add and mul, and inv
+    for negative powers."""
 
     __slots__ = ("target", "images", "rows")
 
@@ -153,7 +158,7 @@ class GeneratorPowers:
         self.images = images
         self.rows: dict = {}
 
-    def power(self, name: str, e: int):
+    def power(self, name, e: int):
         """The e-th power (e != 0) of the image of the generator name; a
         negative e is a power of the image's inverse."""
         row = self.rows.get((name, e < 0))
@@ -164,6 +169,34 @@ class GeneratorPowers:
         while len(row) <= e:
             row.append(self.target.mul(row[-1], row[1]))
         return row[e]
+
+    def substitute(self, terms, keys, lift, is_one=None):
+        """The one substitution loop of the library: the sum, in the order
+        of terms (pairs of an exponent tuple and a coefficient c), of lift(c)
+        times the cached power of the image of keys[i] = (name, sign) to
+        sign * exp[i] for each nonzero exp[i].  The sum starts from the first
+        term, not from zero().  When is_one(c) is true for a term with a
+        nonzero exponent, the term is its product of powers alone: c is not
+        lifted and nothing is multiplied by it."""
+        T, power = self.target, self.power
+        out = None
+        for exp, c in terms:
+            t = None if is_one is not None and any(exp) and is_one(c) else lift(c)
+            for (name, sign), e in zip(keys, exp):
+                if e:
+                    pw = power(name, sign * e)
+                    t = pw if t is None else T.mul(t, pw)
+            out = t if out is None else T.add(out, t)
+        return T.zero() if out is None else out
+
+
+def evaluate(terms, images, target, lift, is_one=None):
+    """The ring map x_i -> images[i], c -> lift(c) applied to the terms
+    (exponent tuple, coefficient) of sum c * x^exp: GeneratorPowers.substitute
+    with the generators numbered by position.  The target needs zero, add
+    and mul, and lift(c) must return a target element."""
+    return GeneratorPowers(target, dict(enumerate(images))).substitute(
+        terms, [(i, 1) for i in range(len(images))], lift, is_one)
 
 
 def unit_plus_nilpotent_inverse(ring, unit_inv, nil):

@@ -22,7 +22,7 @@ from __future__ import annotations
 import itertools
 
 from .actions import ActionSpec, Report, constants, d_basis_entries, monomial_basis
-from .exactalg import Echelon, MPoly, PolyRing, evaluate, restriction_kernel
+from .exactalg import Echelon, GeneratorPowers, MPoly, PolyRing, evaluate, restriction_kernel
 from .exactalg import terms as _terms
 from .hull import distinct_products
 from .lieritt import multi_indices
@@ -102,7 +102,8 @@ class _TensorPower:
         """The image of g under slot i -> slots[i]: g lies in the tensor
         power with len(slots) slots, an element of R counting as one slot."""
         images = [self.ring.var(f"{v}_{s}") for s in slots for v in self.R.vars]
-        return evaluate(g.sorted_terms(), images, self.ring, self.ring.scalar)
+        return g.ring.hom(g, GeneratorPowers(self.ring, dict(zip(g.ring.vars, images))),
+                          self.ring.scalar)
 
 
 def _doubled_action(data: PVData, pair: _TensorPower, horizon: int) -> ActionSpec:
@@ -291,10 +292,11 @@ def hopf_algebra(data: PVData, degree: int, horizon: int | None = None) -> HopfP
     # each block is the same for every generator: eliminate it once
     pair_block = _span_block(triple.ring, pair_vals, k)
     mono_block = _span_block(ring, mono_vals, k)
-    merge = [R.var(v) for v in R.vars] * 2  # the multiplication map to R
+    # the multiplication map to R
+    merge = GeneratorPowers(R, dict(zip(ring.vars, [R.var(v) for v in R.vars] * 2)))
     eps = []  # the counit of each generator, None when it is not a scalar
     for name, g in zip(names, gens):
-        mg = evaluate(g.sorted_terms(), merge, R, R.scalar)
+        mg = ring.hom(g, merge, R.scalar)
         checked += 1
         if not (mg.is_const()):
             failures.append(f"counit of {name} is not a scalar: {mg}")

@@ -133,7 +133,7 @@ def make_basis_derivation(ext: ExtensionDesc, horizon: int) -> ActionSpec:
         raise ValueError("; ".join(rep.failures))
     images = {}
     for name in L.vars:
-        img = theta0._theta_image(name, horizon)
+        img = theta0.theta_images[name].with_horizon(horizon)
         images[name] = img.compose(list(subst), strict=False)
     return ActionSpec(L, "iterder", n=theta0.n, theta_images=images, wvars=theta0.wvars)
 

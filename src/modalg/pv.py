@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 
 from .actions import ActionSpec, HomElement, Report, d_basis_entries, monomial_basis
-from .exactalg import Echelon, Frac, FracField, Matrix, MPoly, PolyRing, evaluate
+from .exactalg import Echelon, Frac, FracField, GeneratorPowers, Matrix, MPoly, PolyRing, evaluate
 from .hull import HullData
 from .lieritt import NilAlgebra, absorb_residues, kernel_values
 from .series import TruncSeries
@@ -34,7 +34,8 @@ class PVData:
     presented as a polynomial context over the constants field (inverse
     pairs model the Laurent generators); X is the fundamental matrix with
     entries in R, and gen_in_X locates each R-generator inside X or its
-    inverse so automorphisms can be read off matrix transformations.
+    inverse so automorphisms can be read off matrix transformations.  Each
+    R-generator is a generator of L or the partner of one.
     """
 
     def __init__(self, L: FracField, action: ActionSpec, R: PolyRing, X: Matrix,
@@ -48,44 +49,27 @@ class PVData:
         self.k = L.scalars
         if R.field is not L.scalars:
             raise ValueError("principal ring must be presented over the constants field")
+        for v in R.vars:
+            if v not in L.vars and R.partners.get(v) not in L.vars:
+                raise ValueError(f"generator {v} has no location in L")
+        # the inclusions R -> L and back, on the generators of L
+        self._to_L = GeneratorPowers(L, {v: L.var(v) for v in R.vars if v in L.vars})
+        self._to_R = GeneratorPowers(R, {v: R.var(v) for v in L.vars})
         # X is inverted over the field L; l_to_r raises when an entry of the
         # inverse is outside R
         self.Xinv = X.map(self.r_to_L, L).inverse().map(self.l_to_r, R)
 
     # R-polynomials viewed inside L
     def r_to_L(self, p: MPoly) -> Frac:
-        images = []
-        for name in self.R.vars:
-            if name in self.L.vars:
-                images.append(self.L.var(name))
-            else:
-                base = self.R.partners.get(name)
-                if base is None or base not in self.L.vars:
-                    raise ValueError(f"generator {name} has no location in L")
-                images.append(self.L.var(base).inverse())
-        return evaluate(p.sorted_terms(), images, self.L, self.L.const)
+        return self.R.hom(p, self._to_L, self.L.const)
 
     def l_to_r(self, f: Frac) -> MPoly:
-        """Rewrite an L-element with monomial denominator as a Laurent
-        R-polynomial; fails when the element does not lie in R."""
-        den = f.den
-        if len(den.terms) != 1:
-            raise ValueError(f"{f} is not visibly in the principal ring")
-        (dexp, dc), = den.terms.items()
-        R, names, partners = self.R, f.field.vars, self.R.partners
-        # a term's net exponent of a generator is a power of the generator
-        # when it is >= 0 and a power of its partner otherwise: the exponents
-        # of the generators come first, then those of the partners
-        terms = []
-        for exp, c in f.num.sorted_terms():
-            net = [e - d for e, d in zip(exp, dexp)]
-            if any(e < 0 and name not in partners for e, name in zip(net, names)):
-                raise ValueError(f"{f} is not in the principal ring")
-            terms.append((tuple(max(e, 0) for e in net) + tuple(max(-e, 0) for e in net), c))
-        images = ([R.var(name) for name in names]
-                  + [R.var(partners[name]) if name in partners else None for name in names])
-        dinv = self.k.inv(dc)
-        return evaluate(terms, images, R, lambda c: R.scalar(self.k.mul(c, dinv)))
+        """Rewrite an L-element as an R-polynomial; fails when the element
+        does not lie in R."""
+        try:
+            return self.L.hom(f, self._to_R, self.R.scalar)
+        except ZeroDivisionError:
+            raise ValueError(f"{f} is not in the principal ring") from None
 
 
 # ----------------------------------------------------- the Hopf side, on call
@@ -188,13 +172,14 @@ class _GaloisSystem:
         data = self.data
         RA = self._ra(A)
         images, XA, XM, MinvXinv, XinvA = self._sigma_images(A, M)
+        sigma = GeneratorPowers(RA, images)
         eqs: list[MPoly] = []
         # matrix consistency: sigma applied to each entry equals the
         # transformed entry, for X and for its inverse
         for i in range(self.n):
             for j in range(self.n):
-                eqs.append(_apply_sigma(RA, images, XA.entry(i, j)) - XM.entry(i, j))
-                eqs.append(_apply_sigma(RA, images, XinvA.entry(i, j)) - MinvXinv.entry(i, j))
+                eqs.append(RA.hom(XA.entry(i, j), sigma, RA.scalar) - XM.entry(i, j))
+                eqs.append(RA.hom(XinvA.entry(i, j), sigma, RA.scalar) - MinvXinv.entry(i, j))
         # ring relations: inverse pairs multiply to one
         for i, j in data.R.inverse_pairs:
             vi, vj = data.R.vars[i], data.R.vars[j]
@@ -215,20 +200,16 @@ class _GaloisSystem:
             sigma_theta = {name: theta_RA.theta_series(images[name], top) for name in data.R.vars}
         for kind, payload, moved in self.operators:
             moved = {name: _lift_poly(RA, p) for name, p in moved.items()}
+            operator = GeneratorPowers(RA, moved)
             for name in data.R.vars:
                 if kind == "theta":
                     lhs = sigma_theta[name].coeff(payload)
                 else:
-                    lhs = _apply_sigma(RA, moved, images[name])
-                eqs.append(lhs - _apply_sigma(RA, images, moved[name]))
+                    lhs = RA.hom(images[name], operator, RA.scalar)
+                eqs.append(lhs - RA.hom(moved[name], sigma, RA.scalar))
         # label each coefficient by its equation and monomial, so that the
         # coefficients of different equations never merge
         return [((q, exp), e.terms[exp]) for q, e in enumerate(eqs) for exp in sorted(e.terms)]
-
-
-def _apply_sigma(RA: PolyRing, images: dict, p: MPoly) -> MPoly:
-    """sigma(p) for p in RA: each generator goes to its image."""
-    return evaluate(p.sorted_terms(), [images[v] for v in RA.vars], RA, RA.scalar)
 
 
 def _lift_poly(RA: PolyRing, p: MPoly) -> MPoly:
@@ -345,9 +326,8 @@ def find_rational_point(data: PVData, height: int = 3):
                 point[inv_partner[v]] = k.inv(k.from_int(c))
         if not ok:
             continue
-        values = [point[v] for v in R.vars]
-        B = Matrix(k, [[evaluate(p.terms.items(), values, k, lambda c: c) for p in row]
-                       for row in data.X.rows])
+        at_point = GeneratorPowers(k, point)
+        B = Matrix(k, [[R.hom(p, at_point, lambda c: c) for p in row] for row in data.X.rows])
         if not Echelon(k, B.rows).dependent:
             return point, B
     return None, None
@@ -487,7 +467,7 @@ class _Induced:
         """The induced matrix over P when coeffs[i] are the split coefficients
         of the image of the i-th generator of L; None when it is not
         constant."""
-        RA, P, partner = self.RA, self.P, self.data.R.partners
+        RA, P = self.RA, self.P
         images = {}
         for name, cs in zip(self.data.L.vars, coeffs):
             img = RA.zero()
@@ -495,9 +475,8 @@ class _Induced:
                 if not P.is_zero(c):
                     img = img + b.scale(c)
             images[name] = img
-            if name in partner:
-                images[partner[name]] = RA.inv(img)
-        M = self.Xinv * self.X.map(lambda p: _apply_sigma(RA, images, p), RA)
+        sigma = GeneratorPowers(RA, images)
+        M = self.Xinv * self.X.map(lambda p: RA.hom(p, sigma, RA.scalar), RA)
         if not all(e.is_const() for row in M.rows for e in row):
             return None
         return M.map(lambda e: e.const_coeff(), P)

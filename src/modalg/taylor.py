@@ -110,9 +110,6 @@ class ExpansionAlgebra:
     def zero(self) -> HomElement:
         return self._constant(self.coeffs.zero())
 
-    def const(self, c) -> HomElement:
-        return self._constant(self.coeffs.scalar(c))
-
     def one(self) -> HomElement:
         return self._constant(self.coeffs.one())
 
@@ -144,20 +141,16 @@ class ExpansionAlgebra:
         """The trivially-embedded element, w-deformed: theta_u(elem) at t=0."""
         return self.from_w_series(self.theta_u.theta_series(elem, self.w_horizon))
 
-    def merge_tensor(self, terms: Sequence[tuple[HomElement, TruncSeries]],
-                     lift: Callable = _identity, target_ring=None) -> HomElement:
+    def merge_tensor(self, terms: Sequence[tuple[HomElement, TruncSeries]]) -> HomElement:
         """Multiplication map on simple tensors: sum of theta_u-deformed hull
         factors times constant embeddings of the w-series factors.
 
-        The hull factors are t-realizations over the base field; the series
-        factors live over the target coefficient ring (lift embeds base
-        coefficients there).  The kernel behaviour that makes this map
-        injective on truncations is exercised by the tests."""
-        alg = self if target_ring is None else self.with_ring(target_ring)
-        out = alg.zero()
+        The hull factors are t-realizations over the base field.  The kernel
+        behaviour that makes this map injective on truncations is exercised
+        by the tests."""
+        out = self.zero()
         for hull_part, wpart in terms:
-            deformed = alg._deform_hom(hull_part, lift)
-            out = out + deformed * alg.from_w_series(wpart)
+            out = out + self._deform_hom(hull_part) * self.from_w_series(wpart)
         return out
 
     def _deform_hom(self, f: HomElement, lift: Callable = _identity) -> HomElement:

@@ -88,12 +88,55 @@ def test_measuring_reports_an_expander_that_raises_on_the_unit():
     assert [f.split(":")[0] for f in rep.failures] == ["unit expansion failed"]
 
 
+def test_measuring_reports_an_expander_that_raises_on_a_product():
+    # an expander that raises on y^2 only fails the pair (y, y) of the
+    # product-law loop instead of raising out of it
+    L, act = shift_action()
+    y = L.var("y")
+
+    def broken(a):
+        if L.eq(a, y * y):
+            raise ZeroDivisionError("no expansion of y^2")
+        return act.expand(a, 2)
+
+    rep = check_measuring(None, L, depth=2, expander=broken)
+    assert not rep.ok
+    assert len(rep.failures) == 1 and "(y, y)" in rep.failures[0]
+
+
 def test_measuring_endomorphism_passes():
     # any ring endomorphism measures: sigma(y) = y^2
     L = FracField(QQ, ["y"])
     y = L.var("y")
     act = ActionSpec(L, "end", monoid=MonoidDesc("endo"), endo_maps=[{"y": y * y}])
     assert check_measuring(act, L, depth=3).ok
+
+
+# ---------------------------------------------------------- generator images
+
+
+def test_undeclared_generator_raises_key_error_naming_it():
+    L = FracField(QQ, ["x", "y"])
+    x, y = L.var("x"), L.var("y")
+    theta = ActionSpec(L, "iterder", n=1, theta_images={
+        "x": TruncSeries(L, ("w",), 4, {(0,): x, (1,): L.one()})})
+    with pytest.raises(KeyError, match="'y'"):
+        theta.theta_series(y, 2)
+    endo = ActionSpec(L, "end", monoid=MonoidDesc("endo"), endo_maps=[{"x": x * x}])
+    with pytest.raises(KeyError, match="'y'"):
+        endo.apply_generator(0, y)
+
+
+def test_endomorphism_acts_on_an_undeclared_partner_through_its_inverse():
+    # y -> y^2 sends the partner yi to 1/y^2 = yi^2; y -> y + 1 has no
+    # image for yi, since y + 1 is not a unit of Q[y, 1/y]
+    R = PolyRing(QQ, ["y", "yi"], [(0, 1)])
+    y, yi = R.var("y"), R.var("yi")
+    square = ActionSpec(R, "end", monoid=MonoidDesc("endo"), endo_maps=[{"y": y * y}])
+    assert square.apply_generator(0, yi + y) == yi * yi + y * y
+    shift = ActionSpec(R, "end", monoid=MonoidDesc("endo"), endo_maps=[{"y": y + R.one()}])
+    with pytest.raises(ValueError, match="not a unit"):
+        shift.apply_generator(0, yi)
 
 
 # -------------------------------------------------------------- module algebra

@@ -10,7 +10,9 @@ entry points verify, hopf_algebra and check_mu_bijectivity import
 modalg.hopf (so pv.compare never compiles it), and outside
 exactalg no function tests an object against a ring context type or Frac
 except at the listed sites (a context answers for its own elements,
-through the ring protocol and its hom).
+through the ring protocol and its hom), and no function reads a context's
+partner table except at the listed sites (a context's hom maps an
+inverse-pair generator with no image to the inverse of its partner's).
 
 Package __init__.py files are exempt from the import check, since their
 imports are re-exports.  Names are read with ast only; a name counts as used
@@ -400,10 +402,9 @@ RING_TYPE_SITES = {
 }
 
 
-def ring_type_tests(source: str) -> list[str]:
-    """The qualified name of the enclosing function of every isinstance call
-    whose class argument names one of RING_TYPES ("<module>" outside any
-    function), once per call."""
+def qualified_sites(source: str, matches) -> list[str]:
+    """The qualified name of the enclosing function of every node for which
+    matches(node) holds ("<module>" outside any function), once per node."""
     out = []
 
     def visit(node, scope):
@@ -411,16 +412,28 @@ def ring_type_tests(source: str) -> list[str]:
             inner = scope
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 inner = scope + (child.name,)
-            elif (isinstance(child, ast.Call) and isinstance(child.func, ast.Name)
-                  and child.func.id == "isinstance" and len(child.args) == 2):
-                named = {n.id for n in ast.walk(child.args[1]) if isinstance(n, ast.Name)}
-                named |= {n.attr for n in ast.walk(child.args[1]) if isinstance(n, ast.Attribute)}
-                if named & RING_TYPES:
-                    out.append(".".join(scope) or "<module>")
+            elif matches(child):
+                out.append(".".join(scope) or "<module>")
             visit(child, inner)
 
     visit(ast.parse(source), ())
     return sorted(out)
+
+
+def _tests_a_ring_type(node) -> bool:
+    """node is an isinstance call whose class argument names one of
+    RING_TYPES."""
+    if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "isinstance" and len(node.args) == 2):
+        return False
+    named = {n.id for n in ast.walk(node.args[1]) if isinstance(n, ast.Name)}
+    named |= {n.attr for n in ast.walk(node.args[1]) if isinstance(n, ast.Attribute)}
+    return bool(named & RING_TYPES)
+
+
+def ring_type_tests(source: str) -> list[str]:
+    """qualified_sites of the isinstance calls against a ring context type."""
+    return qualified_sites(source, _tests_a_ring_type)
 
 
 def test_ring_type_scanner():
@@ -448,3 +461,47 @@ def test_ring_types_are_tested_only_at_the_listed_sites():
     assert found == RING_TYPE_SITES, (
         f"unlisted: {sorted(found - RING_TYPE_SITES)}; no longer testing: "
         f"{sorted(RING_TYPE_SITES - found)}")
+
+
+# The functions that may read a context's partner table, each for its
+# reason; anything else sends generators through a context's hom, which
+# maps a generator with no image to the inverse of its partner's.
+PARTNER_SITES = {
+    # the table is built with the ring
+    "exactalg/poly.py:PolyRing.__init__",
+    # the partner rule of the one ring map
+    "exactalg/poly.py:PolyRing.hom",
+    # a derivation vanishes on a generator whose pair declares no d
+    "actions.py:ActionSpec._der_series",
+    # each generator of R lies in L or is the partner of one that does
+    "pv.py:PVData.__init__",
+    # the printed rational point names the value of each partner
+    "pv.py:find_rational_point",
+}
+
+
+def partner_reads(source: str) -> list[str]:
+    """qualified_sites of the reads of an attribute named partners."""
+    return qualified_sites(source, lambda n: isinstance(n, ast.Attribute) and n.attr == "partners")
+
+
+def test_partner_scanner():
+    source = (
+        "class Ring:\n"
+        "    partners = {}\n"
+        "    def hom(self, name):\n"
+        "        return self.partners.get(name), data.R.partners\n"
+        "def f(ring):\n"
+        "    partners = ring.vars\n"
+        "    return lambda v: ring.partners[v]\n"
+        "TABLE = Ring().partners\n"
+    )
+    assert partner_reads(source) == ["<module>", "Ring.hom", "Ring.hom", "f"]
+
+
+def test_partners_are_read_only_at_the_listed_sites():
+    found = {f"{p.relative_to(SRC)}:{site}"
+             for p in sorted(SRC.rglob("*.py")) for site in partner_reads(p.read_text())}
+    assert found == PARTNER_SITES, (
+        f"unlisted: {sorted(found - PARTNER_SITES)}; no longer reading: "
+        f"{sorted(PARTNER_SITES - found)}")

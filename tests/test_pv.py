@@ -141,6 +141,31 @@ def test_pvdata_inverts_x_over_the_field():
         pv.PVData(data.L, data.action, R, Matrix(R, [[y]]), {"y": ("X", 0, 0)})
 
 
+def test_pvdata_rejects_a_generator_with_no_location_in_l():
+    # z is neither a generator of L = Q(y) nor the partner of one, whether
+    # or not it has a partner of its own; X does not mention it
+    data, _ = additive_pv()
+    for R in (PolyRing(QQ, ["y", "z"]), PolyRing(QQ, ["y", "z", "zi"], [(1, 2)])):
+        X = Matrix(R, [[R.one(), R.var("y")], [R.zero(), R.one()]])
+        with pytest.raises(ValueError, match="no location in L"):
+            pv.PVData(data.L, data.action, R, X, {"y": ("X", 0, 1)})
+
+
+def test_l_to_r_rejects_an_element_outside_the_principal_ring():
+    # 1/y is the partner yi of Q[y, 1/y] but lies outside Q[y]; 1/(y + 1)
+    # lies in neither
+    data, _ = exponential_pv()
+    L, R = data.L, data.R
+    y = L.var("y")
+    assert data.l_to_r(L.div(L.one(), y * y)) == R.var("yi") * R.var("yi")
+    assert data.r_to_L(R.var("yi")) == L.div(L.one(), y)
+    with pytest.raises(ValueError):
+        data.l_to_r(L.div(L.one(), y + L.one()))
+    additive, _ = additive_pv()
+    with pytest.raises(ValueError):
+        additive.l_to_r(L.div(L.one(), y))
+
+
 def product_pv():
     """R = Q[y, z, 1/z], X = [[1, y, 0], [0, 1, 0], [0, 0, z]] for
     theta(y) = y + w and theta(z) = z exp(w): the group G_a x G_m."""
