@@ -15,7 +15,15 @@ Picard-Vessiot axioms and the Hopf algebra of constants) is imported only by
 pv.verify, pv.hopf_algebra and pv.check_mu_bijectivity, on their first call,
 so pv.compare never compiles it.  ``import modalg.pv``, ``from modalg.pv
 import ...``, ``import modalg.hopf`` and ``from modalg import hopf`` work as
-usual; every other submodule is imported eagerly.
+usual.
+
+Three more pieces sit beside the chain and load only when asked for.
+axioms (the module-algebra axiom checks, the factorization check of the
+universal expansion, and products of fields with a permutation action) is a
+leaf that no module of modalg imports: ``from modalg.axioms import ...``
+loads it.  exactalg answers AlgebraicField and ProductField by importing
+their modules on the first lookup (see its docstring).  Every other
+submodule loads in full when it is imported.
 """
 
 import importlib.util

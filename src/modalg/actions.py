@@ -29,12 +29,10 @@ the word, with the horizon shrinking accordingly.
 
 from __future__ import annotations
 
-import itertools
 import math
-from typing import Callable, Sequence
+from typing import Sequence
 
-from .exactalg import (AlgebraicField, FracField, GeneratorPowers, PolyRing, ProductField, binom,
-                       restriction_kernel)
+from .exactalg import FracField, GeneratorPowers, PolyRing, restriction_kernel
 from .lieritt import multi_indices
 from .series import SeriesRing, TruncSeries
 
@@ -308,8 +306,11 @@ class ActionSpec:
         self._theta_powers: dict = {}
 
     def _check_shape(self):
-        if not isinstance(self.ring, (FracField, PolyRing, AlgebraicField)):
-            raise ValueError(f"unsupported ring context {self.ring!r}")
+        if not isinstance(self.ring, (FracField, PolyRing)):
+            from .exactalg import AlgebraicField
+
+            if not isinstance(self.ring, AlgebraicField):
+                raise ValueError(f"unsupported ring context {self.ring!r}")
         if self.kind not in ("trivial", "der", "iterder", "end", "auto", "monoid", "smash"):
             raise ValueError(f"unknown action kind {self.kind!r}")
         if self.kind in ("der", "iterder", "smash") and self.n < 1:
@@ -514,142 +515,6 @@ class Report:
         return f"Report({status}, checked={self.checked}{tail})"
 
 
-def _test_elements(ring, depth: int) -> list:
-    """Ring elements exercised by the checkers: monomials in the generators
-    of total degree <= depth."""
-    gens = ring.gens()
-    one = ring.one()
-    out = [one]
-    frontier = [one]
-    for _ in range(depth):
-        frontier = [ring.mul(f, g) for f in frontier for g in gens]
-        seen = []
-        for f in frontier:
-            if all(not ring.eq(f, s) for s in seen):
-                seen.append(f)
-        frontier = seen
-        out.extend(frontier)
-    uniq = []
-    for f in out:
-        if all(not ring.eq(f, s) for s in uniq):
-            uniq.append(f)
-    return uniq
-
-
-def check_measuring(action: ActionSpec | Callable, ring, depth: int,
-                    expander: Callable | None = None) -> Report:
-    """Verify the multiplicative law of the expansion: the realization of a
-    product is the convolution of the realizations, and the unit expands to
-    the unit.  Failures carry the offending pair, also when the expander
-    raises on it; an expander that raises on 1 fails the report at once,
-    since every product law pairs 1 with itself."""
-    if expander is None:
-        expander = lambda a: action.expand(a, depth, min(depth, 3) if action.has_monoid() else 0)  # noqa: E731
-    elems = _test_elements(ring, max(depth // 2, 1))
-    try:
-        one_img = expander(ring.one())
-        unit_ok = ring.eq(one_img.ev_unit(), ring.one()) and all(
-            s == TruncSeries.const(s.ring, s.vars, s.horizon, ring.one())
-            for s in one_img.data.values())
-    except Exception as exc:  # broken hand-made expanders land here
-        return Report(False, 0, [f"unit expansion failed: {exc}"], {"depth": depth})
-    failures = [] if unit_ok else ["expansion of 1 is not the unit"]
-    checked = 0
-    for a, b in itertools.combinations_with_replacement(elems, 2):
-        checked += 1
-        try:
-            holds, why = expander(ring.mul(a, b)) == expander(a) * expander(b), ""
-        except Exception as exc:  # broken hand-made expanders land here
-            holds, why = False, f": expansion failed: {exc}"
-        if not holds:
-            failures.append(f"product law fails at (a, b) = ({a}, {b}){why}")
-            if len(failures) > 4:
-                break
-    return Report(not failures, checked, failures, {"depth": depth})
-
-
-def check_module_algebra(action: ActionSpec, ring, depth: int,
-                         expander: Callable | None = None) -> Report:
-    """Verify compatibility with the operator algebra structure: the unit
-    operator acts as the identity; iterated divided derivatives compose with
-    binomial structure constants; monoid words compose; declared smash
-    commutation rules hold."""
-    failures: list[str] = []
-    checked = 0
-    elems = _test_elements(ring, max(depth // 2, 1))
-
-    def expand(a, horizon):
-        if expander is not None:
-            return expander(a, horizon)
-        return action.expand(a, horizon, 0 if not action.has_monoid() else min(depth, 3))
-
-    for a in elems:
-        checked += 1
-        if not ring.eq(expand(a, depth).ev_unit(), a):
-            failures.append(f"unit operator moves {a}")
-
-    if action.has_theta():
-        tlen = max(action.n, 1)
-        for a in elems:
-            ea = expand(a, depth)
-            unit_word = ea._unit_word()
-            for i in multi_indices(tlen, depth):
-                if not any(i):
-                    continue
-                da = ea.value(unit_word, i)
-                eda = expand(da, depth - sum(i))
-                for j in multi_indices(tlen, depth - sum(i)):
-                    if sum(i) + sum(j) > depth:
-                        continue
-                    checked += 1
-                    lhs = eda.value(unit_word, j)
-                    ij = tuple(x + y for x, y in zip(i, j))
-                    rhs = ring.mul(ea.value(unit_word, ij), ring.const(binom(ij, i, ring.char)))
-                    if not ring.eq(lhs, rhs):
-                        failures.append(
-                            f"iteration rule fails at (i, j) = ({i}, {j}) on {a}"
-                        )
-                        break
-                if failures:
-                    break
-            if failures:
-                break
-
-    if action.has_monoid() and action.monoid.kind == "free" and expander is None:
-        for a in elems[: max(len(elems) // 2, 1)]:
-            for w1 in action.monoid.words(1):
-                for w2 in action.monoid.words(1):
-                    checked += 1
-                    lhs = action.apply_word(action.monoid.compose(w1, w2), a)
-                    rhs = action.apply_word(w1, action.apply_word(w2, a))
-                    if not ring.eq(lhs, rhs):
-                        failures.append(f"word composition fails at {w1}, {w2} on {a}")
-
-    if action.kind == "smash" and expander is None:
-        rule = action.commutation
-        for a in elems:
-            for k in multi_indices(max(action.n, 1), min(depth, 3)):
-                if not any(k):
-                    continue
-                checked += 1
-                da = action.theta_coefficient(a, k)
-                lhs = action.apply_generator(0, da)
-                if rule is None:
-                    rhs = action.theta_coefficient(action.apply_generator(0, a), k)
-                else:
-                    rhs = ring.zero()
-                    for coeff, j in rule.get(tuple(k), [(ring.one(), tuple(k))]):
-                        rhs = ring.add(rhs, ring.mul(coeff, action.theta_coefficient(
-                            action.apply_generator(0, a), j)))
-                if not ring.eq(lhs, rhs):
-                    failures.append(f"commutation rule fails at k = {k} on {a}")
-                    break
-            if failures:
-                break
-
-    return Report(not failures, checked, failures, {"depth": depth})
-
-
 # ----------------------------------------------------------------- constants
 
 
@@ -661,8 +526,6 @@ def constants(ring, action, degree: int, horizon: int | None = None) -> list:
     derivation conditions are imposed for the divided powers of orders 1,
     p, p^2, ... along each direction only, which cut the same kernel: every
     divided power is a product of these by Lucas' theorem."""
-    if isinstance(ring, ProductRingSpec):
-        return product_constants(ring, action, degree)
     if horizon is None:
         horizon = max(degree, 2)
     basis = monomial_basis(ring, degree)
@@ -692,10 +555,10 @@ def constants(ring, action, degree: int, horizon: int | None = None) -> list:
                 columns[j].append(ring.sub(moved, b))
     if not columns[0]:
         return basis
-    return _kernel_elements(ring, basis, restriction_kernel(columns, ring, scalars))
+    return kernel_elements(ring, basis, restriction_kernel(columns, ring, scalars))
 
 
-def _kernel_elements(ring, basis: list, kernel: list[list]) -> list:
+def kernel_elements(ring, basis: list, kernel: list[list]) -> list:
     """The elements sum_j x_j * basis[j] for the scalar vectors x of kernel."""
     out = []
     for vec in kernel:
@@ -728,82 +591,3 @@ def monomial_basis(ring, degree: int) -> list:
             seen.add(key)
             out.append(m)
     return out
-
-
-# --------------------------------------------------------- products of fields
-
-
-class ProductRingSpec:
-    """A product of copies of one field, with monoid generators acting by
-    index permutations composed with factor endomorphisms."""
-
-    def __init__(self, factor, count: int, perms: Sequence[Sequence[int]],
-                 factor_maps: Sequence | None = None):
-        self.ring = ProductField(factor, count)
-        self.factor = factor
-        self.count = count
-        self.perms = [tuple(p) for p in perms]
-        for p in self.perms:
-            if sorted(p) != list(range(count)):
-                raise ValueError(f"{p} is not a permutation of range({count})")
-        self.factor_maps = factor_maps
-
-    def apply_generator(self, g_idx: int, elem: tuple) -> tuple:
-        p = self.perms[g_idx]
-        moved = tuple(elem[p[i]] for i in range(self.count))
-        if self.factor_maps and self.factor_maps[g_idx] is not None:
-            moved = tuple(self.factor_maps[g_idx](x) for x in moved)
-        return moved
-
-    def orbits(self) -> list[list[int]]:
-        """Orbit partition of the factor indices under all generators."""
-        parent = list(range(self.count))
-
-        def find(i):
-            while parent[i] != i:
-                parent[i] = parent[parent[i]]
-                i = parent[i]
-            return i
-
-        for p in self.perms:
-            for i in range(self.count):
-                a, b = find(i), find(p[i])
-                if a != b:
-                    parent[a] = b
-        groups: dict[int, list[int]] = {}
-        for i in range(self.count):
-            groups.setdefault(find(i), []).append(i)
-        return sorted(groups.values())
-
-
-def check_product_simplicity(spec: ProductRingSpec) -> Report:
-    """Simple iff the index action is transitive and every generator is
-    injective; the failure report carries the orbit partition."""
-    failures = []
-    checked = len(spec.perms) + 1
-    for gi, p in enumerate(spec.perms):
-        if sorted(p) != list(range(spec.count)):
-            failures.append(f"generator {gi} is not injective on the factors: {p}")
-    orbs = spec.orbits()
-    if len(orbs) > 1:
-        failures.append(f"factor action is not transitive; orbits {orbs}")
-    return Report(not failures, checked, failures, {"factors": spec.count})
-
-
-def product_constants(spec: ProductRingSpec, action, degree: int) -> list:
-    """Fixed points of the permutation action on tuples of factor monomials."""
-    factor = spec.factor
-    P = spec.ring
-    basis = []
-    for i in range(spec.count):
-        for b in monomial_basis(factor, degree):
-            v = [factor.zero()] * spec.count
-            v[i] = b
-            basis.append(tuple(v))
-    columns: list[list] = [[] for _ in basis]
-    for g_idx in range(len(spec.perms)):
-        for j, b in enumerate(basis):
-            moved = spec.apply_generator(g_idx, b)
-            columns[j].append(P.sub(moved, b))
-    return _kernel_elements(P, basis, restriction_kernel(columns, P, P.scalars))
-

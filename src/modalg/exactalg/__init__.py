@@ -11,14 +11,18 @@ the ring map hom over a GeneratorPowers.  GeneratorPowers.substitute is the
 one loop that substitutes images of generators: hom and evaluate (the
 generators numbered by position) both run it.  Contexts are interned, so
 equal constructions return the same object and contexts compare by identity.
+
+AlgebraicField (algext.py) and ProductField (product.py) are loaded on first
+use: the package answers either name by importing its module on the first
+lookup, so a program that never builds an algebraic or a product field never
+compiles them.  ``from modalg.exactalg import AlgebraicField``, ``import
+modalg.exactalg.algext`` and ``from modalg.exactalg import *`` work as usual.
 """
 
-from .algext import AlgebraicField
 from .fields import GF, QQ, PrimeField, RationalField, binom, scalar_field
 from .frac import Frac, FracField
 from .linalg import Echelon, Matrix, kernel_basis, restriction_kernel, rref, solve_linear
 from .poly import MPoly, PolyRing, grlex_key, poly_gcd
-from .product import ProductField
 from .ring import GeneratorPowers, Ring, evaluate, power
 
 __all__ = [
@@ -47,3 +51,14 @@ __all__ = [
     "Ring",
     "power",
 ]
+
+
+def __getattr__(name):
+    if name == "AlgebraicField":
+        from .algext import AlgebraicField as value
+    elif name == "ProductField":
+        from .product import ProductField as value
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value

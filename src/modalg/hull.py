@@ -21,7 +21,7 @@ import math
 from typing import Callable, Sequence
 
 from .actions import ActionSpec, HomElement, Report
-from .exactalg import AlgebraicField, Echelon, Frac, FracField, GeneratorPowers, evaluate
+from .exactalg import Echelon, Frac, FracField, GeneratorPowers, evaluate
 from .exactalg import terms as _terms
 from .lieritt import DiffPoly, multi_indices
 from .series import SeriesRing, TruncSeries, formal_inverse, identity_tuple
@@ -58,10 +58,12 @@ def _field_variables(L) -> tuple[str, ...]:
     """The names of the rational function field variables of L: its own for
     a FracField, its base's for an AlgebraicField (whose vars also name the
     algebraic generator)."""
-    if isinstance(L, AlgebraicField):
-        return L.base.vars
     if isinstance(L, FracField):
         return L.vars
+    from .exactalg import AlgebraicField
+
+    if isinstance(L, AlgebraicField):
+        return L.base.vars
     raise ValueError(f"unsupported field context {L!r}")
 
 
@@ -81,15 +83,16 @@ def variable_basis_derivation(L, horizon: int, fixed_vars: Sequence[str] = ()) -
             e[moving.index(name)] = 1
             exp[tuple(e)] = L.one()
         images[name] = TruncSeries(L, wvars, horizon, exp)
-    if isinstance(L, AlgebraicField):
+    if not isinstance(L, FracField):
+        # _field_variables admits only a FracField or an AlgebraicField
         images[L.gen_name] = _solve_algebraic_image(L, images, wvars, horizon)
     return ActionSpec(L, "iterder", n=n, theta_images=images, wvars=wvars)
 
 
-def _solve_algebraic_image(L: AlgebraicField, images: dict, wvars, horizon: int) -> TruncSeries:
-    """Degree-by-degree lift of the defining equation: the unique series
-    g = z + O(w) with P^theta(g) = 0, where P^theta has the base coefficients
-    expanded.  Requires P separable (P'(z) a unit)."""
+def _solve_algebraic_image(L, images: dict, wvars, horizon: int) -> TruncSeries:
+    """Degree-by-degree lift of the defining equation of the AlgebraicField
+    L: the unique series g = z + O(w) with P^theta(g) = 0, where P^theta has
+    the base coefficients expanded.  Requires P separable (P'(z) a unit)."""
     if not L.is_separable():
         raise ValueError("inseparable algebraic generator; no unique derivation lift")
     ring = SeriesRing(L, wvars, horizon)

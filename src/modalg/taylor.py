@@ -7,7 +7,7 @@ wordwise for monoid actions.  The map is a homomorphism into the convolution
 algebra and intertwines the ring action with right translation; both facts
 are checked by the test suite, and the factorization property (every
 homomorphism into a translation algebra factors through it) is verified by
-check_expansion_universal.
+axioms.check_expansion_universal.
 
 ExpansionAlgebra is the bivariate refinement: its elements are HomElements
 whose values are w-series, functions with values in L[[w]] cut to the box
@@ -21,45 +21,12 @@ from __future__ import annotations
 
 from typing import Callable, Sequence
 
-from .actions import ActionSpec, HomElement, Report
-from .exactalg import GeneratorPowers
+from .actions import ActionSpec, HomElement
 from .series import SeriesRing, TruncSeries
 
 
 def _identity(c):
     return c
-
-
-def check_expansion_universal(action: ActionSpec, Lambda: Callable, target,
-                              target_lift: Callable, samples: Sequence,
-                              horizon: int, word_bound: int | None = None) -> Report:
-    """Factorization check: Lambda must equal coordinatewise application of
-    ev-at-unit(Lambda) after the universal expansion.
-
-    Lambda maps ring elements to HomElements with coefficients in `target`;
-    the induced plain ring map is recovered on the generators and extended
-    multiplicatively."""
-    ring = action.ring
-    if word_bound is None:
-        word_bound = action.default_word_bound()
-    powers = GeneratorPowers(target, {name: Lambda(ring.var(name)).ev_unit() for name in ring.vars})
-    failures = []
-    checked = 0
-    for s in samples:
-        checked += 1
-        try:
-            lam_s = ring.hom(s, powers, target_lift)
-        except ZeroDivisionError:
-            failures.append(f"induced map undefined on {s}")
-            continue
-        got = Lambda(s)
-        mapped = action.expand(s, horizon, word_bound).map_coeffs(
-            lambda c: ring.hom(c, powers, target_lift), target)
-        if got != mapped:
-            failures.append(f"factorization fails on {s}")
-        elif not target.eq(lam_s, got.ev_unit()):
-            failures.append(f"unit evaluation disagrees on {s}")
-    return Report(not failures, checked, failures, {"horizon": horizon, "samples": len(samples)})
 
 
 # ------------------------------------------------------- bivariate algebra
@@ -153,11 +120,11 @@ class ExpansionAlgebra:
             out = out + self._deform_hom(hull_part) * self.from_w_series(wpart)
         return out
 
-    def _deform_hom(self, f: HomElement, lift: Callable = _identity) -> HomElement:
+    def _deform_hom(self, f: HomElement) -> HomElement:
         """f with each value c replaced by its deformation theta_u(c), a
-        w-series, with lift applied to the coefficients of that series."""
-        theta, wh, ring = self.theta_u.theta_series, self.w_horizon, self.ring
-        return f.map_coeffs(lambda c: theta(c, wh).map_coeffs(lift, ring), self.coeffs)
+        w-series."""
+        theta, wh = self.theta_u.theta_series, self.w_horizon
+        return f.map_coeffs(lambda c: theta(c, wh), self.coeffs)
 
     def with_ring(self, ring) -> "ExpansionAlgebra":
         return ExpansionAlgebra(self.action, self.theta_u, self.t_horizon, self.w_horizon,

@@ -11,15 +11,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from modalg.actions import (
-    ActionSpec,
-    HomElement,
-    MonoidDesc,
+from modalg.actions import ActionSpec, HomElement, MonoidDesc, constants
+from modalg.axioms import (
     ProductRingSpec,
     check_measuring,
     check_module_algebra,
     check_product_simplicity,
-    constants,
+    product_constants,
 )
 from modalg.exactalg import GF, QQ, AlgebraicField, FracField, PolyRing, evaluate, kernel_basis
 from modalg.hull import variable_basis_derivation
@@ -515,7 +513,7 @@ def test_constants_diagonal_derivation_two_variables():
 
 def test_constants_product_cyclic_shift():
     spec = ProductRingSpec(QQ, 3, perms=[(1, 2, 0)])
-    basis = constants(spec, None, degree=1)
+    basis = product_constants(spec, None, degree=1)
     assert len(basis) == 1
     assert basis[0] == (Fraction(1), Fraction(1), Fraction(1))
 

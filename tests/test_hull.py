@@ -13,7 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import modalg.hull
-from modalg.actions import ActionSpec, MonoidDesc, check_module_algebra
+from modalg.actions import ActionSpec, MonoidDesc
+from modalg.axioms import check_module_algebra
 from modalg.exactalg import (
     GF,
     QQ,

@@ -7,7 +7,8 @@ protocol of exactalg/ring.py instead), binary powering is written once,
 in exactalg.power, no module of the library imports modalg.pv (the
 package loads pv lazily, which pays only while pv is a leaf), only pv's
 entry points verify, hopf_algebra and check_mu_bijectivity import
-modalg.hopf (so pv.compare never compiles it), and outside
+modalg.hopf (so pv.compare never compiles it), no module of the library
+imports modalg.axioms (a leaf, so the chain never compiles it), and outside
 exactalg no function tests an object against a ring context type or Frac
 except at the listed sites (a context answers for its own elements,
 through the ring protocol and its hom), and no function reads a context's
@@ -368,18 +369,31 @@ def test_enclosing_function_scanner():
     assert enclosing_functions(source, [1, 3, 5]) == ["<module>", "f", "g"]
 
 
-def test_no_library_module_imports_pv():
-    found, hopf_sites = [], []
+def library_imports_of(target: str) -> list[tuple[Path, str, list[int]]]:
+    """(path under SRC, source, import lines) of every library module that
+    imports target."""
+    out = []
     for p in sorted(SRC.rglob("*.py")):
-        rel = p.relative_to(SRC.parent)
-        package = ".".join(rel.parent.parts)
         source = p.read_text()
-        found += [f"{p.relative_to(SRC)}:{line}" for line in imports_of(source, package, "modalg.pv")]
-        hopf_sites += [f"{p.relative_to(SRC)}:{func}" for func in
-                       enclosing_functions(source, imports_of(source, package, "modalg.hopf"))]
+        lines = imports_of(source, ".".join(p.relative_to(SRC.parent).parent.parts), target)
+        if lines:
+            out.append((p.relative_to(SRC), source, lines))
+    return out
+
+
+def test_no_library_module_imports_pv():
+    found = [f"{rel}:{line}" for rel, _, lines in library_imports_of("modalg.pv") for line in lines]
+    hopf_sites = [f"{rel}:{func}" for rel, source, lines in library_imports_of("modalg.hopf")
+                  for func in enclosing_functions(source, lines)]
     assert not found, "modules importing modalg.pv: " + ", ".join(found)
     assert sorted(hopf_sites) == ["pv.py:check_mu_bijectivity", "pv.py:hopf_algebra",
                                   "pv.py:verify"], "imports of modalg.hopf: " + ", ".join(hopf_sites)
+
+
+def test_no_library_module_imports_axioms():
+    found = [f"{rel}:{line}" for rel, _, lines in library_imports_of("modalg.axioms")
+             for line in lines]
+    assert not found, "modules importing modalg.axioms: " + ", ".join(found)
 
 
 RING_TYPES = frozenset({"PolyRing", "FracField", "AlgebraicField", "ProductField", "Frac",

@@ -10,10 +10,11 @@ from fractions import Fraction
 import pytest
 
 from modalg.actions import ActionSpec, HomElement, MonoidDesc
+from modalg.axioms import check_expansion_universal
 from modalg.exactalg import GF, QQ, FracField, GeneratorPowers
 from modalg.hull import make_basis_derivation
 from modalg.series import TruncSeries
-from modalg.taylor import ExpansionAlgebra, check_expansion_universal
+from modalg.taylor import ExpansionAlgebra
 from test_hull import additive_ext, q_difference_ext
 from test_pv import two_derivation_pv
 

@@ -13,6 +13,7 @@ from modalg.exactalg import QQ, Frac, FracField
 from modalg.hull import ExtensionDesc, HullData, find_relations, hull_generators
 from modalg.lieritt import DiffPoly, InfTransform, NilAlgebra, multi_indices
 from modalg.series import TruncSeries, truncated_exp
+from modalg.taylor import ExpansionAlgebra
 from modalg.umemura import (
     _symbol_deriv,
     _templates,
@@ -129,9 +130,9 @@ def test_additive_points():
     assert "a0 + a0'" == report.classification["parameter_law"].split(" = ")[1]
     # the image of the expanded generator gains exactly the parameter
     img = report.images["rho(y)"]
-    base = hull.algebra.with_ring(A)._deform_hom(
-        hull.derivative_table[(0, (0,))], A.scalar
-    )
+    alg = hull.algebra
+    base = ExpansionAlgebra.lift(alg._deform_hom(hull.derivative_table[(0, (0,))]), A.scalar,
+                                 alg.with_ring(A))
     delta = img - base
     coords = hull.algebra.coordinates(delta)
     assert set(coords) == {(0, (0,), (0,))}
@@ -156,9 +157,9 @@ def test_exponential_points():
     assert law.split(" = ")[1] == "a0 + a0' + a0*a0'"
     # sigma-style action: the image of rho(y) is rho(y) times (1 + a0)
     img = report.images["rho(y)"]
-    base = hull.algebra.with_ring(A)._deform_hom(
-        hull.derivative_table[(0, (0,))], A.scalar
-    )
+    alg = hull.algebra
+    base = ExpansionAlgebra.lift(alg._deform_hom(hull.derivative_table[(0, (0,))]), A.scalar,
+                                 alg.with_ring(A))
     scaled = base.scale(base.ring.scalar(A.add(A.one(), A.gen("a0"))))
     assert img == scaled
 
