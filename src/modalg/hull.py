@@ -17,7 +17,6 @@ produces the series substitution carrying one basis derivation into another.
 
 from __future__ import annotations
 
-import math
 from typing import Callable, Sequence
 
 from .actions import ActionSpec, HomElement, Report
@@ -452,13 +451,18 @@ def find_relations(hull: HullData, diff_order: int, degree: int,
 
 def cleared(terms) -> list:
     """The terms (key, c) of a relation with coefficients c in L, times the
-    product M of their nonconstant denominators: a unit multiple with
-    polynomial coefficients num*(M/den), by exact division and no gcd."""
-    dens = [c.den for _, c in terms if isinstance(c, Frac) and not c.den.is_const()]
+    lcm M of their distinct nonconstant denominators: a unit multiple with
+    polynomial coefficients num*(M/den), by exact division.  M is folded as
+    M*(d/gcd(d, M)), the numerator of d/M in lowest terms (FracField.frac),
+    so one-term denominators meet by exponent arithmetic and take no gcd."""
+    dens = {c.den.key(): (c.field, c.den) for _, c in terms
+            if isinstance(c, Frac) and not c.den.is_const()}
     if not dens:
         return terms
-    multiplier = math.prod(dens[1:], start=dens[0])
-    return [(key, c.field.from_poly(c.num * multiplier.exact_div(c.den))) for key, c in terms]
+    (L, multiplier), *rest = dens.values()
+    for _, d in rest:
+        multiplier = multiplier * L.frac(d, multiplier).num
+    return [(key, L.from_poly(c.num * multiplier.exact_div(c.den))) for key, c in terms]
 
 
 def relation_vanishes(terms) -> bool:

@@ -307,29 +307,22 @@ class CompareReport:
 
 def find_rational_point(data: PVData, height: int = 3):
     """A base-field point of the principal ring: integer values for the
-    generators (nonzero for invertible ones) making X invertible."""
+    R-generators that are generators of L (nonzero for units of R) making
+    X invertible; the point lists every R-generator, each partner read
+    through R.hom like X."""
     R = data.R
     k = data.k
-    inv_partner = data.R.partners
-    primary = [v for v in R.vars if v not in inv_partner or v < inv_partner[v]]
+    free = [v for v in R.vars if v in data.L.vars]
+    units = [R.is_unit(R.var(v)) for v in free]
     candidates = [c for c in range(-height, height + 1)]
     candidates.sort(key=lambda c: (abs(c), -c))
-    for combo in itertools.product(candidates, repeat=len(primary)):
-        point = {}
-        ok = True
-        for v, c in zip(primary, combo):
-            if v in inv_partner and c == 0:
-                ok = False
-                break
-            point[v] = k.from_int(c)
-            if v in inv_partner:
-                point[inv_partner[v]] = k.inv(k.from_int(c))
-        if not ok:
+    for combo in itertools.product(candidates, repeat=len(free)):
+        if any(unit and c == 0 for unit, c in zip(units, combo)):
             continue
-        at_point = GeneratorPowers(k, point)
+        at_point = GeneratorPowers(k, {v: k.from_int(c) for v, c in zip(free, combo)})
         B = Matrix(k, [[R.hom(p, at_point, lambda c: c) for p in row] for row in data.X.rows])
         if not Echelon(k, B.rows).dependent:
-            return point, B
+            return {v: R.hom(R.var(v), at_point, lambda c: c) for v in R.vars}, B
     return None, None
 
 

@@ -17,7 +17,7 @@ import math
 from typing import Sequence
 
 from .actions import HomElement
-from .exactalg import Frac, power
+from .exactalg import grlex_key, power
 from .exactalg import terms as _terms
 from .hull import HullData, cleared, element_key, relation_vanishes
 from .lieritt import (
@@ -29,6 +29,7 @@ from .lieritt import (
     solve_zero_set,
     symbol_derivatives,
 )
+from .series import TruncSeries
 
 
 def build_ideal(hull: HullData, relations: Sequence[DiffPoly]) -> LieRittIdeal:
@@ -43,9 +44,9 @@ def build_ideal(hull: HullData, relations: Sequence[DiffPoly]) -> LieRittIdeal:
     DiffPoly over alg.coeffs whose coefficients are w-free elements of
     hull.algebra, so only its symbols are derived, by symbol_derivatives
     (_symbol_deriv).  One generator is extracted per operator coordinate
-    (word, t-exponent), whose coefficients are the w-series values there;
-    duplicates and scalar multiples are removed and each generator is
-    normalized to leading coefficient one."""
+    (word, t-exponent), whose coefficients are the w-series values there,
+    and put in its normal form under the units of L (_normalize), so that
+    multiples of one generator by units of L are merged."""
     alg = hull.algebra
     L = hull.ext.L
     theta_u = alg.theta_u
@@ -80,10 +81,7 @@ def build_ideal(hull: HullData, relations: Sequence[DiffPoly]) -> LieRittIdeal:
                 for texp, wseries in s.terms.items():
                     coords.setdefault((word, texp), {})[ykey] = wseries
         for coord in sorted(coords, key=str):
-            poly = DiffPoly(n, L, wvars, wh, coords[coord])
-            poly = _normalize(poly, L)
-            if poly is None or poly.is_zero():
-                continue
+            poly = _normalize(DiffPoly(n, L, wvars, wh, coords[coord]), L)
             gens.setdefault(_structural_key(poly), poly)
     return LieRittIdeal(n, L, wvars, wh, sorted(gens.values(), key=lambda g: _signature(g, L)))
 
@@ -125,41 +123,20 @@ def _terms_over_L(rel: DiffPoly) -> list[tuple]:
     return [(key, c.coeff((0,) * len(c.vars))) for key, c in rel.terms.items()]
 
 
-def _normalize(poly: DiffPoly, L) -> DiffPoly | None:
-    """Scale so the leading term (highest Y-degree, then highest derivative
-    order) has a w-minimal coefficient with unit scalar part; poly itself
-    when that scalar is already 1."""
-    if not poly.terms:
-        return None
-    lead_key = max(poly.terms, key=_term_order)
-    series = poly.terms[lead_key]
-    lead_exp = min(series.terms, key=lambda e: (sum(e), e))
-    c = series.terms[lead_exp]
-    s = _unit_scalar(L, c)
-    F = L.scalars
-    if s is None or F.eq(s, F.one()):
-        return poly
-    inv = L.const(F.inv(s))
-    return DiffPoly(
-        poly.nstreams, poly.coeff_ring, poly.wvars, poly.horizon,
-        {k: ser.scale(inv) for k, ser in poly.terms.items()},
-    )
-
-
-def _unit_scalar(L, c):
-    """The scalar-field content of a field element's canonical form."""
-    if isinstance(c, Frac):
-        if c.num.is_zero():
-            return None
-        _, lead = c.num.leading()
-        return lead
-    if isinstance(c, tuple):  # algebraic extension element
-        for comp in c:
-            if not comp.is_zero():
-                _, lead = comp.num.leading()
-                return lead
-        return None
-    return c
+def _normalize(poly: DiffPoly, L) -> DiffPoly:
+    """The normal form of poly under the units of L: divided by the
+    w-minimal coefficient c of its leading term (highest Y-degree, then
+    highest derivative order), then cleared of denominators (hull.cleared).
+    Over a FracField it is primitive with a monic lead, and L-monic over an
+    AlgebraicField, so L-multiples of one generator coincide."""
+    series = poly.terms[max(poly.terms, key=_term_order)]
+    inv = L.inv(series.terms[min(series.terms, key=grlex_key)])
+    coeffs: dict = {}
+    for (ykey, e), c in cleared([((ykey, e), L.mul(c, inv))
+                                 for ykey, s in poly.terms.items() for e, c in s.terms.items()]):
+        coeffs.setdefault(ykey, {})[e] = c
+    return DiffPoly(poly.nstreams, L, poly.wvars, poly.horizon,
+                    {ykey: TruncSeries(L, poly.wvars, poly.horizon, t) for ykey, t in coeffs.items()})
 
 
 def _term_order(key):

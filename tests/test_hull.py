@@ -71,6 +71,37 @@ def q_difference_ext():
     return ExtensionDesc(L, [y], action, name="q-difference")
 
 
+def gamma_ext():
+    """The Gamma function over K = QQ(x): sigma(x) = x + 1 and sigma(y) = x*y,
+    basis (y).  Theory: the difference Galois group of y(x + 1) = x*y(x) is
+    G_m, so Gm-hat, acting by y -> (1 + a)*y."""
+    L = FracField(QQ, ["x", "y"])
+    x, y = L.var("x"), L.var("y")
+    action = ActionSpec(L, "end", monoid=MonoidDesc("endo"),
+                        endo_maps=[{"x": x + L.one(), "y": x * y}])
+    return ExtensionDesc(L, [y], action, K_gens=[x], K_vars=("x",), name="gamma")
+
+
+def harmonic_ext():
+    """The harmonic numbers over K = QQ(x): sigma(x) = x + 1 and
+    sigma(y) = y + 1/(x + 1), basis (y).  Theory: G_a, so Ga-hat, acting by
+    y -> y + a."""
+    L = FracField(QQ, ["x", "y"])
+    x, y = L.var("x"), L.var("y")
+    action = ActionSpec(L, "end", monoid=MonoidDesc("endo"),
+                        endo_maps=[{"x": x + L.one(), "y": y + L.inv(x + L.one())}])
+    return ExtensionDesc(L, [y], action, K_gens=[x], K_vars=("x",), name="harmonic")
+
+
+def sign_ext():
+    """L = QQ(y) with sigma(y) = -y.  Theory: the group is mu_2, finite etale,
+    so the formal group is trivial."""
+    L = FracField(QQ, ["y"])
+    y = L.var("y")
+    action = ActionSpec(L, "end", monoid=MonoidDesc("endo"), endo_maps=[{"y": -y}])
+    return ExtensionDesc(L, [y], action, name="sign")
+
+
 def product_ext():
     """L = QQ(y, z) with theta(y) = y + w and theta(z) = z exp(w), basis (y, z):
     the extension of G_a x G_m, with two w variables."""
@@ -503,50 +534,65 @@ def test_find_relations_self_check_raises_on_cleared_relations(monkeypatch):
     assert "x^4 - 3*x^2 + 3/4" in seen
 
 
-def cleared_by_products(terms, L):
-    """The form cleared replaced: every coefficient times the Frac product of
-    the nonconstant denominators."""
-    multiplier = None
-    for _, c in terms:
-        if isinstance(c, Frac) and not c.den.is_const():
-            den = L.from_poly(c.den)
-            multiplier = den if multiplier is None else multiplier * den
-    if multiplier is None:
-        return terms
+def multiplicity(f, p) -> int:
+    """How often the factor f divides the polynomial p, by exact_div."""
+    k = 0
+    while True:
+        try:
+            p = p.exact_div(f)
+        except ValueError:
+            return k
+        k += 1
+
+
+def cleared_by_factors(terms, L, factors):
+    """The form cleared computes, with no gcd: every coefficient times the
+    product of each factor raised to its largest multiplicity in a
+    denominator, every denominator being a product of the pairwise coprime
+    factors."""
+    multiplier = L.one()
+    for f in factors:
+        multiplier = multiplier * L.from_poly(f) ** max(multiplicity(f, c.den) for _, c in terms)
     return [(key, c * multiplier) for key, c in terms]
 
 
 @st.composite
 def relation_terms(draw):
-    """(L, terms): one to five (key, coefficient) pairs over QQ(x, y) or
-    GF(7)(y).  Each coefficient is a numerator of total degree <= 2 over a
-    denominator drawn, with repetition, from constant, one-term and
-    multi-term ones; a numerator sometimes shares a factor with it."""
+    """(L, factors, terms): one to five (key, coefficient) pairs over
+    QQ(x, y) or GF(7)(y), and the pairwise coprime monic factors of their
+    denominators.  Each coefficient is a numerator of total degree <= 2
+    over a nonzero constant times a product of factor powers drawn with
+    exponents 0 to 2; a numerator sometimes shares factors with it."""
     L = draw(st.sampled_from([FracField(QQ, ["x", "y"]), FracField(GF(7), ["y"])]))
     R = L.poly_ring
     g = R.gens()
     c = R.from_int
-    dens = [R.one(), c(3), g[-1], c(2) * g[0] ** 3, g[-1] + c(1), g[0] ** 2 - c(3) * g[-1] + c(2),
-            g[-1] ** 2 + g[0] * g[-1] - c(5)]
+    if R.nvars() == 2:
+        factors = [g[0], g[1], g[1] + c(1), g[0] ** 2 - c(3) * g[1] + c(2)]
+    else:
+        factors = [g[0], g[0] + c(1), g[0] + c(3)]
     exps = [e for e in itertools.product(range(3), repeat=R.nvars()) if sum(e) <= 2]
+
+    def factor_product():
+        return math.prod((f ** draw(st.integers(0, 2)) for f in factors), start=R.one())
 
     def coefficient():
         num = R.poly({e: R.field.from_int(draw(st.integers(-2, 2))) for e in exps})
-        den = draw(st.sampled_from(dens))
+        den = factor_product() * c(draw(st.sampled_from([1, 3, -2])))
         if num.is_zero():
             num = R.one()
         if draw(st.booleans()):
-            num = num * draw(st.sampled_from(dens))
+            num = num * factor_product()
         return Frac(L, num, den)
 
-    return L, [(k, coefficient()) for k in range(draw(st.integers(1, 5)))]
+    return L, factors, [(k, coefficient()) for k in range(draw(st.integers(1, 5)))]
 
 
 @settings(max_examples=120, deadline=None)
 @given(relation_terms())
-def test_cleared_equals_the_frac_product_form(data):
-    L, terms = data
-    got, want = cleared(terms), cleared_by_products(terms, L)
+def test_cleared_multiplies_by_the_lcm_of_the_denominators(data):
+    L, factors, terms = data
+    got, want = cleared(terms), cleared_by_factors(terms, L, factors)
     assert [k for k, _ in got] == [k for k, _ in want]
     for (_, a), (_, b) in zip(got, want):
         assert a == b and str(a) == str(b)

@@ -411,8 +411,6 @@ RING_TYPE_SITES = {
     "hull.py:variable_basis_derivation",
     # the denominators of relation coefficients, read from the Frac form
     "hull.py:cleared",
-    # the scalar content of a coefficient's canonical form
-    "umemura.py:_unit_scalar",
 }
 
 
@@ -489,8 +487,6 @@ PARTNER_SITES = {
     "actions.py:ActionSpec._der_series",
     # each generator of R lies in L or is the partner of one that does
     "pv.py:PVData.__init__",
-    # the printed rational point names the value of each partner
-    "pv.py:find_rational_point",
 }
 
 

@@ -7,6 +7,7 @@ Picard-Vessiot axioms of these examples."""
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -777,18 +778,25 @@ def test_hopf_algebra_places_each_generator_monomial_once(monkeypatch):
 
 def test_chain_and_compare_take_no_polynomial_gcd(monkeypatch):
     # every fraction on these paths is a Laurent monomial c*y^a / y^b, so
-    # sums, products and common denominators are exponent arithmetic
+    # sums, products and common denominators are exponent arithmetic; the
+    # gcd is counted in every module that binds it
     calls = []
 
     def counting(*args):
         calls.append(args)
         return poly_gcd(*args)
 
-    monkeypatch.setattr(frac, "poly_gcd", counting)
-    for make, tag in ((additive_pv, "Ga_hat"), (exponential_pv, "Gm_hat_conjugate")):
+    bound = [m for name, m in sorted(sys.modules.items())
+             if name.split(".")[0] == "modalg" and getattr(m, "poly_gcd", None) is poly_gcd]
+    assert frac in bound
+    for module in bound:
+        monkeypatch.setattr(module, "poly_gcd", counting)
+    for make, tag, th, wh in ((additive_pv, "Ga_hat", 3, 4),
+                              (exponential_pv, "Gm_hat_conjugate", 3, 4),
+                              (q_difference_pv, "Gm_hat_conjugate", 2, 2)):
         _, ext = make()
-        hull = hull_generators(ext, t_horizon=3, w_horizon=4)
-        rels = find_relations(hull, diff_order=4, degree=2)
+        hull = hull_generators(ext, t_horizon=th, w_horizon=wh)
+        rels = find_relations(hull, diff_order=wh, degree=2)
         report = solve_points(hull, rels, build_ideal(hull, rels))
         assert report.classification["tag"] == tag
         assert group_compatibility_check(hull, report)

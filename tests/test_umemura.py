@@ -4,9 +4,13 @@ reconstruction, group compatibility, and formal-group identification."""
 
 from __future__ import annotations
 
+import functools
+import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from modalg.actions import ActionSpec
 from modalg.exactalg import QQ, Frac, FracField
@@ -15,6 +19,7 @@ from modalg.lieritt import DiffPoly, InfTransform, NilAlgebra, multi_indices
 from modalg.series import TruncSeries, truncated_exp
 from modalg.taylor import ExpansionAlgebra
 from modalg.umemura import (
+    _normalize,
     _symbol_deriv,
     _templates,
     build_ideal,
@@ -22,7 +27,7 @@ from modalg.umemura import (
     identify_formal_group,
     solve_points,
 )
-from test_hull import gaussian_ext
+from test_hull import gamma_ext, gaussian_ext, harmonic_ext, sign_ext
 from test_pv import TRANSPORT_EXAMPLES, transport_example
 
 
@@ -76,6 +81,75 @@ def test_exponential_ideal_is_conjugated_multiplicative():
     for k in (2, 3, 4):
         assert f"Y^({k})" in gens
     assert len(gens) == 4
+
+
+@functools.cache
+def normalized_generators(name: str) -> tuple:
+    """The generators of the exponential ideal at (3, 4) or of the Gaussian
+    ideal at (4, 2), as build_ideal returns them."""
+    if name == "exponential":
+        _, hull, rels = exponential_setup()
+    else:
+        hull = hull_generators(gaussian_ext(), t_horizon=4, w_horizon=2)
+        rels = find_relations(hull, diff_order=2, degree=2)
+    return tuple(build_ideal(hull, rels).generators)
+
+
+@st.composite
+def multi_term_polys(draw, R):
+    """A polynomial of total degree <= 2 over R with two or more terms."""
+    exps = [e for e in itertools.product(range(3), repeat=R.nvars()) if sum(e) <= 2]
+    coeffs = draw(st.lists(st.integers(-3, 3), min_size=len(exps), max_size=len(exps))
+                  .filter(lambda cs: sum(map(bool, cs)) >= 2))
+    return R.poly({e: R.field.from_int(c) for e, c in zip(exps, coeffs)})
+
+
+@pytest.mark.parametrize("name", ["exponential", "gaussian"])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_normal_form_is_invariant_under_units_of_l(name, data):
+    # u*g and g are one generator of the ideal over L[[w]] for a unit u of L
+    gens = normalized_generators(name)
+    L = gens[0].coeff_ring
+    u = Frac(L, data.draw(multi_term_polys(L.poly_ring)), data.draw(multi_term_polys(L.poly_ring)))
+    assume(len(u.num.terms) > 1 and len(u.den.terms) > 1)
+    for g in gens:
+        ug = DiffPoly(g.nstreams, L, g.wvars, g.horizon, {k: s.scale(u) for k, s in g.terms.items()})
+        got, want = _normalize(ug, L), _normalize(g, L)
+        assert got.terms.keys() == want.terms.keys()
+        assert all(got.terms[k].terms == want.terms[k].terms for k in want.terms)
+        assert str(got) == str(want)
+
+
+def chain(make, th, wh, diff_order):
+    hull = hull_generators(make(), t_horizon=th, w_horizon=wh)
+    rels = find_relations(hull, diff_order=diff_order, degree=2)
+    ideal = build_ideal(hull, rels)
+    report = solve_points(hull, rels, ideal)
+    return hull, ideal, report
+
+
+def test_gamma_ideal_is_one_conjugated_multiplicative_generator():
+    # the L-multiples x*g, x*(x + 1)*g, ... of the one generator g are merged
+    hull, ideal, report = chain(gamma_ext, 2, 2, 1)
+    assert [str(g) for g in ideal.generators] == ["(y + w)*Y^(1) - Y - y"]
+    assert len(report.family.params) == 1
+    assert report.classification["tag"] == "Gm_hat_conjugate"
+    assert group_compatibility_check(hull, report) is True
+
+
+def test_harmonic_numbers_give_the_additive_group():
+    _, ideal, report = chain(harmonic_ext, 2, 2, 1)
+    assert [str(g) for g in ideal.generators] == ["Y^(1) - 1"]
+    assert len(report.family.params) == 1
+    assert report.classification["tag"] == "Ga_hat"
+
+
+def test_sign_change_has_a_trivial_formal_group():
+    # its group mu_2 is finite etale, so no infinitesimal automorphisms
+    _, _, report = chain(sign_ext, 2, 2, 1)
+    assert report.family.params == []
+    assert report.classification["tag"] == "trivial"
 
 
 def test_template_derivatives_need_only_the_symbol_rule():
