@@ -13,8 +13,10 @@ ring generators.  Supported shapes:
                      under g -> g + d(g) w into series of horizon 1
   iterder(n)         n commuting iterative derivations: generator images are
                      truncated series  theta(g) = g + ... in w_1..w_n
-  end / auto         one (injective) endomorphism / automorphism sigma
-  monoid             finitely many endomorphism generators, free words
+  end                one endomorphism per generator of the declared
+                     MonoidDesc, whose kind sets the words: powers of one
+                     endomorphism ("endo") or automorphism ("auto", with
+                     declared inverses), a cyclic group, or free words
   smash              iterder(n) together with a monoid part; the monoid is
                      assumed to commute with the derivations unless an
                      explicit rewriting rule is declared (declared rules are
@@ -311,11 +313,11 @@ class ActionSpec:
 
             if not isinstance(self.ring, AlgebraicField):
                 raise ValueError(f"unsupported ring context {self.ring!r}")
-        if self.kind not in ("trivial", "der", "iterder", "end", "auto", "monoid", "smash"):
+        if self.kind not in ("trivial", "der", "iterder", "end", "smash"):
             raise ValueError(f"unknown action kind {self.kind!r}")
         if self.kind in ("der", "iterder", "smash") and self.n < 1:
             raise ValueError("derivation actions need n >= 1")
-        if self.kind in ("end", "auto", "monoid", "smash") and self.monoid is None:
+        if self.kind in ("end", "smash") and self.monoid is None:
             raise ValueError("monoid actions need a monoid description")
         if self.kind == "der" and self.ring.char != 0:
             raise ValueError("plain derivations are supported in characteristic 0 only; "
@@ -329,7 +331,7 @@ class ActionSpec:
         return self.kind in ("der", "iterder", "smash")
 
     def has_monoid(self) -> bool:
-        return self.monoid is not None and self.kind in ("end", "auto", "monoid", "smash")
+        return self.monoid is not None and self.kind in ("end", "smash")
 
     def default_word_bound(self) -> int:
         return DEFAULT_WORD_BOUND if self.has_monoid() else TRIVIAL_WORD_BOUND

@@ -4,15 +4,17 @@ Given an extension L | K with an action of operators on L and a separating
 transcendence basis u, the *basis derivation* is the unique iterative
 derivation with u_i -> u_i + w_i, trivial on K, extended to fractions
 through series division and to separable algebraic generators by solving
-their defining equations degree by degree.
+their defining equations degree by degree.  make_basis_derivation builds it
+for any declared basis and certifies it when it is built.
 
-The hull is the smallest subring of the function realization containing the
-trivially-embedded copy of L and the fully expanded copy of L (resp. K) that
-is stable under the basis derivation.  hull_generators computes a finite
-generating set together with its derivative closure, find_relations searches
-for the polynomial relations among the derivatives of the expanded
-generators that feed the infinitesimal-automorphism solver, and change_basis
-produces the series substitution carrying one basis derivation into another.
+The hull is the smallest subring of the function realization generated over
+the trivially-embedded copy rho0(L) = L by the fully expanded copy rho(L) and
+its derivatives under the basis derivation.  rho0(L) enters as the
+coefficient field of the spans: hull_generators computes a finite
+generating set of rho(L) together with its derivative closure, an L-span of
+monomials in them, and find_relations searches for the polynomial relations
+over L among the derivatives of the expanded generators that feed the
+infinitesimal-automorphism solver.
 """
 
 from __future__ import annotations
@@ -31,16 +33,16 @@ class ExtensionDesc:
     """An extension L | K with its action and a transcendence basis.
 
     L is a FracField or AlgebraicField context; K is generated over the
-    scalar field by K_gens (empty for the prime-field case).  basis lists
-    the separating transcendence basis elements of L over K.
+    scalar field by the field variables K_vars (none for the prime-field
+    case), which the basis derivation fixes.  basis lists the separating
+    transcendence basis elements of L over K.
     """
 
-    def __init__(self, L, basis: Sequence, action: ActionSpec, K_gens: Sequence = (),
+    def __init__(self, L, basis: Sequence, action: ActionSpec,
                  K_vars: Sequence[str] = (), name: str = ""):
         self.L = L
         self.basis = list(basis)
         self.action = action
-        self.K_gens = list(K_gens)
         self.K_vars = tuple(K_vars)
         self.name = name
         if action.ring is not L:
@@ -122,93 +124,52 @@ def _solve_algebraic_image(L, images: dict, wvars, horizon: int) -> TruncSeries:
 def make_basis_derivation(ext: ExtensionDesc, horizon: int) -> ActionSpec:
     """The iterative derivation of the declared basis: basis_i -> basis_i + w_i.
 
-    When the basis consists of the field variables themselves this is the
-    direct construction; otherwise the variable derivation is composed with
-    the change-of-basis substitution."""
+    When the basis consists of the moving field variables this is the
+    variable derivation.  Otherwise it is the variable derivation after the
+    substitution w -> s, for s the formal inverse of the deviations
+    theta(b_i) - b_i of the basis elements b_i.  A singular Jacobian means
+    the basis does not separate, and raises ValueError; so does a rebased
+    derivation that does not send each b_i to b_i + w_i."""
     L = ext.L
     theta0 = variable_basis_derivation(L, horizon, fixed_vars=ext.K_vars)
     tvars = ext.transcendental_vars()
     if len(ext.basis) == len(tvars) and all(map(L.eq, ext.basis, map(L.var, tvars))):
         return theta0
-    subst, rep = change_basis_substitution(L, theta0, ext.basis, horizon)
-    if not rep.ok:
-        raise ValueError("; ".join(rep.failures))
-    images = {}
-    for name in L.vars:
-        img = theta0.theta_images[name].with_horizon(horizon)
-        images[name] = img.compose(list(subst), strict=False)
-    return ActionSpec(L, "iterder", n=theta0.n, theta_images=images, wvars=theta0.wvars)
-
-
-def change_basis_substitution(L, theta0: ActionSpec, new_basis: Sequence, horizon: int):
-    """The series tuple t with theta_new = theta_old after substituting w -> t.
-
-    Solves s_i(t(w)) = w_i for s_i = theta_old(v_i) - v_i via the formal
-    inverse; a singular Jacobian means the new basis does not separate."""
-    n = theta0.n
-    s = []
-    for v in new_basis:
-        ser = theta0.theta_series(v, horizon)
-        dev = ser - TruncSeries.const(L, theta0.wvars, horizon, v)
-        s.append(dev)
+    wvars = theta0.wvars
+    deviations = [theta0.theta_series(b, horizon) - TruncSeries.const(L, wvars, horizon, b)
+                  for b in ext.basis]
     try:
-        t = formal_inverse(s)
+        subst = list(formal_inverse(deviations))
     except (ValueError, ArithmeticError) as exc:
-        return None, Report(False, n, [f"substitution inverse failed: {exc}"], {})
-    return t, Report(True, n, [], {"horizon": horizon})
-
-
-def change_basis(ext: ExtensionDesc, new_basis: Sequence, horizon: int):
-    """Substitution tuple plus verification that the rebased derivation sends
-    each new basis element to itself plus the matching variable."""
-    theta_u = make_basis_derivation(ext, horizon)
-    subst, rep = change_basis_substitution(ext.L, theta_u, new_basis, horizon)
-    if not rep.ok:
-        return None, rep
-    failures = []
-    checked = 0
-    new_ext = ExtensionDesc(ext.L, list(new_basis), ext.action, ext.K_gens)
-    theta_v = make_basis_derivation(new_ext, horizon)
-    for i, v in enumerate(new_basis):
-        checked += 1
-        got = theta_v.theta_series(v, horizon)
-        e = [0] * theta_u.n
-        e[i] = 1
-        expected = TruncSeries(
-            ext.L, theta_u.wvars, horizon,
-            {(0,) * theta_u.n: v, tuple(e): ext.L.one()},
-        )
-        if got != expected:
-            failures.append(f"rebased derivation moves basis element {i} incorrectly")
-    for name in ext.L.vars:
-        checked += 1
-        lhs = theta_v.theta_series(ext.L.var(name), horizon)
-        rhs = theta_u.theta_series(ext.L.var(name), horizon).compose(list(subst), strict=False)
-        if lhs != rhs:
-            failures.append(f"substitution does not intertwine the derivations on {name}")
-    return subst, Report(not failures, checked, failures, {"horizon": horizon})
+        raise ValueError(f"the basis does not separate: substitution inverse failed: "
+                         f"{exc}") from None
+    images = {name: theta0.theta_images[name].compose(subst, strict=False) for name in L.vars}
+    theta = ActionSpec(L, "iterder", n=theta0.n, theta_images=images, wvars=wvars)
+    for i, (b, w) in enumerate(zip(ext.basis, identity_tuple(L, wvars, horizon))):
+        if theta.theta_series(b, horizon) != TruncSeries.const(L, wvars, horizon, b) + w:
+            raise ValueError(f"rebased derivation moves basis element {i} incorrectly")
+    return theta
 
 
 # ------------------------------------------------------------------- hull
 
 
 class HullData:
-    """Finite presentation of the hull: trivially-embedded generators, fully
-    expanded generators with their derivative closure, and the expansion
-    algebra everything lives in."""
+    """Finite presentation of the hull: the fully expanded generators with
+    their derivative closure, over the coefficient field L, and the
+    expansion algebra everything lives in."""
 
-    def __init__(self, ext: ExtensionDesc, algebra: ExpansionAlgebra,
-                 rho0_gens: list, rho_gens: list, rho_K_gens: list,
+    def __init__(self, ext: ExtensionDesc, algebra: ExpansionAlgebra, rho_gens: list,
                  derivative_table: dict, closure: Report):
         self.ext = ext
         self.algebra = algebra
         # the elements of algebra are HomElements with w-series values
-        self.rho0_gens = rho0_gens          # [(label, element of algebra)]
         self.rho_gens = rho_gens            # [(label, elem, element of algebra)]
-        self.rho_K_gens = rho_K_gens        # [(label, element of algebra)]
         self.derivative_table = derivative_table  # (i, k) -> t-only HomElement over L
         self.closure = closure
-        self._deformed: dict = {}  # (i, k) -> entry deformed over L
+        # (i, k) -> entry deformed over L; at k = 0 it is the joint expansion
+        zero = (0,) * algebra.theta_u.n
+        self._deformed = {(i, zero): joint for i, (_, _, joint) in enumerate(rho_gens)}
         self._lifted: dict = {}  # test algebra P -> {(i, k): deformed entry lifted to P}
 
     def n_gens(self) -> int:
@@ -251,28 +212,23 @@ def hull_generators(ext: ExtensionDesc, t_horizon: int, w_horizon: int,
 
     Every divided derivative of an expanded generator is tested for
     membership in the span of monomials (degree <= span_degree) in the
-    already-accepted generators with coefficients from the embedded copy of
-    L; derivatives outside the span are appended as new generators, adding
-    their new monomials (v times those of degree < span_degree) to the span.
-    The report states whether this closure stabilized within the horizon."""
+    already-accepted generators with coefficients in L, the embedded copy
+    rho0(L); derivatives outside the span are appended as new generators,
+    adding their new monomials (v times those of degree < span_degree) to
+    the span.  The report states whether this closure stabilized within the
+    horizon."""
     L = ext.L
     theta_u = make_basis_derivation(ext, w_horizon)
     algebra = ExpansionAlgebra(ext.action, theta_u, t_horizon, w_horizon, word_bound)
 
-    rho0_gens = [(f"rho0({name})", algebra.expand_rho0(L.var(name))) for name in L.vars]
-    gen_elems = [L.var(name) for name in L.vars]
-    rho_gens = [
-        (f"rho({name})", g, algebra.expand_rho(g)) for name, g in zip(L.vars, gen_elems)
-    ]
-    rho_K_gens = [(f"rho(K:{L.to_str(g)})", algebra.expand_rho(g)) for g in ext.K_gens]
+    rho_gens = [(f"rho({name})", g, algebra.expand_rho(g)) for name, g in zip(L.vars, L.gens())]
 
     table: dict = {}
     for i, (_, _, joint) in enumerate(rho_gens):
         for k in multi_indices(theta_u.n, w_horizon):
             table[(i, tuple(k))] = algebra.w_slice(joint, k)
 
-    accepted: list[HomElement] = [algebra.w_slice(j, (0,) * theta_u.n) for _, j in rho0_gens]
-    accepted += [table[(i, (0,) * theta_u.n)] for i in range(len(rho_gens))]
+    accepted: list[HomElement] = [table[(i, (0,) * theta_u.n)] for i in range(len(rho_gens))]
     span = _monomial_span(accepted, L, span_degree)
     new_gens = []
     failures = []
@@ -299,7 +255,7 @@ def hull_generators(ext: ExtensionDesc, t_horizon: int, w_horizon: int,
                      {"t_horizon": t_horizon, "w_horizon": w_horizon,
                       "stabilized_at": stabilized_at,
                       "extra_gens": [str(k) for k, _ in new_gens]})
-    return HullData(ext, algebra, rho0_gens, rho_gens, rho_K_gens, table, closure)
+    return HullData(ext, algebra, rho_gens, table, closure)
 
 
 def _hom_coordinates(v: HomElement) -> dict:
@@ -497,8 +453,6 @@ def _relation_to_diffpoly(rel: dict, hull: HullData, nstreams: int, nvars: int) 
 __all__ = [
     "ExtensionDesc",
     "HullData",
-    "change_basis",
-    "change_basis_substitution",
     "cleared",
     "distinct_products",
     "element_key",

@@ -218,19 +218,17 @@ def _lift_poly(RA: PolyRing, p: MPoly) -> MPoly:
     return RA.poly({exp: A.const(c) for exp, c in p.terms.items()})
 
 
-def galois_points(data: PVData, algebra: NilAlgebra, formal: bool = True,
-                  horizon: int = 3, param_order: int = 3) -> GaloisFamily:
+def galois_points(data: PVData, algebra: NilAlgebra, horizon: int = 3,
+                  param_order: int = 3) -> GaloisFamily:
     """Solve for the automorphism matrices over a nilpotent test algebra.
 
-    Formal points have M congruent to the identity modulo the nilradical;
-    the system is linearized there and solved exactly, with layered
-    corrections absorbing parameter-degree >= 2 residues of nonlinear
-    equations.  The returned family carries symbolic parameters spanning the
+    Only formal points are solved, M congruent to the identity modulo the
+    nilradical (points over a plain algebra come from the Hopf
+    presentation); the system is linearized there and solved exactly, with
+    layered corrections absorbing parameter-degree >= 2 residues of
+    nonlinear equations.  The returned family carries symbolic parameters spanning the
     solution; substituting nilpotent values of the target algebra enumerates
     the actual points."""
-    if not formal:
-        raise ValueError("only formal points are solved; for points over a plain "
-                         "algebra use the Hopf presentation")
     base = algebra.base
     sys = _GaloisSystem(data, horizon)
     n = data.X.nrows
@@ -284,7 +282,7 @@ def lie_dim(data: PVData, horizon: int = 3) -> int:
     """Dimension of the formal points over the dual numbers as a module over
     the total field: the number of free parameters at nilpotency order 2."""
     A = NilAlgebra(data.L, ("eps",), 2)
-    fam = galois_points(data, A, formal=True, horizon=horizon, param_order=2)
+    fam = galois_points(data, A, horizon=horizon, param_order=2)
     if not fam.report.ok:
         raise ArithmeticError("formal point solve failed: " + "; ".join(fam.report.failures))
     return len(fam.params)
@@ -361,7 +359,7 @@ def compare(data: PVData, hull: HullData, relations, degree: int = 3) -> Compare
     A_target = NilAlgebra(data.L, tuple(um.family.params), P.order)
 
     # sigma-side family over a matching algebra
-    gal = galois_points(data, A_target, formal=True, param_order=P.order)
+    gal = galois_points(data, A_target, param_order=P.order)
     if not gal.report.ok:
         return CompareReport(False, {"error": "formal point solve failed",
                                      "failures": gal.report.failures})

@@ -162,9 +162,8 @@ def _signature(poly: DiffPoly, L) -> tuple:
 class UmemuraReport:
     """Solved infinitesimal automorphism group of a hull."""
 
-    def __init__(self, hull: HullData, ideal: LieRittIdeal, family: SolutionFamily,
+    def __init__(self, ideal: LieRittIdeal, family: SolutionFamily,
                  images: dict, checks: dict, classification: dict):
-        self.hull = hull
         self.ideal = ideal
         self.family = family
         self.images = images
@@ -209,7 +208,7 @@ def solve_points(hull: HullData, relations: Sequence[DiffPoly],
     family = solve_zero_set(ideal)
     classification = identify_formal_group(family)
     if family.empty:
-        return UmemuraReport(hull, ideal, family, {}, {"solved": False}, classification)
+        return UmemuraReport(ideal, family, {}, {"solved": False}, classification)
 
     alg = hull.algebra
     P = family.algebra
@@ -244,7 +243,7 @@ def solve_points(hull: HullData, relations: Sequence[DiffPoly],
         "relations_preserved": relations_ok,
         "constraints": list(family.constraints),
     }
-    return UmemuraReport(hull, ideal, family, images, checks, classification)
+    return UmemuraReport(ideal, family, images, checks, classification)
 
 
 def group_compatibility_check(hull: HullData, report: UmemuraReport) -> bool:

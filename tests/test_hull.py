@@ -1,5 +1,5 @@
 """Hull construction tests: basis derivations (including algebraic
-generators and characteristic p), change of basis, generator closure, and
+generators, characteristic p and rebased bases), generator closure, and
 relation discovery for the two worked extensions."""
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from modalg.hull import (
     _hom_coordinates,
     _monomial_span,
     _relation_to_diffpoly,
-    change_basis,
     cleared,
     distinct_products,
     find_relations,
@@ -79,7 +78,7 @@ def gamma_ext():
     x, y = L.var("x"), L.var("y")
     action = ActionSpec(L, "end", monoid=MonoidDesc("endo"),
                         endo_maps=[{"x": x + L.one(), "y": x * y}])
-    return ExtensionDesc(L, [y], action, K_gens=[x], K_vars=("x",), name="gamma")
+    return ExtensionDesc(L, [y], action, K_vars=("x",), name="gamma")
 
 
 def harmonic_ext():
@@ -90,7 +89,7 @@ def harmonic_ext():
     x, y = L.var("x"), L.var("y")
     action = ActionSpec(L, "end", monoid=MonoidDesc("endo"),
                         endo_maps=[{"x": x + L.one(), "y": y + L.inv(x + L.one())}])
-    return ExtensionDesc(L, [y], action, K_gens=[x], K_vars=("x",), name="harmonic")
+    return ExtensionDesc(L, [y], action, K_vars=("x",), name="harmonic")
 
 
 def sign_ext():
@@ -123,7 +122,7 @@ def gaussian_ext():
     action = ActionSpec(L, "iterder", n=1, theta_images={
         "x": TruncSeries(L, ("w",), 8, {(0,): x, (1,): L.one()}),
         "y": TruncSeries.const(L, ("w",), 8, y) * truncated_exp(exponent)})
-    return ExtensionDesc(L, [y], action, K_gens=[x], K_vars=("x",), name="gaussian")
+    return ExtensionDesc(L, [y], action, K_vars=("x",), name="gaussian")
 
 
 def erf_ext():
@@ -141,7 +140,7 @@ def erf_ext():
         "x": TruncSeries(L, ("w",), 8, {(0,): x, (1,): L.one()}),
         "y": TruncSeries.const(L, ("w",), 8, y) * exp,
         "z": TruncSeries.const(L, ("w",), 8, z) + TruncSeries.const(L, ("w",), 8, y) * integral})
-    return ExtensionDesc(L, [y, z], action, K_gens=[x], K_vars=("x",), name="erf")
+    return ExtensionDesc(L, [y, z], action, K_vars=("x",), name="erf")
 
 
 def riccati_ext():
@@ -257,47 +256,62 @@ def test_moving_variables_of_each_field_context():
         variable_basis_derivation(R, 2)
 
 
-# ---------------------------------------------------------- change of basis
+# ------------------------------------------------------------- rebased bases
 
 
-def test_change_basis_scaling():
+def rebased(ext, basis, horizon):
+    """The basis derivation of ext's field and action with another basis."""
+    return make_basis_derivation(ExtensionDesc(ext.L, basis, ext.action), horizon)
+
+
+def moved(L, v, c, horizon=5):
+    """The series v + c*w."""
+    return TruncSeries(L, ("w",), horizon, {(0,): v, (1,): c})
+
+
+def test_rebased_derivation_of_a_scaled_basis():
+    # basis 2y: w moves 2y by w, so it moves y by w/2
     ext = additive_ext()
     L = ext.L
     y = L.var("y")
-    subst, rep = change_basis(ext, [y + y], 5)
-    assert rep.ok
-    half = L.const(Fraction(1, 2))
-    assert subst[0] == TruncSeries(L, ("w",), 5, {(1,): half})
+    theta = rebased(ext, [y + y], 5)
+    assert theta.theta_series(y, 5) == moved(L, y, L.const(Fraction(1, 2)))
+    assert theta.theta_series(y + y, 5) == moved(L, y + y, L.one())
 
 
-def test_change_basis_identity():
+def test_rebased_derivation_of_the_variable_is_the_variable_derivation():
     ext = additive_ext()
-    y = ext.L.var("y")
-    subst, rep = change_basis(ext, [y], 5)
-    assert rep.ok
-    assert subst[0] == TruncSeries.variable(ext.L, ("w",), 5, "w")
+    L = ext.L
+    theta = rebased(ext, [L.var("y")], 5)
+    want = variable_basis_derivation(L, 5)
+    assert theta.theta_images == want.theta_images
+    assert theta.theta_series(L.var("y"), 5) == moved(L, L.var("y"), L.one())
 
 
-def test_change_basis_quadratic():
+def test_rebased_derivation_of_a_quadratic_basis():
     ext = additive_ext()
     L = ext.L
     y = L.var("y")
     v = y + y * y
-    subst, rep = change_basis(ext, [v], 5)
-    assert rep.ok
-    # the rebased derivation sends v to v + w
-    new_ext = ExtensionDesc(L, [v], ext.action)
-    theta_v = make_basis_derivation(new_ext, 5)
-    s = theta_v.theta_series(v, 5)
-    assert s == TruncSeries(L, ("w",), 5, {(0,): v, (1,): L.one()})
+    assert rebased(ext, [v], 5).theta_series(v, 5) == moved(L, v, L.one())
 
 
-def test_change_basis_rejects_non_separating():
+def test_rebased_derivation_rejects_a_basis_that_does_not_separate():
     ext = additive_ext()
-    L = ext.L
-    y = L.var("y")
-    _, rep = change_basis(ext, [y * y - y * y], 4)  # zero element
-    assert not rep.ok
+    y = ext.L.var("y")
+    with pytest.raises(ValueError, match="does not separate"):
+        rebased(ext, [y * y - y * y], 4)  # the zero element
+
+
+def test_rebased_derivation_is_certified_when_built(monkeypatch):
+    # a substitution that is not the inverse leaves the variable derivation,
+    # which moves 2y by 2w
+    monkeypatch.setattr(modalg.hull, "formal_inverse",
+                        lambda s: identity_tuple(s[0].ring, s[0].vars, s[0].horizon))
+    ext = additive_ext()
+    y = ext.L.var("y")
+    with pytest.raises(ValueError, match="basis element 0 incorrectly"):
+        rebased(ext, [y + y], 4)
 
 
 # ------------------------------------------------------------ hull closure
@@ -345,12 +359,16 @@ def test_hull_generators_trivial_action():
 
 def rebuilt_closure(hull, span_degree):
     """hull_generators' closure search with the span rebuilt from every
-    accepted generator by _monomial_span after each acceptance: the
-    accepted (i, k) in order, and the order of the last."""
+    accepted generator, the trivially embedded generators included, by
+    _monomial_span after each acceptance: the accepted (i, k) in order, and
+    the order of the last."""
     L = hull.ext.L
     n = hull.algebra.theta_u.n
     table = hull.derivative_table
-    accepted = [hull.algebra.w_slice(j, (0,) * n) for _, j in hull.rho0_gens]
+    # with the constants rho0(v) = v*1 of the trivially embedded copy, which
+    # hull_generators leaves to the coefficients of its span
+    accepted = [hull.algebra.w_slice(hull.algebra.expand_rho0(L.var(v)), (0,) * n)
+                for v in L.vars]
     accepted += [table[(i, (0,) * n)] for i in range(hull.n_gens())]
     span = _monomial_span(accepted, L, span_degree)
     new_gens, stabilized_at = [], 0

@@ -11,9 +11,11 @@ modalg.hopf (so pv.compare never compiles it), no module of the library
 imports modalg.axioms (a leaf, so the chain never compiles it), and outside
 exactalg no function tests an object against a ring context type or Frac
 except at the listed sites (a context answers for its own elements,
-through the ring protocol and its hom), and no function reads a context's
+through the ring protocol and its hom), no function reads a context's
 partner table except at the listed sites (a context's hom maps an
-inverse-pair generator with no image to the inverse of its partner's).
+inverse-pair generator with no image to the inverse of its partner's), and
+every attribute a library class stores on self is read somewhere in the
+library, unless it is listed as an output that callers read.
 
 Package __init__.py files are exempt from the import check, since their
 imports are re-exports.  Names are read with ast only; a name counts as used
@@ -515,3 +517,57 @@ def test_partners_are_read_only_at_the_listed_sites():
     assert found == PARTNER_SITES, (
         f"unlisted: {sorted(found - PARTNER_SITES)}; no longer reading: "
         f"{sorted(PARTNER_SITES - found)}")
+
+
+# The attributes that a library class stores on self and that no module of
+# the library reads, each for its reason: outputs that callers read.
+OUTPUT_ATTRIBUTES = {
+    # the closure certificate of a hull: stabilization and its bounds
+    "hull.py:HullData.closure",
+}
+
+
+def write_only_attributes(sources: dict[str, str]) -> list[str]:
+    """module:Class.name of every attribute that a class in sources stores
+    on self (self.name = ..., at any depth of its body) and whose name no
+    attribute load in sources reads."""
+    loaded, stored = set(), set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        loaded |= {n.attr for n in ast.walk(tree)
+                   if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+        for cls in ast.walk(tree):
+            if isinstance(cls, ast.ClassDef):
+                stored |= {(f"{module}:{cls.name}.{n.attr}", n.attr) for n in ast.walk(cls)
+                           if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Store)
+                           and isinstance(n.value, ast.Name) and n.value.id == "self"}
+    return sorted(site for site, name in stored if name not in loaded)
+
+
+def test_write_only_attribute_scanner():
+    sources = {
+        "a.py": (
+            "class A:\n"
+            "    def __init__(self, x):\n"
+            "        self.read = x\n"
+            "        self.unread = x\n"
+            "        self.count = 0\n"
+            "        other.unread_too = x\n"
+            "    def bump(self):\n"
+            "        self.count += 1\n"
+            "        return self.read\n"
+            "    class Inner:\n"
+            "        def set(self):\n"
+            "            self.shared = 1\n"
+        ),
+        "b.py": "def f(a):\n    return a.shared, 'unread', a.count.real\n",
+    }
+    assert write_only_attributes(sources) == ["a.py:A.unread"]
+
+
+def test_library_attributes_are_read():
+    sources = {str(p.relative_to(SRC)): p.read_text() for p in sorted(SRC.rglob("*.py"))}
+    found = set(write_only_attributes(sources))
+    assert found == OUTPUT_ATTRIBUTES, (
+        f"stored and never read: {sorted(found - OUTPUT_ATTRIBUTES)}; now read or gone: "
+        f"{sorted(OUTPUT_ATTRIBUTES - found)}")

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from modalg.actions import ActionSpec
+from modalg.actions import ActionSpec, MonoidDesc
 from modalg.exactalg import QQ, Frac, FracField
 from modalg.hull import ExtensionDesc, HullData, find_relations, hull_generators
 from modalg.lieritt import DiffPoly, InfTransform, NilAlgebra, multi_indices
@@ -150,6 +150,44 @@ def test_sign_change_has_a_trivial_formal_group():
     _, _, report = chain(sign_ext, 2, 2, 1)
     assert report.family.params == []
     assert report.classification["tag"] == "trivial"
+
+
+def monoid_ext(monoid, *maps, inv_maps=None):
+    """L = QQ(y) with one endomorphism y -> c*y per generator of monoid, for
+    each multiplier c of maps, and inverses y -> y/c for inv_maps."""
+    L = FracField(QQ, ["y"])
+    y = L.var("y")
+
+    def scalings(cs):
+        return [{"y": y * L.const(c)} for c in cs]
+
+    action = ActionSpec(L, "end", monoid=monoid, endo_maps=scalings(maps),
+                        inv_maps=scalings(inv_maps) if inv_maps else None)
+    return ExtensionDesc(L, [y], action, name=f"{monoid.kind} monoid")
+
+
+@pytest.mark.parametrize("ext, tag, ideal", [
+    # sigma(y) = 2y on the words sigma^-2..sigma^2, and on the free words of
+    # length <= 2 in s(y) = 2y and t(y) = 3y: the group is G_m, acting by
+    # y -> (1 + a)*y
+    (monoid_ext(MonoidDesc("auto"), 2, inv_maps=[Fraction(1, 2)]), "Gm_hat_conjugate",
+     ["(y + w)*Y^(1) - Y - y", "Y^(2)"]),
+    (monoid_ext(MonoidDesc("free", gens=("s", "t")), 2, 3), "Gm_hat_conjugate",
+     ["(y + w)*Y^(1) - Y - y", "Y^(2)"]),
+    # sigma(y) = -y of order 2: mu_2 is finite etale, so its formal group is
+    # trivial
+    (monoid_ext(MonoidDesc("cyclic", order=2), -1), "trivial", None),
+], ids=["auto", "free", "cyclic"])
+def test_monoid_kinds_give_their_formal_groups(ext, tag, ideal):
+    hull = hull_generators(ext, t_horizon=2, w_horizon=2, word_bound=2)
+    rels = find_relations(hull, diff_order=2, degree=2)
+    report = solve_points(hull, rels, build_ideal(hull, rels))
+    assert report.classification["tag"] == tag
+    assert len(report.family.params) == (0 if tag == "trivial" else 1)
+    if ideal is not None:
+        assert sorted(str(g) for g in report.ideal.generators) == ideal
+    assert report.checks["relations_preserved"] is True
+    assert group_compatibility_check(hull, report) is True
 
 
 def test_template_derivatives_need_only_the_symbol_rule():
