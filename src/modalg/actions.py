@@ -1,9 +1,13 @@
 """Bialgebra actions on rings and their function-space realizations.
 
 An ActionSpec fixes which bialgebra acts and how its generators move the
-ring generators.  Supported shapes:
+ring generators.  The shape of an action is n >= 0 derivation directions
+together with a monoid of endomorphisms.  An action that declares no monoid
+has the trivial monoid {1}, TRIVIAL_MONOID, the free monoid on no
+generators, whose only word is the unit ().  The kind names how the two
+parts are declared:
 
-  trivial            every operator acts through the counit
+  trivial            every operator acts through the counit, for any n >= 0
   der                one derivation d, characteristic 0, declared by the
                      images d(g) of the generators g (0 where undeclared;
                      an undeclared inverse-pair partner follows its
@@ -13,14 +17,19 @@ ring generators.  Supported shapes:
                      under g -> g + d(g) w into series of horizon 1
   iterder(n)         n commuting iterative derivations: generator images are
                      truncated series  theta(g) = g + ... in w_1..w_n
-  end                one endomorphism per generator of the declared
-                     MonoidDesc, whose kind sets the words: powers of one
-                     endomorphism ("endo") or automorphism ("auto", with
-                     declared inverses), a cyclic group, or free words
+  end                n = 0 and one endomorphism per generator of the
+                     declared MonoidDesc, whose kind sets the words: powers
+                     of one endomorphism ("endo") or automorphism ("auto",
+                     with declared inverses), a cyclic group, or free words
   smash              iterder(n) together with a monoid part; the monoid is
                      assumed to commute with the derivations unless an
                      explicit rewriting rule is declared (declared rules are
                      verified by the checker, not expanded)
+
+An action that declares neither theta_images nor d_images acts through the
+counit in its n directions.  ActionSpec checks the shape when it is built:
+end and smash need a monoid with one endomorphism per generator (and an
+inverse for "auto"), and the other kinds take none.
 
 The realization of an element a is a HomElement: for each monoid word g
 within the word bound, the truncated series sum_k theta^(k)(g(a)) t^k.  The
@@ -34,7 +43,7 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-from .exactalg import FracField, GeneratorPowers, PolyRing, restriction_kernel
+from .exactalg import FracField, GeneratorPowers, Interned, PolyRing, restriction_kernel
 from .lieritt import multi_indices
 from .series import SeriesRing, TruncSeries
 
@@ -42,14 +51,21 @@ from .series import SeriesRing, TruncSeries
 # ------------------------------------------------------------------ monoid
 
 
-class MonoidDesc:
+class MonoidDesc(metaclass=Interned):
     """Monoid of operator words.
 
     kind "endo": powers of one endomorphism (words are ints >= 0);
     kind "auto": powers of one automorphism (words are ints);
     kind "cyclic": one generator of finite order (words are ints mod order);
     kind "free": free words over several generators (tuples of indices).
+
+    Descriptions are interned like the ring contexts (exactalg.Interned):
+    equal arguments give the same object, so monoids compare by identity.
     """
+
+    @staticmethod
+    def _intern_key(kind: str, gens: Sequence[str] = ("sigma",), order: int | None = None):
+        return kind, tuple(gens), order
 
     def __init__(self, kind: str, gens: Sequence[str] = ("sigma",), order: int | None = None):
         if kind not in ("endo", "auto", "cyclic", "free"):
@@ -103,21 +119,12 @@ class MonoidDesc:
             return g
         return f"{g}^{w}"
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, MonoidDesc)
-            and (self.kind, self.gens, self.order) == (other.kind, other.gens, other.order)
-        )
-
-    def __hash__(self):
-        return hash((self.kind, self.gens, self.order))
-
     def __repr__(self):
         extra = f", order={self.order}" if self.order else ""
         return f"MonoidDesc({self.kind!r}, {self.gens}{extra})"
 
 
-TRIVIAL_WORD_BOUND = 0
+TRIVIAL_MONOID = MonoidDesc("free", gens=())
 DEFAULT_WORD_BOUND = 8
 
 
@@ -132,28 +139,37 @@ class HomElement:
     coefficient of data[g].  Missing words are unknown (outside the word
     bound), not zero.  The values may themselves be series: over a
     SeriesRing in w they are w-series, and the element is a function with
-    values in L[[w]], the form of taylor.ExpansionAlgebra.
+    values in L[[w]], the form of taylor.ExpansionAlgebra.  Every word of
+    the trivial monoid has length 0, so its word bound is 0.
     """
 
     __slots__ = ("ring", "monoid", "tvars", "horizon", "word_bound", "data")
 
-    def __init__(self, ring, monoid: MonoidDesc | None, tvars: Sequence[str], horizon: int,
+    def __init__(self, ring, monoid: MonoidDesc, tvars: Sequence[str], horizon: int,
                  word_bound: int, data: dict):
         self.ring = ring
         self.monoid = monoid
         self.tvars = tuple(tvars)
         self.horizon = horizon
-        self.word_bound = word_bound
-        self.data = {w: s for w, s in data.items()
-                     if monoid is None or monoid.in_bound(w, word_bound)}
+        self.word_bound = word_bound if monoid.gens else 0
+        self.data = {w: s for w, s in data.items() if monoid.in_bound(w, self.word_bound)}
 
-    def _unit_word(self):
-        return self.monoid.unit() if self.monoid is not None else 0
+    def _make(self, data: dict, ring=None, horizon: int | None = None,
+              word_bound: int | None = None) -> "HomElement":
+        """An element of this shape, with the given parts replaced, from data
+        whose words are already within its bound, so nothing is refiltered."""
+        out = HomElement.__new__(HomElement)
+        out.ring = self.ring if ring is None else ring
+        out.monoid, out.tvars = self.monoid, self.tvars
+        out.horizon = self.horizon if horizon is None else horizon
+        out.word_bound = self.word_bound if word_bound is None else word_bound
+        out.data = data
+        return out
 
     def _check(self, other: "HomElement"):
         if (
             self.ring is not other.ring
-            or self.monoid != other.monoid
+            or self.monoid is not other.monoid
             or self.tvars != other.tvars
             or self.horizon != other.horizon
             or self.word_bound != other.word_bound
@@ -170,21 +186,15 @@ class HomElement:
 
     def ev_unit(self):
         """Evaluation at the unit operator (counit direction)."""
-        return self.value(self._unit_word(), (0,) * len(self.tvars))
+        return self.value(self.monoid.unit(), (0,) * len(self.tvars))
 
     def __add__(self, other):
         self._check(other)
         common = self.data.keys() & other.data.keys()
-        return HomElement(
-            self.ring, self.monoid, self.tvars, self.horizon, self.word_bound,
-            {w: self.data[w] + other.data[w] for w in common},
-        )
+        return self._make({w: self.data[w] + other.data[w] for w in common})
 
     def __neg__(self):
-        return HomElement(
-            self.ring, self.monoid, self.tvars, self.horizon, self.word_bound,
-            {w: -s for w, s in self.data.items()},
-        )
+        return self._make({w: -s for w, s in self.data.items()})
 
     def __sub__(self, other):
         return self + (-other)
@@ -194,28 +204,19 @@ class HomElement:
         grouplike on words and splits the t-indices)."""
         self._check(other)
         common = self.data.keys() & other.data.keys()
-        return HomElement(
-            self.ring, self.monoid, self.tvars, self.horizon, self.word_bound,
-            {w: self.data[w] * other.data[w] for w in common},
-        )
+        return self._make({w: self.data[w] * other.data[w] for w in common})
 
     def one(self) -> "HomElement":
         """The unit on the words of this element, in its context."""
-        return HomElement(
-            self.ring, self.monoid, self.tvars, self.horizon, self.word_bound,
-            {w: TruncSeries.one(self.ring, self.tvars, self.horizon) for w in self.data},
-        )
+        return self._make({w: TruncSeries.one(self.ring, self.tvars, self.horizon)
+                           for w in self.data})
 
     def scale(self, c) -> "HomElement":
-        return HomElement(
-            self.ring, self.monoid, self.tvars, self.horizon, self.word_bound,
-            {w: s.scale(c) for w, s in self.data.items()},
-        )
+        return self._make({w: s.scale(c) for w, s in self.data.items()})
 
     def map_coeffs(self, fn, ring) -> "HomElement":
         """The element over ring with fn applied to every value."""
-        return HomElement(ring, self.monoid, self.tvars, self.horizon, self.word_bound,
-                          {w: s.map_coeffs(fn, ring) for w, s in self.data.items()})
+        return self._make({w: s.map_coeffs(fn, ring) for w, s in self.data.items()}, ring=ring)
 
     def hasse_deriv(self, k: tuple[int, ...]) -> "HomElement":
         """The divided derivative of order k of every value, which must be
@@ -233,12 +234,6 @@ class HomElement:
         new_h = self.horizon - sum(k)
         if new_h < 0:
             raise ValueError("translation shrinks the horizon below zero")
-        if self.monoid is None:
-            if word not in (0, None) and word != ():
-                raise ValueError("no monoid part in this realization")
-            new_wb = self.word_bound
-            out = {w: s.hasse_deriv(k).with_horizon(new_h) for w, s in self.data.items()}
-            return HomElement(self.ring, self.monoid, self.tvars, new_h, new_wb, out)
         new_wb = self.word_bound - self.monoid.length(word)
         if new_wb < 0:
             raise ValueError("translation shrinks the word bound below zero")
@@ -249,15 +244,12 @@ class HomElement:
             tgt = self.monoid.compose(w, word)
             if tgt in self.data:
                 out[w] = self.data[tgt].hasse_deriv(k).with_horizon(new_h)
-        return HomElement(self.ring, self.monoid, self.tvars, new_h, new_wb, out)
+        return self._make(out, horizon=new_h, word_bound=new_wb)
 
     def truncate(self, horizon: int, word_bound: int | None = None) -> "HomElement":
         wb = self.word_bound if word_bound is None else word_bound
-        out = {}
-        for w, s in self.data.items():
-            if self.monoid is None or self.monoid.in_bound(w, wb):
-                out[w] = s.with_horizon(horizon)
-        return HomElement(self.ring, self.monoid, self.tvars, horizon, wb, out)
+        return HomElement(self.ring, self.monoid, self.tvars, horizon, wb,
+                          {w: s.with_horizon(horizon) for w, s in self.data.items()})
 
     def __eq__(self, other):
         if not isinstance(other, HomElement):
@@ -268,8 +260,8 @@ class HomElement:
         return all(self.data[w] == other.data[w] for w in self.data)
 
     def __str__(self):
-        if self.monoid is None or self.word_bound == 0:
-            return str(self.data.get(self._unit_word(), "0"))
+        if self.word_bound == 0:
+            return str(self.data.get(self.monoid.unit(), "0"))
         items = sorted(self.data.items(), key=lambda t: (self.monoid.length(t[0]), str(t[0])))
         return "; ".join(f"{self.monoid.word_str(w)} -> {s}" for w, s in items)
 
@@ -286,7 +278,7 @@ class ActionSpec:
     def __init__(self, ring, kind: str, n: int = 0,
                  theta_images: dict | None = None,
                  d_images: dict | None = None,
-                 monoid: MonoidDesc | None = None,
+                 monoid: MonoidDesc = TRIVIAL_MONOID,
                  endo_maps: Sequence[dict] | None = None,
                  inv_maps: Sequence[dict] | None = None,
                  commutation=None,
@@ -317,8 +309,19 @@ class ActionSpec:
             raise ValueError(f"unknown action kind {self.kind!r}")
         if self.kind in ("der", "iterder", "smash") and self.n < 1:
             raise ValueError("derivation actions need n >= 1")
-        if self.kind in ("end", "smash") and self.monoid is None:
-            raise ValueError("monoid actions need a monoid description")
+        if self.kind == "der" and self.n != 1:
+            raise ValueError("der declares one derivation, so n = 1")
+        if self.kind == "end" and self.n:
+            raise ValueError("endomorphism actions have n = 0")
+        wants_monoid = self.kind in ("end", "smash")
+        if self.has_monoid() != wants_monoid:
+            need = "needs a monoid with generators" if wants_monoid else "takes no monoid"
+            raise ValueError(f"kind {self.kind!r} {need}")
+        if len(self.endo_maps) != len(self.monoid.gens):
+            raise ValueError(f"{len(self.monoid.gens)} monoid generators need as many "
+                             f"endo_maps, got {len(self.endo_maps)}")
+        if self.monoid.kind == "auto" and len(self.inv_maps or ()) != 1:
+            raise ValueError("an auto monoid needs one map in inv_maps")
         if self.kind == "der" and self.ring.char != 0:
             raise ValueError("plain derivations are supported in characteristic 0 only; "
                              "use iterder in characteristic p")
@@ -328,13 +331,10 @@ class ActionSpec:
         return self.ring.char
 
     def has_theta(self) -> bool:
-        return self.kind in ("der", "iterder", "smash")
+        return self.n > 0
 
     def has_monoid(self) -> bool:
-        return self.monoid is not None and self.kind in ("end", "smash")
-
-    def default_word_bound(self) -> int:
-        return DEFAULT_WORD_BOUND if self.has_monoid() else TRIVIAL_WORD_BOUND
+        return bool(self.monoid.gens)
 
     # ----------------------------------------------------- generator images
     def _der_series(self, name: str, horizon: int) -> TruncSeries:
@@ -379,10 +379,6 @@ class ActionSpec:
         return self._apply_with(self.inv_maps, gen_idx, elem)
 
     def apply_word(self, word, elem):
-        if not self.has_monoid():
-            if word in ((), 0, None):
-                return elem
-            raise ValueError("action has no monoid part")
         kind = self.monoid.kind
         if kind == "free":
             for idx in reversed(word):
@@ -400,7 +396,9 @@ class ActionSpec:
     def theta_series(self, elem, horizon: int) -> TruncSeries:
         """The derivation expansion sum_k theta^(k)(elem) w^k.
 
-        It is the ring's hom into the series of this horizon.  The
+        An action that declares no images acts through the counit, so elem
+        maps to its constant series.  Otherwise it is the ring's hom into
+        the series of this horizon.  The
         horizon-adjusted images of the generators and their powers are built
         on the first call at each horizon and kept on this action,
         so they live exactly as long as it does; a later call extends a power
@@ -411,9 +409,7 @@ class ActionSpec:
         to the constant series, and the polynomial coefficients that umemura
         deforms after clearing denominators cost no division."""
         ring = self.ring
-        if not self.has_theta() and self.kind != "trivial":
-            return TruncSeries.const(ring, (), 0, elem)
-        if self.kind == "trivial":
+        if not (self.theta_images or self.d_images):
             return TruncSeries.const(ring, self.wvars, horizon, elem)
         powers = self._theta_powers.get(horizon)
         if powers is None:
@@ -431,44 +427,28 @@ class ActionSpec:
 
     # ----------------------------------------------------------- expansion
     def tvars(self) -> tuple[str, ...]:
-        if not self.has_theta() and self.kind != "trivial":
-            return ()
-        return ("t",) if self.n in (0, 1) else tuple(f"t{i+1}" for i in range(self.n))
+        return ("t",) if self.n == 1 else tuple(f"t{i+1}" for i in range(self.n))
 
-    def expand(self, elem, horizon: int, word_bound: int | None = None) -> HomElement:
+    def expand(self, elem, horizon: int, word_bound: int = DEFAULT_WORD_BOUND) -> HomElement:
         """The universal expansion of a ring element: for every word g within
-        the bound, the series sum_k theta^(k)(g(elem)) t^k."""
-        if word_bound is None:
-            word_bound = self.default_word_bound()
+        the bound, the series sum_k theta^(k)(g(elem)) t^k.  With no
+        t-variables the horizon is 0."""
         tvars = self.tvars()
-        monoid = self.monoid if self.has_monoid() else None
+        h = horizon if tvars else 0
         data = {}
-        words = monoid.words(word_bound) if monoid is not None else [0]
-        for w in words:
-            moved = self.apply_word(w, elem) if monoid is not None else elem
-            if tvars:
-                s = self.theta_series(moved, horizon)
-                s = TruncSeries(s.ring, tvars, horizon, s.terms)
-            else:
-                s = TruncSeries.const(self.ring, (), 0, moved)
-            data[w] = s
-        h = horizon if tvars else 0
-        return HomElement(self.ring, monoid, tvars, h, word_bound if monoid is not None else 0, data)
+        for w in self.monoid.words(word_bound):
+            s = self.theta_series(self.apply_word(w, elem), h)
+            data[w] = TruncSeries(s.ring, tvars, h, s.terms)
+        return HomElement(self.ring, self.monoid, tvars, h, word_bound, data)
 
-    def constant_expansion(self, elem, horizon: int, word_bound: int | None = None) -> HomElement:
+    def constant_expansion(self, elem, horizon: int,
+                           word_bound: int = DEFAULT_WORD_BOUND) -> HomElement:
         """Expansion for the trivial structure: the counit times the element."""
-        if word_bound is None:
-            word_bound = self.default_word_bound()
         tvars = self.tvars()
-        monoid = self.monoid if self.has_monoid() else None
-        words = monoid.words(word_bound) if monoid is not None else [0]
-        if tvars:
-            s = TruncSeries.const(self.ring, tvars, horizon, elem)
-        else:
-            s = TruncSeries.const(self.ring, (), 0, elem)
-        data = {w: s for w in words}
         h = horizon if tvars else 0
-        return HomElement(self.ring, monoid, tvars, h, word_bound if monoid is not None else 0, data)
+        s = TruncSeries.const(self.ring, tvars, h, elem)
+        return HomElement(self.ring, self.monoid, tvars, h, word_bound,
+                          dict.fromkeys(self.monoid.words(word_bound), s))
 
     def __repr__(self):
         return f"ActionSpec({self.kind!r}, ring={self.ring!r}, n={self.n})"
@@ -476,16 +456,8 @@ class ActionSpec:
 
 def d_basis_entries(action: ActionSpec, horizon: int) -> list[tuple]:
     """Representative operators: derivation orders and monoid generators."""
-    out = []
-    if action.has_theta():
-        n = max(action.n, 1)
-        for k in multi_indices(n, horizon):
-            if any(k):
-                out.append(("theta", tuple(k)))
-    if action.has_monoid():
-        for g in range(len(action.monoid.gens)):
-            out.append(("endo", g))
-    return out
+    out = [("theta", tuple(k)) for k in multi_indices(action.n, horizon) if any(k)]
+    return out + [("endo", g) for g in range(len(action.monoid.gens))]
 
 
 # ------------------------------------------------------------------ reports
@@ -534,15 +506,14 @@ def constants(ring, action, degree: int, horizon: int | None = None) -> list:
     scalars = ring.scalars
     columns: list[list] = [[] for _ in basis]
     if action.has_theta():
-        tlen = max(action.n, 1)
         if ring.char == 0:
-            orders = [k for k in multi_indices(tlen, horizon) if any(k)]
+            orders = [k for k in multi_indices(action.n, horizon) if any(k)]
         else:
             orders = []
-            for pos in range(tlen):
+            for pos in range(action.n):
                 q = 1
                 while q <= horizon:
-                    k = [0] * tlen
+                    k = [0] * action.n
                     k[pos] = q
                     orders.append(tuple(k))
                     q *= ring.char
@@ -550,11 +521,10 @@ def constants(ring, action, degree: int, horizon: int | None = None) -> list:
             s = action.theta_series(b, horizon)
             for k in orders:
                 columns[j].append(s.coeff(k))
-    if action.has_monoid():
-        for g_idx in range(len(action.monoid.gens)):
-            for j, b in enumerate(basis):
-                moved = action.apply_generator(g_idx, b)
-                columns[j].append(ring.sub(moved, b))
+    for g_idx in range(len(action.monoid.gens)):
+        for j, b in enumerate(basis):
+            moved = action.apply_generator(g_idx, b)
+            columns[j].append(ring.sub(moved, b))
     if not columns[0]:
         return basis
     return kernel_elements(ring, basis, restriction_kernel(columns, ring, scalars))

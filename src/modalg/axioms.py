@@ -17,10 +17,11 @@ This module is a leaf: no module of modalg imports it, so the chain
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Callable, Sequence
 
-from .actions import ActionSpec, Report, kernel_elements, monomial_basis
-from .exactalg import GeneratorPowers, ProductField, binom, restriction_kernel
+from .actions import DEFAULT_WORD_BOUND, ActionSpec, Report, kernel_elements, monomial_basis
+from .exactalg import GeneratorPowers, ProductField, restriction_kernel
 from .lieritt import multi_indices
 from .series import TruncSeries
 
@@ -58,7 +59,7 @@ def check_measuring(action: ActionSpec | Callable, ring, depth: int,
     raises on it; an expander that raises on 1 fails the report at once,
     since every product law pairs 1 with itself."""
     if expander is None:
-        expander = lambda a: action.expand(a, depth, min(depth, 3) if action.has_monoid() else 0)  # noqa: E731
+        expander = lambda a: action.expand(a, depth, min(depth, 3))  # noqa: E731
     elems = _test_elements(ring, max(depth // 2, 1))
     try:
         one_img = expander(ring.one())
@@ -95,7 +96,7 @@ def check_module_algebra(action: ActionSpec, ring, depth: int,
     def expand(a, horizon):
         if expander is not None:
             return expander(a, horizon)
-        return action.expand(a, horizon, 0 if not action.has_monoid() else min(depth, 3))
+        return action.expand(a, horizon, min(depth, 3))
 
     for a in elems:
         checked += 1
@@ -103,22 +104,22 @@ def check_module_algebra(action: ActionSpec, ring, depth: int,
             failures.append(f"unit operator moves {a}")
 
     if action.has_theta():
-        tlen = max(action.n, 1)
         for a in elems:
             ea = expand(a, depth)
-            unit_word = ea._unit_word()
-            for i in multi_indices(tlen, depth):
+            unit_word = ea.monoid.unit()
+            for i in multi_indices(action.n, depth):
                 if not any(i):
                     continue
                 da = ea.value(unit_word, i)
                 eda = expand(da, depth - sum(i))
-                for j in multi_indices(tlen, depth - sum(i)):
+                for j in multi_indices(action.n, depth - sum(i)):
                     if sum(i) + sum(j) > depth:
                         continue
                     checked += 1
                     lhs = eda.value(unit_word, j)
                     ij = tuple(x + y for x, y in zip(i, j))
-                    rhs = ring.mul(ea.value(unit_word, ij), ring.const(binom(ij, i, ring.char)))
+                    rhs = ring.mul(ea.value(unit_word, ij),
+                                   ring.from_int(math.prod(map(math.comb, ij, i))))
                     if not ring.eq(lhs, rhs):
                         failures.append(
                             f"iteration rule fails at (i, j) = ({i}, {j}) on {a}"
@@ -142,7 +143,7 @@ def check_module_algebra(action: ActionSpec, ring, depth: int,
     if action.kind == "smash" and expander is None:
         rule = action.commutation
         for a in elems:
-            for k in multi_indices(max(action.n, 1), min(depth, 3)):
+            for k in multi_indices(action.n, min(depth, 3)):
                 if not any(k):
                     continue
                 checked += 1
@@ -166,7 +167,7 @@ def check_module_algebra(action: ActionSpec, ring, depth: int,
 
 def check_expansion_universal(action: ActionSpec, Lambda: Callable, target,
                               target_lift: Callable, samples: Sequence,
-                              horizon: int, word_bound: int | None = None) -> Report:
+                              horizon: int, word_bound: int = DEFAULT_WORD_BOUND) -> Report:
     """Factorization check: Lambda must equal coordinatewise application of
     ev-at-unit(Lambda) after the universal expansion.
 
@@ -174,8 +175,6 @@ def check_expansion_universal(action: ActionSpec, Lambda: Callable, target,
     the induced plain ring map is recovered on the generators and extended
     multiplicatively."""
     ring = action.ring
-    if word_bound is None:
-        word_bound = action.default_word_bound()
     powers = GeneratorPowers(target, {name: Lambda(ring.var(name)).ev_unit() for name in ring.vars})
     failures = []
     checked = 0

@@ -10,7 +10,8 @@ gens() and scalar_coordinates, and for the contexts with named generators
 the ring map hom over a GeneratorPowers.  GeneratorPowers.substitute is the
 one loop that substitutes images of generators: hom and evaluate (the
 generators numbered by position) both run it.  Contexts are interned, so
-equal constructions return the same object and contexts compare by identity.
+equal constructions return the same object and contexts compare by identity;
+their metaclass Interned is exported for the other interned descriptions.
 
 AlgebraicField (algext.py) and ProductField (product.py) are loaded on first
 use: the package answers either name by importing its module on the first
@@ -19,11 +20,11 @@ compiles them.  ``from modalg.exactalg import AlgebraicField``, ``import
 modalg.exactalg.algext`` and ``from modalg.exactalg import *`` work as usual.
 """
 
-from .fields import GF, QQ, PrimeField, RationalField, binom, scalar_field
+from .fields import GF, QQ, PrimeField, RationalField
 from .frac import Frac, FracField
 from .linalg import Echelon, Matrix, kernel_basis, restriction_kernel, rref, solve_linear
 from .poly import MPoly, PolyRing, grlex_key, poly_gcd
-from .ring import GeneratorPowers, Ring, evaluate, power
+from .ring import GeneratorPowers, Interned, Ring, evaluate, power
 
 __all__ = [
     "AlgebraicField",
@@ -31,8 +32,6 @@ __all__ = [
     "QQ",
     "PrimeField",
     "RationalField",
-    "binom",
-    "scalar_field",
     "Frac",
     "FracField",
     "Echelon",
@@ -48,6 +47,7 @@ __all__ = [
     "poly_gcd",
     "ProductField",
     "GeneratorPowers",
+    "Interned",
     "Ring",
     "power",
 ]

@@ -170,54 +170,3 @@ class PrimeField(_ScalarField):
 QQ = RationalField()
 GF = PrimeField
 
-
-def scalar_field(char: int):
-    """Field of the given characteristic: QQ for 0, GF(p) otherwise."""
-    if char == 0:
-        return QQ
-    return GF(char)
-
-
-def _lucas(i: int, j: int, p: int) -> int:
-    # C(i, j) mod p as a product of digit binomials in base p.
-    r = 1
-    while i or j:
-        di, dj = i % p, j % p
-        if dj > di:
-            return 0
-        r = (r * math.comb(di, dj)) % p
-        i //= p
-        j //= p
-    return r
-
-
-def binom(i, j, char: int = 0):
-    """Binomial coefficient C(i, j) in the scalar field of characteristic char.
-
-    i and j may be nonnegative ints or equal-length sequences of them; a
-    sequence is reduced to the product of componentwise coefficients.  In
-    characteristic p the value is computed by Lucas' theorem on base-p digits.
-    """
-    if char != 0 and (char < 2 or any(char % q == 0 for q in range(2, int(math.isqrt(char)) + 1))):
-        raise ValueError(f"characteristic must be 0 or prime, got {char}")
-    fld = scalar_field(char)
-    if isinstance(i, int):
-        pairs = [(i, j)]
-    else:
-        if len(i) != len(j):
-            raise ValueError("mismatched multi-index lengths")
-        pairs = list(zip(i, j))
-    r = fld.one()
-    for ii, jj in pairs:
-        if ii < 0 or jj < 0:
-            raise ValueError("binomial arguments must be nonnegative")
-        if jj > ii:
-            return fld.zero()
-        if char == 0:
-            r = fld.mul(r, Fraction(math.comb(ii, jj)))
-        else:
-            c = _lucas(ii, jj, char)
-            if c == 0:
-                return fld.zero()
-            r = fld.mul(r, c)
-    return r

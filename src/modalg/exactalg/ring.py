@@ -65,7 +65,8 @@ the same object, so contexts compare by identity and a mismatch check is one
 `is` test.  A new context validates its arguments when it is built, and a
 construction that raises is not remembered.  A context class names what
 identifies it in _intern_key, which takes the arguments of __init__ and
-returns a hashable key.
+returns a hashable key.  The metaclass that does this, Interned, serves any
+class with such a key: actions.MonoidDesc is interned the same way.
 """
 
 from __future__ import annotations
@@ -75,7 +76,7 @@ from types import MappingProxyType
 _contexts: dict = {}
 
 
-class _Interned(type):
+class Interned(type):
     """Metaclass of the contexts: one object per class and key."""
 
     def __call__(cls, *args, **kwargs):
@@ -86,7 +87,7 @@ class _Interned(type):
         return ctx
 
 
-class Ring(metaclass=_Interned):
+class Ring(metaclass=Interned):
     """Base of the coefficient contexts; see the module docstring."""
 
     vars: tuple = ()

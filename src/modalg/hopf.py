@@ -121,22 +121,17 @@ def _doubled_action(data: PVData, pair: _TensorPower, horizon: int) -> ActionSpe
                 theta_images[f"{name}_{s}"] = TruncSeries(
                     pair.ring, act.wvars, horizon,
                     {e: pair.place(c, (s,)) for e, c in coeffs.items()})
-    if act.has_monoid():
-        for g in range(len(act.monoid.gens)):
-            m = {}
-            for name in R.vars:
-                img = data.l_to_r(act.apply_generator(g, data.r_to_L(R.var(name))))
-                for s in (1, 2):
-                    m[f"{name}_{s}"] = pair.place(img, (s,))
-            endo_maps.append(m)
-    if act.kind == "der":
-        # realize the derivation through its divided powers on the slots
-        kind, n = "iterder", 1
-    else:
-        kind, n = act.kind, act.n if act.has_theta() else 0
-    return ActionSpec(pair.ring, kind, n=n, theta_images=theta_images,
-                      monoid=act.monoid if act.has_monoid() else None, endo_maps=endo_maps,
-                      wvars=act.wvars if act.has_theta() else None)
+    for g in range(len(act.monoid.gens)):
+        m = {}
+        for name in R.vars:
+            img = data.l_to_r(act.apply_generator(g, data.r_to_L(R.var(name))))
+            for s in (1, 2):
+                m[f"{name}_{s}"] = pair.place(img, (s,))
+        endo_maps.append(m)
+    # a derivation is realized through its divided powers on the slots
+    kind = "iterder" if act.kind == "der" else act.kind
+    return ActionSpec(pair.ring, kind, n=act.n, theta_images=theta_images, monoid=act.monoid,
+                      endo_maps=endo_maps, wvars=act.wvars)
 
 
 def _doubled_constants(data: PVData, pair: _TensorPower, degree: int,

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import Callable, Sequence
 
-from .actions import ActionSpec, HomElement, Report
+from .actions import DEFAULT_WORD_BOUND, ActionSpec, HomElement, Report
 from .exactalg import Echelon, Frac, FracField, GeneratorPowers, evaluate
 from .exactalg import terms as _terms
 from .lieritt import DiffPoly, multi_indices
@@ -164,12 +164,12 @@ class HullData:
         self.ext = ext
         self.algebra = algebra
         # the elements of algebra are HomElements with w-series values
-        self.rho_gens = rho_gens            # [(label, elem, element of algebra)]
+        self.rho_gens = rho_gens            # [(label, element of algebra)]
         self.derivative_table = derivative_table  # (i, k) -> t-only HomElement over L
         self.closure = closure
         # (i, k) -> entry deformed over L; at k = 0 it is the joint expansion
         zero = (0,) * algebra.theta_u.n
-        self._deformed = {(i, zero): joint for i, (_, _, joint) in enumerate(rho_gens)}
+        self._deformed = {(i, zero): joint for i, (_, joint) in enumerate(rho_gens)}
         self._lifted: dict = {}  # test algebra P -> {(i, k): deformed entry lifted to P}
 
     def n_gens(self) -> int:
@@ -207,7 +207,7 @@ class HullData:
 
 
 def hull_generators(ext: ExtensionDesc, t_horizon: int, w_horizon: int,
-                    word_bound: int | None = None, span_degree: int = 2) -> HullData:
+                    word_bound: int = DEFAULT_WORD_BOUND, span_degree: int = 2) -> HullData:
     """Generators of the hull and their derivative closure.
 
     Every divided derivative of an expanded generator is tested for
@@ -221,10 +221,10 @@ def hull_generators(ext: ExtensionDesc, t_horizon: int, w_horizon: int,
     theta_u = make_basis_derivation(ext, w_horizon)
     algebra = ExpansionAlgebra(ext.action, theta_u, t_horizon, w_horizon, word_bound)
 
-    rho_gens = [(f"rho({name})", g, algebra.expand_rho(g)) for name, g in zip(L.vars, L.gens())]
+    rho_gens = [(f"rho({name})", algebra.expand_rho(g)) for name, g in zip(L.vars, L.gens())]
 
     table: dict = {}
-    for i, (_, _, joint) in enumerate(rho_gens):
+    for i, (_, joint) in enumerate(rho_gens):
         for k in multi_indices(theta_u.n, w_horizon):
             table[(i, tuple(k))] = algebra.w_slice(joint, k)
 

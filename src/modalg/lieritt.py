@@ -440,30 +440,18 @@ def _splits(l: tuple[int, ...], parts: int):
 
 
 class LieRittIdeal:
-    """Finitely many differential-polynomial generators plus optional tail
-    schemes (i, k0) standing for the generators Y_i^(k) for all |k| >= k0."""
+    """Finitely many differential-polynomial generators, cut at the horizon."""
 
     def __init__(self, nstreams: int, coeff_ring, wvars, horizon: int,
-                 generators: Sequence[DiffPoly], tails: Sequence[tuple[int, int]] = ()):
+                 generators: Sequence[DiffPoly]):
         self.nstreams = nstreams
         self.coeff_ring = coeff_ring
         self.wvars = tuple(wvars)
         self.horizon = horizon
         self.generators = list(generators)
-        self.tails = tuple(tails)
-
-    def materialized(self) -> list[DiffPoly]:
-        gens = list(self.generators)
-        for i, k0 in self.tails:
-            for k in multi_indices(len(self.wvars), self.horizon, k0):
-                gens.append(
-                    DiffPoly.symbol(self.nstreams, self.coeff_ring, self.wvars, self.horizon, i, k)
-                )
-        return gens
 
     def __repr__(self):
-        tail = f", tails={self.tails}" if self.tails else ""
-        return f"LieRittIdeal({[str(g) for g in self.generators]}{tail})"
+        return f"LieRittIdeal({[str(g) for g in self.generators]})"
 
 
 # ------------------------------------------------------------- zero sets
@@ -555,7 +543,7 @@ def solve_zero_set(ideal: LieRittIdeal, param_order: int = 3) -> SolutionFamily:
     base_ring = ideal.coeff_ring
     n = ideal.nstreams
     wvars = ideal.wvars
-    gens = ideal.materialized()
+    gens = ideal.generators
     unknowns = [(i, k) for i in range(n) for k in multi_indices(len(wvars), horizon)]
 
     columns, consistent = _jacobian_at_identity(gens, base_ring, len(wvars), horizon, unknowns)

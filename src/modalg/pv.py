@@ -193,7 +193,7 @@ class _GaloisSystem:
         top = max((sum(payload) for kind, payload, _ in self.operators if kind == "theta"),
                   default=None)
         if top is not None:
-            theta_RA = ActionSpec(RA, "iterder", n=max(act.n, 1), wvars=act.wvars, theta_images={
+            theta_RA = ActionSpec(RA, "iterder", n=act.n, wvars=act.wvars, theta_images={
                 name: TruncSeries(RA, act.wvars, self.horizon,
                                   {e: _lift_poly(RA, c) for e, c in terms.items()})
                 for name, terms in self.theta.items()})
@@ -374,7 +374,7 @@ def compare(data: PVData, hull: HullData, relations, degree: int = 3) -> Compare
     split = _SplitOperator(L, [data.r_to_L(m) for m in monomial_basis(data.R, degree)],
                            hull.algebra)
     sigma_images = {}
-    for label, _, _ in hull.rho_gens:
+    for label, _ in hull.rho_gens:
         coeffs = split.split(um.images[label], P)
         if coeffs is None:
             return CompareReport(False, {

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import Callable, Sequence
 
-from .actions import ActionSpec, HomElement
+from .actions import DEFAULT_WORD_BOUND, ActionSpec, HomElement
 from .series import SeriesRing, TruncSeries
 
 
@@ -46,33 +46,31 @@ class ExpansionAlgebra:
     """
 
     def __init__(self, action: ActionSpec, theta_u: ActionSpec, t_horizon: int,
-                 w_horizon: int, word_bound: int | None = None, ring=None):
+                 w_horizon: int, word_bound: int = DEFAULT_WORD_BOUND, ring=None):
         self.action = action
         self.theta_u = theta_u
         self.ring = ring if ring is not None else action.ring
         self.t_horizon = t_horizon
         self.w_horizon = w_horizon
-        self.word_bound = action.default_word_bound() if word_bound is None else word_bound
+        self.word_bound = word_bound
         self.tvars = action.tvars()
         self.wvars = theta_u.wvars
-        self.monoid = action.monoid if action.has_monoid() else None
         self.coeffs = SeriesRing(self.ring, self.wvars, w_horizon)
-        # the t-horizon and word bound of expand_plain's realizations
+        # the t-horizon of expand_plain's realizations
         self._th = t_horizon if self.tvars else 0
-        self._wb = self.word_bound if self.monoid is not None else 0
 
     # -------------------------------------------------------- constructors
     def element(self, data: dict) -> HomElement:
         """The element with the t-series data[word] over coeffs, in the shape
         of expand_plain."""
-        return HomElement(self.coeffs, self.monoid, self.tvars, self._th, self._wb, data)
+        return HomElement(self.coeffs, self.action.monoid, self.tvars, self._th, self.word_bound,
+                          data)
 
     def _constant(self, s: TruncSeries) -> HomElement:
         """The constant-in-t element with value s, a w-series over coeffs,
         on every word."""
-        words = self.monoid.words(self.word_bound) if self.monoid is not None else [0]
         value = TruncSeries.const(self.coeffs, self.tvars, self._th, s)
-        return self.element(dict.fromkeys(words, value))
+        return self.element(dict.fromkeys(self.action.monoid.words(self.word_bound), value))
 
     def zero(self) -> HomElement:
         return self._constant(self.coeffs.zero())

@@ -216,7 +216,7 @@ def solve_points(hull: HullData, relations: Sequence[DiffPoly],
     wh = alg.w_horizon
     images = {}
     congruent = True
-    for (label, _, joint), img in zip(hull.rho_gens, hull.images(family.components)):
+    for (label, joint), img in zip(hull.rho_gens, hull.images(family.components)):
         images[label] = img
         # congruence: killing the parameters recovers the undeformed image
         if alg.lift(img, P.unit_part, alg) != joint:

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from modalg.actions import ActionSpec, HomElement, MonoidDesc, constants
+from modalg.actions import TRIVIAL_MONOID, ActionSpec, HomElement, MonoidDesc, constants
 from modalg.axioms import (
     ProductRingSpec,
     check_measuring,
@@ -65,11 +65,11 @@ def test_measuring_rejects_squaring_map():
 
     def broken(a):
         s = TruncSeries(L, ("t",), 3, {(0,): a, (1,): a * a})
-        return HomElement(L, None, ("t",), 3, 0, {0: s})
+        return HomElement(L, TRIVIAL_MONOID, ("t",), 3, 0, {(): s})
 
     rep = check_measuring(None, L, depth=2, expander=broken)
     assert not rep.ok
-    assert any("y" in f for f in rep.failures)
+    assert any(f.startswith("product law fails") and "y" in f for f in rep.failures)
 
 
 def test_measuring_reports_an_expander_that_raises_on_the_unit():
@@ -166,6 +166,19 @@ def test_module_algebra_rejects_non_iterative():
     rep = check_module_algebra(act, L, depth=4)
     assert not rep.ok
     assert any("(1,)), ((1,)" in f or "((1,), (1,))" in f for f in rep.failures)
+
+
+def test_module_algebra_rejects_non_iterative_in_char3():
+    # theta(y) = y*(1 + w) over GF(3) declares theta^(1)(y) = y and
+    # theta^(2)(y) = 0, so theta^(1) theta^(1)(y) = y while the rule asks for
+    # C(2, 1) theta^(2)(y) = 2*0 = 0
+    L = FracField(GF(3), ["y"])
+    y = L.var("y")
+    act = ActionSpec(L, "iterder", n=1,
+                     theta_images={"y": TruncSeries(L, ("w",), 6, {(0,): y, (1,): y})})
+    rep = check_module_algebra(act, L, depth=4)
+    assert not rep.ok
+    assert rep.failures[0].startswith("iteration rule fails at (i, j) = ((1,), (1,))")
 
 
 def test_module_algebra_endomorphism():
@@ -446,6 +459,67 @@ def test_action_over_an_unsupported_context_is_rejected_when_built():
         ActionSpec(QQ, "iterder", n=1)
 
 
+# ------------------------------------------------------------- action shape
+
+
+def test_trivial_action_without_directions_expands_to_the_element():
+    # n = 0 directions and the trivial monoid: no t-variables, one word
+    L = FracField(QQ, ["y"])
+    y = L.var("y")
+    f = ActionSpec(L, "trivial").expand(y, 2)
+    assert f.tvars == ()
+    assert f.ev_unit() == y
+    assert str(f) == "y"
+
+
+def test_monoid_descriptions_are_interned():
+    assert MonoidDesc("endo") is MonoidDesc("endo")
+    assert MonoidDesc("endo") is MonoidDesc("endo", gens=["sigma"])
+    assert MonoidDesc("free", gens=()) is TRIVIAL_MONOID
+    assert MonoidDesc("cyclic", order=2) is not MonoidDesc("cyclic", order=3)
+
+
+def test_derivation_realization_has_the_single_word_unit():
+    L, act = shift_action()
+    assert act.monoid is TRIVIAL_MONOID and not act.has_monoid()
+    for f in (act.expand(L.var("y"), 3), act.expand(L.var("y"), 3, 3)):
+        assert list(f.data) == [()]
+        assert f.word_bound == 0
+
+
+def _doubling(L):
+    return {"y": L.var("y") * L.from_int(2)}
+
+
+# (kind, keyword arguments of ActionSpec given L, the ValueError's message)
+BAD_SHAPES = {
+    "free on two generators, one map": (
+        "end", lambda L: {"monoid": MonoidDesc("free", gens=("s", "t")),
+                          "endo_maps": [_doubling(L)]},
+        "2 monoid generators need as many endo_maps, got 1"),
+    "auto without inverse": (
+        "end", lambda L: {"monoid": MonoidDesc("auto"), "endo_maps": [_doubling(L)]},
+        "inv_maps"),
+    **{f"{kind} with a monoid": (
+        kind, lambda L: {"n": 1, "d_images": {"y": L.one()}, "monoid": MonoidDesc("endo"),
+                         "endo_maps": [_doubling(L)]},
+        f"kind {kind!r} takes no monoid") for kind in ("der", "iterder", "trivial")},
+    "end without a monoid": ("end", lambda L: {}, "kind 'end' needs a monoid with generators"),
+    "der with n = 2": ("der", lambda L: {"n": 2, "d_images": {"y": L.one()}}, "n = 1"),
+    "end with n = 1": (
+        "end", lambda L: {"n": 1, "monoid": MonoidDesc("endo"), "endo_maps": [_doubling(L)]},
+        "n = 0"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_SHAPES))
+def test_shape_is_checked_when_the_action_is_built(case):
+    kind, kwargs, message = BAD_SHAPES[case]
+    L = FracField(QQ, ["y"])
+    with pytest.raises(ValueError, match=message):
+        ActionSpec(L, kind, **kwargs(L))
+
+
 # ------------------------------------------------------------------ constants
 
 
@@ -561,20 +635,20 @@ def test_translate_sequence_left_shift():
 def test_translate_series_derivative():
     L = FracField(QQ, ["y"])
     s = TruncSeries(L, ("t",), 2, {(0,): L.var("y"), (1,): L.from_int(2), (2,): L.from_int(3)})
-    f = HomElement(L, None, ("t",), 2, 0, {0: s})
-    g = f.translate(0, (1,))
+    f = HomElement(L, TRIVIAL_MONOID, ("t",), 2, 0, {(): s})
+    g = f.translate((), (1,))
     assert g.horizon == 1
-    assert g.value(0, (0,)) == L.from_int(2)
-    assert g.value(0, (1,)) == L.from_int(6)
+    assert g.value((), (0,)) == L.from_int(2)
+    assert g.value((), (1,)) == L.from_int(6)
 
 
 def test_translate_fixes_constant_expansions():
     L, act = shift_action()
     c = L.var("y")  # any element, constantly embedded
     f = act.constant_expansion(c, 4)
-    g = f.translate(0, (1,))
+    g = f.translate((), (1,))
     assert all(s.is_zero() for s in g.data.values())
-    h = f.translate(0, (0,))
+    h = f.translate((), (0,))
     assert h.truncate(3) == f.truncate(3)
 
 
@@ -582,8 +656,8 @@ def test_translate_is_an_action():
     # translating by d' then d equals translating by the product d'. d
     L, act = shift_action()
     f = act.expand(L.var("y") ** 3, 6)
-    a = f.translate(0, (2,)).translate(0, (1,))
-    b = f.translate(0, (3,)).scale(L.from_int(3))  # C(3,2) theta^(3)
+    a = f.translate((), (2,)).translate((), (1,))
+    b = f.translate((), (3,)).scale(L.from_int(3))  # C(3,2) theta^(3)
     assert a.truncate(3) == b.truncate(3)
 
 

@@ -323,15 +323,15 @@ def test_hull_generators_additive():
     assert hull.closure.ok
     assert hull.closure.bounds["extra_gens"] == []
     # rho(y) is realized as y + t + w
-    label, _, joint = hull.rho_gens[0]
+    label, joint = hull.rho_gens[0]
     assert label == "rho(y)"
     coords = hull.algebra.coordinates(joint)
-    assert coords[(0, (0,), (0,))] == ext.L.var("y")
-    assert coords[(0, (1,), (0,))] == ext.L.one()
-    assert coords[(0, (0,), (1,))] == ext.L.one()
+    assert coords[((), (0,), (0,))] == ext.L.var("y")
+    assert coords[((), (1,), (0,))] == ext.L.one()
+    assert coords[((), (0,), (1,))] == ext.L.one()
     # first derivative of rho(y) is the unit
     v = hull.derivative_table[(0, (1,))]
-    assert v.data[0] == TruncSeries.const(ext.L, ("t",), 3, ext.L.one())
+    assert v.data[()] == TruncSeries.const(ext.L, ("t",), 3, ext.L.one())
 
 
 def test_hull_generators_exponential():
@@ -353,7 +353,7 @@ def test_hull_generators_trivial_action():
     hull = hull_generators(ext, t_horizon=3, w_horizon=3)
     assert hull.closure.ok
     # the expanded copy coincides with the trivially embedded copy
-    _, _, joint = hull.rho_gens[0]
+    _, joint = hull.rho_gens[0]
     assert joint == hull.algebra.expand_rho0(L.var("y"))
 
 
@@ -393,7 +393,7 @@ def test_closure_extends_the_span_as_a_rebuild_would(make, th, wh, span_degree):
     hull = hull_generators(make(), t_horizon=th, w_horizon=wh, span_degree=span_degree)
     n = hull.algebra.theta_u.n
     assert hull.derivative_table == {(i, k): hull.algebra.w_slice(joint, k)
-                                     for i, (_, _, joint) in enumerate(hull.rho_gens)
+                                     for i, (_, joint) in enumerate(hull.rho_gens)
                                      for k in multi_indices(n, wh)}
     new_gens, stabilized_at = rebuilt_closure(hull, span_degree)
     assert hull.closure.as_dict() == {

@@ -3,8 +3,9 @@ nor a single-underscore name from another module of the library (a helper
 two modules share is public in one of them), no private function, method or
 class of the library goes unreferenced, no
 module probes an object with hasattr or getattr (a context answers the ring
-protocol of exactalg/ring.py instead), binary powering is written once,
-in exactalg.power, no module of the library imports modalg.pv (the
+protocol of exactalg/ring.py instead), no module tests a monoid against None
+(an action without a declared monoid has the trivial one), binary powering
+is written once, in exactalg.power, no module of the library imports modalg.pv (the
 package loads pv lazily, which pays only while pv is a leaf), only pv's
 entry points verify, hopf_algebra and check_mu_bijectivity import
 modalg.hopf (so pv.compare never compiles it), no module of the library
@@ -263,6 +264,47 @@ def test_library_has_no_attribute_probes():
     probes = [f"{p.relative_to(SRC)}:{line} {name}"
               for p in sorted(SRC.rglob("*.py")) for name, line in attribute_probes(p.read_text())]
     assert not probes, "attribute probes: " + ", ".join(probes)
+
+
+def _operand_name(node) -> str | None:
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    if isinstance(node, ast.Constant) and node.value is None:
+        return "None"
+    return None
+
+
+def monoid_none_tests(source: str) -> list[int]:
+    """Lines of every is or is not comparison of None with a name or an
+    attribute called monoid: every action and realization carries a monoid,
+    the trivial one when none is declared."""
+    out = []
+    for n in ast.walk(ast.parse(source)):
+        if isinstance(n, ast.Compare):
+            operands = [n.left, *n.comparators]
+            out += [n.lineno for op, a, b in zip(n.ops, operands, operands[1:])
+                    if isinstance(op, (ast.Is, ast.IsNot))
+                    and {_operand_name(a), _operand_name(b)} == {"monoid", "None"}]
+    return sorted(out)
+
+
+def test_monoid_none_scanner():
+    source = (
+        "def f(act, monoid):\n"
+        "    if monoid is None:\n"
+        "        return act.monoid is not None\n"
+        "    same = None is act.monoid or act.monoid is TRIVIAL_MONOID\n"
+        "    return same, monoid == 0, 'monoid is None'  # monoid is None\n"
+    )
+    assert monoid_none_tests(source) == [2, 3, 4]
+
+
+def test_library_has_no_monoid_none_tests():
+    found = [f"{p.relative_to(SRC)}:{line}"
+             for p in sorted(SRC.rglob("*.py")) for line in monoid_none_tests(p.read_text())]
+    assert not found, "monoid tested against None: " + ", ".join(found)
 
 
 def binary_power_loops(source: str) -> list[tuple[str, int]]:

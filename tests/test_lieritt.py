@@ -225,11 +225,16 @@ def test_validation_rejects_non_congruent():
 # -------------------------------------------------- differential polynomials
 
 
+def higher_symbols(ring, horizon):
+    """The tail generators Y^(k) for 2 <= k <= horizon."""
+    return [DiffPoly.symbol(1, ring, ("w",), horizon, 0, (k,)) for k in range(2, horizon + 1)]
+
+
 def ideal_additive(horizon):
     # Y^(1) - 1 together with the tail Y^(k) for k >= 2
     one = TruncSeries.one(QQ, ("w",), horizon)
     F = DiffPoly.symbol(1, QQ, ("w",), horizon, 0, (1,)) - DiffPoly.coefficient(1, one)
-    return LieRittIdeal(1, QQ, ("w",), horizon, [F], tails=[(0, 2)])
+    return LieRittIdeal(1, QQ, ("w",), horizon, [F, *higher_symbols(QQ, horizon)])
 
 
 def ideal_multiplicative(horizon):
@@ -238,7 +243,7 @@ def ideal_multiplicative(horizon):
     F = DiffPoly.symbol(1, QQ, ("w",), horizon, 0, (1,)).scale_series(w) - DiffPoly.symbol(
         1, QQ, ("w",), horizon, 0, (0,)
     )
-    return LieRittIdeal(1, QQ, ("w",), horizon, [F], tails=[(0, 2)])
+    return LieRittIdeal(1, QQ, ("w",), horizon, [F, *higher_symbols(QQ, horizon)])
 
 
 def ideal_conjugated(L, horizon):
@@ -250,7 +255,7 @@ def ideal_conjugated(L, horizon):
         - DiffPoly.symbol(1, L, ("w",), horizon, 0, (0,))
         - DiffPoly.coefficient(1, TruncSeries.const(L, ("w",), horizon, y))
     )
-    return LieRittIdeal(1, L, ("w",), horizon, [F], tails=[(0, 2)])
+    return LieRittIdeal(1, L, ("w",), horizon, [F, *higher_symbols(L, horizon)])
 
 
 def test_diffpoly_eval_examples():
@@ -421,7 +426,7 @@ def test_zero_set_families_are_subgroups():
         f = fam.instantiate(big, {"a0": big.gen("s")})
         g = fam.instantiate(big, {"a0": big.gen("t")})
         for probe in (f.compose(g), f.invert()):
-            for gen in ideal.materialized():
+            for gen in ideal.generators:
                 assert gen.evaluate(probe, lift).is_zero()
 
 
@@ -586,7 +591,7 @@ def test_jacobian_elimination_takes_no_fill_in():
     # key filled in up to 35 clears for 9 nonzeros
     ideal = ideal_conjugated(FracField(QQ, ["y"]), 8)
     unknowns = [(0, k) for k in multi_indices(1, 8)]
-    columns, consistent = _jacobian_at_identity(ideal.materialized(), ideal.coeff_ring, 1, 8,
+    columns, consistent = _jacobian_at_identity(ideal.generators, ideal.coeff_ring, 1, 8,
                                                 unknowns)
     assert consistent and sum(map(len, columns)) == 44
     jacobian = Echelon(ideal.coeff_ring, columns)

@@ -39,7 +39,7 @@ def test_derivation_expansion_binomial_oracle():
     L = FracField(QQ, ["y"])
     y = L.var("y")
     act = ActionSpec(L, "der", n=1, d_images={"y": L.one()})
-    s = act.expand(y * y, 4).data[0]
+    s = act.expand(y * y, 4).data[()]
     # oracle: coefficients of (y + w)^2 by direct polynomial expansion
     expanded = {(0,): y * y, (1,): L.from_int(2) * y, (2,): L.one()}
     for k, v in expanded.items():
@@ -60,14 +60,14 @@ def test_trivial_action_constant_expansion():
     y = L.var("y")
     triv = ActionSpec(L, "trivial", n=1)
     f = triv.expand(y / (y + L.one()), 4)
-    assert f.data[0] == TruncSeries.const(L, ("t",), 4, y / (y + L.one()))
+    assert f.data[()] == TruncSeries.const(L, ("t",), 4, y / (y + L.one()))
 
 
 def test_expansion_of_fractions_uses_series_reciprocal():
     L, act = shift_action()
     y = L.var("y")
     f = act.expand(L.one() / y, 2)
-    s = f.data[0]
+    s = f.data[()]
     assert s.coeff((0,)) == L.one() / y
     assert s.coeff((1,)) == -(L.one() / (y * y))
     assert s.coeff((2,)) == L.one() / (y * y * y)
@@ -92,7 +92,7 @@ def test_expansion_equivariance_with_translation():
         for k in range(1, 3):
             da = act.theta_coefficient(a, (k,))
             lhs = act.expand(da, 6 - k)
-            rhs = ea.translate(0, (k,))
+            rhs = ea.translate((), (k,))
             assert lhs == rhs
 
 
@@ -134,9 +134,9 @@ def test_universal_factorization_detects_violation():
 
     def bad(elem):
         f = act.expand(elem, 4)
-        s = f.data[0]
+        s = f.data[()]
         broken = s + TruncSeries(L, s.vars, s.horizon, {(2,): elem})  # not a module map
-        return HomElement(L, f.monoid, f.tvars, f.horizon, f.word_bound, {0: broken})
+        return HomElement(L, f.monoid, f.tvars, f.horizon, f.word_bound, {(): broken})
 
     rep = check_expansion_universal(act, bad, L, lambda c: L.const(c), [y * y], 4)
     assert not rep.ok
@@ -161,9 +161,9 @@ def test_merge_tensor_additive_generator():
     expected = alg.expand_rho(y)
     assert merged == expected
     coords = alg.coordinates(merged)
-    assert coords[(0, (0,), (0,))] == y
-    assert coords[(0, (1,), (0,))] == L.one()
-    assert coords[(0, (0,), (1,))] == L.one()
+    assert coords[((), (0,), (0,))] == y
+    assert coords[((), (1,), (0,))] == L.one()
+    assert coords[((), (0,), (1,))] == L.one()
 
 
 def test_merge_tensor_pure_w():

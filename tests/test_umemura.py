@@ -247,8 +247,8 @@ def test_additive_points():
                                  alg.with_ring(A))
     delta = img - base
     coords = hull.algebra.coordinates(delta)
-    assert set(coords) == {(0, (0,), (0,))}
-    assert A.eq(coords[(0, (0,), (0,))], A.gen("a0"))
+    assert set(coords) == {((), (0,), (0,))}
+    assert A.eq(coords[((), (0,), (0,))], A.gen("a0"))
 
 
 def test_exponential_points():
