@@ -29,7 +29,8 @@ parts are declared:
 An action that declares neither theta_images nor d_images acts through the
 counit in its n directions.  ActionSpec checks the shape when it is built:
 end and smash need a monoid with one endomorphism per generator (and an
-inverse for "auto"), and the other kinds take none.
+inverse for "auto"), and the other kinds take none; theta_images belong to
+iterder and smash only, d_images to der only.
 
 The realization of an element a is a HomElement: for each monoid word g
 within the word bound, the truncated series sum_k theta^(k)(g(a)) t^k.  The
@@ -100,6 +101,20 @@ class MonoidDesc(metaclass=Interned):
             frontier = [w + (i,) for w in frontier for i in range(len(self.gens))]
             out.extend(frontier)
         return out
+
+    def check_word(self, w):
+        """ValueError unless w is a word of this monoid: an int >= 0 for
+        "endo", an int for "auto", 0 <= w < order for "cyclic", a tuple of
+        generator indices for "free"."""
+        kind = self.kind
+        if kind == "free":
+            ok = type(w) is tuple and all(type(i) is int and 0 <= i < len(self.gens) for i in w)
+        elif kind == "cyclic":
+            ok = type(w) is int and 0 <= w < self.order
+        else:
+            ok = type(w) is int and (kind == "auto" or w >= 0)
+        if not ok:
+            raise ValueError(f"{w!r} is not a word of {self!r}")
 
     def length(self, w) -> int:
         return len(w) if self.kind == "free" else abs(w)
@@ -230,6 +245,7 @@ class HomElement:
 
         The t-horizon shrinks by |k| and the word bound by the word length;
         shrinking below zero is an error."""
+        self.monoid.check_word(word)
         k = tuple(k)
         new_h = self.horizon - sum(k)
         if new_h < 0:
@@ -322,6 +338,10 @@ class ActionSpec:
                              f"endo_maps, got {len(self.endo_maps)}")
         if self.monoid.kind == "auto" and len(self.inv_maps or ()) != 1:
             raise ValueError("an auto monoid needs one map in inv_maps")
+        if self.theta_images and self.kind not in ("iterder", "smash"):
+            raise ValueError(f"kind {self.kind!r} takes no theta_images")
+        if self.d_images and self.kind != "der":
+            raise ValueError(f"kind {self.kind!r} takes no d_images")
         if self.kind == "der" and self.ring.char != 0:
             raise ValueError("plain derivations are supported in characteristic 0 only; "
                              "use iterder in characteristic p")
@@ -379,17 +399,16 @@ class ActionSpec:
         return self._apply_with(self.inv_maps, gen_idx, elem)
 
     def apply_word(self, word, elem):
-        kind = self.monoid.kind
-        if kind == "free":
+        self.monoid.check_word(word)
+        if self.monoid.kind == "free":
             for idx in reversed(word):
                 elem = self.apply_generator(idx, elem)
             return elem
-        k = word % self.monoid.order if kind == "cyclic" else word
-        if k >= 0:
-            for _ in range(k):
+        if word >= 0:
+            for _ in range(word):
                 elem = self.apply_generator(0, elem)
         else:
-            for _ in range(-k):
+            for _ in range(-word):
                 elem = self.apply_generator_inverse(0, elem)
         return elem
 

@@ -109,11 +109,12 @@ class _TensorPower:
 def _doubled_action(data: PVData, pair: _TensorPower, horizon: int) -> ActionSpec:
     """The action on R (x) R through the coproduct: derivations distribute
     over the slots and monoid generators act diagonally.  The theta images
-    are expanded at the horizon the constants are read at."""
+    are expanded at the horizon the constants are read at; an action that
+    declares no images doubles to one that declares none."""
     act, R = data.action, data.R
     theta_images = {}
     endo_maps = []
-    if act.has_theta():
+    if act.theta_images or act.d_images:
         for name in R.vars:
             series = act.theta_series(data.r_to_L(R.var(name)), horizon)
             coeffs = {e: data.l_to_r(c) for e, c in series.terms.items()}

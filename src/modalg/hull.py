@@ -184,7 +184,9 @@ class HullData:
         |k| = P.order - 1 and entry is called only for those k.  The default
         entry is derivative_table[(i, k)] deformed by the basis derivation
         over L, once per hull, then lifted to P coefficientwise; both are
-        built on first use and kept as long as this hull."""
+        built on first use and kept as long as this hull.  Each power
+        (comps - w)^k is formed once per call, as a w-series over P, and
+        scales entry(i, k) on every word (HomElement.scale)."""
         alg = self.algebra
         P = comps[0].ring
         alg_P = alg.with_ring(P)
@@ -200,10 +202,25 @@ class HullData:
                         self._deformed[i, k] = alg._deform_hom(self.derivative_table[(i, k)])
                     lifted[i, k] = alg.lift(self._deformed[i, k], P.scalar, alg_P)
                 return lifted[i, k]
-        ks = multi_indices(alg.theta_u.n, min(alg.w_horizon, P.order - 1))
-        deviation = [alg_P.from_w_series(d) for d in deviation]
-        return [evaluate(((k, entry(i, k)) for k in ks), deviation, alg_P, lambda v: v)
-                for i in range(self.n_gens())]
+        # each power (comps - w)^k, a w-series over P, once per call
+        S = alg_P.coeffs
+        powers = GeneratorPowers(S, {j: TruncSeries(P, S.vars, S.horizon, d.terms)
+                                     for j, d in enumerate(deviation)})
+        scales = []
+        for k in multi_indices(alg.theta_u.n, min(alg.w_horizon, P.order - 1)):
+            c = None
+            for j, e in enumerate(k):
+                if e:
+                    c = powers.power(j, e) if c is None else S.mul(c, powers.power(j, e))
+            scales.append((k, c))
+        out = []
+        for i in range(self.n_gens()):
+            image = None
+            for k, c in scales:
+                term = entry(i, k) if c is None else entry(i, k).scale(c)
+                image = term if image is None else image + term
+            out.append(image)
+        return out
 
 
 def hull_generators(ext: ExtensionDesc, t_horizon: int, w_horizon: int,

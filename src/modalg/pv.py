@@ -122,11 +122,14 @@ class _GaloisSystem:
     """Equation assembly for sigma(X (x) 1) = (X (x) 1)(1 (x) M).
 
     The operator side does not depend on the test algebra, so it is built
-    once, in R: the theta series of each R-generator and, for every operator
-    of d_basis_entries, its image of each R-generator (for a monoid
-    generator these images are the endomorphism itself).  residues only
-    lifts them to R (x) A, and X and X^-1 are lifted once per test
-    algebra."""
+    once per solve, in R: the theta series of each R-generator and, for
+    every operator of d_basis_entries, its image of each R-generator (for a
+    monoid generator these images are the endomorphism itself).  What
+    depends on the test algebra A but not on M is built once per test
+    algebra, on the first evaluation over it, and kept on the system (which
+    lives for one solve): X and X^-1 over R (x) A, the theta action over
+    R (x) A, and every operator's images lifted there with their powers.
+    An evaluation at M builds only the sigma-images and the equations."""
 
     def __init__(self, data: PVData, horizon: int):
         self.data = data
@@ -147,31 +150,48 @@ class _GaloisSystem:
                 moved = {name: data.l_to_r(act.apply_generator(payload, g))
                          for name, g in gens.items()}
             self.operators.append((kind, payload, moved))
-        self._lifted_X: dict = {}  # test algebra -> (X, X^-1) over R (x) A
+        # the largest theta order: each sigma-image is expanded once, there
+        self.top = max((sum(payload) for kind, payload, _ in self.operators if kind == "theta"),
+                       default=None)
+        self._lifted: dict = {}  # test algebra -> _over(A)
 
-    def _ra(self, A: NilAlgebra) -> PolyRing:
-        return PolyRing(A, self.data.R.vars, self.data.R.inverse_pairs)
+    def _over(self, A: NilAlgebra) -> tuple:
+        """(R (x) A, X, X^-1, theta action, [(kind, payload, images, their
+        powers)]) over R (x) A, built on the first call for A."""
+        lifted = self._lifted.get(A)
+        if lifted is not None:
+            return lifted
+        data, act = self.data, self.data.action
+        RA = PolyRing(A, data.R.vars, data.R.inverse_pairs)
+        XA, XinvA = (m.map(lambda p: _lift_poly(RA, p), RA) for m in (data.X, data.Xinv))
+        theta_RA = None
+        if self.top is not None:
+            theta_RA = ActionSpec(RA, "iterder", n=act.n, wvars=act.wvars, theta_images={
+                name: TruncSeries(RA, act.wvars, self.horizon,
+                                  {e: _lift_poly(RA, c) for e, c in terms.items()})
+                for name, terms in self.theta.items()})
+        operators = []
+        for kind, payload, moved in self.operators:
+            moved = {name: _lift_poly(RA, p) for name, p in moved.items()}
+            operators.append((kind, payload, moved, GeneratorPowers(RA, moved)))
+        lifted = self._lifted[A] = (RA, XA, XinvA, theta_RA, operators)
+        return lifted
 
-    def _sigma_images(self, A: NilAlgebra, M: Matrix) -> dict:
-        data = self.data
-        RA = self._ra(A)
-        lifted = self._lifted_X.get(A)
-        if lifted is None:
-            lifted = self._lifted_X[A] = tuple(
-                m.map(lambda p: _lift_poly(RA, p), RA) for m in (data.X, data.Xinv))
-        XA, XinvA = lifted
+    def _sigma_images(self, A: NilAlgebra, M: Matrix) -> tuple:
+        RA, XA, XinvA, _, _ = self._over(A)
         XM = XA * M.map(RA.scalar, RA)
         MinvXinv = M.inverse().map(RA.scalar, RA) * XinvA
         images = {}
-        for g, (which, i, j) in data.gen_in_X.items():
+        for g, (which, i, j) in self.data.gen_in_X.items():
             images[g] = XM.entry(i, j) if which == "X" else MinvXinv.entry(i, j)
-        return images, XA, XM, MinvXinv, XinvA
+        return images, XM, MinvXinv
 
-    def residues(self, A: NilAlgebra, M: Matrix) -> list:
-        """All equation coefficients, as elements of A."""
+    def residues(self, A: NilAlgebra, M: Matrix) -> tuple[list, dict]:
+        """All equation coefficients at M, as elements of A, and the
+        sigma-images of the R-generators they were read from."""
         data = self.data
-        RA = self._ra(A)
-        images, XA, XM, MinvXinv, XinvA = self._sigma_images(A, M)
+        RA, XA, XinvA, theta_RA, operators = self._over(A)
+        images, XM, MinvXinv = self._sigma_images(A, M)
         sigma = GeneratorPowers(RA, images)
         eqs: list[MPoly] = []
         # matrix consistency: sigma applied to each entry equals the
@@ -188,19 +208,11 @@ class _GaloisSystem:
         # image is expanded once, at the largest theta order, and every
         # payload reads its coefficient there (a series agrees with its
         # truncations in every lower degree)
-        act = data.action
         sigma_theta = {}
-        top = max((sum(payload) for kind, payload, _ in self.operators if kind == "theta"),
-                  default=None)
-        if top is not None:
-            theta_RA = ActionSpec(RA, "iterder", n=act.n, wvars=act.wvars, theta_images={
-                name: TruncSeries(RA, act.wvars, self.horizon,
-                                  {e: _lift_poly(RA, c) for e, c in terms.items()})
-                for name, terms in self.theta.items()})
-            sigma_theta = {name: theta_RA.theta_series(images[name], top) for name in data.R.vars}
-        for kind, payload, moved in self.operators:
-            moved = {name: _lift_poly(RA, p) for name, p in moved.items()}
-            operator = GeneratorPowers(RA, moved)
+        if theta_RA is not None:
+            sigma_theta = {name: theta_RA.theta_series(images[name], self.top)
+                           for name in data.R.vars}
+        for kind, payload, moved, operator in operators:
             for name in data.R.vars:
                 if kind == "theta":
                     lhs = sigma_theta[name].coeff(payload)
@@ -209,7 +221,8 @@ class _GaloisSystem:
                 eqs.append(lhs - RA.hom(moved[name], sigma, RA.scalar))
         # label each coefficient by its equation and monomial, so that the
         # coefficients of different equations never merge
-        return [((q, exp), e.terms[exp]) for q, e in enumerate(eqs) for exp in sorted(e.terms)]
+        labelled = [((q, exp), e.terms[exp]) for q, e in enumerate(eqs) for exp in sorted(e.terms)]
+        return labelled, images
 
 
 def _lift_poly(RA: PolyRing, p: MPoly) -> MPoly:
@@ -228,7 +241,12 @@ def galois_points(data: PVData, algebra: NilAlgebra, horizon: int = 3,
     layered corrections absorbing parameter-degree >= 2 residues of
     nonlinear equations.  The returned family carries symbolic parameters spanning the
     solution; substituting nilpotent values of the target algebra enumerates
-    the actual points."""
+    the actual points.
+
+    The final check, that the solved family leaves no residue under any
+    label, reads the residues of the latest evaluation when no correction
+    followed it, and evaluates the system once more otherwise; the family's
+    matrix and images come from that same evaluation."""
     base = algebra.base
     sys = _GaloisSystem(data, horizon)
     n = data.X.nrows
@@ -249,7 +267,8 @@ def galois_points(data: PVData, algebra: NilAlgebra, horizon: int = 3,
     # the identity (the constant term) plus its linear part (the coefficient
     # of p_u is column u)
     probe_alg = NilAlgebra(base, tuple(f"_p{u}" for u in range(nunknowns)), 2)
-    res = sys.residues(probe_alg, m_matrix(probe_alg, [probe_alg.gen(v) for v in probe_alg.vars]))
+    res, _ = sys.residues(probe_alg,
+                          m_matrix(probe_alg, [probe_alg.gen(v) for v in probe_alg.vars]))
     if any((0,) * nunknowns in v for _, v in res):
         return GaloisFamily(data, algebra, [], m_matrix(algebra, [algebra.zero()] * nunknowns),
                             {}, Report(False, 1, ["identity is not a point"], {}))
@@ -261,18 +280,28 @@ def galois_points(data: PVData, algebra: NilAlgebra, horizon: int = 3,
     P = NilAlgebra(base, params, param_order)
     values = kernel_values(jacobian, P)
 
+    latest = None  # (values, M, residues over every label, sigma-images)
+
+    def evaluate_at(values: list) -> tuple:
+        nonlocal latest
+        M = m_matrix(P, values)
+        latest = (list(values), M, *sys.residues(P, M))
+        return latest
+
     def residues(values: list) -> dict:
         # only the coordinates of the linearization take part
-        return {lbl: v for lbl, v in sys.residues(P, m_matrix(P, values)) if lbl in coords}
+        return {lbl: v for lbl, v in evaluate_at(values)[2] if lbl in coords}
 
     failures = [f"residue at parameter monomial {mono} is not absorbable"
                 for mono in absorb_residues(P, jacobian, values, residues)]
-    final_res = sys.residues(P, m_matrix(P, values))
+    # the final check reads the latest evaluation when no correction
+    # followed it, and evaluates again otherwise
+    if latest is None or not all(map(P.eq, latest[0], values)):
+        evaluate_at(values)
+    _, M, final_res, images = latest
     if any(not P.is_zero(v) for _, v in final_res):
         failures.append("solved family leaves a nonzero residue")
 
-    M = m_matrix(P, values)
-    images, _, _, _, _ = sys._sigma_images(P, M)
     report = Report(not failures, len(coords), failures,
                     {"horizon": horizon, "parameters": len(params)})
     return GaloisFamily(data, P, params, M, images, report)

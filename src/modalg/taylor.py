@@ -102,10 +102,6 @@ class ExpansionAlgebra:
         every value: the fully deformed realization of elem."""
         return self._deform_hom(self.expand_plain(elem))
 
-    def expand_rho0(self, elem) -> HomElement:
-        """The trivially-embedded element, w-deformed: theta_u(elem) at t=0."""
-        return self.from_w_series(self.theta_u.theta_series(elem, self.w_horizon))
-
     def merge_tensor(self, terms: Sequence[tuple[HomElement, TruncSeries]]) -> HomElement:
         """Multiplication map on simple tensors: sum of theta_u-deformed hull
         factors times constant embeddings of the w-series factors.

@@ -5,6 +5,7 @@ products of fields."""
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -491,6 +492,15 @@ def _doubling(L):
     return {"y": L.var("y") * L.from_int(2)}
 
 
+# kind -> the keyword arguments of a well-shaped ActionSpec of that kind
+WELL_SHAPED = {
+    "trivial": lambda L: {"n": 1},
+    "der": lambda L: {"n": 1},
+    "iterder": lambda L: {"n": 1},
+    "end": lambda L: {"monoid": MonoidDesc("endo"), "endo_maps": [_doubling(L)]},
+    "smash": lambda L: {"n": 1, "monoid": MonoidDesc("endo"), "endo_maps": [_doubling(L)]},
+}
+
 # (kind, keyword arguments of ActionSpec given L, the ValueError's message)
 BAD_SHAPES = {
     "free on two generators, one map": (
@@ -509,6 +519,15 @@ BAD_SHAPES = {
     "end with n = 1": (
         "end", lambda L: {"n": 1, "monoid": MonoidDesc("endo"), "endo_maps": [_doubling(L)]},
         "n = 0"),
+    # images the kind would misread (a trivial action would expand y to
+    # y + t) or drop (der ignores theta_images)
+    **{f"{kind} with theta_images": (
+        kind, lambda L, shape=WELL_SHAPED[kind]: {**shape(L), "theta_images": {
+            "y": TruncSeries(L, ("w",), 2, {(0,): L.var("y"), (1,): L.one()})}},
+        f"kind {kind!r} takes no theta_images") for kind in ("der", "trivial", "end")},
+    **{f"{kind} with d_images": (
+        kind, lambda L, shape=WELL_SHAPED[kind]: {**shape(L), "d_images": {"y": L.one()}},
+        f"kind {kind!r} takes no d_images") for kind in ("iterder", "smash", "trivial", "end")},
 }
 
 
@@ -518,6 +537,44 @@ def test_shape_is_checked_when_the_action_is_built(case):
     L = FracField(QQ, ["y"])
     with pytest.raises(ValueError, match=message):
         ActionSpec(L, kind, **kwargs(L))
+
+
+def _end(monoid, maps, inverses=False):
+    """An "end" action given L: maps doublings of y, and their inverse."""
+    return lambda L: ActionSpec(
+        L, "end", monoid=monoid, endo_maps=[_doubling(L)] * maps,
+        inv_maps=[{"y": L.var("y") / L.from_int(2)}] if inverses else None)
+
+
+# monoid kind -> (the action given L, a word outside its monoid)
+NON_WORDS = {
+    "endo": (_end(MonoidDesc("endo"), 1), -1),
+    "auto": (_end(MonoidDesc("auto"), 1, inverses=True), (1,)),
+    "cyclic": (_end(MonoidDesc("cyclic", order=3), 1), 3),
+    "free": (_end(MonoidDesc("free", gens=("s", "t")), 2), (0, 2)),
+    "trivial, of a derivation": (lambda L: shift_action()[1], 0),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(NON_WORDS))
+def test_words_outside_the_monoid_are_rejected(kind):
+    # translate and apply_word accept only words of the monoid: a negative
+    # power of an endomorphism, a residue out of range, an unknown free
+    # generator or an int for the trivial monoid's () is a ValueError
+    # naming the word and the monoid
+    make, word = NON_WORDS[kind]
+    L = FracField(QQ, ["y"])
+    y = L.var("y")
+    act = make(L)
+    f = act.expand(y, 1, 2)
+    k = (0,) * len(f.tvars)
+    good = act.monoid.words(2)[-1]
+    assert f.translate(good, k).ev_unit() == act.apply_word(good, y)
+    message = re.escape(f"{word!r} is not a word of {act.monoid!r}")
+    with pytest.raises(ValueError, match=message):
+        f.translate(word, k)
+    with pytest.raises(ValueError, match=message):
+        act.apply_word(word, y)
 
 
 # ------------------------------------------------------------------ constants

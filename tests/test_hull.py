@@ -346,6 +346,11 @@ def test_hull_generators_exponential():
     assert v1 == v0.scale(ext.L.one() / y)
 
 
+def rho0(alg, g):
+    """The trivially embedded copy of g, w-deformed: theta_u(g) at t = 0."""
+    return alg.from_w_series(alg.theta_u.theta_series(g, alg.w_horizon))
+
+
 def test_hull_generators_trivial_action():
     L = FracField(QQ, ["y"])
     triv = ActionSpec(L, "trivial", n=1)
@@ -354,7 +359,7 @@ def test_hull_generators_trivial_action():
     assert hull.closure.ok
     # the expanded copy coincides with the trivially embedded copy
     _, joint = hull.rho_gens[0]
-    assert joint == hull.algebra.expand_rho0(L.var("y"))
+    assert joint == rho0(hull.algebra, L.var("y"))
 
 
 def rebuilt_closure(hull, span_degree):
@@ -367,7 +372,7 @@ def rebuilt_closure(hull, span_degree):
     table = hull.derivative_table
     # with the constants rho0(v) = v*1 of the trivially embedded copy, which
     # hull_generators leaves to the coefficients of its span
-    accepted = [hull.algebra.w_slice(hull.algebra.expand_rho0(L.var(v)), (0,) * n)
+    accepted = [hull.algebra.w_slice(rho0(hull.algebra, L.var(v)), (0,) * n)
                 for v in L.vars]
     accepted += [table[(i, (0,) * n)] for i in range(hull.n_gens())]
     span = _monomial_span(accepted, L, span_degree)
@@ -423,7 +428,7 @@ def test_linear_disjointness_witness():
     y = L.var("y")
     alg = hull.algebra
     rho_y = alg.expand_rho(y)
-    rho0_y = alg.expand_rho0(y)
+    rho0_y = rho0(alg, y)
     one = alg.one()
     cols = []
     for a in (one, rho_y, rho_y * rho_y):

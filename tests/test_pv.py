@@ -16,11 +16,11 @@ from hypothesis import strategies as st
 
 from modalg import hopf, pv
 from modalg.actions import ActionSpec, MonoidDesc
-from modalg.exactalg import (GF, QQ, Echelon, FracField, Matrix, PolyRing, RationalField, frac,
-                             poly_gcd, solve_linear)
+from modalg.exactalg import (GF, QQ, Echelon, FracField, Matrix, PolyRing, RationalField, evaluate,
+                             frac, poly_gcd, solve_linear)
 from modalg.hull import ExtensionDesc, HullData, find_relations, hull_generators
-from modalg.lieritt import InfTransform, NilAlgebra, SolutionFamily
-from modalg.series import TruncSeries, truncated_exp
+from modalg.lieritt import InfTransform, NilAlgebra, SolutionFamily, multi_indices
+from modalg.series import TruncSeries, identity_tuple, truncated_exp
 from modalg.taylor import ExpansionAlgebra
 from test_exactalg import dense_solve
 from modalg.umemura import build_ideal, group_compatibility_check, solve_points
@@ -574,8 +574,9 @@ def test_compare_product_has_two_parameters():
 def test_residues_expand_each_generator_once(monkeypatch):
     # residues reads every theta payload from one expansion per R-generator
     # at the largest payload order: two generators (y, 1/y) per call, over
-    # the three residue calls one exponential compare makes (the
-    # linearization, one correction layer at order 3, the final check)
+    # the two residue calls one exponential compare makes (the
+    # linearization, and one correction layer at order 3 whose residues the
+    # final check reads again, since the layer corrects no value)
     inside = []
     calls = []
     residue_calls = []
@@ -601,8 +602,8 @@ def test_residues_expand_each_generator_once(monkeypatch):
     rels = find_relations(hull, diff_order=3, degree=2)
     d = pv.compare(data, hull, rels, degree=3).as_dict()
     assert d["ok"] and d["lie_dim"] == 1
-    assert len(residue_calls) == 3
-    assert len(calls) == 6 and set(calls) == {3}
+    assert len(residue_calls) == 2
+    assert len(calls) == 2 * len(residue_calls) and set(calls) == {3}
 
 
 def test_compare_replays_stay_sparse(monkeypatch):
@@ -686,7 +687,7 @@ def test_galois_points_linearization_matches_the_per_unknown_probes(monkeypatch)
         M = Matrix(A, [[A.add(A.one() if i == j else A.zero(),
                               A.gen("_p") if i * n + j == u else A.zero())
                         for j in range(n)] for i in range(n)])
-        expected.append([(lbl, v.get((1,), base.zero())) for lbl, v in system.residues(A, M)])
+        expected.append([(lbl, v.get((1,), base.zero())) for lbl, v in system.residues(A, M)[0]])
     assert [list(c.items()) for c in columns] == expected
     assert sum(map(len, expected)) > 0
 
@@ -806,3 +807,132 @@ def test_chain_and_compare_take_no_polynomial_gcd(monkeypatch):
     d = pv.compare(data, hull, rels, degree=3).as_dict()
     assert d["ok"] and d["group_homomorphism"] is True
     assert calls == []
+
+
+def images_by_words(hull, comps, entry):
+    """HullData.images by the word-by-word formula: sum_k entry(i, k) times
+    the powers of the deviation comps - w, each a function constant in t
+    multiplied on every word."""
+    alg = hull.algebra
+    P = comps[0].ring
+    alg_P = alg.with_ring(P)
+    deviation = [alg_P.from_w_series(c - w)
+                 for c, w in zip(comps, identity_tuple(P, comps[0].vars, alg.w_horizon))]
+    ks = multi_indices(alg.theta_u.n, min(alg.w_horizon, P.order - 1))
+    return [evaluate(((k, entry(i, k)) for k in ks), deviation, alg_P, lambda v: v)
+            for i in range(hull.n_gens())]
+
+
+@pytest.mark.parametrize("name", ["additive", "additive GF(7)", "exponential", "q-difference",
+                                  "two derivations"])
+def test_images_equal_the_word_by_word_formula(name):
+    # the deviation powers scaled into each entry give the images that
+    # multiplying by them word by word gives, over the family's algebra and
+    # the symbolic pair's, for the default entry and for the entry of
+    # group_compatibility_check
+    data, hull, rels, _ = transport_example(name)
+    um = solve_points(hull, rels)
+    fam, alg = um.family, hull.algebra
+    f, g, composed = fam.symbolic_pair
+
+    def deformed(P):
+        alg_P = alg.with_ring(P)
+        return lambda i, k: alg.lift(alg._deform_hom(hull.derivative_table[(i, k)]),
+                                     P.scalar, alg_P)
+
+    for comps in (fam.components, g.comps, composed.comps):
+        got = hull.images(comps)
+        assert got == images_by_words(hull, comps, deformed(comps[0].ring))
+        assert len(got[0].data) == (9 if name == "q-difference" else 1)
+    to_f, alg_f = fam.algebra.transport(f.algebra, 0), alg.with_ring(f.algebra)
+    f_images = [alg.lift(img, to_f, alg_f) for img in um.images.values()]
+
+    def after_f(i, k):
+        return f_images[i].hasse_deriv(k)
+
+    assert hull.images(g.comps, after_f) == images_by_words(hull, g.comps, after_f)
+
+
+def test_compare_evaluates_each_sigma_system_once(monkeypatch):
+    # one exponential compare evaluates the system at the linearization and
+    # at the one correction layer, whose residues and images the final check
+    # and the family read; the theta action over R (x) A is built once per
+    # test algebra
+    evaluations, sigma_calls, actions = [], [], []
+    residues, sigma_images = pv._GaloisSystem.residues, pv._GaloisSystem._sigma_images
+
+    def counting_residues(self, A, M):
+        evaluations.append(A)
+        return residues(self, A, M)
+
+    def counting_sigma(self, A, M):
+        sigma_calls.append(A)
+        return sigma_images(self, A, M)
+
+    class Recording(ActionSpec):
+        def __init__(self, ring, *args, **kwargs):
+            actions.append(ring)
+            super().__init__(ring, *args, **kwargs)
+
+    monkeypatch.setattr(pv._GaloisSystem, "residues", counting_residues)
+    monkeypatch.setattr(pv._GaloisSystem, "_sigma_images", counting_sigma)
+    monkeypatch.setattr(pv, "ActionSpec", Recording)
+    data, ext = exponential_pv()
+    hull = hull_generators(ext, t_horizon=3, w_horizon=3)
+    rels = find_relations(hull, diff_order=3, degree=2)
+    d = pv.compare(data, hull, rels, degree=3).as_dict()
+    assert d["ok"] and d["lie_dim"] == 1
+    assert len(evaluations) == len(set(evaluations)) == 2
+    assert sigma_calls == evaluations
+    assert len(actions) == 2 and [r.field for r in actions] == evaluations
+
+
+def test_galois_points_evaluates_again_after_a_later_correction(monkeypatch):
+    # a value moved after the last evaluation is checked at its new place:
+    # 1 + c0^2 on the diagonal of the additive family is not a point
+    absorb = pv.absorb_residues
+
+    def perturbing(algebra, jacobian, values, residues):
+        out = absorb(algebra, jacobian, values, residues)
+        values[0] = algebra.add(values[0], algebra.element({(2,): algebra.base.one()}))
+        return out
+
+    data, _ = additive_pv()
+    A = NilAlgebra(data.L, ("eps",), 2)
+    assert pv.galois_points(data, A, param_order=3).report.ok
+    monkeypatch.setattr(pv, "absorb_residues", perturbing)
+    report = pv.galois_points(data, A, param_order=3).report
+    assert not report.ok
+    assert report.failures == ["solved family leaves a nonzero residue"]
+
+
+def test_final_check_reads_every_label(monkeypatch):
+    # a residue under a label outside the linearization's coordinates takes
+    # no part in the corrections, and still fails the final check
+    residues = pv._GaloisSystem.residues
+
+    def with_extra(self, A, M):
+        res, images = residues(self, A, M)
+        extra = A.element({(2,) + (0,) * (len(A.vars) - 1): A.base.one()})
+        if not A.is_zero(extra):  # it is zero over the probe algebra, of order 2
+            res = res + [(("extra",), extra)]
+        return res, images
+
+    monkeypatch.setattr(pv._GaloisSystem, "residues", with_extra)
+    data, _ = exponential_pv()
+    report = pv.galois_points(data, NilAlgebra(data.L, ("eps",), 2), param_order=3).report
+    assert not report.ok
+    assert report.failures == ["solved family leaves a nonzero residue"]
+
+
+def test_a_trivial_action_doubles_to_a_trivial_action():
+    # an action that declares no images doubles to one that declares none
+    L = FracField(QQ, ["y"])
+    R = PolyRing(QQ, ["y", "yi"], inverse_pairs=[(0, 1)])
+    data = pv.PVData(L, ActionSpec(L, "trivial", n=1), R, Matrix(R, [[R.var("y")]]),
+                     {"y": ("X", 0, 0), "yi": ("Xinv", 0, 0)})
+    pair = hopf._TensorPower(R, 2)
+    doubled = hopf._doubled_action(data, pair, 3)
+    assert doubled.kind == "trivial" and not doubled.theta_images
+    y1 = pair.place(R.var("y"), (1,))
+    assert doubled.theta_series(y1, 3) == TruncSeries.const(pair.ring, ("w",), 3, y1)

@@ -15,7 +15,7 @@ from modalg.exactalg import GF, QQ, FracField, GeneratorPowers
 from modalg.hull import make_basis_derivation
 from modalg.series import TruncSeries
 from modalg.taylor import ExpansionAlgebra
-from test_hull import additive_ext, q_difference_ext
+from test_hull import additive_ext, q_difference_ext, rho0
 from test_pv import two_derivation_pv
 
 
@@ -182,7 +182,7 @@ def test_merge_tensor_constant_factor():
     rho0_y = act.constant_expansion(y, 3)
     one_w = TruncSeries.one(L, ("w",), 3)
     merged = alg.merge_tensor([(rho0_y, one_w)])
-    assert merged == alg.expand_rho0(y)
+    assert merged == rho0(alg, y)
 
 
 def test_merge_tensor_injective_on_basis():
@@ -253,8 +253,8 @@ def test_box_product_matches_the_flat_product_cut_to_the_box(make, th, wh):
     alg = ExpansionAlgebra(ext.action, make_basis_derivation(ext, wh), th, wh)
     L = ext.L
     gens = [L.var(v) for v in L.vars]
-    elems = ([alg.expand_rho(g) for g in gens] + [alg.expand_rho0(g) for g in gens]
-             + [alg.expand_rho(gens[0]) * alg.expand_rho0(gens[-1]) + alg.one()])
+    elems = ([alg.expand_rho(g) for g in gens] + [rho0(alg, g) for g in gens]
+             + [alg.expand_rho(gens[0]) * rho0(alg, gens[-1]) + alg.one()])
     for a in elems:
         for b in elems:
             assert alg.coordinates(a * b) == flat_coordinates(alg, a, b, operator.mul)
