@@ -21,10 +21,8 @@ parts are declared:
                      declared MonoidDesc, whose kind sets the words: powers
                      of one endomorphism ("endo") or automorphism ("auto",
                      with declared inverses), a cyclic group, or free words
-  smash              iterder(n) together with a monoid part; the monoid is
-                     assumed to commute with the derivations unless an
-                     explicit rewriting rule is declared (declared rules are
-                     verified by the checker, not expanded)
+  smash              iterder(n) together with a monoid part; the monoid
+                     commutes with the derivations
 
 An action that declares neither theta_images nor d_images acts through the
 counit in its n directions.  ActionSpec checks the shape when it is built:
@@ -262,10 +260,9 @@ class HomElement:
                 out[w] = self.data[tgt].hasse_deriv(k).with_horizon(new_h)
         return self._make(out, horizon=new_h, word_bound=new_wb)
 
-    def truncate(self, horizon: int, word_bound: int | None = None) -> "HomElement":
-        wb = self.word_bound if word_bound is None else word_bound
-        return HomElement(self.ring, self.monoid, self.tvars, horizon, wb,
-                          {w: s.with_horizon(horizon) for w, s in self.data.items()})
+    def truncate(self, horizon: int) -> "HomElement":
+        return self._make({w: s.with_horizon(horizon) for w, s in self.data.items()},
+                          horizon=horizon)
 
     def __eq__(self, other):
         if not isinstance(other, HomElement):
@@ -297,7 +294,6 @@ class ActionSpec:
                  monoid: MonoidDesc = TRIVIAL_MONOID,
                  endo_maps: Sequence[dict] | None = None,
                  inv_maps: Sequence[dict] | None = None,
-                 commutation=None,
                  wvars: Sequence[str] | None = None):
         self.ring = ring
         self.kind = kind
@@ -307,7 +303,6 @@ class ActionSpec:
         self.monoid = monoid
         self.endo_maps = [dict(m) for m in (endo_maps or [])]
         self.inv_maps = [dict(m) for m in (inv_maps or [])] if inv_maps else None
-        self.commutation = commutation
         if wvars is None:
             wvars = ("w",) if n == 1 else tuple(f"w{i+1}" for i in range(n))
         self.wvars = tuple(wvars)
@@ -522,7 +517,6 @@ def constants(ring, action, degree: int, horizon: int | None = None) -> list:
     if horizon is None:
         horizon = max(degree, 2)
     basis = monomial_basis(ring, degree)
-    scalars = ring.scalars
     columns: list[list] = [[] for _ in basis]
     if action.has_theta():
         if ring.char == 0:
@@ -546,7 +540,7 @@ def constants(ring, action, degree: int, horizon: int | None = None) -> list:
             columns[j].append(ring.sub(moved, b))
     if not columns[0]:
         return basis
-    return kernel_elements(ring, basis, restriction_kernel(columns, ring, scalars))
+    return kernel_elements(ring, basis, restriction_kernel(columns, ring))
 
 
 def kernel_elements(ring, basis: list, kernel: list[list]) -> list:

@@ -5,8 +5,9 @@ check_measuring verifies the multiplicative law of an expansion (the
 realization of a product is the convolution of the realizations),
 check_module_algebra its compatibility with the operator algebra (the unit
 operator, the iteration rule of divided derivatives, word composition and
-declared smash commutation rules), and check_expansion_universal the
-factorization property of the universal expansion.  ProductRingSpec is a
+the commutation of a smash action's monoid with its derivations), and
+check_expansion_universal the factorization property of the universal
+expansion at the default word bound.  ProductRingSpec is a
 product of copies of one field whose monoid generators permute the factors;
 check_product_simplicity and product_constants answer for it.
 
@@ -20,7 +21,7 @@ import itertools
 import math
 from typing import Callable, Sequence
 
-from .actions import DEFAULT_WORD_BOUND, ActionSpec, Report, kernel_elements, monomial_basis
+from .actions import ActionSpec, Report, kernel_elements, monomial_basis
 from .exactalg import GeneratorPowers, ProductField, restriction_kernel
 from .lieritt import multi_indices
 from .series import TruncSeries
@@ -83,35 +84,30 @@ def check_measuring(action: ActionSpec | Callable, ring, depth: int,
     return Report(not failures, checked, failures, {"depth": depth})
 
 
-def check_module_algebra(action: ActionSpec, ring, depth: int,
-                         expander: Callable | None = None) -> Report:
+def check_module_algebra(action: ActionSpec, ring, depth: int) -> Report:
     """Verify compatibility with the operator algebra structure: the unit
     operator acts as the identity; iterated divided derivatives compose with
-    binomial structure constants; monoid words compose; declared smash
-    commutation rules hold."""
+    binomial structure constants; monoid words compose; a smash action's
+    first monoid generator commutes with its divided derivatives of order
+    <= min(depth, 3), as ActionSpec.expand assumes."""
     failures: list[str] = []
     checked = 0
     elems = _test_elements(ring, max(depth // 2, 1))
-
-    def expand(a, horizon):
-        if expander is not None:
-            return expander(a, horizon)
-        return action.expand(a, horizon, min(depth, 3))
-
+    word_bound = min(depth, 3)
     for a in elems:
         checked += 1
-        if not ring.eq(expand(a, depth).ev_unit(), a):
+        if not ring.eq(action.expand(a, depth, word_bound).ev_unit(), a):
             failures.append(f"unit operator moves {a}")
 
     if action.has_theta():
         for a in elems:
-            ea = expand(a, depth)
+            ea = action.expand(a, depth, word_bound)
             unit_word = ea.monoid.unit()
             for i in multi_indices(action.n, depth):
                 if not any(i):
                     continue
                 da = ea.value(unit_word, i)
-                eda = expand(da, depth - sum(i))
+                eda = action.expand(da, depth - sum(i), word_bound)
                 for j in multi_indices(action.n, depth - sum(i)):
                     if sum(i) + sum(j) > depth:
                         continue
@@ -130,7 +126,7 @@ def check_module_algebra(action: ActionSpec, ring, depth: int,
             if failures:
                 break
 
-    if action.has_monoid() and action.monoid.kind == "free" and expander is None:
+    if action.has_monoid() and action.monoid.kind == "free":
         for a in elems[: max(len(elems) // 2, 1)]:
             for w1 in action.monoid.words(1):
                 for w2 in action.monoid.words(1):
@@ -140,8 +136,7 @@ def check_module_algebra(action: ActionSpec, ring, depth: int,
                     if not ring.eq(lhs, rhs):
                         failures.append(f"word composition fails at {w1}, {w2} on {a}")
 
-    if action.kind == "smash" and expander is None:
-        rule = action.commutation
+    if action.kind == "smash":
         for a in elems:
             for k in multi_indices(action.n, min(depth, 3)):
                 if not any(k):
@@ -149,13 +144,7 @@ def check_module_algebra(action: ActionSpec, ring, depth: int,
                 checked += 1
                 da = action.theta_coefficient(a, k)
                 lhs = action.apply_generator(0, da)
-                if rule is None:
-                    rhs = action.theta_coefficient(action.apply_generator(0, a), k)
-                else:
-                    rhs = ring.zero()
-                    for coeff, j in rule.get(tuple(k), [(ring.one(), tuple(k))]):
-                        rhs = ring.add(rhs, ring.mul(coeff, action.theta_coefficient(
-                            action.apply_generator(0, a), j)))
+                rhs = action.theta_coefficient(action.apply_generator(0, a), k)
                 if not ring.eq(lhs, rhs):
                     failures.append(f"commutation rule fails at k = {k} on {a}")
                     break
@@ -167,7 +156,7 @@ def check_module_algebra(action: ActionSpec, ring, depth: int,
 
 def check_expansion_universal(action: ActionSpec, Lambda: Callable, target,
                               target_lift: Callable, samples: Sequence,
-                              horizon: int, word_bound: int = DEFAULT_WORD_BOUND) -> Report:
+                              horizon: int) -> Report:
     """Factorization check: Lambda must equal coordinatewise application of
     ev-at-unit(Lambda) after the universal expansion.
 
@@ -186,7 +175,7 @@ def check_expansion_universal(action: ActionSpec, Lambda: Callable, target,
             failures.append(f"induced map undefined on {s}")
             continue
         got = Lambda(s)
-        mapped = action.expand(s, horizon, word_bound).map_coeffs(
+        mapped = action.expand(s, horizon).map_coeffs(
             lambda c: ring.hom(c, powers, target_lift), target)
         if got != mapped:
             failures.append(f"factorization fails on {s}")
@@ -200,10 +189,9 @@ def check_expansion_universal(action: ActionSpec, Lambda: Callable, target,
 
 class ProductRingSpec:
     """A product of copies of one field, with monoid generators acting by
-    index permutations composed with factor endomorphisms."""
+    index permutations."""
 
-    def __init__(self, factor, count: int, perms: Sequence[Sequence[int]],
-                 factor_maps: Sequence | None = None):
+    def __init__(self, factor, count: int, perms: Sequence[Sequence[int]]):
         self.ring = ProductField(factor, count)
         self.factor = factor
         self.count = count
@@ -211,14 +199,10 @@ class ProductRingSpec:
         for p in self.perms:
             if sorted(p) != list(range(count)):
                 raise ValueError(f"{p} is not a permutation of range({count})")
-        self.factor_maps = factor_maps
 
     def apply_generator(self, g_idx: int, elem: tuple) -> tuple:
         p = self.perms[g_idx]
-        moved = tuple(elem[p[i]] for i in range(self.count))
-        if self.factor_maps and self.factor_maps[g_idx] is not None:
-            moved = tuple(self.factor_maps[g_idx](x) for x in moved)
-        return moved
+        return tuple(elem[p[i]] for i in range(self.count))
 
     def orbits(self) -> list[list[int]]:
         """Orbit partition of the factor indices under all generators."""
@@ -255,7 +239,7 @@ def check_product_simplicity(spec: ProductRingSpec) -> Report:
     return Report(not failures, checked, failures, {"factors": spec.count})
 
 
-def product_constants(spec: ProductRingSpec, action, degree: int) -> list:
+def product_constants(spec: ProductRingSpec, degree: int) -> list:
     """Fixed points of the permutation action on tuples of factor monomials."""
     factor = spec.factor
     P = spec.ring
@@ -270,4 +254,4 @@ def product_constants(spec: ProductRingSpec, action, degree: int) -> list:
         for j, b in enumerate(basis):
             moved = spec.apply_generator(g_idx, b)
             columns[j].append(P.sub(moved, b))
-    return kernel_elements(P, basis, restriction_kernel(columns, P, P.scalars))
+    return kernel_elements(P, basis, restriction_kernel(columns, P))

@@ -286,8 +286,8 @@ def solve_linear(rows: list[list], rhs: list, field):
     return Echelon(field, _columns(rows, len(rows[0]))).solve(rhs)
 
 
-def restriction_kernel(elems_by_column: list[list], domain, field) -> list[list]:
-    """Kernel over the scalar field of a map given by columns of domain values.
+def restriction_kernel(elems_by_column: list[list], domain) -> list[list]:
+    """Kernel over domain.scalars of a map given by columns of domain values.
 
     Each column is a list of elements of the context `domain`; each row of
     elements is expanded into equations over the scalars by
@@ -302,4 +302,4 @@ def restriction_kernel(elems_by_column: list[list], domain, field) -> list[list]
         _, coord_rows = domain.scalar_coordinates([col[i] for col in elems_by_column])
         # coord_rows: one row per element; transpose to equations
         rows.extend(list(eq) for eq in zip(*coord_rows))
-    return kernel_basis(rows, field, ncols)
+    return kernel_basis(rows, domain.scalars, ncols)

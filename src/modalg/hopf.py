@@ -81,7 +81,7 @@ def verify(data: PVData, degree: int, horizon: int | None = None) -> Report:
             checked += 1
             basis = monomial_basis(data.R, degree)
             cols = [[act.apply_generator(g, data.r_to_L(b))] for b in basis]
-            ker = restriction_kernel(cols, L, data.k)
+            ker = restriction_kernel(cols, L)
             if ker:
                 failures.append(f"monoid generator {g} has a kernel at degree {degree}")
 

@@ -170,7 +170,6 @@ class HullData:
         # (i, k) -> entry deformed over L; at k = 0 it is the joint expansion
         zero = (0,) * algebra.theta_u.n
         self._deformed = {(i, zero): joint for i, (_, joint) in enumerate(rho_gens)}
-        self._lifted: dict = {}  # test algebra P -> {(i, k): deformed entry lifted to P}
 
     def n_gens(self) -> int:
         return len(self.rho_gens)
@@ -183,8 +182,8 @@ class HullData:
         and P.order of them multiply to zero, so the sum stops at
         |k| = P.order - 1 and entry is called only for those k.  The default
         entry is derivative_table[(i, k)] deformed by the basis derivation
-        over L, once per hull, then lifted to P coefficientwise; both are
-        built on first use and kept as long as this hull.  Each power
+        over L, once per hull on first use, then lifted to P
+        coefficientwise.  Each power
         (comps - w)^k is formed once per call, as a w-series over P, and
         scales entry(i, k) on every word (HomElement.scale)."""
         alg = self.algebra
@@ -194,14 +193,10 @@ class HullData:
         if not all(P.is_nilpotent(x) for d in deviation for x in d.terms.values()):
             raise ValueError("transformation is not the identity modulo nilpotents")
         if entry is None:
-            lifted = self._lifted.setdefault(P, {})
-
             def entry(i, k):
-                if (i, k) not in lifted:
-                    if (i, k) not in self._deformed:
-                        self._deformed[i, k] = alg._deform_hom(self.derivative_table[(i, k)])
-                    lifted[i, k] = alg.lift(self._deformed[i, k], P.scalar, alg_P)
-                return lifted[i, k]
+                if (i, k) not in self._deformed:
+                    self._deformed[i, k] = alg._deform_hom(self.derivative_table[(i, k)])
+                return alg.lift(self._deformed[i, k], P.scalar, alg_P)
         # each power (comps - w)^k, a w-series over P, once per call
         S = alg_P.coeffs
         powers = GeneratorPowers(S, {j: TruncSeries(P, S.vars, S.horizon, d.terms)
@@ -233,7 +228,8 @@ def hull_generators(ext: ExtensionDesc, t_horizon: int, w_horizon: int,
     rho0(L); derivatives outside the span are appended as new generators,
     adding their new monomials (v times those of degree < span_degree) to
     the span.  The report states whether this closure stabilized within the
-    horizon."""
+    horizon, and the bounds it rests on (word_bound is 0 for the trivial
+    monoid, whose only word is the unit)."""
     L = ext.L
     theta_u = make_basis_derivation(ext, w_horizon)
     algebra = ExpansionAlgebra(ext.action, theta_u, t_horizon, w_horizon, word_bound)
@@ -270,6 +266,7 @@ def hull_generators(ext: ExtensionDesc, t_horizon: int, w_horizon: int,
         )
     closure = Report(not failures, len(table), failures,
                      {"t_horizon": t_horizon, "w_horizon": w_horizon,
+                      "word_bound": rho_gens[0][1].word_bound, "span_degree": span_degree,
                       "stabilized_at": stabilized_at,
                       "extra_gens": [str(k) for k, _ in new_gens]})
     return HullData(ext, algebra, rho_gens, table, closure)
@@ -419,7 +416,7 @@ def find_relations(hull: HullData, diff_order: int, degree: int,
     for rel in relations:
         if not relation_vanishes((values[column[m]], c) for m, c in cleared(rel.items())):
             raise ArithmeticError("relation does not vanish on the hull generators")
-    return [_relation_to_diffpoly(rel, hull, nstreams, nvars) for rel in relations]
+    return [_relation_to_diffpoly(rel, hull, nstreams) for rel in relations]
 
 
 def cleared(terms) -> list:
@@ -459,7 +456,7 @@ def _graded_monomials(symbols: list, degree: int) -> list[list[tuple]]:
     return levels
 
 
-def _relation_to_diffpoly(rel: dict, hull: HullData, nstreams: int, nvars: int) -> DiffPoly:
+def _relation_to_diffpoly(rel: dict, hull: HullData, nstreams: int) -> DiffPoly:
     L, wvars, horizon = hull.ext.L, hull.algebra.wvars, hull.algebra.w_horizon
     return DiffPoly(nstreams, L, wvars, horizon,
                     {tuple(sorted((s, mono.count(s)) for s in set(mono))):

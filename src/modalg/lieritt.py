@@ -686,7 +686,7 @@ def _shifted(c: TruncSeries, shift: tuple[int, ...], horizon: int):
 # ------------------------------------------------------- formal group law
 
 
-def group_law_coeffs(n: int, horizon: int, max_l: int | None = None):
+def group_law_coeffs(n: int, horizon: int):
     """Composition law of the coefficient coordinates, as exact polynomials.
 
     Returns a dict mapping (i, l) to the polynomial f giving the w^l
@@ -696,8 +696,6 @@ def group_law_coeffs(n: int, horizon: int, max_l: int | None = None):
     PolyRing over QQ with integer coefficients and no constant terms."""
     from .exactalg import QQ, PolyRing
 
-    if max_l is None:
-        max_l = horizon
     ks = multi_indices(n, horizon)
     uvars = [f"u{j + 1}_" + "_".join(map(str, k)) for j in range(n) for k in ks]
     vvars = [f"v{j + 1}_" + "_".join(map(str, k)) for j in range(n) for k in ks]
@@ -718,6 +716,6 @@ def group_law_coeffs(n: int, horizon: int, max_l: int | None = None):
     for i in range(n):
         psi = TruncSeries(ring, wvars, horizon, {tuple(k): v(i, k) for k in ks})
         composed = psi.compose(phi, strict=False)
-        for l in multi_indices(n, max_l):
+        for l in ks:
             out[(i, tuple(l))] = composed.coeff(l)
     return ring, out

@@ -231,23 +231,23 @@ def _lift_poly(RA: PolyRing, p: MPoly) -> MPoly:
     return RA.poly({exp: A.const(c) for exp, c in p.terms.items()})
 
 
-def galois_points(data: PVData, algebra: NilAlgebra, horizon: int = 3,
-                  param_order: int = 3) -> GaloisFamily:
-    """Solve for the automorphism matrices over a nilpotent test algebra.
+def galois_points(data: PVData, horizon: int = 3, param_order: int = 3) -> GaloisFamily:
+    """Solve for the automorphism matrices over the nilpotent test algebra
+    NilAlgebra(data.L, params, param_order) (params empty, and M the
+    identity, when the identity is not a point).
 
     Only formal points are solved, M congruent to the identity modulo the
     nilradical (points over a plain algebra come from the Hopf
     presentation); the system is linearized there and solved exactly, with
     layered corrections absorbing parameter-degree >= 2 residues of
     nonlinear equations.  The returned family carries symbolic parameters spanning the
-    solution; substituting nilpotent values of the target algebra enumerates
-    the actual points.
+    solution; substituting nilpotent values enumerates the actual points.
 
     The final check, that the solved family leaves no residue under any
     label, reads the residues of the latest evaluation when no correction
     followed it, and evaluates the system once more otherwise; the family's
     matrix and images come from that same evaluation."""
-    base = algebra.base
+    base = data.L
     sys = _GaloisSystem(data, horizon)
     n = data.X.nrows
     nunknowns = n * n
@@ -270,7 +270,8 @@ def galois_points(data: PVData, algebra: NilAlgebra, horizon: int = 3,
     res, _ = sys.residues(probe_alg,
                           m_matrix(probe_alg, [probe_alg.gen(v) for v in probe_alg.vars]))
     if any((0,) * nunknowns in v for _, v in res):
-        return GaloisFamily(data, algebra, [], m_matrix(algebra, [algebra.zero()] * nunknowns),
+        A = NilAlgebra(base, (), param_order)
+        return GaloisFamily(data, A, [], m_matrix(A, [A.zero()] * nunknowns),
                             {}, Report(False, 1, ["identity is not a point"], {}))
     units = [tuple(int(t == u) for t in range(nunknowns)) for u in range(nunknowns)]
     linear = [{lbl: v[e] for lbl, v in res if e in v} for e in units]
@@ -309,9 +310,8 @@ def galois_points(data: PVData, algebra: NilAlgebra, horizon: int = 3,
 
 def lie_dim(data: PVData, horizon: int = 3) -> int:
     """Dimension of the formal points over the dual numbers as a module over
-    the total field: the number of free parameters at nilpotency order 2."""
-    A = NilAlgebra(data.L, ("eps",), 2)
-    fam = galois_points(data, A, horizon=horizon, param_order=2)
+    the total field: the parameter count of galois_points at order 2."""
+    fam = galois_points(data, horizon=horizon, param_order=2)
     if not fam.report.ok:
         raise ArithmeticError("formal point solve failed: " + "; ".join(fam.report.failures))
     return len(fam.params)
@@ -332,16 +332,20 @@ class CompareReport:
         return {"ok": self.ok, **{k: v for k, v in self.details.items()}}
 
 
-def find_rational_point(data: PVData, height: int = 3):
-    """A base-field point of the principal ring: integer values for the
-    R-generators that are generators of L (nonzero for units of R) making
-    X invertible; the point lists every R-generator, each partner read
+POINT_HEIGHT = 3  # the bound on the integer coordinates find_rational_point tries
+
+
+def find_rational_point(data: PVData):
+    """A base-field point of the principal ring: integer values of absolute
+    value <= POINT_HEIGHT for the R-generators that are generators of L
+    (nonzero for units of R) making X invertible, or (None, None) when none
+    of them does; the point lists every R-generator, each partner read
     through R.hom like X."""
     R = data.R
     k = data.k
     free = [v for v in R.vars if v in data.L.vars]
     units = [R.is_unit(R.var(v)) for v in free]
-    candidates = [c for c in range(-height, height + 1)]
+    candidates = list(range(-POINT_HEIGHT, POINT_HEIGHT + 1))
     candidates.sort(key=lambda c: (abs(c), -c))
     for combo in itertools.product(candidates, repeat=len(free)):
         if any(unit and c == 0 for unit, c in zip(units, combo)):
@@ -376,8 +380,9 @@ def compare(data: PVData, hull: HullData, relations, degree: int = 3) -> Compare
     details: dict = {}
     if point is None:
         return CompareReport(False, {
-            "error": "no base-field point of the principal ring within the search "
-                     "bounds; a finite etale extension would be needed"})
+            "error": "no base-field point of the principal ring with integer "
+                     f"coordinates of absolute value <= {POINT_HEIGHT}; a finite etale "
+                     "extension would be needed"})
     details["rational_point"] = {v: data.k.to_str(c) for v, c in point.items()}
     details["point_matrix"] = str(B)
 
@@ -385,10 +390,9 @@ def compare(data: PVData, hull: HullData, relations, degree: int = 3) -> Compare
     if um.family.empty:
         return CompareReport(False, {"error": "no infinitesimal automorphisms"})
     P = um.family.algebra
-    A_target = NilAlgebra(data.L, tuple(um.family.params), P.order)
 
     # sigma-side family over a matching algebra
-    gal = galois_points(data, A_target, param_order=P.order)
+    gal = galois_points(data, param_order=P.order)
     if not gal.report.ok:
         return CompareReport(False, {"error": "formal point solve failed",
                                      "failures": gal.report.failures})

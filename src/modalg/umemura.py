@@ -253,7 +253,11 @@ def group_compatibility_check(hull: HullData, report: UmemuraReport) -> bool:
     points are the family's symbolic_pair (f, g, f . g).  The images of f
     are the report's transported along a_i -> s_i, since reconstruction
     commutes with algebra maps (the family's order must be >= 3); the
-    others are reconstructed by HullData.images."""
+    others are reconstructed by HullData.images.  The two sides are
+    compared up to w-degree w_horizon - min(w_horizon, order - 1), for the
+    order of the pair's algebra, where both are exact: the k-th divided
+    derivative of a series cut at w_horizon is exact up to degree
+    w_horizon - |k|, and images takes |k| <= min(w_horizon, order - 1)."""
     family = report.family
     if family.empty or not family.params:
         return True
@@ -263,7 +267,9 @@ def group_compatibility_check(hull: HullData, report: UmemuraReport) -> bool:
     # powers of phi_g's deviation
     f_images = [hull.algebra.lift(img, to_f, alg_f) for img in report.images.values()]
     after_g = hull.images(g.comps, lambda i, k: f_images[i].hasse_deriv(k))
-    return after_g == hull.images(composed.comps)
+    band = hull.algebra.w_horizon - min(hull.algebra.w_horizon, f.algebra.order - 1)
+    return all(sum(we) > band for a, b in zip(after_g, hull.images(composed.comps))
+               for _, _, we in hull.algebra.coordinates(a - b))
 
 
 # ------------------------------------------------------------ classification

@@ -644,7 +644,7 @@ def test_constants_diagonal_derivation_two_variables():
 
 def test_constants_product_cyclic_shift():
     spec = ProductRingSpec(QQ, 3, perms=[(1, 2, 0)])
-    basis = product_constants(spec, None, degree=1)
+    basis = product_constants(spec, degree=1)
     assert len(basis) == 1
     assert basis[0] == (Fraction(1), Fraction(1), Fraction(1))
 

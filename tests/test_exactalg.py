@@ -719,7 +719,7 @@ def test_every_context_answers_the_protocol():
         assert len(rows) == len(elems) and all(len(r) == len(labels) for r in rows)
         # -2 * 1 + 1 * two = 0 is the one scalar relation between 1 and two
         k = R.scalars
-        kernel = restriction_kernel([[R.one()], [two]], R, k)
+        kernel = restriction_kernel([[R.one()], [two]], R)
         assert kernel == [[k.from_int(-2), k.one()]]
     assert QQ.gens() == [] and QQ.scalar_coordinates([Fraction(3)]) == ([()], [[Fraction(3)]])
     A = NilAlgebra(QQ, ("a",), 2)
@@ -832,7 +832,7 @@ def test_restriction_kernel_over_function_field():
     F = FracField(QQ, ["y"])
     y = F.var("y")
     cols = [[F.one()], [y], [y - F.one()]]
-    ker = restriction_kernel(cols, F, QQ)
+    ker = restriction_kernel(cols, F)
     assert len(ker) == 1
     x0, x1, x2 = ker[0]
     assert F.add(F.add(F.mul(F.one(), F.const(x0)), F.mul(y, F.const(x1))), F.mul(y - F.one(), F.const(x2))).is_zero()

@@ -101,6 +101,14 @@ def sign_ext():
     return ExtensionDesc(L, [y], action, name="sign")
 
 
+def square_ext():
+    """L = QQ(y) with the nonlinear endomorphism sigma(y) = y^2, basis (y)."""
+    L = FracField(QQ, ["y"])
+    y = L.var("y")
+    action = ActionSpec(L, "end", monoid=MonoidDesc("endo"), endo_maps=[{"y": y * y}])
+    return ExtensionDesc(L, [y], action, name="square")
+
+
 def product_ext():
     """L = QQ(y, z) with theta(y) = y + w and theta(z) = z exp(w), basis (y, z):
     the extension of G_a x G_m, with two w variables."""
@@ -406,7 +414,8 @@ def test_closure_extends_the_span_as_a_rebuild_would(make, th, wh, span_degree):
         "failures": [] if stabilized_at < wh else [
             f"derivative closure still growing at order {wh}; "
             f"raise the horizon to certify stabilization"],
-        "bounds": {"t_horizon": th, "w_horizon": wh, "stabilized_at": stabilized_at,
+        "bounds": {"t_horizon": th, "w_horizon": wh, "word_bound": 0,
+                   "span_degree": span_degree, "stabilized_at": stabilized_at,
                    "extra_gens": [str(key) for key in new_gens]}}
 
 
@@ -438,7 +447,7 @@ def test_linear_disjointness_witness():
             cols.append(coords)
     keys = sorted({k for c in cols for k in c}, key=str)
     vecs = [[c.get(k, L.zero()) for k in keys] for c in cols]
-    ker = restriction_kernel(vecs, L, QQ)
+    ker = restriction_kernel(vecs, L)
     assert ker == []
 
 
@@ -770,7 +779,7 @@ def exhaustive_relations(hull, diff_order: int, degree: int):
             if len(monos[j]) == d and span.add(vec := monomials.relation(j)):
                 relations.append({monos[i]: c for i, c in vec.items()})
     ranks = [sum(len(monos[j]) <= d for j in monomials.dependent) for d in range(degree + 1)]
-    strings = [str(_relation_to_diffpoly(rel, hull, hull.n_gens(), n)) for rel in relations]
+    strings = [str(_relation_to_diffpoly(rel, hull, hull.n_gens())) for rel in relations]
     return strings, [len(m) for m in monos], ranks, span.size
 
 

@@ -16,7 +16,11 @@ through the ring protocol and its hom), no function reads a context's
 partner table except at the listed sites (a context's hom maps an
 inverse-pair generator with no image to the inverse of its partner's), and
 every attribute a library class stores on self is read somewhere in the
-library, unless it is listed as an output that callers read.
+library, unless it is listed as an output that callers read, every
+defaulted parameter of a library function or method is set by some call in
+the library, the tests or the benchmark, unless it is listed as a bound
+still to be derived, and every parameter of a library function other than
+self and cls is read in its body.
 
 Package __init__.py files are exempt from the import check, since their
 imports are re-exports.  Names are read with ast only; a name counts as used
@@ -27,7 +31,11 @@ anywhere in the library outside its own definition, and a public method of
 a library class when its name appears as an attribute or a string anywhere
 in the library, the tests or the benchmark outside its own definition (a
 bare name, such as a parameter named like the method, does not reach it).
-Neither scan tells a method from a data attribute of the same name."""
+Neither scan tells a method from a data attribute of the same name.  A call
+reaches a function or method by its name, and reaches __init__ by its
+class's name; it sets a defaulted parameter by keyword, by enough
+positional arguments, or through * or ** (which may carry it), so a scan by
+name errs towards keeping a parameter."""
 
 from __future__ import annotations
 
@@ -37,6 +45,11 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "modalg"
+
+
+def _read(root: Path, base: Path) -> dict[str, str]:
+    """Path under base -> source of every module under root."""
+    return {str(p.relative_to(base)): p.read_text() for p in sorted(root.rglob("*.py"))}
 
 
 def _imported(tree: ast.Module) -> dict[str, int]:
@@ -181,7 +194,7 @@ def test_reference_scanner():
 
 
 def test_library_private_functions_are_referenced():
-    sources = {str(p.relative_to(SRC)): p.read_text() for p in sorted(SRC.rglob("*.py"))}
+    sources = _read(SRC, SRC)
     dead = unreferenced_private_functions(sources)
     assert not dead, "unreferenced private functions or classes: " + ", ".join(dead)
 
@@ -232,11 +245,8 @@ def test_public_method_scanner():
 
 
 def test_library_public_methods_are_referenced():
-    def read(root):
-        return {str(p.relative_to(ROOT)): p.read_text() for p in sorted(root.rglob("*.py"))}
-
-    others = {**read(ROOT / "tests"), **read(ROOT / "bench")}
-    dead = unreferenced_public_methods(read(SRC), others)
+    others = {**_read(ROOT / "tests", ROOT), **_read(ROOT / "bench", ROOT)}
+    dead = unreferenced_public_methods(_read(SRC, ROOT), others)
     assert not dead, "unreferenced public methods: " + ", ".join(dead)
 
 
@@ -608,8 +618,150 @@ def test_write_only_attribute_scanner():
 
 
 def test_library_attributes_are_read():
-    sources = {str(p.relative_to(SRC)): p.read_text() for p in sorted(SRC.rglob("*.py"))}
+    sources = _read(SRC, SRC)
     found = set(write_only_attributes(sources))
     assert found == OUTPUT_ATTRIBUTES, (
         f"stored and never read: {sorted(found - OUTPUT_ATTRIBUTES)}; now read or gone: "
         f"{sorted(OUTPUT_ATTRIBUTES - found)}")
+
+
+
+def _defaulted_parameters(tree: ast.Module):
+    """(qualified name, callee name, [(parameter, positional index or None
+    for keyword-only)] of its defaulted parameters) of every module-level
+    function and every method, at any depth of class bodies.  A method's
+    first parameter is bound unless it is a staticmethod, so positions count
+    from the first argument a call passes; __init__ is called by its class's
+    name."""
+    out = []
+
+    def visit(body, scope, cls):
+        for node in body:
+            if isinstance(node, ast.ClassDef):
+                visit(node.body, scope + (node.name,), node.name)
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                a = node.args
+                positional = a.posonlyargs + a.args
+                if cls is not None and not any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                                               for d in node.decorator_list):
+                    positional = positional[1:]
+                first = len(positional) - len(a.defaults)
+                params = [(p.arg, i) for i, p in enumerate(positional) if i >= first]
+                params += [(p.arg, None) for p, d in zip(a.kwonlyargs, a.kw_defaults)
+                           if d is not None]
+                callee = cls if cls is not None and node.name == "__init__" else node.name
+                out.append((".".join(scope + (node.name,)), callee, params))
+
+    visit(tree.body, (), None)
+    return out
+
+
+def _sets(call: ast.Call, name: str, index: int | None) -> bool:
+    """Whether call passes the parameter name (at positional index, None
+    for keyword-only) by keyword, by position, or through * or **."""
+    if any(k.arg is None or k.arg == name for k in call.keywords):
+        return True
+    return index is not None and (len(call.args) > index
+                                  or any(isinstance(x, ast.Starred) for x in call.args))
+
+
+def unset_defaults(library: dict[str, str], others: dict[str, str]) -> list[str]:
+    """module:qualified name(parameter) of every defaulted parameter of a
+    function or method in library that no call in library or others sets."""
+    calls: dict[str, list[ast.Call]] = {}
+    for source in {**library, **others}.values():
+        for n in ast.walk(ast.parse(source)):
+            if isinstance(n, ast.Call) and isinstance(n.func, (ast.Name, ast.Attribute)):
+                name = n.func.id if isinstance(n.func, ast.Name) else n.func.attr
+                calls.setdefault(name, []).append(n)
+    return sorted(f"{module}:{qualname}({name})"
+                  for module, source in library.items()
+                  for qualname, callee, params in _defaulted_parameters(ast.parse(source))
+                  for name, index in params
+                  if not any(_sets(c, name, index) for c in calls.get(callee, ())))
+
+
+def test_unset_default_scanner():
+    library = {
+        "lib.py": (
+            "def solve(data, horizon=3, order=2, *, strict=False, bound=None):\n"
+            "    return data\n"
+            "def spread(a, b=1, c=2):\n    return a\n"
+            "class Spec:\n"
+            "    def __init__(self, ring, kind='trivial', rule=None):\n"
+            "        self.ring = ring\n"
+            "    def expand(self, x, horizon=4, bound=8):\n"
+            "        return x\n"
+            "    @staticmethod\n"
+            "    def make(ring, depth=2):\n"
+            "        return ring\n"
+            "    class Inner:\n"
+            "        def run(self, steps=1):\n            return steps\n"
+        ),
+    }
+    others = {"test_lib.py": (
+        "solve(d, 4, strict=True)\n"
+        "spread(*args)\n"
+        "s = Spec(r, kind='der')\n"
+        "s.expand(x, bound=2)\n"
+        "Spec.make(r, 5)\n"
+        "Spec.Inner().run(**options)\n"
+    )}
+    assert unset_defaults(library, others) == [
+        "lib.py:Spec.__init__(rule)", "lib.py:Spec.expand(horizon)", "lib.py:solve(bound)",
+        "lib.py:solve(order)"]
+
+
+# The defaulted parameters that no call sets, each for its reason: bounds
+# that the answers depend on, which the code is still to derive (an entry
+# point that picks and certifies its own bounds), not constants.
+UNSET_DEFAULTS = {
+    # the nilpotency order of the test algebra the zero set is solved over
+    "lieritt.py:solve_zero_set(param_order)",
+    # the horizon of the Picard-Vessiot system whose formal points are counted
+    "pv.py:lie_dim(horizon)",
+}
+
+
+def test_every_default_is_set_by_some_call():
+    found = set(unset_defaults(_read(SRC, SRC), {**_read(ROOT / "tests", ROOT),
+                                                  **_read(ROOT / "bench", ROOT)}))
+    assert found == UNSET_DEFAULTS, (
+        f"defaults no call sets: {sorted(found - UNSET_DEFAULTS)}; now set or gone: "
+        f"{sorted(UNSET_DEFAULTS - found)}")
+
+
+def unread_parameters(source: str) -> list[str]:
+    """name(parameter) of every parameter of a def, at any depth, other
+    than self and cls, that no name in its body reads."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            a = node.args
+            read = {n.id for stmt in node.body for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            out += [f"{node.name}({p.arg})"
+                    for p in a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg]
+                    if p is not None and p.arg not in ("self", "cls") and p.arg not in read]
+    return sorted(out)
+
+
+def test_unread_parameter_scanner():
+    source = (
+        "def f(a, b, *rest, c=1, **extra):\n"
+        "    b = a  # b is stored, never read\n"
+        "    def inner(d):\n"
+        "        return c\n"
+        "    return inner\n"
+        "class C:\n"
+        "    def m(self, x):\n        return len(rest)\n"
+        "    @classmethod\n"
+        "    def make(cls, y):\n        return cls(y)\n"
+    )
+    assert unread_parameters(source) == ["f(b)", "f(extra)", "f(rest)", "inner(d)", "m(x)"]
+
+
+def test_library_parameters_are_read():
+    unread = [f"{p.relative_to(SRC)}:{site}"
+              for p in sorted(SRC.rglob("*.py")) for site in unread_parameters(p.read_text())]
+    assert not unread, "parameters never read: " + ", ".join(unread)

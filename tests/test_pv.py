@@ -189,8 +189,7 @@ def test_galois_points_additive_is_one_dimensional():
     # the formal points of the unipotent group are M = [[1, a], [0, 1]]: one
     # parameter, and the linear system must not be empty
     data, _ = additive_pv()
-    A = NilAlgebra(data.L, ("eps",), 2)
-    fam = pv.galois_points(data, A, param_order=2)
+    fam = pv.galois_points(data, param_order=2)
     assert fam.report.ok and fam.report.checked > 0
     assert len(fam.params) == 1
     assert pv.lie_dim(data) == 1
@@ -652,7 +651,7 @@ def test_galois_points_eliminates_the_linearization_once(monkeypatch):
 
     monkeypatch.setattr(Echelon, "__init__", counting)
     data, _ = product_pv()
-    fam = pv.galois_points(data, NilAlgebra(data.L, ("eps",), 2), horizon=3, param_order=3)
+    fam = pv.galois_points(data, horizon=3, param_order=3)
     assert fam.report.ok and len(fam.params) == 2
     # one column per entry of the 3x3 matrix M; the other eliminations are
     # 3x3 inverses of X and of the points M
@@ -676,7 +675,7 @@ def test_galois_points_linearization_matches_the_per_unknown_probes(monkeypatch)
 
     monkeypatch.setattr(pv, "Echelon", Recording)
     data, _ = product_pv()
-    fam = pv.galois_points(data, NilAlgebra(data.L, ("eps",), 2), horizon=3, param_order=3)
+    fam = pv.galois_points(data, horizon=3, param_order=3)
     assert fam.report.ok and len(fam.params) == 2
 
     base, n = data.L, data.X.nrows
@@ -705,7 +704,7 @@ def test_galois_points_lifts_x_once_per_test_algebra(monkeypatch):
 
     data, _ = exponential_pv()
     monkeypatch.setattr(Matrix, "map", recording)
-    fam = pv.galois_points(data, NilAlgebra(data.L, ("eps",), 2), horizon=3, param_order=2)
+    fam = pv.galois_points(data, horizon=3, param_order=2)
     assert fam.report.ok and len(fam.params) == 1
     # X and X^-1, each over the probe and the parameter algebra
     assert len(lifts) == len(set(lifts)) == 4
@@ -898,10 +897,9 @@ def test_galois_points_evaluates_again_after_a_later_correction(monkeypatch):
         return out
 
     data, _ = additive_pv()
-    A = NilAlgebra(data.L, ("eps",), 2)
-    assert pv.galois_points(data, A, param_order=3).report.ok
+    assert pv.galois_points(data, param_order=3).report.ok
     monkeypatch.setattr(pv, "absorb_residues", perturbing)
-    report = pv.galois_points(data, A, param_order=3).report
+    report = pv.galois_points(data, param_order=3).report
     assert not report.ok
     assert report.failures == ["solved family leaves a nonzero residue"]
 
@@ -920,9 +918,28 @@ def test_final_check_reads_every_label(monkeypatch):
 
     monkeypatch.setattr(pv._GaloisSystem, "residues", with_extra)
     data, _ = exponential_pv()
-    report = pv.galois_points(data, NilAlgebra(data.L, ("eps",), 2), param_order=3).report
+    report = pv.galois_points(data, param_order=3).report
     assert not report.ok
     assert report.failures == ["solved family leaves a nonzero residue"]
+
+
+def test_a_residue_at_the_identity_gives_the_empty_family(monkeypatch):
+    # a constant residue is nonzero at M = I, so nothing is solved: the
+    # family is the identity over the parameter-free algebra of data.L
+    residues = pv._GaloisSystem.residues
+
+    def with_constant(self, A, M):
+        res, images = residues(self, A, M)
+        return res + [(("extra",), A.one())], images
+
+    monkeypatch.setattr(pv._GaloisSystem, "residues", with_constant)
+    data, _ = additive_pv()
+    fam = pv.galois_points(data, param_order=3)
+    assert not fam.report.ok
+    assert fam.report.failures == ["identity is not a point"]
+    assert fam.params == [] and fam.images == {}
+    assert fam.algebra is NilAlgebra(data.L, (), 3)
+    assert fam.M == Matrix.identity(fam.algebra, data.X.nrows)
 
 
 def test_a_trivial_action_doubles_to_a_trivial_action():

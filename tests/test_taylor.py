@@ -203,7 +203,7 @@ def test_merge_tensor_injective_on_basis():
             basis.append(alg.merge_tensor([(hom, ws)]))
     keys = sorted({k for b in basis for k in alg.coordinates(b)})
     cols = [[alg.coordinates(b).get(k, L.zero()) for k in keys] for b in basis]
-    ker = restriction_kernel(cols, L, QQ)
+    ker = restriction_kernel(cols, L)
     assert ker == []
 
 

@@ -27,7 +27,7 @@ from modalg.umemura import (
     identify_formal_group,
     solve_points,
 )
-from test_hull import gamma_ext, gaussian_ext, harmonic_ext, sign_ext
+from test_hull import additive_ext, gamma_ext, gaussian_ext, harmonic_ext, sign_ext, square_ext
 from test_pv import TRANSPORT_EXAMPLES, transport_example
 
 
@@ -150,6 +150,25 @@ def test_sign_change_has_a_trivial_formal_group():
     _, _, report = chain(sign_ext, 2, 2, 1)
     assert report.family.params == []
     assert report.classification["tag"] == "trivial"
+
+
+def test_an_unconstrained_family_composes():
+    # sigma(y) = y^2 at word bound 5 leaves no relation, so every truncated
+    # transformation is a point; the two sides of the composition agree at
+    # every w-degree where both are exact (degree 0 at w_horizon 2)
+    hull = hull_generators(square_ext(), t_horizon=2, w_horizon=2, word_bound=5)
+    rels = find_relations(hull, diff_order=1, degree=2)
+    report = solve_points(hull, rels)
+    assert rels == [] and len(report.family.params) == 3
+    assert report.classification["tag"] == "unclassified"
+    assert group_compatibility_check(hull, report) is True
+
+
+def test_compatibility_at_w_horizon_one_compares_degree_zero():
+    # images takes |k| <= min(w_horizon, order - 1), so degree 0 stays exact
+    hull, _, report = chain(additive_ext, 2, 1, 1)
+    assert report.family.params == ["a0"]
+    assert group_compatibility_check(hull, report) is True
 
 
 def monoid_ext(monoid, *maps, inv_maps=None):
