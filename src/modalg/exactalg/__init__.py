@@ -8,10 +8,12 @@ from_int, const (the embedding of a scalar), the arithmetic add, sub, neg,
 mul, inv and div, the tests is_zero, is_unit, is_nilpotent and eq, to_str,
 gens() and scalar_coordinates, and for the contexts with named generators
 the ring map hom over a GeneratorPowers.  GeneratorPowers.substitute is the
-one loop that substitutes images of generators: hom and evaluate (the
-generators numbered by position) both run it.  Contexts are interned, so
-equal constructions return the same object and contexts compare by identity;
-their metaclass Interned is exported for the other interned descriptions.
+one loop that substitutes images of generators: every context's hom
+(AlgebraicField's on the powers of its generator's image) and evaluate (the
+generators numbered by position) run it, with no exception.  Contexts are
+interned, so equal constructions return the same object and contexts
+compare by identity; their metaclass Interned is exported for the other
+interned descriptions.
 
 AlgebraicField (algext.py) and ProductField (product.py) are loaded on first
 use: the package answers either name by importing its module on the first

@@ -11,7 +11,8 @@ the work scales with the nonzeros, not with the matrix.  Pivots are units,
 so the elimination is complete over a field and over a local ring such as
 NilAlgebra, where a square matrix is invertible exactly when every column
 takes a pivot.  Matrix.inverse and Matrix.det (one per factor of a product
-ring), span membership, solutions, kernels and rref read one Echelon.
+ring), AlgebraicField.inv, span membership, solutions, kernels and rref read
+one Echelon.
 
 The pivot of a vector is the minimum-count rule of sparse elimination
 (Markowitz 1957): of its unit entries outside the pivot keys, the one at the

@@ -48,9 +48,6 @@ class ExtensionDesc:
         if action.ring is not L:
             raise ValueError("action is not over the declared field")
 
-    def n(self) -> int:
-        return len(self.basis)
-
     def transcendental_vars(self) -> tuple[str, ...]:
         return tuple(v for v in _field_variables(self.L) if v not in self.K_vars)
 
@@ -93,21 +90,22 @@ def variable_basis_derivation(L, horizon: int, fixed_vars: Sequence[str] = ()) -
 def _solve_algebraic_image(L, images: dict, wvars, horizon: int) -> TruncSeries:
     """Degree-by-degree lift of the defining equation of the AlgebraicField
     L: the unique series g = z + O(w) with P^theta(g) = 0, where P^theta has
-    the base coefficients expanded.  Requires P separable (P'(z) a unit)."""
-    if not L.is_separable():
-        raise ValueError("inseparable algebraic generator; no unique derivation lift")
+    the base coefficients expanded.  Requires P separable, which holds
+    exactly when P'(z) is a unit of L."""
+    # P'(z) in L: sum_{i>=1} i c_i z^(i-1)
+    z = L.var(L.gen_name)
+    dP_at_z = evaluate((((i - 1,), L.mul(L.from_int(i), L.from_base(c)))
+                        for i, c in enumerate(L.minpoly) if i), [z], L, lambda v: v)
+    try:
+        inv_slope = L.inv(dP_at_z)
+    except ZeroDivisionError:
+        raise ValueError("inseparable algebraic generator; no unique derivation lift") from None
     ring = SeriesRing(L, wvars, horizon)
     powers = GeneratorPowers(ring, images)
     coeff_series = [L.base.hom(c, powers, lambda v: ring.scalar(L.scalar(v))) for c in L.minpoly]
 
     def p_theta(g: TruncSeries) -> TruncSeries:
         return evaluate((((i,), c) for i, c in enumerate(coeff_series)), [g], ring, lambda v: v)
-
-    # P'(z) in L: sum_{i>=1} i c_i z^(i-1)
-    z = L.var(L.gen_name)
-    dP_at_z = evaluate((((i - 1,), L.mul(L.from_int(i), L.from_base(c)))
-                        for i, c in enumerate(L.minpoly) if i), [z], L, lambda v: v)
-    inv_slope = L.inv(dP_at_z)
 
     g = TruncSeries.const(L, wvars, horizon, z)
     for _ in range(horizon + 1):

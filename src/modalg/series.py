@@ -94,10 +94,6 @@ class TruncSeries:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def order(self) -> int:
-        """Least total degree of a nonzero term (horizon + 1 for zero)."""
-        return min((sum(e) for e in self.terms), default=self.horizon + 1)
-
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda t: (sum(t[0]), t[0]))
 

@@ -556,6 +556,26 @@ NON_WORDS = {
 }
 
 
+def test_realizations_print_their_words():
+    # sigma(y) = 3y, with sigma^-1(y) = y/3 for "auto"; in the free monoid
+    # on s: y -> 3y and t: y -> y + 1 the word s*t acts as s after t, so
+    # s*t sends y to s(y + 1) = 3y + 1 and t*s sends y to t(3y) = 3y + 3
+    L = FracField(QQ, ["y"])
+    y, three = L.var("y"), L.from_int(3)
+    sigma = {"y": y * three}
+    endo = ActionSpec(L, "end", monoid=MonoidDesc("endo"), endo_maps=[sigma])
+    assert str(endo.expand(y, 0, 2)) == "1 -> y; sigma -> 3*y; sigma^2 -> 9*y"
+    auto = ActionSpec(L, "end", monoid=MonoidDesc("auto"), endo_maps=[sigma],
+                      inv_maps=[{"y": y / three}])
+    assert str(auto.expand(y, 0, 2)) == (
+        "1 -> y; sigma^-1 -> 1/3*y; sigma -> 3*y; sigma^-2 -> 1/9*y; sigma^2 -> 9*y")
+    free = ActionSpec(L, "end", monoid=MonoidDesc("free", gens=("s", "t")),
+                      endo_maps=[sigma, {"y": y + L.one()}])
+    assert str(free.expand(y, 0, 2)) == (
+        "1 -> y; s -> 3*y; t -> y + 1; s*s -> 9*y; s*t -> 3*y + 1; t*s -> 3*y + 3; "
+        "t*t -> y + 2")
+
+
 @pytest.mark.parametrize("kind", sorted(NON_WORDS))
 def test_words_outside_the_monoid_are_rejected(kind):
     # translate and apply_word accept only words of the monoid: a negative

@@ -1,7 +1,8 @@
 """Base arithmetic tests: scalar fields, polynomials, fractions, the ring
 protocol and interning of contexts, matrices, row reduction.  Expected values
 for the derived cases are computed by independent oracles (direct expansion,
-cross-multiplication, adjugate, a dense elimination loop)."""
+cross-multiplication, adjugate, a dense elimination loop, a dense
+polynomial division and extended Euclidean algorithm)."""
 
 from __future__ import annotations
 
@@ -22,6 +23,7 @@ from modalg.exactalg import (
     Echelon,
     Frac,
     FracField,
+    GeneratorPowers,
     Matrix,
     MPoly,
     PolyRing,
@@ -36,7 +38,7 @@ from modalg.exactalg import (
 )
 from modalg.exactalg import frac
 from modalg.lieritt import NilAlgebra
-from modalg.series import TruncSeries
+from modalg.series import SeriesRing, TruncSeries
 
 
 # ---------------------------------------------------------------- scalars
@@ -653,6 +655,163 @@ def test_matrix_over_a_product_eliminates_factor_by_factor():
     T = Matrix(ProductField(QQ, 1), [[(Fraction(2),)]])
     assert T.inverse() == Matrix(ProductField(QQ, 1), [[(Fraction(1, 2),)]])
     assert T.det() == (Fraction(2),)
+
+
+# ------------------------------------------------------ algebraic extensions
+# The reference is a dense polynomial kernel over the base field: division
+# with remainder, and inversion by the extended Euclidean algorithm.
+
+
+def ref_trim(p: list) -> list:
+    while p and p[-1].is_zero():
+        p.pop()
+    return p
+
+
+def ref_add(a: list, b: list, F) -> list:
+    n = max(len(a), len(b))
+    return ref_trim([(a[i] if i < len(a) else F.zero()) + (b[i] if i < len(b) else F.zero())
+                     for i in range(n)])
+
+
+def ref_mul(a: list, b: list, F) -> list:
+    if not a or not b:
+        return []
+    out = [F.zero()] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = out[i + j] + x * y
+    return ref_trim(out)
+
+
+def ref_divmod(a: list, b: list, F) -> tuple[list, list]:
+    a = list(a)
+    q = [F.zero()] * max(len(a) - len(b) + 1, 0)
+    inv_lead = b[-1].inverse()
+    while len(a) >= len(b) and a:
+        c = a[-1] * inv_lead
+        d = len(a) - len(b)
+        q[d] = q[d] + c
+        for i, y in enumerate(b):
+            a[d + i] = a[d + i] - c * y
+        ref_trim(a)
+    return ref_trim(q), a
+
+
+def ref_gcd_ext(a: list, b: list, F) -> tuple[list, list]:
+    """(g, s) with s a + t b = g for some t."""
+    r0, r1 = list(a), list(b)
+    s0, s1 = [F.one()], []
+    while r1:
+        q, r = ref_divmod(r0, r1, F)
+        r0, r1 = r1, r
+        s0, s1 = s1, ref_add(s0, [-x for x in ref_mul(q, s1, F)], F)
+    return r0, s0
+
+
+def ref_element(L, coeffs) -> tuple:
+    _, r = ref_divmod(ref_trim(list(coeffs)), L.minpoly, L.base)
+    return tuple(r + [L.base.zero()] * (L.degree - len(r)))
+
+
+def ref_inv(L, a) -> tuple:
+    p = ref_trim(list(a))
+    if not p:
+        raise ZeroDivisionError("inverse of zero")
+    g, s = ref_gcd_ext(p, L.minpoly, L.base)
+    if len(g) != 1:
+        raise ZeroDivisionError("element shares a factor with the minimal polynomial")
+    return ref_element(L, [x * g[0].inverse() for x in s])
+
+
+def ref_hom(L, a, powers, lift):
+    T = powers.target
+    out = None
+    for d, c in enumerate(a):
+        if not c.is_zero():
+            t = L.base.hom(c, powers, lift)
+            if d:
+                t = T.mul(t, powers.power(L.gen_name, d))
+            out = t if out is None else T.add(out, t)
+    return T.zero() if out is None else out
+
+
+MINPOLYS = {  # coefficients in u, lowest degree in z first
+    "z^2 - u": lambda u, F: [-u, F.zero(), F.one()],
+    "z^3 - u - 1": lambda u, F: [-u - F.one(), F.zero(), F.zero(), F.one()],
+    "z^2 - u^2": lambda u, F: [-u * u, F.zero(), F.one()],  # reducible
+}
+
+
+def algebraic_field(scalars, minpoly: str) -> AlgebraicField:
+    F = FracField(scalars, ["u"])
+    return AlgebraicField(F, "z", MINPOLYS[minpoly](F.var("u"), F))
+
+
+@st.composite
+def algebraic_cases(draw):
+    """An algebraic field and a drawer of its base coefficients: quotients of
+    polynomials in u of degree <= 2 with small integer coefficients."""
+    L = algebraic_field(draw(st.sampled_from([QQ, GF(5), GF(7)])),
+                        draw(st.sampled_from(sorted(MINPOLYS))))
+    F, u = L.base, L.base.var("u")
+
+    def coeff():
+        num, den = (sum((F.from_int(draw(st.integers(-3, 3))) * u ** k for k in range(deg + 1)),
+                        F.zero()) for deg in (2, 1))
+        return num / (den if not den.is_zero() else F.one())
+
+    return L, coeff
+
+
+@settings(max_examples=60, deadline=None)
+@given(algebraic_cases(), st.data())
+def test_algebraic_element_reduces_like_the_dense_reference(case, data):
+    L, coeff = case
+    coeffs = [coeff() for _ in range(data.draw(st.integers(L.degree + 1, 2 * L.degree + 2)))]
+    assert L.element(coeffs) == ref_element(L, coeffs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(algebraic_cases())
+def test_algebraic_mul_and_inv_match_the_dense_reference(case):
+    L, coeff = case
+    a, b = (L.element([coeff() for _ in range(L.degree)]) for _ in range(2))
+    assert L.mul(a, b) == ref_element(L, ref_mul(ref_trim(list(a)), ref_trim(list(b)), L.base))
+    try:
+        want = ref_inv(L, a)
+    except ZeroDivisionError:
+        with pytest.raises(ZeroDivisionError):
+            L.inv(a)
+    else:
+        assert L.inv(a) == want
+
+
+@settings(max_examples=30, deadline=None)
+@given(algebraic_cases())
+def test_algebraic_hom_into_series_matches_the_reference_loop(case):
+    L, coeff = case
+    S = SeriesRing(L, ("w",), 3)
+    w = S.var("w")
+    dz = S.scalar(L.element([coeff()]))
+    powers = GeneratorPowers(S, {"u": S.add(S.scalar(L.var("u")), w),
+                                 "z": S.add(S.scalar(L.var("z")), S.mul(dz, w))})
+    lift = lambda v: S.scalar(L.scalar(v))  # noqa: E731
+    a = L.element([coeff() for _ in range(L.degree)])
+    assert L.hom(a, powers, lift) == ref_hom(L, a, powers, lift)
+
+
+@pytest.mark.parametrize("scalars", [QQ, GF(5), GF(7)])
+def test_algebraic_inv_raises_on_zero_and_on_zero_divisors(scalars):
+    L = algebraic_field(scalars, "z^2 - u^2")
+    with pytest.raises(ZeroDivisionError, match="inverse of zero"):
+        L.inv(L.zero())
+    # z - u divides z^2 - u^2
+    with pytest.raises(ZeroDivisionError, match="shares a factor"):
+        L.inv(L.sub(L.var("z"), L.var("u")))
+    # z - 2u is a unit: (z - 2u)(z + 2u) = u^2 - 4u^2 = -3u^2
+    a = L.sub(L.var("z"), L.mul(L.from_int(2), L.var("u")))
+    assert L.eq(L.mul(a, L.inv(a)), L.one())
 
 
 # -------------------------------------------------------------- contexts

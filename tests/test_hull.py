@@ -235,11 +235,13 @@ def test_basis_derivation_algebraic_generator():
 
 
 def test_inseparable_generator_rejected():
-    base = FracField(GF(2), ["u"])
-    u = base.var("u")
-    L = AlgebraicField(base, "z", [-u, base.zero(), base.one()])  # z^2 - u over GF(2)
-    with pytest.raises(ValueError):
-        variable_basis_derivation(L, 3)
+    # z^p - u over GF(p) for p = 2, 3: P' = 0, so P'(z) is no unit
+    for p in (2, 3):
+        base = FracField(GF(p), ["u"])
+        u = base.var("u")
+        L = AlgebraicField(base, "z", [-u] + [base.zero()] * (p - 1) + [base.one()])
+        with pytest.raises(ValueError, match="inseparable"):
+            variable_basis_derivation(L, 3)
 
 
 def test_moving_variables_of_each_field_context():

@@ -30,8 +30,10 @@ referenced when its name appears as a name, an attribute or a string
 anywhere in the library outside its own definition, and a public method of
 a library class when its name appears as an attribute or a string anywhere
 in the library, the tests or the benchmark outside its own definition (a
-bare name, such as a parameter named like the method, does not reach it).
-Neither scan tells a method from a data attribute of the same name.  A call
+bare name, such as a parameter named like the method, does not reach it);
+a public method whose name is also assigned as a data attribute
+(self.name = ...) counts only calls x.name(...), since reading the
+attribute does not reach the method.  A call
 reaches a function or method by its name, and reaches __init__ by its
 class's name; it sets a defaulted parameter by keyword, by enough
 positional arguments, or through * or ** (which may carry it), so a scan by
@@ -199,16 +201,35 @@ def test_library_private_functions_are_referenced():
     assert not dead, "unreferenced private functions or classes: " + ", ".join(dead)
 
 
+def _method_calls(tree: ast.AST) -> Counter:
+    """The calls x.name(...) of each name."""
+    return Counter(n.func.attr for n in ast.walk(tree)
+                   if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute))
+
+
+def _data_attributes(tree: ast.AST) -> set[str]:
+    """The names assigned as data attributes, self.name = ...."""
+    return {n.attr for n in ast.walk(tree)
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Store)
+            and isinstance(n.value, ast.Name) and n.value.id == "self"}
+
+
 def unreferenced_public_methods(library: dict[str, str], others: dict[str, str]) -> list[str]:
     """module:Class.name of every public method of a class in library whose
     name is used as an attribute or a string nowhere in library or others
-    except inside the definitions of that name."""
-    total = Counter()
-    inside = Counter()
+    except inside the definitions of that name.  A method that is not a
+    property, and whose name some class also assigns as a data attribute
+    (self.name = ...), is used only by a call x.name(...): reading the data
+    attribute does not reach it."""
+    total, calls = Counter(), Counter()
+    inside, inside_calls = Counter(), Counter()
+    data: set[str] = set()
     defs = []
     for module, source in {**library, **others}.items():
         tree = ast.parse(source)
         total += _member_references(tree)
+        calls += _method_calls(tree)
+        data |= _data_attributes(tree)
         if module not in library:
             continue
         for cls in ast.walk(tree):
@@ -217,9 +238,17 @@ def unreferenced_public_methods(library: dict[str, str], others: dict[str, str])
             for node in cls.body:
                 if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
                         and not node.name.startswith("_")):
-                    defs.append((module, cls.name, node.name))
+                    prop = any(isinstance(d, ast.Name) and d.id == "property"
+                               for d in node.decorator_list)
+                    defs.append((module, cls.name, node.name, prop))
                     inside[node.name] += _member_references(node)[node.name]
-    return sorted(f"{m}:{c}.{name}" for m, c, name in defs if total[name] == inside[name])
+                    inside_calls[node.name] += _method_calls(node)[node.name]
+    dead = []
+    for m, c, name, prop in defs:
+        uses, own = ((calls, inside_calls) if name in data and not prop else (total, inside))
+        if uses[name] == own[name]:
+            dead.append(f"{m}:{c}.{name}")
+    return sorted(dead)
 
 
 def test_public_method_scanner():
@@ -235,13 +264,20 @@ def test_public_method_scanner():
             "    def _private(self):\n        return 4\n"
             "class D:\n    def dead_too(self):\n        return 5\n"
             "    def shadowed(self):\n        return 6\n"
+            "    def size(self):\n        return 7\n"
+            "    def order(self):\n        return 8\n"
             "def scale(shadowed, by):\n    dead_too = shadowed * by\n    return dead_too\n"
+            "class Spec:\n    def __init__(self, size, order):\n"
+            "        self.size = size\n        self.order = order\n"
         ),
     }
-    others = {"test_lib.py": ("from lib import C\n"
-                              "v = C().used() + C().shown + getattr(C(), 'named')()\n")}
+    others = {"test_lib.py": ("from lib import C, D, Spec\n"
+                              "v = C().used() + C().shown + getattr(C(), 'named')()\n"
+                              "w = Spec(1, 2).size + Spec(1, 2).order + D().order()\n")}
+    # D.size is read only as Spec's data attribute, so it is dead; D.order
+    # is called
     assert unreferenced_public_methods(library, others) == [
-        "lib.py:C.dead", "lib.py:D.dead_too", "lib.py:D.shadowed"]
+        "lib.py:C.dead", "lib.py:D.dead_too", "lib.py:D.shadowed", "lib.py:D.size"]
 
 
 def test_library_public_methods_are_referenced():

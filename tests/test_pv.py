@@ -195,6 +195,17 @@ def test_galois_points_additive_is_one_dimensional():
     assert pv.lie_dim(data) == 1
 
 
+def test_galois_points_exponential_as_dict():
+    # sigma(y) = (1 + c0) y: M = [[1 + c0]], and sigma(1/y) = 1/((1 + c0) y)
+    # = (1 - c0 + c0^2)/y, since c0^3 = 0 at param_order 3
+    data, _ = exponential_pv()
+    d = pv.galois_points(data).as_dict()
+    assert list(d) == ["parameters", "matrix", "images", "checks"]
+    assert d["parameters"] == ["c0"] and d["matrix"] == "[1 + c0]"
+    assert d["images"] == {"y": "(1 + c0)*y", "yi": "(1 - c0 + c0^2)*yi"}
+    assert d["checks"]["ok"]
+
+
 def test_compare_additive_is_additive_group():
     data, ext = additive_pv()
     hull = hull_generators(ext, t_horizon=3, w_horizon=3)
